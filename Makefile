@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint fmt bench bench-json bench-gate load-smoke load-smoke-durable sweep-smoke profile report clean
+.PHONY: all build test race vet lint fmt bench bench-json bench-gate bench-e2e-test load-smoke load-smoke-durable sweep-smoke profile report clean
 
 all: build lint test
 
@@ -81,6 +81,13 @@ bench-json:
 bench-gate:
 	@test -f bench-out/BENCH.json || { echo "bench-out/BENCH.json missing: run the bench suite into bench-out first (CI does) or 'make bench-json' and copy it"; exit 1; }
 	$(GO) run ./cmd/smartmem-benchgate -current bench-out/BENCH.json -baseline BENCH.json -budgets bench-budgets.txt
+
+# The end-to-end benchmark is a module of its own (benchmark/go.mod), so
+# `go test ./...` neither builds nor tests it. Run this after changing any
+# package it imports: its unit tests plus an untraced smoke of all four
+# workloads, a few seconds. CI runs it.
+bench-e2e-test:
+	cd benchmark && $(GO) test -short .
 
 # Loadgen SLO smoke: a short open-loop run against an in-process server,
 # gated on zero transport errors, a minimum sustained rate and a p99

@@ -370,3 +370,29 @@ func TestGreedyStarvesLatecomerSmartAllocDoesNot(t *testing.T) {
 		t.Errorf("smart-alloc VM2 runtime %v not below greedy %v", smartVM2, greedyVM2)
 	}
 }
+
+// A VM whose start time the run never reaches must not start during
+// teardown: no VMStarted event, no run record, no guest activity.
+func TestVMBeyondLimitNeverStarts(t *testing.T) {
+	cfg := smallScenario(1, nil, true)
+	cfg.Limit = 1 * sim.Second
+	cfg.VMs[1].StartDelay = 10 * sim.Second
+	var started []string
+	res, err := RunWith(nil, cfg, ObserverFunc(func(e Event) {
+		if ev, ok := e.(VMStarted); ok {
+			started = append(started, ev.VM)
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.HitLimit {
+		t.Fatal("run did not hit the limit; the test needs a longer workload")
+	}
+	if len(started) != 1 || started[0] != "VM1" {
+		t.Errorf("VMStarted for %v, want VM1 only", started)
+	}
+	if got := res.VMs[1].Kernel.Touches; got != 0 {
+		t.Errorf("VM2 touched %d pages after the run was over", got)
+	}
+}

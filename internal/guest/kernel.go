@@ -37,8 +37,10 @@ import (
 // PageID identifies an anonymous page within the VM's address space.
 type PageID uint64
 
-// gpage is the kernel's per-page bookkeeping.
+// gpage is the kernel's per-page bookkeeping. Anonymous pages are slots of
+// the dense page table (see pageTable); file pages are allocated one by one.
 type gpage struct {
+	present  bool // anonymous slots: the page exists (touched and not freed)
 	resident bool
 	dirty    bool // modified since the last stored copy was made
 	inTmem   bool // a copy believed valid in tmem
@@ -171,7 +173,7 @@ type Kernel struct {
 	fsPool tmem.PoolID // frontswap pool (persistent)
 	ccPool tmem.PoolID // cleancache pool (ephemeral)
 
-	anon  map[PageID]*gpage
+	anon  pageTable
 	files map[fileKey]*gpage
 	lru   gpage // sentinel; lru.next is coldest resident page
 
@@ -220,7 +222,6 @@ func NewKernel(cfg Config) *Kernel {
 		vm:     cfg.VM,
 		fsPool: tmem.InvalidPool,
 		ccPool: tmem.InvalidPool,
-		anon:   make(map[PageID]*gpage),
 		files:  make(map[fileKey]*gpage),
 		usable: cfg.RAMPages - cfg.KernelReserve,
 	}
@@ -480,8 +481,8 @@ func (k *Kernel) makeRoom(p *sim.Proc) {
 // the page and invalidates any stored copies.
 func (k *Kernel) Touch(p *sim.Proc, page PageID, write bool) {
 	k.stats.Touches++
-	g, ok := k.anon[page]
-	if ok && g.resident {
+	g := k.anon.lookup(page)
+	if g != nil && g.resident {
 		k.lruTouch(g)
 		k.charge(p, k.cfg.Costs.RAMTouch)
 		if write && !g.dirty {
@@ -492,10 +493,10 @@ func (k *Kernel) Touch(p *sim.Proc, page PageID, write bool) {
 	}
 	// Fault path.
 	k.makeRoom(p)
-	if !ok {
+	if g == nil {
 		// First touch: zero-fill; the page is dirty by construction.
-		g = &gpage{anon: page, dirty: true}
-		k.anon[page] = g
+		g = k.anon.insert(page)
+		g.dirty = true
 		k.stats.MinorFaults++
 		k.charge(p, k.cfg.Costs.MinorFault)
 	} else {
@@ -574,15 +575,15 @@ func (k *Kernel) accessRun(p *sim.Proc, first PageID, count, stride mem.Pages, w
 	pg := first
 	i := mem.Pages(0)
 	for i < count {
-		g, ok := k.anon[pg]
-		if ok && g.resident && (!write || g.dirty) {
+		g := k.anon.lookup(pg)
+		if g != nil && g.resident && (!write || g.dirty) {
 			// Resident run: LRU touch + time accounting only. The write
 			// case rides along when the page is already dirty (nothing to
 			// invalidate), exactly as Touch would conclude.
 			n := mem.Pages(0)
 			for i < count {
-				g2, ok2 := k.anon[pg]
-				if !ok2 || !g2.resident || (write && !g2.dirty) {
+				g2 := k.anon.lookup(pg)
+				if g2 == nil || !g2.resident || (write && !g2.dirty) {
 					break
 				}
 				k.lruTouch(g2)
@@ -594,7 +595,7 @@ func (k *Kernel) accessRun(p *sim.Proc, first PageID, count, stride mem.Pages, w
 			k.chargeN(p, k.cfg.Costs.RAMTouch, n)
 			continue
 		}
-		if ok && !g.resident && g.inTmem && (!k.cfg.NonExclusiveGets || !write) {
+		if g != nil && !g.resident && g.inTmem && (!k.cfg.NonExclusiveGets || !write) {
 			if n := k.anonTmemRun(p, pg, count-i, stride, write); n > 0 {
 				i += n
 				pg += PageID(stride * n)
@@ -632,8 +633,8 @@ func (k *Kernel) anonTmemRun(p *sim.Proc, first PageID, limit, stride mem.Pages,
 	pg := first
 	run := mem.Pages(0)
 	for run < n {
-		g, ok := k.anon[pg]
-		if !ok || g.resident || !g.inTmem {
+		g := k.anon.lookup(pg)
+		if g == nil || g.resident || !g.inTmem {
 			break
 		}
 		run++
@@ -660,7 +661,7 @@ func (k *Kernel) anonTmemRun(p *sim.Proc, first PageID, limit, stride mem.Pages,
 	}
 	pg = first
 	for j := mem.Pages(0); j < run; j++ {
-		g := k.anon[pg]
+		g := k.anon.lookup(pg)
 		k.stats.Touches++
 		k.stats.TmemHits++
 		if exclusive {
@@ -689,8 +690,8 @@ func (k *Kernel) anonTmemRun(p *sim.Proc, first PageID, limit, stride mem.Pages,
 func (k *Kernel) Free(p *sim.Proc, first PageID, count mem.Pages) {
 	for i := mem.Pages(0); i < count; i++ {
 		page := first + PageID(i)
-		g, ok := k.anon[page]
-		if !ok {
+		g := k.anon.lookup(page)
+		if g == nil {
 			continue
 		}
 		if g.resident {
@@ -698,7 +699,7 @@ func (k *Kernel) Free(p *sim.Proc, first PageID, count mem.Pages) {
 			k.resident--
 		}
 		k.invalidateCopies(p, g)
-		delete(k.anon, page)
+		k.anon.remove(g)
 		k.stats.FreedPages++
 	}
 	k.flush(p)
@@ -876,13 +877,13 @@ func (k *Kernel) CheckInvariants() error {
 	if k.resident > k.usable {
 		return fmt.Errorf("guest: resident %d exceeds usable %d", k.resident, k.usable)
 	}
-	for id, g := range k.anon {
-		if !g.file && !g.resident && !g.dirty && !g.inTmem && !g.onDisk {
-			return fmt.Errorf("guest: page %d unreachable (no copy anywhere)", id)
+	return k.anon.each(func(g *gpage) error {
+		if !g.resident && !g.dirty && !g.inTmem && !g.onDisk {
+			return fmt.Errorf("guest: page %d unreachable (no copy anywhere)", g.anon)
 		}
 		if !g.resident && g.dirty {
-			return fmt.Errorf("guest: page %d dirty but not resident", id)
+			return fmt.Errorf("guest: page %d dirty but not resident", g.anon)
 		}
-	}
-	return nil
+		return nil
+	})
 }

@@ -51,7 +51,7 @@ func BenchmarkKernelTimers(b *testing.B) {
 }
 
 // BenchmarkProcSleep measures the full process scheduling point: schedule,
-// dispatch through the wake channel, park through the yield channel.
+// resume the coroutine, park by yielding back to the kernel.
 func BenchmarkProcSleep(b *testing.B) {
 	k := NewKernel(1)
 	k.Spawn("sleeper", func(p *Proc) {

@@ -3,19 +3,19 @@ package sim
 import "fmt"
 
 // errProcKilled is the sentinel panic value used to unwind a killed
-// process's goroutine. Process bodies must not recover it.
+// process's coroutine. Process bodies must not recover it.
 var errProcKilled = fmt.Errorf("sim: process killed")
 
-// Proc is a simulated process: a goroutine that runs in strict alternation
+// Proc is a simulated process: a coroutine that runs in strict alternation
 // with the kernel. All Proc methods must be called from the process's own
-// body function, except Kill and Done which may be called from the kernel
-// context (events/callbacks).
+// body function, except Kill and Finished which may be called from the
+// kernel context (events/callbacks).
 type Proc struct {
 	k         *Kernel
 	id        int
 	name      string
-	wake      chan Time
-	done      chan struct{}
+	next      func() (struct{}, bool) // kernel side: resume until the next park
+	yield     func(struct{}) bool     // process side: switch back to the kernel
 	finished  bool
 	cancelled bool
 
@@ -35,21 +35,31 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// Done returns a channel closed when the process body has returned.
-func (p *Proc) Done() <-chan struct{} { return p.done }
-
 // Finished reports whether the process body has returned.
 func (p *Proc) Finished() bool { return p.finished }
 
-// park hands control back to the kernel and blocks until re-dispatched.
-// Returns the dispatch time. Panics with errProcKilled if cancelled.
-func (p *Proc) park() Time {
-	p.k.yield <- p
-	t, ok := <-p.wake
-	if !ok || p.cancelled {
+// run is the coroutine entry: it executes body on the first dispatch and
+// marks the process finished when body returns or unwinds. A process killed
+// before that first dispatch never enters body.
+func (p *Proc) run(body func(*Proc)) {
+	defer func() {
+		if r := recover(); r != nil && r != errProcKilled {
+			p.k.panicVal = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
+		}
+		p.finished = true
+	}()
+	if !p.cancelled {
+		body(p)
+	}
+}
+
+// park switches back to the kernel and returns when re-dispatched. Panics
+// with errProcKilled if the process was cancelled meanwhile.
+func (p *Proc) park() {
+	p.yield(struct{}{})
+	if p.cancelled {
 		panic(errProcKilled)
 	}
-	return t
 }
 
 // Sleep advances this process's local view of time by d, yielding to the
@@ -86,8 +96,8 @@ func (p *Proc) Kill() {
 		p.waiting.remove(p)
 		p.waiting = nil
 	}
-	// Schedule an immediate wake; the next Step dispatches the goroutine,
-	// which observes cancellation in park() and unwinds.
+	// Schedule an immediate wake; the next Step dispatches the coroutine,
+	// which observes cancellation in park() (or at entry) and unwinds.
 	p.k.scheduleProc(p.k.now, p)
 }
 
@@ -131,7 +141,7 @@ func (c *Cond) Signal() {
 
 // Broadcast wakes all waiting processes in FIFO order.
 func (c *Cond) Broadcast() {
-	// Exactly one goroutine runs at a time in the simulation, and woken
+	// Exactly one process runs at a time in the simulation, and woken
 	// processes only resume at a later dispatch, so nothing can append to
 	// the queue while this loop drains it — truncating up front keeps the
 	// backing array for reuse.

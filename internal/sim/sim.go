@@ -3,12 +3,16 @@
 //
 // The kernel follows the classic process-interaction style: each simulated
 // activity (a virtual machine's vCPU, the memory-manager tick loop, a
-// workload driver) runs as its own goroutine wrapped in a Proc. At any
-// instant exactly one process is runnable; everything else is parked either
-// on the event queue (waiting for virtual time to advance) or on a
-// condition (waiting to be signalled). This makes runs fully deterministic
-// for a given seed and program, which the experiment harness relies on to
-// keep paper-figure reproductions stable.
+// workload driver) is a Proc, a coroutine created with iter.Pull. The kernel
+// resumes a process by calling its next function and the process parks by
+// yielding, so a process switch is a direct coroutine switch on the calling
+// thread: no channel, no pass through the Go scheduler, and the whole
+// simulation runs on whichever goroutine calls Step. At any instant exactly
+// one process is runnable; everything else is parked either on the event
+// queue (waiting for virtual time to advance) or on a condition (waiting to
+// be signalled). This makes runs fully deterministic for a given seed and
+// program, which the experiment harness relies on to keep paper-figure
+// reproductions stable.
 //
 // Virtual time is an int64 nanosecond count starting at zero. Ties in the
 // event queue are broken by a monotonically increasing sequence number so
@@ -17,6 +21,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 	"time"
@@ -132,32 +137,21 @@ func (q *eventQueue) pop() event {
 // Kernel is a discrete-event simulation instance. The zero value is not
 // usable; construct with NewKernel.
 type Kernel struct {
-	now     Time
-	seq     uint64
-	queue   eventQueue
-	procs   map[int]*Proc
-	nextPID int
-	live    int   // unfinished processes (KillAll's drain condition)
-	running *Proc // process currently executing, nil while in kernel loop
-	ended   bool
-	limit   Time // hard stop; MaxTime when unset
-	rng     *RNG
+	now   Time
+	seq   uint64
+	queue eventQueue
+	procs []*Proc // by PID (procs[id-1]); an entry is nil once its process finished
+	live  int     // unfinished processes (KillAll's drain condition)
+	ended bool
+	limit Time // hard stop; MaxTime when unset
+	rng   *RNG
 
-	// yield channel: a running process sends itself back to the kernel
-	// when it parks. The kernel blocks on this after waking a process.
-	yield chan *Proc
-
-	panicVal any // re-raised on Run if a process panicked
+	panicVal any // re-raised from dispatch if a process panicked
 }
 
 // NewKernel creates a simulation kernel with the given RNG seed.
 func NewKernel(seed uint64) *Kernel {
-	return &Kernel{
-		procs: make(map[int]*Proc),
-		limit: MaxTime,
-		rng:   NewRNG(seed),
-		yield: make(chan *Proc),
-	}
+	return &Kernel{limit: MaxTime, rng: NewRNG(seed)}
 }
 
 // Now returns the current virtual time.
@@ -194,7 +188,7 @@ func (k *Kernel) scheduleFn(at Time, fn func(Time)) {
 }
 
 // After schedules fn to run at now+d inside the kernel loop (no process
-// context, no goroutine round-trip). fn receives the firing time.
+// context, no coroutine switch). fn receives the firing time.
 func (k *Kernel) After(d Duration, fn func(Time)) {
 	if d < 0 {
 		d = 0
@@ -211,61 +205,36 @@ func (k *Kernel) At(t Time, fn func(Time)) {
 }
 
 // Spawn creates a new process running body and schedules it to start at the
-// current virtual time (after d if given via SpawnAt). The body runs on its
-// own goroutine but in strict alternation with the kernel.
+// current virtual time (after d if given via SpawnAt). The body runs as a
+// coroutine in strict alternation with the kernel.
 func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 	return k.SpawnAt(name, 0, body)
 }
 
 // SpawnAt creates a process whose body begins executing after delay d.
 func (k *Kernel) SpawnAt(name string, d Duration, body func(p *Proc)) *Proc {
-	k.nextPID++
-	p := &Proc{
-		k:    k,
-		id:   k.nextPID,
-		name: name,
-		wake: make(chan Time),
-		done: make(chan struct{}),
-	}
-	k.procs[p.id] = p
+	p := &Proc{k: k, id: len(k.procs) + 1, name: name}
+	// The coroutine is never stopped from outside: a killed process is
+	// resumed once more and unwinds itself (see Proc.park), so its deferred
+	// calls run like any other return path.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		p.run(body)
+	})
+	k.procs = append(k.procs, p)
 	k.live++
-	go func() {
-		t, ok := <-p.wake // wait for first dispatch
-		if !ok {
-			close(p.done)
-			return
-		}
-		_ = t
-		defer func() {
-			if r := recover(); r != nil {
-				if r != errProcKilled {
-					p.k.panicVal = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
-				}
-			}
-			p.finished = true
-			close(p.done)
-			k.yield <- p // return control to kernel one last time
-		}()
-		body(p)
-	}()
 	k.scheduleProc(k.now+Time(d), p)
 	return p
 }
 
-// dispatch wakes p at time t and blocks until p parks or finishes.
-func (k *Kernel) dispatch(p *Proc, t Time) {
+// dispatch resumes p and returns when p parks or finishes.
+func (k *Kernel) dispatch(p *Proc) {
+	p.next()
 	if p.finished {
-		return
-	}
-	k.running = p
-	p.wake <- t
-	<-k.yield
-	k.running = nil
-	if p.finished {
-		// The goroutine unwound during this dispatch; retire it so KillAll's
+		// The coroutine unwound during this dispatch; retire it so KillAll's
 		// drain and Procs() never rescan dead entries.
 		k.live--
-		delete(k.procs, p.id)
+		k.procs[p.id-1] = nil
 	}
 	if k.panicVal != nil {
 		panic(k.panicVal)
@@ -273,59 +242,37 @@ func (k *Kernel) dispatch(p *Proc, t Time) {
 }
 
 // Step executes the single earliest pending event. It reports false when
-// the queue is empty or the time limit has been reached.
+// the queue is empty or the time limit has been reached. Every other way of
+// advancing the kernel (Run, RunUntil, RunGated, KillAll's drain) is a loop
+// over Step.
 func (k *Kernel) Step() bool {
-	for {
-		if len(k.queue) == 0 {
-			return false
-		}
-		if k.queue[0].at > k.limit {
-			k.now = k.limit
-			k.ended = true
-			return false
-		}
-		e := k.queue.pop()
-		k.now = e.at
-		if e.proc != nil {
-			if e.proc.finished {
-				continue // stale wake-up for a dead process
-			}
-			// Cancelled processes are dispatched once more so their
-			// goroutines observe the cancellation and unwind.
-			k.dispatch(e.proc, e.at)
-			return true
-		}
-		if e.fn != nil {
-			e.fn(e.at)
-			return true
-		}
-	}
-}
-
-// Run executes events until the queue drains, the limit is hit, or every
-// process has finished. It returns the final virtual time.
-//
-// The loop is a fast-path duplicate of Step: timer callbacks (After/At) and
-// same-time wake chains run back to back inside this single kernel frame —
-// a callback that schedules another callback never leaves the loop, and the
-// only goroutine round-trips taken are the dispatches that genuinely need a
-// process context.
-func (k *Kernel) Run() Time {
 	for len(k.queue) > 0 {
 		if k.queue[0].at > k.limit {
 			k.now = k.limit
 			k.ended = true
-			return k.now
+			return false
 		}
 		e := k.queue.pop()
 		k.now = e.at
 		if e.fn != nil {
 			e.fn(e.at)
-			continue
+			return true
 		}
+		// A wake-up for a finished process is stale; skip it. Cancelled
+		// processes are dispatched once more so they observe the
+		// cancellation and unwind.
 		if e.proc != nil && !e.proc.finished {
-			k.dispatch(e.proc, e.at)
+			k.dispatch(e.proc)
+			return true
 		}
+	}
+	return false
+}
+
+// Run executes events until the queue drains or the limit is hit. It
+// returns the final virtual time.
+func (k *Kernel) Run() Time {
+	for k.Step() {
 	}
 	return k.now
 }
@@ -392,7 +339,7 @@ func (k *Kernel) Pending() int { return len(k.queue) }
 func (k *Kernel) Procs() []string {
 	var names []string
 	for _, p := range k.procs {
-		if !p.finished {
+		if p != nil {
 			names = append(names, p.name)
 		}
 	}
@@ -400,20 +347,17 @@ func (k *Kernel) Procs() []string {
 	return names
 }
 
-// KillAll cancels every live process. Each parked process is woken once to
-// unwind via panic(errProcKilled); processes must not recover() that value.
+// KillAll cancels every live process, in PID order. Each parked process is
+// woken once to unwind via panic(errProcKilled); processes must not
+// recover() that value. A process that was never dispatched finishes
+// without entering its body.
 func (k *Kernel) KillAll() {
-	ids := make([]int, 0, len(k.procs))
-	for id := range k.procs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if p := k.procs[id]; p != nil && !p.finished {
+	for _, p := range k.procs {
+		if p != nil {
 			p.Kill()
 		}
 	}
-	// Drain the unwind dispatches so goroutines exit before we return. The
+	// Drain the unwind dispatches so coroutines exit before we return. The
 	// kernel maintains a live counter decremented as each process finishes,
 	// so the drain is linear in the number of events rather than rescanning
 	// every process after every Step.

@@ -248,10 +248,8 @@ func TestProcIdentity(t *testing.T) {
 		t.Error("Kernel() mismatch")
 	}
 	k.Run()
-	select {
-	case <-p.Done():
-	default:
-		t.Error("Done channel not closed after Run")
+	if !p.Finished() {
+		t.Error("process not Finished after Run")
 	}
 }
 
@@ -694,5 +692,22 @@ func TestKillAllAfterNaturalFinish(t *testing.T) {
 	k.KillAll() // must not hang or panic with the live counter at zero
 	if n := len(k.Procs()); n != 0 {
 		t.Errorf("live procs after KillAll = %d, want 0", n)
+	}
+}
+
+// A process killed before its first dispatch must never enter its body:
+// the run is over, and running workload code during teardown would emit
+// events after the end of the simulation.
+func TestKillBeforeFirstDispatchSkipsBody(t *testing.T) {
+	k := NewKernel(1)
+	ran := false
+	p := k.SpawnAt("late", 10*Second, func(p *Proc) { ran = true })
+	k.RunUntil(Time(1 * Second))
+	k.KillAll()
+	if ran {
+		t.Error("body of a never-dispatched process ran during KillAll")
+	}
+	if !p.Finished() || len(k.Procs()) != 0 {
+		t.Errorf("finished=%v live=%v, want the process retired", p.Finished(), k.Procs())
 	}
 }

@@ -127,10 +127,14 @@ func (s *DataStore) Count() int { return len(s.pages) }
 // MetaStore records only page presence. Loads fill dst with zeros. It is
 // the simulator's backend: what the policies observe (counts, targets,
 // successes/failures) is identical to DataStore's behaviour.
+//
+// Handles index a slice of liveness flags and dropped handles are reused
+// from a free list, so Save/Drop/Load are an index and a compare — no
+// hashing — and a store cycling at a steady page count allocates nothing.
 type MetaStore struct {
 	pageSize int
-	live     map[Handle]struct{}
-	next     Handle
+	live     []bool   // live[h]: handle h is held by a caller
+	free     []Handle // dropped handles awaiting reuse
 }
 
 // NewMetaStore creates a presence-only store.
@@ -138,7 +142,7 @@ func NewMetaStore(pageSize int) *MetaStore {
 	if pageSize <= 0 {
 		panic("tmem: non-positive page size")
 	}
-	return &MetaStore{pageSize: pageSize, live: make(map[Handle]struct{})}
+	return &MetaStore{pageSize: pageSize}
 }
 
 // PageSize implements PageStore.
@@ -149,40 +153,49 @@ func (s *MetaStore) Save(data []byte) (Handle, error) {
 	if len(data) > s.pageSize {
 		return NoHandle, fmt.Errorf("tmem: page data %d bytes exceeds page size %d", len(data), s.pageSize)
 	}
-	h := s.next
-	s.next++
-	s.live[h] = struct{}{}
-	return h, nil
+	if n := len(s.free); n > 0 {
+		h := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.live[h] = true
+		return h, nil
+	}
+	s.live = append(s.live, true)
+	return Handle(len(s.live) - 1), nil
+}
+
+// known reports whether h is a handle Save returned and Drop has not
+// released since.
+func (s *MetaStore) known(h Handle) bool {
+	return h >= 0 && h < Handle(len(s.live)) && s.live[h]
 }
 
 // Load implements PageStore.
 func (s *MetaStore) Load(h Handle, dst []byte) error {
-	if _, ok := s.live[h]; !ok {
+	if !s.known(h) {
 		return fmt.Errorf("tmem: load of unknown handle %d", h)
 	}
 	if len(dst) < s.pageSize {
 		return fmt.Errorf("tmem: destination %d bytes smaller than page size %d", len(dst), s.pageSize)
 	}
-	for i := range dst[:s.pageSize] {
-		dst[i] = 0
-	}
+	clear(dst[:s.pageSize])
 	return nil
 }
 
 // Drop implements PageStore.
 func (s *MetaStore) Drop(h Handle) error {
-	if _, ok := s.live[h]; !ok {
+	if !s.known(h) {
 		return fmt.Errorf("tmem: drop of unknown handle %d", h)
 	}
-	delete(s.live, h)
+	s.live[h] = false
+	s.free = append(s.free, h)
 	return nil
 }
 
 // Footprint implements PageStore.
-func (s *MetaStore) Footprint() int64 { return int64(len(s.live)) * 16 } // bookkeeping only
+func (s *MetaStore) Footprint() int64 { return int64(s.Count()) * 16 } // bookkeeping only
 
 // Count implements PageStore.
-func (s *MetaStore) Count() int { return len(s.live) }
+func (s *MetaStore) Count() int { return len(s.live) - len(s.free) }
 
 // --- CompressStore ---
 

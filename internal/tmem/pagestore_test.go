@@ -142,6 +142,90 @@ func TestMetaStoreFootprintIsSmall(t *testing.T) {
 	}
 }
 
+// TestMetaStoreHandleReuse pins the slab behaviour behind the opaque
+// handles: a dropped handle is unknown until Save hands it out again, live
+// handles never collide, handles nobody was given are rejected, and Count
+// and Footprint follow the live set, not the high-water mark.
+func TestMetaStoreHandleReuse(t *testing.T) {
+	s := NewMetaStore(testPage)
+	dst := make([]byte, testPage)
+	var hs []Handle
+	for i := 0; i < 8; i++ {
+		h, err := s.Save(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+	}
+	for _, h := range []Handle{NoHandle, -7, 8, 1 << 40} {
+		if s.Load(h, dst) == nil || s.Drop(h) == nil {
+			t.Errorf("handle %d was never issued but is accepted", h)
+		}
+	}
+	for _, h := range hs[2:5] {
+		if err := s.Drop(h); err != nil {
+			t.Fatal(err)
+		}
+		if s.Drop(h) == nil {
+			t.Errorf("double Drop of %d not detected", h)
+		}
+		if s.Load(h, dst) == nil {
+			t.Errorf("Load of %d after Drop not detected", h)
+		}
+	}
+	if s.Count() != 5 || s.Footprint() != 5*16 {
+		t.Errorf("Count = %d, Footprint = %d after 8 saves and 3 drops", s.Count(), s.Footprint())
+	}
+	live := map[Handle]bool{}
+	for _, h := range append(hs[:2:2], hs[5:]...) {
+		live[h] = true
+	}
+	for i := 0; i < 5; i++ { // three reused handles, then two fresh ones
+		h, err := s.Save(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live[h] {
+			t.Fatalf("Save returned handle %d, which is still live", h)
+		}
+		live[h] = true
+		dst[0] = 0xFF
+		if err := s.Load(h, dst); err != nil || dst[0] != 0 {
+			t.Errorf("Load(%d) = %v, dst[0] = %#x", h, err, dst[0])
+		}
+	}
+	if s.Count() != 10 || len(s.live) != 10 {
+		t.Errorf("Count = %d over %d slots, want 10 over 10 (dropped handles reused first)", s.Count(), len(s.live))
+	}
+}
+
+// TestMetaStoreSteadyStateZeroAlloc pins 0 allocs/op for Save/Drop cycling
+// below the store's high-water mark — the state a simulated tmem pool is in
+// for all of a run but its first fill.
+func TestMetaStoreSteadyStateZeroAlloc(t *testing.T) {
+	s := NewMetaStore(testPage)
+	var hs [64]Handle
+	for i := range hs {
+		hs[i], _ = s.Save(nil)
+	}
+	for _, h := range hs {
+		if err := s.Drop(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		for i := range hs {
+			hs[i], _ = s.Save(nil)
+		}
+		for _, h := range hs {
+			_ = s.Drop(h) // cannot fail: h was just saved
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("MetaStore Save/Drop steady state = %v allocs/op, want 0", allocs)
+	}
+}
+
 func TestStoreRejectsBadPageSize(t *testing.T) {
 	for _, mk := range []func(){
 		func() { NewDataStore(0) },
