@@ -31,7 +31,8 @@ fmt:
 # cache) run without -benchmem: their parallel workers' allocation counts
 # wobble by a few dozen with goroutine scheduling, which would trip
 # the gate's absolute allocs/op rule. The store/daemon concurrency benches compare the
-# striped hot path against the shards-1 (single-mutex) baseline, the
+# striped hot path against the shards-1 (single-mutex) baseline,
+# BackendPutGetFlush is one page's put/get/flush life in the store, the
 # remote-tier bench shows overflow absorbed by a peer store instead of
 # failing to the disk-swap path (its -batch variants report transport
 # round-trips/op), and the sim kernel benches pin the zero-allocation
@@ -43,6 +44,7 @@ bench:
 	$(GO) test -bench 'BenchmarkRunCluster' -benchtime 1x -run '^$$' .
 	$(GO) test -bench 'BenchmarkKernel|BenchmarkProcSleep|BenchmarkCondPingPong' -benchtime 100000x -benchmem -run '^$$' ./internal/sim
 	$(GO) test -bench 'BenchmarkBackendParallel' -benchtime 10000x -benchmem -run '^$$' ./internal/tmem
+	$(GO) test -bench 'BenchmarkBackendPutGetFlush' -benchtime 100000x -benchmem -run '^$$' ./internal/tmem
 	$(GO) test -bench 'BenchmarkRemoteTier' -benchtime 10000x -benchmem -run '^$$' ./internal/tmem
 	$(GO) test -bench 'BenchmarkCompressedTier' -benchtime 10000x -benchmem -run '^$$' ./internal/tmem
 	$(GO) test -bench 'BenchmarkKVServer' -benchtime 1000x -benchmem -run '^$$' ./internal/kvstore
@@ -63,6 +65,7 @@ bench-json:
 	  $(GO) test -bench 'BenchmarkRunCluster' -benchtime 1x -run '^$$' . && \
 	  $(GO) test -bench 'BenchmarkKernel|BenchmarkProcSleep|BenchmarkCondPingPong' -benchtime 100000x -benchmem -run '^$$' ./internal/sim && \
 	  $(GO) test -bench 'BenchmarkBackendParallel' -benchtime 10000x -benchmem -run '^$$' ./internal/tmem && \
+	  $(GO) test -bench 'BenchmarkBackendPutGetFlush' -benchtime 100000x -benchmem -run '^$$' ./internal/tmem && \
 	  $(GO) test -bench 'BenchmarkRemoteTier' -benchtime 10000x -benchmem -run '^$$' ./internal/tmem && \
 	  $(GO) test -bench 'BenchmarkCompressedTier' -benchtime 10000x -benchmem -run '^$$' ./internal/tmem && \
 	  $(GO) test -bench 'BenchmarkKVServer' -benchtime 1000x -benchmem -run '^$$' ./internal/kvstore && \

@@ -95,7 +95,7 @@ func (s *Store) PageSize() mem.Bytes { return s.b.PageSize() }
 
 func (s *Store) NewPool(vm tmem.VMID, kind tmem.PoolKind) tmem.PoolID {
 	id := s.b.NewPool(vm, kind)
-	if kind == tmem.Persistent && !s.degraded.Load() {
+	if id != tmem.InvalidPool && kind == tmem.Persistent && !s.degraded.Load() {
 		if err := s.log.NewPool(id, vm, kind); err != nil {
 			s.degrade()
 		}

@@ -1,16 +1,13 @@
-// Package mem provides the page- and frame-level building blocks shared by
-// the tmem store, the guest kernel model and the hypervisor node: byte/page
-// conversions, a bitmap physical frame allocator, and page counters.
+// Package mem provides the page-level units shared by the tmem store, the
+// guest kernel model and the hypervisor node: page and byte counts and the
+// conversions between them.
 //
 // Sizes are expressed in Pages wherever policy logic is involved, because
 // the paper's algorithms (and Xen's tmem) account purely in pages; bytes
 // appear only at configuration boundaries.
 package mem
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Pages is a count of memory pages.
 type Pages int64
@@ -62,131 +59,4 @@ func (b Bytes) String() string {
 	default:
 		return fmt.Sprintf("%dB", int64(b))
 	}
-}
-
-// FrameNo identifies a physical page frame within a FrameAllocator.
-type FrameNo int64
-
-// NoFrame is the invalid frame sentinel.
-const NoFrame FrameNo = -1
-
-// FrameAllocator hands out physical page frames from a fixed pool using a
-// two-level bitmap. It is the fine-grained allocator the hypervisor uses
-// for tmem pages ("SmarTmem only requires one single allocator" — §III-B).
-//
-// The zero value is unusable; construct with NewFrameAllocator. Not
-// goroutine-safe: the simulator serializes hypervisor work, and the real
-// store wraps it in its own lock.
-type FrameAllocator struct {
-	total Pages
-	free  Pages
-	words []uint64 // bit set => frame free
-	hint  int      // next word index to scan from
-}
-
-// NewFrameAllocator creates an allocator managing total frames, all free.
-func NewFrameAllocator(total Pages) *FrameAllocator {
-	if total < 0 {
-		panic("mem: negative frame count")
-	}
-	nw := (int(total) + 63) / 64
-	a := &FrameAllocator{total: total, free: total, words: make([]uint64, nw)}
-	for i := range a.words {
-		a.words[i] = ^uint64(0)
-	}
-	// Mask out the bits past the end so countFree stays exact.
-	if rem := int(total) % 64; rem != 0 && nw > 0 {
-		a.words[nw-1] = (uint64(1) << uint(rem)) - 1
-	}
-	if total == 0 {
-		a.words = nil
-	}
-	return a
-}
-
-// Total returns the number of frames managed.
-func (a *FrameAllocator) Total() Pages { return a.total }
-
-// Free returns the number of unallocated frames.
-func (a *FrameAllocator) Free() Pages { return a.free }
-
-// Used returns the number of allocated frames.
-func (a *FrameAllocator) Used() Pages { return a.total - a.free }
-
-// Alloc grabs a free frame, or returns NoFrame when the pool is exhausted.
-func (a *FrameAllocator) Alloc() FrameNo {
-	if a.free == 0 {
-		return NoFrame
-	}
-	n := len(a.words)
-	for off := 0; off < n; off++ {
-		i := a.hint + off
-		if i >= n {
-			i -= n
-		}
-		w := a.words[i]
-		if w == 0 {
-			continue
-		}
-		bit := bits.TrailingZeros64(w)
-		a.words[i] &^= uint64(1) << uint(bit)
-		a.hint = i
-		a.free--
-		return FrameNo(i*64 + bit)
-	}
-	// free count said there was a frame; the bitmap disagrees.
-	panic("mem: frame allocator bitmap corrupted")
-}
-
-// MustAlloc is Alloc but panics on exhaustion (for tests and setup code).
-func (a *FrameAllocator) MustAlloc() FrameNo {
-	f := a.Alloc()
-	if f == NoFrame {
-		panic("mem: out of frames")
-	}
-	return f
-}
-
-// IsFree reports whether frame f is currently free.
-func (a *FrameAllocator) IsFree(f FrameNo) bool {
-	if f < 0 || f >= FrameNo(a.total) {
-		return false
-	}
-	return a.words[f/64]&(uint64(1)<<uint(f%64)) != 0
-}
-
-// Release returns frame f to the pool. Double-free and out-of-range frames
-// are reported as errors because they indicate accounting bugs upstream.
-func (a *FrameAllocator) Release(f FrameNo) error {
-	if f < 0 || f >= FrameNo(a.total) {
-		return fmt.Errorf("mem: release of out-of-range frame %d (total %d)", f, a.total)
-	}
-	w, b := f/64, uint(f%64)
-	if a.words[w]&(uint64(1)<<b) != 0 {
-		return fmt.Errorf("mem: double free of frame %d", f)
-	}
-	a.words[w] |= uint64(1) << b
-	a.free++
-	return nil
-}
-
-// countFree recomputes the free count from the bitmap (test hook).
-func (a *FrameAllocator) countFree() Pages {
-	var n int
-	for _, w := range a.words {
-		n += bits.OnesCount64(w)
-	}
-	return Pages(n)
-}
-
-// CheckInvariants verifies internal consistency; returns an error if the
-// cached free count disagrees with the bitmap.
-func (a *FrameAllocator) CheckInvariants() error {
-	if got := a.countFree(); got != a.free {
-		return fmt.Errorf("mem: free count %d != bitmap population %d", a.free, got)
-	}
-	if a.free < 0 || a.free > a.total {
-		return fmt.Errorf("mem: free count %d out of range [0,%d]", a.free, a.total)
-	}
-	return nil
 }

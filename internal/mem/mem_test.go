@@ -65,149 +65,3 @@ func TestBytesString(t *testing.T) {
 		}
 	}
 }
-
-func TestFrameAllocatorBasic(t *testing.T) {
-	a := NewFrameAllocator(10)
-	if a.Total() != 10 || a.Free() != 10 || a.Used() != 0 {
-		t.Fatalf("fresh allocator: total=%d free=%d used=%d", a.Total(), a.Free(), a.Used())
-	}
-	seen := map[FrameNo]bool{}
-	for i := 0; i < 10; i++ {
-		f := a.Alloc()
-		if f == NoFrame {
-			t.Fatalf("Alloc %d returned NoFrame with free=%d", i, a.Free())
-		}
-		if seen[f] {
-			t.Fatalf("Alloc returned duplicate frame %d", f)
-		}
-		seen[f] = true
-	}
-	if a.Free() != 0 || a.Used() != 10 {
-		t.Errorf("after exhaustion: free=%d used=%d", a.Free(), a.Used())
-	}
-	if f := a.Alloc(); f != NoFrame {
-		t.Errorf("Alloc on exhausted pool = %d, want NoFrame", f)
-	}
-}
-
-func TestFrameAllocatorReleaseRecycles(t *testing.T) {
-	a := NewFrameAllocator(4)
-	frames := make([]FrameNo, 4)
-	for i := range frames {
-		frames[i] = a.MustAlloc()
-	}
-	if err := a.Release(frames[2]); err != nil {
-		t.Fatalf("Release: %v", err)
-	}
-	if a.Free() != 1 {
-		t.Errorf("free = %d, want 1", a.Free())
-	}
-	if !a.IsFree(frames[2]) {
-		t.Error("released frame not marked free")
-	}
-	got := a.Alloc()
-	if got != frames[2] {
-		t.Errorf("recycled frame = %d, want %d", got, frames[2])
-	}
-}
-
-func TestFrameAllocatorErrors(t *testing.T) {
-	a := NewFrameAllocator(4)
-	f := a.MustAlloc()
-	if err := a.Release(f); err != nil {
-		t.Fatalf("first release: %v", err)
-	}
-	if err := a.Release(f); err == nil {
-		t.Error("double free not detected")
-	}
-	if err := a.Release(FrameNo(99)); err == nil {
-		t.Error("out-of-range release not detected")
-	}
-	if err := a.Release(NoFrame); err == nil {
-		t.Error("NoFrame release not detected")
-	}
-	if a.IsFree(FrameNo(99)) {
-		t.Error("IsFree(out of range) = true")
-	}
-}
-
-func TestFrameAllocatorZeroAndUnaligned(t *testing.T) {
-	z := NewFrameAllocator(0)
-	if z.Alloc() != NoFrame {
-		t.Error("zero-size allocator allocated a frame")
-	}
-	// 70 frames does not fill whole 64-bit words; ensure the tail mask works.
-	a := NewFrameAllocator(70)
-	n := 0
-	for a.Alloc() != NoFrame {
-		n++
-		if n > 70 {
-			t.Fatal("allocator produced more frames than it manages")
-		}
-	}
-	if n != 70 {
-		t.Errorf("allocated %d frames, want 70", n)
-	}
-	if err := a.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFrameAllocatorMustAllocPanics(t *testing.T) {
-	a := NewFrameAllocator(1)
-	a.MustAlloc()
-	defer func() {
-		if recover() == nil {
-			t.Error("MustAlloc on empty pool did not panic")
-		}
-	}()
-	a.MustAlloc()
-}
-
-// Property: after any sequence of allocs and releases, free count matches
-// the bitmap, never exceeds total, and alloc-after-release succeeds.
-func TestFrameAllocatorInvariantProperty(t *testing.T) {
-	f := func(seedLow uint32, opsRaw []byte) bool {
-		a := NewFrameAllocator(257) // odd size to stress the tail word
-		var held []FrameNo
-		for _, op := range opsRaw {
-			if op%2 == 0 || len(held) == 0 {
-				if fr := a.Alloc(); fr != NoFrame {
-					held = append(held, fr)
-				}
-			} else {
-				i := int(op) % len(held)
-				if err := a.Release(held[i]); err != nil {
-					return false
-				}
-				held = append(held[:i], held[i+1:]...)
-			}
-			if a.CheckInvariants() != nil {
-				return false
-			}
-		}
-		return a.Used() == Pages(len(held))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func BenchmarkFrameAllocAlloc(b *testing.B) {
-	a := NewFrameAllocator(Pages(b.N) + 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Alloc()
-	}
-}
-
-func BenchmarkFrameAllocCycle(b *testing.B) {
-	a := NewFrameAllocator(1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := a.MustAlloc()
-		if err := a.Release(f); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

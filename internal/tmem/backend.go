@@ -3,6 +3,7 @@ package tmem
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,19 +14,6 @@ import (
 // Unlimited is the mm_target value meaning "no enforcement": the default
 // greedy behaviour where a VM may consume every free tmem page.
 const Unlimited = mem.Pages(math.MaxInt64)
-
-// entry is one stored tmem page.
-type entry struct {
-	key    Key
-	pool   *Pool
-	acct   *vmAccount
-	frame  mem.FrameNo
-	handle Handle
-	// Ephemeral entries are linked into their shard's eviction LRU; stamp
-	// is the global LRU clock value at link time (cross-shard age order).
-	stamp      uint64
-	prev, next *entry
-}
 
 // Pool is one guest-created tmem pool.
 type Pool struct {
@@ -97,13 +85,14 @@ func (a *vmAccount) cumulPutsFailed() uint64 {
 // safe for concurrent use.
 //
 // The store is sharded: keys hash to one of N lock stripes, each owning
-// its slice of the entry maps, its own page store, one segment of the
-// ephemeral LRU and one partition of the frame space. Capacity stays
-// global — per-VM targets are enforced through atomic accounts, exhausted
-// stripes steal frames from siblings, and eviction picks the node-wide
-// oldest ephemeral page across all stripes. With a single shard (the
-// NewBackend default) every operation funnels through one lock in the
-// exact order it was issued, which keeps the simulation path deterministic.
+// its slice of the key index (one flat hash table per stripe, see shard),
+// its own page store and one segment of the ephemeral LRU. Capacity stays
+// global — the free-frame count is one atomic counter (frames are counted,
+// not numbered: nothing is addressed by frame), per-VM targets are enforced
+// through atomic accounts, and eviction picks the node-wide oldest
+// ephemeral page across all stripes. With a single shard (the NewBackend
+// default) every operation funnels through one lock in the exact order it
+// was issued, which keeps the simulation path deterministic.
 type Backend struct {
 	shards    []*shard
 	shardMask uint64
@@ -116,13 +105,17 @@ type Backend struct {
 	tiersView []Tier
 
 	totalPages mem.Pages
-	// freePages mirrors the summed allocator state (node_info.free_tmem).
+	// freePages is the frame allocator (node_info.free_tmem): a put takes a
+	// frame by decrementing it while positive, a drop gives it back.
 	freePages atomic.Int64
 	// lruClock stamps ephemeral entries for cross-shard age comparison.
 	lruClock atomic.Uint64
 
-	poolMu   sync.RWMutex
-	pools    map[PoolID]*Pool
+	// pools is the live pool table, indexed by PoolID (nil = no such pool).
+	// Readers load the published slice and never lock; writers (pool
+	// creation and destruction) copy, edit and republish it under poolMu.
+	pools    atomic.Pointer[[]*Pool]
+	poolMu   sync.Mutex
 	nextPool PoolID
 
 	vmMu sync.RWMutex
@@ -152,8 +145,13 @@ type Options struct {
 }
 
 // maxShards bounds the stripe count; past the core count of any realistic
-// host more stripes only dilute the frame partitions.
+// host more stripes only add per-stripe overhead.
 const maxShards = 256
+
+// maxPools bounds pool identifiers: the pool table is indexed by id, and
+// ids are never reused, so this is the number of pools one backend can
+// create over its lifetime.
+const maxPools = 1 << 20
 
 func normShards(n int) int {
 	if n < 1 {
@@ -214,24 +212,14 @@ func newBackend(totalPages mem.Pages, stores []PageStore) *Backend {
 		shards:     make([]*shard, n),
 		shardMask:  uint64(n - 1),
 		totalPages: totalPages,
-		pools:      make(map[PoolID]*Pool),
 		vms:        make(map[VMID]*vmAccount),
 		pageSize:   mem.Bytes(stores[0].PageSize()),
 	}
+	b.pools.Store(new([]*Pool))
 	b.batchPool.New = func() any { return new(batchScratch) }
 	b.freePages.Store(int64(totalPages))
-	// Partition the frame space: the first (total mod n) stripes hold one
-	// extra frame. Frame numbers are globally unique (base + local index).
-	q, r := totalPages/mem.Pages(n), totalPages%mem.Pages(n)
-	var base mem.FrameNo
 	for i := range b.shards {
-		size := q
-		if mem.Pages(i) < r {
-			size++
-		}
 		b.shards[i] = newShard(stores[i])
-		b.shards[i].frames = frameSource{base: base, alloc: mem.NewFrameAllocator(size)}
-		base += mem.FrameNo(size)
 	}
 	return b
 }
@@ -288,39 +276,18 @@ func (b *Backend) shardFor(key Key) *shard {
 	return b.shards[key.hash()&b.shardMask]
 }
 
-// sourceOf returns the frame source owning frame (stripes hold contiguous
-// ascending ranges, so this is a binary search over the bases).
-func (b *Backend) sourceOf(frame mem.FrameNo) *frameSource {
-	i := sort.Search(len(b.shards), func(i int) bool {
-		return b.shards[i].frames.base > frame
-	}) - 1
-	return &b.shards[i].frames
-}
-
-// allocFrame grabs a free frame, preferring sh's own stripe and stealing
-// from siblings when it is exhausted. Returns false only when every stripe
-// is empty — i.e. node free_tmem is genuinely zero.
-func (b *Backend) allocFrame(sh *shard) (mem.FrameNo, bool) {
-	if f, ok := sh.frames.take(); ok {
-		b.freePages.Add(-1)
-		return f, true
-	}
-	for _, other := range b.shards {
-		if other == sh {
-			continue
+// allocFrame takes one free frame; false when node free_tmem is zero. A
+// frame is given back with freePages.Add(1).
+func (b *Backend) allocFrame() bool {
+	for {
+		n := b.freePages.Load()
+		if n <= 0 {
+			return false
 		}
-		if f, ok := other.frames.take(); ok {
-			b.freePages.Add(-1)
-			return f, true
+		if b.freePages.CompareAndSwap(n, n-1) {
+			return true
 		}
 	}
-	return mem.NoFrame, false
-}
-
-// releaseFrame returns a frame to the stripe that owns it.
-func (b *Backend) releaseFrame(frame mem.FrameNo) {
-	b.sourceOf(frame).give(frame)
-	b.freePages.Add(1)
 }
 
 // PageSize returns the node page size in bytes.
@@ -360,11 +327,23 @@ func (b *Backend) account(vm VMID) *vmAccount {
 	return b.vms[vm]
 }
 
-// pool resolves a live pool by id.
+// pool resolves a live pool by id. Lock-free: a pool destroyed after the
+// load is caught by the dead re-check inserts make under the shard lock.
 func (b *Backend) pool(id PoolID) *Pool {
-	b.poolMu.RLock()
-	defer b.poolMu.RUnlock()
-	return b.pools[id]
+	if ps := *b.pools.Load(); uint32(id) < uint32(len(ps)) {
+		return ps[id]
+	}
+	return nil
+}
+
+// setPool publishes a pool table with slot id set to p (nil removes the
+// pool). Caller holds poolMu.
+func (b *Backend) setPool(id PoolID, p *Pool) {
+	old := *b.pools.Load()
+	ps := make([]*Pool, max(len(old), int(id)+1))
+	copy(ps, old)
+	ps[id] = p
+	b.pools.Store(&ps)
 }
 
 // UnregisterVM removes a VM and destroys all of its pools (VM shutdown).
@@ -375,13 +354,15 @@ func (b *Backend) pool(id PoolID) *Pool {
 func (b *Backend) UnregisterVM(vm VMID) {
 	b.enter()
 	b.poolMu.Lock()
+	ps := slices.Clone(*b.pools.Load())
 	var doomed []*Pool
-	for id, p := range b.pools {
-		if p.vm == vm {
+	for id, p := range ps {
+		if p != nil && p.vm == vm {
 			doomed = append(doomed, p)
-			delete(b.pools, id)
+			ps[id] = nil
 		}
 	}
+	b.pools.Store(&ps)
 	b.vmMu.Lock()
 	delete(b.vms, vm)
 	b.vmMu.Unlock()
@@ -402,10 +383,12 @@ func (b *Backend) NewPool(vm VMID, kind PoolKind) PoolID {
 func (b *Backend) newPool(vm VMID, kind PoolKind) PoolID {
 	b.poolMu.Lock()
 	defer b.poolMu.Unlock()
-	a := b.register(vm)
 	id := b.nextPool
+	if id >= maxPools {
+		return InvalidPool
+	}
 	b.nextPool++
-	b.pools[id] = &Pool{id: id, vm: vm, kind: kind, acct: a}
+	b.setPool(id, &Pool{id: id, vm: vm, kind: kind, acct: b.register(vm)})
 	return id
 }
 
@@ -416,16 +399,15 @@ func (b *Backend) newPool(vm VMID, kind PoolKind) PoolID {
 // restored pool. Restoring a live id is an error.
 func (b *Backend) RestorePool(id PoolID, vm VMID, kind PoolKind) error {
 	b.enter()
-	if id < 0 {
+	if id < 0 || id >= maxPools {
 		return fmt.Errorf("tmem: restore of invalid pool id %d", id)
 	}
 	b.poolMu.Lock()
 	defer b.poolMu.Unlock()
-	if _, dup := b.pools[id]; dup {
+	if b.pool(id) != nil {
 		return fmt.Errorf("tmem: restore of live pool %d", id)
 	}
-	a := b.register(vm)
-	b.pools[id] = &Pool{id: id, vm: vm, kind: kind, acct: a}
+	b.setPool(id, &Pool{id: id, vm: vm, kind: kind, acct: b.register(vm)})
 	if id >= b.nextPool {
 		b.nextPool = id + 1
 	}
@@ -441,12 +423,12 @@ func (b *Backend) DestroyPool(id PoolID) error {
 // destroyPool is DestroyPool without the owner gate (see newPool).
 func (b *Backend) destroyPool(id PoolID) error {
 	b.poolMu.Lock()
-	p, ok := b.pools[id]
-	if !ok {
+	p := b.pool(id)
+	if p == nil {
 		b.poolMu.Unlock()
 		return fmt.Errorf("tmem: destroy of unknown pool %d", id)
 	}
-	delete(b.pools, id)
+	b.setPool(id, nil)
 	b.poolMu.Unlock()
 	b.purgePools([]*Pool{p})
 	return nil
@@ -462,26 +444,14 @@ func (b *Backend) purgePools(pools []*Pool) {
 	if len(pools) == 0 {
 		return
 	}
-	doomed := make(map[PoolID]bool, len(pools))
 	for _, p := range pools {
 		p.dead.Store(true)
-		doomed[p.id] = true
 	}
 	for _, sh := range b.shards {
 		sh.mu.Lock()
-		for k, obj := range sh.objects {
-			if !doomed[k.pool] {
-				continue
-			}
-			for _, e := range obj {
+		for e := range sh.each {
+			if e.pool.dead.Load() {
 				b.dropEntry(sh, e)
-				sh.freeEntry(e)
-			}
-			delete(sh.objects, k)
-		}
-		for k := range sh.remote {
-			if doomed[k.pool] {
-				delete(sh.remote, k)
 			}
 		}
 		sh.mu.Unlock()
@@ -495,17 +465,20 @@ func (b *Backend) purgePools(pools []*Pool) {
 	}
 }
 
-// dropEntry releases the frame and stored bytes of e and fixes all
-// counters. The caller holds sh.mu and removes e from the object maps
-// itself; this helper only touches the LRU, frame and account state.
+// dropEntry unindexes e; for a locally held page it first releases the
+// frame and stored bytes and fixes all counters. The caller holds sh.mu and
+// must not touch e afterwards.
 func (b *Backend) dropEntry(sh *shard, e *entry) {
-	sh.lruRemove(e)
-	b.releaseFrame(e.frame)
-	if err := sh.store.Drop(e.handle); err != nil {
-		panic(fmt.Sprintf("tmem: page store accounting broken: %v", err))
+	if e.tier == tierLocal {
+		sh.lruRemove(e)
+		if err := sh.store.Drop(e.handle); err != nil {
+			panic(fmt.Sprintf("tmem: page store accounting broken: %v", err))
+		}
+		b.freePages.Add(1)
+		e.pool.pages.Add(-1)
+		e.pool.acct.tmemUsed.Add(-1)
 	}
-	e.pool.pages.Add(-1)
-	e.acct.tmemUsed.Add(-1)
+	sh.remove(e)
 }
 
 // evictOldest drops the node-wide oldest ephemeral page to free one frame.
@@ -546,10 +519,8 @@ func (b *Backend) evictHead(sh *shard) bool {
 	if e == &sh.lru {
 		return false
 	}
-	sh.removeEntry(e)
+	e.pool.acct.cumulEphEvicted.Add(1)
 	b.dropEntry(sh, e)
-	e.acct.cumulEphEvicted.Add(1)
-	sh.freeEntry(e)
 	return true
 }
 
@@ -607,12 +578,12 @@ func (b *Backend) Put(key Key, data []byte) Status {
 // replaces contents in place); otherwise the stack is walked top-down and
 // the accepting tier recorded. Tracking happens only if no concurrent put
 // landed the key locally in the meantime — the tier copy is flushed
-// instead, so a page is never both local and tracked (see noteRemoteIfFree).
+// instead (see noteRemoteIfFree).
 func (b *Backend) offerTiers(p *Pool, sh *shard, key Key, data []byte) Status {
 	tried := -1
 	if ti := sh.remoteTier(key); ti >= 0 {
 		if b.tiers[ti].Put(key, p.kind, data) == STmem {
-			if !sh.noteRemoteIfFree(key, ti) {
+			if !sh.noteRemoteIfFree(p, key, ti) {
 				b.tiers[ti].FlushPage(key)
 			}
 			return STmem
@@ -625,7 +596,7 @@ func (b *Backend) offerTiers(p *Pool, sh *shard, key Key, data []byte) Status {
 			continue // this tier just rejected the re-offer
 		}
 		if t.Put(key, p.kind, data) == STmem {
-			if !sh.noteRemoteIfFree(key, i) {
+			if !sh.noteRemoteIfFree(p, key, i) {
 				t.FlushPage(key)
 			}
 			return STmem
@@ -695,7 +666,8 @@ func (b *Backend) tryPutLocked(sh *shard, p *Pool, a *vmAccount, key Key, data [
 	}
 
 	// Duplicate put: replace contents, no capacity change.
-	if e := sh.lookup(key); e != nil {
+	e := sh.lookup(key)
+	if e != nil && e.tier == tierLocal {
 		h, err := sh.store.Save(data)
 		if err != nil {
 			return EInval, false, -1
@@ -721,33 +693,32 @@ func (b *Backend) tryPutLocked(sh *shard, p *Pool, a *vmAccount, key Key, data [
 		a.tmemUsed.Add(-1)
 		return ETmem, false, -1
 	}
-	frame, ok := b.allocFrame(sh)
-	if !ok {
+	if !b.allocFrame() {
 		a.tmemUsed.Add(-1)
 		return ETmem, true, -1
 	}
 	h, err := sh.store.Save(data)
 	if err != nil {
-		b.releaseFrame(frame)
+		b.freePages.Add(1)
 		a.tmemUsed.Add(-1)
 		return EInval, false, -1
 	}
-	e := sh.allocEntry()
-	e.key, e.pool, e.acct, e.frame, e.handle = key, p, a, frame, h
-	k := objKey{key.Pool, key.Object}
-	obj := sh.objects[k]
-	if obj == nil {
-		obj = sh.takeObj()
-		sh.objects[k] = obj
+	// A key tracked in a lower tier turns local in place: its entry is the
+	// tracking record, consumed here.
+	fromTier = -1
+	if e != nil {
+		fromTier = int(e.tier)
+	} else {
+		e = sh.insert(key)
 	}
-	obj[key.Index] = e
+	e.pool, e.handle, e.tier = p, h, tierLocal
 	p.pages.Add(1)
 	if p.kind == Ephemeral {
 		sh.lruPush(e, b.lruClock.Add(1))
 	}
 	a.putsSucc.Add(1)
 	a.cumulPutsSucc.Add(1)
-	return STmem, false, sh.takeRemote(key)
+	return STmem, false, fromTier
 }
 
 // Get copies the page stored under key into dst (which may be nil when the
@@ -769,19 +740,18 @@ func (b *Backend) Get(key Key, dst []byte) Status {
 
 	sh := b.shardFor(key)
 	sh.mu.Lock()
-	if e := sh.lookup(key); e != nil {
+	e := sh.lookup(key)
+	if e == nil {
+		sh.mu.Unlock()
+		return ETmem
+	}
+	if e.tier == tierLocal {
 		st := b.getHitLocked(sh, p, a, e, dst)
 		sh.mu.Unlock()
 		return st
 	}
-	ti := -1
-	if len(b.tiers) > 0 {
-		ti = sh.remoteOf(key)
-	}
+	ti := e.tier
 	sh.mu.Unlock()
-	if ti < 0 {
-		return ETmem
-	}
 	if b.tiers[ti].Get(key, dst) == STmem {
 		a.cumulGetsHit.Add(1)
 		if p.kind == Ephemeral {
@@ -808,7 +778,7 @@ func (b *Backend) GetLocal(key Key, dst []byte) Status {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e := sh.lookup(key)
-	if e == nil {
+	if e == nil || e.tier != tierLocal {
 		return ETmem
 	}
 	return b.getHitLocked(sh, p, a, e, dst)
@@ -823,9 +793,7 @@ func (b *Backend) getHitLocked(sh *shard, p *Pool, a *vmAccount, e *entry, dst [
 	}
 	a.cumulGetsHit.Add(1)
 	if p.kind == Ephemeral {
-		sh.removeEntry(e)
 		b.dropEntry(sh, e)
-		sh.freeEntry(e)
 	}
 	return STmem
 }
@@ -841,7 +809,7 @@ func (b *Backend) Contains(key Key) bool {
 	sh := b.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.lookup(key) != nil || sh.remoteOf(key) >= 0
+	return sh.lookup(key) != nil
 }
 
 // FlushPage invalidates a single page (paper Algorithm 1 FLUSH path:
@@ -856,24 +824,19 @@ func (b *Backend) FlushPage(key Key) Status {
 	}
 	sh := b.shardFor(key)
 	sh.mu.Lock()
-	if e := sh.lookup(key); e != nil {
-		sh.removeEntry(e)
-		b.dropEntry(sh, e)
-		sh.freeEntry(e)
+	e := sh.lookup(key)
+	if e == nil {
 		sh.mu.Unlock()
-		p.acct.cumulFlushes.Add(1)
-		return STmem
+		return ETmem
 	}
-	ti := -1
-	if len(b.tiers) > 0 {
-		ti = sh.takeRemote(key)
-	}
+	ti := e.tier
+	b.dropEntry(sh, e)
 	sh.mu.Unlock()
-	if ti >= 0 && b.tiers[ti].FlushPage(key) == STmem {
-		p.acct.cumulFlushes.Add(1)
-		return STmem
+	if ti >= 0 && b.tiers[ti].FlushPage(key) != STmem {
+		return ETmem
 	}
-	return ETmem
+	p.acct.cumulFlushes.Add(1)
+	return STmem
 }
 
 // FlushPageLocal is FlushPage restricted to tier 0 (the Loopback surface).
@@ -886,12 +849,10 @@ func (b *Backend) FlushPageLocal(key Key) Status {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e := sh.lookup(key)
-	if e == nil {
+	if e == nil || e.tier != tierLocal {
 		return ETmem
 	}
-	sh.removeEntry(e)
 	b.dropEntry(sh, e)
-	sh.freeEntry(e)
 	p.acct.cumulFlushes.Add(1)
 	return STmem
 }
@@ -906,8 +867,7 @@ func (b *Backend) FlushObject(pool PoolID, object ObjectID) (mem.Pages, Status) 
 	if p == nil {
 		return 0, EInval
 	}
-	k := objKey{pool, object}
-	n, remote := b.flushObjectLocal(k)
+	n, remote := b.flushObjectLocal(pool, object)
 	for ti, cnt := range remote {
 		if cnt <= 0 {
 			continue
@@ -937,7 +897,7 @@ func (b *Backend) FlushObjectLocal(pool PoolID, object ObjectID) (mem.Pages, Sta
 	if p == nil {
 		return 0, EInval
 	}
-	n, _ := b.flushObjectLocal(objKey{pool, object})
+	n, _ := b.flushObjectLocal(pool, object)
 	if n == 0 {
 		return 0, ETmem
 	}
@@ -945,27 +905,23 @@ func (b *Backend) FlushObjectLocal(pool PoolID, object ObjectID) (mem.Pages, Sta
 	return n, STmem
 }
 
-// flushObjectLocal sweeps an object out of every shard's local maps and
-// tier tracking; remote[i] counts the pages that were tracked in tier i.
-func (b *Backend) flushObjectLocal(k objKey) (n mem.Pages, remote []mem.Pages) {
-	if len(b.tiers) > 0 {
-		remote = make([]mem.Pages, len(b.tiers))
-	}
+// flushObjectLocal sweeps an object out of every shard's index; n counts
+// the locally held pages dropped, remote[i] the pages that were tracked in
+// tier i.
+func (b *Backend) flushObjectLocal(pool PoolID, object ObjectID) (n mem.Pages, remote []mem.Pages) {
+	remote = make([]mem.Pages, len(b.tiers))
 	for _, sh := range b.shards {
 		sh.mu.Lock()
-		if obj, ok := sh.objects[k]; ok {
-			for _, e := range obj {
-				b.dropEntry(sh, e)
-				sh.freeEntry(e)
+		for e := range sh.each {
+			if e.key.Pool != pool || e.key.Object != object {
+				continue
+			}
+			if e.tier == tierLocal {
 				n++
+			} else {
+				remote[e.tier]++
 			}
-			delete(sh.objects, k)
-		}
-		if sh.remote != nil {
-			for _, ti := range sh.remote[k] {
-				remote[ti]++
-			}
-			delete(sh.remote, k)
+			b.dropEntry(sh, e)
 		}
 		sh.mu.Unlock()
 	}
@@ -1026,70 +982,57 @@ func (b *Backend) Footprint() int64 {
 	return n
 }
 
-// CheckInvariants cross-checks all capacity accounting. It is exercised by
-// the property tests and may be called at any time; it stops the world
-// (every stripe lock, in order) for the duration.
+// CheckInvariants cross-checks all capacity accounting and the structure of
+// every stripe's index. It is exercised by the property tests and may be
+// called at any time; it stops the world (every stripe lock, in order) for
+// the duration.
 func (b *Backend) CheckInvariants() error {
 	b.enter()
-	// Documented lock order: poolMu -> shard.mu (index order) ->
-	// frameSource.mu -> vmMu. The frame sweep completes before vmMu is
-	// taken so the checker itself honours the ordering.
-	b.poolMu.RLock()
-	defer b.poolMu.RUnlock()
+	b.poolMu.Lock()
+	defer b.poolMu.Unlock()
 	for _, sh := range b.shards {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 	}
-
-	var used, free mem.Pages
-	for _, sh := range b.shards {
-		sh.frames.mu.Lock()
-		err := sh.frames.alloc.CheckInvariants()
-		u, f := sh.frames.alloc.Used(), sh.frames.alloc.Free()
-		sh.frames.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		used += u
-		free += f
-	}
 	b.vmMu.RLock()
 	defer b.vmMu.RUnlock()
-	if used+free != b.totalPages {
-		return fmt.Errorf("tmem: stripe partitions cover %d frames, want %d", used+free, b.totalPages)
-	}
-	if got := b.FreePages(); got != free {
-		return fmt.Errorf("tmem: free counter %d != summed stripe free %d", got, free)
-	}
 
-	entryPages := make(map[PoolID]mem.Pages)
+	free := mem.Pages(b.freePages.Load())
+	if free < 0 || free > b.totalPages {
+		return fmt.Errorf("tmem: free counter %d out of range [0,%d]", free, b.totalPages)
+	}
+	used := b.totalPages - free
+
+	pools := *b.pools.Load()
+	entryPages := make([]mem.Pages, len(pools))
 	var storeCount int
 	for _, sh := range b.shards {
-		for k, obj := range sh.objects {
-			if _, ok := b.pools[k.pool]; !ok {
-				return fmt.Errorf("tmem: shard holds entries of unknown pool %d", k.pool)
+		indexed := 0
+		for e := range sh.each {
+			indexed++
+			switch {
+			case sh.lookup(e.key) != e:
+				return fmt.Errorf("tmem: page %v is in the slab but the index does not find it", e.key)
+			case b.pool(e.key.Pool) != e.pool:
+				return fmt.Errorf("tmem: shard holds entries of unknown pool %d", e.key.Pool)
+			case e.tier == tierLocal:
+				entryPages[e.key.Pool]++
+			case int(e.tier) >= len(b.tiers):
+				return fmt.Errorf("tmem: page %v tracked in nonexistent tier %d", e.key, e.tier)
+			case e.handle != NoHandle || e.prev != nil:
+				return fmt.Errorf("tmem: page %v tracked in tier %d still holds local state", e.key, e.tier)
 			}
-			entryPages[k.pool] += mem.Pages(len(obj))
 		}
-		for k, rm := range sh.remote {
-			if _, ok := b.pools[k.pool]; !ok {
-				return fmt.Errorf("tmem: shard tracks tier pages of unknown pool %d", k.pool)
-			}
-			for idx, ti := range rm {
-				if ti < 0 || ti >= len(b.tiers) {
-					return fmt.Errorf("tmem: page %v tracked in nonexistent tier %d", Key{k.pool, k.object, idx}, ti)
-				}
-				if obj, ok := sh.objects[k]; ok {
-					if _, dup := obj[idx]; dup {
-						return fmt.Errorf("tmem: page %v held both locally and in tier %d", Key{k.pool, k.object, idx}, ti)
-					}
-				}
-			}
+		if indexed != sh.live {
+			return fmt.Errorf("tmem: index holds %d keys but the slab %d entries", sh.live, indexed)
 		}
 		storeCount += sh.store.Count()
 	}
 	var poolPages mem.Pages
-	for id, p := range b.pools {
+	for id, p := range pools {
+		if p == nil {
+			continue
+		}
 		n := entryPages[id]
 		if n != p.Pages() {
 			return fmt.Errorf("tmem: pool %d page count %d != entries %d", id, p.Pages(), n)
@@ -1097,10 +1040,10 @@ func (b *Backend) CheckInvariants() error {
 		poolPages += n
 	}
 	if poolPages != used {
-		return fmt.Errorf("tmem: pools hold %d pages but allocators report %d used", poolPages, used)
+		return fmt.Errorf("tmem: pools hold %d pages but %d frames are in use", poolPages, used)
 	}
 	if storeCount != int(used) {
-		return fmt.Errorf("tmem: page stores hold %d pages but allocators report %d used", storeCount, used)
+		return fmt.Errorf("tmem: page stores hold %d pages but %d frames are in use", storeCount, used)
 	}
 
 	var vmPages mem.Pages
@@ -1112,7 +1055,7 @@ func (b *Backend) CheckInvariants() error {
 		vmPages += u
 	}
 	if vmPages != used {
-		return fmt.Errorf("tmem: VM accounts sum to %d pages but allocators report %d used", vmPages, used)
+		return fmt.Errorf("tmem: VM accounts sum to %d pages but %d frames are in use", vmPages, used)
 	}
 	for _, a := range b.vms {
 		if succ, total := a.cumulPutsSucc.Load(), a.cumulPutsTotal.Load(); succ > total {

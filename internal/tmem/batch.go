@@ -18,9 +18,9 @@ package tmem
 //     the surface Loopback serves to remote peers (see PutLocal).
 //
 // The locked fast paths reuse tryPutLocked/getHitLocked, so batch and
-// per-page operations can never drift apart semantically. Lock ordering is
-// preserved: pool resolution (poolMu) always happens before a stripe lock
-// is taken, and tier calls always happen after it is released.
+// per-page operations can never drift apart semantically. Pool resolution
+// takes no lock (see Backend.pool); tier calls always happen after the
+// stripe lock is released.
 
 // batchScratch carries the per-call working state of PutBatch/GetBatch so
 // a warm backend serves batches without allocating.
@@ -64,8 +64,8 @@ func (b *Backend) putScratch(sc *batchScratch) {
 	b.batchPool.Put(sc)
 }
 
-// resolvePools fills sc.pools for keys, caching the poolMu lookup across
-// runs of same-pool keys (the common case: a run belongs to one pool).
+// resolvePools fills sc.pools for keys, caching the lookup across runs of
+// same-pool keys (the common case: a run belongs to one pool).
 func (b *Backend) resolvePools(sc *batchScratch, keys []Key) {
 	last := InvalidPool
 	var lastP *Pool
@@ -111,7 +111,6 @@ func (b *Backend) GetRun(keys []Key, sts []Status) int {
 	var p *Pool
 	for i, key := range keys {
 		if i == 0 || key.Pool != last {
-			unlock() // pool resolution must not run under a stripe lock
 			last = key.Pool
 			p = b.pool(last)
 		}
@@ -127,7 +126,12 @@ func (b *Backend) GetRun(keys []Key, sts []Status) int {
 			sh.mu.Lock()
 			cur = sh
 		}
-		if e := sh.lookup(key); e != nil {
+		e := sh.lookup(key)
+		if e == nil {
+			sts[i] = ETmem
+			return i + 1
+		}
+		if e.tier == tierLocal {
 			st := b.getHitLocked(sh, p, a, e, nil)
 			sts[i] = st
 			if st != STmem {
@@ -135,15 +139,8 @@ func (b *Backend) GetRun(keys []Key, sts []Status) int {
 			}
 			continue
 		}
-		ti := -1
-		if len(b.tiers) > 0 {
-			ti = sh.remoteOf(key)
-		}
+		ti := e.tier
 		unlock()
-		if ti < 0 {
-			sts[i] = ETmem
-			return i + 1
-		}
 		if b.tiers[ti].Get(key, nil) == STmem {
 			a.cumulGetsHit.Add(1)
 			if p.kind == Ephemeral {
@@ -177,7 +174,6 @@ func (b *Backend) FlushRun(keys []Key, sts []Status) {
 	var p *Pool
 	for i, key := range keys {
 		if i == 0 || key.Pool != last {
-			unlock()
 			last = key.Pool
 			p = b.pool(last)
 		}
@@ -191,25 +187,22 @@ func (b *Backend) FlushRun(keys []Key, sts []Status) {
 			sh.mu.Lock()
 			cur = sh
 		}
-		if e := sh.lookup(key); e != nil {
-			sh.removeEntry(e)
-			b.dropEntry(sh, e)
-			sh.freeEntry(e)
-			p.acct.cumulFlushes.Add(1)
-			sts[i] = STmem
+		e := sh.lookup(key)
+		if e == nil {
+			sts[i] = ETmem
 			continue
 		}
-		ti := -1
-		if len(b.tiers) > 0 {
-			ti = sh.takeRemote(key)
+		ti := e.tier
+		b.dropEntry(sh, e)
+		if ti >= 0 {
+			unlock()
+			if b.tiers[ti].FlushPage(key) != STmem {
+				sts[i] = ETmem
+				continue
+			}
 		}
-		unlock()
-		if ti >= 0 && b.tiers[ti].FlushPage(key) == STmem {
-			p.acct.cumulFlushes.Add(1)
-			sts[i] = STmem
-			continue
-		}
-		sts[i] = ETmem
+		p.acct.cumulFlushes.Add(1)
+		sts[i] = STmem
 	}
 }
 
@@ -350,7 +343,7 @@ func (b *Backend) putBatch(keys []Key, datas [][]byte, sts []Status, withTiers b
 				return false
 			}
 			sh := b.shardFor(keys[i])
-			if !sh.noteRemoteIfFree(keys[i], tierIdx) {
+			if !sh.noteRemoteIfFree(sc.pools[i], keys[i], tierIdx) {
 				t.FlushPage(keys[i])
 			}
 			sts[i] = STmem
@@ -431,18 +424,17 @@ func (b *Backend) getBatch(keys []Key, dsts [][]byte, sts []Status, withTiers bo
 			}
 			a := p.acct
 			a.cumulGetsTotal.Add(1)
-			if e := sh.lookup(keys[i]); e != nil {
+			switch e := sh.lookup(keys[i]); {
+			case e == nil:
+				sts[i] = ETmem
+			case e.tier == tierLocal:
 				sts[i] = b.getHitLocked(sh, p, a, e, dst(i))
-				continue
+			case withTiers:
+				sc.ft[i] = int16(e.tier)
+				sc.offer = append(sc.offer, i)
+			default:
+				sts[i] = ETmem
 			}
-			if withTiers {
-				if ti := sh.remoteOf(keys[i]); ti >= 0 {
-					sc.ft[i] = int16(ti)
-					sc.offer = append(sc.offer, i)
-					continue
-				}
-			}
-			sts[i] = ETmem
 		}
 		sh.mu.Unlock()
 	}

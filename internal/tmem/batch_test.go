@@ -240,7 +240,7 @@ func TestWarmSlabZeroAlloc(t *testing.T) {
 	epool := b.NewPool(1, Ephemeral)
 	data := make([]byte, testPage)
 	dst := make([]byte, testPage)
-	// Warm up: high-water the slab, the entry pools and the maps.
+	// Warm up: high-water the page slab and the index.
 	for i := 0; i < 256; i++ {
 		b.Put(Key{Pool: ppool, Object: 1, Index: PageIndex(i)}, data)
 		b.Put(Key{Pool: epool, Object: 1, Index: PageIndex(i)}, data)
@@ -293,6 +293,47 @@ func TestWarmSlabZeroAlloc(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("warm ephemeral put/get = %v allocs/op, want 0", allocs)
+	}
+}
+
+// yesTier accepts and serves everything and holds nothing: what is left to
+// observe is the backend's own tracking of a lower-tier page.
+type yesTier struct{}
+
+func (yesTier) Name() string                                     { return "yes" }
+func (yesTier) Put(Key, PoolKind, []byte) Status                 { return STmem }
+func (yesTier) Get(Key, []byte) Status                           { return STmem }
+func (yesTier) FlushPage(Key) Status                             { return STmem }
+func (yesTier) DropPool(PoolID)                                  {}
+func (yesTier) Stats() TierStats                                 { return TierStats{} }
+func (yesTier) FlushObject(PoolID, ObjectID) (mem.Pages, Status) { return -1, STmem }
+
+// TestWarmIndexZeroAlloc: at steady state the flat index recycles slab
+// entries and never grows, so a put→get→flush cycle allocates nothing —
+// for a page held locally and for one tracked in a lower tier alike.
+func TestWarmIndexZeroAlloc(t *testing.T) {
+	b := NewBackend(1024, NewMetaStore(testPage))
+	b.AttachTier(yesTier{})
+	local := b.NewPool(1, Persistent)
+	tracked := b.NewPool(2, Persistent)
+	b.SetTarget(2, 0) // every put of VM 2 overflows into the tier
+	for name, pool := range map[string]PoolID{"local": local, "tracked": tracked} {
+		cycle := func(i int) {
+			key := Key{Pool: pool, Object: 1, Index: PageIndex(i % 512)}
+			if b.Put(key, nil) != STmem || b.Get(key, nil) != STmem || b.FlushPage(key) != STmem {
+				t.Fatalf("%s cycle on %v failed", name, key)
+			}
+		}
+		for i := 0; i < 512; i++ {
+			cycle(i)
+		}
+		i := 0
+		if allocs := testing.AllocsPerRun(1000, func() { cycle(i); i++ }); allocs != 0 {
+			t.Errorf("%s put/get/flush cycle = %v allocs/op, want 0", name, allocs)
+		}
+	}
+	if got := b.UsedBy(2); got != 0 {
+		t.Errorf("VM 2 holds %d local pages, want every put tracked in the tier", got)
 	}
 }
 

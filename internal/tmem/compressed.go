@@ -61,6 +61,12 @@ type cblob struct {
 	link  *cblob // hash-bucket collision chain
 }
 
+// cobjKey addresses one object's page map in the tier's index.
+type cobjKey struct {
+	pool   PoolID
+	object ObjectID
+}
+
 // centry is one stored page in the tier's index: which blob holds its
 // contents, its pool kind, and the per-object map linkage.
 type centry struct {
@@ -99,7 +105,7 @@ type CompressedTier struct {
 	codec    Codec
 
 	mu      sync.Mutex
-	objects map[objKey]map[PageIndex]*centry
+	objects map[cobjKey]map[PageIndex]*centry
 	// dedup maps content hash → blob chain. Keyed by the hash of the
 	// encoded bytes: the codec is deterministic, so equal raw pages encode
 	// identically and encoded equality implies raw equality.
@@ -208,7 +214,7 @@ func NewCompressedTier(cfg CompressedTierConfig) *CompressedTier {
 		capacity: cfg.CapacityBytes,
 		maxPages: mem.Pages(maxRatio) * mem.Pages(cfg.CapacityBytes/mem.Bytes(cfg.PageSize)),
 		codec:    codec,
-		objects:  make(map[objKey]map[PageIndex]*centry),
+		objects:  make(map[cobjKey]map[PageIndex]*centry),
 		dedup:    make(map[uint64]*cblob),
 		pageBuf:  make([]byte, cfg.PageSize),
 	}
@@ -383,7 +389,7 @@ func (t *CompressedTier) encode(data []byte) ([]byte, uint64) {
 // putLocked stores one page. Caller holds mu.
 func (t *CompressedTier) putLocked(key Key, kind PoolKind, data []byte) Status {
 	t.stats.Puts++
-	k := objKey{key.Pool, key.Object}
+	k := cobjKey{key.Pool, key.Object}
 	obj := t.objects[k]
 	if old := obj[key.Index]; old != nil {
 		// Duplicate put supersedes: drop the old contents first so the
@@ -443,7 +449,7 @@ func (t *CompressedTier) putLocked(key Key, kind PoolKind, data []byte) Status {
 
 // dropLocked removes one entry (already looked up) from the index. Caller
 // holds mu.
-func (t *CompressedTier) dropLocked(k objKey, idx PageIndex, e *centry) {
+func (t *CompressedTier) dropLocked(k cobjKey, idx PageIndex, e *centry) {
 	t.deref(e.blob)
 	t.pagesStored--
 	t.rawBytes -= mem.Bytes(t.pageSize)
@@ -464,7 +470,7 @@ func (t *CompressedTier) dropLocked(k objKey, idx PageIndex, e *centry) {
 // untracks the key and falls through to the next tier.
 func (t *CompressedTier) getLocked(key Key, dst []byte) Status {
 	t.stats.Gets++
-	k := objKey{key.Pool, key.Object}
+	k := cobjKey{key.Pool, key.Object}
 	e := t.objects[k][key.Index]
 	if e == nil {
 		return ETmem
@@ -550,7 +556,7 @@ func (t *CompressedTier) FlushPage(key Key) Status {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.stats.PageFlushes++
-	k := objKey{key.Pool, key.Object}
+	k := cobjKey{key.Pool, key.Object}
 	e := t.objects[k][key.Index]
 	if e == nil {
 		return ETmem
@@ -564,7 +570,7 @@ func (t *CompressedTier) FlushObject(pool PoolID, object ObjectID) (mem.Pages, S
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.stats.ObjectFlushes++
-	k := objKey{pool, object}
+	k := cobjKey{pool, object}
 	obj := t.objects[k]
 	if len(obj) == 0 {
 		return 0, ETmem

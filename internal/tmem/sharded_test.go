@@ -67,8 +67,8 @@ func TestShardedSemanticsMatchSingleShard(t *testing.T) {
 	}
 }
 
-// Capacity is a node-global pool even though frames are striped: a single
-// hot shard can consume every frame by stealing from sibling stripes.
+// Capacity is a node-global pool even though the index is striped: puts
+// succeed until the node is out of frames, however the keys spread.
 func TestShardedCapacityIsGlobal(t *testing.T) {
 	b := newShardedBackend(64, 8)
 	pool := b.NewPool(1, Persistent)
