@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint fmt bench bench-json bench-gate bench-e2e-test load-smoke load-smoke-durable sweep-smoke profile report clean
+.PHONY: all build test race vet lint fmt bench bench-json bench-gate bench-e2e-test load-smoke load-smoke-durable sweep-smoke fuzz-smoke profile report clean
 
 all: build lint test
 
@@ -130,6 +130,16 @@ sweep-smoke:
 	cmp bench-out/sweep-cold.json bench-out/sweep-warm.json
 	@rm -rf bench-out/sweep-memo
 	@echo "sweep-smoke: warm league byte-identical to cold"
+
+# Fuzz smoke: five seconds of coverage-guided mutation on each decoder of
+# untrusted bytes (WAL segments, compressed pages, memo records and series
+# blobs). `go test -fuzz` takes one target and one package per run. The
+# minimizer is capped by executions: left at its default it spends a minute
+# shrinking each coverage-expanding input, which is the whole smoke.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/durable
+	$(GO) test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/tmem
+	$(GO) test -run '^$$' -fuzz '^FuzzMemoDecode$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/experiments
 
 # Profile a tier-stack-heavy run (kv-heavy hammers the striped store; swap
 # -scenario cluster-2 to profile the cluster runtime). Inspect with:

@@ -157,8 +157,8 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	memoStats := func(opt smartmem.ExperimentOptions) {
 		if opt.Cache != nil && !*quiet {
 			st := opt.Cache.Stats()
-			fmt.Fprintf(stderr, "memo: %d hits, %d misses, %d writes, %d corrupt\n",
-				st.Hits, st.Misses, st.Writes, st.Corrupt)
+			fmt.Fprintf(stderr, "memo: %d hits, %d misses, %d writes, %d corrupt, %d bytes read\n",
+				st.Hits, st.Misses, st.Writes, st.Corrupt, st.BytesRead)
 		}
 	}
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -311,6 +312,42 @@ func TestTournamentWarmCache(t *testing.T) {
 	}
 	if len(doc.League.Overall) != 2 {
 		t.Errorf("overall league has %d entries, want 2", len(doc.League.Overall))
+	}
+}
+
+// TestTournamentWarmReadsScalars pins what a warm rerun costs, from the
+// CLI's own output: every cell of a paper scenario is a hit, and the memo
+// line reports under 2 KiB read per cell — the scalar record, not the
+// cell's ~40 KB of time series.
+func TestTournamentWarmReadsScalars(t *testing.T) {
+	memo := t.TempDir()
+	run := func() string {
+		var out, errb bytes.Buffer
+		args := []string{"-tournament", "-scenario", "s1",
+			"-policies", "greedy,smart-alloc:P=2", "-seeds", "11",
+			"-memo", memo, "-league-json", "-"}
+		if code := realMain(args, &out, &errb); code != 0 {
+			t.Fatalf("exit code %d, stderr: %s", code, errb.String())
+		}
+		return errb.String()
+	}
+	run()
+	stderr := run()
+	const cells = 2
+	var hits, misses, writes, corrupt, read int
+	at := strings.LastIndex(stderr, "memo: ")
+	if at < 0 {
+		t.Fatalf("no memo line on stderr:\n%s", stderr)
+	}
+	if _, err := fmt.Sscanf(stderr[at:], "memo: %d hits, %d misses, %d writes, %d corrupt, %d bytes read",
+		&hits, &misses, &writes, &corrupt, &read); err != nil {
+		t.Fatalf("memo line %q: %v", stderr[at:], err)
+	}
+	if hits != cells || misses != 0 || writes != 0 || corrupt != 0 {
+		t.Errorf("warm run: %d hits, %d misses, %d writes, %d corrupt; want %d hits only", hits, misses, writes, corrupt, cells)
+	}
+	if read == 0 || read >= cells*2048 {
+		t.Errorf("warm run read %d bytes for %d cells, want under 2 KiB per cell", read, cells)
 	}
 }
 

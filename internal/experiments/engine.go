@@ -107,6 +107,12 @@ type Engine struct {
 	// cores on per-run parallelism only when the job-level pool cannot
 	// fill the machine by itself.
 	ClusterParallel ClusterParallelMode
+
+	// scalarsOnly makes cache hits fetch the cell's scalar record alone
+	// (Result.Series nil). Set by the entry points whose aggregation reads
+	// no series — RunTournament, TimesOpts — and by nothing else: those
+	// never hand a JobResult to their caller.
+	scalarsOnly bool
 }
 
 // ClusterParallelMode is the Engine/Options knob for per-run cluster
@@ -213,8 +219,8 @@ type sweepState struct {
 }
 
 // scratch is one worker's recycled state. The memo encode buffer survives
-// across jobs, so a warm sweep's steady-state cache writes allocate nothing
-// beyond the blob handed to the store.
+// across jobs, so a sweep's steady-state cache writes allocate nothing
+// beyond the blobs handed to the store.
 type scratch struct {
 	enc []byte
 }
@@ -236,7 +242,7 @@ func (st *sweepState) execute(idx int, sc *scratch) {
 			// Unfingerprintable jobs (a Build error) fail identically on
 			// the real run below; just skip the cache.
 			useCache = false
-		} else if res, ok := e.Cache.Get(fp); ok {
+		} else if res, ok := e.Cache.get(fp, !e.scalarsOnly); ok {
 			jr.Result, cached = res, true
 		}
 	}
@@ -499,4 +505,12 @@ func (o Options) engine() *Engine {
 // worker pool and returns results in matrix order.
 func RunMatrix(scenarios []*Scenario, policies []string, seeds []uint64, opt Options) ([]JobResult, error) {
 	return opt.engine().Run(opt.Context, Matrix(scenarios, policies, seeds))
+}
+
+// runMatrixScalars is RunMatrix for aggregations that read no time series:
+// cells served from the cache come back without Series.
+func runMatrixScalars(scenarios []*Scenario, policies []string, seeds []uint64, opt Options) ([]JobResult, error) {
+	e := opt.engine()
+	e.scalarsOnly = true
+	return e.Run(opt.Context, Matrix(scenarios, policies, seeds))
 }

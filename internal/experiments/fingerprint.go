@@ -15,8 +15,12 @@ import (
 // fingerprint input layout below AND the cached-result binary encoding in
 // memo.go. Bump it whenever either changes (new Config field that affects
 // runs, new Result field, reordered encoding) — old cache entries then miss
-// on key and are recomputed; nothing is ever migrated in place.
-const memoFormatVersion = 1
+// on key and are recomputed; nothing is ever migrated in place, and only
+// the current version's codec exists.
+//
+// v2: a cell is a scalar record plus a separate series blob (v1 was one
+// blob holding both).
+const memoFormatVersion = 2
 
 // Fingerprint identifies a deterministic run: the SHA-256 of (format
 // version, scenario slug, policy spec, seed, normalized core.Config). Two

@@ -5,6 +5,13 @@
 // instead of re-simulating them. The cache reuses the durable.BlobStore
 // shape: durable.NewDirStore for an on-disk cache shared across processes,
 // durable.NewMemStore for tests.
+//
+// A cell is stored as the two things callers ask for. The scalar record
+// ("memo/<fp>", under 1 KB) is every field of core.Result except Series;
+// the series blob ("memo-series/<fp>", ~98 % of a cell's bytes) is the
+// per-tick time series. League and times tables aggregate scalars only, so
+// their sweeps read the scalar record alone; Memo.Get and the figure paths
+// read and validate both.
 package experiments
 
 import (
@@ -23,20 +30,29 @@ import (
 	"smartmem/internal/tmem"
 )
 
-// memoMagic heads every cache entry.
-const memoMagic = "SMMO"
+// memoMagic heads every scalar record, seriesMagic every series blob.
+const (
+	memoMagic   = "SMMO"
+	seriesMagic = "SMMS"
+)
 
-// memoPrefix namespaces cache entries inside the blob store, so a memo
-// cache can share a store with other blobs (List("memo/") finds them all).
-const memoPrefix = "memo/"
+// memoPrefix namespaces the scalar records inside the blob store, so a memo
+// cache can share a store with other blobs (List("memo/") finds one key per
+// cell). Series blobs live under the sibling seriesPrefix, outside that
+// listing.
+const (
+	memoPrefix   = "memo/"
+	seriesPrefix = "memo-series/"
+)
 
 var memoCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// Memo is a content-addressed result cache over a BlobStore. Entries are
-// keyed "memo/<fingerprint-hex>" and carry a checksummed self-describing
-// envelope; any validation failure (torn write, bit rot, stale format
-// version, key collision) reads as a miss and the cell is silently
-// recomputed — a corrupt cache can cost time, never correctness.
+// Memo is a content-addressed result cache over a BlobStore. A cell's
+// scalar record carries a checksummed self-describing envelope plus the
+// length and checksum of its series blob; any validation failure (torn
+// write, bit rot, stale format version, key collision, lost series blob)
+// reads as a miss and the cell is silently recomputed — a corrupt cache can
+// cost time, never correctness.
 //
 // Memo is safe for concurrent use by all engine workers.
 type Memo struct {
@@ -47,15 +63,19 @@ type Memo struct {
 	writes    atomic.Uint64
 	corrupt   atomic.Uint64
 	writeErrs atomic.Uint64
+	bytesRead atomic.Uint64
 }
 
-// MemoStats snapshots cache effectiveness counters.
+// MemoStats snapshots cache effectiveness counters. Hits, Misses and
+// Corrupt count lookups and Writes counts cells, whichever blobs a lookup
+// or a store touched.
 type MemoStats struct {
 	Hits      uint64 `json:"hits"`       // lookups served from cache
 	Misses    uint64 `json:"misses"`     // lookups that had to simulate
-	Writes    uint64 `json:"writes"`     // entries stored
-	Corrupt   uint64 `json:"corrupt"`    // entries present but invalid (recomputed)
+	Writes    uint64 `json:"writes"`     // cells stored
+	Corrupt   uint64 `json:"corrupt"`    // cells present but invalid (recomputed)
 	WriteErrs uint64 `json:"write_errs"` // failed best-effort stores
+	BytesRead uint64 `json:"bytes_read"` // blob bytes fetched by lookups
 }
 
 // NewMemo wraps a blob store as a run cache.
@@ -64,8 +84,8 @@ func NewMemo(store durable.BlobStore) *Memo {
 }
 
 // OpenDirMemo opens (creating if needed) an on-disk run cache rooted at
-// dir. Concurrent processes may share it: entry writes are atomic
-// (temp file + rename) and entries are immutable once written.
+// dir. Concurrent processes may share it: blob writes are atomic (temp
+// file + rename) and a cell's bytes are a pure function of its key.
 func OpenDirMemo(dir string) (*Memo, error) {
 	st, err := durable.NewDirStore(dir)
 	if err != nil {
@@ -82,10 +102,11 @@ func (m *Memo) Stats() MemoStats {
 		Writes:    m.writes.Load(),
 		Corrupt:   m.corrupt.Load(),
 		WriteErrs: m.writeErrs.Load(),
+		BytesRead: m.bytesRead.Load(),
 	}
 }
 
-// Len returns the number of entries currently stored.
+// Len returns the number of cells currently stored.
 func (m *Memo) Len() (int, error) {
 	keys, err := m.store.List(memoPrefix)
 	if err != nil {
@@ -94,22 +115,36 @@ func (m *Memo) Len() (int, error) {
 	return len(keys), nil
 }
 
-func memoKey(fp Fingerprint) string { return memoPrefix + fp.String() }
+func memoKey(fp Fingerprint) string   { return memoPrefix + fp.String() }
+func seriesKey(fp Fingerprint) string { return seriesPrefix + fp.String() }
 
 // Get returns the cached result for a fingerprint, or (nil, false) on any
-// miss — absent, wrong version, or corrupt. The returned Result is freshly
-// decoded on every call; callers own it and may mutate it.
-func (m *Memo) Get(fp Fingerprint) (*core.Result, bool) {
+// miss — absent, wrong version, or either blob corrupt. The returned Result
+// is freshly decoded on every call; callers own it and may mutate it.
+func (m *Memo) Get(fp Fingerprint) (*core.Result, bool) { return m.get(fp, true) }
+
+// get is Get with the series read optional: without it the lookup fetches
+// the scalar record alone and the Result's Series is nil.
+func (m *Memo) get(fp Fingerprint, withSeries bool) (*core.Result, bool) {
 	blob, err := m.store.Get(memoKey(fp))
 	if err != nil {
 		m.misses.Add(1)
 		return nil, false
 	}
-	res, err := decodeMemoEntry(fp, blob)
+	m.bytesRead.Add(uint64(len(blob)))
+	res, ref, err := decodeScalarRecord(fp, blob)
+	if err == nil && withSeries && ref.n > 0 {
+		// The scalar record is the commit point, so a series blob that is
+		// absent behind a valid record is damage, not a plain miss.
+		if blob, err = m.store.Get(seriesKey(fp)); err == nil {
+			m.bytesRead.Add(uint64(len(blob)))
+			res.Series, err = decodeSeriesBlob(fp, ref, blob)
+		}
+	}
 	if err != nil {
 		// Present but unusable: count it as corruption (checksum, torn
 		// write, stale version ...) and fall through to a recompute that
-		// will overwrite the entry.
+		// will overwrite both blobs.
 		m.corrupt.Add(1)
 		m.misses.Add(1)
 		return nil, false
@@ -125,11 +160,27 @@ func (m *Memo) Put(fp Fingerprint, res *core.Result) error {
 }
 
 // put is Put with a caller-recycled encode buffer (the engine passes its
-// per-worker scratch so steady-state sweeps hold allocations flat).
+// per-worker scratch so steady-state sweeps hold allocations flat): both
+// blobs are encoded into it back to back, once. The series blob is stored
+// first and the scalar record last — the commit point, like the MANIFEST of
+// a durable snapshot — so a reader never finds a record whose series were
+// not yet written.
 func (m *Memo) put(fp Fingerprint, res *core.Result, scratch *[]byte) error {
-	blob := encodeMemoEntry(fp, res, (*scratch)[:0])
-	*scratch = blob
-	if err := m.store.Put(memoKey(fp), blob); err != nil {
+	buf := (*scratch)[:0]
+	if res.Series != nil {
+		buf = encodeSeriesBlob(buf, fp, res.Series)
+	}
+	seriesEnd := len(buf)
+	buf = encodeScalarRecord(buf, fp, res, refOf(buf))
+	*scratch = buf
+	var err error
+	if seriesEnd > 0 {
+		err = m.store.Put(seriesKey(fp), buf[:seriesEnd])
+	}
+	if err == nil {
+		err = m.store.Put(memoKey(fp), buf[seriesEnd:])
+	}
+	if err != nil {
 		m.writeErrs.Add(1)
 		return fmt.Errorf("experiments: memo store %s: %w", fp, err)
 	}
@@ -137,67 +188,154 @@ func (m *Memo) put(fp Fingerprint, res *core.Result, scratch *[]byte) error {
 	return nil
 }
 
-// --- entry envelope ---
+// --- blob layouts ---
 //
-//	"SMMO" | u32 version | fingerprint[32] | u32 crc32c(payload) |
-//	u64 len(payload) | payload (encoded core.Result)
+//	scalar record  "SMMO" | u32 version | fingerprint[32] |
+//	               u32 crc32c(payload) | u64 len(payload) | payload
+//	payload        core.Result minus Series |
+//	               u64 len(series blob) | u32 crc32c(series blob)
+//	series blob    "SMMS" | u32 version | fingerprint[32] | encoded series
 //
 // The embedded fingerprint guards against blobs filed under the wrong key;
-// the CRC guards payload integrity; the version gates format evolution.
+// the version gates format evolution; the record's CRC guards its payload
+// and the series reference inside it guards the whole series blob. A run
+// with no series (no-tmem) has reference {0, 0} and no series blob.
 
-func encodeMemoEntry(fp Fingerprint, res *core.Result, dst []byte) []byte {
-	payloadAt := len(dst) + len(memoMagic) + 4 + len(fp) + 4 + 8
-	dst = append(dst, memoMagic...)
+// seriesRef is what a scalar record knows of its series blob.
+type seriesRef struct {
+	n   uint64
+	crc uint32
+}
+
+func refOf(blob []byte) seriesRef {
+	return seriesRef{n: uint64(len(blob)), crc: crc32.Checksum(blob, memoCRC)}
+}
+
+const blobHeadLen = len(memoMagic) + 4 + len(Fingerprint{})
+
+func appendBlobHead(dst []byte, magic string, fp Fingerprint) []byte {
+	dst = append(dst, magic...)
 	dst = binary.LittleEndian.AppendUint32(dst, memoFormatVersion)
-	dst = append(dst, fp[:]...)
+	return append(dst, fp[:]...)
+}
+
+// openBlob checks a blob's magic, version and fingerprint and returns what
+// follows them.
+func openBlob(blob []byte, magic string, fp Fingerprint) ([]byte, error) {
+	if len(blob) < blobHeadLen {
+		return nil, fmt.Errorf("experiments: memo %s blob truncated (%d bytes)", magic, len(blob))
+	}
+	if string(blob[:len(magic)]) != magic {
+		return nil, fmt.Errorf("experiments: memo %s blob bad magic", magic)
+	}
+	if v := binary.LittleEndian.Uint32(blob[len(magic):]); v != memoFormatVersion {
+		return nil, fmt.Errorf("experiments: memo %s blob format v%d, want v%d", magic, v, memoFormatVersion)
+	}
+	if string(blob[len(magic)+4:blobHeadLen]) != string(fp[:]) {
+		return nil, fmt.Errorf("experiments: memo %s blob fingerprint mismatch", magic)
+	}
+	return blob[blobHeadLen:], nil
+}
+
+func encodeScalarRecord(dst []byte, fp Fingerprint, res *core.Result, ref seriesRef) []byte {
+	dst = appendBlobHead(dst, memoMagic, fp)
 	dst = binary.LittleEndian.AppendUint32(dst, 0) // crc backfilled below
 	dst = binary.LittleEndian.AppendUint64(dst, 0) // len backfilled below
-	dst = encodeResult(dst, res)
+	payloadAt := len(dst)
+	dst = encodeScalars(dst, res)
+	dst = encU64(dst, ref.n)
+	dst = binary.LittleEndian.AppendUint32(dst, ref.crc)
 	payload := dst[payloadAt:]
 	binary.LittleEndian.PutUint32(dst[payloadAt-12:], crc32.Checksum(payload, memoCRC))
 	binary.LittleEndian.PutUint64(dst[payloadAt-8:], uint64(len(payload)))
 	return dst
 }
 
-func decodeMemoEntry(fp Fingerprint, blob []byte) (*core.Result, error) {
-	head := len(memoMagic) + 4 + len(fp) + 4 + 8
-	if len(blob) < head {
-		return nil, fmt.Errorf("experiments: memo entry truncated (%d bytes)", len(blob))
+func decodeScalarRecord(fp Fingerprint, blob []byte) (*core.Result, seriesRef, error) {
+	rest, err := openBlob(blob, memoMagic, fp)
+	if err != nil {
+		return nil, seriesRef{}, err
 	}
-	if string(blob[:len(memoMagic)]) != memoMagic {
-		return nil, fmt.Errorf("experiments: memo entry bad magic")
+	if len(rest) < 12 {
+		return nil, seriesRef{}, fmt.Errorf("experiments: memo record truncated (%d bytes)", len(blob))
 	}
-	off := len(memoMagic)
-	if v := binary.LittleEndian.Uint32(blob[off:]); v != memoFormatVersion {
-		return nil, fmt.Errorf("experiments: memo entry format v%d, want v%d", v, memoFormatVersion)
-	}
-	off += 4
-	var stored Fingerprint
-	copy(stored[:], blob[off:])
-	if stored != fp {
-		return nil, fmt.Errorf("experiments: memo entry fingerprint mismatch")
-	}
-	off += len(fp)
-	crc := binary.LittleEndian.Uint32(blob[off:])
-	off += 4
-	plen := binary.LittleEndian.Uint64(blob[off:])
-	off += 8
-	payload := blob[off:]
+	crc := binary.LittleEndian.Uint32(rest)
+	plen := binary.LittleEndian.Uint64(rest[4:])
+	payload := rest[12:]
 	if uint64(len(payload)) != plen {
-		return nil, fmt.Errorf("experiments: memo entry payload length %d, want %d", len(payload), plen)
+		return nil, seriesRef{}, fmt.Errorf("experiments: memo record payload length %d, want %d", len(payload), plen)
 	}
 	if crc32.Checksum(payload, memoCRC) != crc {
-		return nil, fmt.Errorf("experiments: memo entry checksum mismatch")
+		return nil, seriesRef{}, fmt.Errorf("experiments: memo record checksum mismatch")
 	}
 	d := &memoDec{b: payload}
-	res := decodeResult(d)
+	res := decodeScalars(d)
+	ref := seriesRef{n: d.u64("series-len")}
+	if d.err == nil && len(d.b) != 4 {
+		d.err = fmt.Errorf("experiments: memo record has %d bytes for the series checksum", len(d.b))
+	}
+	if d.err != nil {
+		return nil, seriesRef{}, d.err
+	}
+	ref.crc = binary.LittleEndian.Uint32(d.b)
+	return res, ref, nil
+}
+
+func encodeSeriesBlob(dst []byte, fp Fingerprint, set *metrics.Set) []byte {
+	dst = appendBlobHead(dst, seriesMagic, fp)
+	names := set.Names()
+	dst = encU64(dst, uint64(len(names)))
+	for _, name := range names {
+		dst = encStr(dst, name)
+		pts := set.Get(name).Points()
+		dst = encU64(dst, uint64(len(pts)))
+		for _, p := range pts {
+			dst = encF64(dst, p.T)
+			dst = encF64(dst, p.V)
+		}
+	}
+	return dst
+}
+
+// decodeSeriesBlob validates a series blob against its scalar record's
+// reference and rebuilds the set, each series in one exact-size allocation.
+func decodeSeriesBlob(fp Fingerprint, ref seriesRef, blob []byte) (*metrics.Set, error) {
+	if got := refOf(blob); got != ref {
+		return nil, fmt.Errorf("experiments: memo series blob is %d bytes crc %08x, record says %d bytes crc %08x",
+			got.n, got.crc, ref.n, ref.crc)
+	}
+	body, err := openBlob(blob, seriesMagic, fp)
+	if err != nil {
+		return nil, err
+	}
+	d := &memoDec{b: body}
+	set := metrics.NewSet()
+	for n := d.count("series", 16); n > 0 && d.err == nil; n-- {
+		name := d.str("series.name")
+		np := d.count("series.points", 16)
+		if d.err != nil {
+			break
+		}
+		var pts []metrics.Point // nil when empty, as the live recorder leaves it
+		if np > 0 {
+			pts = make([]metrics.Point, np)
+		}
+		for i := range pts {
+			pts[i].T = math.Float64frombits(binary.LittleEndian.Uint64(d.b[16*i:]))
+			pts[i].V = math.Float64frombits(binary.LittleEndian.Uint64(d.b[16*i+8:]))
+		}
+		d.b = d.b[16*np:]
+		// AddSeries rejects a regressing timestamp or a repeated name: the
+		// bytes are untrusted even when the checksum holds.
+		d.err = set.AddSeries(name, pts)
+	}
 	if d.err != nil {
 		return nil, d.err
 	}
 	if len(d.b) != 0 {
-		return nil, fmt.Errorf("experiments: memo entry has %d trailing bytes", len(d.b))
+		return nil, fmt.Errorf("experiments: memo series blob has %d trailing bytes", len(d.b))
 	}
-	return res, nil
+	return set, nil
 }
 
 // --- core.Result codec ---
@@ -205,11 +343,14 @@ func decodeMemoEntry(fp Fingerprint, blob []byte) (*core.Result, error) {
 // Hand-rolled little-endian encoding: encoding/gob cannot see the
 // unexported fields of metrics.Set/Series, and a hand encoding is both
 // deterministic (stable byte output for identical results) and allocation-
-// friendly on the hot sweep path. The field walks below must cover every
-// field of core.Result and its component structs; TestMemoCodecCoversResult
-// pins the struct shapes with reflection so adding a field to core.Result
-// (or guest.Stats, tmem.OpCounts, ...) fails tests until the codec and
-// memoFormatVersion are updated together.
+// friendly on the hot sweep path. The field walks below, with the series
+// blob above, must cover every field of core.Result and its component
+// structs; TestMemoCodecCoversResult pins the struct shapes with reflection
+// and round-trips a Result with every field set, so adding a field to
+// core.Result (or guest.Stats, tmem.OpCounts, ...) fails tests until the
+// codec and memoFormatVersion are updated together. The encoding is
+// canonical — a record the decoder accepts re-encodes to the same bytes
+// (FuzzMemoDecode) — so a bool is exactly 0 or 1.
 
 func encU64(b []byte, v uint64) []byte  { return binary.LittleEndian.AppendUint64(b, v) }
 func encI64(b []byte, v int64) []byte   { return encU64(b, uint64(v)) }
@@ -225,7 +366,7 @@ func encStr(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func encodeResult(b []byte, r *core.Result) []byte {
+func encodeScalars(b []byte, r *core.Result) []byte {
 	b = encStr(b, r.PolicyName)
 	b = encU64(b, r.Seed)
 	b = encI64(b, int64(r.EndTime))
@@ -238,22 +379,6 @@ func encodeResult(b []byte, r *core.Result) []byte {
 		b = encStr(b, run.Label)
 		b = encI64(b, int64(run.Start))
 		b = encI64(b, int64(run.End))
-	}
-
-	b = encBool(b, r.Series != nil)
-	if r.Series != nil {
-		names := r.Series.Names()
-		b = encU64(b, uint64(len(names)))
-		for _, name := range names {
-			s := r.Series.Get(name)
-			b = encStr(b, name)
-			pts := s.Points()
-			b = encU64(b, uint64(len(pts)))
-			for _, p := range pts {
-				b = encF64(b, p.T)
-				b = encF64(b, p.V)
-			}
-		}
 	}
 
 	b = encU64(b, uint64(len(r.VMs)))
@@ -389,8 +514,7 @@ func (d *memoDec) u64(what string) uint64 {
 	return v
 }
 
-func (d *memoDec) i64(what string) int64   { return int64(d.u64(what)) }
-func (d *memoDec) f64(what string) float64 { return math.Float64frombits(d.u64(what)) }
+func (d *memoDec) i64(what string) int64 { return int64(d.u64(what)) }
 
 func (d *memoDec) bool(what string) bool {
 	if d.err != nil {
@@ -402,7 +526,10 @@ func (d *memoDec) bool(what string) bool {
 	}
 	v := d.b[0]
 	d.b = d.b[1:]
-	return v != 0
+	if v > 1 {
+		d.err = fmt.Errorf("experiments: memo entry bad bool %d in %s", v, what)
+	}
+	return v == 1
 }
 
 func (d *memoDec) str(what string) string {
@@ -436,7 +563,7 @@ func (d *memoDec) count(what string, min int) int {
 	return int(n)
 }
 
-func decodeResult(d *memoDec) *core.Result {
+func decodeScalars(d *memoDec) *core.Result {
 	r := &core.Result{}
 	r.PolicyName = d.str("policy")
 	r.Seed = d.u64("seed")
@@ -453,25 +580,6 @@ func decodeResult(d *memoDec) *core.Result {
 				Start: sim.Time(d.i64("run.start")),
 				End:   sim.Time(d.i64("run.end")),
 			})
-		}
-	}
-
-	if d.bool("series?") {
-		// Rebuild through the Set/Series API; points were recorded with
-		// non-decreasing timestamps, so re-adding in stored order is safe.
-		r.Series = metrics.NewSet()
-		n := d.count("series", 16)
-		for i := 0; i < n && d.err == nil; i++ {
-			name := d.str("series.name")
-			s := r.Series.Get(name)
-			pts := d.count("series.points", 16)
-			for p := 0; p < pts && d.err == nil; p++ {
-				t := d.f64("series.t")
-				v := d.f64("series.v")
-				if d.err == nil {
-					s.Add(t, v)
-				}
-			}
 		}
 	}
 

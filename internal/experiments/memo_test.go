@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/hex"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"smartmem/internal/durable"
 	"smartmem/internal/guest"
 	"smartmem/internal/mem"
+	"smartmem/internal/metrics"
 	"smartmem/internal/tmem"
 )
 
@@ -132,12 +134,77 @@ func TestMemoCodecCoversResult(t *testing.T) {
 		{durable.Summary{}, 2},
 		{durable.Stats{}, 10},
 	}
+	// The shapes above are those of format v2; they move with the version.
+	if memoFormatVersion != 2 {
+		t.Errorf("memoFormatVersion = %d: re-pin the struct shapes above for the new format", memoFormatVersion)
+	}
 	for _, s := range shapes {
 		typ := reflect.TypeOf(s.v)
 		if got := typ.NumField(); got != s.want {
 			t.Errorf("%s has %d fields, codec expects %d — update the memo codec and bump memoFormatVersion",
 				typ, got, s.want)
 		}
+	}
+
+	// Counting fields cannot tell which blob a new field must travel in, or
+	// that it travels at all. Set every field of a Result to a distinct
+	// non-zero value: the scalar read must return all of them but Series,
+	// the full read all of them.
+	want := &core.Result{}
+	n := 0
+	fillDistinct(t, reflect.ValueOf(want).Elem(), &n)
+	want.Series = metrics.NewSet()
+	want.Series.Get("a").Add(1, 2)
+	want.Series.Get("b")
+	m := NewMemo(durable.NewMemStore())
+	fp := Fingerprint{1}
+	if err := m.Put(fp, want); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := m.Get(fp); !ok || !reflect.DeepEqual(got, want) {
+		t.Errorf("full read loses a field:\n got %+v\nwant %+v", got, want)
+	}
+	scalars := *want
+	scalars.Series = nil
+	if got, ok := m.get(fp, false); !ok || !reflect.DeepEqual(got, &scalars) {
+		t.Errorf("scalar read loses a field:\n got %+v\nwant %+v", got, &scalars)
+	}
+}
+
+// fillDistinct sets every settable field under v to a distinct non-zero
+// value: slices get two elements, pointers a fresh target. Types with
+// unexported state (metrics.Set) are left to the caller.
+func fillDistinct(t *testing.T, v reflect.Value, n *int) {
+	t.Helper()
+	*n++
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(*n))
+	case reflect.Uint64:
+		v.SetUint(uint64(*n))
+	case reflect.Float64:
+		v.SetFloat(float64(*n))
+	case reflect.String:
+		v.SetString(fmt.Sprint("s", *n))
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			fillDistinct(t, v.Index(i), n)
+		}
+	case reflect.Ptr:
+		if v.Type() == reflect.TypeOf((*metrics.Set)(nil)) {
+			return
+		}
+		v.Set(reflect.New(v.Type().Elem()))
+		fillDistinct(t, v.Elem(), n)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillDistinct(t, v.Field(i), n)
+		}
+	default:
+		t.Fatalf("fillDistinct: %s fields are new to core.Result — teach the codec and this test", v.Kind())
 	}
 }
 
@@ -229,6 +296,23 @@ func TestTournamentColdWarmIdentical(t *testing.T) {
 	if !bytes.Equal(cold, warm) {
 		t.Errorf("warm league differs from cold:\ncold:\n%s\nwarm:\n%s", cold, warm)
 	}
+
+	// The times table is the other scalar-only aggregation: served from
+	// the same entries it must equal the table of a cache-less sweep.
+	coldTimes, err := TimesOpts(s, policies, seeds, Options{Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmTimes, err := TimesOpts(s, policies, seeds, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Hits != 8 || st.Misses != 4 || st.Corrupt != 0 {
+		t.Errorf("warm times stats = %+v, want 4 more hits", st)
+	}
+	if !reflect.DeepEqual(coldTimes, warmTimes) {
+		t.Errorf("warm times table differs from cold:\ncold: %+v\nwarm: %+v", coldTimes.Rows, warmTimes.Rows)
+	}
 }
 
 // Cancelling a sweep mid-flight may cut it short, but it must never leave
@@ -274,13 +358,12 @@ func TestCancellationNeverPoisonsCache(t *testing.T) {
 		}
 		var fp Fingerprint
 		copy(fp[:], raw)
-		blob, err := store.Get(key)
-		if err != nil {
-			t.Fatal(err)
+		if _, ok := cache.Get(fp); !ok {
+			t.Errorf("entry %s poisoned by cancellation", key)
 		}
-		if _, err := decodeMemoEntry(fp, blob); err != nil {
-			t.Errorf("entry %s poisoned by cancellation: %v", key, err)
-		}
+	}
+	if st := cache.Stats(); st.Corrupt != 0 {
+		t.Errorf("truncated sweep left %d corrupt entries", st.Corrupt)
 	}
 
 	// Resuming against the same cache must match a cache-less sweep.

@@ -114,7 +114,8 @@ func TimesOpts(s *Scenario, policies []string, seeds []uint64, opt Options) (*Ti
 	if seeds == nil {
 		seeds = DefaultSeeds
 	}
-	results, err := RunMatrix([]*Scenario{s}, policies, seeds, opt)
+	// The table reads Result.Runs only.
+	results, err := runMatrixScalars([]*Scenario{s}, policies, seeds, opt)
 	if err != nil {
 		return nil, err
 	}

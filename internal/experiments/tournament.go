@@ -88,7 +88,8 @@ func RunTournament(scenarios []*Scenario, policies []string, seeds []uint64, opt
 		seeds = DefaultSeeds
 	}
 
-	results, err := RunMatrix(scenarios, policies, seeds, opt)
+	// The league reads DiskOps, EndTime and two counters per VM.
+	results, err := runMatrixScalars(scenarios, policies, seeds, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -109,6 +109,25 @@ func (st *Set) Get(name string) *Series {
 	return s
 }
 
+// AddSeries appends a whole pre-recorded series in one step, taking
+// ownership of pts — the bulk counterpart of Get + Add for decoders, which
+// build the sample slice at its exact size. Samples from outside the
+// program are not trusted: a duplicate name or a regressing timestamp is
+// an error, where Add (fed by the live recorder) panics.
+func (st *Set) AddSeries(name string, pts []Point) error {
+	if _, dup := st.byKey[name]; dup {
+		return fmt.Errorf("metrics: duplicate series %q", name)
+	}
+	for i := 1; i < len(pts); i++ {
+		if pts[i].T < pts[i-1].T {
+			return fmt.Errorf("metrics: series %q time regression: %v after %v", name, pts[i].T, pts[i-1].T)
+		}
+	}
+	st.byKey[name] = &Series{name: name, points: pts}
+	st.order = append(st.order, name)
+	return nil
+}
+
 // Names returns the series names in insertion order.
 func (st *Set) Names() []string { return append([]string(nil), st.order...) }
 

@@ -43,6 +43,33 @@ func TestSeriesTimeRegressionPanics(t *testing.T) {
 	s.Add(4, 1)
 }
 
+// AddSeries is the decoder's entry: what Add panics on, it reports, and it
+// leaves the set as it was.
+func TestSetAddSeries(t *testing.T) {
+	st := NewSet()
+	if err := st.AddSeries("a", []Point{{1, 10}, {1, 11}, {3, 30}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AddSeries("empty", nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Names(); len(got) != 2 || got[0] != "a" || got[1] != "empty" {
+		t.Errorf("names = %v", got)
+	}
+	if s := st.Get("a"); s.Len() != 3 || s.ValueAt(2) != 11 {
+		t.Errorf("series a = %v", s.Points())
+	}
+	if err := st.AddSeries("a", nil); err == nil {
+		t.Error("duplicate name accepted")
+	}
+	if err := st.AddSeries("b", []Point{{2, 0}, {1, 0}}); err == nil {
+		t.Error("time regression accepted")
+	}
+	if st.Has("b") || len(st.Names()) != 2 {
+		t.Errorf("rejected series left in the set: %v", st.Names())
+	}
+}
+
 func TestSeriesValueAtStepInterpolation(t *testing.T) {
 	s := NewSeries("x")
 	s.Add(1, 10)

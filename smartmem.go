@@ -302,10 +302,14 @@ const (
 // RunCache memoizes completed runs by fingerprint so repeated sweep cells
 // return instantly and byte-identically. Set ExperimentOptions.Cache to
 // one; it is safe for concurrent use and survives across sweeps (and, with
-// OpenDirRunCache, across processes).
+// OpenDirRunCache, across processes). A cell is kept as a small scalar
+// record plus a separate time-series blob: RunTournament and the times
+// tables read the record alone, RunMatrix and RunCache.Get the whole
+// result. Damage to either reads as a miss and is recomputed.
 type RunCache = experiments.Memo
 
-// RunCacheStats reports a cache's hit/miss/write counters.
+// RunCacheStats reports a cache's hit/miss/write counters and the bytes
+// its lookups read.
 type RunCacheStats = experiments.MemoStats
 
 // NewRunCache returns a run cache over any BlobStore (an in-memory store
