@@ -36,7 +36,9 @@ fmt:
 # remote-tier bench shows overflow absorbed by a peer store instead of
 # failing to the disk-swap path (its -batch variants report transport
 # round-trips/op), and the sim kernel benches pin the zero-allocation
-# scheduling hot path. All benches run with -benchmem so allocation
+# scheduling hot path. BenchmarkCompact rides the WAL line: one op is a whole
+# compaction of a 128 MiB mirror (~40 ms), whose B/op is the streaming
+# snapshot's O(slab) memory contract. All benches run with -benchmem so allocation
 # regressions are visible in the output and in BENCH.json.
 bench:
 	$(GO) test -bench 'BenchmarkEngine' -benchtime 1x -benchmem -run '^$$' .
@@ -48,7 +50,7 @@ bench:
 	$(GO) test -bench 'BenchmarkRemoteTier' -benchtime 10000x -benchmem -run '^$$' ./internal/tmem
 	$(GO) test -bench 'BenchmarkCompressedTier' -benchtime 10000x -benchmem -run '^$$' ./internal/tmem
 	$(GO) test -bench 'BenchmarkKVServer' -benchtime 1000x -benchmem -run '^$$' ./internal/kvstore
-	$(GO) test -bench 'BenchmarkWALAppend' -benchtime 1000x -benchmem -run '^$$' ./internal/durable
+	$(GO) test -bench 'BenchmarkWALAppend|BenchmarkCompact' -benchtime 1000x -benchmem -run '^$$' ./internal/durable
 	$(GO) test -bench 'BenchmarkHDR' -benchtime 100000x -benchmem -run '^$$' ./internal/hdr
 	$(GO) run ./cmd/smartmem-loadgen -inprocess -rate 2000 -duration 2s -conns 2 -quiet -bench
 
@@ -69,7 +71,7 @@ bench-json:
 	  $(GO) test -bench 'BenchmarkRemoteTier' -benchtime 10000x -benchmem -run '^$$' ./internal/tmem && \
 	  $(GO) test -bench 'BenchmarkCompressedTier' -benchtime 10000x -benchmem -run '^$$' ./internal/tmem && \
 	  $(GO) test -bench 'BenchmarkKVServer' -benchtime 1000x -benchmem -run '^$$' ./internal/kvstore && \
-	  $(GO) test -bench 'BenchmarkWALAppend' -benchtime 1000x -benchmem -run '^$$' ./internal/durable && \
+	  $(GO) test -bench 'BenchmarkWALAppend|BenchmarkCompact' -benchtime 1000x -benchmem -run '^$$' ./internal/durable && \
 	  $(GO) test -bench 'BenchmarkHDR' -benchtime 100000x -benchmem -run '^$$' ./internal/hdr && \
 	  $(GO) run ./cmd/smartmem-loadgen -inprocess -rate 2000 -duration 2s -conns 2 -quiet -bench; } > "$$tmp" || { cat "$$tmp"; rm -f "$$tmp"; exit 1; }; \
 	cat "$$tmp"; \

@@ -227,14 +227,20 @@ func writeStoreMetrics(b *strings.Builder, node kvNode) {
 		scalar(b, "smartmem_wal_fsyncs_total", "counter", "fsync calls issued by the journal.", float64(ls.Fsyncs))
 		scalar(b, "smartmem_wal_segments", "gauge", "Live WAL segment files.", float64(ls.Segments))
 		scalar(b, "smartmem_wal_compactions_total", "counter", "Snapshot compactions completed.", float64(ls.Compactions))
+		scalar(b, "smartmem_wal_compaction_seconds_total", "counter", "Wall time spent inside compactions.", float64(ls.CompactNanos)/1e9)
+		scalar(b, "smartmem_wal_compacting", "gauge", "1 while a compaction is writing a snapshot.", gauge01(ls.Compacting))
 		scalar(b, "smartmem_durable_pages_live", "gauge", "Pages the journal holds live.", float64(ls.PagesLive))
 		scalar(b, "smartmem_durable_errors_total", "counter", "Journal I/O errors.", float64(ls.Errors))
-		degraded := 0.0
-		if node.dstore.Degraded() {
-			degraded = 1
-		}
-		scalar(b, "smartmem_durable_degraded", "gauge", "1 when journaling has failed and the store serves memory-only.", degraded)
+		scalar(b, "smartmem_durable_degraded", "gauge", "1 when journaling has failed and the store serves memory-only.", gauge01(node.dstore.Degraded()))
 	}
+}
+
+// gauge01 is a boolean gauge's sample value.
+func gauge01(v bool) float64 {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // scalar emits one unlabeled sample with HELP/TYPE headers.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"smartmem/internal/durable"
 	"smartmem/internal/kvstore"
 	"smartmem/internal/mem"
 	"smartmem/internal/tmem"
@@ -92,6 +93,43 @@ func TestPromHandler(t *testing.T) {
 	// First scrape has no baseline: interval families must be absent.
 	if strings.Contains(body, "smartmem_op_interval_") {
 		t.Error("first scrape exposes interval families without a baseline")
+	}
+}
+
+// TestPromHandlerDurable scrapes a journaled node after one compaction:
+// the WAL families are present and the compaction shows up as a count, as
+// time spent and as a gauge that is back to zero.
+func TestPromHandlerDurable(t *testing.T) {
+	backend := newBackend(mem.Pages(64), 1)
+	node, err := openDurable(backend, t.TempDir(), durable.FsyncOff, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.dlog.Close()
+	pool := node.store.NewPool(1, tmem.Persistent)
+	if st := node.store.Put(tmem.Key{Pool: pool}, make([]byte, pageSize)); st != tmem.STmem {
+		t.Fatalf("put: %v", st)
+	}
+	if err := node.dlog.Compact(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := httptest.NewRecorder()
+	promHandler(node, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	body := rec.Body.String()
+	for _, want := range []string{
+		"smartmem_wal_compactions_total 1\n",
+		"# TYPE smartmem_wal_compaction_seconds_total counter",
+		"# TYPE smartmem_wal_compacting gauge",
+		"smartmem_wal_compacting 0\n",
+		"smartmem_durable_pages_live 1\n",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+	if v := promSample(t, body, "smartmem_wal_compaction_seconds_total "); v <= 0 {
+		t.Errorf("compaction seconds = %g after a compaction, want > 0", v)
 	}
 }
 

@@ -97,3 +97,29 @@ func BenchmarkWALAppendBatch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCompact measures one compaction of a serving-sized mirror
+// (32 Ki pages of 4 KiB, the serve-put-tiers live set) over a blob store
+// that discards: cut, sort, frame, checksum. B/op is the streaming
+// contract — the cut's page references plus one slab buffer, nowhere near
+// the 128 MiB of pages — and MB/s is page bytes through the snapshot.
+func BenchmarkCompact(b *testing.B) {
+	const pages, pageSize = 32 << 10, 4096
+	l, err := Open(Options{
+		Blob: &discardStore{}, PageSize: pageSize,
+		Fsync: FsyncOff, InlineCompact: true, CompactBytes: -1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	fillPages(b, l, pages, pageSize)
+	b.SetBytes(pages * pageSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := l.Compact(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

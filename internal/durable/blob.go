@@ -37,7 +37,9 @@ import (
 // Implementations must be safe for concurrent use. Put must be atomic:
 // a reader never observes a half-written blob.
 type BlobStore interface {
-	// Put atomically creates or replaces a whole blob.
+	// Put atomically creates or replaces a whole blob. It must not retain
+	// data after returning: the snapshot writer hands every slab the same
+	// buffer (DirStore writes it out, MemStore copies it).
 	Put(key string, data []byte) error
 	// Get returns a blob's full contents. Absent blobs report an error
 	// satisfying errors.Is(err, os.ErrNotExist).

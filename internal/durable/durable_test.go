@@ -758,6 +758,73 @@ func TestStoreJournalFailureNoFalseDurability(t *testing.T) {
 	}
 }
 
+// TestStoreBatchJournalsPersistentSubset drives Store.PutBatch down both
+// of its paths — the whole batch journaled through the caller's slices,
+// and a persistent subset picked out of a mixed batch — healthy and with
+// the journal failing.
+func TestStoreBatchJournalsPersistentSubset(t *testing.T) {
+	fs := &failStore{BlobStore: NewMemStore(), budget: 1 << 20}
+	l := mustOpen(t, testOpts(fs))
+	defer l.Close()
+	b := tmem.NewBackend(1024, tmem.NewDataStore(testPageSize))
+	s := NewStore(b, l)
+	pool := s.NewPool(1, tmem.Persistent)
+	epool := s.NewPool(1, tmem.Ephemeral)
+
+	batch := func(obj tmem.ObjectID, mixed bool) ([]tmem.Key, [][]byte, []tmem.Status) {
+		keys, datas := make([]tmem.Key, 8), make([][]byte, 8)
+		for i := range keys {
+			p := pool
+			if mixed && i%2 == 1 {
+				p = epool
+			}
+			keys[i], datas[i] = key(p, obj, tmem.PageIndex(i)), page(byte(i))
+		}
+		return keys, datas, make([]tmem.Status, 8)
+	}
+	for _, mixed := range []bool{false, true} {
+		obj := tmem.ObjectID(0)
+		if mixed {
+			obj = 1
+		}
+		keys, datas, sts := batch(obj, mixed)
+		s.PutBatch(keys, datas, sts)
+		for i, k := range keys {
+			if sts[i] != tmem.STmem {
+				t.Fatalf("mixed=%v: put %v = %v", mixed, k, sts[i])
+			}
+			if got, want := l.Contains(k), k.Pool == pool; got != want {
+				t.Fatalf("mixed=%v: journal holds %v = %v, want %v", mixed, k, got, want)
+			}
+		}
+	}
+
+	fs.budget = 0 // the journal fails from here on
+	for _, mixed := range []bool{true, false} {
+		obj := tmem.ObjectID(2)
+		if mixed {
+			obj = 3
+		}
+		keys, datas, sts := batch(obj, mixed)
+		s.PutBatch(keys, datas, sts)
+		for i, k := range keys {
+			want := tmem.ETmem
+			if k.Pool == epool {
+				want = tmem.STmem // not journaled, so not affected
+			}
+			if sts[i] != want {
+				t.Fatalf("journal down, mixed=%v: put %v = %v, want %v", mixed, k, sts[i], want)
+			}
+			if k.Pool == pool && b.Get(k, nil) == tmem.STmem {
+				t.Fatalf("journal down: backend kept %v, which the journal lost", k)
+			}
+		}
+	}
+	if !s.Degraded() {
+		t.Fatal("store not degraded after a failed batch")
+	}
+}
+
 func TestRestorePoolAdvancesAllocator(t *testing.T) {
 	b := tmem.NewBackend(64, tmem.NewDataStore(testPageSize))
 	if err := b.RestorePool(5, 1, tmem.Persistent); err != nil {

@@ -1,9 +1,10 @@
 package durable
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -111,6 +112,11 @@ type Stats struct {
 	PagesLive     uint64 // live pages in the mirror
 	BytesLive     uint64 // live page bytes in the mirror
 	Errors        uint64 // blob I/O failures (append, sync or snapshot)
+	// CompactNanos is the wall time spent inside compactions, cumulative;
+	// Compacting reports one in flight. Both stay zero under InlineCompact,
+	// the deterministic mode, which reads no clock.
+	CompactNanos uint64
+	Compacting   bool
 }
 
 // Add folds o into s (cluster aggregation; gauges sum across nodes).
@@ -125,6 +131,8 @@ func (s *Stats) Add(o Stats) {
 	s.PagesLive += o.PagesLive
 	s.BytesLive += o.BytesLive
 	s.Errors += o.Errors
+	s.CompactNanos += o.CompactNanos
+	s.Compacting = s.Compacting || o.Compacting
 }
 
 // RecoveryInfo describes what Open found and replayed.
@@ -196,6 +204,8 @@ type Log struct {
 	snapshotSeq   uint64     // under mu
 	snapshotPages uint64     // under mu
 	errors        uint64     // under mu
+	compactNanos  uint64     // under mu
+	compacting    bool       // under mu
 
 	recovery RecoveryInfo
 
@@ -727,12 +737,47 @@ func (l *Log) Contains(key tmem.Key) bool { return l.Get(key, nil) }
 func (l *Log) Pools() []PoolInfo {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.poolsLocked()
+}
+
+func (l *Log) poolsLocked() []PoolInfo {
 	out := make([]PoolInfo, 0, len(l.pools))
 	for id, pm := range l.pools {
 		out = append(out, PoolInfo{ID: id, VM: pm.vm, Kind: pm.kind})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b PoolInfo) int { return cmp.Compare(a.ID, b.ID) })
 	return out
+}
+
+// pageRef is one live page as a reader outside the lock sees it: the key
+// and the mirror's own (immutable) slice.
+type pageRef struct {
+	key  tmem.Key
+	data []byte
+}
+
+// pageRefsLocked returns one reference per live page, in map order — the
+// only per-page work a reader does under mu. Sort with sortPageRefs after
+// releasing it.
+func (l *Log) pageRefsLocked() []pageRef {
+	refs := make([]pageRef, 0, l.pagesLive)
+	for ok, pages := range l.objects {
+		for idx, d := range pages {
+			refs = append(refs, pageRef{key: tmem.Key{Pool: ok.pool, Object: ok.object, Index: idx}, data: d})
+		}
+	}
+	return refs
+}
+
+// sortPageRefs orders refs by pool, object, index.
+func sortPageRefs(refs []pageRef) {
+	slices.SortFunc(refs, func(a, b pageRef) int {
+		return cmp.Or(
+			cmp.Compare(a.key.Pool, b.key.Pool),
+			cmp.Compare(a.key.Object, b.key.Object),
+			cmp.Compare(a.key.Index, b.key.Index),
+		)
+	})
 }
 
 // RangePages calls f for every live page in sorted key order (pool,
@@ -740,38 +785,10 @@ func (l *Log) Pools() []PoolInfo {
 // shared with the mirror and must not be mutated.
 func (l *Log) RangePages(f func(key tmem.Key, data []byte) bool) {
 	l.mu.Lock()
-	keys := make([]objKey, 0, len(l.objects))
-	for ok := range l.objects {
-		keys = append(keys, ok)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.pool != b.pool {
-			return a.pool < b.pool
-		}
-		return a.object < b.object
-	})
-	type pageRef struct {
-		key  tmem.Key
-		data []byte
-	}
-	var pages []pageRef
-	for _, ok := range keys {
-		m := l.objects[ok]
-		idxs := make([]tmem.PageIndex, 0, len(m))
-		for idx := range m {
-			idxs = append(idxs, idx)
-		}
-		sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-		for _, idx := range idxs {
-			pages = append(pages, pageRef{
-				key:  tmem.Key{Pool: ok.pool, Object: ok.object, Index: idx},
-				data: m[idx],
-			})
-		}
-	}
+	pages := l.pageRefsLocked()
 	l.mu.Unlock()
-	// Mirror slices are immutable, so f runs outside the lock.
+	// Mirror slices are immutable, so sorting and f run outside the lock.
+	sortPageRefs(pages)
 	for _, p := range pages {
 		if !f(p.key, p.data) {
 			return
@@ -803,6 +820,8 @@ func (l *Log) Stats() Stats {
 		PagesLive:     l.pagesLive,
 		BytesLive:     l.bytesLive,
 		Errors:        l.errors,
+		CompactNanos:  l.compactNanos,
+		Compacting:    l.compacting,
 	}
 }
 
@@ -823,6 +842,10 @@ func (l *Log) Sync() error {
 // Compact seals the active WAL segment, snapshots the live mirror and
 // prunes the sealed segments and older snapshots. Mutations racing the
 // snapshot land in segments at or after the cut and replay on top of it.
+//
+// Only the cut runs under the commit lock: the rotation and one reference
+// per live page. Sorting, framing and every blob write happen outside it,
+// one slab at a time (see writeSnapshot).
 func (l *Log) Compact() error {
 	l.compactMu.Lock()
 	defer l.compactMu.Unlock()
@@ -832,47 +855,51 @@ func (l *Log) Compact() error {
 		l.mu.Unlock()
 		return errClosed
 	}
+	var start time.Time
+	if !l.opts.InlineCompact {
+		start = time.Now()
+		l.compacting = true
+	}
 	resume, err := l.w.forceRotate()
 	if err != nil {
 		l.errors++
+		l.endCompactLocked(start)
 		l.mu.Unlock()
 		return err
 	}
-	// Structure-only copy: page slices are immutable and shared.
-	st := snapshotState{
-		pools:   make(map[tmem.PoolID]poolMeta, len(l.pools)),
-		objects: make(map[objKey]map[tmem.PageIndex][]byte, len(l.objects)),
-		pages:   l.pagesLive,
-		bytes:   l.bytesLive,
-	}
-	for id, pm := range l.pools {
-		st.pools[id] = pm
-	}
-	for ok, pages := range l.objects {
-		cp := make(map[tmem.PageIndex][]byte, len(pages))
-		for idx, d := range pages {
-			cp[idx] = d
-		}
-		st.objects[ok] = cp
-	}
+	st := snapshotState{pools: l.poolsLocked(), pages: l.pageRefsLocked()}
 	cut := l.walSinceSnap
 	l.mu.Unlock()
 
-	if err := writeSnapshot(l.opts.Blob, resume, st, l.opts.SlabBytes); err != nil {
-		l.noteError()
-		return err
+	sortPageRefs(st.pages)
+	err = writeSnapshot(l.opts.Blob, resume, st, l.opts.SlabBytes, l.opts.PageSize)
+	if err == nil {
+		// Prune is best-effort: stale blobs cost space, not correctness.
+		dropSegmentsBefore(l.opts.Blob, resume)
+		dropSnapshotsBefore(l.opts.Blob, resume)
 	}
-	// Prune is best-effort: stale blobs cost space, not correctness.
-	dropSegmentsBefore(l.opts.Blob, resume)
-	dropSnapshotsBefore(l.opts.Blob, resume)
 
 	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.endCompactLocked(start)
+	if err != nil {
+		l.errors++
+		return err
+	}
 	l.walSinceSnap -= cut
 	l.compactions++
 	l.snapshotSeq = resume
-	l.snapshotPages = st.pages
-	l.mu.Unlock()
+	l.snapshotPages = uint64(len(st.pages))
 	return nil
+}
+
+// endCompactLocked closes the timed window Compact opened, if it opened
+// one (it does not under InlineCompact).
+func (l *Log) endCompactLocked(start time.Time) {
+	if l.compacting {
+		l.compacting = false
+		l.compactNanos += uint64(time.Since(start))
+	}
 }
 
 // --- lifecycle ---
@@ -910,6 +937,7 @@ func (l *Log) stopBackground() {
 
 // Close stops background work, syncs and closes the WAL. The blob store
 // is left exactly as a crash would: the next Open replays snapshot + WAL.
+// A closed log holds no pages: reads report every page absent.
 func (l *Log) Close() error {
 	l.stopBackground()
 	l.mu.Lock()
@@ -917,9 +945,19 @@ func (l *Log) Close() error {
 		l.mu.Unlock()
 		return nil
 	}
-	l.closed = true
+	l.closeLocked()
 	l.mu.Unlock()
 	return l.w.close()
+}
+
+// closeLocked marks the log closed and releases the page mirror, so a
+// handle that outlives its log (an in-process reopen over the same blob
+// store) does not pin a second copy of every page. The pool table stays:
+// Store keeps refusing persistent puts through a closed log.
+func (l *Log) closeLocked() {
+	l.closed = true
+	l.objects = nil
+	l.pagesLive, l.bytesLive = 0, 0
 }
 
 // CloseClean performs a graceful shutdown: a final compaction folds the
@@ -933,7 +971,7 @@ func (l *Log) CloseClean() error {
 		l.mu.Unlock()
 		return errClosed
 	}
-	l.closed = true
+	l.closeLocked()
 	snap := l.snapshotSeq
 	l.mu.Unlock()
 	werr := l.w.close()

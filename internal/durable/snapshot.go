@@ -5,11 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
-
-	"smartmem/internal/tmem"
 )
 
 // Snapshot layout. A compaction folds the live mirror into slab blobs
@@ -103,94 +100,77 @@ func latestManifest(blob BlobStore) (seq uint64, mf manifest, ok bool, err error
 	return best, mf, true, nil
 }
 
-// snapshotState is the serializable mirror image a compaction captures.
+// snapshotState is the cut a compaction takes under the commit lock: the
+// pools and one reference per live page, both in snapshot order (pools by
+// id, pages by pool/object/index). The page slices are the mirror's own —
+// immutable, so they stay valid while the mirror moves on.
 type snapshotState struct {
-	pools   map[tmem.PoolID]poolMeta
-	objects map[objKey]map[tmem.PageIndex][]byte
-	pages   uint64
-	bytes   uint64
+	pools []PoolInfo
+	pages []pageRef
 }
 
-// buildSlabs serializes the state into slab byte blobs of roughly
-// slabBytes each. Records are emitted in sorted order (pools by id, pages
-// by pool/object/index) so identical states produce identical snapshots.
-func buildSlabs(st snapshotState, slabBytes int64) [][]byte {
-	poolIDs := make([]tmem.PoolID, 0, len(st.pools))
-	for id := range st.pools {
-		poolIDs = append(poolIDs, id)
-	}
-	sort.Slice(poolIDs, func(i, j int) bool { return poolIDs[i] < poolIDs[j] })
-
-	objKeys := make([]objKey, 0, len(st.objects))
-	for k := range st.objects {
-		objKeys = append(objKeys, k)
-	}
-	sort.Slice(objKeys, func(i, j int) bool {
-		a, b := objKeys[i], objKeys[j]
-		if a.pool != b.pool {
-			return a.pool < b.pool
+// writeSnapshot streams the cut into slab blobs of roughly slabBytes each
+// and writes the manifest last. Records are framed into one buffer that is
+// handed to blob.Put the moment it fills and then reused, so the writer's
+// memory is one slab plus one record whatever the state's size; the sorted
+// order makes identical states produce identical snapshots. The first
+// failed Put stops the stream: what it leaves has no MANIFEST, recovery
+// ignores it and the next compaction's prune removes it.
+func writeSnapshot(blob BlobStore, seq uint64, st snapshotState, slabBytes int64, pageSize int) error {
+	maxRecord := recHeaderLen + 1 + keyWireLen + 4 + pageSize
+	buf := make([]byte, 0, int(slabBytes)+maxRecord)
+	payload := make([]byte, 0, maxRecord)
+	slabs := 0
+	flush := func() error {
+		if len(buf) == 0 {
+			return nil
 		}
-		return a.object < b.object
-	})
-
-	var slabs [][]byte
-	var buf []byte
-	var scratch []byte
-	flush := func() {
-		if len(buf) > 0 {
-			slabs = append(slabs, buf)
-			buf = nil
+		if err := blob.Put(slabKey(seq, slabs), buf); err != nil {
+			return fmt.Errorf("durable: snapshot %016x slab %d: %w", seq, slabs, err)
 		}
+		slabs++
+		buf = buf[:0]
+		return nil
 	}
-	emit := func(payload []byte) {
+	emit := func() error {
 		buf = frameRecord(buf, payload)
 		if int64(len(buf)) >= slabBytes {
-			flush()
+			return flush()
 		}
+		return nil
 	}
 
-	for _, id := range poolIDs {
-		pm := st.pools[id]
-		scratch = newPoolPayload(scratch[:0], id, pm.vm, pm.kind)
-		emit(scratch)
-	}
-	for _, ok := range objKeys {
-		pages := st.objects[ok]
-		idxs := make([]tmem.PageIndex, 0, len(pages))
-		for idx := range pages {
-			idxs = append(idxs, idx)
-		}
-		sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-		for _, idx := range idxs {
-			key := tmem.Key{Pool: ok.pool, Object: ok.object, Index: idx}
-			scratch = putPayload(scratch[:0], key, pages[idx])
-			emit(scratch)
-		}
-	}
-	flush()
-	return slabs
-}
-
-// writeSnapshot streams the slabs and finally the manifest.
-func writeSnapshot(blob BlobStore, seq uint64, st snapshotState, slabBytes int64) error {
-	slabs := buildSlabs(st, slabBytes)
-	for i, slab := range slabs {
-		if err := blob.Put(slabKey(seq, i), slab); err != nil {
+	for _, p := range st.pools {
+		payload = newPoolPayload(payload[:0], p.ID, p.VM, p.Kind)
+		if err := emit(); err != nil {
 			return err
 		}
 	}
-	mf := manifest{
-		WALResume: seq,
-		Slabs:     len(slabs),
-		Pools:     len(st.pools),
-		Pages:     st.pages,
-		Bytes:     st.bytes,
+	var bytes uint64
+	for _, p := range st.pages {
+		payload = putPayload(payload[:0], p.key, p.data)
+		if err := emit(); err != nil {
+			return err
+		}
+		bytes += uint64(len(p.data))
 	}
-	raw, err := json.Marshal(mf)
+	if err := flush(); err != nil {
+		return err
+	}
+	raw, err := json.Marshal(manifest{
+		WALResume: seq,
+		Slabs:     slabs,
+		Pools:     len(st.pools),
+		Pages:     uint64(len(st.pages)),
+		Bytes:     bytes,
+	})
 	if err != nil {
 		return err
 	}
-	return blob.Put(snapshotDir(seq)+"/"+manifestName, raw)
+	if err := blob.Put(snapshotDir(seq)+"/"+manifestName, raw); err != nil {
+		return fmt.Errorf("durable: snapshot %016x manifest: %w", seq, err)
+	}
+	return nil
 }
 
 // dropSnapshotsBefore deletes every complete-or-partial snapshot directory

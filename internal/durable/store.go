@@ -174,27 +174,62 @@ func (s *Store) FlushObject(pool tmem.PoolID, object tmem.ObjectID) (mem.Pages, 
 	return n, st
 }
 
+// poolMemo answers Log.HasPool — a commit-lock visit — from memory while
+// the pool asked about stays the same: a batch's keys come in same-pool
+// runs (a wire frame usually names one pool), so a batch pays the lock
+// once per run instead of once per key.
+type poolMemo struct {
+	log  *Log
+	last tmem.PoolID
+	ok   bool
+}
+
+func (s *Store) poolMemo() poolMemo { return poolMemo{log: s.log, last: tmem.InvalidPool} }
+
+func (m *poolMemo) has(id tmem.PoolID) bool {
+	if id != m.last {
+		m.last, m.ok = id, m.log.HasPool(id)
+	}
+	return m.ok
+}
+
 func (s *Store) PutBatch(keys []tmem.Key, datas [][]byte, sts []tmem.Status) {
 	s.b.PutBatch(keys, datas, sts)
-	// Journal the successful persistent subset in one append.
-	var jKeys []tmem.Key
-	var jDatas [][]byte
-	var jIdx []int
+	// Journal the successful persistent subset in one append. When that is
+	// the whole batch (the common case) the caller's slices go straight
+	// through; jIdx stays nil and positions map to themselves.
+	journaled := s.poolMemo()
+	whole := true
 	for i, key := range keys {
-		if sts[i] != tmem.STmem || !s.log.HasPool(key.Pool) {
-			continue
+		if sts[i] != tmem.STmem || !journaled.has(key.Pool) {
+			whole = false
+			break
 		}
-		jKeys = append(jKeys, key)
-		jDatas = append(jDatas, datas[i])
-		jIdx = append(jIdx, i)
+	}
+	jKeys, jDatas := keys, datas
+	var jIdx []int
+	if !whole {
+		jKeys, jDatas = nil, nil
+		for i, key := range keys {
+			if sts[i] != tmem.STmem || !journaled.has(key.Pool) {
+				continue
+			}
+			jKeys = append(jKeys, key)
+			jDatas = append(jDatas, datas[i])
+			jIdx = append(jIdx, i)
+		}
 	}
 	if len(jKeys) == 0 {
 		return
 	}
 	if s.degraded.Load() || s.log.PutBatch(jKeys, jDatas) != nil {
 		s.degrade()
-		for n, i := range jIdx {
-			s.b.FlushPage(jKeys[n])
+		for n, key := range jKeys {
+			s.b.FlushPage(key)
+			i := n
+			if jIdx != nil {
+				i = jIdx[n]
+			}
 			sts[i] = tmem.ETmem
 		}
 	}
@@ -202,8 +237,9 @@ func (s *Store) PutBatch(keys []tmem.Key, datas [][]byte, sts []tmem.Status) {
 
 func (s *Store) GetBatch(keys []tmem.Key, dsts [][]byte, sts []tmem.Status) {
 	s.b.GetBatch(keys, dsts, sts)
+	journaled := s.poolMemo()
 	for i, key := range keys {
-		if sts[i] == tmem.STmem || !s.log.HasPool(key.Pool) {
+		if sts[i] == tmem.STmem || !journaled.has(key.Pool) {
 			continue
 		}
 		var dst []byte

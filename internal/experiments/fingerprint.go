@@ -19,8 +19,8 @@ import (
 // the current version's codec exists.
 //
 // v2: a cell is a scalar record plus a separate series blob (v1 was one
-// blob holding both).
-const memoFormatVersion = 2
+// blob holding both). v3: durable.Stats carries CompactNanos and Compacting.
+const memoFormatVersion = 3
 
 // Fingerprint identifies a deterministic run: the SHA-256 of (format
 // version, scenario slug, policy spec, seed, normalized core.Config). Two

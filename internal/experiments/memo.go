@@ -486,7 +486,9 @@ func encDurableSummary(b []byte, s durable.Summary) []byte {
 	b = encU64(b, s.Log.Pools)
 	b = encU64(b, s.Log.PagesLive)
 	b = encU64(b, s.Log.BytesLive)
-	return encU64(b, s.Log.Errors)
+	b = encU64(b, s.Log.Errors)
+	b = encU64(b, s.Log.CompactNanos)
+	return encBool(b, s.Log.Compacting)
 }
 
 // memoDec is a sticky-error little-endian reader over a payload slice.
@@ -706,6 +708,8 @@ func decDurableSummary(d *memoDec) durable.Summary {
 			PagesLive:     d.u64("d.pages-live"),
 			BytesLive:     d.u64("d.bytes-live"),
 			Errors:        d.u64("d.errors"),
+			CompactNanos:  d.u64("d.compact-nanos"),
+			Compacting:    d.bool("d.compacting"),
 		},
 	}
 }

@@ -132,10 +132,10 @@ func TestMemoCodecCoversResult(t *testing.T) {
 		{tmem.TierStats{}, 7},
 		{tmem.CompressedTierStats{}, 10},
 		{durable.Summary{}, 2},
-		{durable.Stats{}, 10},
+		{durable.Stats{}, 12},
 	}
-	// The shapes above are those of format v2; they move with the version.
-	if memoFormatVersion != 2 {
+	// The shapes above are those of format v3; they move with the version.
+	if memoFormatVersion != 3 {
 		t.Errorf("memoFormatVersion = %d: re-pin the struct shapes above for the new format", memoFormatVersion)
 	}
 	for _, s := range shapes {

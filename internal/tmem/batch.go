@@ -32,6 +32,7 @@ type batchScratch struct {
 	offer    []int32
 	ft       []int16
 	subIdx   []int32
+	run      []int32
 	subKeys  []Key
 	subKinds []PoolKind
 	subDatas [][]byte
@@ -56,7 +57,7 @@ func (b *Backend) putScratch(sc *batchScratch) {
 	clear(sc.pools) // do not retain pool references across calls
 	clear(sc.subDatas)
 	sc.slow, sc.sup, sc.offer = sc.slow[:0], sc.sup[:0], sc.offer[:0]
-	sc.subIdx, sc.subKeys = sc.subIdx[:0], sc.subKeys[:0]
+	sc.subIdx, sc.run, sc.subKeys = sc.subIdx[:0], sc.run[:0], sc.subKeys[:0]
 	sc.subKinds, sc.subDatas, sc.subSts = sc.subKinds[:0], sc.subDatas[:0], sc.subSts[:0]
 	for i := range sc.groups {
 		sc.groups[i] = sc.groups[i][:0]
@@ -320,63 +321,99 @@ func (b *Backend) putBatch(keys []Key, datas [][]byte, sts []Status, withTiers b
 	if !withTiers || len(sc.offer) == 0 {
 		return
 	}
-	// Phase C: tier offers. Keys already tracked in a tier take the
-	// per-key re-offer path; untracked keys walk the stack in one batch
-	// per tier — the run the wire protocol ships in a single round trip.
-	untracked := sc.subIdx[:0]
+	// Phase C: tier offers, in whole runs — the run the wire protocol
+	// ships in a single round trip. A key already tracked in a tier is
+	// re-offered there first (the tier replaces contents in place), one run
+	// per tier; what is untracked, or was just refused, walks the stack top
+	// down, one run per tier. sc.ft[i] is the tier key i was tracked in (-1
+	// for none), which is also the one tier the walk must not ask again.
+	offerRun := func(t Tier, run []int32) {
+		sc.subSts = sc.subSts[:0]
+		bt, ok := t.(BatchTier)
+		if !ok || len(run) == 1 {
+			for _, i := range run {
+				sc.subSts = append(sc.subSts, t.Put(keys[i], sc.pools[i].kind, data(i)))
+			}
+			return
+		}
+		sc.subKeys, sc.subKinds, sc.subDatas = sc.subKeys[:0], sc.subKinds[:0], sc.subDatas[:0]
+		for _, i := range run {
+			sc.subKeys = append(sc.subKeys, keys[i])
+			sc.subKinds = append(sc.subKinds, sc.pools[i].kind)
+			sc.subDatas = append(sc.subDatas, data(i))
+			sc.subSts = append(sc.subSts, ETmem)
+		}
+		bt.PutBatch(sc.subKeys, sc.subKinds, sc.subDatas, sc.subSts)
+	}
+	accepted := func(t Tier, tierIdx int, i int32) {
+		if !b.shardFor(keys[i]).noteRemoteIfFree(sc.pools[i], keys[i], tierIdx) {
+			t.FlushPage(keys[i])
+		}
+		sts[i] = STmem
+	}
+
+	rem := sc.subIdx[:0]
 	for _, i := range sc.offer {
-		sh := b.shardFor(keys[i])
-		if sh.remoteTier(keys[i]) >= 0 {
-			sts[i] = b.offerTiers(sc.pools[i], sh, keys[i], data(i))
-		} else {
-			untracked = append(untracked, i)
+		ti := b.shardFor(keys[i]).remoteTier(keys[i])
+		sc.ft[i] = int16(ti)
+		if ti < 0 {
+			rem = append(rem, i)
 		}
 	}
-	sc.subIdx = untracked
-	rem := untracked
+	if len(rem) < len(sc.offer) {
+		for tierIdx, t := range b.tiers {
+			run := sc.run[:0]
+			for _, i := range sc.offer {
+				if int(sc.ft[i]) == tierIdx {
+					run = append(run, i)
+				}
+			}
+			sc.run = run
+			if len(run) == 0 {
+				continue
+			}
+			offerRun(t, run)
+			for j, i := range run {
+				if sc.subSts[j] == STmem {
+					accepted(t, tierIdx, i)
+					continue
+				}
+				b.shardFor(keys[i]).dropRemote(keys[i])
+				rem = append(rem, i)
+			}
+		}
+	}
 	for tierIdx, t := range b.tiers {
 		if len(rem) == 0 {
 			break
 		}
-		accept := func(i int32, ok bool) bool {
-			if !ok {
-				return false
+		run := sc.run[:0]
+		for _, i := range rem {
+			if int(sc.ft[i]) != tierIdx {
+				run = append(run, i)
 			}
-			sh := b.shardFor(keys[i])
-			if !sh.noteRemoteIfFree(sc.pools[i], keys[i], tierIdx) {
-				t.FlushPage(keys[i])
-			}
-			sts[i] = STmem
-			return true
 		}
-		var next []int32
-		if bt, ok := t.(BatchTier); ok && len(rem) > 1 {
-			sc.subKeys, sc.subKinds = sc.subKeys[:0], sc.subKinds[:0]
-			sc.subDatas, sc.subSts = sc.subDatas[:0], sc.subSts[:0]
-			for _, i := range rem {
-				sc.subKeys = append(sc.subKeys, keys[i])
-				sc.subKinds = append(sc.subKinds, sc.pools[i].kind)
-				sc.subDatas = append(sc.subDatas, data(i))
-				sc.subSts = append(sc.subSts, ETmem)
-			}
-			bt.PutBatch(sc.subKeys, sc.subKinds, sc.subDatas, sc.subSts)
-			next = rem[:0]
-			for j, i := range rem {
-				if !accept(i, sc.subSts[j] == STmem) {
-					next = append(next, i)
-				}
-			}
-		} else {
-			next = rem[:0]
-			for _, i := range rem {
-				st := t.Put(keys[i], sc.pools[i].kind, data(i))
-				if !accept(i, st == STmem) {
-					next = append(next, i)
-				}
+		sc.run = run
+		if len(run) == 0 {
+			continue
+		}
+		offerRun(t, run)
+		next, j := rem[:0], 0
+		for _, i := range rem {
+			switch {
+			case int(sc.ft[i]) == tierIdx: // not in the run
+				next = append(next, i)
+			case sc.subSts[j] == STmem:
+				accepted(t, tierIdx, i)
+				j++
+			default:
+				next = append(next, i)
+				j++
 			}
 		}
 		rem = next
 	}
+	sc.subIdx = rem
 	for _, i := range rem {
 		sts[i] = ETmem // every tier rejected the page
 	}

@@ -231,6 +231,151 @@ func TestPutBatchSupersedeFlushesTierCopy(t *testing.T) {
 	}
 }
 
+// countingTier is a fakeTier that speaks BatchTier, counts its put calls
+// by shape and can be told to refuse some keys.
+type countingTier struct {
+	*fakeTier
+	puts, putBatches int
+	refuse           func(Key) bool
+}
+
+func newCountingTier() *countingTier { return &countingTier{fakeTier: newFakeTier(1 << 20)} }
+
+func (c *countingTier) put(key Key, kind PoolKind, data []byte) Status {
+	if c.refuse != nil && c.refuse(key) {
+		return ETmem
+	}
+	return c.fakeTier.Put(key, kind, data)
+}
+
+func (c *countingTier) Put(key Key, kind PoolKind, data []byte) Status {
+	c.puts++
+	return c.put(key, kind, data)
+}
+
+func (c *countingTier) PutBatch(keys []Key, kinds []PoolKind, datas [][]byte, sts []Status) {
+	c.putBatches++
+	for i, k := range keys {
+		sts[i] = c.put(k, kinds[i], datas[i])
+	}
+}
+
+func (c *countingTier) GetBatch(keys []Key, _ [][]byte, sts []Status) {
+	for i, k := range keys {
+		sts[i] = c.fakeTier.Get(k, nil)
+	}
+}
+
+var _ BatchTier = (*countingTier)(nil)
+
+// fullBackend returns a backend whose local store is already full of
+// another pool's pages, so every put into the returned pool overflows.
+func fullBackend(t *testing.T, tiers ...Tier) (*Backend, PoolID) {
+	t.Helper()
+	b := NewBackend(4, NewMetaStore(testPage))
+	filler := b.NewPool(9, Persistent)
+	for _, k := range testKeys(filler, 4) {
+		if st := b.Put(k, nil); st != STmem {
+			t.Fatalf("filling the local store: %v", st)
+		}
+	}
+	for _, tier := range tiers {
+		b.AttachTier(tier)
+	}
+	return b, b.NewPool(1, Persistent)
+}
+
+// TestPutBatchReoffersRideOneTierBatch: keys already tracked in a tier are
+// re-offered to it as one run, like the untracked overflow before them.
+func TestPutBatchReoffersRideOneTierBatch(t *testing.T) {
+	tier := newCountingTier()
+	b, pool := fullBackend(t, tier)
+	const n = 16
+	keys, sts := testKeys(pool, n), make([]Status, n)
+
+	b.PutBatch(keys, nil, sts) // untracked: the overflow walk
+	if tier.putBatches != 1 || tier.puts != 0 || len(tier.pages) != n {
+		t.Fatalf("first offer: %d batches, %d single puts, tier holds %d; want 1, 0, %d",
+			tier.putBatches, tier.puts, len(tier.pages), n)
+	}
+	tier.putBatches = 0
+	b.PutBatch(keys, nil, sts) // every key tracked in the tier: the re-offer
+	if tier.putBatches != 1 || tier.puts != 0 {
+		t.Fatalf("re-offer of %d tracked keys: %d batches, %d single puts; want 1 and 0",
+			n, tier.putBatches, tier.puts)
+	}
+	for i, st := range sts {
+		if st != STmem {
+			t.Fatalf("re-offer %d = %v", i, st)
+		}
+	}
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPutBatchRefusedReofferWalksOtherTiers: a tier that refuses a
+// re-offer loses the key's tracking and is not asked a second time; the
+// page moves to the next tier that takes it, or the put fails.
+func TestPutBatchRefusedReofferWalksOtherTiers(t *testing.T) {
+	first, second := newCountingTier(), newCountingTier()
+	b, pool := fullBackend(t, first, second)
+	const n = 12
+	keys, sts := testKeys(pool, n), make([]Status, n)
+	b.PutBatch(keys, nil, sts) // all land in the first tier
+
+	first.refuse = func(k Key) bool { return k.Index%2 == 0 }
+	second.refuse = func(k Key) bool { return k.Index%4 == 0 }
+	first.putBatches, second.putBatches = 0, 0
+	b.PutBatch(keys, nil, sts)
+
+	if first.putBatches != 1 || first.puts != 0 {
+		t.Errorf("refusing tier was asked %d batches + %d puts, want the one re-offer", first.putBatches, first.puts)
+	}
+	if second.putBatches != 1 || second.puts != 0 {
+		t.Errorf("next tier was asked %d batches + %d puts, want one run of the refused keys", second.putBatches, second.puts)
+	}
+	for i, k := range keys {
+		wantSt, wantTier := STmem, 0
+		switch {
+		case k.Index%4 == 0:
+			wantSt, wantTier = ETmem, -1
+		case k.Index%2 == 0:
+			wantTier = 1
+		}
+		if sts[i] != wantSt {
+			t.Errorf("put %v = %v, want %v", k, sts[i], wantSt)
+		}
+		if got := b.shardFor(k).remoteTier(k); got != wantTier {
+			t.Errorf("%v tracked in tier %d, want %d", k, got, wantTier)
+		}
+	}
+
+	// The same history one page at a time ends in the same place.
+	pFirst, pSecond := newCountingTier(), newCountingTier()
+	pb, ppool := fullBackend(t, pFirst, pSecond)
+	pkeys := testKeys(ppool, n)
+	for _, k := range pkeys {
+		pb.Put(k, nil)
+	}
+	pFirst.refuse, pSecond.refuse = first.refuse, second.refuse
+	for i, k := range pkeys {
+		if st := pb.Put(k, nil); st != sts[i] {
+			t.Errorf("per-page put %v = %v, batch said %v", k, st, sts[i])
+		}
+		if got, want := pb.shardFor(k).remoteTier(k), b.shardFor(keys[i]).remoteTier(keys[i]); got != want {
+			t.Errorf("per-page put tracks %v in tier %d, batch in %d", k, got, want)
+		}
+	}
+	if len(pFirst.pages) != len(first.pages) || len(pSecond.pages) != len(second.pages) {
+		t.Errorf("tiers hold %d/%d pages after per-page puts, %d/%d after the batch",
+			len(pFirst.pages), len(pSecond.pages), len(first.pages), len(second.pages))
+	}
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWarmSlabZeroAlloc pins the acceptance criterion: duplicate puts and
 // gets against a warm DataStore-backed backend allocate nothing — the slab
 // free list recycles page buffers and the shard free list recycles entries.
