@@ -36,10 +36,11 @@ fmt:
 # remote-tier bench shows overflow absorbed by a peer store instead of
 # failing to the disk-swap path (its -batch variants report transport
 # round-trips/op), and the sim kernel benches pin the zero-allocation
-# scheduling hot path. BenchmarkCompact rides the WAL line: one op is a whole
-# compaction of a 128 MiB mirror (~40 ms), whose B/op is the streaming
-# snapshot's O(slab) memory contract. All benches run with -benchmem so allocation
-# regressions are visible in the output and in BENCH.json.
+# scheduling hot path. BenchmarkLogPutBatch and BenchmarkCompact ride the WAL
+# line for their B/op: a journaled 16-page batch allocates no page copy (the
+# journal indexes pages, it does not keep them), and one whole compaction of
+# a 128 MiB journal (~60 ms) allocates O(slab). All benches run with -benchmem
+# so allocation regressions are visible in the output and in BENCH.json.
 bench:
 	$(GO) test -bench 'BenchmarkEngine' -benchtime 1x -benchmem -run '^$$' .
 	$(GO) test -bench 'BenchmarkSweep' -benchtime 1x -run '^$$' .
@@ -50,7 +51,7 @@ bench:
 	$(GO) test -bench 'BenchmarkRemoteTier' -benchtime 10000x -benchmem -run '^$$' ./internal/tmem
 	$(GO) test -bench 'BenchmarkCompressedTier' -benchtime 10000x -benchmem -run '^$$' ./internal/tmem
 	$(GO) test -bench 'BenchmarkKVServer' -benchtime 1000x -benchmem -run '^$$' ./internal/kvstore
-	$(GO) test -bench 'BenchmarkWALAppend|BenchmarkCompact' -benchtime 1000x -benchmem -run '^$$' ./internal/durable
+	$(GO) test -bench 'BenchmarkWALAppend|BenchmarkLogPutBatch|BenchmarkCompact' -benchtime 1000x -benchmem -run '^$$' ./internal/durable
 	$(GO) test -bench 'BenchmarkHDR' -benchtime 100000x -benchmem -run '^$$' ./internal/hdr
 	$(GO) run ./cmd/smartmem-loadgen -inprocess -rate 2000 -duration 2s -conns 2 -quiet -bench
 
@@ -71,7 +72,7 @@ bench-json:
 	  $(GO) test -bench 'BenchmarkRemoteTier' -benchtime 10000x -benchmem -run '^$$' ./internal/tmem && \
 	  $(GO) test -bench 'BenchmarkCompressedTier' -benchtime 10000x -benchmem -run '^$$' ./internal/tmem && \
 	  $(GO) test -bench 'BenchmarkKVServer' -benchtime 1000x -benchmem -run '^$$' ./internal/kvstore && \
-	  $(GO) test -bench 'BenchmarkWALAppend|BenchmarkCompact' -benchtime 1000x -benchmem -run '^$$' ./internal/durable && \
+	  $(GO) test -bench 'BenchmarkWALAppend|BenchmarkLogPutBatch|BenchmarkCompact' -benchtime 1000x -benchmem -run '^$$' ./internal/durable && \
 	  $(GO) test -bench 'BenchmarkHDR' -benchtime 100000x -benchmem -run '^$$' ./internal/hdr && \
 	  $(GO) run ./cmd/smartmem-loadgen -inprocess -rate 2000 -duration 2s -conns 2 -quiet -bench; } > "$$tmp" || { cat "$$tmp"; rm -f "$$tmp"; exit 1; }; \
 	cat "$$tmp"; \
@@ -134,12 +135,13 @@ sweep-smoke:
 	@echo "sweep-smoke: warm league byte-identical to cold"
 
 # Fuzz smoke: five seconds of coverage-guided mutation on each decoder of
-# untrusted bytes (WAL segments, compressed pages, memo records and series
-# blobs). `go test -fuzz` takes one target and one package per run. The
+# untrusted bytes (WAL segments, snapshot slabs and manifests, compressed
+# pages, memo records and series blobs). `go test -fuzz` takes one target and one package per run. The
 # minimizer is capped by executions: left at its default it spends a minute
 # shrinking each coverage-expanding input, which is the whole smoke.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/durable
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotLoad$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/durable
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/tmem
 	$(GO) test -run '^$$' -fuzz '^FuzzMemoDecode$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/experiments
 

@@ -244,7 +244,7 @@ func openDurable(backend *tmem.Backend, dir string, fp durable.FsyncPolicy, out 
 		fmt.Fprintf(out, "smartmem-kvd: durable recovery repaired the log (torn tail: %v, corrupt records: %d)\n",
 			ri.TornTail, ri.CorruptRecords)
 	}
-	fmt.Fprintf(out, "smartmem-kvd: recovered %d pools, %d pages (%d beyond capacity, served from mirror)\n",
+	fmt.Fprintf(out, "smartmem-kvd: recovered %d pools, %d pages (%d beyond capacity, read back from the journal)\n",
 		rs.Pools, rs.Pages, rs.Dropped)
 	return kvNode{store: dstore, backend: backend, dlog: dlog, dstore: dstore}, nil
 }
@@ -295,7 +295,7 @@ func printDurableStats(w io.Writer, node kvNode) {
 		ls.Appends, mem.Bytes(ls.AppendedBytes), ls.Fsyncs, ls.Compactions,
 		node.dstore.Degraded())
 	if n := node.dstore.RecoveryServed(); n > 0 {
-		fmt.Fprintf(w, "smartmem-kvd:   durable: %d gets served from the recovery mirror\n", n)
+		fmt.Fprintf(w, "smartmem-kvd:   durable: %d gets read back from the journal\n", n)
 	}
 }
 

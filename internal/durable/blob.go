@@ -7,9 +7,15 @@
 // loads the newest complete snapshot and replays the WAL tail, tolerating
 // a torn final record.
 //
+// The journal keeps no page in memory. Every live page's bytes sit in
+// exactly one framed record on the blob store — in a WAL segment or in a
+// slab of the newest snapshot — and the Log holds an index saying where:
+// 16 bytes a page. Whoever needs the bytes (a compaction, recovery, the
+// rare Get the RAM tiers miss) reads the record back and checks its CRC.
+//
 // The package exposes three integration surfaces:
 //
-//   - Log: the journal itself — mirror state, WAL, snapshots, recovery.
+//   - Log: the journal itself — page index, WAL, snapshots, recovery.
 //   - Tier: a tmem.Tier/BatchTier over a Log, the simulator's demotion leg
 //     (RAM → compressed RAM → peer RAM → durable blob).
 //   - Store: a write-through wrapper around a *tmem.Backend implementing
@@ -30,9 +36,10 @@ import (
 
 // BlobStore is the pluggable persistence backend. The method set is
 // S3-shaped (whole-object Put/Get/List/Delete over flat string keys with
-// "/" separators) so a real object store drops in later; Append is the
-// one extension WAL segments need — an S3 backend would buffer and
-// multipart-upload on Sync, the local backends append in place.
+// "/" separators, Open for ranged reads — S3's ranged GET) so a real
+// object store drops in later; Append is the one extension WAL segments
+// need — an S3 backend would buffer and multipart-upload on Sync, the
+// local backends append in place.
 //
 // Implementations must be safe for concurrent use. Put must be atomic:
 // a reader never observes a half-written blob.
@@ -50,6 +57,19 @@ type BlobStore interface {
 	Delete(key string) error
 	// Append opens a blob for appending, creating it if absent.
 	Append(key string) (Appender, error)
+	// Open returns a handle for ranged reads of one blob, the way the
+	// journal reads a page back: one Open per blob, many ReadAt calls.
+	// The handle is safe for concurrent use and its reads see every byte
+	// an Appender.Write on the same blob has returned for, synced or not.
+	// Absent blobs report an error satisfying errors.Is(err,
+	// os.ErrNotExist), from Open or from the first ReadAt.
+	Open(key string) (BlobReader, error)
+}
+
+// BlobReader is an open blob handle for ranged reads.
+type BlobReader interface {
+	io.ReaderAt
+	io.Closer
 }
 
 // Appender is an open, append-only blob handle. Sync makes everything
@@ -188,6 +208,14 @@ func (d *DirStore) Append(key string) (Appender, error) {
 	return f, nil
 }
 
+func (d *DirStore) Open(key string) (BlobReader, error) {
+	p, err := d.path(key)
+	if err != nil {
+		return nil, err
+	}
+	return os.Open(p)
+}
+
 // --- in-memory backend ---
 
 // MemStore is the in-memory BlobStore: the deterministic simulator
@@ -250,6 +278,41 @@ func (m *MemStore) Append(key string) (Appender, error) {
 	}
 	return &memAppender{store: m, key: key}, nil
 }
+
+func (m *MemStore) Open(key string) (BlobReader, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.blobs[key]; !ok {
+		return nil, fmt.Errorf("durable: blob %q: %w", key, os.ErrNotExist)
+	}
+	return memReader{store: m, key: key}, nil
+}
+
+// memReader copies ranges out of the store's map, so it sees appends (and
+// a Delete) made after it was opened.
+type memReader struct {
+	store *MemStore
+	key   string
+}
+
+func (r memReader) ReadAt(p []byte, off int64) (int, error) {
+	r.store.mu.Lock()
+	defer r.store.mu.Unlock()
+	b, ok := r.store.blobs[r.key]
+	if !ok {
+		return 0, fmt.Errorf("durable: blob %q: %w", r.key, os.ErrNotExist)
+	}
+	if off < 0 || off > int64(len(b)) {
+		return 0, io.EOF
+	}
+	n := copy(p, b[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+func (memReader) Close() error { return nil }
 
 // Corrupt replaces a blob's bytes in place — the unit-test hook for
 // simulating torn tails and bit rot without reaching into internals.

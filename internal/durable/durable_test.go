@@ -23,7 +23,7 @@ func testOpts(blob BlobStore) Options {
 	}
 }
 
-func mustOpen(t *testing.T, opts Options) *Log {
+func mustOpen(t testing.TB, opts Options) *Log {
 	t.Helper()
 	l, err := Open(opts)
 	if err != nil {
@@ -45,7 +45,7 @@ func key(pool tmem.PoolID, obj tmem.ObjectID, idx tmem.PageIndex) tmem.Key {
 }
 
 // seedLog journals one pool and n pages, returning the expected contents.
-func seedLog(t *testing.T, l *Log, pool tmem.PoolID, n int) map[tmem.Key][]byte {
+func seedLog(t testing.TB, l *Log, pool tmem.PoolID, n int) map[tmem.Key][]byte {
 	t.Helper()
 	if err := l.NewPool(pool, 1, tmem.Persistent); err != nil {
 		t.Fatalf("NewPool: %v", err)

@@ -59,14 +59,14 @@ type Options struct {
 	// PageSize bounds a page record's data length. Required.
 	PageSize int
 	// SegmentBytes seals a WAL segment once it crosses this size.
-	// Default 4 MiB.
+	// Default 4 MiB, at most 2 GiB (a page's location is a 32-bit offset).
 	SegmentBytes int64
 	// CompactBytes triggers a compaction after this many WAL bytes since
 	// the last snapshot. Default 64 MiB; <0 disables automatic compaction
 	// (explicit Compact still works).
 	CompactBytes int64
 	// SlabBytes splits snapshots into blobs of roughly this size.
-	// Default 1 MiB.
+	// Default 1 MiB, at most 2 GiB.
 	SlabBytes int64
 	// Fsync is the commit durability policy.
 	Fsync FsyncPolicy
@@ -94,6 +94,8 @@ func (o Options) withDefaults() (Options, error) {
 	if o.SlabBytes <= 0 {
 		o.SlabBytes = 1 << 20
 	}
+	o.SegmentBytes = min(o.SegmentBytes, maxBlobBytes)
+	o.SlabBytes = min(o.SlabBytes, maxBlobBytes)
 	if o.FsyncEvery <= 0 {
 		o.FsyncEvery = 100 * time.Millisecond
 	}
@@ -108,10 +110,10 @@ type Stats struct {
 	Segments      uint64 // WAL segments opened over the log's lifetime
 	Compactions   uint64 // snapshots taken
 	SnapshotPages uint64 // pages in the latest snapshot
-	Pools         uint64 // live pools in the mirror
-	PagesLive     uint64 // live pages in the mirror
-	BytesLive     uint64 // live page bytes in the mirror
-	Errors        uint64 // blob I/O failures (append, sync or snapshot)
+	Pools         uint64 // live pools
+	PagesLive     uint64 // live pages: entries in the index
+	BytesLive     uint64 // page bytes those entries locate on the blob store
+	Errors        uint64 // blob I/O failures (append, sync, snapshot or page read)
 	// CompactNanos is the wall time spent inside compactions, cumulative;
 	// Compacting reports one in flight. Both stay zero under InlineCompact,
 	// the deterministic mode, which reads no clock.
@@ -155,7 +157,7 @@ type RecoveryInfo struct {
 	// segment's tail. Replay stops at the failure (prefix consistency)
 	// and this counts the segments' remaining bytes as lost.
 	CorruptRecords uint64
-	// Pools / PagesLive are the recovered mirror gauges.
+	// Pools / PagesLive are the recovered state's gauges.
 	Pools     int
 	PagesLive uint64
 }
@@ -179,24 +181,27 @@ type PoolInfo struct {
 
 var errClosed = errors.New("durable: log closed")
 
-// Log is the durable journal: an in-memory mirror of every live
-// persistent page, a segmented WAL recording its mutations, and periodic
-// slab snapshots that let the WAL be pruned. All methods are safe for
-// concurrent use.
+// Log is the durable journal: a segmented WAL recording every mutation of
+// the persistent pages, periodic slab snapshots that let the WAL be pruned,
+// and an in-memory index from each live page's key to the record on the
+// blob store that holds its bytes (see loc). It keeps no page bytes of its
+// own. All methods are safe for concurrent use.
 //
-// Page slices stored in the mirror are immutable once inserted (puts
-// always copy), so snapshots and RangePages can share them without
-// holding the lock during blob I/O.
+// A location is valid for as long as its blob exists, and blobs go only in
+// a compaction's prune, which runs after the index has been moved off them
+// and while no RangePages is reading — so passes over many pages read blobs
+// outside the lock.
 type Log struct {
 	opts Options
 	w    *walWriter
 
 	mu           sync.Mutex
 	pools        map[tmem.PoolID]poolMeta
-	objects      map[objKey]map[tmem.PageIndex][]byte
+	objects      map[objKey]map[tmem.PageIndex]loc
 	pagesLive    uint64
 	bytesLive    uint64
 	walSinceSnap int64
+	readers      int // RangePages passes in flight; a compaction ending meanwhile leaves its prune to the next
 	closed       bool
 
 	compactMu     sync.Mutex // serializes compactions
@@ -230,7 +235,7 @@ func Open(opts Options) (*Log, error) {
 	l := &Log{
 		opts:      opts,
 		pools:     make(map[tmem.PoolID]poolMeta),
-		objects:   make(map[objKey]map[tmem.PageIndex][]byte),
+		objects:   make(map[objKey]map[tmem.PageIndex]loc),
 		stop:      make(chan struct{}),
 		compactCh: make(chan struct{}, 1),
 	}
@@ -301,9 +306,10 @@ func Open(opts Options) (*Log, error) {
 	return l, nil
 }
 
-// loadSnapshot seeds the mirror from a snapshot's slabs. Snapshots are
-// written atomically (manifest last), so any decode failure here is real
-// corruption and aborts the open.
+// loadSnapshot seeds the index from a snapshot's slabs: every record is
+// CRC-checked as it is scanned and a put leaves behind only where it sits.
+// Snapshots are written atomically (manifest last), so any decode failure
+// here is real corruption and aborts the open.
 func (l *Log) loadSnapshot(seq uint64, mf manifest) error {
 	for i := 0; i < mf.Slabs; i++ {
 		buf, err := l.opts.Blob.Get(slabKey(seq, i))
@@ -312,11 +318,11 @@ func (l *Log) loadSnapshot(seq uint64, mf manifest) error {
 		}
 		off := 0
 		for off < len(buf) {
-			rec, next, err := readRecord(buf, off)
+			rec, next, err := scanRecord(buf, off)
 			if err != nil {
 				return fmt.Errorf("durable: snapshot %016x slab %d offset %d: %w", seq, i, off, err)
 			}
-			l.applyRecord(rec)
+			l.applyRecord(rec, slabLoc(i, off, uint32(len(rec.data))))
 			off = next
 		}
 	}
@@ -350,7 +356,7 @@ func (l *Log) replayTail(blob BlobStore, segs []uint64, resume uint64) {
 		l.recovery.WALSegments++
 		off := 0
 		for off < len(buf) {
-			rec, next, rerr := readRecord(buf, off)
+			rec, next, rerr := scanRecord(buf, off)
 			if rerr != nil {
 				if i == len(tail)-1 {
 					l.recovery.TornTail = true
@@ -360,7 +366,7 @@ func (l *Log) replayTail(blob BlobStore, segs []uint64, resume uint64) {
 				l.repairTail(blob, s, buf, off, tail[i+1:])
 				return
 			}
-			l.applyRecord(rec)
+			l.applyRecord(rec, loc{blob: s, off: uint32(off), n: uint32(len(rec.data))})
 			l.recovery.WALRecords++
 			off = next
 		}
@@ -381,10 +387,10 @@ func (l *Log) repairTail(blob BlobStore, seg uint64, buf []byte, validLen int, l
 	}
 }
 
-// applyRecord mutates the mirror with one replayed record. Replay is
-// deliberately forgiving: records referencing unknown pools are skipped
-// (they can only follow a tolerated loss) and never panic.
-func (l *Log) applyRecord(r record) {
+// applyRecord applies one scanned record, found at at, to the recovered
+// state. Replay is deliberately forgiving: records referencing unknown
+// pools are skipped (they can only follow a tolerated loss) and never panic.
+func (l *Log) applyRecord(r record, at loc) {
 	switch r.op {
 	case opNewPool:
 		if _, ok := l.pools[r.pool]; !ok {
@@ -399,7 +405,7 @@ func (l *Log) applyRecord(r record) {
 		if len(r.data) > l.opts.PageSize {
 			return
 		}
-		l.storePage(r.key, r.data)
+		l.storePage(r.key, at)
 	case opFlushPage:
 		l.erasePage(r.key)
 	case opFlushObject:
@@ -407,25 +413,24 @@ func (l *Log) applyRecord(r record) {
 	}
 }
 
-// --- mirror mutation helpers (caller holds mu or is in single-threaded
+// --- index mutation helpers (caller holds mu or is in single-threaded
 // recovery) ---
 
-func (l *Log) storePage(key tmem.Key, data []byte) {
+// storePage points key at the record just appended (or scanned) at at.
+func (l *Log) storePage(key tmem.Key, at loc) {
 	ok := objKey{pool: key.Pool, object: key.Object}
 	pages := l.objects[ok]
 	if pages == nil {
-		pages = make(map[tmem.PageIndex][]byte)
+		pages = make(map[tmem.PageIndex]loc)
 		l.objects[ok] = pages
 	}
 	if old, exists := pages[key.Index]; exists {
-		l.bytesLive -= uint64(len(old))
+		l.bytesLive -= uint64(old.n)
 	} else {
 		l.pagesLive++
 	}
-	// Always a fresh copy: mirror slices are immutable (snapshots and
-	// RangePages share them outside the lock).
-	pages[key.Index] = append([]byte(nil), data...)
-	l.bytesLive += uint64(len(data))
+	pages[key.Index] = at
+	l.bytesLive += uint64(at.n)
 }
 
 func (l *Log) erasePage(key tmem.Key) bool {
@@ -440,7 +445,7 @@ func (l *Log) erasePage(key tmem.Key) bool {
 		delete(l.objects, ok)
 	}
 	l.pagesLive--
-	l.bytesLive -= uint64(len(old))
+	l.bytesLive -= uint64(old.n)
 	return true
 }
 
@@ -450,8 +455,8 @@ func (l *Log) eraseObject(ok objKey) int {
 		return 0
 	}
 	n := len(pages)
-	for _, d := range pages {
-		l.bytesLive -= uint64(len(d))
+	for _, at := range pages {
+		l.bytesLive -= uint64(at.n)
 	}
 	l.pagesLive -= uint64(n)
 	delete(l.objects, ok)
@@ -473,19 +478,20 @@ func (l *Log) dropPoolLocked(pool tmem.PoolID) bool {
 
 // --- journaled mutations ---
 
-// journal frames payload (already built into l.scratch by the caller,
-// under mu), appends it and returns the record number. Caller holds mu.
-func (l *Log) journalLocked(payload []byte) (uint64, error) {
+// journalLocked frames payload (built on payloadScratch by the caller,
+// under mu), appends it and returns the record number and where the record
+// landed. Caller holds mu.
+func (l *Log) journalLocked(payload []byte) (rec uint64, at loc, err error) {
 	l.payload = payload // keep the grown buffer for the next call
 	l.scratch = frameRecord(l.scratch[:0], payload)
 	n := len(l.scratch)
-	rec, err := l.w.append(l.scratch, 1)
+	rec, at.blob, at.off, err = l.w.append(l.scratch, 1)
 	if err != nil {
 		l.errors++
-		return 0, err
+		return 0, loc{}, err
 	}
 	l.walSinceSnap += int64(n)
-	return rec, nil
+	return rec, at, nil
 }
 
 // commit enforces the fsync policy for record rec, then triggers a
@@ -543,7 +549,7 @@ func (l *Log) NewPool(id tmem.PoolID, vm tmem.VMID, kind tmem.PoolKind) error {
 		return fmt.Errorf("durable: pool %d already journaled", id)
 	}
 	payload := newPoolPayload(l.payloadScratch(), id, vm, kind)
-	rec, err := l.journalLocked(payload)
+	rec, _, err := l.journalLocked(payload)
 	if err != nil {
 		l.mu.Unlock()
 		return err
@@ -581,7 +587,7 @@ func (l *Log) DropPool(id tmem.PoolID) error {
 		return nil
 	}
 	payload := dropPoolPayload(l.payloadScratch(), id)
-	rec, err := l.journalLocked(payload)
+	rec, _, err := l.journalLocked(payload)
 	if err != nil {
 		l.mu.Unlock()
 		return err
@@ -592,8 +598,8 @@ func (l *Log) DropPool(id tmem.PoolID) error {
 	return l.commit(rec, compact)
 }
 
-// Put journals a page write and stores it in the mirror. The pool must
-// have been journaled by NewPool.
+// Put journals a page write and indexes where the record landed. The pool
+// must have been journaled by NewPool.
 func (l *Log) Put(key tmem.Key, data []byte) error {
 	if len(data) > l.opts.PageSize {
 		return fmt.Errorf("durable: page %v: %d bytes exceeds page size %d", key, len(data), l.opts.PageSize)
@@ -608,12 +614,13 @@ func (l *Log) Put(key tmem.Key, data []byte) error {
 		return fmt.Errorf("durable: put into unjournaled pool %d", key.Pool)
 	}
 	payload := putPayload(l.payloadScratch(), key, data)
-	rec, err := l.journalLocked(payload)
+	rec, at, err := l.journalLocked(payload)
 	if err != nil {
 		l.mu.Unlock()
 		return err
 	}
-	l.storePage(key, data)
+	at.n = uint32(len(data))
+	l.storePage(key, at)
 	compact := l.compactDue()
 	l.mu.Unlock()
 	return l.commit(rec, compact)
@@ -647,7 +654,7 @@ func (l *Log) PutBatch(keys []tmem.Key, datas [][]byte) error {
 		framed = frameRecord(framed, l.payload)
 	}
 	l.scratch = framed
-	rec, err := l.w.append(framed, uint64(len(keys)))
+	rec, seg, off, err := l.w.append(framed, uint64(len(keys)))
 	if err != nil {
 		l.errors++
 		l.mu.Unlock()
@@ -655,14 +662,16 @@ func (l *Log) PutBatch(keys []tmem.Key, datas [][]byte) error {
 	}
 	l.walSinceSnap += int64(len(framed))
 	for i, key := range keys {
-		l.storePage(key, datas[i])
+		n := len(datas[i])
+		l.storePage(key, loc{blob: seg, off: off, n: uint32(n)})
+		off += uint32(putRecordLen(n))
 	}
 	compact := l.compactDue()
 	l.mu.Unlock()
 	return l.commit(rec, compact)
 }
 
-// FlushPage journals a page invalidation. Pages the mirror does not hold
+// FlushPage journals a page invalidation. Pages the journal does not hold
 // are a no-op (nothing to make durable), reported via removed=false.
 func (l *Log) FlushPage(key tmem.Key) (removed bool, err error) {
 	l.mu.Lock()
@@ -676,7 +685,7 @@ func (l *Log) FlushPage(key tmem.Key) (removed bool, err error) {
 		return false, nil
 	}
 	payload := flushPagePayload(l.payloadScratch(), key)
-	rec, err := l.journalLocked(payload)
+	rec, _, err := l.journalLocked(payload)
 	if err != nil {
 		l.mu.Unlock()
 		return false, err
@@ -688,7 +697,7 @@ func (l *Log) FlushPage(key tmem.Key) (removed bool, err error) {
 }
 
 // FlushObject journals an object invalidation, returning how many pages
-// the mirror dropped. Unknown objects are a no-op.
+// the journal dropped. Unknown objects are a no-op.
 func (l *Log) FlushObject(pool tmem.PoolID, object tmem.ObjectID) (int, error) {
 	l.mu.Lock()
 	if l.closed {
@@ -701,7 +710,7 @@ func (l *Log) FlushObject(pool tmem.PoolID, object tmem.ObjectID) (int, error) {
 		return 0, nil
 	}
 	payload := flushObjectPayload(l.payloadScratch(), pool, object)
-	rec, err := l.journalLocked(payload)
+	rec, _, err := l.journalLocked(payload)
 	if err != nil {
 		l.mu.Unlock()
 		return 0, err
@@ -714,24 +723,44 @@ func (l *Log) FlushObject(pool tmem.PoolID, object tmem.ObjectID) (int, error) {
 
 // --- reads ---
 
-// Get copies a mirrored page into dst (zero-filling any remainder) and
-// reports whether the page exists. dst may be nil for a presence check.
+// Get reads a journaled page back into dst (zero-filling any remainder)
+// and reports whether the page exists. dst may be nil for a presence check,
+// which like a zero-length page costs no I/O. The read runs under the
+// commit lock, which is what keeps the page's blob from being pruned under
+// it: Get is the fallback for the few pages the RAM tiers lost across a
+// restart, not a serving path. A page that is indexed but cannot be read
+// back clean counts in Stats.Errors and reports absent.
 func (l *Log) Get(key tmem.Key, dst []byte) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	data, ok := l.objects[objKey{pool: key.Pool, object: key.Object}][key.Index]
+	at, ok := l.objects[objKey{pool: key.Pool, object: key.Object}][key.Index]
 	if !ok {
 		return false
 	}
-	n := copy(dst, data)
-	for i := n; i < len(dst); i++ {
-		dst[i] = 0
+	n := 0
+	if at.n > 0 && len(dst) > 0 {
+		rd := l.readerLocked()
+		var err error
+		l.scratch, err = rd.appendRecord(l.scratch[:0], key, at)
+		rd.close()
+		if err != nil {
+			l.errors++
+			return false
+		}
+		n = copy(dst, l.scratch[putDataOff:])
 	}
+	clear(dst[n:])
 	return true
 }
 
-// Contains reports whether the mirror holds the page.
+// Contains reports whether the journal holds the page.
 func (l *Log) Contains(key tmem.Key) bool { return l.Get(key, nil) }
+
+// readerLocked returns a page reader for locations taken from the index
+// under the same hold of mu.
+func (l *Log) readerLocked() *pageReader {
+	return &pageReader{blob: l.opts.Blob, snapshot: l.snapshotSeq}
+}
 
 // Pools returns the journaled pools, sorted by id.
 func (l *Log) Pools() []PoolInfo {
@@ -749,51 +778,50 @@ func (l *Log) poolsLocked() []PoolInfo {
 	return out
 }
 
-// pageRef is one live page as a reader outside the lock sees it: the key
-// and the mirror's own (immutable) slice.
-type pageRef struct {
-	key  tmem.Key
-	data []byte
-}
-
 // pageRefsLocked returns one reference per live page, in map order — the
 // only per-page work a reader does under mu. Sort with sortPageRefs after
 // releasing it.
 func (l *Log) pageRefsLocked() []pageRef {
 	refs := make([]pageRef, 0, l.pagesLive)
 	for ok, pages := range l.objects {
-		for idx, d := range pages {
-			refs = append(refs, pageRef{key: tmem.Key{Pool: ok.pool, Object: ok.object, Index: idx}, data: d})
+		for idx, at := range pages {
+			refs = append(refs, pageRef{key: tmem.Key{Pool: ok.pool, Object: ok.object, Index: idx}, at: at})
 		}
 	}
 	return refs
 }
 
-// sortPageRefs orders refs by pool, object, index.
-func sortPageRefs(refs []pageRef) {
-	slices.SortFunc(refs, func(a, b pageRef) int {
-		return cmp.Or(
-			cmp.Compare(a.key.Pool, b.key.Pool),
-			cmp.Compare(a.key.Object, b.key.Object),
-			cmp.Compare(a.key.Index, b.key.Index),
-		)
-	})
-}
-
 // RangePages calls f for every live page in sorted key order (pool,
-// object, index), stopping early if f returns false. The data slice is
-// shared with the mirror and must not be mutated.
-func (l *Log) RangePages(f func(key tmem.Key, data []byte) bool) {
+// object, index), stopping early if f returns false. Each page is read
+// back from the blob store and verified; data is valid only until f
+// returns. A page that cannot be read back clean ends the pass with the
+// error (counted in Stats.Errors). The pass sees the pages live when it
+// began and reads them with no lock held.
+func (l *Log) RangePages(f func(key tmem.Key, data []byte) bool) error {
 	l.mu.Lock()
-	pages := l.pageRefsLocked()
+	pages, rd := l.pageRefsLocked(), l.readerLocked()
+	l.readers++
 	l.mu.Unlock()
-	// Mirror slices are immutable, so sorting and f run outside the lock.
+	defer func() {
+		rd.close()
+		l.mu.Lock()
+		l.readers--
+		l.mu.Unlock()
+	}()
+
 	sortPageRefs(pages)
+	var rec []byte
 	for _, p := range pages {
-		if !f(p.key, p.data) {
-			return
+		var err error
+		if rec, err = rd.appendRecord(rec[:0], p.key, p.at); err != nil {
+			l.noteError()
+			return err
+		}
+		if !f(p.key, rec[putDataOff:]) {
+			break
 		}
 	}
+	return nil
 }
 
 // PagesLive returns the live-page gauge.
@@ -839,20 +867,27 @@ func (l *Log) Sync() error {
 
 // --- compaction ---
 
-// Compact seals the active WAL segment, snapshots the live mirror and
-// prunes the sealed segments and older snapshots. Mutations racing the
-// snapshot land in segments at or after the cut and replay on top of it.
+// Compact cuts the WAL, copies every live page's record into a new
+// snapshot, moves the index onto it and prunes what the snapshot
+// supersedes. Mutations racing it land in segments at or after the cut and
+// replay on top of the snapshot.
 //
-// Only the cut runs under the commit lock: the rotation and one reference
-// per live page. Sorting, framing and every blob write happen outside it,
-// one slab at a time (see writeSnapshot).
+// The order is cut → seal → read+write → re-point → prune, and only the
+// cut and the re-point hold the commit lock: one open and one index entry
+// per live page the first, one map store per page the second. The sealed
+// segment's fsync, the page reads and every blob write run outside it.
+// Each step leaves a state recovery accepts: a snapshot without its
+// MANIFEST is ignored, one with it is complete, and a blob is deleted only
+// once neither the MANIFEST's replay nor the index can name it.
 func (l *Log) Compact() error {
 	l.compactMu.Lock()
 	defer l.compactMu.Unlock()
 
+	l.w.beginCut()
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
+		l.w.seal(nil)
 		return errClosed
 	}
 	var start time.Time
@@ -860,37 +895,72 @@ func (l *Log) Compact() error {
 		start = time.Now()
 		l.compacting = true
 	}
-	resume, err := l.w.forceRotate()
-	if err != nil {
-		l.errors++
-		l.endCompactLocked(start)
-		l.mu.Unlock()
-		return err
+	resume, sealed, err := l.w.swap()
+	var (
+		st  snapshotState
+		rd  *pageReader
+		cut int64
+	)
+	if err == nil {
+		st = snapshotState{pools: l.poolsLocked(), pages: l.pageRefsLocked()}
+		rd, cut = l.readerLocked(), l.walSinceSnap
 	}
-	st := snapshotState{pools: l.poolsLocked(), pages: l.pageRefsLocked()}
-	cut := l.walSinceSnap
 	l.mu.Unlock()
 
-	sortPageRefs(st.pages)
-	err = writeSnapshot(l.opts.Blob, resume, st, l.opts.SlabBytes, l.opts.PageSize)
+	// The MANIFEST below supersedes the sealed segment, so the segment is
+	// made durable first.
+	if serr := l.w.seal(sealed); err == nil {
+		err = serr
+	}
+	var moved []loc
 	if err == nil {
-		// Prune is best-effort: stale blobs cost space, not correctness.
-		dropSegmentsBefore(l.opts.Blob, resume)
-		dropSnapshotsBefore(l.opts.Blob, resume)
+		sortPageRefs(st.pages)
+		moved, err = writeSnapshot(l.opts.Blob, resume, st, rd, l.opts.SlabBytes, l.opts.PageSize)
+		rd.close()
 	}
 
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.endCompactLocked(start)
 	if err != nil {
 		l.errors++
+		l.mu.Unlock()
 		return err
 	}
-	l.walSinceSnap -= cut
-	l.compactions++
+	l.repointLocked(st.pages, moved)
 	l.snapshotSeq = resume
 	l.snapshotPages = uint64(len(st.pages))
+	l.walSinceSnap -= cut
+	l.compactions++
+	prune := l.readers == 0
+	l.mu.Unlock()
+
+	if prune {
+		// Best-effort: stale blobs cost space, not correctness, and the
+		// next compaction's prune takes whatever this one leaves.
+		dropSegmentsBefore(l.opts.Blob, resume)
+		dropSnapshotsBefore(l.opts.Blob, resume)
+	}
 	return nil
+}
+
+// repointLocked moves the index onto the snapshot just written: every page
+// still at the location the cut saw now lives at moved[i]. A page put again
+// since the cut names a segment at or after it and a flushed one is gone;
+// both are left alone — the WAL tail replays them on top of the snapshot.
+// pages is in key order, so one object's pages share a map lookup.
+func (l *Log) repointLocked(pages []pageRef, moved []loc) {
+	var (
+		cur objKey
+		in  map[tmem.PageIndex]loc
+	)
+	for i, p := range pages {
+		if ok := (objKey{pool: p.key.Pool, object: p.key.Object}); i == 0 || ok != cur {
+			cur, in = ok, l.objects[ok]
+		}
+		if at, live := in[p.key.Index]; live && at == p.at {
+			in[p.key.Index] = moved[i]
+		}
+	}
 }
 
 // endCompactLocked closes the timed window Compact opened, if it opened
@@ -950,10 +1020,9 @@ func (l *Log) Close() error {
 	return l.w.close()
 }
 
-// closeLocked marks the log closed and releases the page mirror, so a
-// handle that outlives its log (an in-process reopen over the same blob
-// store) does not pin a second copy of every page. The pool table stays:
-// Store keeps refusing persistent puts through a closed log.
+// closeLocked marks the log closed and releases the page index: a closed
+// log reports every page absent. The pool table stays: Store keeps
+// refusing persistent puts through a closed log.
 func (l *Log) closeLocked() {
 	l.closed = true
 	l.objects = nil

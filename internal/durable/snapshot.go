@@ -9,7 +9,7 @@ import (
 	"strings"
 )
 
-// Snapshot layout. A compaction folds the live mirror into slab blobs
+// Snapshot layout. A compaction folds the live pages into slab blobs
 // under snapshot/<seq, 16 hex>/:
 //
 //	snapshot/<seq>/0000.slab ... NNNN.slab   records (same codec as the WAL)
@@ -101,28 +101,31 @@ func latestManifest(blob BlobStore) (seq uint64, mf manifest, ok bool, err error
 }
 
 // snapshotState is the cut a compaction takes under the commit lock: the
-// pools and one reference per live page, both in snapshot order (pools by
-// id, pages by pool/object/index). The page slices are the mirror's own —
-// immutable, so they stay valid while the mirror moves on.
+// pools and one index entry per live page, both in snapshot order once
+// sorted (pools by id, pages by pool/object/index). The locations stay
+// readable while the log moves on: they name sealed segments and the
+// snapshot this one replaces, and nothing prunes those before it is done.
 type snapshotState struct {
 	pools []PoolInfo
 	pages []pageRef
 }
 
 // writeSnapshot streams the cut into slab blobs of roughly slabBytes each
-// and writes the manifest last. Records are framed into one buffer that is
-// handed to blob.Put the moment it fills and then reused, so the writer's
-// memory is one slab plus one record whatever the state's size; the sorted
-// order makes identical states produce identical snapshots. The first
-// failed Put stops the stream: what it leaves has no MANIFEST, recovery
-// ignores it and the next compaction's prune removes it.
-func writeSnapshot(blob BlobStore, seq uint64, st snapshotState, slabBytes int64, pageSize int) error {
-	maxRecord := recHeaderLen + 1 + keyWireLen + 4 + pageSize
-	buf := make([]byte, 0, int(slabBytes)+maxRecord)
-	payload := make([]byte, 0, maxRecord)
+// and writes the manifest last, returning where each page's record now
+// sits (moved[i] for st.pages[i]). Records go into one buffer — pool
+// records framed, page records read straight into it from where the log
+// last wrote them — that is handed to blob.Put the moment it fills and
+// then reused, so the writer's memory is one slab plus one record whatever
+// the state's size; the sorted order makes identical states produce
+// identical snapshots. The first failed read or Put stops the stream: what
+// it leaves has no MANIFEST, recovery ignores it and the next compaction's
+// prune removes it.
+func writeSnapshot(blob BlobStore, seq uint64, st snapshotState, rd *pageReader, slabBytes int64, pageSize int) (moved []loc, err error) {
+	buf := make([]byte, 0, int(slabBytes)+putRecordLen(pageSize))
 	slabs := 0
-	flush := func() error {
-		if len(buf) == 0 {
+	// flush puts the slab in the buffer if it is full, or if it is the last.
+	flush := func(last bool) error {
+		if len(buf) == 0 || !last && int64(len(buf)) < slabBytes {
 			return nil
 		}
 		if err := blob.Put(slabKey(seq, slabs), buf); err != nil {
@@ -132,30 +135,29 @@ func writeSnapshot(blob BlobStore, seq uint64, st snapshotState, slabBytes int64
 		buf = buf[:0]
 		return nil
 	}
-	emit := func() error {
-		buf = frameRecord(buf, payload)
-		if int64(len(buf)) >= slabBytes {
-			return flush()
-		}
-		return nil
-	}
 
+	var payload []byte
 	for _, p := range st.pools {
 		payload = newPoolPayload(payload[:0], p.ID, p.VM, p.Kind)
-		if err := emit(); err != nil {
-			return err
+		buf = frameRecord(buf, payload)
+		if err := flush(false); err != nil {
+			return nil, err
 		}
 	}
+	moved = make([]loc, len(st.pages))
 	var bytes uint64
-	for _, p := range st.pages {
-		payload = putPayload(payload[:0], p.key, p.data)
-		if err := emit(); err != nil {
-			return err
+	for i, p := range st.pages {
+		moved[i] = slabLoc(slabs, len(buf), p.at.n)
+		if buf, err = rd.appendRecord(buf, p.key, p.at); err != nil {
+			return nil, fmt.Errorf("durable: snapshot %016x: %w", seq, err)
 		}
-		bytes += uint64(len(p.data))
+		if err := flush(false); err != nil {
+			return nil, err
+		}
+		bytes += uint64(p.at.n)
 	}
-	if err := flush(); err != nil {
-		return err
+	if err := flush(true); err != nil {
+		return nil, err
 	}
 	raw, err := json.Marshal(manifest{
 		WALResume: seq,
@@ -165,12 +167,12 @@ func writeSnapshot(blob BlobStore, seq uint64, st snapshotState, slabBytes int64
 		Bytes:     bytes,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := blob.Put(snapshotDir(seq)+"/"+manifestName, raw); err != nil {
-		return fmt.Errorf("durable: snapshot %016x manifest: %w", seq, err)
+		return nil, fmt.Errorf("durable: snapshot %016x manifest: %w", seq, err)
 	}
-	return nil
+	return moved, nil
 }
 
 // dropSnapshotsBefore deletes every complete-or-partial snapshot directory

@@ -12,9 +12,11 @@ import (
 // *tmem.Backend implementing the kvstore server surface. Every successful
 // persistent-pool mutation is journaled after the backend accepts it —
 // including puts a RAM tier (compressed, remote) absorbed, which a
-// demotion-tier attachment would never see. The journal is therefore a
-// complete mirror of the daemon's persistent state, and a SIGKILL at any
-// point loses nothing that was acknowledged over the wire.
+// demotion-tier attachment would never see. The journal therefore holds
+// the daemon's whole persistent state — on the blob store, with only an
+// index of it in memory, so the backend's copy of a page is the process's
+// only one — and a SIGKILL at any point loses nothing that was
+// acknowledged over the wire.
 //
 // Write-through ordering: the backend mutation happens first, the journal
 // append second, and a journal failure undoes the backend put (the guest
@@ -26,9 +28,9 @@ type Store struct {
 	log      *Log
 	degraded atomic.Bool
 
-	// recoveryServed counts gets answered from the journal mirror because
-	// the restarted backend no longer held the page (capacity shrank or a
-	// tier dropped it across the restart).
+	// recoveryServed counts gets read back from the journal because the
+	// restarted backend no longer held the page (capacity shrank or a tier
+	// dropped it across the restart).
 	recoveryServed atomic.Uint64
 }
 
@@ -47,7 +49,7 @@ func (s *Store) Log() *Log { return s.log }
 // suspended.
 func (s *Store) Degraded() bool { return s.degraded.Load() }
 
-// RecoveryServed counts gets served from the durable mirror after the
+// RecoveryServed counts gets read back from the journal after the
 // restarted backend missed.
 func (s *Store) RecoveryServed() uint64 { return s.recoveryServed.Load() }
 
@@ -61,15 +63,16 @@ type RecoverStats struct {
 	// landing in lower RAM tiers again).
 	Pages uint64
 	// Dropped counts recovered pages the backend could not hold (capacity
-	// shrank across the restart). They stay in the journal mirror and are
-	// served from it on Get.
+	// shrank across the restart). They stay in the journal and Get reads
+	// them back from it.
 	Dropped uint64
 }
 
 // Recover replays the journal's recovered state into the backend: pools
 // are re-created under their original wire-visible ids, then every live
-// page is re-stored through the full tier stack. Call once, after tiers
-// are attached and before serving traffic.
+// page is read back from the blob store — a second time: Open's scan
+// checked it, this pass restores it — and re-stored through the full tier
+// stack. Call once, after tiers are attached and before serving traffic.
 func (s *Store) Recover() (RecoverStats, error) {
 	var rs RecoverStats
 	for _, p := range s.log.Pools() {
@@ -78,7 +81,7 @@ func (s *Store) Recover() (RecoverStats, error) {
 		}
 		rs.Pools++
 	}
-	s.log.RangePages(func(key tmem.Key, data []byte) bool {
+	err := s.log.RangePages(func(key tmem.Key, data []byte) bool {
 		if s.b.Put(key, data) == tmem.STmem {
 			rs.Pages++
 		} else {
@@ -86,6 +89,9 @@ func (s *Store) Recover() (RecoverStats, error) {
 		}
 		return true
 	})
+	if err != nil {
+		return rs, fmt.Errorf("durable: recover pages: %w", err)
+	}
 	return rs, nil
 }
 
@@ -135,9 +141,9 @@ func (s *Store) Get(key tmem.Key, dst []byte) tmem.Status {
 	if st == tmem.STmem || !s.log.HasPool(key.Pool) {
 		return st
 	}
-	// Backend miss on a journaled pool: serve from the durable mirror.
-	// This only triggers for pages Recover could not re-store (shrunken
-	// capacity) — in steady state backend and mirror agree.
+	// Backend miss on a journaled pool: read the page back from the
+	// journal. This only triggers for pages Recover could not re-store
+	// (shrunken capacity) — in steady state backend and journal agree.
 	if s.log.Get(key, dst) {
 		s.recoveryServed.Add(1)
 		return tmem.STmem
@@ -163,8 +169,8 @@ func (s *Store) FlushObject(pool tmem.PoolID, object tmem.ObjectID) (mem.Pages, 
 	if err != nil {
 		s.degrade()
 	}
-	// The mirror and backend hold (copies of) the same key set; report
-	// whichever saw more in case recovery left the mirror a superset.
+	// The journal and backend hold the same key set; report whichever saw
+	// more in case recovery left the journal a superset.
 	if mem.Pages(m) > n {
 		n = mem.Pages(m)
 	}

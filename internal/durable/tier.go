@@ -59,8 +59,8 @@ func (t *Tier) Put(key tmem.Key, kind tmem.PoolKind, data []byte) tmem.Status {
 // ensurePool lazily journals the pool the first time one of its pages
 // overflows into the tier. The backend owns pool-id assignment; the tier
 // only ever sees keys for pools that exist, so vm attribution uses the
-// anonymous VMID 0 — the durable mirror needs the pool's kind and id, not
-// its owner, to restore pages.
+// anonymous VMID 0 — the journal needs the pool's kind and id, not its
+// owner, to restore pages.
 func (t *Tier) ensurePool(pool tmem.PoolID, kind tmem.PoolKind) error {
 	if t.log.HasPool(pool) {
 		return nil

@@ -12,8 +12,8 @@ import (
 	"smartmem/internal/tmem"
 )
 
-// WAL record format. Every mutation of the durable mirror is one framed,
-// checksummed record:
+// WAL record format. Every journaled mutation is one framed, checksummed
+// record:
 //
 //	[u32 payload len][u32 crc32c(payload)][payload = u8 op | body]
 //
@@ -40,6 +40,8 @@ const (
 const (
 	recHeaderLen = 8
 	keyWireLen   = 16
+	// putDataOff is where the page bytes start in a framed put record.
+	putDataOff = recHeaderLen + 1 + keyWireLen + 4
 	// maxRecordLen bounds a payload during replay: anything larger than a
 	// maximal put record is corruption, not data, and must not drive a
 	// giant allocation.
@@ -48,7 +50,12 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// maxBlobBytes bounds the blobs this package writes: a page's location
+// holds its record's offset in 32 bits.
+const maxBlobBytes = 1 << 31
+
 var (
+	errWriterClosed = errors.New("durable: wal writer closed")
 	// errTruncated: the buffer ends mid-record (torn tail candidate).
 	errTruncated = errors.New("durable: truncated record")
 	// errCorrupt: the record is structurally invalid or fails its checksum.
@@ -63,6 +70,9 @@ func frameRecord(dst, payload []byte) []byte {
 }
 
 func appendKey(dst []byte, key tmem.Key) []byte { return key.AppendWire(dst) }
+
+// putRecordLen is the framed length of a put record carrying n page bytes.
+func putRecordLen(n int) int { return putDataOff + n }
 
 // record is one decoded WAL record; data aliases the scanned buffer.
 type record struct {
@@ -263,26 +273,31 @@ func newWALWriter(blob BlobStore, startSeq uint64, segBytes int64, syncOnRotate 
 }
 
 // append writes nrecs framed records in one blob write and returns the
-// last record's number for syncTo. Rotation happens before the write when
+// last record's number for syncTo plus where the write landed: the segment
+// and the offset of framed[0] in it. Rotation happens before the write when
 // the active segment is already full, so a write never spans segments.
-func (w *walWriter) append(framed []byte, nrecs uint64) (uint64, error) {
+func (w *walWriter) append(framed []byte, nrecs uint64) (rec, seg uint64, off uint32, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.app == nil {
-		return 0, errors.New("durable: wal writer closed")
+		return 0, 0, 0, errWriterClosed
+	}
+	if int64(len(framed)) > maxBlobBytes {
+		return 0, 0, 0, fmt.Errorf("durable: %d-byte append exceeds what a page location can address", len(framed))
 	}
 	if w.size > 0 && w.size+int64(len(framed)) > w.segBytes {
 		if err := w.rotateLocked(w.seq + 1); err != nil {
-			return 0, err
+			return 0, 0, 0, err
 		}
 	}
 	if _, err := w.app.Write(framed); err != nil {
-		return 0, err
+		return 0, 0, 0, err
 	}
+	off = uint32(w.size)
 	w.size += int64(len(framed))
 	w.bytes += uint64(len(framed))
 	w.nextRec += nrecs
-	return w.nextRec, nil
+	return w.nextRec, w.seq, off, nil
 }
 
 // rotateLocked seals the active segment and opens seq as the new one.
@@ -312,19 +327,75 @@ func (w *walWriter) rotateLocked(seq uint64) error {
 	return nil
 }
 
-// forceRotate seals the active segment (even if empty writes happened) and
-// returns the new active sequence — the compaction cut point: every record
-// appended after forceRotate returns lands in a segment >= the result.
-func (w *walWriter) forceRotate() (uint64, error) {
+// A compaction cuts the WAL in three calls, so that the sealed segment's
+// fsync runs with no lock held that an append needs:
+//
+//	w.beginCut()               // no lock held
+//	resume, sealed := w.swap() // under the Log's commit lock: no I/O but an open
+//	w.seal(sealed)             // no lock held: Sync + Close
+//
+// beginCut takes the group-commit leadership and seal gives it back. In
+// between no syncTo leader can run, so no fsync of the new segment can vouch
+// for records that sit unsynced in the one being sealed; committers under
+// fsync=always wait out the seal as they would a leader's fsync.
+func (w *walWriter) beginCut() {
+	w.syncMu.Lock()
+	for w.syncBusy {
+		w.syncCond.Wait()
+	}
+	w.syncBusy = true
+	w.syncMu.Unlock()
+}
+
+// swap opens the next segment and makes it the active one, returning its
+// sequence — the compaction cut point: every record appended after swap
+// returns lands in a segment >= resume — and the appender it replaced,
+// which the caller owes to seal. On an error the writer is unchanged.
+func (w *walWriter) swap() (resume uint64, sealed Appender, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.app == nil {
-		return 0, errors.New("durable: wal writer closed")
+		return 0, nil, errWriterClosed
 	}
-	if err := w.rotateLocked(w.seq + 1); err != nil {
-		return 0, err
+	app, err := w.blob.Append(segKey(w.seq + 1))
+	if err != nil {
+		return 0, nil, err
 	}
-	return w.seq, nil
+	sealed, w.app = w.app, app
+	w.seq++
+	w.size = 0
+	w.segments++
+	return w.seq, sealed, nil
+}
+
+// seal makes the segment swap replaced durable (under the policies that
+// sync at all) and closes it, then ends the cut beginCut opened; sealed is
+// nil when swap failed or was never reached. A failed sync stops the
+// writer, as it does in rotateLocked: what the segment holds may not
+// survive, so nothing more is acknowledged on top of it.
+func (w *walWriter) seal(sealed Appender) error {
+	var err error
+	if sealed != nil {
+		if w.syncOnRotate {
+			err = sealed.Sync()
+		}
+		if cerr := sealed.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			w.mu.Lock()
+			if w.app != nil {
+				w.app.Close()
+				w.app = nil
+			}
+			w.mu.Unlock()
+		}
+	}
+	w.syncMu.Lock()
+	w.syncBusy = false
+	w.syncCond.Broadcast()
+	w.syncMu.Unlock()
+	return err
 }
 
 // syncTo blocks until record rec is durable, fsyncing at most once per

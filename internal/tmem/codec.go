@@ -1,8 +1,10 @@
 package tmem
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // This file implements the pluggable page codec of the compressed tier
@@ -138,8 +140,8 @@ func (c *LZCodec) Name() string { return "lz" }
 // MaxEncodedLen implements Codec: the fallback path guarantees tag+verbatim.
 func (c *LZCodec) MaxEncodedLen(n int) int { return 1 + n }
 
-func lzHash(b []byte) uint32 {
-	v := uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+// lzHash buckets a 4-byte sequence, given as one little-endian load.
+func lzHash(v uint32) uint32 {
 	return (v * 2654435761) >> (32 - lzHashBits)
 }
 
@@ -156,12 +158,11 @@ func (c *LZCodec) Encode(dst, src []byte) []byte {
 	anchor := 0
 	end := len(src) - lzMinMatch
 	for i := 0; i <= end; {
-		h := lzHash(src[i:])
+		v := binary.LittleEndian.Uint32(src[i:])
+		h := lzHash(v)
 		cand := int(c.table[h]) - 1
 		c.table[h] = int32(i + 1)
-		if cand < 0 || i-cand > lzMaxU16 ||
-			src[cand] != src[i] || src[cand+1] != src[i+1] ||
-			src[cand+2] != src[i+2] || src[cand+3] != src[i+3] {
+		if cand < 0 || i-cand > lzMaxU16 || binary.LittleEndian.Uint32(src[cand:]) != v {
 			i++
 			continue
 		}
@@ -274,18 +275,23 @@ func (c *LZCodec) Decode(dst, src []byte) (int, error) {
 	return n, nil
 }
 
-// hashBlob returns a well-mixed 64-bit content hash of an encoded blob
-// (FNV-1a folded through the splitmix64 finalizer), the dedup-index key of
-// the compressed tier.
+// hashBlob returns a well-mixed 64-bit content hash of an encoded blob,
+// the dedup-index key of the compressed tier: FNV-1a's xor-multiply taken
+// eight bytes at a step (the rotate carries each word's high bits back down
+// to where the next multiply spreads them), a byte-wise tail, and the
+// splitmix64 finalizer. The hash keys an in-memory map whose chains compare
+// the bytes; nothing persists it.
 func hashBlob(b []byte) uint64 {
 	const (
 		fnvOffset = 14695981039346656037
 		fnvPrime  = 1099511628211
 	)
 	h := uint64(fnvOffset)
+	for ; len(b) >= 8; b = b[8:] {
+		h = bits.RotateLeft64((h^binary.LittleEndian.Uint64(b))*fnvPrime, 29)
+	}
 	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime
+		h = (h ^ uint64(c)) * fnvPrime
 	}
 	return mix64(h)
 }

@@ -2,7 +2,11 @@ package tmem
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -168,4 +172,30 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCodecOutputPinned pins the LZ encoder's output over the test corpus
+// (both page sizes, labels in sorted order) to the digest recorded before
+// the match check became one 32-bit compare: a faster encoder must emit
+// the same bytes, or tmem.compressed.ratio and every dedup hit move.
+func TestCodecOutputPinned(t *testing.T) {
+	const want = "fbf6d292621ce183d22c6a1bb859d1030b5b991eb3470636a0e08887b35d8b6b"
+	codec := NewLZCodec()
+	h := sha256.New()
+	for _, pageSize := range []int{4096, 65536} {
+		pages := codecTestPages(pageSize)
+		labels := make([]string, 0, len(pages))
+		for label := range pages {
+			labels = append(labels, label)
+		}
+		sort.Strings(labels)
+		for _, label := range labels {
+			enc := codec.Encode(nil, pages[label])
+			h.Write(binary.BigEndian.AppendUint32(nil, uint32(len(enc))))
+			h.Write(enc)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("LZ output over the test corpus hashes to %s, want %s", got, want)
+	}
 }

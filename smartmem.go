@@ -117,6 +117,8 @@ type RunRecord = core.RunRecord
 // BlobStore is the pluggable durable-tier backend (see internal/durable):
 // set Config.DurableBlob to one and persistent pages demoted past the RAM
 // tiers are journaled to a write-ahead log with periodic slab snapshots.
+// The journal keeps only an index of its pages in memory and reads their
+// bytes back through the store's ranged reads when it needs them.
 type BlobStore = durable.BlobStore
 
 // DurableSummary reports a durable tier's end-of-run counters
