@@ -364,11 +364,10 @@ func BenchmarkEngine_ScaleScenario(b *testing.B) {
 }
 
 // BenchmarkSweep measures the tournament engine on a fixed bracket
-// (scale-2 × 3 policies × 3 seeds): cold sweeps under the work-stealing
-// and static schedulers (their ratio is the scheduler's win; both compute
-// every cell), and warm sweeps against a primed memo cache (every cell a
-// hit — the warm/cold ratio is the cache's speedup, budgeted at >= 5x in
-// practice and gated structurally by TestTournamentColdWarmIdentical).
+// (scale-2 × 3 policies × 3 seeds): a cold sweep that computes every cell,
+// and warm sweeps against a primed memo cache (every cell a hit — the
+// warm/cold ratio is the cache's speedup, budgeted at >= 5x in practice and
+// gated structurally by TestTournamentColdWarmIdentical).
 func BenchmarkSweep(b *testing.B) {
 	scn, err := experiments.BySlug("scale-2")
 	if err != nil {
@@ -387,14 +386,9 @@ func BenchmarkSweep(b *testing.B) {
 		}
 	}
 
-	b.Run("cold/steal", func(b *testing.B) {
+	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sweep(b, experiments.Options{Scheduler: experiments.SchedulerSteal})
-		}
-	})
-	b.Run("cold/static", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sweep(b, experiments.Options{Scheduler: experiments.SchedulerStatic})
+			sweep(b, experiments.Options{})
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
@@ -414,12 +408,13 @@ func BenchmarkSweep(b *testing.B) {
 
 // BenchmarkRunCluster measures the cluster runtime itself — one full
 // cluster-2-shaped run per iteration, tiled to the requested node count —
-// sequential single-kernel vs parallel per-node kernels. The two modes
-// produce byte-identical Results (differential-tested in core and
-// experiments); the benchmark exists to track the wall-clock gap: on a
-// multi-core box nodes-8/par should approach a per-core speedup, and on
-// the 1-CPU CI runner par must stay within budget of seq (gating the
-// synchronization overhead).
+// under its two drivers: seq steps every node's kernel in (time, node)
+// order on one goroutine, par runs one goroutine per kernel behind the
+// nodeClock gates. Both produce the same Result (pinned against recorded
+// digests in internal/experiments); the benchmark tracks the wall-clock
+// gap: on a multi-core box nodes-8/par should approach a per-core speedup,
+// and on the 1-CPU CI runner par must stay within budget of seq (gating
+// the synchronization overhead).
 func BenchmarkRunCluster(b *testing.B) {
 	scn, err := experiments.BySlug("cluster-2")
 	if err != nil {

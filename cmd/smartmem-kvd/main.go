@@ -23,10 +23,11 @@
 // With -compress the daemon additionally attaches a compressed in-RAM tier
 // ahead of any remote tier: overflow pages compress and dedup into a slab
 // arena of the given byte budget before the daemon considers shipping them
-// to a peer or failing the put. -debug serves Go expvar (JSON over HTTP)
-// with live tier and compression counters — stored vs raw bytes, dedup
-// hits, codec nanoseconds — so the achieved ratio is observable on a
-// running daemon.
+// to a peer or failing the put. -debug serves live counters in the
+// Prometheus text format on /metrics — wire latency, store and tier
+// operations, compression (stored vs raw bytes, dedup hits, codec time) and
+// the journal with its last recovery — so the achieved ratio and the WAL's
+// state are observable on a running daemon.
 //
 // With -durable the daemon journals every acknowledged persistent-pool
 // mutation to a write-ahead log under the given directory (plus periodic
@@ -44,7 +45,7 @@
 //	smartmem-kvd -listen :7077 -remote far:7077          # + remote tier
 //	smartmem-kvd -listen :7077 -compress 256             # + 256 MiB compressed tier
 //	smartmem-kvd -listen :7077 -durable /var/lib/smartmem  # + crash durability
-//	smartmem-kvd -listen :7077 -debug :7079              # + expvar counters
+//	smartmem-kvd -listen :7077 -debug :7079              # + Prometheus /metrics
 //	smartmem-kvd -connect :7077 -demo                    # KV client demo
 //	smartmem-kvd -mm :7078 -policy smart-alloc:P=2       # MM daemon (TKM peer)
 package main
@@ -52,7 +53,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -96,7 +96,7 @@ func main() {
 		codec    = flag.String("codec", "lz", "compressed-tier codec (lz, nocompress)")
 		durDir   = flag.String("durable", "", "journal persistent pools to a WAL + snapshots under this directory and recover them on start")
 		fsyncStr = flag.String("fsync", "interval", "durable commit policy: always, interval or off")
-		debug    = flag.String("debug", "", "serve expvar debug counters (JSON over HTTP) on this address in -listen mode")
+		debug    = flag.String("debug", "", "serve Prometheus metrics on http://<addr>/metrics in -listen mode")
 		demo     = flag.Bool("demo", false, "run put/get/flush round trips in -connect mode")
 	)
 	flag.Parse()
@@ -144,13 +144,10 @@ func main() {
 			dl, err := net.Listen("tcp", *debug)
 			fatalIf(err)
 			node.metrics = kvstore.NewMetrics()
-			publishDebugVars(node)
 			mux := http.NewServeMux()
-			mux.Handle("/debug/vars", expvar.Handler())
 			mux.Handle("/metrics", promHandler(node, node.metrics))
-			mux.Handle("/", expvar.Handler())
 			go func() { fatalIf(http.Serve(dl, mux)) }()
-			fmt.Printf("smartmem-kvd: debug counters on http://%s/ (Prometheus on /metrics)\n", dl.Addr())
+			fmt.Printf("smartmem-kvd: metrics on http://%s/metrics\n", dl.Addr())
 		}
 		fmt.Printf("smartmem-kvd: serving %d tmem pages (%d shards) on %s\n",
 			*pages, backend.Shards(), l.Addr())
@@ -297,76 +294,6 @@ func printDurableStats(w io.Writer, node kvNode) {
 	if n := node.dstore.RecoveryServed(); n > 0 {
 		fmt.Fprintf(w, "smartmem-kvd:   durable: %d gets read back from the journal\n", n)
 	}
-}
-
-// publishDebugVars registers the daemon's live counters under the
-// "smartmem" expvar key. The snapshot is taken on every HTTP request, so
-// the served JSON always reflects the store and its tiers at that moment —
-// including compressed-tier detail (stored vs raw bytes, dedup hits, codec
-// nanoseconds) when a -compress tier is attached, and WAL/snapshot/recovery
-// counters when -durable is on.
-func publishDebugVars(node kvNode) {
-	b := node.backend
-	expvar.Publish("smartmem", expvar.Func(func() any {
-		used := b.TotalPages() - b.FreePages()
-		doc := map[string]any{
-			"pages_total": int64(b.TotalPages()),
-			"pages_used":  int64(used),
-			"footprint":   b.Footprint(),
-		}
-		var tiers []map[string]any
-		for _, t := range b.Tiers() {
-			s := t.Stats()
-			m := map[string]any{
-				"name":    t.Name(),
-				"puts":    s.Puts,
-				"puts_ok": s.PutsOK,
-				"gets":    s.Gets, "gets_hit": s.GetsHit,
-				"flushes": s.PageFlushes + s.ObjectFlushes,
-				"errors":  s.Errors,
-			}
-			if ct, ok := t.(*tmem.CompressedTier); ok {
-				cs := ct.CompressedStats()
-				m["pages_stored"] = cs.PagesStored
-				m["unique_blobs"] = cs.UniqueBlobs
-				m["raw_bytes"] = int64(cs.RawBytes)
-				m["stored_bytes"] = int64(cs.StoredBytes)
-				m["ratio"] = cs.Ratio()
-				m["dedup_hits"] = cs.DedupHits
-				m["rejected_full"] = cs.RejectedFull
-				m["decode_errors"] = cs.DecodeErrors
-				m["compress_ns"] = cs.CompressNs
-				m["decompress_ns"] = cs.DecompressNs
-				m["effective_extra_pages"] = int64(ct.EffectiveExtraPages())
-			}
-			tiers = append(tiers, m)
-		}
-		doc["tiers"] = tiers
-		if node.dlog != nil {
-			ls := node.dlog.Stats()
-			ri := node.dlog.Recovery()
-			doc["durable"] = map[string]any{
-				"wal_appends":       ls.Appends,
-				"wal_bytes":         ls.AppendedBytes,
-				"fsyncs":            ls.Fsyncs,
-				"segments":          ls.Segments,
-				"compactions":       ls.Compactions,
-				"snapshot_pages":    ls.SnapshotPages,
-				"pools":             ls.Pools,
-				"pages_live":        ls.PagesLive,
-				"bytes_live":        ls.BytesLive,
-				"errors":            ls.Errors,
-				"degraded":          node.dstore.Degraded(),
-				"recovery_served":   node.dstore.RecoveryServed(),
-				"recovery_clean":    ri.CleanShutdown,
-				"recovery_snapshot": ri.SnapshotLoaded,
-				"recovery_records":  ri.WALRecords,
-				"recovery_torn":     ri.TornTail,
-				"recovery_corrupt":  ri.CorruptRecords,
-			}
-		}
-		return doc
-	}))
 }
 
 // printFinalStats reports the store's end state: capacity in use, host

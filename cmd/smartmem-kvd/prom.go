@@ -14,8 +14,8 @@ import (
 )
 
 // promHandler renders the daemon's live counters in the Prometheus text
-// exposition format on /metrics, next to the expvar JSON the -debug server
-// already serves. Everything is read with atomic loads at scrape time —
+// exposition format on /metrics, the one document the -debug server
+// serves. Everything is read with atomic loads at scrape time —
 // the wire latency summaries come straight out of the kvstore.Metrics hdr
 // histograms, so a scrape never touches a lock the serving path holds.
 //
@@ -214,6 +214,8 @@ func writeStoreMetrics(b *strings.Builder, node kvNode) {
 		labeled(b, "smartmem_compressed_stored_bytes", "gauge", "Arena bytes actually used.", tl, float64(cs.StoredBytes))
 		labeled(b, "smartmem_compressed_dedup_hits_total", "counter", "Puts satisfied by an existing blob.", tl, float64(cs.DedupHits))
 		labeled(b, "smartmem_compressed_rejected_full_total", "counter", "Puts rejected by the arena budget.", tl, float64(cs.RejectedFull))
+		labeled(b, "smartmem_compressed_decode_errors_total", "counter", "Stored blobs that failed to decode on a get.", tl, float64(cs.DecodeErrors))
+		labeled(b, "smartmem_compressed_effective_extra_pages", "gauge", "Pages the tier can absorb beyond the raw frames at its observed ratio.", tl, float64(ct.EffectiveExtraPages()))
 		labeled(b, "smartmem_compressed_codec_seconds_total", "counter", "Cumulative codec time.",
 			fmt.Sprintf("{tier=%q,dir=\"compress\"}", t.Name()), float64(cs.CompressNs)/1e9)
 		fmt.Fprintf(b, "smartmem_compressed_codec_seconds_total{tier=%q,dir=\"decompress\"} %g\n",
@@ -230,8 +232,18 @@ func writeStoreMetrics(b *strings.Builder, node kvNode) {
 		scalar(b, "smartmem_wal_compaction_seconds_total", "counter", "Wall time spent inside compactions.", float64(ls.CompactNanos)/1e9)
 		scalar(b, "smartmem_wal_compacting", "gauge", "1 while a compaction is writing a snapshot.", gauge01(ls.Compacting))
 		scalar(b, "smartmem_durable_pages_live", "gauge", "Pages the journal holds live.", float64(ls.PagesLive))
+		scalar(b, "smartmem_durable_bytes_live", "gauge", "Page bytes the live index entries locate on the blob store.", float64(ls.BytesLive))
+		scalar(b, "smartmem_durable_pools", "gauge", "Live persistent pools in the journal.", float64(ls.Pools))
+		scalar(b, "smartmem_durable_snapshot_pages", "gauge", "Pages in the latest snapshot.", float64(ls.SnapshotPages))
 		scalar(b, "smartmem_durable_errors_total", "counter", "Journal I/O errors.", float64(ls.Errors))
 		scalar(b, "smartmem_durable_degraded", "gauge", "1 when journaling has failed and the store serves memory-only.", gauge01(node.dstore.Degraded()))
+		scalar(b, "smartmem_durable_recovery_served_total", "counter", "Gets answered from the journal because the backend missed the page.", float64(node.dstore.RecoveryServed()))
+		ri := node.dlog.Recovery()
+		scalar(b, "smartmem_durable_recovery_clean", "gauge", "1 when the last start found a clean-shutdown marker and skipped the WAL replay.", gauge01(ri.CleanShutdown))
+		scalar(b, "smartmem_durable_recovery_snapshot", "gauge", "1 when the last start seeded its state from a snapshot.", gauge01(ri.SnapshotLoaded))
+		scalar(b, "smartmem_durable_recovery_records", "gauge", "WAL records the last start replayed.", float64(ri.WALRecords))
+		scalar(b, "smartmem_durable_recovery_torn", "gauge", "1 when the last start discarded a torn final record.", gauge01(ri.TornTail))
+		scalar(b, "smartmem_durable_recovery_corrupt", "gauge", "Corrupt WAL records the last start skipped.", float64(ri.CorruptRecords))
 	}
 }
 

@@ -61,6 +61,10 @@ func TestPromHandler(t *testing.T) {
 		"smartmem_wire_proto_errors_total 0",
 		`smartmem_tier_ops_total{tier="compressed",op="put"} 0`,
 		`smartmem_compressed_stored_bytes{tier="compressed"} 0`,
+		`smartmem_compressed_decode_errors_total{tier="compressed"} 0`,
+		"# TYPE smartmem_compressed_decode_errors_total counter",
+		"# TYPE smartmem_compressed_effective_extra_pages gauge",
+		`smartmem_compressed_effective_extra_pages{tier="compressed"} `,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
@@ -123,6 +127,17 @@ func TestPromHandlerDurable(t *testing.T) {
 		"# TYPE smartmem_wal_compacting gauge",
 		"smartmem_wal_compacting 0\n",
 		"smartmem_durable_pages_live 1\n",
+		"smartmem_durable_bytes_live 4096\n",
+		"smartmem_durable_pools 1\n",
+		"smartmem_durable_snapshot_pages 1\n",
+		"# TYPE smartmem_durable_recovery_served_total counter",
+		"smartmem_durable_recovery_served_total 0\n",
+		// A fresh directory: nothing was recovered.
+		"smartmem_durable_recovery_clean 0\n",
+		"smartmem_durable_recovery_snapshot 0\n",
+		"smartmem_durable_recovery_records 0\n",
+		"smartmem_durable_recovery_torn 0\n",
+		"smartmem_durable_recovery_corrupt 0\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
@@ -130,6 +145,61 @@ func TestPromHandlerDurable(t *testing.T) {
 	}
 	if v := promSample(t, body, "smartmem_wal_compaction_seconds_total "); v <= 0 {
 		t.Errorf("compaction seconds = %g after a compaction, want > 0", v)
+	}
+}
+
+// TestPromHandlerRecovery restarts a journaled node, crash-style, onto a
+// one-page backend: the recovery gauges describe the snapshot + WAL-tail
+// start, and the get of the page that no longer fits is served from the
+// journal and counted.
+func TestPromHandlerRecovery(t *testing.T) {
+	dir := t.TempDir()
+	node, err := openDurable(newBackend(mem.Pages(64), 1), dir, durable.FsyncOff, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := node.store.NewPool(1, tmem.Persistent)
+	put := func(i tmem.PageIndex) {
+		if st := node.store.Put(tmem.Key{Pool: pool, Index: i}, make([]byte, pageSize)); st != tmem.STmem {
+			t.Fatalf("put %d: %v", i, st)
+		}
+	}
+	put(0)
+	if err := node.dlog.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	put(1)
+	node.dlog.Close() // no clean-shutdown marker
+
+	node, err = openDurable(newBackend(mem.Pages(1), 1), dir, durable.FsyncOff, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.dlog.Close()
+	buf := make([]byte, pageSize)
+	for i := tmem.PageIndex(0); i < 2; i++ {
+		if st := node.store.Get(tmem.Key{Pool: pool, Index: i}, buf); st != tmem.STmem {
+			t.Fatalf("get %d after restart: %v", i, st)
+		}
+	}
+
+	rec := httptest.NewRecorder()
+	promHandler(node, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	body := rec.Body.String()
+	for _, want := range []string{
+		"smartmem_durable_recovery_served_total 1\n",
+		"smartmem_durable_recovery_clean 0\n",
+		"smartmem_durable_recovery_snapshot 1\n",
+		"smartmem_durable_recovery_torn 0\n",
+		"smartmem_durable_recovery_corrupt 0\n",
+		"smartmem_durable_pages_live 2\n",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+	if v := promSample(t, body, "smartmem_durable_recovery_records "); v < 1 {
+		t.Errorf("recovery records = %g, want the WAL tail's put (>= 1)", v)
 	}
 }
 

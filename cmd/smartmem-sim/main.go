@@ -67,7 +67,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		leagueJ   = fs.String("league-json", "", `write the league table as JSON to this file ("-" = stdout, suppressing the text tables)`)
 		leagueC   = fs.String("league-csv", "", `write the league table as CSV to this file ("-" = stdout, suppressing the text tables)`)
 		parallel  = fs.Int("parallel", runtime.NumCPU(), "concurrent simulation runs for -times/-tournament (1 = sequential)")
-		clusterP  = fs.Bool("cluster-parallel", false, "run cluster scenarios with one kernel per node on its own goroutine (results are byte-identical to the sequential runtime)")
+		clusterP  = fs.Bool("cluster-parallel", false, "single runs only: drive a cluster scenario's per-node kernels on one goroutine each instead of stepping them in turn (results are byte-identical); -times/-tournament decide per sweep")
 		quiet     = fs.Bool("quiet", false, "suppress live progress on stderr")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -130,13 +130,10 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// sweepOpts assembles the execution options shared by the -times and
-	// -tournament sweeps: pool size, cluster runtime, progress output and —
-	// when -memo names a directory — the persistent run cache.
+	// -tournament sweeps: pool size, progress output and — when -memo names
+	// a directory — the persistent run cache.
 	sweepOpts := func() (smartmem.ExperimentOptions, error) {
 		opt := smartmem.ExperimentOptions{Parallelism: *parallel}
-		if *clusterP {
-			opt.ClusterParallel = experiments.ClusterParallelOn
-		}
 		if *memoDir != "" {
 			cache, err := smartmem.OpenDirRunCache(*memoDir)
 			if err != nil {

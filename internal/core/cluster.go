@@ -1,4 +1,4 @@
-// Cluster runtime: N SmarTmem nodes sharing one simulated clock, each with
+// Cluster runtime: N SmarTmem nodes on one simulated timeline, each with
 // its own tmem backend, guests, TKM and Memory Manager, wired peer-to-peer
 // so one node's remote tmem tier lands in another node's striped store —
 // the RAMster-style extension of the paper's single-node architecture
@@ -9,18 +9,15 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 
-	"smartmem/internal/metrics"
-	"smartmem/internal/sim"
 	"smartmem/internal/tmem"
 )
 
 // ClusterConfig describes a multi-node run. Every node is a full Config —
-// its own VM population, tmem capacity and policy — and all nodes share one
-// deterministic simulation kernel seeded from node 0.
+// its own VM population, tmem capacity and policy — and every node's random
+// streams derive from node 0's seed.
 type ClusterConfig struct {
 	// Nodes holds one node configuration per cluster node. Node i is
 	// tagged "n<i>"; its VMs appear in results and events as "n<i>/<name>".
@@ -31,12 +28,13 @@ type ClusterConfig struct {
 	// node cannot hold locally then land in the peer's RAM instead of the
 	// guest's swap disk. Ignored with fewer than two nodes.
 	RemoteTmem bool
-	// Parallel runs each node's kernel on its own goroutine, conservatively
-	// synchronized on the remote-tier traffic so the merged Result is
-	// byte-identical to the sequential (Parallel=false) run — see
-	// parallel.go for the protocol. Ignored with fewer than two nodes.
-	// Node configs must not share mutable state (the stock scenarios
-	// allocate their stop flags and milestone counters per node).
+	// Parallel picks the driver and nothing else: each node's kernel runs
+	// on its own goroutine, conservatively synchronized on the remote-tier
+	// traffic (see parallel.go), instead of all kernels being stepped in
+	// (time, node) order on the calling goroutine. The Result is the same
+	// either way. Ignored with fewer than two nodes. Node configs must not
+	// share mutable state (the stock scenarios allocate their stop flags
+	// and milestone counters per node).
 	Parallel bool
 }
 
@@ -93,94 +91,28 @@ func RunClusterWith(ctx context.Context, cc ClusterConfig, obs Observer) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if cc.Parallel && len(cfgs) > 1 {
-		return runClusterParallel(ctx, cc, cfgs, obs)
-	}
+	return run(ctx, cfgs, true, cc.RemoteTmem, cc.Parallel, obs)
+}
 
-	// One simulated clock for the whole cluster, seeded from node 0; each
-	// node derives its private streams from the shared root in node order,
-	// so runs are deterministic for a given ClusterConfig. The stop limit
-	// is the largest node limit.
-	kern := sim.NewKernel(cfgs[0].Seed)
-	var limit sim.Duration
-	for _, cfg := range cfgs {
-		if cfg.Limit > limit {
-			limit = cfg.Limit
+// wireRing attaches node i's remote overflow tier to node (i+1)%N's striped
+// store and returns each node's outbound Loopback (nil where either ring
+// endpoint runs without tmem). The loopback transport serves only the
+// peer's local tier, so a full ring cannot bounce one page around forever;
+// the peer's statistics book the shipped pages under node i's remote-guest
+// account.
+func wireRing(nodes []*nodeRuntime) []*tmem.Loopback {
+	loops := make([]*tmem.Loopback, len(nodes))
+	for i, n := range nodes {
+		peer := nodes[(i+1)%len(nodes)]
+		if n.backend == nil || peer.backend == nil {
+			continue
 		}
+		loops[i] = tmem.NewLoopback(peer.backend)
+		n.remote = tmem.NewRemoteTier("remote("+peer.tag+")", loops[i], RemoteGuestBase+tmem.VMID(i))
+		n.backend.AttachTier(n.remote)
+		peer.names.add(RemoteGuestBase+tmem.VMID(i), n.tag+"/remote")
 	}
-	kern.SetLimit(sim.Time(limit))
-
-	res := &Result{
-		PolicyName: clusterPolicyName(cfgs),
-		Seed:       cfgs[0].Seed,
-		Series:     metrics.NewSet(),
-	}
-	cancelled := cancelHook(ctx)
-
-	nodes := make([]*nodeRuntime, len(cfgs))
-	for i, cfg := range cfgs {
-		tag := fmt.Sprintf("n%d", i)
-		n, err := newNodeRuntime(cfg, tag, tag+"/")
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = n
-	}
-
-	// Peer-to-peer tier wiring: node i's overflow lands in node (i+1)%N's
-	// striped store. The loopback transport serves only the peer's local
-	// tier, so a full ring cannot bounce one page around forever; the
-	// peer's statistics book the shipped pages under node i's remote-guest
-	// account.
-	if cc.RemoteTmem && len(nodes) > 1 {
-		for i, n := range nodes {
-			peer := nodes[(i+1)%len(nodes)]
-			if n.backend == nil || peer.backend == nil {
-				continue
-			}
-			tier := tmem.NewRemoteTier(
-				"remote("+peer.tag+")",
-				tmem.NewLoopback(peer.backend),
-				RemoteGuestBase+tmem.VMID(i),
-			)
-			n.backend.AttachTier(tier)
-			n.remote = tier
-			peer.names.add(RemoteGuestBase+tmem.VMID(i), n.tag+"/remote")
-		}
-	}
-
-	rootRNG := kern.RNG()
-	for _, n := range nodes {
-		n.start(kern, rootRNG, obs, res, cancelled)
-	}
-
-	runLoop(kern, ctx, cancelled, res)
-	kern.KillAll()
-
-	var errs []error
-	for _, n := range nodes {
-		if err := n.finalize(res); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	if len(errs) > 0 {
-		return nil, errors.Join(errs...)
-	}
-	sortRuns(res.Runs)
-
-	em := &emitter{}
-	if obs != nil {
-		em.obs = obs
-	}
-	em.emit(RunFinished{At: res.EndTime, Cancelled: res.Cancelled, Result: res})
-
-	if res.Cancelled {
-		return res, context.Cause(ctx)
-	}
-	return res, nil
+	return loops
 }
 
 // clusterPolicyName joins the distinct node policy names in node order.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -167,30 +168,69 @@ func TestClusterDeterminism(t *testing.T) {
 	}
 }
 
-// A single-node cluster must behave exactly like the plain single-node
-// runtime (modulo the node prefix): same schedule, same measurements.
+// RunWith is the one-node, untagged case of the cluster run body: with the
+// "n0" tag and prefix stripped, a one-node cluster (RemoteTmem is ignored
+// below two nodes) must produce the same event stream and the same Result —
+// every field, the series included — whether the run completes or is cut
+// off by the limit.
 func TestOneNodeClusterMatchesSingleNode(t *testing.T) {
-	single, err := Run(smallScenario(3, policy.StaticAlloc{}, true))
-	if err != nil {
-		t.Fatal(err)
+	untag := func(s string) string {
+		return strings.ReplaceAll(strings.ReplaceAll(s, "n0/", ""), "Node:n0", "Node:")
 	}
-	cfg := smallScenario(3, policy.StaticAlloc{}, true)
-	clustered, err := RunCluster(ClusterConfig{Nodes: []Config{cfg}, RemoteTmem: true})
-	if err != nil {
-		t.Fatal(err)
+	record := func(lines *[]string) Observer {
+		return ObserverFunc(func(e Event) {
+			if _, ok := e.(RunFinished); !ok {
+				*lines = append(*lines, untag(fmt.Sprintf("%T %+v", e, e)))
+			}
+		})
 	}
-	if len(single.Runs) != len(clustered.Runs) {
-		t.Fatalf("run counts differ: %d vs %d", len(single.Runs), len(clustered.Runs))
-	}
-	for i := range single.Runs {
-		s, c := single.Runs[i], clustered.Runs[i]
-		if "n0/"+s.VM != c.VM || s.Label != c.Label || s.Start != c.Start || s.End != c.End {
-			t.Errorf("run %d differs: %+v vs %+v", i, s, c)
-		}
-	}
-	if single.EndTime != clustered.EndTime || single.SampleTicks != clustered.SampleTicks {
-		t.Errorf("schedule drifted: end %v/%v ticks %d/%d",
-			single.EndTime, clustered.EndTime, single.SampleTicks, clustered.SampleTicks)
+	var full sim.Time // the uncut run's end; the cut run stops halfway
+	for _, cut := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cut=%v", cut), func(t *testing.T) {
+			cfg := smallScenario(3, policy.StaticAlloc{}, true)
+			if cut {
+				cfg.Limit = sim.Duration(full / 2)
+			}
+			var singleEv, clusterEv []string
+			single, err := RunWith(nil, cfg, record(&singleEv))
+			if err != nil {
+				t.Fatal(err)
+			}
+			clustered, err := RunClusterWith(nil, ClusterConfig{Nodes: []Config{cfg}, RemoteTmem: true}, record(&clusterEv))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !cut {
+				full = single.EndTime
+			} else if !single.HitLimit {
+				t.Fatal("the cut run did not hit its limit")
+			}
+			if len(singleEv) == 0 {
+				t.Fatal("no events observed")
+			}
+			if !reflect.DeepEqual(singleEv, clusterEv) {
+				t.Errorf("event streams differ: %d vs %d events", len(singleEv), len(clusterEv))
+			}
+			if len(clustered.Nodes) != 1 || clustered.Nodes[0].Name != "n0" {
+				t.Fatalf("node summaries = %+v", clustered.Nodes)
+			}
+			if single.Nodes != nil {
+				t.Errorf("single-node run has node summaries: %+v", single.Nodes)
+			}
+			for i := range clustered.Runs {
+				clustered.Runs[i].VM = untag(clustered.Runs[i].VM)
+			}
+			for i := range clustered.VMs {
+				clustered.VMs[i].Name = untag(clustered.VMs[i].Name)
+			}
+			if sc, cc := seriesCSV(t, single), untag(seriesCSV(t, clustered)); sc != cc {
+				t.Errorf("series differ:\nsingle:\n%s\ncluster:\n%s", sc, cc)
+			}
+			single.Series, clustered.Series, clustered.Nodes = nil, nil, nil
+			if !reflect.DeepEqual(single, clustered) {
+				t.Errorf("results differ:\nsingle:  %+v\ncluster: %+v", single, clustered)
+			}
+		})
 	}
 }
 

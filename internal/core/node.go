@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -114,86 +113,6 @@ func (r *Result) RunsFor(vm, label string) []RunRecord {
 	return out
 }
 
-// Run executes one full node simulation to completion and returns its
-// results. It is a convenience wrapper over RunWith with a background
-// context and no observer.
-func Run(cfg Config) (*Result, error) {
-	return RunWith(context.Background(), cfg, nil)
-}
-
-// RunWith executes one full node simulation, streaming lifecycle events to
-// obs (which may be nil) and honouring ctx cancellation. On cancellation it
-// returns promptly with the context's error AND a non-nil partial Result
-// (Result.Cancelled set): everything measured up to the cancellation
-// point. A nil ctx means context.Background().
-func RunWith(ctx context.Context, cfg Config, obs Observer) (*Result, error) {
-	cfg, err := cfg.normalize()
-	if err != nil {
-		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-
-	kern := sim.NewKernel(cfg.Seed)
-	kern.SetLimit(sim.Time(cfg.Limit))
-
-	res := &Result{
-		PolicyName: cfg.PolicyName(),
-		Seed:       cfg.Seed,
-		Series:     metrics.NewSet(),
-	}
-	cancelled := cancelHook(ctx)
-
-	n, err := newNodeRuntime(cfg, "", "")
-	if err != nil {
-		return nil, err
-	}
-	n.start(kern, kern.RNG(), obs, res, cancelled)
-
-	runLoop(kern, ctx, cancelled, res)
-	kern.KillAll()
-
-	if err := n.finalize(res); err != nil {
-		return nil, err
-	}
-	sortRuns(res.Runs)
-	n.em.emit(RunFinished{At: res.EndTime, Cancelled: res.Cancelled, Result: res})
-
-	if res.Cancelled {
-		return res, context.Cause(ctx)
-	}
-	return res, nil
-}
-
-// cancelHook returns the cancellation poll workloads use, or nil for
-// non-cancellable contexts so the common path costs nothing.
-func cancelHook(ctx context.Context) func() bool {
-	if ctx.Done() == nil {
-		return nil
-	}
-	return func() bool { return ctx.Err() != nil }
-}
-
-// runLoop drives the simulation kernel to completion, checking the context
-// between events so cancellation is prompt even while every workload is
-// deep inside a long phase. With a background context the check never fires
-// and the schedule is identical to an unobserved kern.Run().
-func runLoop(kern *sim.Kernel, ctx context.Context, cancelled func() bool, res *Result) {
-	for kern.Step() {
-		if cancelled != nil && ctx.Err() != nil {
-			res.Cancelled = true
-			break
-		}
-	}
-	res.HitLimit = kern.Ended()
-	if res.HitLimit || res.Cancelled {
-		if now := kern.Now(); now > res.EndTime {
-			res.EndTime = now
-		}
-	}
-}
-
 // vmRuntime pairs a VM spec with its booted guest kernel.
 type vmRuntime struct {
 	spec   VMSpec
@@ -201,11 +120,9 @@ type vmRuntime struct {
 }
 
 // nodeRuntime is one assembled node: the tmem backend, its guests and their
-// workloads, the host disk and the MM tick loop — everything RunWith used
-// to wire inline, factored out so RunCluster can assemble several nodes
-// against one shared simulation kernel. tag/prefix are empty for a
-// single-node run, which keeps that path byte-identical to the historical
-// inline assembly.
+// workloads, the host disk and the MM tick loop. The run body (run.go)
+// assembles one per node, RunWith's single node included. tag/prefix are
+// empty for a single-node run, which keeps its names unprefixed.
 type nodeRuntime struct {
 	cfg    Config
 	tag    string // "n<i>" in a cluster, "" single-node
@@ -228,9 +145,13 @@ type nodeRuntime struct {
 
 // newNodeRuntime builds the node shell and its backend — the piece peers
 // need a reference to before workloads start, so cluster tier wiring can
-// happen between construction and start.
-func newNodeRuntime(cfg Config, tag, prefix string) (*nodeRuntime, error) {
-	n := &nodeRuntime{cfg: cfg, tag: tag, prefix: prefix}
+// happen between construction and start. A node tagged "n<i>" prefixes its
+// names with "n<i>/".
+func newNodeRuntime(cfg Config, tag string) (*nodeRuntime, error) {
+	n := &nodeRuntime{cfg: cfg, tag: tag}
+	if tag != "" {
+		n.prefix = tag + "/"
+	}
 	if cfg.TmemEnabled {
 		n.backend = tmem.NewBackend(mem.PagesIn(cfg.TmemBytes, cfg.PageSize), cfg.newStore())
 		if cfg.CompressBytes > 0 {
@@ -262,18 +183,17 @@ func newNodeRuntime(cfg Config, tag, prefix string) (*nodeRuntime, error) {
 				return nil, fmt.Errorf("core: open durable log: %w", err)
 			}
 			n.dlog = dlog
-			n.dtier = durable.NewTier(prefix+"durable", dlog)
+			n.dtier = durable.NewTier(n.prefix+"durable", dlog)
 		}
 	}
-	n.names = newVMNames(cfg, prefix)
+	n.names = newVMNames(cfg, n.prefix)
 	return n, nil
 }
 
 // start spawns the node's processes into kern. The RNG split order — host
 // disk, launch jitter, then one stream per workload — is part of the
-// determinism contract: a single node consumes the kernel's root stream
-// exactly as the historical inline code did, and cluster nodes consume it
-// in node order.
+// determinism contract: every node splits the run's one root stream, in
+// node order.
 func (n *nodeRuntime) start(kern *sim.Kernel, rng *sim.RNG, obs Observer, res *Result, cancelled func() bool) {
 	cfg := n.cfg
 	if n.dtier != nil {

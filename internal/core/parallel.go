@@ -1,10 +1,9 @@
-// Parallel cluster execution: one sim.Kernel per node, each on its own
+// The goroutine driver: one sim.Kernel per node, each on its own
 // goroutine, conservatively synchronized on the only cross-node coupling
 // the runtime has — remote-tier page traffic over the in-process Loopback
-// transport. The merged event order is (virtual time, node index), the same
-// order the sequential single-kernel runtime produces (procs are spawned in
-// node order, so same-time events tie-break node-major there too), which
-// makes the parallel Result byte-identical to the sequential one.
+// transport. Every cross-node operation still happens in the merged
+// (virtual time, node index) order the stepping driver (run.go) executes
+// events in, so the two drivers produce the same Result.
 //
 // Protocol. Every node publishes a conservative lower bound on its own
 // clock — the timestamp of its next event, published *before* the event
@@ -37,15 +36,11 @@ package core
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
-	"smartmem/internal/metrics"
 	"smartmem/internal/sim"
 	"smartmem/internal/tmem"
 )
@@ -119,9 +114,9 @@ func (c *nodeClock) wait(t int64, strict bool) {
 }
 
 // lockedObserver serializes the shared external observer: node goroutines
-// emit concurrently, and observers are written against the sequential
-// runtime's one-event-at-a-time contract. Cross-node event *order* seen by
-// the observer is not deterministic — only the merged Result is.
+// emit concurrently, and observers are written against the one-event-at-a-
+// time contract. Cross-node event *order* seen by the observer is not
+// deterministic — each node's own order and the merged Result are.
 type lockedObserver struct {
 	mu  sync.Mutex
 	obs Observer
@@ -133,95 +128,23 @@ func (l *lockedObserver) OnEvent(e Event) {
 	l.obs.OnEvent(e)
 }
 
-// runClusterParallel is the Parallel=true body of RunClusterWith. cfgs is
-// the normalized node list (len > 1).
-func runClusterParallel(ctx context.Context, cc ClusterConfig, cfgs []Config, obs Observer) (*Result, error) {
-	var limit sim.Duration
-	for _, cfg := range cfgs {
-		if cfg.Limit > limit {
-			limit = cfg.Limit
-		}
-	}
-
-	res := &Result{
-		PolicyName: clusterPolicyName(cfgs),
-		Seed:       cfgs[0].Seed,
-		Series:     metrics.NewSet(),
-	}
-	cancelled := cancelHook(ctx)
-
-	nn := len(cfgs)
-	nodes := make([]*nodeRuntime, nn)
-	for i, cfg := range cfgs {
-		tag := fmt.Sprintf("n%d", i)
-		n, err := newNodeRuntime(cfg, tag, tag+"/")
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = n
-	}
-
-	// Ring wiring identical to the sequential path, keeping the Loopback
-	// handles so the injection gates can be installed on them below.
-	loops := make([]*tmem.Loopback, nn)
-	if cc.RemoteTmem && nn > 1 {
-		for i, n := range nodes {
-			peer := nodes[(i+1)%nn]
-			if n.backend == nil || peer.backend == nil {
-				continue
-			}
-			lb := tmem.NewLoopback(peer.backend)
-			tier := tmem.NewRemoteTier(
-				"remote("+peer.tag+")",
-				lb,
-				RemoteGuestBase+tmem.VMID(i),
-			)
-			n.backend.AttachTier(tier)
-			n.remote = tier
-			peer.names.add(RemoteGuestBase+tmem.VMID(i), n.tag+"/remote")
-			loops[i] = lb
-		}
-	}
-
-	// One kernel and one published clock per node. Every kernel gets the
-	// cluster-wide limit, exactly like the single shared kernel did. The
-	// per-kernel root RNGs go unused: the shared root stream below is the
-	// one the determinism contract consumes.
-	kerns := make([]*sim.Kernel, nn)
+// driveParallel runs each node's kernel on its own goroutine behind the
+// nodeClock gates described above. Gates go in only after start: node
+// assembly calls the gated owner surface (RegisterVM and friends) on the
+// calling goroutine, before any bound has been published. loops[i] is node
+// i's outbound Loopback, nil when unwired.
+func driveParallel(ctx context.Context, kerns []*sim.Kernel, nodes []*nodeRuntime, loops []*tmem.Loopback, shards []*Result) {
+	nn := len(kerns)
 	clocks := make([]*nodeClock, nn)
-	for i := range kerns {
-		kerns[i] = sim.NewKernel(cfgs[0].Seed)
-		kerns[i].SetLimit(sim.Time(limit))
+	for i := range clocks {
 		clocks[i] = newNodeClock()
 	}
-
-	if obs != nil {
-		obs = &lockedObserver{obs: obs}
-	}
-
-	// Start every node against one shared root stream, in node order, on
-	// this goroutine — the exact consumption pattern of the sequential
-	// runtime (sim.NewKernel seeds its root RNG as sim.NewRNG(seed), and
-	// all splits happen inside start, before any event runs). Each node
-	// records into its own Result shard; the shards merge deterministically
-	// after the join.
-	rootRNG := sim.NewRNG(cfgs[0].Seed)
-	shards := make([]*Result, nn)
-	for i, n := range nodes {
-		shards[i] = &Result{Series: metrics.NewSet()}
-		n.start(kerns[i], rootRNG, obs, shards[i], cancelled)
-	}
-
-	// Gates go in only after start: node assembly calls the gated owner
-	// surface (RegisterVM and friends) on this goroutine, before any bound
-	// has been published.
-	for i := range nodes {
-		if loops[i] == nil {
+	for i, lb := range loops {
+		if lb == nil {
 			continue
 		}
-		i := i
 		j := (i + 1) % nn
-		loops[i].SetGate(func() {
+		lb.SetGate(func() {
 			clocks[j].wait(int64(kerns[i].Now()), j < i)
 		})
 		nodes[j].backend.SetGate(func() {
@@ -230,124 +153,35 @@ func runClusterParallel(ctx context.Context, cc ClusterConfig, cfgs []Config, ob
 	}
 
 	var wg sync.WaitGroup
-	for i := range nodes {
+	for i, kern := range kerns {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			// Poison the bound on any exit so gated peers never wait on a
 			// finished (or crashed) node.
 			defer clocks[i].publish(math.MaxInt64)
-			parRunLoop(kerns[i], clocks[i], ctx, cancelled, shards[i])
-		}(i)
+			// The kernel publishes its next-event time before executing
+			// each event; the context is polled between events exactly
+			// like the stepping driver.
+			kern.RunGated(
+				func(t sim.Time) { clocks[i].publish(int64(t)) },
+				func() bool {
+					if ctx.Err() != nil {
+						shards[i].Cancelled = true
+						return false
+					}
+					return true
+				},
+			)
+		}()
 	}
 	wg.Wait()
 
-	// Single-threaded epilogue: drop the gates, then drain and finalize in
-	// node order exactly like the sequential path.
-	for i := range nodes {
-		if loops[i] == nil {
+	for i, lb := range loops {
+		if lb == nil {
 			continue
 		}
-		loops[i].SetGate(nil)
+		lb.SetGate(nil)
 		nodes[(i+1)%nn].backend.SetGate(nil)
-	}
-	for _, kern := range kerns {
-		kern.KillAll()
-	}
-
-	for _, sh := range shards {
-		res.Runs = append(res.Runs, sh.Runs...)
-		if sh.EndTime > res.EndTime {
-			res.EndTime = sh.EndTime
-		}
-		res.HitLimit = res.HitLimit || sh.HitLimit
-		res.Cancelled = res.Cancelled || sh.Cancelled
-	}
-	mergeShardSeries(res.Series, shards)
-
-	var errs []error
-	for _, n := range nodes {
-		if err := n.finalize(res); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	if len(errs) > 0 {
-		return nil, errors.Join(errs...)
-	}
-	sortRuns(res.Runs)
-
-	em := &emitter{}
-	if obs != nil {
-		em.obs = obs
-	}
-	em.emit(RunFinished{At: res.EndTime, Cancelled: res.Cancelled, Result: res})
-
-	if res.Cancelled {
-		return res, context.Cause(ctx)
-	}
-	return res, nil
-}
-
-// parRunLoop is runLoop for one node of a parallel cluster: the kernel
-// publishes its next-event time through clock before executing each event,
-// and the context is polled between events exactly like the sequential
-// loop.
-func parRunLoop(kern *sim.Kernel, clock *nodeClock, ctx context.Context, cancelled func() bool, res *Result) {
-	kern.RunGated(
-		func(t sim.Time) { clock.publish(int64(t)) },
-		func() bool {
-			if cancelled != nil && ctx.Err() != nil {
-				res.Cancelled = true
-				return false
-			}
-			return true
-		},
-	)
-	res.HitLimit = kern.Ended()
-	if res.HitLimit || res.Cancelled {
-		if now := kern.Now(); now > res.EndTime {
-			res.EndTime = now
-		}
-	}
-}
-
-// mergeShardSeries folds the per-node series shards into dst in the order
-// the sequential runtime would have created them: by first-sample time,
-// node index, then within-node insertion order. Series names are
-// node-unique (every name carries its node prefix — a node's outbound
-// remote-guest series lives in the *serving* peer's shard under the
-// sender's prefix), so the merge is pure concatenation.
-func mergeShardSeries(dst *metrics.Set, shards []*Result) {
-	type entry struct {
-		node, pos int
-		s         *metrics.Series
-		firstT    float64
-	}
-	var all []entry
-	for i, sh := range shards {
-		for pos, name := range sh.Series.Names() {
-			s := sh.Series.Get(name)
-			e := entry{node: i, pos: pos, s: s, firstT: math.Inf(1)}
-			if s.Len() > 0 {
-				e.firstT = s.At(0).T
-			}
-			all = append(all, e)
-		}
-	}
-	sort.Slice(all, func(a, b int) bool {
-		ea, eb := all[a], all[b]
-		if ea.firstT != eb.firstT {
-			return ea.firstT < eb.firstT
-		}
-		if ea.node != eb.node {
-			return ea.node < eb.node
-		}
-		return ea.pos < eb.pos
-	})
-	for _, e := range all {
-		s := dst.Get(e.s.Name())
-		for _, p := range e.s.Points() {
-			s.Add(p.T, p.V)
-		}
 	}
 }

@@ -24,7 +24,7 @@ func seriesCSV(t *testing.T, res *Result) string {
 }
 
 // requireIdenticalResults fails unless the two results are byte-identical
-// in every field the sequential/parallel contract covers.
+// in every field the two drivers must agree on.
 func requireIdenticalResults(t *testing.T, seq, par *Result) {
 	t.Helper()
 	if seq.EndTime != par.EndTime {
@@ -56,8 +56,9 @@ func requireIdenticalResults(t *testing.T, seq, par *Result) {
 }
 
 // TestParallelClusterMatchesSequential is the in-package differential
-// oracle: the parallel runtime must reproduce the sequential runtime's
-// Result byte-for-byte on the overflow-heavy 2-node cluster.
+// check: the goroutine driver must reproduce the stepping driver's Result
+// byte-for-byte on the overflow-heavy 2-node cluster. (Both are pinned to
+// the old single-kernel runtime's digests in internal/experiments.)
 func TestParallelClusterMatchesSequential(t *testing.T) {
 	for _, seed := range []uint64{1, 7} {
 		for _, tc := range []struct {
@@ -110,8 +111,8 @@ func TestParallelClusterMatchesSequentialFourNodes(t *testing.T) {
 	requireIdenticalResults(t, seq, par)
 }
 
-// Cancelling mid-run must stop every node kernel promptly — in both modes —
-// and still hand back a merged partial Result covering all nodes.
+// Cancelling mid-run must stop every node kernel promptly — under both
+// drivers — and still hand back a merged partial Result covering all nodes.
 func TestClusterCancellationStopsAllNodes(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		t.Run(fmt.Sprintf("parallel=%v", parallel), func(t *testing.T) {

@@ -52,37 +52,22 @@ type JobResult struct {
 // in a partial result set.
 var ErrSkipped = errors.New("experiments: job skipped after earlier failure or cancellation")
 
-// SchedulerMode selects how the engine hands jobs to its workers.
-type SchedulerMode int
-
-const (
-	// SchedulerSteal (the zero value) distributes jobs longest-expected-
-	// first over per-worker deques; an idle worker steals from its peers.
-	// Long cells (no-tmem baselines, cluster scenarios) start early instead
-	// of straggling at the tail, so a mixed sweep finishes when the longest
-	// single cell does, not when an unlucky worker's static share does.
-	// Results are byte-identical to any other mode: scheduling changes only
-	// wall-clock order, and results merge by index.
-	SchedulerSteal SchedulerMode = iota
-	// SchedulerStatic is the historical fixed channel feed (jobs dispatched
-	// in submission order to whichever worker asks next). Kept as the
-	// baseline leg of BenchmarkSweep and as a fallback knob.
-	SchedulerStatic
-)
-
 // Engine executes experiment jobs on a worker pool. The zero value is
-// usable: it runs with runtime.NumCPU() workers, the work-stealing
-// scheduler, no cache and no progress reporting. Each job is an independent
-// core.Run with its own simulation kernel and RNG streams, so jobs are
-// race-free by construction (verified by go test -race).
+// usable: it runs with runtime.NumCPU() workers, no cache and no progress
+// reporting. Each job is an independent core.Run with its own simulation
+// kernels and RNG streams, so jobs are race-free by construction (verified
+// by go test -race).
+//
+// Workers take cells from one shared cursor over the jobs sorted
+// longest-expected-first (scheduleOrder): whichever worker goes idle takes
+// the longest cell still pending — the LPT rule — so long cells (no-tmem
+// baselines, cluster scenarios) start early instead of straggling at the
+// tail. Dispatch order changes wall-clock only; results merge by index.
 type Engine struct {
 	// Parallelism is the number of concurrent workers; values <= 0 select
 	// runtime.NumCPU(). Parallelism 1 reproduces the historical sequential
-	// behaviour exactly (jobs run in submission order, whatever the
-	// Scheduler setting).
+	// behaviour exactly: jobs run in submission order.
 	Parallelism int
-	// Scheduler selects the dispatch strategy; see SchedulerMode.
-	Scheduler SchedulerMode
 	// Cache, when non-nil, memoizes completed runs by fingerprint: a cell
 	// whose fingerprint is cached returns the stored result without
 	// simulating, byte-identically (the simulator is deterministic).
@@ -101,45 +86,12 @@ type Engine struct {
 	// be concurrency-safe. Event order is deterministic within a job but
 	// jobs interleave by completion timing.
 	OnEvent func(j Job, e core.Event)
-	// ClusterParallel selects whether cluster-scenario jobs run on the
-	// parallel cluster runtime (core.ClusterConfig.Parallel — one kernel
-	// per node, results byte-identical to sequential). Auto spends spare
-	// cores on per-run parallelism only when the job-level pool cannot
-	// fill the machine by itself.
-	ClusterParallel ClusterParallelMode
 
 	// scalarsOnly makes cache hits fetch the cell's scalar record alone
 	// (Result.Series nil). Set by the entry points whose aggregation reads
 	// no series — RunTournament, TimesOpts — and by nothing else: those
 	// never hand a JobResult to their caller.
 	scalarsOnly bool
-}
-
-// ClusterParallelMode is the Engine/Options knob for per-run cluster
-// parallelism.
-type ClusterParallelMode int
-
-const (
-	// ClusterParallelAuto (the zero value) enables the parallel cluster
-	// runtime when the worker pool is smaller than the core count — few
-	// jobs on a wide machine — and stays sequential otherwise, where
-	// job-level parallelism already saturates the CPUs.
-	ClusterParallelAuto ClusterParallelMode = iota
-	// ClusterParallelOn always runs cluster jobs on the parallel runtime.
-	ClusterParallelOn
-	// ClusterParallelOff always uses the sequential single-kernel runtime.
-	ClusterParallelOff
-)
-
-// clusterParallel resolves the mode against the pool size for n jobs.
-func (e *Engine) clusterParallel(n int) bool {
-	switch e.ClusterParallel {
-	case ClusterParallelOn:
-		return true
-	case ClusterParallelOff:
-		return false
-	}
-	return e.workers(n) < runtime.NumCPU()
 }
 
 // workers returns the effective pool size for n jobs.
@@ -174,24 +126,47 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]JobResult, error) {
 		results[i] = JobResult{Job: jobs[i], Index: i, Err: ErrSkipped}
 	}
 
+	workers := e.workers(len(jobs))
 	st := &sweepState{
-		engine:     e,
-		ctx:        ctx,
-		cancel:     cancel,
-		jobs:       jobs,
-		results:    results,
-		clusterPar: e.clusterParallel(len(jobs)),
+		engine:  e,
+		ctx:     ctx,
+		cancel:  cancel,
+		jobs:    jobs,
+		results: results,
+		// Spare cores go to per-run parallelism only when the pool cannot
+		// fill the machine by itself.
+		clusterPar: workers < runtime.NumCPU(),
 		jobIdx:     len(jobs),
 	}
 
-	// A single worker keeps the historical strictly-sequential submission
-	// order (tests and callers rely on Parallelism 1 meaning "the old
-	// sequential loop"); deques would add nothing there.
-	if workers := e.workers(len(jobs)); workers == 1 || e.Scheduler == SchedulerStatic {
-		st.runStatic(workers)
-	} else {
-		st.runStealing(workers)
+	// One worker keeps submission order (tests and callers rely on
+	// Parallelism 1 meaning "the old sequential loop").
+	order := make([]int, len(jobs))
+	for i := range order {
+		order[i] = i
 	}
+	if workers > 1 {
+		order = scheduleOrder(jobs)
+	}
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sc scratch
+			// Fail-fast / cancellation stops dispatch; cells already taken
+			// finish.
+			for st.ctx.Err() == nil {
+				k := int(cursor.Add(1) - 1)
+				if k >= len(order) {
+					return
+				}
+				st.execute(order[k], &sc)
+			}
+		}()
+	}
+	wg.Wait()
 
 	if st.jobErr != nil {
 		return results, st.jobErr
@@ -227,7 +202,7 @@ type scratch struct {
 
 // execute runs (or recalls from cache) the job at idx and records its
 // outcome. It is the one place results, progress, and fail-fast state are
-// updated, shared by both scheduler modes.
+// updated.
 func (st *sweepState) execute(idx int, sc *scratch) {
 	e := st.engine
 	job := st.jobs[idx]
@@ -284,96 +259,6 @@ func (st *sweepState) execute(idx int, sc *scratch) {
 		e.OnProgress(st.done, len(st.jobs), job)
 	}
 	st.mu.Unlock()
-}
-
-// runStatic is the historical dispatch: a feeder goroutine hands out job
-// indexes in submission order to whichever worker asks next.
-func (st *sweepState) runStatic(workers int) {
-	indexes := make(chan int)
-	go func() {
-		defer close(indexes)
-		for i := range st.jobs {
-			select {
-			case indexes <- i:
-			case <-st.ctx.Done():
-				return
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sc scratch
-			for idx := range indexes {
-				st.execute(idx, &sc)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// runStealing distributes jobs longest-expected-first over per-worker
-// deques; a worker that drains its own deque steals from its peers. No new
-// work is ever produced mid-sweep, so a worker that finds every deque empty
-// can simply exit — work conservation holds because an index leaves a deque
-// exactly once, into execute.
-func (st *sweepState) runStealing(workers int) {
-	order := scheduleOrder(st.jobs)
-	deques := make([]jobDeque, workers)
-	for i, idx := range order {
-		deques[i%workers].push(idx)
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(self int) {
-			defer wg.Done()
-			var sc scratch
-			for {
-				if st.ctx.Err() != nil {
-					return // fail-fast / cancellation: stop dispatching
-				}
-				idx, ok := deques[self].pop()
-				for off := 1; !ok && off < workers; off++ {
-					idx, ok = deques[(self+off)%workers].pop()
-				}
-				if !ok {
-					return
-				}
-				st.execute(idx, &sc)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// jobDeque is one worker's queue of job indexes, longest-expected job
-// first. A plain mutex suffices: cells run for milliseconds to seconds, so
-// queue operations are nowhere near contended enough to justify a lock-free
-// Chase–Lev deque.
-type jobDeque struct {
-	mu   sync.Mutex
-	jobs []int
-}
-
-func (d *jobDeque) push(idx int) { d.jobs = append(d.jobs, idx) }
-
-// pop removes the front (longest-expected) job. Owner and thieves pop the
-// same end: with every deque sorted longest-first, whichever worker goes
-// idle always picks up the longest pending cell — the LPT greedy rule.
-func (d *jobDeque) pop() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.jobs) == 0 {
-		return 0, false
-	}
-	idx := d.jobs[0]
-	d.jobs = d.jobs[1:]
-	return idx, true
 }
 
 // scheduleOrder returns job indexes sorted longest-expected-first
@@ -469,13 +354,10 @@ func Matrix(scenarios []*Scenario, policies []string, seeds []uint64) []Job {
 
 // Options configure a parallel experiment sweep (Times, SeriesSet,
 // RunMatrix, RunTournament). The zero value runs with runtime.NumCPU()
-// workers, the work-stealing scheduler, no cache, no cancellation and no
-// progress output.
+// workers, no cache, no cancellation and no progress output.
 type Options struct {
 	// Parallelism is the worker-pool size; <= 0 selects runtime.NumCPU().
 	Parallelism int
-	// Scheduler selects the dispatch strategy; see SchedulerMode.
-	Scheduler SchedulerMode
 	// Cache memoizes completed runs; see Engine.Cache.
 	Cache *Memo
 	// Context, when non-nil, cancels the sweep early.
@@ -485,19 +367,14 @@ type Options struct {
 	// OnEvent receives every lifecycle event of every run, tagged with
 	// its job (serialized). See Engine.OnEvent.
 	OnEvent func(j Job, e core.Event)
-	// ClusterParallel selects per-run cluster parallelism; see
-	// Engine.ClusterParallel.
-	ClusterParallel ClusterParallelMode
 }
 
 func (o Options) engine() *Engine {
 	return &Engine{
-		Parallelism:     o.Parallelism,
-		Scheduler:       o.Scheduler,
-		Cache:           o.Cache,
-		OnProgress:      o.OnProgress,
-		OnEvent:         o.OnEvent,
-		ClusterParallel: o.ClusterParallel,
+		Parallelism: o.Parallelism,
+		Cache:       o.Cache,
+		OnProgress:  o.OnProgress,
+		OnEvent:     o.OnEvent,
 	}
 }
 

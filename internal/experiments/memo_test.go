@@ -53,9 +53,9 @@ func TestFingerprintStability(t *testing.T) {
 	}
 }
 
-// Cluster fingerprints must not depend on ClusterConfig.Parallel: the
-// parallel cluster runtime is byte-identical to the sequential one, so both
-// must share cache entries.
+// Cluster fingerprints must not depend on ClusterConfig.Parallel: both
+// cluster drivers produce the same Result, so both must share cache
+// entries.
 func TestFingerprintIgnoresClusterParallel(t *testing.T) {
 	s, err := BySlug("cluster-2")
 	if err != nil {
@@ -382,29 +382,30 @@ func TestCancellationNeverPoisonsCache(t *testing.T) {
 	}
 }
 
-// The work-stealing scheduler may only change wall-clock dispatch order:
-// its merged results must be deeply identical to the static scheduler's.
-func TestStealSchedulerMatchesStatic(t *testing.T) {
+// The cursor's longest-first dispatch may only change wall-clock order: a
+// 4-worker pool's merged results must be deeply identical to one worker
+// running the cells in submission order.
+func TestCursorMatchesSequential(t *testing.T) {
 	s, err := BySlug("scale-2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	jobs := Matrix([]*Scenario{s}, []string{"greedy", "static-alloc"}, []uint64{11, 23})
 
-	static, err := (&Engine{Parallelism: 4, Scheduler: SchedulerStatic}).Run(context.Background(), jobs)
+	seq, err := (&Engine{Parallelism: 1}).Run(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	steal, err := (&Engine{Parallelism: 4, Scheduler: SchedulerSteal}).Run(context.Background(), jobs)
+	pool, err := (&Engine{Parallelism: 4}).Run(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range static {
-		if steal[i].Index != static[i].Index {
-			t.Fatalf("result %d out of order under stealing", i)
+	for i := range seq {
+		if pool[i].Index != seq[i].Index {
+			t.Fatalf("result %d out of order under the pool", i)
 		}
-		if !reflect.DeepEqual(steal[i].Result, static[i].Result) {
-			t.Errorf("cell %d (%s): steal result differs from static", i, static[i].Job)
+		if !reflect.DeepEqual(pool[i].Result, seq[i].Result) {
+			t.Errorf("cell %d (%s): pool result differs from sequential", i, seq[i].Job)
 		}
 	}
 }

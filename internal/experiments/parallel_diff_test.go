@@ -1,11 +1,18 @@
 package experiments
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"os"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"smartmem/internal/core"
+	"smartmem/internal/sim"
 )
 
 // buildClusterN tiles a stock 2-node cluster scenario into an N-node ring
@@ -69,50 +76,168 @@ func resultFingerprint(t *testing.T, res *core.Result) string {
 	return sb.String()
 }
 
-// TestParallelMatchesSequentialAcrossScenarios is the acceptance matrix for
-// the parallel cluster runtime: seeds {7, 11, 42} × nodes {2, 4, 8} × the
-// three stock cluster scenarios, each compared byte-for-byte against the
-// sequential oracle.
-func TestParallelMatchesSequentialAcrossScenarios(t *testing.T) {
-	seeds := []uint64{7, 11, 42}
-	nodeCounts := []int{2, 4, 8}
-	slugs := []string{"cluster-2", "remote-heavy", "node-imbalance"}
-	if testing.Short() {
-		seeds = []uint64{7}
-		nodeCounts = []int{2, 4}
-		slugs = []string{"cluster-2"}
+// loggedEvent is one observed event rendered to a line, with the node index
+// and time the (time, node) merge order sorts by.
+type loggedEvent struct {
+	node int
+	at   sim.Time
+	line string
+}
+
+// eventLog records a run's event stream. RunFinished is left out: it
+// carries the Result, which the result digest already covers.
+type eventLog struct{ events []loggedEvent }
+
+func (l *eventLog) OnEvent(e core.Event) {
+	var tag string
+	switch ev := e.(type) {
+	case core.VMStarted:
+		tag = ev.Node
+	case core.Milestone:
+		tag = ev.Node
+	case core.RunCompleted:
+		tag = ev.Node
+	case core.SampleTick:
+		tag = ev.Node
+	case core.TargetUpdate:
+		tag = ev.Node
+	default:
+		return
 	}
-	for _, slug := range slugs {
-		for _, nodes := range nodeCounts {
-			for _, seed := range seeds {
+	node, _ := strconv.Atoi(strings.TrimPrefix(tag, "n"))
+	l.events = append(l.events, loggedEvent{node: node, at: e.When(), line: fmt.Sprintf("%T %+v\n", e, e)})
+}
+
+// merged returns the stream in (time, node) order, each node's own events
+// in emission order. The goroutine driver's observer sees nodes interleave
+// by wall-clock timing; this is the order its stream is compared in.
+func (l *eventLog) merged() []loggedEvent {
+	out := append([]loggedEvent(nil), l.events...)
+	sort.SliceStable(out, func(a, b int) bool {
+		if out[a].at != out[b].at {
+			return out[a].at < out[b].at
+		}
+		return out[a].node < out[b].node
+	})
+	return out
+}
+
+func digestEvents(events []loggedEvent) string {
+	h := sha256.New()
+	for _, e := range events {
+		h.Write([]byte(e.line))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func digestString(s string) string {
+	sum := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(sum[:])
+}
+
+// clusterCellDigests runs one cluster cell on the chosen driver and returns
+// the sha256 of its resultFingerprint and of its event stream. The stepping
+// driver's raw stream must already be in (time, node) order — the order
+// the single shared kernel emitted — so it is hashed as observed.
+func clusterCellDigests(t *testing.T, slug, pol string, nodes int, seed uint64, parallel bool) (string, string) {
+	t.Helper()
+	cc := buildClusterN(t, slug, seed, pol, nodes)
+	cc.Parallel = parallel
+	var log eventLog
+	res, err := core.RunClusterWith(nil, cc, &log)
+	if err != nil {
+		t.Fatalf("%s %s parallel=%v: %v", slug, pol, parallel, err)
+	}
+	events := log.events
+	if parallel {
+		events = log.merged()
+	}
+	return digestString(resultFingerprint(t, res)), digestEvents(events)
+}
+
+// digestGrid is the pinned cell grid: the three stock cluster scenarios ×
+// three policies × rings of 2, 4 and 8 nodes × three seeds.
+var digestGrid = struct {
+	slugs, policies []string
+	nodes           []int
+	seeds           []uint64
+}{
+	slugs:    []string{"cluster-2", "remote-heavy", "node-imbalance"},
+	policies: []string{"greedy", "static-alloc", "smart-alloc:P=2"},
+	nodes:    []int{2, 4, 8},
+	seeds:    []uint64{7, 11, 42},
+}
+
+func digestKey(slug, pol string, nodes int, seed uint64) string {
+	return fmt.Sprintf("%s/%s/nodes-%d/seed-%d", slug, pol, nodes, seed)
+}
+
+// loadPinnedDigests reads testdata/cluster_digests.txt: one line per cell,
+// "<cell> <result sha256> <event-stream sha256>".
+func loadPinnedDigests(t *testing.T) map[string][2]string {
+	t.Helper()
+	f, err := os.Open("testdata/cluster_digests.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	pinned := make(map[string][2]string)
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) != 3 {
+			t.Fatalf("malformed digest line %q", line)
+		}
+		pinned[fields[0]] = [2]string{fields[1], fields[2]}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return pinned
+}
+
+// TestParallelMatchesSequentialAcrossScenarios checks both cluster drivers
+// against digests the deleted single-shared-kernel runtime recorded at the
+// parent commit (testdata/cluster_digests.txt, 81 cells): the sha256 of
+// every deterministic Result field and of the observer event stream. The
+// stepping driver must reproduce the stream as observed; the goroutine
+// driver, whose nodes interleave by wall-clock timing, in (time, node)
+// order. -short keeps cluster-2 at seed 7 on 2 and 4 nodes.
+func TestParallelMatchesSequentialAcrossScenarios(t *testing.T) {
+	pinned := loadPinnedDigests(t)
+	g := digestGrid
+	if testing.Short() {
+		g.slugs, g.nodes, g.seeds = g.slugs[:1], g.nodes[:2], g.seeds[:1]
+	}
+	for _, slug := range g.slugs {
+		for _, nodes := range g.nodes {
+			for _, seed := range g.seeds {
 				t.Run(fmt.Sprintf("%s/nodes-%d/seed-%d", slug, nodes, seed), func(t *testing.T) {
-					run := func(parallel bool) string {
-						cc := buildClusterN(t, slug, seed, "smart-alloc:P=2", nodes)
-						cc.Parallel = parallel
-						res, err := core.RunCluster(cc)
-						if err != nil {
-							t.Fatalf("parallel=%v: %v", parallel, err)
+					// Cells are independent runs; on -race the grid is
+					// most of this package's wall time.
+					t.Parallel()
+					for _, pol := range g.policies {
+						key := digestKey(slug, pol, nodes, seed)
+						want, ok := pinned[key]
+						if !ok {
+							t.Fatalf("no pinned digest for %s", key)
 						}
-						return resultFingerprint(t, res)
-					}
-					seq := run(false)
-					par := run(true)
-					if seq != par {
-						t.Errorf("parallel result diverged from sequential oracle\nseq:\n%s\npar:\n%s",
-							head(seq, 40), head(par, 40))
+						for _, parallel := range []bool{false, true} {
+							res, ev := clusterCellDigests(t, slug, pol, nodes, seed, parallel)
+							if res != want[0] {
+								t.Errorf("%s parallel=%v: result digest %s, pinned %s", key, parallel, res, want[0])
+							}
+							if ev != want[1] {
+								t.Errorf("%s parallel=%v: event-stream digest %s, pinned %s", key, parallel, ev, want[1])
+							}
+						}
 					}
 				})
 			}
 		}
 	}
-}
-
-// head returns the first n lines of s (fingerprints run to thousands of
-// series rows; the leading diff is what matters).
-func head(s string, n int) string {
-	lines := strings.SplitN(s, "\n", n+1)
-	if len(lines) > n {
-		lines = lines[:n]
-	}
-	return strings.Join(lines, "\n")
 }

@@ -26,7 +26,7 @@ func RunOneWith(s *Scenario, policySpec string, seed uint64, obs core.Observer) 
 	return runOneWith(s, policySpec, seed, obs, false)
 }
 
-// runOneWith additionally selects the parallel cluster runtime for cluster
+// runOneWith additionally selects the goroutine cluster driver for cluster
 // scenarios (results are byte-identical either way; the engine picks by
 // core budget).
 func runOneWith(s *Scenario, policySpec string, seed uint64, obs core.Observer, clusterParallel bool) (*core.Result, error) {

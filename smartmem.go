@@ -280,26 +280,16 @@ type ExperimentJob = experiments.Job
 type ExperimentResult = experiments.JobResult
 
 // ExperimentOptions configure parallel sweeps: worker-pool size (default
-// runtime.NumCPU()), cancellation context and a progress callback.
+// runtime.NumCPU()), run cache, cancellation context, and progress and
+// event callbacks. Workers take cells longest-expected-first from one
+// shared cursor; with one worker, cells run in submission order. Results
+// arrive in job order either way.
 type ExperimentOptions = experiments.Options
 
 // ErrSkipped marks sweep jobs that never ran because an earlier job failed
 // (fail-fast) or the sweep was cancelled; test ExperimentResult.Err with
 // errors.Is to tell skipped jobs from failed ones in partial results.
 var ErrSkipped = experiments.ErrSkipped
-
-// SchedulerMode selects how sweeps dispatch jobs to workers; see
-// ExperimentOptions.Scheduler.
-type SchedulerMode = experiments.SchedulerMode
-
-// Scheduler modes for ExperimentOptions.
-const (
-	// SchedulerSteal (the default) distributes jobs longest-expected-first
-	// over per-worker deques with work stealing.
-	SchedulerSteal = experiments.SchedulerSteal
-	// SchedulerStatic is the historical fixed channel feed.
-	SchedulerStatic = experiments.SchedulerStatic
-)
 
 // RunCache memoizes completed runs by fingerprint so repeated sweep cells
 // return instantly and byte-identically. Set ExperimentOptions.Cache to
