@@ -136,14 +136,18 @@ sweep-smoke:
 
 # Fuzz smoke: five seconds of coverage-guided mutation on each decoder of
 # untrusted bytes (WAL segments, snapshot slabs and manifests, compressed
-# pages, memo records and series blobs). `go test -fuzz` takes one target and one package per run. The
-# minimizer is capped by executions: left at its default it spends a minute
-# shrinking each coverage-expanding input, which is the whole smoke.
+# pages, memo records and series blobs, kvstore request frames as the
+# server reads them, TKM frames and their payloads). `go test -fuzz` takes
+# one target and one package per run. The minimizer is capped by
+# executions: left at its default it spends a minute shrinking each
+# coverage-expanding input, which is the whole smoke.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/durable
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotLoad$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/durable
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/tmem
 	$(GO) test -run '^$$' -fuzz '^FuzzMemoDecode$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/experiments
+	$(GO) test -run '^$$' -fuzz '^FuzzServeConn$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/kvstore
+	$(GO) test -run '^$$' -fuzz '^FuzzTKMFrame$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/tkm
 
 # Profile a tier-stack-heavy run (kv-heavy hammers the striped store; swap
 # -scenario cluster-2 to profile the cluster runtime). Inspect with:

@@ -124,8 +124,8 @@ func main() {
 			conn, err := kvstore.DialRetry("tcp", *remote, 10, 200*time.Millisecond)
 			fatalIf(err)
 			// All connection handlers funnel overflow into this one wire
-			// client; SyncClient serializes the request/response exchanges.
-			svc := kvstore.NewSyncClient(kvstore.NewClient(conn, pageSize))
+			// client, which serializes its request/response exchanges.
+			svc := kvstore.NewClient(conn, pageSize)
 			backend.AttachTier(tmem.NewRemoteTier("kvd:"+*remote, svc, tmem.VMID(*remoteVM)))
 			fmt.Printf("smartmem-kvd: remote tmem tier -> %s (owner vm %d)\n", *remote, *remoteVM)
 		}

@@ -192,13 +192,12 @@ func TestChainedDaemonsRemoteTier(t *testing.T) {
 	}()
 
 	// Wire the front daemon's remote tier exactly like -remote does: one
-	// wire client shared by every connection handler, serialized by
-	// SyncClient.
+	// wire client shared by every connection handler.
 	conn, err := net.Dial("tcp", peerL.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := kvstore.NewSyncClient(kvstore.NewClient(conn, pageSize))
+	svc := kvstore.NewClient(conn, pageSize)
 	frontBackend.AttachTier(tmem.NewRemoteTier("kvd-peer", svc, 1000))
 	go func() {
 		frontServed <- serveKV(frontL, kvNode{store: frontBackend, backend: frontBackend}, frontSigs, time.Second, &frontOut)

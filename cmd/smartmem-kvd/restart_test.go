@@ -85,7 +85,9 @@ func startE2EDaemon(t *testing.T, dir string) *e2eDaemon {
 	}
 	d := &e2eDaemon{cmd: cmd, out: &bytes.Buffer{}, done: make(chan error, 1)}
 	addrc := make(chan string, 1)
+	scanned := make(chan struct{})
 	go func() {
+		defer close(scanned)
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
 			line := sc.Text()
@@ -96,7 +98,12 @@ func startE2EDaemon(t *testing.T, dir string) *e2eDaemon {
 		}
 		close(addrc)
 	}()
-	go func() { d.done <- cmd.Wait() }()
+	// Wait closes the pipe, so it must not run before the last line is
+	// read: a done daemon has its whole output in d.out.
+	go func() {
+		<-scanned
+		d.done <- cmd.Wait()
+	}()
 	select {
 	case addr, ok := <-addrc:
 		if !ok {

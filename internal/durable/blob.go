@@ -16,7 +16,7 @@
 // The package exposes three integration surfaces:
 //
 //   - Log: the journal itself — page index, WAL, snapshots, recovery.
-//   - Tier: a tmem.Tier/BatchTier over a Log, the simulator's demotion leg
+//   - Tier: a tmem.Tier over a Log, the simulator's demotion leg
 //     (RAM → compressed RAM → peer RAM → durable blob).
 //   - Store: a write-through wrapper around a *tmem.Backend implementing
 //     the kvstore server surface, the smartmem-kvd integration — every

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"testing"
 	"time"
@@ -822,6 +823,62 @@ func TestStoreBatchJournalsPersistentSubset(t *testing.T) {
 	}
 	if !s.Degraded() {
 		t.Fatal("store not degraded after a failed batch")
+	}
+}
+
+// TestStoreRefusedOverwriteIsNotServedStale: an overwrite every tier
+// refuses invalidates the previous version (tmem's contract), so the
+// journal must not serve that version back — not to a Get, not after a
+// restart. Driven through Put and through PutBatch.
+func TestStoreRefusedOverwriteIsNotServedStale(t *testing.T) {
+	const pageSize = 4096
+	for _, batch := range []bool{false, true} {
+		blob := NewMemStore()
+		opts := testOpts(blob)
+		opts.PageSize = pageSize
+		stack := func(l *Log) *Store {
+			b := tmem.NewBackend(4, tmem.NewDataStore(pageSize))
+			b.AttachTier(tmem.NewCompressedTier(tmem.CompressedTierConfig{PageSize: pageSize, CapacityBytes: pageSize}))
+			return NewStore(b, l)
+		}
+		s := stack(mustOpen(t, opts))
+		pool := s.NewPool(1, tmem.Persistent)
+		s.Backend().SetTarget(1, 0) // every put overflows into the compressed tier
+		put := func(k tmem.Key, data []byte) tmem.Status {
+			if !batch {
+				return s.Put(k, data)
+			}
+			sts := make([]tmem.Status, 1)
+			s.PutBatch([]tmem.Key{k}, [][]byte{data}, sts)
+			return sts[0]
+		}
+
+		k := key(pool, 0, 0)
+		if st := put(k, bytes.Repeat([]byte{'a'}, pageSize)); st != tmem.STmem {
+			t.Fatalf("batch=%v: compressible v1 = %v, want the tier to take it", batch, st)
+		}
+		v2 := make([]byte, pageSize)
+		rand.New(rand.NewSource(1)).Read(v2) // incompressible
+		if st := put(k, v2); st != tmem.ETmem {
+			t.Fatalf("batch=%v: incompressible v2 = %v, want E_TMEM", batch, st)
+		}
+		dst := make([]byte, pageSize)
+		if st := s.Get(k, dst); st != tmem.ETmem {
+			t.Fatalf("batch=%v: get after the refused overwrite = %v (dst[0] %q), want E_TMEM", batch, st, dst[0])
+		}
+		if n := s.RecoveryServed(); n != 0 {
+			t.Fatalf("batch=%v: RecoveryServed = %d, want 0", batch, n)
+		}
+
+		s.Log().Close()
+		s2 := stack(mustOpen(t, opts))
+		if _, err := s2.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		if st := s2.Get(k, dst); st != tmem.ETmem || s2.Log().Contains(k) {
+			t.Fatalf("batch=%v: after restart get = %v, journal holds it = %v; want E_TMEM and gone", batch, st, s2.Log().Contains(k))
+		}
+		s2.Log().Close()
 	}
 }
 

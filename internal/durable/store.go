@@ -20,7 +20,8 @@ import (
 //
 // Write-through ordering: the backend mutation happens first, the journal
 // append second, and a journal failure undoes the backend put (the guest
-// sees ETmem, never a false durability promise). After a journal failure
+// sees ETmem, never a false durability promise). A refused put journals
+// the end of the key's previous version, as the backend dropped it. After a journal failure
 // the store degrades sticky — persistent puts answer ETmem until restart —
 // mirroring RemoteTier's transport-failure policy.
 type Store struct {
@@ -119,21 +120,32 @@ func (s *Store) DestroyPool(id tmem.PoolID) error {
 
 func (s *Store) Put(key tmem.Key, data []byte) tmem.Status {
 	st := s.b.Put(key, data)
-	if st != tmem.STmem || !s.log.HasPool(key.Pool) {
+	if !s.log.HasPool(key.Pool) {
 		return st
 	}
-	if s.degraded.Load() {
-		// Durability is suspended: refuse the persistent put rather than
+	if st == tmem.STmem {
+		// With durability suspended, refuse the persistent put rather than
 		// acknowledge a page a crash would lose.
-		s.b.FlushPage(key)
-		return tmem.ETmem
-	}
-	if err := s.log.Put(key, data); err != nil {
+		if !s.degraded.Load() && s.log.Put(key, data) == nil {
+			return st
+		}
 		s.degrade()
 		s.b.FlushPage(key)
-		return tmem.ETmem
+		st = tmem.ETmem
 	}
+	s.dropRefused(key)
 	return st
+}
+
+// dropRefused journals the end of a key's previous version after a refused
+// put: tmem's contract is that a failed put invalidates the old copy, and
+// the backend has dropped it, so neither a later Get nor a recovery may
+// serve it from the journal. Log.FlushPage writes a record only when the
+// journal holds a version.
+func (s *Store) dropRefused(key tmem.Key) {
+	if _, err := s.log.FlushPage(key); err != nil {
+		s.degrade()
+	}
 }
 
 func (s *Store) Get(key tmem.Key, dst []byte) tmem.Status {
@@ -225,10 +237,7 @@ func (s *Store) PutBatch(keys []tmem.Key, datas [][]byte, sts []tmem.Status) {
 			jIdx = append(jIdx, i)
 		}
 	}
-	if len(jKeys) == 0 {
-		return
-	}
-	if s.degraded.Load() || s.log.PutBatch(jKeys, jDatas) != nil {
+	if len(jKeys) > 0 && (s.degraded.Load() || s.log.PutBatch(jKeys, jDatas) != nil) {
 		s.degrade()
 		for n, key := range jKeys {
 			s.b.FlushPage(key)
@@ -237,6 +246,11 @@ func (s *Store) PutBatch(keys []tmem.Key, datas [][]byte, sts []tmem.Status) {
 				i = jIdx[n]
 			}
 			sts[i] = tmem.ETmem
+		}
+	}
+	for i, key := range keys {
+		if sts[i] != tmem.STmem && journaled.has(key.Pool) {
+			s.dropRefused(key)
 		}
 	}
 }

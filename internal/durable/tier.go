@@ -7,8 +7,8 @@ import (
 	"smartmem/internal/tmem"
 )
 
-// Tier adapts a Log to tmem.Tier/BatchTier: the terminal leg of the
-// demotion chain (RAM → compressed RAM → peer RAM → durable blob). Only
+// Tier adapts a Log to tmem.Tier: the terminal leg of the demotion
+// chain (RAM → compressed RAM → peer RAM → durable blob). Only
 // persistent (frontswap) pages are accepted — an ephemeral page's
 // contract allows dropping it, so journaling it buys nothing and costs a
 // blob write. Like RemoteTier, a blob-store failure flips the tier into
@@ -190,7 +190,4 @@ func (s *Summary) Add(o Summary) {
 	s.Log.Add(o.Log)
 }
 
-var (
-	_ tmem.Tier      = (*Tier)(nil)
-	_ tmem.BatchTier = (*Tier)(nil)
-)
+var _ tmem.Tier = (*Tier)(nil)

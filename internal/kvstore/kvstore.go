@@ -565,12 +565,17 @@ func (sc *batchScratch) parseGetBatch(data []byte, pageSize int) error {
 	return nil
 }
 
-// Client speaks the KV protocol over an established connection. Not safe
-// for concurrent use (the protocol is strict request/response).
+// Client speaks the KV protocol over an established connection. It is safe
+// for concurrent use: every request/response exchange holds the client's
+// lock (the protocol is strict request/response), so one wire connection
+// can serve a RemoteTier attached to a backend that many connections drive.
 type Client struct {
 	c        net.Conn
 	pageSize int
-	bbuf     []byte // reusable batch frame buffer
+
+	mu   sync.Mutex
+	hdr  [5]byte // response header
+	bbuf []byte  // request frames and response payloads, reused
 }
 
 // NewClient wraps a connection; pageSize must match the server's backend.
@@ -584,43 +589,74 @@ func NewClient(c net.Conn, pageSize int) *Client {
 	return &Client{c: c, pageSize: pageSize}
 }
 
+// Deprecated: SyncClient is Client, which serializes its own exchanges.
+type SyncClient = Client
+
+// Deprecated: NewSyncClient returns cl; a Client is safe for concurrent use.
+func NewSyncClient(cl *Client) *Client { return cl }
+
 // Close closes the connection.
 func (cl *Client) Close() error { return cl.c.Close() }
 
-func (cl *Client) do(op byte, key tmem.Key, data []byte) (tmem.Status, []byte, error) {
+// do runs one single-page exchange. A response payload lands in dst on
+// S_TMEM, truncated to len(dst); any other payload is read and dropped.
+// It returns the status and the payload length.
+func (cl *Client) do(op byte, key tmem.Key, data, dst []byte) (tmem.Status, int, error) {
 	if len(data) > cl.pageSize {
-		return tmem.EInval, nil, fmt.Errorf("kvstore: payload %d exceeds page size %d", len(data), cl.pageSize)
+		return tmem.EInval, 0, fmt.Errorf("kvstore: payload %d exceeds page size %d", len(data), cl.pageSize)
 	}
-	req := make([]byte, 0, reqHeaderSize+len(data))
-	req = append(req, op)
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	req := append(cl.bbuf[:0], op)
 	req = key.AppendWire(req)
 	req = binary.BigEndian.AppendUint32(req, uint32(len(data)))
-	req = append(req, data...)
-	if _, err := cl.c.Write(req); err != nil {
-		return tmem.EInval, nil, err
+	cl.bbuf = append(req, data...)
+	st, n, err := cl.roundTrip(cl.pageSize)
+	if err != nil || n == 0 {
+		return st, n, err
 	}
-	var hdr [5]byte
-	if _, err := io.ReadFull(cl.c, hdr[:]); err != nil {
-		return tmem.EInval, nil, err
+	if st == tmem.STmem && len(dst) >= n {
+		_, err = io.ReadFull(cl.c, dst[:n])
+		return st, n, err
 	}
-	status := tmem.Status(int8(hdr[0]))
-	n := binary.BigEndian.Uint32(hdr[1:5])
-	if int(n) > cl.pageSize {
-		return tmem.EInval, nil, fmt.Errorf("kvstore: response payload %d exceeds page size", n)
+	p, err := cl.readPayload(n)
+	if st == tmem.STmem {
+		copy(dst, p)
 	}
-	var payload []byte
-	if n > 0 {
-		payload = make([]byte, n)
-		if _, err := io.ReadFull(cl.c, payload); err != nil {
-			return tmem.EInval, nil, err
-		}
+	return st, n, err
+}
+
+// roundTrip sends the request frame built in bbuf and reads the response
+// header, refusing a payload longer than limit; the payload itself is left
+// on the wire. The caller holds mu.
+func (cl *Client) roundTrip(limit int) (tmem.Status, int, error) {
+	if _, err := cl.c.Write(cl.bbuf); err != nil {
+		return tmem.EInval, 0, err
 	}
-	return status, payload, nil
+	if _, err := io.ReadFull(cl.c, cl.hdr[:]); err != nil {
+		return tmem.EInval, 0, err
+	}
+	n := int(binary.BigEndian.Uint32(cl.hdr[1:5]))
+	if n > limit {
+		return tmem.EInval, 0, fmt.Errorf("kvstore: response payload %d exceeds %d", n, limit)
+	}
+	return tmem.Status(int8(cl.hdr[0])), n, nil
+}
+
+// readPayload reads an n-byte response payload into bbuf. The caller holds
+// mu and must be done with the bytes before releasing it.
+func (cl *Client) readPayload(n int) ([]byte, error) {
+	if cap(cl.bbuf) < n {
+		cl.bbuf = make([]byte, n)
+	}
+	p := cl.bbuf[:n]
+	_, err := io.ReadFull(cl.c, p)
+	return p, err
 }
 
 // NewPool creates a pool for vm of the given kind and returns its id.
 func (cl *Client) NewPool(vm tmem.VMID, kind tmem.PoolKind) (tmem.PoolID, error) {
-	st, _, err := cl.do(OpNewPool, tmem.Key{Pool: tmem.PoolID(vm), Object: tmem.ObjectID(kind)}, nil)
+	st, _, err := cl.do(OpNewPool, tmem.Key{Pool: tmem.PoolID(vm), Object: tmem.ObjectID(kind)}, nil, nil)
 	if err != nil {
 		return tmem.InvalidPool, err
 	}
@@ -632,41 +668,48 @@ func (cl *Client) NewPool(vm tmem.VMID, kind tmem.PoolKind) (tmem.PoolID, error)
 
 // Put stores a page (copied; nil means a zero page).
 func (cl *Client) Put(key tmem.Key, data []byte) (tmem.Status, error) {
-	st, _, err := cl.do(OpPut, key, data)
+	st, _, err := cl.do(OpPut, key, data, nil)
 	return st, err
 }
 
 // Get retrieves a page; on S_TMEM the returned slice holds the page.
 func (cl *Client) Get(key tmem.Key) (tmem.Status, []byte, error) {
-	return cl.do(OpGet, key, nil)
+	page := make([]byte, cl.pageSize)
+	st, n, err := cl.do(OpGet, key, nil, page)
+	if err != nil || st != tmem.STmem {
+		return st, nil, err
+	}
+	return st, page[:n], nil
+}
+
+// GetInto retrieves a page straight into dst (nil when only presence
+// matters): the response is read into the caller's buffer, with no page
+// allocated or copied on the way.
+func (cl *Client) GetInto(key tmem.Key, dst []byte) (tmem.Status, error) {
+	st, _, err := cl.do(OpGet, key, nil, dst)
+	return st, err
 }
 
 // FlushPage invalidates one page.
 func (cl *Client) FlushPage(key tmem.Key) (tmem.Status, error) {
-	st, _, err := cl.do(OpFlushPage, key, nil)
+	st, _, err := cl.do(OpFlushPage, key, nil, nil)
 	return st, err
 }
 
-// FlushObject invalidates every page of an object.
-func (cl *Client) FlushObject(pool tmem.PoolID, object tmem.ObjectID) (tmem.Status, error) {
-	_, st, err := cl.FlushObjectCount(pool, object)
-	return st, err
-}
-
-// FlushObjectCount is FlushObject plus the pages-freed count the server
-// reports in the response payload (tmem's objectFlushCounter refinement).
+// FlushObjectCount invalidates every page of an object and returns the
+// pages-freed count the server reports in the response payload.
 func (cl *Client) FlushObjectCount(pool tmem.PoolID, object tmem.ObjectID) (mem.Pages, tmem.Status, error) {
-	st, payload, err := cl.do(OpFlushObject, tmem.Key{Pool: pool, Object: object}, nil)
-	var n mem.Pages
-	if err == nil && st == tmem.STmem && len(payload) >= 8 {
-		n = mem.Pages(binary.BigEndian.Uint64(payload))
+	var count [8]byte
+	st, n, err := cl.do(OpFlushObject, tmem.Key{Pool: pool, Object: object}, nil, count[:])
+	if err != nil || st != tmem.STmem || n != len(count) {
+		return 0, st, err
 	}
-	return n, st, err
+	return mem.Pages(binary.BigEndian.Uint64(count[:])), st, nil
 }
 
 // DestroyPool flushes and removes a pool.
 func (cl *Client) DestroyPool(pool tmem.PoolID) (tmem.Status, error) {
-	st, _, err := cl.do(OpDestroyPool, tmem.Key{Pool: pool}, nil)
+	st, _, err := cl.do(OpDestroyPool, tmem.Key{Pool: pool}, nil, nil)
 	return st, err
 }
 
@@ -678,6 +721,8 @@ func (cl *Client) PutBatch(keys []tmem.Key, datas [][]byte, sts []tmem.Status) e
 	if len(sts) != len(keys) || (datas != nil && len(datas) != len(keys)) {
 		return fmt.Errorf("kvstore: batch slice length mismatch")
 	}
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
 	for start := 0; start < len(keys); start += MaxBatch {
 		end := min(start+MaxBatch, len(keys))
 		var chunk [][]byte
@@ -692,8 +737,7 @@ func (cl *Client) PutBatch(keys []tmem.Key, datas [][]byte, sts []tmem.Status) e
 }
 
 func (cl *Client) putBatchChunk(keys []tmem.Key, datas [][]byte, sts []tmem.Status) error {
-	req := cl.bbuf[:0]
-	req = append(req, OpPutBatch)
+	req := append(cl.bbuf[:0], OpPutBatch)
 	req = append(req, make([]byte, keyWireSize)...) // header key unused
 	lenAt := len(req)
 	req = append(req, 0, 0, 0, 0)
@@ -712,26 +756,18 @@ func (cl *Client) putBatchChunk(keys []tmem.Key, datas [][]byte, sts []tmem.Stat
 	}
 	binary.BigEndian.PutUint32(req[lenAt:], uint32(len(req)-reqHeaderSize))
 	cl.bbuf = req
-	if _, err := cl.c.Write(req); err != nil {
+	st, n, err := cl.roundTrip(len(keys))
+	if err != nil {
 		return err
 	}
-	var hdr [5]byte
-	if _, err := io.ReadFull(cl.c, hdr[:]); err != nil {
-		return err
-	}
-	if st := tmem.Status(int8(hdr[0])); st != tmem.STmem {
+	if st != tmem.STmem {
 		return fmt.Errorf("kvstore: put-batch rejected: %v", st)
 	}
-	n := int(binary.BigEndian.Uint32(hdr[1:5]))
 	if n != len(keys) {
 		return fmt.Errorf("kvstore: put-batch response carries %d statuses, want %d", n, len(keys))
 	}
-	resp := cl.bbuf[:0]
-	if cap(resp) < n {
-		resp = make([]byte, n)
-	}
-	resp = resp[:n]
-	if _, err := io.ReadFull(cl.c, resp); err != nil {
+	resp, err := cl.readPayload(n)
+	if err != nil {
 		return err
 	}
 	for i, b := range resp {
@@ -747,6 +783,8 @@ func (cl *Client) GetBatch(keys []tmem.Key, dsts [][]byte, sts []tmem.Status) er
 	if len(sts) != len(keys) || (dsts != nil && len(dsts) != len(keys)) {
 		return fmt.Errorf("kvstore: batch slice length mismatch")
 	}
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
 	for start := 0; start < len(keys); start += MaxBatch {
 		end := min(start+MaxBatch, len(keys))
 		var chunk [][]byte
@@ -761,8 +799,7 @@ func (cl *Client) GetBatch(keys []tmem.Key, dsts [][]byte, sts []tmem.Status) er
 }
 
 func (cl *Client) getBatchChunk(keys []tmem.Key, dsts [][]byte, sts []tmem.Status) error {
-	req := cl.bbuf[:0]
-	req = append(req, OpGetBatch)
+	req := append(cl.bbuf[:0], OpGetBatch)
 	req = append(req, make([]byte, keyWireSize)...)
 	req = binary.BigEndian.AppendUint32(req, uint32(4+len(keys)*keyWireSize))
 	req = binary.BigEndian.AppendUint32(req, uint32(len(keys)))
@@ -770,25 +807,15 @@ func (cl *Client) getBatchChunk(keys []tmem.Key, dsts [][]byte, sts []tmem.Statu
 		req = k.AppendWire(req)
 	}
 	cl.bbuf = req
-	if _, err := cl.c.Write(req); err != nil {
+	st, n, err := cl.roundTrip(len(keys) * (5 + cl.pageSize))
+	if err != nil {
 		return err
 	}
-	var hdr [5]byte
-	if _, err := io.ReadFull(cl.c, hdr[:]); err != nil {
-		return err
-	}
-	if st := tmem.Status(int8(hdr[0])); st != tmem.STmem {
+	if st != tmem.STmem {
 		return fmt.Errorf("kvstore: get-batch rejected: %v", st)
 	}
-	n := int(binary.BigEndian.Uint32(hdr[1:5]))
-	if maxResp := len(keys) * (5 + cl.pageSize); n > maxResp {
-		return fmt.Errorf("kvstore: get-batch response %d exceeds maximum %d", n, maxResp)
-	}
-	if cap(cl.bbuf) < n {
-		cl.bbuf = make([]byte, n)
-	}
-	resp := cl.bbuf[:n]
-	if _, err := io.ReadFull(cl.c, resp); err != nil {
+	resp, err := cl.readPayload(n)
+	if err != nil {
 		return err
 	}
 	off := 0
@@ -812,97 +839,5 @@ func (cl *Client) getBatchChunk(keys []tmem.Key, dsts [][]byte, sts []tmem.Statu
 
 // Client implements tmem.PageService: a RemoteTier pointed at a Client
 // ships its overflow pages to a smartmem-kvd daemon over the wire —
-// RAMster-style remote tmem between real processes. A bare Client is not
-// safe for concurrent use; a tier serving a concurrent backend must wrap
-// it in SyncClient.
+// RAMster-style remote tmem between real processes.
 var _ tmem.PageService = (*Client)(nil)
-
-// SyncClient wraps a Client with a mutex so one wire connection can serve
-// a concurrent caller (e.g. a RemoteTier attached to a backend handling
-// many connections): each request/response exchange runs under the lock,
-// keeping frames from interleaving on the shared conn.
-type SyncClient struct {
-	mu sync.Mutex
-	cl *Client
-}
-
-// NewSyncClient wraps cl.
-func NewSyncClient(cl *Client) *SyncClient {
-	if cl == nil {
-		panic("kvstore: nil client")
-	}
-	return &SyncClient{cl: cl}
-}
-
-// Close closes the underlying connection.
-func (s *SyncClient) Close() error { return s.cl.Close() }
-
-// NewPool implements tmem.PageService.
-func (s *SyncClient) NewPool(vm tmem.VMID, kind tmem.PoolKind) (tmem.PoolID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cl.NewPool(vm, kind)
-}
-
-// Put implements tmem.PageService.
-func (s *SyncClient) Put(key tmem.Key, data []byte) (tmem.Status, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cl.Put(key, data)
-}
-
-// Get implements tmem.PageService.
-func (s *SyncClient) Get(key tmem.Key) (tmem.Status, []byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cl.Get(key)
-}
-
-// FlushPage implements tmem.PageService.
-func (s *SyncClient) FlushPage(key tmem.Key) (tmem.Status, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cl.FlushPage(key)
-}
-
-// FlushObject implements tmem.PageService.
-func (s *SyncClient) FlushObject(pool tmem.PoolID, object tmem.ObjectID) (tmem.Status, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cl.FlushObject(pool, object)
-}
-
-// FlushObjectCount mirrors Client.FlushObjectCount under the lock.
-func (s *SyncClient) FlushObjectCount(pool tmem.PoolID, object tmem.ObjectID) (mem.Pages, tmem.Status, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cl.FlushObjectCount(pool, object)
-}
-
-// DestroyPool implements tmem.PageService.
-func (s *SyncClient) DestroyPool(pool tmem.PoolID) (tmem.Status, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cl.DestroyPool(pool)
-}
-
-// PutBatch implements tmem.BatchPageService: the whole run crosses the
-// wire in one round trip (per MaxBatch chunk) under one lock acquisition.
-func (s *SyncClient) PutBatch(keys []tmem.Key, datas [][]byte, sts []tmem.Status) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cl.PutBatch(keys, datas, sts)
-}
-
-// GetBatch implements tmem.BatchPageService.
-func (s *SyncClient) GetBatch(keys []tmem.Key, dsts [][]byte, sts []tmem.Status) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cl.GetBatch(keys, dsts, sts)
-}
-
-var (
-	_ tmem.PageService      = (*SyncClient)(nil)
-	_ tmem.BatchPageService = (*Client)(nil)
-	_ tmem.BatchPageService = (*SyncClient)(nil)
-)

@@ -2,7 +2,9 @@ package kvstore
 
 import (
 	"bytes"
+	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 
@@ -67,8 +69,8 @@ func TestFlushObjectOverWire(t *testing.T) {
 			t.Fatalf("put %d failed", i)
 		}
 	}
-	if st, err := cl.FlushObject(pool, 3); err != nil || st != tmem.STmem {
-		t.Fatalf("FlushObject = %v, %v", st, err)
+	if n, st, err := cl.FlushObjectCount(pool, 3); err != nil || st != tmem.STmem || n != 5 {
+		t.Fatalf("FlushObjectCount = %d, %v, %v; want 5 pages freed", n, st, err)
 	}
 	if used := srv.Backend().UsedBy(1); used != 0 {
 		t.Errorf("backend used = %d after object flush", used)
@@ -344,8 +346,8 @@ func TestBatchSplitsLongRuns(t *testing.T) {
 	}
 }
 
-// A RemoteTier driving a SyncClient over the wire must ship overflow runs
-// as batch frames end to end (node -> wire -> kvd backend).
+// A RemoteTier driving a Client over the wire must ship overflow runs as
+// batch frames end to end (node -> wire -> kvd backend).
 func TestRemoteTierBatchOverWire(t *testing.T) {
 	peer := tmem.NewBackend(1<<16, tmem.NewDataStore(pageSize))
 	srv := NewServer(peer)
@@ -355,7 +357,7 @@ func TestRemoteTierBatchOverWire(t *testing.T) {
 	defer cl.Close()
 
 	local := tmem.NewBackend(8, tmem.NewDataStore(pageSize))
-	local.AttachTier(tmem.NewRemoteTier("kvd", NewSyncClient(cl), 77))
+	local.AttachTier(tmem.NewRemoteTier("kvd", cl, 77))
 	pool := local.NewPool(1, tmem.Persistent)
 
 	const n = 32
@@ -388,5 +390,115 @@ func TestRemoteTierBatchOverWire(t *testing.T) {
 		if !bytes.Equal(dsts[i], datas[i]) {
 			t.Fatalf("page %d corrupted through the remote tier", i)
 		}
+	}
+}
+
+// TestClientConcurrentUse: one Client shared by 8 goroutines (run with
+// -race) serializes its own exchanges — every answer matches the goroutine's
+// private model of its own pool.
+func TestClientConcurrentUse(t *testing.T) {
+	srv := NewServer(tmem.NewBackendOpts(4096, tmem.Options{
+		Shards:   4,
+		NewStore: func() tmem.PageStore { return tmem.NewDataStore(pageSize) },
+	}))
+	a, b := net.Pipe()
+	go func() { _ = srv.ServeConn(b) }()
+	cl := NewClient(a, pageSize)
+	defer cl.Close()
+
+	const workers, steps = 8, 150
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			pool, err := cl.NewPool(tmem.VMID(seed), tmem.Persistent)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			model := map[tmem.Key]byte{}
+			key := func() tmem.Key {
+				return tmem.Key{Pool: pool, Object: tmem.ObjectID(rng.Intn(3)), Index: tmem.PageIndex(rng.Intn(16))}
+			}
+			check := func(k tmem.Key, st tmem.Status, got []byte) {
+				v, held := model[k]
+				switch {
+				case !held && st != tmem.ETmem:
+					t.Errorf("worker %d: get %v = %v, want E_TMEM", seed, k, st)
+				case held && (st != tmem.STmem || !bytes.Equal(got, page(v))):
+					t.Errorf("worker %d: get %v = %v with other bytes, want S_TMEM and page %#x", seed, k, st, v)
+				}
+			}
+			dst := make([]byte, pageSize)
+			for i := 0; i < steps; i++ {
+				switch rng.Intn(5) {
+				case 0:
+					k, v := key(), byte(rng.Intn(256))
+					if st, err := cl.Put(k, page(v)); err != nil || st != tmem.STmem {
+						t.Errorf("worker %d: put %v = %v, %v", seed, k, st, err)
+					}
+					model[k] = v
+				case 1:
+					k := key()
+					st, err := cl.GetInto(k, dst)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					check(k, st, dst)
+				case 2:
+					var keys []tmem.Key
+					for len(keys) < 3 {
+						if k := key(); !slices.Contains(keys, k) {
+							keys = append(keys, k)
+						}
+					}
+					datas, sts := make([][]byte, len(keys)), make([]tmem.Status, len(keys))
+					for j := range keys {
+						v := byte(rng.Intn(256))
+						datas[j], model[keys[j]] = page(v), v
+					}
+					if err := cl.PutBatch(keys, datas, sts); err != nil {
+						t.Error(err)
+						return
+					}
+					for j, st := range sts {
+						if st != tmem.STmem {
+							t.Errorf("worker %d: batch put %v = %v", seed, keys[j], st)
+						}
+					}
+				case 3:
+					keys := []tmem.Key{key(), key(), key(), key()}
+					dsts := [][]byte{make([]byte, pageSize), make([]byte, pageSize), make([]byte, pageSize), make([]byte, pageSize)}
+					sts := make([]tmem.Status, len(keys))
+					if err := cl.GetBatch(keys, dsts, sts); err != nil {
+						t.Error(err)
+						return
+					}
+					for j, k := range keys {
+						check(k, sts[j], dsts[j])
+					}
+				case 4:
+					obj := tmem.ObjectID(rng.Intn(3))
+					want := 0
+					for k := range model {
+						if k.Object == obj {
+							delete(model, k)
+							want++
+						}
+					}
+					n, st, err := cl.FlushObjectCount(pool, obj)
+					if err != nil || int(n) != want || (want > 0) != (st == tmem.STmem) {
+						t.Errorf("worker %d: flush object %d = %d, %v, %v; want %d pages", seed, obj, n, st, err, want)
+					}
+				}
+			}
+		}(int64(w + 1))
+	}
+	wg.Wait()
+	if err := srv.Backend().CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }

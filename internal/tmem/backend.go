@@ -251,9 +251,9 @@ func (b *Backend) Tiers() []Tier { return b.tiersView }
 
 // SetGate installs (nil removes) a synchronization hook invoked on entry
 // to every owner-surface method — the public operations the backend's
-// owning simulation driver issues, as opposed to the ...Local surface a
-// Loopback peer injects through (which stays ungated and is ordered by the
-// transport's own gate; see Loopback.SetGate). The parallel cluster
+// owning simulation driver issues, as opposed to the op bodies a Loopback
+// peer injects through with tiers off (which stay ungated and are ordered
+// by the transport's own gate; see Loopback.SetGate). The parallel cluster
 // runtime uses the pair to delay each side until no ring peer can still
 // issue an earlier-timestamped operation, keeping the parallel event order
 // identical to the sequential one. Install before traffic starts and clear
@@ -543,91 +543,187 @@ func (b *Backend) evictHead(sh *shard) bool {
 // guest a disk swap. The local rejection still counts as a failed put in
 // the MemStats sample, so policies keep seeing the pressure that caused the
 // overflow.
-func (b *Backend) Put(key Key, data []byte) Status {
-	b.enter()
+func (b *Backend) Put(key Key, data []byte) Status { return b.put(key, data, true) }
+
+// put is Put's body. withTiers selects the owner surface: the owner gate
+// runs and a refused page walks the tiers. Loopback serves remote peers the
+// body with tiers off — ungated, ordered by its own gate — so an overflow
+// page accepted on behalf of a peer never cascades into this node's tiers.
+// The other op bodies take the same argument.
+func (b *Backend) put(key Key, data []byte, withTiers bool) Status {
+	if withTiers {
+		b.enter()
+	}
 	p := b.pool(key.Pool)
 	if p == nil {
 		return EInval
 	}
-	st, fromTier, sh := b.putLocal(p, key, data)
-	if len(b.tiers) == 0 {
+	a := p.acct
+	a.putsTotal.Add(1)
+	a.cumulPutsTotal.Add(1)
+	sh := b.shardFor(key)
+	st, fromTier := b.putRetry(sh, p, a, key, data)
+	if !withTiers || len(b.tiers) == 0 {
 		return st
 	}
 	switch {
 	case st == STmem && fromTier >= 0:
-		// A fresh local copy supersedes the page's lower-tier copy; drop
-		// the stale one so it can never shadow the new contents — unless a
-		// concurrent overflow re-tracked the key in the meantime (then the
-		// tier slot holds that newer acknowledged copy, not our stale one,
-		// and must survive). Concurrent same-key operations from KV
-		// clients otherwise have undefined ordering, as with any
-		// concurrent store.
-		if sh.remoteTier(key) < 0 {
-			b.tiers[fromTier].FlushPage(key)
-		}
+		b.supersede(sh, key, fromTier)
 	case st == ETmem:
-		if b.offerTiers(p, sh, key, data) == STmem {
-			return STmem
-		}
+		// A run of one down the walk PutBatch takes. Every slice lives on
+		// this stack frame: offer keeps none of them.
+		var (
+			ft       [1]int16
+			run, rem [1]int32
+			sts      [1]Status
+		)
+		b.offer(&tierWalk{
+			keys: []Key{key}, pools: []*Pool{p}, datas: [][]byte{data}, sts: sts[:],
+			offer: []int32{0}, ft: ft[:], run: run[:], rem: rem[:],
+		}, nil)
+		return sts[0]
 	}
 	return st
 }
 
-// offerTiers walks the tier stack with a page the local store rejected. A
-// key already tracked in a tier is re-offered there first (the tier
-// replaces contents in place); otherwise the stack is walked top-down and
-// the accepting tier recorded. Tracking happens only if no concurrent put
-// landed the key locally in the meantime — the tier copy is flushed
-// instead (see noteRemoteIfFree).
-func (b *Backend) offerTiers(p *Pool, sh *shard, key Key, data []byte) Status {
-	tried := -1
-	if ti := sh.remoteTier(key); ti >= 0 {
-		if b.tiers[ti].Put(key, p.kind, data) == STmem {
-			if !sh.noteRemoteIfFree(p, key, ti) {
-				b.tiers[ti].FlushPage(key)
-			}
-			return STmem
-		}
-		sh.dropRemote(key)
-		tried = ti
+// supersede drops the lower-tier copy of a key that just landed locally
+// (fromTier is the tier it was tracked in), so the stale copy can never
+// shadow the new contents — unless a concurrent overflow re-tracked the key
+// in the meantime (then the tier slot holds that newer acknowledged copy,
+// not our stale one, and must survive). Concurrent same-key operations from
+// KV clients otherwise have undefined ordering, as with any concurrent
+// store.
+func (b *Backend) supersede(sh *shard, key Key, fromTier int) {
+	if sh.remoteTier(key) < 0 {
+		b.tiers[fromTier].FlushPage(key)
 	}
-	for i, t := range b.tiers {
-		if i == tried {
-			continue // this tier just rejected the re-offer
-		}
-		if t.Put(key, p.kind, data) == STmem {
-			if !sh.noteRemoteIfFree(p, key, i) {
-				t.FlushPage(key)
-			}
-			return STmem
-		}
-	}
-	return ETmem
 }
 
-// PutLocal is Put restricted to tier 0, the local striped store. It is the
-// surface Loopback serves to remote peers: an overflow page accepted on
-// behalf of a peer can never cascade into this node's own tiers.
-func (b *Backend) PutLocal(key Key, data []byte) Status {
-	p := b.pool(key.Pool)
-	if p == nil {
-		return EInval
-	}
-	st, _, _ := b.putLocal(p, key, data)
-	return st
+// tierWalk is a run of puts the local store refused, on its way down the
+// tier stack. offer reads its slices and keeps none of them, so Put can
+// build a walk of one on its stack.
+type tierWalk struct {
+	keys  []Key
+	pools []*Pool
+	datas [][]byte // nil: zero pages
+	sts   []Status // receives one answer per offered key
+	offer []int32  // the refused keys, as indexes into keys
+	// Scratch: ft has a slot per key, run and rem room for every offered key.
+	ft       []int16
+	run, rem []int32
 }
 
-// putLocal runs the local put path of Algorithm 1. fromTier reports the
-// tier index a lower-tier copy of key was tracked under (-1 when none) so
-// the caller can invalidate the now-stale copy after a local success; the
-// key's shard rides along so the tiered path need not re-hash the key.
-func (b *Backend) putLocal(p *Pool, key Key, data []byte) (st Status, fromTier int, sh *shard) {
-	a := p.acct
-	a.putsTotal.Add(1)
-	a.cumulPutsTotal.Add(1)
-	sh = b.shardFor(key)
-	st, fromTier = b.putRetry(sh, p, a, key, data)
-	return st, fromTier, sh
+// offer is the one tier walk. Every key of w.offer was refused by the local
+// store with E_TMEM:
+//
+//  1. a key already tracked in a tier is re-offered there first (the tier
+//     replaces its contents in place), one run per tier;
+//  2. what is untracked, or was just refused, walks the stack top down, one
+//     run per tier, skipping the tier that just refused it;
+//  3. a key a tier accepts is tracked there (noteRemoteIfFree) or — when a
+//     concurrent put landed it locally or its pool died meanwhile — flushed
+//     from that tier again.
+//
+// A key no tier takes answers E_TMEM. sc carries the marshalling buffers of
+// runs longer than one; a walk of one passes nil.
+func (b *Backend) offer(w *tierWalk, sc *batchScratch) {
+	// w.ft[i] is the tier key i was tracked in (-1 for none), which is also
+	// the one tier the walk must not ask again.
+	rem := w.rem[:0]
+	for _, i := range w.offer {
+		ti := b.shardFor(w.keys[i]).remoteTier(w.keys[i])
+		w.ft[i] = int16(ti)
+		if ti < 0 {
+			rem = append(rem, i)
+		}
+	}
+	if len(rem) < len(w.offer) {
+		for ti, t := range b.tiers {
+			run := w.run[:0]
+			for _, i := range w.offer {
+				if int(w.ft[i]) == ti {
+					run = append(run, i)
+				}
+			}
+			if len(run) == 0 {
+				continue
+			}
+			b.offerRun(t, w, run, sc)
+			for _, i := range run {
+				if w.sts[i] == STmem {
+					b.accepted(t, ti, w, i)
+					continue
+				}
+				b.shardFor(w.keys[i]).dropRemote(w.keys[i])
+				rem = append(rem, i)
+			}
+		}
+	}
+	for ti, t := range b.tiers {
+		if len(rem) == 0 {
+			break
+		}
+		run := w.run[:0]
+		for _, i := range rem {
+			if int(w.ft[i]) != ti {
+				run = append(run, i)
+			}
+		}
+		if len(run) == 0 {
+			continue
+		}
+		b.offerRun(t, w, run, sc)
+		next := rem[:0]
+		for _, i := range rem {
+			if int(w.ft[i]) != ti && w.sts[i] == STmem {
+				b.accepted(t, ti, w, i)
+				continue
+			}
+			next = append(next, i)
+		}
+		rem = next
+	}
+	for _, i := range rem {
+		w.sts[i] = ETmem // every tier refused the page
+	}
+}
+
+// offerRun offers the keys of run to t, leaving each answer in w.sts: one
+// Put for a run of one, else one PutBatch marshalled through sc.
+func (b *Backend) offerRun(t Tier, w *tierWalk, run []int32, sc *batchScratch) {
+	if len(run) == 1 {
+		i := run[0]
+		w.sts[i] = t.Put(w.keys[i], w.pools[i].kind, w.data(i))
+		return
+	}
+	sc.subKeys, sc.subKinds, sc.subDatas, sc.subSts = sc.subKeys[:0], sc.subKinds[:0], sc.subDatas[:0], sc.subSts[:0]
+	for _, i := range run {
+		sc.subKeys = append(sc.subKeys, w.keys[i])
+		sc.subKinds = append(sc.subKinds, w.pools[i].kind)
+		sc.subDatas = append(sc.subDatas, w.data(i))
+		sc.subSts = append(sc.subSts, ETmem)
+	}
+	t.PutBatch(sc.subKeys, sc.subKinds, sc.subDatas, sc.subSts)
+	for j, i := range run {
+		w.sts[i] = sc.subSts[j]
+	}
+}
+
+// accepted settles key i, which tier ti (t) took: tracked there, or
+// flushed from it again (see offer, step 3).
+func (b *Backend) accepted(t Tier, ti int, w *tierWalk, i int32) {
+	if !b.shardFor(w.keys[i]).noteRemoteIfFree(w.pools[i], w.keys[i], ti) {
+		t.FlushPage(w.keys[i])
+	}
+	w.sts[i] = STmem
+}
+
+// data is key i's page (nil: the zero page).
+func (w *tierWalk) data(i int32) []byte {
+	if w.datas == nil {
+		return nil
+	}
+	return w.datas[i]
 }
 
 // putRetry runs the local put attempt/evict loop of Algorithm 1. The caller
@@ -729,8 +825,14 @@ func (b *Backend) tryPutLocked(sh *shard, p *Pool, a *vmAccount, key Key, data [
 // With tiers attached, a local miss on a key whose copy was shipped to a
 // lower tier is served from that tier (and counted as a hit: tmem served
 // the page, wherever it sat).
-func (b *Backend) Get(key Key, dst []byte) Status {
-	b.enter()
+func (b *Backend) Get(key Key, dst []byte) Status { return b.get(key, dst, true) }
+
+// get is Get's body (see put); with tiers off a key tracked in a lower tier
+// reads as a miss.
+func (b *Backend) get(key Key, dst []byte, withTiers bool) Status {
+	if withTiers {
+		b.enter()
+	}
 	p := b.pool(key.Pool)
 	if p == nil {
 		return EInval
@@ -741,7 +843,7 @@ func (b *Backend) Get(key Key, dst []byte) Status {
 	sh := b.shardFor(key)
 	sh.mu.Lock()
 	e := sh.lookup(key)
-	if e == nil {
+	if e == nil || (e.tier != tierLocal && !withTiers) {
 		sh.mu.Unlock()
 		return ETmem
 	}
@@ -752,36 +854,23 @@ func (b *Backend) Get(key Key, dst []byte) Status {
 	}
 	ti := e.tier
 	sh.mu.Unlock()
-	if b.tiers[ti].Get(key, dst) == STmem {
-		a.cumulGetsHit.Add(1)
+	return b.tierAnswered(p, key, b.tiers[ti].Get(key, dst))
+}
+
+// tierAnswered settles a get of a tier-tracked key with the tier's answer:
+// a hit counts (tmem served the page, wherever it sat) and, being
+// destructive for an ephemeral page, ends the tracking; a miss — an
+// ephemeral drop on the peer, or the tier went down — ends it too.
+func (b *Backend) tierAnswered(p *Pool, key Key, st Status) Status {
+	if st == STmem {
+		p.acct.cumulGetsHit.Add(1)
 		if p.kind == Ephemeral {
-			// Lower-tier ephemeral gets are destructive too.
-			sh.dropRemote(key)
+			b.shardFor(key).dropRemote(key)
 		}
 		return STmem
 	}
-	// The tier no longer holds the page (an ephemeral drop on the peer, or
-	// the tier went down); stop tracking it.
-	sh.dropRemote(key)
+	b.shardFor(key).dropRemote(key)
 	return ETmem
-}
-
-// GetLocal is Get restricted to tier 0 (the Loopback surface; see PutLocal).
-func (b *Backend) GetLocal(key Key, dst []byte) Status {
-	p := b.pool(key.Pool)
-	if p == nil {
-		return EInval
-	}
-	a := p.acct
-	a.cumulGetsTotal.Add(1)
-	sh := b.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.lookup(key)
-	if e == nil || e.tier != tierLocal {
-		return ETmem
-	}
-	return b.getHitLocked(sh, p, a, e, dst)
 }
 
 // getHitLocked serves a local hit; the caller holds sh.mu.
@@ -816,8 +905,14 @@ func (b *Backend) Contains(key Key) bool {
 // deallocate, tmem_used--). Flushing an absent page returns ETmem, which
 // guests treat as harmless. A page whose live copy sits in a lower tier is
 // flushed there.
-func (b *Backend) FlushPage(key Key) Status {
-	b.enter()
+func (b *Backend) FlushPage(key Key) Status { return b.flushPage(key, true) }
+
+// flushPage is FlushPage's body (see put); with tiers off a key tracked in
+// a lower tier is left alone and reads as absent.
+func (b *Backend) flushPage(key Key, withTiers bool) Status {
+	if withTiers {
+		b.enter()
+	}
 	p := b.pool(key.Pool)
 	if p == nil {
 		return EInval
@@ -825,7 +920,7 @@ func (b *Backend) FlushPage(key Key) Status {
 	sh := b.shardFor(key)
 	sh.mu.Lock()
 	e := sh.lookup(key)
-	if e == nil {
+	if e == nil || (e.tier != tierLocal && !withTiers) {
 		sh.mu.Unlock()
 		return ETmem
 	}
@@ -839,49 +934,33 @@ func (b *Backend) FlushPage(key Key) Status {
 	return STmem
 }
 
-// FlushPageLocal is FlushPage restricted to tier 0 (the Loopback surface).
-func (b *Backend) FlushPageLocal(key Key) Status {
-	p := b.pool(key.Pool)
-	if p == nil {
-		return EInval
-	}
-	sh := b.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.lookup(key)
-	if e == nil || e.tier != tierLocal {
-		return ETmem
-	}
-	b.dropEntry(sh, e)
-	p.acct.cumulFlushes.Add(1)
-	return STmem
-}
-
 // FlushObject invalidates every page of an object, returning the number of
 // pages freed. The object's pages spread across shards, so every stripe is
 // visited (object flushes are rare next to page operations); pages tracked
-// in lower tiers are flushed there with one object flush per involved tier.
+// in lower tiers are flushed there with one object flush per involved tier,
+// which reports what it actually freed.
 func (b *Backend) FlushObject(pool PoolID, object ObjectID) (mem.Pages, Status) {
-	b.enter()
+	return b.flushObject(pool, object, true)
+}
+
+// flushObject is FlushObject's body (see put); with tiers off the sweep
+// still unindexes tier-tracked pages but asks no tier.
+func (b *Backend) flushObject(pool PoolID, object ObjectID, withTiers bool) (mem.Pages, Status) {
+	if withTiers {
+		b.enter()
+	}
 	p := b.pool(pool)
 	if p == nil {
 		return 0, EInval
 	}
-	n, remote := b.flushObjectLocal(pool, object)
-	for ti, cnt := range remote {
-		if cnt <= 0 {
+	n, tracked := b.sweepObject(pool, object)
+	for ti, cnt := range tracked {
+		if cnt == 0 || !withTiers {
 			continue
 		}
-		freed, st := b.tiers[ti].FlushObject(pool, object)
-		if st != STmem {
-			continue
+		if freed, st := b.tiers[ti].FlushObject(pool, object); st == STmem {
+			n += freed
 		}
-		if freed < 0 {
-			// Transport couldn't count; best effort: credit the tracked
-			// pages (may overcount if the peer evicted some beforehand).
-			freed = cnt
-		}
-		n += freed
 	}
 	if n == 0 {
 		return 0, ETmem
@@ -890,26 +969,11 @@ func (b *Backend) FlushObject(pool PoolID, object ObjectID) (mem.Pages, Status) 
 	return n, STmem
 }
 
-// FlushObjectLocal is FlushObject restricted to tier 0 (the Loopback
-// surface).
-func (b *Backend) FlushObjectLocal(pool PoolID, object ObjectID) (mem.Pages, Status) {
-	p := b.pool(pool)
-	if p == nil {
-		return 0, EInval
-	}
-	n, _ := b.flushObjectLocal(pool, object)
-	if n == 0 {
-		return 0, ETmem
-	}
-	p.acct.cumulFlushes.Add(uint64(n))
-	return n, STmem
-}
-
-// flushObjectLocal sweeps an object out of every shard's index; n counts
-// the locally held pages dropped, remote[i] the pages that were tracked in
+// sweepObject sweeps an object out of every shard's index; n counts the
+// locally held pages dropped, tracked[i] the pages that were tracked in
 // tier i.
-func (b *Backend) flushObjectLocal(pool PoolID, object ObjectID) (n mem.Pages, remote []mem.Pages) {
-	remote = make([]mem.Pages, len(b.tiers))
+func (b *Backend) sweepObject(pool PoolID, object ObjectID) (n mem.Pages, tracked []mem.Pages) {
+	tracked = make([]mem.Pages, len(b.tiers))
 	for _, sh := range b.shards {
 		sh.mu.Lock()
 		for e := range sh.each {
@@ -919,13 +983,13 @@ func (b *Backend) flushObjectLocal(pool PoolID, object ObjectID) (n mem.Pages, r
 			if e.tier == tierLocal {
 				n++
 			} else {
-				remote[e.tier]++
+				tracked[e.tier]++
 			}
 			b.dropEntry(sh, e)
 		}
 		sh.mu.Unlock()
 	}
-	return n, remote
+	return n, tracked
 }
 
 // SetTarget installs the MM-computed allocation target for a VM

@@ -4,23 +4,22 @@ package tmem
 // (DESIGN.md §9): instead of paying one stripe-lock round trip per page, a
 // caller with a run of keys hands the whole run to the backend, which
 // acquires each stripe lock once per run of same-stripe keys and walks the
-// tier stack with whole sub-runs. Three surfaces, by caller:
+// tier stack with whole sub-runs. Two surfaces, by caller:
 //
 //   - GetRun/FlushRun: issue-order runs with lazy lock batching, used by
 //     the guest kernel's batched PFRA spine. Order is preserved exactly, so
 //     a single-shard (simulator) backend observes the identical operation
 //     sequence a per-page loop would produce — goldens stay byte-identical.
 //   - PutBatch/GetBatch: shard-grouped batches with full tier semantics,
-//     used by the kvstore daemon's OpPutBatch/OpGetBatch frames. Within a
-//     stripe, issue order is preserved; across stripes, order is
-//     unspecified (as for any concurrent callers).
-//   - PutBatchLocal/GetBatchLocal: the tier-0 restriction of the above,
-//     the surface Loopback serves to remote peers (see PutLocal).
+//     used by the kvstore daemon's OpPutBatch/OpGetBatch frames and, with
+//     tiers off, by Loopback. Within a stripe, issue order is preserved;
+//     across stripes, order is unspecified (as for any concurrent callers).
 //
-// The locked fast paths reuse tryPutLocked/getHitLocked, so batch and
-// per-page operations can never drift apart semantically. Pool resolution
-// takes no lock (see Backend.pool); tier calls always happen after the
-// stripe lock is released.
+// The locked fast paths reuse tryPutLocked/getHitLocked and the tier walk
+// is Put's (Backend.offer), so batch and per-page operations can never
+// drift apart semantically. Pool resolution takes no lock (see
+// Backend.pool); tier calls always happen after the stripe lock is
+// released.
 
 // batchScratch carries the per-call working state of PutBatch/GetBatch so
 // a warm backend serves batches without allocating.
@@ -31,22 +30,24 @@ type batchScratch struct {
 	sup      []int32
 	offer    []int32
 	ft       []int16
-	subIdx   []int32
 	run      []int32
+	rem      []int32
 	subKeys  []Key
 	subKinds []PoolKind
 	subDatas [][]byte
 	subSts   []Status
 }
 
+// getScratch sizes the per-key slices for n keys; run and rem get room for
+// every key, so the tier walk never grows them.
 func (b *Backend) getScratch(n int) *batchScratch {
 	sc := b.batchPool.Get().(*batchScratch)
 	if cap(sc.pools) < n {
-		sc.pools = make([]*Pool, n)
-		sc.ft = make([]int16, n)
+		sc.pools, sc.ft = make([]*Pool, n), make([]int16, n)
+		sc.run, sc.rem = make([]int32, n), make([]int32, n)
 	}
-	sc.pools = sc.pools[:n]
-	sc.ft = sc.ft[:n]
+	sc.pools, sc.ft = sc.pools[:n], sc.ft[:n]
+	sc.run, sc.rem = sc.run[:n], sc.rem[:n]
 	if sc.groups == nil {
 		sc.groups = make([][]int32, len(b.shards))
 	}
@@ -57,8 +58,7 @@ func (b *Backend) putScratch(sc *batchScratch) {
 	clear(sc.pools) // do not retain pool references across calls
 	clear(sc.subDatas)
 	sc.slow, sc.sup, sc.offer = sc.slow[:0], sc.sup[:0], sc.offer[:0]
-	sc.subIdx, sc.run, sc.subKeys = sc.subIdx[:0], sc.run[:0], sc.subKeys[:0]
-	sc.subKinds, sc.subDatas, sc.subSts = sc.subKinds[:0], sc.subDatas[:0], sc.subSts[:0]
+	sc.subKeys, sc.subKinds, sc.subDatas, sc.subSts = sc.subKeys[:0], sc.subKinds[:0], sc.subDatas[:0], sc.subSts[:0]
 	for i := range sc.groups {
 		sc.groups[i] = sc.groups[i][:0]
 	}
@@ -142,17 +142,9 @@ func (b *Backend) GetRun(keys []Key, sts []Status) int {
 		}
 		ti := e.tier
 		unlock()
-		if b.tiers[ti].Get(key, nil) == STmem {
-			a.cumulGetsHit.Add(1)
-			if p.kind == Ephemeral {
-				sh.dropRemote(key)
-			}
-			sts[i] = STmem
-			continue
+		if sts[i] = b.tierAnswered(p, key, b.tiers[ti].Get(key, nil)); sts[i] != STmem {
+			return i + 1
 		}
-		sh.dropRemote(key)
-		sts[i] = ETmem
-		return i + 1
 	}
 	return len(keys)
 }
@@ -216,87 +208,29 @@ func (b *Backend) FlushRun(keys []Key, sts []Status) {
 // (all zero pages) or hold one payload per key; sts receives one status
 // per key.
 func (b *Backend) PutBatch(keys []Key, datas [][]byte, sts []Status) {
-	b.enter()
 	b.putBatch(keys, datas, sts, true)
 }
 
-// PutBatchLocal is PutBatch restricted to tier 0 (the Loopback surface; an
-// overflow batch accepted on behalf of a peer never cascades further).
-func (b *Backend) PutBatchLocal(keys []Key, datas [][]byte, sts []Status) {
-	b.putBatch(keys, datas, sts, false)
-}
-
+// putBatch is PutBatch's body (see Backend.put); with tiers off an overflow
+// batch accepted on behalf of a peer never cascades further.
 func (b *Backend) putBatch(keys []Key, datas [][]byte, sts []Status, withTiers bool) {
+	if withTiers {
+		b.enter()
+	}
 	checkBatch(keys, datas, sts)
 	if len(keys) == 0 {
 		return
 	}
-	data := func(i int32) []byte {
-		if datas == nil {
-			return nil
-		}
-		return datas[i]
-	}
 	sc := b.getScratch(len(keys))
 	defer b.putScratch(sc)
 	b.resolvePools(sc, keys)
+	w := tierWalk{keys: keys, pools: sc.pools, datas: datas, sts: sts, ft: sc.ft, run: sc.run, rem: sc.rem}
 	withTiers = withTiers && len(b.tiers) > 0
 
-	// Phase A: local attempts, one stripe lock per group. Keys that need
-	// the eviction loop (slow), a supersede flush (sup) or a tier offer
-	// (offer) are deferred past the locked region.
-	process := func(sh *shard, idxs []int32) {
-		sh.mu.Lock()
-		for _, i := range idxs {
-			p := sc.pools[i]
-			if p == nil {
-				sts[i] = EInval
-				continue
-			}
-			a := p.acct
-			a.putsTotal.Add(1)
-			a.cumulPutsTotal.Add(1)
-			st, retry, ft := b.tryPutLocked(sh, p, a, keys[i], data(i))
-			switch {
-			case retry:
-				sc.slow = append(sc.slow, i)
-			case st == STmem && ft >= 0 && withTiers:
-				sts[i] = STmem
-				sc.ft[i] = int16(ft)
-				sc.sup = append(sc.sup, i)
-			case st == ETmem && withTiers:
-				sc.offer = append(sc.offer, i)
-			default:
-				sts[i] = st
-			}
-		}
-		sh.mu.Unlock()
-	}
-	if len(b.shards) == 1 {
-		idxs := sc.groups[0][:0]
-		for i := range keys {
-			idxs = append(idxs, int32(i))
-		}
-		sc.groups[0] = idxs
-		process(b.shards[0], idxs)
-	} else {
-		for i, k := range keys {
-			si := k.hash() & b.shardMask
-			sc.groups[si] = append(sc.groups[si], int32(i))
-		}
-		for si, g := range sc.groups {
-			if len(g) > 0 {
-				process(b.shards[si], g)
-			}
-		}
-	}
-
-	// Phase B: eviction-retry stragglers, per key (evictions take other
-	// stripe locks, so they cannot run under the batch group lock).
-	for _, i := range sc.slow {
-		p := sc.pools[i]
-		sh := b.shardFor(keys[i])
-		st, ft := b.putRetry(sh, p, p.acct, keys[i], data(i))
+	// A local answer either stands, or defers the key past the locked
+	// region: a fresh local copy of a tier-tracked key to the supersede
+	// flush (sup), a refusal to the tier walk (offer).
+	settle := func(i int32, st Status, ft int) {
 		switch {
 		case st == STmem && ft >= 0 && withTiers:
 			sts[i] = STmem
@@ -309,113 +243,68 @@ func (b *Backend) putBatch(keys []Key, datas [][]byte, sts []Status, withTiers b
 		}
 	}
 
-	// Supersede: a fresh local copy shadows a stale lower-tier one (see
-	// Put for the concurrent re-track caveat).
-	for _, i := range sc.sup {
-		sh := b.shardFor(keys[i])
-		if sh.remoteTier(keys[i]) < 0 {
-			b.tiers[sc.ft[i]].FlushPage(keys[i])
-		}
-	}
-
-	if !withTiers || len(sc.offer) == 0 {
-		return
-	}
-	// Phase C: tier offers, in whole runs — the run the wire protocol
-	// ships in a single round trip. A key already tracked in a tier is
-	// re-offered there first (the tier replaces contents in place), one run
-	// per tier; what is untracked, or was just refused, walks the stack top
-	// down, one run per tier. sc.ft[i] is the tier key i was tracked in (-1
-	// for none), which is also the one tier the walk must not ask again.
-	offerRun := func(t Tier, run []int32) {
-		sc.subSts = sc.subSts[:0]
-		bt, ok := t.(BatchTier)
-		if !ok || len(run) == 1 {
-			for _, i := range run {
-				sc.subSts = append(sc.subSts, t.Put(keys[i], sc.pools[i].kind, data(i)))
-			}
-			return
-		}
-		sc.subKeys, sc.subKinds, sc.subDatas = sc.subKeys[:0], sc.subKinds[:0], sc.subDatas[:0]
-		for _, i := range run {
-			sc.subKeys = append(sc.subKeys, keys[i])
-			sc.subKinds = append(sc.subKinds, sc.pools[i].kind)
-			sc.subDatas = append(sc.subDatas, data(i))
-			sc.subSts = append(sc.subSts, ETmem)
-		}
-		bt.PutBatch(sc.subKeys, sc.subKinds, sc.subDatas, sc.subSts)
-	}
-	accepted := func(t Tier, tierIdx int, i int32) {
-		if !b.shardFor(keys[i]).noteRemoteIfFree(sc.pools[i], keys[i], tierIdx) {
-			t.FlushPage(keys[i])
-		}
-		sts[i] = STmem
-	}
-
-	rem := sc.subIdx[:0]
-	for _, i := range sc.offer {
-		ti := b.shardFor(keys[i]).remoteTier(keys[i])
-		sc.ft[i] = int16(ti)
-		if ti < 0 {
-			rem = append(rem, i)
-		}
-	}
-	if len(rem) < len(sc.offer) {
-		for tierIdx, t := range b.tiers {
-			run := sc.run[:0]
-			for _, i := range sc.offer {
-				if int(sc.ft[i]) == tierIdx {
-					run = append(run, i)
-				}
-			}
-			sc.run = run
-			if len(run) == 0 {
+	// Phase A: local attempts, one stripe lock per group. Keys that need
+	// the eviction loop (slow) wait until the lock is released.
+	process := func(sh *shard, idxs []int32) {
+		sh.mu.Lock()
+		for _, i := range idxs {
+			p := sc.pools[i]
+			if p == nil {
+				sts[i] = EInval
 				continue
 			}
-			offerRun(t, run)
-			for j, i := range run {
-				if sc.subSts[j] == STmem {
-					accepted(t, tierIdx, i)
-					continue
-				}
-				b.shardFor(keys[i]).dropRemote(keys[i])
-				rem = append(rem, i)
+			a := p.acct
+			a.putsTotal.Add(1)
+			a.cumulPutsTotal.Add(1)
+			st, retry, ft := b.tryPutLocked(sh, p, a, keys[i], w.data(i))
+			if retry {
+				sc.slow = append(sc.slow, i)
+				continue
 			}
+			settle(i, st, ft)
 		}
+		sh.mu.Unlock()
 	}
-	for tierIdx, t := range b.tiers {
-		if len(rem) == 0 {
-			break
-		}
-		run := sc.run[:0]
-		for _, i := range rem {
-			if int(sc.ft[i]) != tierIdx {
-				run = append(run, i)
-			}
-		}
-		sc.run = run
-		if len(run) == 0 {
-			continue
-		}
-		offerRun(t, run)
-		next, j := rem[:0], 0
-		for _, i := range rem {
-			switch {
-			case int(sc.ft[i]) == tierIdx: // not in the run
-				next = append(next, i)
-			case sc.subSts[j] == STmem:
-				accepted(t, tierIdx, i)
-				j++
-			default:
-				next = append(next, i)
-				j++
-			}
-		}
-		rem = next
+	b.eachGroup(sc, keys, process)
+
+	// Phase B: eviction-retry stragglers, per key (evictions take other
+	// stripe locks, so they cannot run under the batch group lock).
+	for _, i := range sc.slow {
+		p := sc.pools[i]
+		st, ft := b.putRetry(b.shardFor(keys[i]), p, p.acct, keys[i], w.data(i))
+		settle(i, st, ft)
 	}
-	sc.subIdx = rem
-	for _, i := range rem {
-		sts[i] = ETmem // every tier rejected the page
+	for _, i := range sc.sup {
+		b.supersede(b.shardFor(keys[i]), keys[i], int(sc.ft[i]))
+	}
+	// Phase C: the tier walk, in whole runs — the run the wire protocol
+	// ships in a single round trip.
+	if len(sc.offer) > 0 {
+		w.offer = sc.offer
+		b.offer(&w, sc)
+	}
+}
+
+// eachGroup hands process the indexes of keys grouped by stripe, in issue
+// order within a stripe, one call per stripe that has keys.
+func (b *Backend) eachGroup(sc *batchScratch, keys []Key, process func(*shard, []int32)) {
+	if len(b.shards) == 1 {
+		idxs := sc.groups[0][:0]
+		for i := range keys {
+			idxs = append(idxs, int32(i))
+		}
+		sc.groups[0] = idxs
+		process(b.shards[0], idxs)
+		return
+	}
+	for i, k := range keys {
+		si := k.hash() & b.shardMask
+		sc.groups[si] = append(sc.groups[si], int32(i))
+	}
+	for si, g := range sc.groups {
+		if len(g) > 0 {
+			process(b.shards[si], g)
+		}
 	}
 }
 
@@ -424,16 +313,15 @@ func (b *Backend) putBatch(keys []Key, datas [][]byte, sts []Status, withTiers b
 // tier in one batch (one remote round trip per tier). dsts may be nil
 // (presence only) or hold one destination buffer per key.
 func (b *Backend) GetBatch(keys []Key, dsts [][]byte, sts []Status) {
-	b.enter()
 	b.getBatch(keys, dsts, sts, true)
 }
 
-// GetBatchLocal is GetBatch restricted to tier 0 (the Loopback surface).
-func (b *Backend) GetBatchLocal(keys []Key, dsts [][]byte, sts []Status) {
-	b.getBatch(keys, dsts, sts, false)
-}
-
+// getBatch is GetBatch's body (see Backend.put); with tiers off a key
+// tracked in a lower tier reads as a miss.
 func (b *Backend) getBatch(keys []Key, dsts [][]byte, sts []Status, withTiers bool) {
+	if withTiers {
+		b.enter()
+	}
 	checkBatch(keys, dsts, sts)
 	if len(keys) == 0 {
 		return
@@ -475,68 +363,37 @@ func (b *Backend) getBatch(keys []Key, dsts [][]byte, sts []Status, withTiers bo
 		}
 		sh.mu.Unlock()
 	}
-	if len(b.shards) == 1 {
-		idxs := sc.groups[0][:0]
-		for i := range keys {
-			idxs = append(idxs, int32(i))
-		}
-		sc.groups[0] = idxs
-		process(b.shards[0], idxs)
-	} else {
-		for i, k := range keys {
-			si := k.hash() & b.shardMask
-			sc.groups[si] = append(sc.groups[si], int32(i))
-		}
-		for si, g := range sc.groups {
-			if len(g) > 0 {
-				process(b.shards[si], g)
-			}
-		}
-	}
-	if len(sc.offer) == 0 {
-		return
-	}
+	b.eachGroup(sc, keys, process)
 
-	// Phase B: tier fetches, one batch per involved tier.
-	finish := func(i int32, hit bool) {
-		p := sc.pools[i]
-		sh := b.shardFor(keys[i])
-		if hit {
-			p.acct.cumulGetsHit.Add(1)
-			if p.kind == Ephemeral {
-				sh.dropRemote(keys[i]) // lower-tier ephemeral gets are destructive
-			}
-			sts[i] = STmem
-			return
+	// Phase B: tier fetches, one Get for a run of one, else one GetBatch
+	// per involved tier.
+	for ti, t := range b.tiers {
+		if len(sc.offer) == 0 {
+			break
 		}
-		sh.dropRemote(keys[i]) // the tier lost the page; stop tracking
-		sts[i] = ETmem
-	}
-	for tierIdx, t := range b.tiers {
-		sc.subIdx = sc.subIdx[:0]
+		run := sc.run[:0]
 		for _, i := range sc.offer {
-			if int(sc.ft[i]) == tierIdx {
-				sc.subIdx = append(sc.subIdx, i)
+			if int(sc.ft[i]) == ti {
+				run = append(run, i)
 			}
 		}
-		if len(sc.subIdx) == 0 {
+		switch len(run) {
+		case 0:
+			continue
+		case 1:
+			i := run[0]
+			sts[i] = b.tierAnswered(sc.pools[i], keys[i], t.Get(keys[i], dst(i)))
 			continue
 		}
-		if bt, ok := t.(BatchTier); ok && len(sc.subIdx) > 1 {
-			sc.subKeys, sc.subDatas, sc.subSts = sc.subKeys[:0], sc.subDatas[:0], sc.subSts[:0]
-			for _, i := range sc.subIdx {
-				sc.subKeys = append(sc.subKeys, keys[i])
-				sc.subDatas = append(sc.subDatas, dst(i))
-				sc.subSts = append(sc.subSts, ETmem)
-			}
-			bt.GetBatch(sc.subKeys, sc.subDatas, sc.subSts)
-			for j, i := range sc.subIdx {
-				finish(i, sc.subSts[j] == STmem)
-			}
-		} else {
-			for _, i := range sc.subIdx {
-				finish(i, t.Get(keys[i], dst(i)) == STmem)
-			}
+		sc.subKeys, sc.subDatas, sc.subSts = sc.subKeys[:0], sc.subDatas[:0], sc.subSts[:0]
+		for _, i := range run {
+			sc.subKeys = append(sc.subKeys, keys[i])
+			sc.subDatas = append(sc.subDatas, dst(i))
+			sc.subSts = append(sc.subSts, ETmem)
+		}
+		t.GetBatch(sc.subKeys, sc.subDatas, sc.subSts)
+		for j, i := range run {
+			sts[i] = b.tierAnswered(sc.pools[i], keys[i], sc.subSts[j])
 		}
 	}
 }

@@ -27,13 +27,17 @@ func (c *countingSvc) Get(key Key) (Status, []byte, error) {
 	c.trips++
 	return c.inner.Get(key)
 }
+func (c *countingSvc) GetInto(key Key, dst []byte) (Status, error) {
+	c.trips++
+	return c.inner.GetInto(key, dst)
+}
 func (c *countingSvc) FlushPage(key Key) (Status, error) {
 	c.trips++
 	return c.inner.FlushPage(key)
 }
-func (c *countingSvc) FlushObject(pool PoolID, object ObjectID) (Status, error) {
+func (c *countingSvc) FlushObjectCount(pool PoolID, object ObjectID) (mem.Pages, Status, error) {
 	c.trips++
-	return c.inner.FlushObject(pool, object)
+	return c.inner.FlushObjectCount(pool, object)
 }
 func (c *countingSvc) DestroyPool(pool PoolID) (Status, error) {
 	c.trips++
@@ -41,14 +45,14 @@ func (c *countingSvc) DestroyPool(pool PoolID) (Status, error) {
 }
 func (c *countingSvc) PutBatch(keys []Key, datas [][]byte, sts []Status) error {
 	c.trips++
-	return c.inner.(BatchPageService).PutBatch(keys, datas, sts)
+	return c.inner.PutBatch(keys, datas, sts)
 }
 func (c *countingSvc) GetBatch(keys []Key, dsts [][]byte, sts []Status) error {
 	c.trips++
-	return c.inner.(BatchPageService).GetBatch(keys, dsts, sts)
+	return c.inner.GetBatch(keys, dsts, sts)
 }
 
-var _ BatchPageService = (*countingSvc)(nil)
+var _ PageService = (*countingSvc)(nil)
 
 func testKeys(pool PoolID, n int) []Key {
 	keys := make([]Key, n)
@@ -231,8 +235,8 @@ func TestPutBatchSupersedeFlushesTierCopy(t *testing.T) {
 	}
 }
 
-// countingTier is a fakeTier that speaks BatchTier, counts its put calls
-// by shape and can be told to refuse some keys.
+// countingTier is a fakeTier that counts its put calls by shape and can be
+// told to refuse some keys.
 type countingTier struct {
 	*fakeTier
 	puts, putBatches int
@@ -260,13 +264,7 @@ func (c *countingTier) PutBatch(keys []Key, kinds []PoolKind, datas [][]byte, st
 	}
 }
 
-func (c *countingTier) GetBatch(keys []Key, _ [][]byte, sts []Status) {
-	for i, k := range keys {
-		sts[i] = c.fakeTier.Get(k, nil)
-	}
-}
-
-var _ BatchTier = (*countingTier)(nil)
+var _ Tier = (*countingTier)(nil)
 
 // fullBackend returns a backend whose local store is already full of
 // another pool's pages, so every put into the returned pool overflows.
@@ -451,7 +449,11 @@ func (yesTier) Get(Key, []byte) Status                           { return STmem 
 func (yesTier) FlushPage(Key) Status                             { return STmem }
 func (yesTier) DropPool(PoolID)                                  {}
 func (yesTier) Stats() TierStats                                 { return TierStats{} }
-func (yesTier) FlushObject(PoolID, ObjectID) (mem.Pages, Status) { return -1, STmem }
+func (yesTier) FlushObject(PoolID, ObjectID) (mem.Pages, Status) { return 0, STmem }
+func (yesTier) PutBatch(_ []Key, _ []PoolKind, _ [][]byte, sts []Status) {
+	clear(sts) // the zero Status is STmem
+}
+func (yesTier) GetBatch(_ []Key, _ [][]byte, sts []Status) { clear(sts) }
 
 // TestWarmIndexZeroAlloc: at steady state the flat index recycles slab
 // entries and never grows, so a put→get→flush cycle allocates nothing —

@@ -95,8 +95,8 @@ type CompressedTierConfig struct {
 	MaxRatio int
 }
 
-// CompressedTier is a Tier (and BatchTier) storing demoted pages compressed
-// and deduplicated in RAM. See the file comment for design.
+// CompressedTier is a Tier storing demoted pages compressed and
+// deduplicated in RAM. See the file comment for design.
 type CompressedTier struct {
 	name     string
 	pageSize int
@@ -524,7 +524,7 @@ func (t *CompressedTier) Get(key Key, dst []byte) Status {
 	return t.getLocked(key, dst)
 }
 
-// PutBatch implements BatchTier: the whole run moves under one lock
+// PutBatch implements Tier: the whole run moves under one lock
 // acquisition, sharing the codec scratch across pages.
 func (t *CompressedTier) PutBatch(keys []Key, kinds []PoolKind, datas [][]byte, sts []Status) {
 	t.mu.Lock()
@@ -538,7 +538,7 @@ func (t *CompressedTier) PutBatch(keys []Key, kinds []PoolKind, datas [][]byte, 
 	}
 }
 
-// GetBatch implements BatchTier.
+// GetBatch implements Tier.
 func (t *CompressedTier) GetBatch(keys []Key, dsts [][]byte, sts []Status) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -597,8 +597,4 @@ func (t *CompressedTier) DropPool(pool PoolID) {
 	}
 }
 
-// Compile-time interface checks.
-var (
-	_ Tier      = (*CompressedTier)(nil)
-	_ BatchTier = (*CompressedTier)(nil)
-)
+var _ Tier = (*CompressedTier)(nil)

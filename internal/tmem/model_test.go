@@ -6,17 +6,22 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"smartmem/internal/mem"
 )
 
 // fakeTier is an in-memory Tier holding up to cap pages. onPut, when set,
-// runs between a put's acceptance and the page landing in the tier.
+// runs between a put's acceptance and the page landing in the tier. With
+// refuseReplace set it turns away a put over a page it holds and drops its
+// copy — as CompressedTier does with a replacement that does not fit —
+// while a fresh page still lands if there is room.
 type fakeTier struct {
-	cap   int
-	pages map[Key]PoolKind
-	onPut func()
+	cap           int
+	pages         map[Key]PoolKind
+	onPut         func()
+	refuseReplace bool
 }
 
 func newFakeTier(capacity int) *fakeTier {
@@ -27,7 +32,8 @@ func (f *fakeTier) Name() string     { return "fake" }
 func (f *fakeTier) Stats() TierStats { return TierStats{} }
 
 func (f *fakeTier) Put(key Key, kind PoolKind, _ []byte) Status {
-	if _, held := f.pages[key]; !held && len(f.pages) >= f.cap {
+	if _, held := f.pages[key]; held && f.refuseReplace || !held && len(f.pages) >= f.cap {
+		delete(f.pages, key)
 		return ETmem
 	}
 	if f.onPut != nil {
@@ -46,6 +52,18 @@ func (f *fakeTier) Get(key Key, _ []byte) Status {
 		delete(f.pages, key)
 	}
 	return STmem
+}
+
+func (f *fakeTier) PutBatch(keys []Key, kinds []PoolKind, _ [][]byte, sts []Status) {
+	for i, k := range keys {
+		sts[i] = f.Put(k, kinds[i], nil)
+	}
+}
+
+func (f *fakeTier) GetBatch(keys []Key, _ [][]byte, sts []Status) {
+	for i, k := range keys {
+		sts[i] = f.Get(k, nil)
+	}
 }
 
 func (f *fakeTier) FlushPage(key Key) Status {
@@ -69,20 +87,25 @@ func (f *fakeTier) DropPool(pool PoolID) {
 	maps.DeleteFunc(f.pages, func(k Key, _ PoolKind) bool { return k.Pool == pool })
 }
 
+// modelLocal is where[key] for a page held in the local store.
+const modelLocal = -1
+
 // modelTmem is the reference the real Backend is checked against: paper
-// Algorithm 1 plus overflow into one lower tier, written as naively as
-// possible — one map of pages, one LRU slice, no shards, no locks, every
-// sweep a linear scan. A tier that never fails holds exactly the pages
-// tracked in it, so the model keeps no tier of its own: where[key] == false
-// is "the tier has it", and tierCap bounds how many keys may say so.
+// Algorithm 1 plus overflow into a stack of lower tiers, written as naively
+// as possible — one map of pages, one LRU slice, no locks, every sweep a
+// linear scan. A fake tier holds exactly the pages tracked in it, so the
+// model keeps no tier of its own: where[key] == i is "tier i has it", and
+// tierCaps[i] bounds how many keys may say so.
 type modelTmem struct {
-	free    mem.Pages
-	tierCap int
-	pools   map[PoolID]*modelPool
-	used    map[VMID]mem.Pages
-	target  map[VMID]mem.Pages
-	where   map[Key]bool // true: held locally; false: tracked in the tier
-	lru     []Key        // local ephemeral keys, oldest first
+	free     mem.Pages
+	tierCaps []int
+	refusing []bool // tier i refuses to replace a page it holds
+	pools    map[PoolID]*modelPool
+	used     map[VMID]mem.Pages
+	target   map[VMID]mem.Pages
+	where    map[Key]int // modelLocal, or the tier the key is tracked in
+	lru      []Key       // local ephemeral keys, oldest first
+	stripe   func(Key) int
 }
 
 type modelPool struct {
@@ -91,10 +114,11 @@ type modelPool struct {
 	pages mem.Pages
 }
 
-func (m *modelTmem) tracked() map[Key]PoolKind {
+// tracked returns the keys tier ti holds, with their pools' kinds.
+func (m *modelTmem) tracked(ti int) map[Key]PoolKind {
 	held := map[Key]PoolKind{}
-	for k, local := range m.where {
-		if !local {
+	for k, w := range m.where {
+		if w == ti {
 			held[k] = m.pools[k.Pool].kind
 		}
 	}
@@ -107,7 +131,7 @@ func without(keys []Key, key Key) []Key {
 
 // drop forgets key, releasing its frame if it was held locally.
 func (m *modelTmem) drop(key Key) {
-	if m.where[key] {
+	if w, known := m.where[key]; known && w == modelLocal {
 		p := m.pools[key.Pool]
 		p.pages--
 		m.used[p.vm]--
@@ -128,37 +152,107 @@ func (m *modelTmem) dropIf(match func(Key) bool) (n mem.Pages) {
 	return n
 }
 
-func (m *modelTmem) put(key Key) Status {
+// tryPut is one local put attempt. With evict false, a put that lacks only
+// a free frame reports retry instead of evicting ephemeral pages for one.
+func (m *modelTmem) tryPut(key Key, evict bool) (st Status, retry bool) {
 	p := m.pools[key.Pool]
 	if p == nil {
-		return EInval
+		return EInval, false
 	}
-	local, known := m.where[key]
-	if local { // duplicate put: contents replaced, age refreshed
+	if w, known := m.where[key]; known && w == modelLocal { // duplicate put
 		if p.kind == Ephemeral {
 			m.lru = append(without(m.lru, key), key)
 		}
-		return STmem
+		return STmem, false
 	}
-	if m.used[p.vm] < m.target[p.vm] {
-		for m.free == 0 && len(m.lru) > 0 {
-			m.drop(m.lru[0]) // out of frames: the oldest ephemeral page goes
+	if m.used[p.vm] >= m.target[p.vm] {
+		return ETmem, false
+	}
+	for evict && m.free == 0 && len(m.lru) > 0 {
+		m.drop(m.lru[0]) // out of frames: the oldest ephemeral page goes
+	}
+	if m.free == 0 {
+		return ETmem, !evict
+	}
+	m.free, m.used[p.vm], p.pages = m.free-1, m.used[p.vm]+1, p.pages+1
+	m.where[key] = modelLocal // a tier copy, if any, is superseded
+	if p.kind == Ephemeral {
+		m.lru = append(m.lru, key)
+	}
+	return STmem, false
+}
+
+// putRun is PutBatch over distinct keys, and Put as a run of one: local
+// attempts stripe by stripe, then the keys that wait for an eviction, then
+// the tier walk of the refused keys — re-offers to the tier a key is
+// tracked in first, then the stack top down, skipping the tier that just
+// refused the key.
+func (m *modelTmem) putRun(keys []Key) []Status {
+	sts := make([]Status, len(keys))
+	order := make([]int, len(keys))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(m.stripe(keys[a]), m.stripe(keys[b])) })
+	var slow, offer []int
+	settle := func(i int, st Status) {
+		if st == ETmem && len(m.tierCaps) > 0 {
+			offer = append(offer, i)
+		} else {
+			sts[i] = st
 		}
-		if m.free > 0 {
-			m.free, m.used[p.vm], p.pages = m.free-1, m.used[p.vm]+1, p.pages+1
-			m.where[key] = true // a tier copy, if any, is superseded
-			if p.kind == Ephemeral {
-				m.lru = append(m.lru, key)
+	}
+	for _, i := range order {
+		st, retry := m.tryPut(keys[i], false)
+		if retry {
+			slow = append(slow, i)
+			continue
+		}
+		settle(i, st)
+	}
+	for _, i := range slow {
+		st, _ := m.tryPut(keys[i], true)
+		settle(i, st)
+	}
+
+	from := map[int]int{} // offered key -> the tier it was tracked in
+	var rem []int
+	for _, i := range offer {
+		if w, known := m.where[keys[i]]; known {
+			from[i] = w
+		} else {
+			rem = append(rem, i)
+		}
+	}
+	for ti := range m.tierCaps {
+		for _, i := range offer {
+			if w, ok := from[i]; !ok || w != ti {
+				continue
 			}
-			return STmem
+			if m.refusing[ti] {
+				delete(m.where, keys[i]) // the tier dropped its copy
+				rem = append(rem, i)
+			} else {
+				sts[i] = STmem
+			}
 		}
 	}
-	// Over target or out of frames: overflow into the tier.
-	if known || len(m.tracked()) < m.tierCap {
-		m.where[key] = false
-		return STmem
+	for ti, limit := range m.tierCaps {
+		next := rem[:0]
+		for _, i := range rem {
+			if w, ok := from[i]; (!ok || w != ti) && len(m.tracked(ti)) < limit {
+				m.where[keys[i]] = ti
+				sts[i] = STmem
+				continue
+			}
+			next = append(next, i)
+		}
+		rem = next
 	}
-	return ETmem
+	for _, i := range rem {
+		sts[i] = ETmem
+	}
+	return sts
 }
 
 func (m *modelTmem) get(key Key) Status {
@@ -213,30 +307,40 @@ func (m *modelTmem) destroyPool(id PoolID) bool {
 // flat index changes shape — a table at its maximum load and the doubling
 // past it (48, 96 and 192 keys), the first slab chunk filling up (256) — and
 // then pushed against the node's 300 frames, where puts evict, overflow and
-// fail. (Four stripes split the same keys, so each crosses 48 only.)
+// fail. (Four stripes split the same keys, so each crosses 48 only.) Page
+// ops go one key at a time or as runs of distinct keys (PutBatch, GetBatch,
+// GetRun, FlushRun). With tiers — one, or two of different sizes — now and
+// then one refuses to replace the pages it holds, so re-offers, the skipped
+// refuser and the walk order are checked on both paths.
 func TestBackendMatchesMapModel(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		for _, tierCap := range []int{0, 40} {
-			t.Run(fmt.Sprintf("shards-%d/tier-%d", shards, tierCap), func(t *testing.T) {
-				runModelOps(t, shards, tierCap)
+		for _, caps := range [][]int{nil, {40}, {24, 40}} {
+			name := "0"
+			if len(caps) > 0 {
+				name = strings.Trim(strings.ReplaceAll(fmt.Sprint(caps), " ", "+"), "[]")
+			}
+			t.Run(fmt.Sprintf("shards-%d/tier-%s", shards, name), func(t *testing.T) {
+				runModelOps(t, shards, caps)
 			})
 		}
 	}
 }
 
-func runModelOps(t *testing.T, shards, tierCap int) {
+func runModelOps(t *testing.T, shards int, tierCaps []int) {
 	const (
 		total = mem.Pages(300)
-		ops   = 2000
+		ops   = 3000
 	)
 	waypoints := []int{50, 46, 98, 94, 194, 190, 258, 254, 500, 500} // 500: more than fits
 
 	b := NewBackendOpts(total, Options{Shards: shards, NewStore: func() PageStore { return NewMetaStore(testPage) }})
-	m := &modelTmem{free: total, tierCap: tierCap, pools: map[PoolID]*modelPool{},
-		used: map[VMID]mem.Pages{}, target: map[VMID]mem.Pages{1: Unlimited, 2: Unlimited}, where: map[Key]bool{}}
-	tier := newFakeTier(tierCap)
-	if tierCap > 0 {
-		b.AttachTier(tier)
+	m := &modelTmem{free: total, tierCaps: tierCaps, refusing: make([]bool, len(tierCaps)), pools: map[PoolID]*modelPool{},
+		used: map[VMID]mem.Pages{}, target: map[VMID]mem.Pages{1: Unlimited, 2: Unlimited}, where: map[Key]int{},
+		stripe: func(k Key) int { return int(k.hash() & b.shardMask) }}
+	var tiers []*fakeTier
+	for _, c := range tierCaps {
+		tiers = append(tiers, newFakeTier(c))
+		b.AttachTier(tiers[len(tiers)-1])
 	}
 
 	rng := rand.New(rand.NewSource(0x7E4D))
@@ -261,12 +365,38 @@ func runModelOps(t *testing.T, shards, tierCap int) {
 			return cmp.Or(cmp.Compare(a.Pool, b.Pool), cmp.Compare(a.Object, b.Object), cmp.Compare(a.Index, b.Index))
 		})[rng.Intn(len(m.where))]
 	}
+	// trackedKey picks a key some tier holds, when there is one.
+	trackedKey := func() Key {
+		var ks []Key
+		for k, w := range m.where {
+			if w != modelLocal {
+				ks = append(ks, k)
+			}
+		}
+		if len(ks) == 0 {
+			return heldKey()
+		}
+		slices.SortFunc(ks, func(a, b Key) int {
+			return cmp.Or(cmp.Compare(a.Pool, b.Pool), cmp.Compare(a.Object, b.Object), cmp.Compare(a.Index, b.Index))
+		})
+		return ks[rng.Intn(len(ks))]
+	}
+	// runOf draws up to 16 distinct keys.
+	runOf := func(pick func() Key) []Key {
+		var ks []Key
+		for n := 1 + rng.Intn(16); len(ks) < n; n-- {
+			if k := pick(); !slices.Contains(ks, k) {
+				ks = append(ks, k)
+			}
+		}
+		return ks
+	}
 
 	for i := 0; i < ops; i++ {
 		grow := len(m.where) < waypoints[i*len(waypoints)/ops]
 		var op string
 		var got, want any
-		put := func(k Key) { op, got, want = fmt.Sprint("Put ", k), b.Put(k, nil), m.put(k) }
+		put := func(k Key) { op, got, want = fmt.Sprint("Put ", k), b.Put(k, nil), m.putRun([]Key{k})[0] }
 		get := func(k Key) { op, got, want = fmt.Sprint("Get ", k), b.Get(k, nil), m.get(k) }
 		flush := func(k Key) { op, got, want = fmt.Sprint("FlushPage ", k), b.FlushPage(k), m.flushPage(k) }
 		flushObject := func(k Key) {
@@ -278,11 +408,51 @@ func runModelOps(t *testing.T, shards, tierCap int) {
 		destroy := func(k Key) {
 			op, got, want = fmt.Sprint("DestroyPool ", k.Pool), b.DestroyPool(k.Pool) == nil, m.destroyPool(k.Pool)
 		}
+		putRun := func(ks []Key) {
+			sts := make([]Status, len(ks))
+			b.PutBatch(ks, nil, sts)
+			op, got, want = fmt.Sprint("PutBatch ", ks), fmt.Sprint(sts), fmt.Sprint(m.putRun(ks))
+		}
+		getRun := func(ks []Key) {
+			sts := make([]Status, len(ks))
+			var msts []Status
+			if rng.Intn(2) == 0 {
+				b.GetBatch(ks, nil, sts)
+				for _, k := range ks {
+					msts = append(msts, m.get(k))
+				}
+				op, got, want = fmt.Sprint("GetBatch ", ks), fmt.Sprint(sts), fmt.Sprint(msts)
+				return
+			}
+			n := b.GetRun(ks, sts)
+			for _, k := range ks { // GetRun stops after the first non-hit
+				if msts = append(msts, m.get(k)); msts[len(msts)-1] != STmem {
+					break
+				}
+			}
+			op, got, want = fmt.Sprint("GetRun ", ks), fmt.Sprint(sts[:n]), fmt.Sprint(msts)
+		}
+		flushRun := func(ks []Key) {
+			sts, msts := make([]Status, len(ks)), make([]Status, len(ks))
+			b.FlushRun(ks, sts)
+			for j, k := range ks {
+				msts[j] = m.flushPage(k)
+			}
+			op, got, want = fmt.Sprint("FlushRun ", ks), fmt.Sprint(sts), fmt.Sprint(msts)
+		}
+		// A page op goes one key at a time or, one time in four, as a run.
+		pageOp := func(one func(Key), run func([]Key), pick func() Key) {
+			if rng.Intn(4) == 0 {
+				run(runOf(pick))
+			} else {
+				one(pick())
+			}
+		}
 
 		switch r := rng.Intn(1000); {
 		case r < 25:
 			vm, target := VMID(1+rng.Intn(2)), Unlimited
-			if rng.Intn(4) == 0 {
+			if rng.Intn(2) == 0 {
 				target = mem.Pages(rng.Intn(int(total) / 2))
 			}
 			op = fmt.Sprint("SetTarget ", vm, " ", target)
@@ -299,20 +469,29 @@ func runModelOps(t *testing.T, shards, tierCap int) {
 			k := randomKey()
 			k.Pool = stale
 			[]func(Key){put, get, flush, flushObject, destroy}[rng.Intn(5)](k)
+		case r < 46 && len(tiers) > 0: // a tier starts or stops refusing replacements
+			ti := rng.Intn(len(tiers))
+			m.refusing[ti] = !m.refusing[ti]
+			tiers[ti].refuseReplace = m.refusing[ti]
+			op = fmt.Sprint("RefuseReplace ", ti, " ", m.refusing[ti])
 		case grow && r < 800:
-			put(randomKey())
+			pageOp(put, putRun, randomKey)
+		case grow && r < 850, !grow && r < 80:
+			pageOp(put, putRun, heldKey)
 		case grow && r < 880, !grow && r < 100:
-			put(heldKey())
+			pageOp(put, putRun, trackedKey)
+		case grow && r < 920, !grow && r < 250:
+			pageOp(get, getRun, heldKey)
 		case grow && r < 950, !grow && r < 300:
-			get(heldKey())
+			pageOp(get, getRun, trackedKey)
 		case grow, r < 850:
-			flush(heldKey())
+			pageOp(flush, flushRun, heldKey)
 		case r < 930:
-			put(randomKey())
+			pageOp(put, putRun, randomKey)
 		case r < 960:
-			get(randomKey())
+			pageOp(get, getRun, randomKey)
 		default:
-			flush(randomKey())
+			pageOp(flush, flushRun, randomKey)
 		}
 
 		fail := func(format string, args ...any) {
@@ -349,8 +528,10 @@ func runModelOps(t *testing.T, shards, tierCap int) {
 				fail("pool %d holds %d pages, model %d", id, p.Pages(), mp.pages)
 			}
 		}
-		if want := m.tracked(); !maps.Equal(tier.pages, want) {
-			fail("tier holds %d pages, model tracks %d there, or different ones", len(tier.pages), len(want))
+		for ti, tier := range tiers {
+			if want := m.tracked(ti); !maps.Equal(tier.pages, want) {
+				fail("tier %d holds %d pages, model tracks %d there, or different ones", ti, len(tier.pages), len(want))
+			}
 		}
 	}
 }

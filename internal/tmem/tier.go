@@ -15,11 +15,15 @@ import (
 // paper §II). The final fallback remains the guest's virtual disk: a put
 // rejected by every tier returns E_TMEM and the guest swaps.
 //
-// Tier dispatch rules (see Backend.Put/Get/FlushPage/FlushObject):
+// Tier dispatch rules (Backend.offer is the one walk; Put hands it a run of
+// one, PutBatch every page its stripes refused):
 //
 //   - A put is offered to the tiers only after the local store rejects it
-//     with E_TMEM (over target or out of frames). The first tier accepting
-//     the page turns the guest-visible status back into S_TMEM.
+//     with E_TMEM (over target or out of frames). A key already tracked in
+//     a tier is re-offered there first (the tier replaces its contents in
+//     place); everything else walks the stack top down, skipping the tier
+//     that just refused it. The first tier accepting the page turns the
+//     guest-visible status back into S_TMEM.
 //   - Each shard tracks which of its keys live in a lower tier (under the
 //     existing stripe lock — the tier stack adds no new global locks), so
 //     gets and flushes only pay a tier round trip for keys that actually
@@ -44,12 +48,18 @@ type Tier interface {
 	// (which may be nil). Ephemeral hits are destructive, mirroring the
 	// local store.
 	Get(key Key, dst []byte) Status
+	// PutBatch offers a run of overflow pages in one call — and, for a
+	// wire-backed tier, one round trip; kinds[i] is the owning pool's kind
+	// and sts receives one status per key.
+	PutBatch(keys []Key, kinds []PoolKind, datas [][]byte, sts []Status)
+	// GetBatch retrieves a run of pages previously accepted; dsts may be nil
+	// or hold per-key buffers (nil entries mean presence only).
+	GetBatch(keys []Key, dsts [][]byte, sts []Status)
 	// FlushPage invalidates a single page.
 	FlushPage(key Key) Status
 	// FlushObject invalidates every page of an object, reporting how many
 	// pages the tier actually freed (an ephemeral-backed tier may hold
-	// fewer than the owner tracked). A negative count means the transport
-	// could not tell; callers fall back to their own tracking.
+	// fewer than the owner tracked).
 	FlushObject(pool PoolID, object ObjectID) (mem.Pages, Status)
 	// DropPool releases everything held for a local pool (pool destruction
 	// or VM shutdown).
@@ -57,6 +67,9 @@ type Tier interface {
 	// Stats returns cumulative operation counters.
 	Stats() TierStats
 }
+
+// Deprecated: BatchTier is Tier, which has the batch methods.
+type BatchTier = Tier
 
 // TierStats are a tier's cumulative operation counters.
 type TierStats struct {
@@ -71,65 +84,30 @@ type TierStats struct {
 
 // PageService is the put/get/flush surface a RemoteTier drives: the
 // key–value operations of the kvstore wire protocol, minus the transport.
-// Both kvstore.Client (a real net.Conn to a smartmem-kvd daemon) and
-// Loopback (a direct in-process call into a peer backend, the deterministic
-// simulator transport) satisfy it.
-//
-// Implementations must be safe for concurrent use when the owning backend
-// serves concurrent traffic: Loopback is (the peer backend is striped), a
-// bare kvstore.Client is NOT (one request/response wire) — wrap it in
-// kvstore.SyncClient, as smartmem-kvd's -remote mode does.
+// Both kvstore.Client (a real net.Conn to a smartmem-kvd daemon, one frame
+// per batch) and Loopback (a direct in-process call into a peer backend,
+// the deterministic simulator transport) satisfy it. Implementations must
+// be safe for concurrent use when the owning backend serves concurrent
+// traffic.
 type PageService interface {
 	NewPool(vm VMID, kind PoolKind) (PoolID, error)
 	Put(key Key, data []byte) (Status, error)
+	// Get materializes the page; GetInto copies it into dst instead (nil
+	// when only presence matters), which is what RemoteTier calls.
 	Get(key Key) (Status, []byte, error)
-	FlushPage(key Key) (Status, error)
-	FlushObject(pool PoolID, object ObjectID) (Status, error)
-	DestroyPool(pool PoolID) (Status, error)
-}
-
-// pageGetter is an optional PageService refinement: GetInto retrieves a
-// page directly into the caller's buffer (nil when only presence matters),
-// skipping the payload allocation Get implies. Loopback implements it, so
-// in-process remote gets move zero bytes on the meta stores the simulator
-// uses and copy once on data stores.
-type pageGetter interface {
 	GetInto(key Key, dst []byte) (Status, error)
-}
-
-// BatchTier is an optional Tier refinement: whole runs of overflow puts or
-// tracked-page gets move in one call — and, for wire-backed tiers, one
-// network round trip — instead of one per page. Backend.PutBatch/GetBatch
-// use it when the tier provides it and fall back to per-page calls
-// otherwise.
-type BatchTier interface {
-	Tier
-	// PutBatch offers a run of overflow pages; kinds[i] is the owning
-	// pool's kind. sts receives one status per key.
-	PutBatch(keys []Key, kinds []PoolKind, datas [][]byte, sts []Status)
-	// GetBatch retrieves a run of pages previously accepted by Put; dsts
-	// may be nil or hold per-key buffers (nil entries mean presence only).
-	GetBatch(keys []Key, dsts [][]byte, sts []Status)
-}
-
-// BatchPageService is an optional PageService refinement mirroring
-// BatchTier at the transport layer: kvstore.Client ships the whole run in
-// one OpPutBatch/OpGetBatch wire frame, Loopback feeds it straight into
-// the peer backend's stripe-grouped batch path.
-type BatchPageService interface {
+	FlushPage(key Key) (Status, error)
+	// FlushObjectCount also reports how many pages the flush freed, which
+	// keeps the owner's accounting exact when the peer dropped ephemeral
+	// pages beforehand.
+	FlushObjectCount(pool PoolID, object ObjectID) (mem.Pages, Status, error)
+	DestroyPool(pool PoolID) (Status, error)
 	PutBatch(keys []Key, datas [][]byte, sts []Status) error
 	GetBatch(keys []Key, dsts [][]byte, sts []Status) error
 }
 
-// objectFlushCounter is an optional PageService refinement: FlushObjectCount
-// additionally reports how many pages the flush actually freed. Loopback,
-// kvstore.Client and kvstore.SyncClient all implement it (the wire protocol
-// carries the count in the response payload), keeping the owner's
-// pages-freed accounting exact even when the peer silently dropped
-// ephemeral pages beforehand.
-type objectFlushCounter interface {
-	FlushObjectCount(pool PoolID, object ObjectID) (mem.Pages, Status, error)
-}
+// Deprecated: BatchPageService is PageService, which has the batch methods.
+type BatchPageService = PageService
 
 // RemoteTier ships overflow pages to a peer tmem store over a PageService.
 // Pages are stored on the peer under pools owned by a single "remote guest"
@@ -249,18 +227,7 @@ func (r *RemoteTier) Get(key Key, dst []byte) Status {
 		return ETmem
 	}
 	r.gets.Add(1)
-	rkey := Key{Pool: rp, Object: key.Object, Index: key.Index}
-	var st Status
-	var err error
-	if g, ok := r.svc.(pageGetter); ok {
-		st, err = g.GetInto(rkey, dst)
-	} else {
-		var payload []byte
-		st, payload, err = r.svc.Get(rkey)
-		if err == nil && st == STmem && dst != nil {
-			copy(dst, payload)
-		}
-	}
+	st, err := r.svc.GetInto(Key{Pool: rp, Object: key.Object, Index: key.Index}, dst)
 	if err != nil {
 		return r.fail()
 	}
@@ -280,17 +247,16 @@ type remoteBatchScratch struct {
 	sts  []Status
 }
 
-// PutBatch implements BatchTier: the run is translated to peer keys and
-// shipped through the service's batch surface in one round trip when the
-// transport provides it.
+// PutBatch implements Tier: the run is translated to peer keys and shipped
+// through the service's batch surface in one round trip.
 func (r *RemoteTier) PutBatch(keys []Key, kinds []PoolKind, datas [][]byte, sts []Status) {
-	fill := func(from int) {
-		for i := from; i < len(keys); i++ {
+	refuseAll := func() {
+		for i := range sts {
 			sts[i] = ETmem
 		}
 	}
 	if r.down.Load() {
-		fill(0)
+		refuseAll()
 		return
 	}
 	r.puts.Add(uint64(len(keys)))
@@ -300,28 +266,16 @@ func (r *RemoteTier) PutBatch(keys []Key, kinds []PoolKind, datas [][]byte, sts 
 	for i, k := range keys {
 		rp, ok := r.ensurePool(k.Pool, kinds[i])
 		if !ok {
-			// ensurePool failed => the tier is down; nothing else can land.
-			fill(i)
+			// ensurePool failed => the tier is down; nothing can land.
+			refuseAll()
 			return
 		}
 		sc.keys = append(sc.keys, Key{Pool: rp, Object: k.Object, Index: k.Index})
 	}
-	if bs, ok := r.svc.(BatchPageService); ok {
-		if err := bs.PutBatch(sc.keys, datas, sts); err != nil {
-			r.fail()
-			fill(0)
-			return
-		}
-	} else {
-		for i, rk := range sc.keys {
-			st, err := r.svc.Put(rk, datas[i])
-			if err != nil {
-				r.fail()
-				fill(i)
-				return
-			}
-			sts[i] = st
-		}
+	if err := r.svc.PutBatch(sc.keys, datas, sts); err != nil {
+		r.fail()
+		refuseAll()
+		return
 	}
 	for _, st := range sts {
 		if st == STmem {
@@ -330,7 +284,7 @@ func (r *RemoteTier) PutBatch(keys []Key, kinds []PoolKind, datas [][]byte, sts 
 	}
 }
 
-// GetBatch implements BatchTier.
+// GetBatch implements Tier.
 func (r *RemoteTier) GetBatch(keys []Key, dsts [][]byte, sts []Status) {
 	for i := range sts {
 		sts[i] = ETmem
@@ -367,31 +321,9 @@ func (r *RemoteTier) GetBatch(keys []Key, dsts [][]byte, sts []Status) {
 	for range sc.keys {
 		sc.sts = append(sc.sts, ETmem)
 	}
-	if bs, ok := r.svc.(BatchPageService); ok {
-		if err := bs.GetBatch(sc.keys, sc.dsts, sc.sts); err != nil {
-			r.fail()
-			return
-		}
-	} else {
-		g, hasGetInto := r.svc.(pageGetter)
-		for j, rk := range sc.keys {
-			var st Status
-			var err error
-			if hasGetInto {
-				st, err = g.GetInto(rk, sc.dsts[j])
-			} else {
-				var payload []byte
-				st, payload, err = r.svc.Get(rk)
-				if err == nil && st == STmem && sc.dsts[j] != nil {
-					copy(sc.dsts[j], payload)
-				}
-			}
-			if err != nil {
-				r.fail()
-				return
-			}
-			sc.sts[j] = st
-		}
+	if err := r.svc.GetBatch(sc.keys, sc.dsts, sc.sts); err != nil {
+		r.fail()
+		return
 	}
 	for j, i := range sc.idx {
 		if sc.sts[j] == STmem {
@@ -428,18 +360,11 @@ func (r *RemoteTier) FlushObject(pool PoolID, object ObjectID) (mem.Pages, Statu
 		return 0, ETmem
 	}
 	r.objectFlushes.Add(1)
-	if c, ok := r.svc.(objectFlushCounter); ok {
-		n, st, err := c.FlushObjectCount(rp, object)
-		if err != nil {
-			return 0, r.fail()
-		}
-		return n, st
-	}
-	st, err := r.svc.FlushObject(rp, object)
+	n, st, err := r.svc.FlushObjectCount(rp, object)
 	if err != nil {
 		return 0, r.fail()
 	}
-	return -1, st // freed count unknown on this transport
+	return n, st
 }
 
 // DropPool implements Tier.
@@ -459,8 +384,8 @@ func (r *RemoteTier) DropPool(pool PoolID) {
 // Loopback adapts a peer backend's local store to PageService for
 // in-process clusters: every operation is a direct, synchronous call into
 // the peer's striped store, which keeps the simulator deterministic. It
-// deliberately bypasses the peer's own tier stack (the ...Local methods),
-// so mutually-wired nodes cannot bounce one overflow page back and forth.
+// runs the peer's op bodies with tiers off, so mutually-wired nodes cannot
+// bounce one overflow page back and forth.
 type Loopback struct {
 	b *Backend
 	// gate, when installed, runs on entry to every call; the parallel
@@ -501,60 +426,51 @@ func (l *Loopback) NewPool(vm VMID, kind PoolKind) (PoolID, error) {
 // Put implements PageService.
 func (l *Loopback) Put(key Key, data []byte) (Status, error) {
 	l.enter()
-	return l.b.PutLocal(key, data), nil
+	return l.b.put(key, data, false), nil
 }
 
 // Get implements PageService, materializing the page payload.
 func (l *Loopback) Get(key Key) (Status, []byte, error) {
-	l.enter()
 	buf := make([]byte, l.b.PageSize())
-	st := l.b.GetLocal(key, buf)
-	if st != STmem {
+	if st, _ := l.GetInto(key, buf); st != STmem {
 		return st, nil, nil
 	}
-	return st, buf, nil
+	return STmem, buf, nil
 }
 
-// GetInto implements pageGetter: the caller's buffer goes straight to the
+// GetInto implements PageService: the caller's buffer goes straight to the
 // peer's store, so a nil dst (presence-only, the simulator's meta-store
 // path) moves zero bytes and a data-store cluster still gets real contents.
 func (l *Loopback) GetInto(key Key, dst []byte) (Status, error) {
 	l.enter()
-	return l.b.GetLocal(key, dst), nil
+	return l.b.get(key, dst, false), nil
 }
 
-// PutBatch implements BatchPageService: the peer's stripe-grouped batch
-// path absorbs the whole overflow run with one lock acquisition per stripe.
+// PutBatch implements PageService: the peer's stripe-grouped batch path
+// absorbs the whole overflow run with one lock acquisition per stripe.
 func (l *Loopback) PutBatch(keys []Key, datas [][]byte, sts []Status) error {
 	l.enter()
-	l.b.PutBatchLocal(keys, datas, sts)
+	l.b.putBatch(keys, datas, sts, false)
 	return nil
 }
 
-// GetBatch implements BatchPageService.
+// GetBatch implements PageService.
 func (l *Loopback) GetBatch(keys []Key, dsts [][]byte, sts []Status) error {
 	l.enter()
-	l.b.GetBatchLocal(keys, dsts, sts)
+	l.b.getBatch(keys, dsts, sts, false)
 	return nil
 }
 
 // FlushPage implements PageService.
 func (l *Loopback) FlushPage(key Key) (Status, error) {
 	l.enter()
-	return l.b.FlushPageLocal(key), nil
+	return l.b.flushPage(key, false), nil
 }
 
-// FlushObject implements PageService.
-func (l *Loopback) FlushObject(pool PoolID, object ObjectID) (Status, error) {
-	l.enter()
-	_, st := l.b.FlushObjectLocal(pool, object)
-	return st, nil
-}
-
-// FlushObjectCount implements objectFlushCounter.
+// FlushObjectCount implements PageService.
 func (l *Loopback) FlushObjectCount(pool PoolID, object ObjectID) (mem.Pages, Status, error) {
 	l.enter()
-	n, st := l.b.FlushObjectLocal(pool, object)
+	n, st := l.b.flushObject(pool, object, false)
 	return n, st, nil
 }
 
@@ -569,8 +485,6 @@ func (l *Loopback) DestroyPool(pool PoolID) (Status, error) {
 
 // Compile-time interface checks.
 var (
-	_ Tier             = (*RemoteTier)(nil)
-	_ BatchTier        = (*RemoteTier)(nil)
-	_ PageService      = (*Loopback)(nil)
-	_ BatchPageService = (*Loopback)(nil)
+	_ Tier        = (*RemoteTier)(nil)
+	_ PageService = (*Loopback)(nil)
 )

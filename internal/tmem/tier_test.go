@@ -1,8 +1,11 @@
 package tmem
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -237,20 +240,25 @@ type brokenService struct {
 	calls  int
 }
 
+var errTorn = errors.New("wire torn")
+
 func (s *brokenService) NewPool(VMID, PoolKind) (PoolID, error) { return 7, nil }
 func (s *brokenService) Put(Key, []byte) (Status, error) {
 	s.calls++
 	if s.calls <= s.okPuts {
 		return STmem, nil
 	}
-	return EInval, errors.New("wire torn")
+	return EInval, errTorn
 }
-func (s *brokenService) Get(Key) (Status, []byte, error) { return EInval, nil, errors.New("wire torn") }
-func (s *brokenService) FlushPage(Key) (Status, error)   { return EInval, errors.New("wire torn") }
-func (s *brokenService) FlushObject(PoolID, ObjectID) (Status, error) {
-	return EInval, errors.New("wire torn")
+func (s *brokenService) Get(Key) (Status, []byte, error)          { return EInval, nil, errTorn }
+func (s *brokenService) GetInto(Key, []byte) (Status, error)      { return EInval, errTorn }
+func (s *brokenService) FlushPage(Key) (Status, error)            { return EInval, errTorn }
+func (s *brokenService) DestroyPool(PoolID) (Status, error)       { return EInval, errTorn }
+func (s *brokenService) PutBatch([]Key, [][]byte, []Status) error { return errTorn }
+func (s *brokenService) GetBatch([]Key, [][]byte, []Status) error { return errTorn }
+func (s *brokenService) FlushObjectCount(PoolID, ObjectID) (mem.Pages, Status, error) {
+	return 0, EInval, errTorn
 }
-func (s *brokenService) DestroyPool(PoolID) (Status, error) { return EInval, errors.New("wire torn") }
 
 func TestRemoteTierTransportErrorDegradesToDisk(t *testing.T) {
 	local := NewBackend(1, NewMetaStore(testPage))
@@ -453,13 +461,17 @@ func (c *tripCountingSvc) Get(key Key) (Status, []byte, error) {
 	c.trips.Add(1)
 	return c.inner.Get(key)
 }
+func (c *tripCountingSvc) GetInto(key Key, dst []byte) (Status, error) {
+	c.trips.Add(1)
+	return c.inner.GetInto(key, dst)
+}
 func (c *tripCountingSvc) FlushPage(key Key) (Status, error) {
 	c.trips.Add(1)
 	return c.inner.FlushPage(key)
 }
-func (c *tripCountingSvc) FlushObject(pool PoolID, object ObjectID) (Status, error) {
+func (c *tripCountingSvc) FlushObjectCount(pool PoolID, object ObjectID) (mem.Pages, Status, error) {
 	c.trips.Add(1)
-	return c.inner.FlushObject(pool, object)
+	return c.inner.FlushObjectCount(pool, object)
 }
 func (c *tripCountingSvc) DestroyPool(pool PoolID) (Status, error) {
 	c.trips.Add(1)
@@ -554,5 +566,133 @@ func TestBatchTripRatio(t *testing.T) {
 	if trips > overflowOps/4 {
 		t.Errorf("batch transport trips = %d for %d overflow ops, want <= 1/4 (per-page would pay %d)",
 			trips, overflowOps, overflowOps)
+	}
+}
+
+// TestRunsOfOneMatchPerPage: over real tiers — compressed, then remote
+// through a Loopback to a peer backend — the same seeded ops issued per page
+// and as runs of one (PutBatch, GetBatch, GetRun, FlushRun) must give the
+// same answers and leave the same sample, tier counters, compressed
+// accounting and peer state: both shapes take the one tier walk.
+func TestRunsOfOneMatchPerPage(t *testing.T) {
+	type node struct {
+		b, peer *Backend
+		comp    *CompressedTier
+		remote  *RemoteTier
+	}
+	build := func() *node {
+		n := &node{
+			b:    NewBackend(24, NewDataStore(testPage)),
+			peer: NewBackend(32, NewDataStore(testPage)),
+			comp: NewCompressedTier(CompressedTierConfig{PageSize: testPage, CapacityBytes: 6 * testPage}),
+		}
+		n.remote = NewRemoteTier("peer", NewLoopback(n.peer), 1000)
+		n.b.AttachTier(n.comp)
+		n.b.AttachTier(n.remote)
+		return n
+	}
+	perPage, runs := build(), build()
+	var pools []PoolID
+	for _, vm := range []VMID{1, 2} {
+		for _, kind := range []PoolKind{Persistent, Ephemeral} {
+			pools = append(pools, perPage.b.NewPool(vm, kind))
+			runs.b.NewPool(vm, kind)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(0x51D3))
+	text := codecTestPages(testPage)["text"]
+	dstA, dstB := make([]byte, testPage), make([]byte, testPage)
+	sts := make([]Status, 1)
+	for i := 0; i < 4000; i++ {
+		k := Key{Pool: pools[rng.Intn(len(pools))], Object: ObjectID(rng.Intn(4)), Index: PageIndex(rng.Intn(32))}
+		var op string
+		var got, want Status
+		switch r := rng.Intn(100); {
+		case r < 45:
+			var data []byte // nil: the zero page
+			switch rng.Intn(3) {
+			case 1: // compressible, and distinct enough to defeat dedup now and then
+				data = bytes.Clone(text)
+				data[rng.Intn(testPage)] = byte(rng.Intn(4))
+			case 2: // incompressible
+				data = make([]byte, testPage)
+				rng.Read(data)
+			}
+			op, want = "put", perPage.b.Put(k, data)
+			runs.b.PutBatch([]Key{k}, [][]byte{data}, sts)
+			got = sts[0]
+		case r < 65:
+			op, want = "get", perPage.b.Get(k, dstA)
+			runs.b.GetBatch([]Key{k}, [][]byte{dstB}, sts)
+			if got = sts[0]; got == STmem && !bytes.Equal(dstA, dstB) {
+				t.Fatalf("op %d: get %v returned different bytes", i, k)
+			}
+		case r < 75:
+			op, want = "get-run", perPage.b.Get(k, nil)
+			runs.b.GetRun([]Key{k}, sts)
+			got = sts[0]
+		case r < 92:
+			op, want = "flush", perPage.b.FlushPage(k)
+			runs.b.FlushRun([]Key{k}, sts)
+			got = sts[0]
+		case r < 95:
+			n1, st1 := perPage.b.FlushObject(k.Pool, k.Object)
+			n2, st2 := runs.b.FlushObject(k.Pool, k.Object)
+			if n1 != n2 || st1 != st2 {
+				t.Fatalf("op %d: FlushObject %v = %d %v per page, %d %v after runs", i, k, n1, st1, n2, st2)
+			}
+			continue
+		default:
+			vm, target := VMID(1+rng.Intn(2)), Unlimited
+			if rng.Intn(2) == 0 {
+				target = mem.Pages(rng.Intn(16))
+			}
+			perPage.b.SetTarget(vm, target)
+			runs.b.SetTarget(vm, target)
+			continue
+		}
+		if got != want {
+			t.Fatalf("op %d: %s %v = %v per page, %v as a run of one", i, op, k, want, got)
+		}
+	}
+
+	if a, b := perPage.b.Sample(1), runs.b.Sample(1); !reflect.DeepEqual(a, b) {
+		t.Errorf("sample per page %+v\n  as runs of one %+v", a, b)
+	}
+	for _, vm := range []VMID{1, 2, 1000} {
+		a, _ := perPage.b.Counts(vm)
+		b, _ := runs.b.Counts(vm)
+		pa, _ := perPage.peer.Counts(vm)
+		pb, _ := runs.peer.Counts(vm)
+		if a != b || pa != pb {
+			t.Errorf("vm %d counts per page %+v (peer %+v), as runs of one %+v (peer %+v)", vm, a, pa, b, pb)
+		}
+	}
+	untimed := func(s CompressedTierStats) CompressedTierStats {
+		s.CompressNs, s.DecompressNs = 0, 0
+		return s
+	}
+	if a, b := untimed(perPage.comp.CompressedStats()), untimed(runs.comp.CompressedStats()); a != b {
+		t.Errorf("compressed tier per page %+v\n  as runs of one %+v", a, b)
+	}
+	if a, b := perPage.remote.Stats(), runs.remote.Stats(); a != b {
+		t.Errorf("remote tier per page %+v, as runs of one %+v", a, b)
+	}
+	if a, b := perPage.peer.Sample(1), runs.peer.Sample(1); !reflect.DeepEqual(a, b) {
+		t.Errorf("peer sample per page %+v\n  as runs of one %+v", a, b)
+	}
+	if a, b := perPage.peer.Footprint(), runs.peer.Footprint(); a != b {
+		t.Errorf("peer footprint per page %d, as runs of one %d", a, b)
+	}
+	for _, n := range []*node{perPage, runs} {
+		for _, b := range []*Backend{n.b, n.peer} {
+			if err := b.CheckInvariants(); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	if s := perPage.comp.CompressedStats(); s.RejectedFull == 0 || s.PutsOK == 0 || perPage.remote.Stats().PutsOK == 0 {
+		t.Errorf("the op mix never filled the compressed tier or reached the remote one: %+v", s)
 	}
 }
