@@ -136,7 +136,7 @@ sweep-smoke:
 
 # Fuzz smoke: five seconds of coverage-guided mutation on each decoder of
 # untrusted bytes (WAL segments, snapshot slabs and manifests, compressed
-# pages, memo records and series blobs, kvstore request frames as the
+# pages, memo records, series blobs and packs, kvstore request frames as the
 # server reads them, TKM frames and their payloads). `go test -fuzz` takes
 # one target and one package per run. The minimizer is capped by
 # executions: left at its default it spends a minute shrinking each
@@ -146,6 +146,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotLoad$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/durable
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/tmem
 	$(GO) test -run '^$$' -fuzz '^FuzzMemoDecode$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/experiments
+	$(GO) test -run '^$$' -fuzz '^FuzzMemoPack$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/experiments
 	$(GO) test -run '^$$' -fuzz '^FuzzServeConn$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz '^FuzzTKMFrame$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/tkm
 

@@ -25,13 +25,16 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 )
 
 // BlobStore is the pluggable persistence backend. The method set is
@@ -155,11 +158,26 @@ func (d *DirStore) Get(key string) ([]byte, error) {
 	return os.ReadFile(p)
 }
 
+// List walks only the directory the prefix names up to its last '/' (the
+// whole root for a prefix without one), so listing one namespace does not
+// pay for the files of the others.
 func (d *DirStore) List(prefix string) ([]string, error) {
+	top := d.root
+	if i := strings.LastIndexByte(prefix, '/'); i > 0 {
+		if p, err := d.path(prefix[:i]); err == nil { // else filter the whole root
+			top = p
+		}
+	}
 	var out []string
-	err := filepath.WalkDir(d.root, func(p string, e os.DirEntry, err error) error {
-		if err != nil || e.IsDir() {
+	err := filepath.WalkDir(top, func(p string, e os.DirEntry, err error) error {
+		if err != nil {
+			if p == top && top != d.root && (errors.Is(err, fs.ErrNotExist) || errors.Is(err, syscall.ENOTDIR)) {
+				return filepath.SkipAll // nothing stored under the prefix
+			}
 			return err
+		}
+		if e.IsDir() {
+			return nil
 		}
 		rel, rerr := filepath.Rel(d.root, p)
 		if rerr != nil {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -195,6 +197,49 @@ func TestDirStoreRejectsEscapingKeys(t *testing.T) {
 	for _, k := range []string{"", "/abs", "../escape", "wal/../../x"} {
 		if err := blob.Put(k, []byte("x")); err == nil {
 			t.Fatalf("key %q accepted", k)
+		}
+	}
+}
+
+// DirStore.List walks only the prefix's directory, with the output of a
+// filter over every key: MemStore's, for the same keys. In-flight temp
+// files stay hidden and a prefix naming no directory lists nothing.
+func TestDirStoreListScoped(t *testing.T) {
+	dir := t.TempDir()
+	blob, err := NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := NewMemStore()
+	for _, k := range []string{
+		"memo/aa", "memo/bb", "memo-series/aa", "memo-pack/cc", "memox",
+		"snapshot/0000000000000006/MANIFEST", "snapshot/0000000000000006/0000.slab",
+		"snapshot/0000000000000007/0000.slab", "wal/0000000000000006.log", "wal/0000000000000007.log",
+	} {
+		if err := blob.Put(k, []byte(k)); err != nil {
+			t.Fatal(err)
+		}
+		if err := model.Put(k, []byte(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tmp := range []string{"memo/.tmp-1", "wal/.tmp-2", ".tmp-3"} {
+		if err := os.WriteFile(filepath.Join(dir, tmp), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, prefix := range []string{
+		"", "memo", "memo/", "memo/a", "memo-pack/", "snapshot/0000000000000006",
+		"snapshot/0000000000000006/", "snapshot/", "wal/", "nope/", "nope/deeper/x", "memo/aa/x",
+	} {
+		got, err := blob.List(prefix)
+		if err != nil {
+			t.Errorf("List(%q): %v", prefix, err)
+			continue
+		}
+		want, _ := model.List(prefix)
+		if !slices.Equal(got, want) {
+			t.Errorf("List(%q) = %q, want %q", prefix, got, want)
 		}
 	}
 }

@@ -111,6 +111,13 @@ func (e *Engine) workers(n int) int {
 // and is returned; results for skipped jobs carry ErrSkipped. A nil ctx
 // means context.Background(); cancelling ctx stops dispatch after in-flight
 // jobs finish.
+//
+// With a cache, a run has two phases. Recall fingerprints every job and
+// serves what the sweep's pack holds in one read; the run phase takes the
+// cells left over, each of which is read from its own record or simulated.
+// A run in which every cell ended with a stored record, not all of them
+// from the pack, then writes the pack, so the next run of the same sweep is
+// one read.
 func (e *Engine) Run(ctx context.Context, jobs []Job) ([]JobResult, error) {
 	if len(jobs) == 0 {
 		return nil, nil
@@ -125,28 +132,25 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]JobResult, error) {
 	for i := range results {
 		results[i] = JobResult{Job: jobs[i], Index: i, Err: ErrSkipped}
 	}
-
-	workers := e.workers(len(jobs))
 	st := &sweepState{
 		engine:  e,
 		ctx:     ctx,
 		cancel:  cancel,
 		jobs:    jobs,
 		results: results,
-		// Spare cores go to per-run parallelism only when the pool cannot
-		// fill the machine by itself.
-		clusterPar: workers < runtime.NumCPU(),
-		jobIdx:     len(jobs),
+		jobIdx:  len(jobs),
 	}
+	pending := st.recall()
 
+	workers := e.workers(len(pending))
+	// Spare cores go to per-run parallelism only when the pool cannot fill
+	// the machine by itself.
+	st.clusterPar = workers < runtime.NumCPU()
 	// One worker keeps submission order (tests and callers rely on
 	// Parallelism 1 meaning "the old sequential loop").
-	order := make([]int, len(jobs))
-	for i := range order {
-		order[i] = i
-	}
+	order := pending
 	if workers > 1 {
-		order = scheduleOrder(jobs)
+		order = scheduleOrder(jobs, pending)
 	}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
@@ -167,6 +171,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]JobResult, error) {
 		}()
 	}
 	wg.Wait()
+	st.storePack()
 
 	if st.jobErr != nil {
 		return results, st.jobErr
@@ -186,6 +191,16 @@ type sweepState struct {
 	results    []JobResult
 	clusterPar bool
 
+	// With a cache: every job's fingerprint (fpOK false where the job has
+	// none) and, when all have one, the sweep's pack key, the scalar record
+	// each cell ended with (nil until it has one) and how many came from
+	// the pack. Workers write recs at their own index only.
+	fps      []Fingerprint
+	fpOK     []bool
+	pack     string
+	recs     [][]byte
+	fromPack int
+
 	mu      sync.Mutex
 	eventMu sync.Mutex
 	done    int
@@ -200,26 +215,74 @@ type scratch struct {
 	enc []byte
 }
 
+// recall is the run's first phase: it fingerprints every job and serves
+// what the sweep's pack holds. It returns the indexes left for the run
+// phase, in job order.
+func (st *sweepState) recall() []int {
+	e := st.engine
+	if e.Cache != nil && e.OnEvent == nil {
+		st.fps = make([]Fingerprint, len(st.jobs))
+		st.fpOK = make([]bool, len(st.jobs))
+		packable := true
+		for i, job := range st.jobs {
+			// Unfingerprintable jobs (a Build error) fail identically on
+			// the real run; they just skip the cache, and the sweep has no
+			// pack.
+			fp, err := jobFingerprint(job)
+			st.fps[i], st.fpOK[i] = fp, err == nil
+			packable = packable && err == nil
+		}
+		if packable {
+			st.pack = packKey(st.fps)
+			var served []*core.Result
+			served, st.recs = e.Cache.recall(st.pack, st.fps, !e.scalarsOnly)
+			var pending []int
+			for i, res := range served {
+				if res == nil {
+					pending = append(pending, i)
+					continue
+				}
+				st.results[i] = JobResult{Job: st.jobs[i], Index: i, Result: res}
+				st.fromPack++
+				st.finish(i, nil)
+			}
+			return pending
+		}
+	}
+	pending := make([]int, len(st.jobs))
+	for i := range pending {
+		pending[i] = i
+	}
+	return pending
+}
+
+// storePack writes the sweep's pack once every cell has a stored record,
+// unless the pack already served them all. A cancelled or failed run, or a
+// cell whose store failed, leaves a gap and writes none.
+func (st *sweepState) storePack() {
+	if st.recs == nil || st.fromPack == len(st.jobs) {
+		return
+	}
+	for _, rec := range st.recs {
+		if rec == nil {
+			return
+		}
+	}
+	_ = st.engine.Cache.putPack(st.pack, st.recs) // best-effort; the Memo counts a failure
+}
+
 // execute runs (or recalls from cache) the job at idx and records its
-// outcome. It is the one place results, progress, and fail-fast state are
-// updated.
+// outcome.
 func (st *sweepState) execute(idx int, sc *scratch) {
 	e := st.engine
 	job := st.jobs[idx]
 	jr := JobResult{Job: job, Index: idx}
 
-	var fp Fingerprint
+	useCache := st.fps != nil && st.fpOK[idx]
+	var rec []byte
 	cached := false
-	useCache := e.Cache != nil && e.OnEvent == nil
 	if useCache {
-		var err error
-		if fp, err = JobFingerprint(job); err != nil {
-			// Unfingerprintable jobs (a Build error) fail identically on
-			// the real run below; just skip the cache.
-			useCache = false
-		} else if res, ok := e.Cache.get(fp, !e.scalarsOnly); ok {
-			jr.Result, cached = res, true
-		}
+		jr.Result, rec, cached = e.Cache.lookup(st.fps[idx], !e.scalarsOnly)
 	}
 	if !cached {
 		var obs core.Observer
@@ -241,37 +304,46 @@ func (st *sweepState) execute(idx int, sc *scratch) {
 			// writes are best-effort — a full disk must not fail the sweep
 			// (the Memo counts the failure).
 			if useCache && !jr.Result.Cancelled {
-				_ = e.Cache.put(fp, jr.Result, &sc.enc)
+				if rec, _ = e.Cache.put(st.fps[idx], jr.Result, &sc.enc); rec != nil && st.recs != nil {
+					rec = append([]byte(nil), rec...) // sc.enc is reused by the next job
+				}
 			}
 		}
 	}
 	st.results[idx] = jr
+	if st.recs != nil {
+		st.recs[idx] = rec
+	}
+	st.finish(idx, jr.Err)
+}
 
+// finish counts the job at idx as done. It is the one place progress and
+// fail-fast state are updated.
+func (st *sweepState) finish(idx int, err error) {
+	e := st.engine
 	st.mu.Lock()
 	st.done++
-	if jr.Err != nil {
+	if err != nil {
 		if idx < st.jobIdx {
-			st.jobErr, st.jobIdx = jr.Err, idx
+			st.jobErr, st.jobIdx = err, idx
 		}
 		st.cancel() // fail fast: stop dispatching further jobs
 	}
 	if e.OnProgress != nil {
-		e.OnProgress(st.done, len(st.jobs), job)
+		e.OnProgress(st.done, len(st.jobs), st.jobs[idx])
 	}
 	st.mu.Unlock()
 }
 
-// scheduleOrder returns job indexes sorted longest-expected-first
-// (deterministically: ties keep submission order).
-func scheduleOrder(jobs []Job) []int {
-	order := make([]int, len(jobs))
+// scheduleOrder sorts the job indexes idx longest-expected-first, in place
+// (deterministically: ties keep their order), and returns them.
+func scheduleOrder(jobs []Job, idx []int) []int {
 	costs := make([]float64, len(jobs))
-	for i := range jobs {
-		order[i] = i
+	for _, i := range idx {
 		costs[i] = estimateCost(jobs[i])
 	}
-	sort.SliceStable(order, func(a, b int) bool { return costs[order[a]] > costs[order[b]] })
-	return order
+	sort.SliceStable(idx, func(a, b int) bool { return costs[idx[a]] > costs[idx[b]] })
+	return idx
 }
 
 // costModel learns wall-clock durations per (scenario, policy) across

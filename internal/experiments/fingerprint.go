@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"sync"
 
 	"smartmem/internal/core"
 )
@@ -87,6 +88,48 @@ func JobFingerprint(j Job) (Fingerprint, error) {
 	var f Fingerprint
 	hw.h.Sum(f[:0])
 	return f, nil
+}
+
+// fpCache memoizes JobFingerprint for the life of the process, keyed by
+// (scenario pointer, policy spec, seed), so a repeated sweep skips every
+// Build and hash. That is sound because Build/BuildCluster are pure and a
+// *Scenario is not mutated once it has been run: the same key always
+// builds the same config. Errors are not cached (they recur on the run
+// itself). The map is dropped whole at fpCacheMax entries: a process that
+// keeps constructing scenarios must not grow it without bound.
+var fpCache = struct {
+	sync.Mutex
+	m map[fpKey]Fingerprint
+}{m: make(map[fpKey]Fingerprint)}
+
+const fpCacheMax = 1 << 16
+
+type fpKey struct {
+	s    *Scenario
+	pol  string
+	seed uint64
+}
+
+// jobFingerprint is JobFingerprint through fpCache; its output is the same.
+func jobFingerprint(j Job) (Fingerprint, error) {
+	k := fpKey{j.Scenario, j.PolicySpec, j.Seed}
+	fpCache.Lock()
+	fp, ok := fpCache.m[k]
+	fpCache.Unlock()
+	if ok {
+		return fp, nil
+	}
+	fp, err := JobFingerprint(j)
+	if err != nil {
+		return fp, err
+	}
+	fpCache.Lock()
+	if len(fpCache.m) >= fpCacheMax {
+		clear(fpCache.m)
+	}
+	fpCache.m[k] = fp
+	fpCache.Unlock()
+	return fp, nil
 }
 
 // fpWriter feeds length-prefixed primitives into a hash. Every value is

@@ -12,10 +12,19 @@
 // per-tick time series. League and times tables aggregate scalars only, so
 // their sweeps read the scalar record alone; Memo.Get and the figure paths
 // read and validate both.
+//
+// A third, derived blob serves a whole sweep at once: the pack
+// ("memo-pack/<hex sha256 of the sweep's fingerprints in job order>") is the
+// sweep's scalar records concatenated in job order, byte for byte. It is a
+// hint, like a Bitcask hint file: every record in it is validated as if read
+// from its own file, and a cell the pack cannot serve falls back to its
+// per-cell record, which stays the source of truth.
 package experiments
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -38,11 +47,12 @@ const (
 
 // memoPrefix namespaces the scalar records inside the blob store, so a memo
 // cache can share a store with other blobs (List("memo/") finds one key per
-// cell). Series blobs live under the sibling seriesPrefix, outside that
+// cell). Series blobs and packs live under sibling prefixes, outside that
 // listing.
 const (
 	memoPrefix   = "memo/"
 	seriesPrefix = "memo-series/"
+	packPrefix   = "memo-pack/"
 )
 
 var memoCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -126,37 +136,52 @@ func (m *Memo) Get(fp Fingerprint) (*core.Result, bool) { return m.get(fp, true)
 // get is Get with the series read optional: without it the lookup fetches
 // the scalar record alone and the Result's Series is nil.
 func (m *Memo) get(fp Fingerprint, withSeries bool) (*core.Result, bool) {
-	blob, err := m.store.Get(memoKey(fp))
+	res, _, ok := m.lookup(fp, withSeries)
+	return res, ok
+}
+
+// lookup is get that also returns the cell's scalar record, for a pack.
+func (m *Memo) lookup(fp Fingerprint, withSeries bool) (*core.Result, []byte, bool) {
+	rec, err := m.store.Get(memoKey(fp))
 	if err != nil {
 		m.misses.Add(1)
-		return nil, false
+		return nil, nil, false
 	}
-	m.bytesRead.Add(uint64(len(blob)))
-	res, ref, err := decodeScalarRecord(fp, blob)
-	if err == nil && withSeries && ref.n > 0 {
-		// The scalar record is the commit point, so a series blob that is
-		// absent behind a valid record is damage, not a plain miss.
-		if blob, err = m.store.Get(seriesKey(fp)); err == nil {
-			m.bytesRead.Add(uint64(len(blob)))
-			res.Series, err = decodeSeriesBlob(fp, ref, blob)
-		}
-	}
+	m.bytesRead.Add(uint64(len(rec)))
+	res, err := m.load(fp, rec, withSeries)
 	if err != nil {
 		// Present but unusable: count it as corruption (checksum, torn
 		// write, stale version ...) and fall through to a recompute that
 		// will overwrite both blobs.
 		m.corrupt.Add(1)
 		m.misses.Add(1)
-		return nil, false
+		return nil, nil, false
 	}
 	m.hits.Add(1)
-	return res, true
+	return res, rec, true
+}
+
+// load decodes a cell's scalar record and, withSeries, reads and attaches
+// its series blob.
+func (m *Memo) load(fp Fingerprint, rec []byte, withSeries bool) (*core.Result, error) {
+	res, ref, err := decodeScalarRecord(fp, rec)
+	if err == nil && withSeries && ref.n > 0 {
+		// The scalar record is the commit point, so a series blob that is
+		// absent behind a valid record is damage, not a plain miss.
+		var blob []byte
+		if blob, err = m.store.Get(seriesKey(fp)); err == nil {
+			m.bytesRead.Add(uint64(len(blob)))
+			res.Series, err = decodeSeriesBlob(fp, ref, blob)
+		}
+	}
+	return res, err
 }
 
 // Put stores a result under its fingerprint, replacing any existing entry.
 func (m *Memo) Put(fp Fingerprint, res *core.Result) error {
 	var scratch []byte
-	return m.put(fp, res, &scratch)
+	_, err := m.put(fp, res, &scratch)
+	return err
 }
 
 // put is Put with a caller-recycled encode buffer (the engine passes its
@@ -164,8 +189,8 @@ func (m *Memo) Put(fp Fingerprint, res *core.Result) error {
 // blobs are encoded into it back to back, once. The series blob is stored
 // first and the scalar record last — the commit point, like the MANIFEST of
 // a durable snapshot — so a reader never finds a record whose series were
-// not yet written.
-func (m *Memo) put(fp Fingerprint, res *core.Result, scratch *[]byte) error {
+// not yet written. It returns the scalar record, which aliases *scratch.
+func (m *Memo) put(fp Fingerprint, res *core.Result, scratch *[]byte) ([]byte, error) {
 	buf := (*scratch)[:0]
 	if res.Series != nil {
 		buf = encodeSeriesBlob(buf, fp, res.Series)
@@ -182,9 +207,73 @@ func (m *Memo) put(fp Fingerprint, res *core.Result, scratch *[]byte) error {
 	}
 	if err != nil {
 		m.writeErrs.Add(1)
-		return fmt.Errorf("experiments: memo store %s: %w", fp, err)
+		return nil, fmt.Errorf("experiments: memo store %s: %w", fp, err)
 	}
 	m.writes.Add(1)
+	return buf[seriesEnd:], nil
+}
+
+// packKey names the pack of a sweep: the hex SHA-256 of its cells'
+// fingerprints in job order.
+func packKey(fps []Fingerprint) string {
+	h := sha256.New()
+	for i := range fps {
+		h.Write(fps[i][:])
+	}
+	var sum [sha256.Size]byte
+	return packPrefix + hex.EncodeToString(h.Sum(sum[:0]))
+}
+
+// recall serves what it can of a sweep from its pack in one read. res[i] is
+// cell i's result, and recs[i] its scalar record, where the pack holds a
+// record for fps[i] that passes every check a per-cell read makes and (with
+// series) whose series blob loads; both are nil for every other cell. Only
+// served cells are counted, one hit each: the rest go to the per-cell path,
+// which counts them.
+func (m *Memo) recall(key string, fps []Fingerprint, withSeries bool) (res []*core.Result, recs [][]byte) {
+	res = make([]*core.Result, len(fps))
+	recs = make([][]byte, len(fps))
+	pack, err := m.store.Get(key)
+	if err != nil {
+		return res, recs
+	}
+	m.bytesRead.Add(uint64(len(pack)))
+	for i, fp := range fps {
+		// A record's own envelope gives its length; once one is cut short
+		// the walk has lost its place, and the cells left fall back.
+		const lenAt = blobHeadLen + 4
+		if len(pack) < lenAt+8 {
+			break
+		}
+		n := binary.LittleEndian.Uint64(pack[lenAt:])
+		if n > uint64(len(pack)-lenAt-8) {
+			break
+		}
+		rec := pack[:lenAt+8+int(n)]
+		pack = pack[len(rec):]
+		if r, err := m.load(fp, rec, withSeries); err == nil {
+			res[i], recs[i] = r, rec
+			m.hits.Add(1)
+		}
+	}
+	return res, recs
+}
+
+// putPack stores a sweep's pack: recs, one scalar record per cell, in job
+// order. Like a cell's store it is best-effort.
+func (m *Memo) putPack(key string, recs [][]byte) error {
+	n := 0
+	for _, rec := range recs {
+		n += len(rec)
+	}
+	pack := make([]byte, 0, n)
+	for _, rec := range recs {
+		pack = append(pack, rec...)
+	}
+	if err := m.store.Put(key, pack); err != nil {
+		m.writeErrs.Add(1)
+		return fmt.Errorf("experiments: memo pack store: %w", err)
+	}
 	return nil
 }
 

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"hash/crc32"
+	"reflect"
 	"testing"
 
 	"smartmem/internal/core"
@@ -79,6 +81,74 @@ func FuzzMemoDecode(f *testing.F) {
 			if again := encodeSeriesBlob(nil, fp, set); !bytes.Equal(again, blob) {
 				t.Fatalf("accepted series blob re-encodes differently (%d bytes in, %d out)", len(blob), len(again))
 			}
+		}
+	})
+}
+
+// FuzzMemoPack stores arbitrary bytes as the pack of a fixed 4-cell sweep
+// whose per-cell records are intact. Reading it must not panic; every cell
+// the pack serves must equal the per-cell decode, and every other cell must
+// fall back to its record — so the sweep ends with 4 hits, no miss and no
+// corrupt count whatever the pack holds.
+func FuzzMemoPack(f *testing.F) {
+	jobs := Matrix([]*Scenario{mustScale("scale-2")}, []string{"greedy", "smart-alloc:P=2"}, []uint64{11, 23})
+	cells := durable.NewMemStore()
+	if _, err := (&Engine{Parallelism: 2, Cache: NewMemo(cells)}).Run(context.Background(), jobs); err != nil {
+		f.Fatal(err)
+	}
+	fps := make([]Fingerprint, len(jobs))
+	recs := make([][]byte, len(jobs))
+	want := make([]*core.Result, len(jobs))
+	for i, j := range jobs {
+		var err error
+		if fps[i], err = JobFingerprint(j); err != nil {
+			f.Fatal(err)
+		}
+		if recs[i], err = cells.Get(memoKey(fps[i])); err != nil {
+			f.Fatal(err)
+		}
+		if want[i], _, err = decodeScalarRecord(fps[i], recs[i]); err != nil {
+			f.Fatal(err)
+		}
+	}
+	key := packKey(fps)
+	pack, err := cells.Get(key)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(pack)
+	f.Add(pack[:len(pack)-1])
+	f.Add(bytes.Join([][]byte{recs[0], recs[2]}, nil))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, pack []byte) {
+		store := durable.NewMemStore()
+		for i, fp := range fps {
+			if err := store.Put(memoKey(fp), recs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := store.Put(key, pack); err != nil {
+			t.Fatal(err)
+		}
+		served, _ := NewMemo(store).recall(key, fps, false)
+		for i, res := range served {
+			if res != nil && !reflect.DeepEqual(res, want[i]) {
+				t.Fatalf("cell %d: the pack serves a result that differs from its record's", i)
+			}
+		}
+		m := NewMemo(store)
+		got, err := (&Engine{Parallelism: 1, Cache: m, scalarsOnly: true}).Run(context.Background(), jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i].Result, want[i]) {
+				t.Fatalf("cell %d: the sweep returns a result that differs from its record's", i)
+			}
+		}
+		if st := m.Stats(); st.Hits != uint64(len(jobs)) || st.Misses != 0 || st.Corrupt != 0 || st.Writes != 0 {
+			t.Fatalf("stats = %+v, want %d hits and nothing else", st, len(jobs))
 		}
 	})
 }

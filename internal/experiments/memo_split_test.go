@@ -13,13 +13,17 @@ import (
 	"smartmem/internal/metrics"
 )
 
-// countingStore records what a sweep fetches from the blob store.
+// countingStore records what a sweep fetches from and stores to the blob
+// store.
 type countingStore struct {
 	durable.BlobStore
 	mu         sync.Mutex
 	gets       int
 	seriesGets int
 	bytes      int
+	cellGets   []string // keys of the scalar records fetched
+	puts       int
+	packPuts   int
 }
 
 func (c *countingStore) Get(key string) ([]byte, error) {
@@ -29,12 +33,41 @@ func (c *countingStore) Get(key string) ([]byte, error) {
 	if strings.HasPrefix(key, seriesPrefix) {
 		c.seriesGets++
 	}
+	if strings.HasPrefix(key, memoPrefix) {
+		c.cellGets = append(c.cellGets, key)
+	}
 	c.bytes += len(b)
 	c.mu.Unlock()
 	return b, err
 }
 
-func (c *countingStore) reset() { c.gets, c.seriesGets, c.bytes = 0, 0, 0 }
+func (c *countingStore) Put(key string, data []byte) error {
+	c.mu.Lock()
+	c.puts++
+	if strings.HasPrefix(key, packPrefix) {
+		c.packPuts++
+	}
+	c.mu.Unlock()
+	return c.BlobStore.Put(key, data)
+}
+
+func (c *countingStore) reset() {
+	c.gets, c.seriesGets, c.bytes, c.cellGets, c.puts, c.packPuts = 0, 0, 0, nil, 0, 0
+}
+
+// dropPacks deletes every pack, leaving the per-cell records alone.
+func dropPacks(t *testing.T, store durable.BlobStore) {
+	t.Helper()
+	keys, err := store.List(packPrefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if err := store.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
 
 func seriesCSV(t *testing.T, set *metrics.Set) string {
 	t.Helper()
@@ -45,9 +78,10 @@ func seriesCSV(t *testing.T, set *metrics.Set) string {
 	return buf.String()
 }
 
-// A warm league or times table reads one sub-2-KiB scalar record per cell
-// and never a series blob; the sweeps that hand results to their caller
-// still get the series, byte-equal to a fresh simulation's.
+// A warm league or times table is one read, of the sweep's pack — under
+// 2 KiB per cell, no series blob, nothing stored; the sweeps that hand
+// results to their caller read the pack plus each cell's series, byte-equal
+// to a fresh simulation's.
 func TestWarmAggregationsReadScalarsOnly(t *testing.T) {
 	s, err := BySlug("scale-2")
 	if err != nil {
@@ -67,6 +101,9 @@ func TestWarmAggregationsReadScalarsOnly(t *testing.T) {
 	if n, err := cache.Len(); err != nil || n != cells {
 		t.Errorf("Len = %d, %v after a %d-cell sweep", n, err, cells)
 	}
+	if store.packPuts != 1 {
+		t.Errorf("cold sweep stored %d packs, want 1", store.packPuts)
+	}
 
 	warm := map[string]func() error{
 		"RunTournament": func() error { _, err := RunTournament(scns, policies, seeds, opt); return err },
@@ -78,8 +115,9 @@ func TestWarmAggregationsReadScalarsOnly(t *testing.T) {
 		if err := run(); err != nil {
 			t.Fatal(err)
 		}
-		if store.gets != cells || store.seriesGets != 0 {
-			t.Errorf("warm %s: %d gets (%d of series blobs), want %d and 0", name, store.gets, store.seriesGets, cells)
+		if store.gets != 1 || store.seriesGets != 0 || store.puts != 0 {
+			t.Errorf("warm %s: %d gets (%d of series blobs), %d puts; want 1 (the pack), 0 and 0",
+				name, store.gets, store.seriesGets, store.puts)
 		}
 		if store.bytes > cells*2048 {
 			t.Errorf("warm %s read %d bytes for %d cells, want <= 2 KiB per cell", name, store.bytes, cells)
@@ -102,8 +140,9 @@ func TestWarmAggregationsReadScalarsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if store.gets != 2*cells || store.seriesGets != cells {
-		t.Errorf("warm RunMatrix: %d gets (%d of series blobs), want %d and %d", store.gets, store.seriesGets, 2*cells, cells)
+	if store.gets != 1+cells || store.seriesGets != cells || store.puts != 0 {
+		t.Errorf("warm RunMatrix: %d gets (%d of series blobs), %d puts; want %d, %d and 0",
+			store.gets, store.seriesGets, store.puts, 1+cells, cells)
 	}
 	for i := range fresh {
 		if got, want := seriesCSV(t, cached[i].Result.Series), seriesCSV(t, fresh[i].Result.Series); got != want {
@@ -196,6 +235,10 @@ func TestMemoSplitDamage(t *testing.T) {
 	if err := store.Delete(memoKey(fp)); err != nil {
 		t.Fatal(err)
 	}
+	// The pack is derived from the per-cell records: lost with them, it
+	// would still serve the engine (TestMemoPackRecovery covers the pack's
+	// own damage).
+	dropPacks(t, store)
 	if _, ok := cache.Get(fp); ok {
 		t.Error("scalar record deleted: full read hit")
 	}
