@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint fmt bench bench-json bench-gate bench-e2e-test load-smoke load-smoke-durable sweep-smoke fuzz-smoke profile report clean
+.PHONY: all build test race vet lint fmt bench bench-json bench-gate bench-e2e-test load-smoke load-smoke-durable sweep-smoke fuzz-smoke profile profile-sweep report clean
 
 all: build lint test
 
@@ -137,7 +137,9 @@ sweep-smoke:
 # Fuzz smoke: five seconds of coverage-guided mutation on each decoder of
 # untrusted bytes (WAL segments, snapshot slabs and manifests, compressed
 # pages, memo records, series blobs and packs, kvstore request frames as the
-# server reads them, TKM frames and their payloads). `go test -fuzz` takes
+# server reads them, TKM frames and their payloads), and on the sim kernel's
+# run-ahead equivalence harness (random process programs must run the same
+# under a plain Step loop and under every loop that runs ahead). `go test -fuzz` takes
 # one target and one package per run. The minimizer is capped by
 # executions: left at its default it spends a minute shrinking each
 # coverage-expanding input, which is the whole smoke.
@@ -149,6 +151,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMemoPack$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/experiments
 	$(GO) test -run '^$$' -fuzz '^FuzzServeConn$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz '^FuzzTKMFrame$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/tkm
+	$(GO) test -run '^$$' -fuzz '^FuzzKernelRunAhead$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/sim
 
 # Profile a tier-stack-heavy run (kv-heavy hammers the striped store; swap
 # -scenario cluster-2 to profile the cluster runtime). Inspect with:
@@ -158,6 +161,15 @@ profile:
 	$(GO) run ./cmd/smartmem-sim -scenario kv-heavy -policy smart-alloc:P=2 -seed 11 \
 		-cpuprofile cpu.prof -memprofile mem.prof -quiet > /dev/null
 	@echo "wrote cpu.prof and mem.prof"
+
+# Profile one cold sweep-paper tournament on one worker: the four Table II
+# scenarios under every policy spec, no memo, so every cell simulates. This
+# is where the sim kernel's scheduling cost shows. Inspect with:
+#   go tool pprof cpu-sweep.prof
+profile-sweep:
+	$(GO) run ./cmd/smartmem-sim -tournament -scenario s1,s2,usemem,s3 -seeds 273490 -parallel 1 -quiet \
+		-cpuprofile cpu-sweep.prof > /dev/null
+	@echo "wrote cpu-sweep.prof"
 
 # Regenerate every paper figure and table with all CPUs.
 report:

@@ -7,7 +7,8 @@
 //
 // Protocol. Every node publishes a conservative lower bound on its own
 // clock — the timestamp of its next event, published *before* the event
-// executes — through a nodeClock. A cross-node operation at local time t
+// executes, a process's run-ahead wake-up included (sim.RunGated) —
+// through a nodeClock. A cross-node operation at local time t
 // must wait until the clock of every node whose events could precede it in
 // the merged order has passed t:
 //
@@ -161,8 +162,9 @@ func driveParallel(ctx context.Context, kerns []*sim.Kernel, nodes []*nodeRuntim
 			// finished (or crashed) node.
 			defer clocks[i].publish(math.MaxInt64)
 			// The kernel publishes its next-event time before executing
-			// each event; the context is polled between events exactly
-			// like the stepping driver.
+			// each event, and each run-ahead time before its clock moves
+			// there; the context is polled between events exactly like
+			// the stepping driver.
 			kern.RunGated(
 				func(t sim.Time) { clocks[i].publish(int64(t)) },
 				func() bool {

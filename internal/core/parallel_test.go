@@ -8,8 +8,11 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"smartmem/internal/mem"
 	"smartmem/internal/policy"
+	"smartmem/internal/workload"
 )
 
 // seriesCSV renders a result's series set to its canonical CSV form, the
@@ -149,6 +152,72 @@ func TestClusterCancellationStopsAllNodes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// loneVM is a node whose only process is one VM's workload: no tmem, so no
+// manager tick, and nothing else is ever queued — the workload runs ahead
+// from its start to its end inside one kernel step, and only its own poll
+// of the run context can stop it early.
+func loneVM() Config {
+	return Config{
+		PageSize: 4 * mem.KiB,
+		Seed:     9,
+		VMs: []VMSpec{{ID: 1, Name: "VM1", RAMBytes: 64 * mem.MiB, Workload: workload.InMemoryAnalytics{
+			Label:        "run1",
+			DatasetBytes: 128 * mem.MiB,
+			Passes:       16,
+		}}},
+	}
+}
+
+// requirePromptCancel runs run uncancelled, then again cancelled from the
+// observer at the first VMStarted, and fails unless the second run returns
+// context.Canceled with a Cancelled partial Result in under a tenth of the
+// first's wall time.
+func requirePromptCancel(t *testing.T, run func(context.Context, Observer) (*Result, error)) {
+	t.Helper()
+	start := time.Now()
+	if _, err := run(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	full := time.Since(start)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	obs := ObserverFunc(func(e Event) {
+		if _, ok := e.(VMStarted); ok {
+			cancel()
+		}
+	})
+	start = time.Now()
+	res, err := run(ctx, obs)
+	took := time.Since(start)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res == nil || !res.Cancelled {
+		t.Fatalf("partial result %+v not marked cancelled", res)
+	}
+	if took > full/10 {
+		t.Errorf("cancelled run took %v, want under a tenth of the full run's %v", took, full)
+	}
+}
+
+// With nothing else queued, a workload runs ahead through its whole run in
+// one event, so the driver's between-event context check never comes; the
+// workload's own poll (workload.Ctx.Stopped) must stop it.
+func TestRunAheadCancellationIsPrompt(t *testing.T) {
+	requirePromptCancel(t, func(ctx context.Context, obs Observer) (*Result, error) {
+		return RunWith(ctx, loneVM(), obs)
+	})
+}
+
+// The goroutine driver's mirror: every node a lone VM running ahead under
+// RunGated.
+func TestClusterRunAheadCancellationIsPrompt(t *testing.T) {
+	requirePromptCancel(t, func(ctx context.Context, obs Observer) (*Result, error) {
+		return RunClusterWith(ctx, ClusterConfig{Nodes: []Config{loneVM(), loneVM()}, Parallel: true}, obs)
+	})
 }
 
 // A parallel run against a cluster whose nodes share no remote tier (and

@@ -146,20 +146,40 @@ func cancelHook(ctx context.Context) func() bool {
 // the one whose next event is earliest by (time, node index) — the order
 // the cluster's old single shared kernel ran events in, pinned by recorded
 // digests (DESIGN §13). Head times are exact here: the only stale queue
-// entries a kernel holds come from Kill, which runs after the drive. The
-// context is checked between events, so cancellation is prompt even while
-// every workload is deep inside a long phase; with a background context
-// the check never fires.
+// entries a kernel holds come from Kill, which runs after the drive.
+//
+// The stepped kernel's processes may run ahead to the earliest head among
+// the other kernels, a lower-indexed one's counting one nanosecond earlier
+// because its same-time events come first: exactly the times at which this
+// kernel would be picked again. The same pass that finds the earliest head
+// finds that horizon. When a new earliest head turns up, every kernel seen
+// so far has a lower index and a head no earlier than the old earliest, so
+// the horizon restarts from that head minus one; later kernels count as
+// they are. Stepping never moves another kernel's head — cross-node calls
+// schedule nothing in the callee's queue — so the horizon holds for the
+// whole step.
+//
+// The context is checked between steps; a workload that runs ahead polls
+// it itself through workload.Ctx.Stopped, so cancellation stays prompt even
+// while every workload is deep inside a long phase. With a background
+// context the check never fires.
 func driveStepping(ctx context.Context, kerns []*sim.Kernel, shards []*Result) {
 	for {
-		next, at := -1, sim.Time(0)
+		next, at, horizon := -1, sim.Time(0), sim.MaxTime
 		for i, kern := range kerns {
-			if t, ok := kern.PeekTime(); ok && (next < 0 || t < at) {
+			t, ok := kern.PeekTime()
+			switch {
+			case !ok:
+			case next < 0:
 				next, at = i, t
+			case t < at:
+				next, at, horizon = i, t, at-1
+			default:
+				horizon = min(horizon, t)
 			}
 		}
 		// A head past the limit is the earliest of all: the run is over.
-		if next < 0 || !kerns[next].Step() {
+		if next < 0 || !kerns[next].StepWithin(horizon) {
 			return
 		}
 		if ctx.Err() != nil {

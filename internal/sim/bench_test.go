@@ -50,8 +50,9 @@ func BenchmarkKernelTimers(b *testing.B) {
 	k.Run()
 }
 
-// BenchmarkProcSleep measures the full process scheduling point: schedule,
-// resume the coroutine, park by yielding back to the kernel.
+// BenchmarkProcSleep measures a lone sleeper under Run: every wake-up is
+// the next event, so each Sleep takes the run-ahead path — the clock moves
+// in place, no heap push/pop, no coroutine switch.
 func BenchmarkProcSleep(b *testing.B) {
 	k := NewKernel(1)
 	k.Spawn("sleeper", func(p *Proc) {
@@ -59,6 +60,24 @@ func BenchmarkProcSleep(b *testing.B) {
 			p.Sleep(Microsecond)
 		}
 	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+}
+
+// BenchmarkProcSleepInterleaved measures the full process scheduling point:
+// two processes with equal quanta, so every wake-up of one ties with the
+// other's queued one and every Sleep is a real schedule, switch pair and
+// pop. One op is one Sleep.
+func BenchmarkProcSleepInterleaved(b *testing.B) {
+	k := NewKernel(1)
+	for _, n := range []int{b.N / 2, b.N - b.N/2} {
+		k.Spawn("sleeper", func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Sleep(Microsecond)
+			}
+		})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	k.Run()

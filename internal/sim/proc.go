@@ -64,7 +64,10 @@ func (p *Proc) park() {
 
 // Sleep advances this process's local view of time by d, yielding to the
 // kernel so other processes and timers can run in between. d <= 0 yields
-// without advancing the clock (still a scheduling point).
+// without advancing the clock (still a scheduling point). When the wake-up
+// would be the next event anyway — nothing queued at or before it, within
+// the limit and the driving loop's horizon — the process runs ahead: the
+// clock moves in place and Sleep returns without switching.
 func (p *Proc) Sleep(d Duration) {
 	if p.cancelled {
 		panic(errProcKilled)
@@ -72,7 +75,11 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.k.scheduleProc(p.k.now+Time(d), p)
+	t := p.k.now + Time(d)
+	if p.k.runAhead(t) {
+		return
+	}
+	p.k.scheduleProc(t, p)
 	p.park()
 }
 

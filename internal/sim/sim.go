@@ -17,6 +17,17 @@
 // Virtual time is an int64 nanosecond count starting at zero. Ties in the
 // event queue are broken by a monotonically increasing sequence number so
 // that scheduling order never depends on heap internals.
+//
+// A process whose wake-up is the next event keeps running: when nothing is
+// queued at or before the time a Sleep would wake at, and that time is
+// within the limit and the driving loop's horizon, Sleep moves the clock in
+// place and returns without a switch (run-ahead). The horizon is the
+// latest time the loop lets the kernel reach without returning to it: the
+// limit for Run and RunGated (which publishes each run-ahead time before
+// the clock moves), t for RunUntil(t), the caller's bound for StepWithin,
+// and none for Step and KillAll's drain, so a bare Step is still exactly
+// one event. The event order is the same as without run-ahead, event for
+// event.
 package sim
 
 import (
@@ -134,6 +145,10 @@ func (q *eventQueue) pop() event {
 	return min
 }
 
+// noHorizon is the horizon outside the event loops: no wake-up time is at
+// or below it, so no process runs ahead.
+const noHorizon = Time(-1)
+
 // Kernel is a discrete-event simulation instance. The zero value is not
 // usable; construct with NewKernel.
 type Kernel struct {
@@ -145,6 +160,15 @@ type Kernel struct {
 	ended bool
 	limit Time // hard stop; MaxTime when unset
 	rng   *RNG
+
+	// horizon is the latest time the driving loop lets a sleeping process
+	// run ahead to (Proc.Sleep); publish, set only by RunGated, announces
+	// each run-ahead time before the clock moves to it. Every entry point
+	// sets both.
+	horizon Time
+	publish func(Time)
+
+	events, ranAhead uint64 // Counts
 
 	panicVal any // re-raised from dispatch if a process panicked
 }
@@ -241,12 +265,47 @@ func (k *Kernel) dispatch(p *Proc) {
 	}
 }
 
+// runAhead is Proc.Sleep's fast path: when the sleeper's wake-up at t
+// would be the very next event the driving loop executes — nothing queued
+// at or before t, t within the limit and the horizon — it moves the clock
+// to t in place and reports true, skipping the push, the two coroutine
+// switches and the pop. The event order is unchanged: the wake-up is
+// exactly the event the kernel would pop next, and the sequence number it
+// skips only ever broke ties between queued events.
+func (k *Kernel) runAhead(t Time) bool {
+	if t > k.horizon || t > k.limit || (len(k.queue) > 0 && k.queue[0].at <= t) {
+		return false
+	}
+	if k.publish != nil {
+		k.publish(t)
+	}
+	k.now = t
+	k.ranAhead++
+	return true
+}
+
 // Step executes the single earliest pending event. It reports false when
-// the queue is empty or the time limit has been reached. Every other way of
-// advancing the kernel (Run, RunUntil, RunGated, KillAll's drain) is a loop
-// over Step.
-func (k *Kernel) Step() bool {
+// the queue is empty or the time limit has been reached. No process runs
+// ahead, so a Step is always exactly one event.
+func (k *Kernel) Step() bool { return k.StepWithin(noHorizon) }
+
+// StepWithin executes the earliest pending event like Step, but the process
+// it wakes may run ahead (see Proc.Sleep) to any time up to horizon: the
+// driving loop's promise that nothing outside this kernel happens before
+// then.
+func (k *Kernel) StepWithin(horizon Time) bool {
+	k.horizon, k.publish = horizon, nil
+	return k.step(MaxTime)
+}
+
+// step is the one event loop body every entry point drives: it executes the
+// earliest pending event if that is at or before until, skipping stale
+// wake-ups on the way.
+func (k *Kernel) step(until Time) bool {
 	for len(k.queue) > 0 {
+		if k.queue[0].at > until {
+			return false
+		}
 		if k.queue[0].at > k.limit {
 			k.now = k.limit
 			k.ended = true
@@ -255,6 +314,7 @@ func (k *Kernel) Step() bool {
 		e := k.queue.pop()
 		k.now = e.at
 		if e.fn != nil {
+			k.events++
 			e.fn(e.at)
 			return true
 		}
@@ -262,6 +322,7 @@ func (k *Kernel) Step() bool {
 		// processes are dispatched once more so they observe the
 		// cancellation and unwind.
 		if e.proc != nil && !e.proc.finished {
+			k.events++
 			k.dispatch(e.proc)
 			return true
 		}
@@ -269,10 +330,15 @@ func (k *Kernel) Step() bool {
 	return false
 }
 
-// Run executes events until the queue drains or the limit is hit. It
-// returns the final virtual time.
+// Counts reports how many events the kernel executed from its queue and how
+// many wake-ups it ran ahead to instead of queueing.
+func (k *Kernel) Counts() (events, ranAhead uint64) { return k.events, k.ranAhead }
+
+// Run executes events until the queue drains or the limit is hit, letting
+// processes run ahead up to the limit. It returns the final virtual time.
 func (k *Kernel) Run() Time {
-	for k.Step() {
+	k.horizon, k.publish = k.limit, nil
+	for k.step(MaxTime) {
 	}
 	return k.now
 }
@@ -294,14 +360,18 @@ func (k *Kernel) PeekTime() (Time, bool) {
 // one. It is the conservative parallel-simulation entry point: publish(t)
 // promises the caller's synchronization layer that this kernel will never
 // again execute an event earlier than t, so peer kernels may safely run up
-// to t. Either hook may be nil. Returns the final virtual time; a limit
-// stop is reported through Ended, exactly as with Run.
+// to t. Processes run ahead up to the limit, and each run-ahead time is
+// published before the clock moves to it, so a peer never waits on a stale
+// bound; keepGoing is consulted only between queued events. Either hook
+// may be nil. Returns the final virtual time; a limit stop is reported
+// through Ended, exactly as with Run.
 func (k *Kernel) RunGated(publish func(Time), keepGoing func() bool) Time {
+	k.horizon, k.publish = k.limit, publish
 	for len(k.queue) > 0 {
 		if publish != nil {
 			publish(k.queue[0].at)
 		}
-		if !k.Step() {
+		if !k.step(MaxTime) {
 			break
 		}
 		if keepGoing != nil && !keepGoing() {
@@ -312,11 +382,13 @@ func (k *Kernel) RunGated(publish func(Time), keepGoing func() bool) Time {
 }
 
 // RunUntil executes events until virtual time t (inclusive of events at t)
-// and advances the clock to t even when the queue drains early. The hard
-// limit wins: past it the clock clamps to the limit and Ended reports true,
-// exactly as Run behaves.
+// and advances the clock to t even when the queue drains early; processes
+// run ahead no further than t, and a stale wake-up at or before t never
+// lets a later event through. The hard limit wins: past it the clock
+// clamps to the limit and Ended reports true, exactly as Run behaves.
 func (k *Kernel) RunUntil(t Time) Time {
-	for len(k.queue) > 0 && k.queue[0].at <= t && k.Step() {
+	k.horizon, k.publish = t, nil
+	for k.step(t) {
 	}
 	if t > k.limit {
 		t = k.limit
@@ -360,7 +432,8 @@ func (k *Kernel) KillAll() {
 	// Drain the unwind dispatches so coroutines exit before we return. The
 	// kernel maintains a live counter decremented as each process finishes,
 	// so the drain is linear in the number of events rather than rescanning
-	// every process after every Step.
-	for k.live > 0 && k.Step() {
+	// every process after every Step. Nothing runs ahead during the drain.
+	k.horizon, k.publish = noHorizon, nil
+	for k.live > 0 && k.step(MaxTime) {
 	}
 }

@@ -668,6 +668,24 @@ func TestRunUntilRespectsLimit(t *testing.T) {
 	}
 }
 
+// A stale wake-up at or before t (left queued by a killed sleeper) must not
+// let RunUntil(t) execute the next event when that one lies past t.
+func TestRunUntilStaleHeadStopsAtT(t *testing.T) {
+	k := NewKernel(1)
+	victim := k.Spawn("victim", func(p *Proc) { p.Sleep(10 * Second) })
+	var fired []Time
+	k.At(Time(Second), func(Time) { victim.Kill() })
+	k.At(Time(12*Second), func(ft Time) { fired = append(fired, ft) })
+	k.RunUntil(Time(11 * Second))
+	if len(fired) != 0 || k.Now() != Time(11*Second) {
+		t.Errorf("RunUntil(11s) fired %v and left the clock at %v, want nothing and 11s", fired, k.Now())
+	}
+	k.RunUntil(Time(12 * Second))
+	if len(fired) != 1 {
+		t.Errorf("RunUntil(12s) fired %v, want the 12s event", fired)
+	}
+}
+
 // RunUntil with an empty queue advances the clock to t without events.
 func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	k := NewKernel(1)
