@@ -26,11 +26,11 @@ fmt:
 	gofmt -l -w .
 
 # Quick engine benchmarks (one iteration each); the full figure benches
-# live in bench_test.go. BenchmarkRunCluster (stepping vs goroutine
-# cluster driver) and BenchmarkSweep (cold vs warm memo cache) run
-# without -benchmem: their parallel workers' allocation counts wobble by a
-# few dozen with goroutine scheduling, which would trip the gate's
-# absolute allocs/op rule. The store/daemon concurrency benches compare the
+# live in bench_test.go. BenchmarkRunCluster (one cluster run on 2 and on
+# 8 nodes) and BenchmarkSweep (cold vs warm memo cache) run without
+# -benchmem: their allocation counts wobble by a few dozen from run to run
+# (the sweep's with its parallel workers' scheduling), which would trip the
+# gate's absolute allocs/op rule. The store/daemon concurrency benches compare the
 # striped hot path against the shards-1 (single-mutex) baseline,
 # BackendPutGetFlush is one page's put/get/flush life in the store, the
 # remote-tier bench shows overflow absorbed by a peer store instead of

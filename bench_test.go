@@ -407,14 +407,9 @@ func BenchmarkSweep(b *testing.B) {
 }
 
 // BenchmarkRunCluster measures the cluster runtime itself — one full
-// cluster-2-shaped run per iteration, tiled to the requested node count —
-// under its two drivers: seq steps every node's kernel in (time, node)
-// order on one goroutine, par runs one goroutine per kernel behind the
-// nodeClock gates. Both produce the same Result (pinned against recorded
-// digests in internal/experiments); the benchmark tracks the wall-clock
-// gap: on a multi-core box nodes-8/par should approach a per-core speedup,
-// and on the 1-CPU CI runner par must stay within budget of seq (gating
-// the synchronization overhead).
+// cluster-2-shaped run per iteration, tiled to the requested node count,
+// every node's kernel stepped in (time, node) order on one goroutine.
+// Results are pinned against recorded digests in internal/experiments.
 func BenchmarkRunCluster(b *testing.B) {
 	scn, err := experiments.BySlug("cluster-2")
 	if err != nil {
@@ -437,26 +432,19 @@ func BenchmarkRunCluster(b *testing.B) {
 		return cc
 	}
 	for _, nodes := range []int{2, 8} {
-		for _, mode := range []struct {
-			name     string
-			parallel bool
-		}{{"seq", false}, {"par", true}} {
-			b.Run(fmt.Sprintf("nodes-%d/%s", nodes, mode.name), func(b *testing.B) {
-				var end sim.Time
-				for i := 0; i < b.N; i++ {
-					cc := build(nodes)
-					cc.Parallel = mode.parallel
-					res, err := core.RunCluster(cc)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.HitLimit {
-						b.Fatal("cluster run hit the virtual-time limit")
-					}
-					end = res.EndTime
+		b.Run(fmt.Sprintf("nodes-%d", nodes), func(b *testing.B) {
+			var end sim.Time
+			for i := 0; i < b.N; i++ {
+				res, err := core.RunCluster(build(nodes))
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(end.Seconds(), "virt-s")
-			})
-		}
+				if res.HitLimit {
+					b.Fatal("cluster run hit the virtual-time limit")
+				}
+				end = res.EndTime
+			}
+			b.ReportMetric(end.Seconds(), "virt-s")
+		})
 	}
 }

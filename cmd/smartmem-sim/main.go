@@ -67,7 +67,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		leagueJ   = fs.String("league-json", "", `write the league table as JSON to this file ("-" = stdout, suppressing the text tables)`)
 		leagueC   = fs.String("league-csv", "", `write the league table as CSV to this file ("-" = stdout, suppressing the text tables)`)
 		parallel  = fs.Int("parallel", runtime.NumCPU(), "concurrent simulation runs for -times/-tournament (1 = sequential)")
-		clusterP  = fs.Bool("cluster-parallel", false, "single runs only: drive a cluster scenario's per-node kernels on one goroutine each instead of stepping them in turn (results are byte-identical); -times/-tournament decide per sweep")
 		quiet     = fs.Bool("quiet", false, "suppress live progress on stderr")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -292,7 +291,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		cc.Parallel = *clusterP
 		sess, err = smartmem.NewClusterSession(cc, opts...)
 		if err != nil {
 			return fail(err)

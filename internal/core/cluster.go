@@ -28,13 +28,8 @@ type ClusterConfig struct {
 	// node cannot hold locally then land in the peer's RAM instead of the
 	// guest's swap disk. Ignored with fewer than two nodes.
 	RemoteTmem bool
-	// Parallel picks the driver and nothing else: each node's kernel runs
-	// on its own goroutine, conservatively synchronized on the remote-tier
-	// traffic (see parallel.go), instead of all kernels being stepped in
-	// (time, node) order on the calling goroutine. The Result is the same
-	// either way. Ignored with fewer than two nodes. Node configs must not
-	// share mutable state (the stock scenarios allocate their stop flags
-	// and milestone counters per node).
+	// Deprecated: ignored. Every run steps its node kernels in
+	// (time, node) order on the calling goroutine.
 	Parallel bool
 }
 
@@ -91,28 +86,24 @@ func RunClusterWith(ctx context.Context, cc ClusterConfig, obs Observer) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	return run(ctx, cfgs, true, cc.RemoteTmem, cc.Parallel, obs)
+	return run(ctx, cfgs, true, cc.RemoteTmem, obs)
 }
 
 // wireRing attaches node i's remote overflow tier to node (i+1)%N's striped
-// store and returns each node's outbound Loopback (nil where either ring
-// endpoint runs without tmem). The loopback transport serves only the
-// peer's local tier, so a full ring cannot bounce one page around forever;
-// the peer's statistics book the shipped pages under node i's remote-guest
-// account.
-func wireRing(nodes []*nodeRuntime) []*tmem.Loopback {
-	loops := make([]*tmem.Loopback, len(nodes))
+// store, skipping a node where either ring endpoint runs without tmem. The
+// loopback transport serves only the peer's local tier, so a full ring
+// cannot bounce one page around forever; the peer's statistics book the
+// shipped pages under node i's remote-guest account.
+func wireRing(nodes []*nodeRuntime) {
 	for i, n := range nodes {
 		peer := nodes[(i+1)%len(nodes)]
 		if n.backend == nil || peer.backend == nil {
 			continue
 		}
-		loops[i] = tmem.NewLoopback(peer.backend)
-		n.remote = tmem.NewRemoteTier("remote("+peer.tag+")", loops[i], RemoteGuestBase+tmem.VMID(i))
+		n.remote = tmem.NewRemoteTier("remote("+peer.tag+")", tmem.NewLoopback(peer.backend), RemoteGuestBase+tmem.VMID(i))
 		n.backend.AttachTier(n.remote)
 		peer.names.add(RemoteGuestBase+tmem.VMID(i), n.tag+"/remote")
 	}
-	return loops
 }
 
 // clusterPolicyName joins the distinct node policy names in node order.

@@ -49,6 +49,17 @@ func smallCluster(seed uint64, pol policy.Policy, remote bool) ClusterConfig {
 	return ClusterConfig{Nodes: []Config{n0, n1}, RemoteTmem: remote}
 }
 
+// seriesCSV renders a result's series set to its canonical CSV form, the
+// byte-level representation the goldens compare.
+func seriesCSV(t *testing.T, res *Result) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := res.Series.WriteCSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
 func TestClusterRunMergesNodes(t *testing.T) {
 	res, err := RunCluster(smallCluster(1, nil, true))
 	if err != nil {

@@ -40,19 +40,6 @@ type VMSpec struct {
 // idles around 100–150 MiB; 12.5% reproduces that proportionally.
 const DefaultKernelReserveFraction = 0.125
 
-// StoreKind selects the tmem page-content backend.
-type StoreKind string
-
-// Store kinds.
-const (
-	// StoreMeta keeps no page contents (simulation default).
-	StoreMeta StoreKind = "meta"
-	// StoreData keeps verbatim copies (faithful but memory-hungry).
-	StoreData StoreKind = "data"
-	// StoreCompress keeps zlib-compressed copies.
-	StoreCompress StoreKind = "compress"
-)
-
 // Config describes a complete node run.
 type Config struct {
 	// PageSize is the simulation page granularity. Capacities from Table
@@ -86,8 +73,6 @@ type Config struct {
 	// are started by hand/scripts over ssh; identical VMs never hit the
 	// hypervisor in lockstep). Default 250 ms; set negative to disable.
 	StartJitter sim.Duration
-	// Store selects the page-content backend (default StoreMeta).
-	Store StoreKind
 	// CompressBytes, when positive, attaches a CompressedTier of that slab
 	// arena budget below the local store (tier 1, ahead of any remote
 	// tier): pages demoted off the frame pool compress and dedup in RAM
@@ -176,14 +161,6 @@ func (c Config) normalize() (Config, error) {
 	if c.StartJitter < 0 {
 		c.StartJitter = 0
 	}
-	if c.Store == "" {
-		c.Store = StoreMeta
-	}
-	switch c.Store {
-	case StoreMeta, StoreData, StoreCompress:
-	default:
-		return c, fmt.Errorf("core: unknown store kind %q", c.Store)
-	}
 	if c.CompressBytes < 0 {
 		return c, fmt.Errorf("core: negative compressed-tier capacity %d", c.CompressBytes)
 	}
@@ -236,17 +213,6 @@ func (c Config) PolicyName() string {
 		return policy.Greedy{}.Name()
 	}
 	return c.Policy.Name()
-}
-
-func (c Config) newStore() tmem.PageStore {
-	switch c.Store {
-	case StoreData:
-		return tmem.NewDataStore(int(c.PageSize))
-	case StoreCompress:
-		return tmem.NewCompressStore(int(c.PageSize))
-	default:
-		return tmem.NewMetaStore(int(c.PageSize))
-	}
 }
 
 func (c Config) kernelReserve(vm VMSpec) mem.Pages {

@@ -39,9 +39,6 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	if cfg.SampleInterval != sim.Second {
 		t.Errorf("default sample interval = %d", cfg.SampleInterval)
 	}
-	if cfg.Store != StoreMeta {
-		t.Errorf("default store = %q", cfg.Store)
-	}
 }
 
 func TestValidateErrors(t *testing.T) {
@@ -105,11 +102,6 @@ func TestValidateErrors(t *testing.T) {
 			mutate:  func(c *Config) { c.VMs[0].RAMBytes = 0 },
 			wantErr: "non-positive RAM",
 		},
-		{
-			name:    "unknown store kind",
-			mutate:  func(c *Config) { c.Store = "bogus" },
-			wantErr: "unknown store kind",
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -138,7 +130,7 @@ func TestValidateDoesNotMutate(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.PageSize != 0 || cfg.Store != "" {
+	if cfg.PageSize != 0 || cfg.SampleInterval != 0 {
 		t.Errorf("Validate mutated the config: %+v", cfg)
 	}
 }

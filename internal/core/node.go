@@ -153,7 +153,7 @@ func newNodeRuntime(cfg Config, tag string) (*nodeRuntime, error) {
 		n.prefix = tag + "/"
 	}
 	if cfg.TmemEnabled {
-		n.backend = tmem.NewBackend(mem.PagesIn(cfg.TmemBytes, cfg.PageSize), cfg.newStore())
+		n.backend = tmem.NewBackend(mem.PagesIn(cfg.TmemBytes, cfg.PageSize), tmem.NewMetaStore(int(cfg.PageSize)))
 		if cfg.CompressBytes > 0 {
 			// Attached here, before any cluster remote-tier wiring, so the
 			// compressed tier is tier 1 and demotions compress before they

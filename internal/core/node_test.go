@@ -290,7 +290,6 @@ func TestConfigValidationErrors(t *testing.T) {
 		"no RAM":          func(c *Config) { c.VMs[0].RAMBytes = 0 },
 		"tmem without":    func(c *Config) { c.TmemBytes = 0 },
 		"bad page size":   func(c *Config) { c.PageSize = 3000 },
-		"bad store":       func(c *Config) { c.Store = "bogus" },
 		"negative sample": func(c *Config) { c.SampleInterval = -1 },
 	}
 	for name, mutate := range cases {
@@ -299,16 +298,6 @@ func TestConfigValidationErrors(t *testing.T) {
 		mutate(&cfg)
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: no error", name)
-		}
-	}
-}
-
-func TestStoreKinds(t *testing.T) {
-	for _, store := range []StoreKind{StoreMeta, StoreData, StoreCompress} {
-		cfg := smallScenario(2, nil, true)
-		cfg.Store = store
-		if _, err := Run(cfg); err != nil {
-			t.Errorf("store %q: %v", store, err)
 		}
 	}
 }

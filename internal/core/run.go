@@ -9,7 +9,6 @@ import (
 
 	"smartmem/internal/metrics"
 	"smartmem/internal/sim"
-	"smartmem/internal/tmem"
 )
 
 // Run executes one full node simulation to completion and returns its
@@ -29,26 +28,23 @@ func RunWith(ctx context.Context, cfg Config, obs Observer) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return run(ctx, []Config{cfg}, false, false, false, obs)
+	return run(ctx, []Config{cfg}, false, false, obs)
 }
 
 // run is the one run body: RunWith is its one-node, untagged case and
 // RunClusterWith its N-node case. It assembles the nodes (tagged "n<i>"
-// when tagged; ring-wired when remote), drives one kernel per node — on
-// the calling goroutine, or one goroutine each when parallel — and
-// finalizes the merged Result. cfgs are normalized.
+// when tagged; ring-wired when remote), steps one kernel per node on the
+// calling goroutine and finalizes the merged Result. cfgs are normalized.
 //
 // Every node gets its own kernel and Result shard, and all nodes split
 // their random streams from one root seeded by node 0, in node order,
-// before any event runs. Only the drive step differs between the drivers,
-// and both order every cross-node interaction by (virtual time, node
-// index).
-func run(ctx context.Context, cfgs []Config, tagged, remote, parallel bool, obs Observer) (*Result, error) {
+// before any event runs. Every cross-node interaction happens in
+// (virtual time, node index) order.
+func run(ctx context.Context, cfgs []Config, tagged, remote bool, obs Observer) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	nn := len(cfgs)
-	parallel = parallel && nn > 1
 
 	// --- assemble ---
 	nodes := make([]*nodeRuntime, nn)
@@ -63,18 +59,14 @@ func run(ctx context.Context, cfgs []Config, tagged, remote, parallel bool, obs 
 		}
 		nodes[i] = n
 	}
-	var loops []*tmem.Loopback
 	if remote && nn > 1 {
-		loops = wireRing(nodes)
+		wireRing(nodes)
 	}
 
 	// Every kernel stops at the largest node limit.
 	var limit sim.Duration
 	for _, cfg := range cfgs {
 		limit = max(limit, cfg.Limit)
-	}
-	if parallel && obs != nil {
-		obs = &lockedObserver{obs: obs}
 	}
 	cancelled := cancelHook(ctx)
 	rootRNG := sim.NewRNG(cfgs[0].Seed)
@@ -88,11 +80,7 @@ func run(ctx context.Context, cfgs []Config, tagged, remote, parallel bool, obs 
 	}
 
 	// --- drive ---
-	if parallel {
-		driveParallel(ctx, kerns, nodes, loops, shards)
-	} else {
-		driveStepping(ctx, kerns, shards)
-	}
+	driveStepping(ctx, kerns, shards)
 	for i, kern := range kerns {
 		sh := shards[i]
 		sh.HitLimit = kern.Ended()

@@ -5,21 +5,19 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"os"
-	"sort"
-	"strconv"
 	"strings"
 	"testing"
 
 	"smartmem/internal/core"
-	"smartmem/internal/sim"
 )
 
 // buildClusterN tiles a stock 2-node cluster scenario into an N-node ring
 // by building it N/2 times and concatenating the node configs. Each tile
 // comes from its own BuildCluster call, so every node keeps its own stop
 // flag and milestone counters (the scenarios allocate them per build —
-// required for parallel execution and for correct per-tile stop behavior).
+// required for correct per-tile stop behavior).
 func buildClusterN(t *testing.T, slug string, seed uint64, pol string, nodes int) core.ClusterConfig {
 	t.Helper()
 	s, err := BySlug(slug)
@@ -76,58 +74,15 @@ func resultFingerprint(t *testing.T, res *core.Result) string {
 	return sb.String()
 }
 
-// loggedEvent is one observed event rendered to a line, with the node index
-// and time the (time, node) merge order sorts by.
-type loggedEvent struct {
-	node int
-	at   sim.Time
-	line string
-}
-
-// eventLog records a run's event stream. RunFinished is left out: it
-// carries the Result, which the result digest already covers.
-type eventLog struct{ events []loggedEvent }
+// eventLog hashes a run's event stream as observed. RunFinished is left
+// out: it carries the Result, which the result digest already covers.
+type eventLog struct{ h hash.Hash }
 
 func (l *eventLog) OnEvent(e core.Event) {
-	var tag string
-	switch ev := e.(type) {
-	case core.VMStarted:
-		tag = ev.Node
-	case core.Milestone:
-		tag = ev.Node
-	case core.RunCompleted:
-		tag = ev.Node
-	case core.SampleTick:
-		tag = ev.Node
-	case core.TargetUpdate:
-		tag = ev.Node
-	default:
-		return
+	switch e.(type) {
+	case core.VMStarted, core.Milestone, core.RunCompleted, core.SampleTick, core.TargetUpdate:
+		fmt.Fprintf(l.h, "%T %+v\n", e, e)
 	}
-	node, _ := strconv.Atoi(strings.TrimPrefix(tag, "n"))
-	l.events = append(l.events, loggedEvent{node: node, at: e.When(), line: fmt.Sprintf("%T %+v\n", e, e)})
-}
-
-// merged returns the stream in (time, node) order, each node's own events
-// in emission order. The goroutine driver's observer sees nodes interleave
-// by wall-clock timing; this is the order its stream is compared in.
-func (l *eventLog) merged() []loggedEvent {
-	out := append([]loggedEvent(nil), l.events...)
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].at != out[b].at {
-			return out[a].at < out[b].at
-		}
-		return out[a].node < out[b].node
-	})
-	return out
-}
-
-func digestEvents(events []loggedEvent) string {
-	h := sha256.New()
-	for _, e := range events {
-		h.Write([]byte(e.line))
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 func digestString(s string) string {
@@ -135,24 +90,18 @@ func digestString(s string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// clusterCellDigests runs one cluster cell on the chosen driver and returns
-// the sha256 of its resultFingerprint and of its event stream. The stepping
-// driver's raw stream must already be in (time, node) order — the order
-// the single shared kernel emitted — so it is hashed as observed.
-func clusterCellDigests(t *testing.T, slug, pol string, nodes int, seed uint64, parallel bool) (string, string) {
+// clusterCellDigests runs one cluster cell and returns the sha256 of its
+// resultFingerprint and of its event stream. The stream must come out in
+// (time, node) order — the order the single shared kernel emitted — so it
+// is hashed as observed.
+func clusterCellDigests(t *testing.T, slug, pol string, nodes int, seed uint64) (string, string) {
 	t.Helper()
-	cc := buildClusterN(t, slug, seed, pol, nodes)
-	cc.Parallel = parallel
-	var log eventLog
-	res, err := core.RunClusterWith(nil, cc, &log)
+	log := eventLog{h: sha256.New()}
+	res, err := core.RunClusterWith(nil, buildClusterN(t, slug, seed, pol, nodes), &log)
 	if err != nil {
-		t.Fatalf("%s %s parallel=%v: %v", slug, pol, parallel, err)
+		t.Fatalf("%s %s: %v", slug, pol, err)
 	}
-	events := log.events
-	if parallel {
-		events = log.merged()
-	}
-	return digestString(resultFingerprint(t, res)), digestEvents(events)
+	return digestString(resultFingerprint(t, res)), hex.EncodeToString(log.h.Sum(nil))
 }
 
 // digestGrid is the pinned cell grid: the three stock cluster scenarios ×
@@ -200,14 +149,12 @@ func loadPinnedDigests(t *testing.T) map[string][2]string {
 	return pinned
 }
 
-// TestParallelMatchesSequentialAcrossScenarios checks both cluster drivers
-// against digests the deleted single-shared-kernel runtime recorded at the
-// parent commit (testdata/cluster_digests.txt, 81 cells): the sha256 of
-// every deterministic Result field and of the observer event stream. The
-// stepping driver must reproduce the stream as observed; the goroutine
-// driver, whose nodes interleave by wall-clock timing, in (time, node)
-// order. -short keeps cluster-2 at seed 7 on 2 and 4 nodes.
-func TestParallelMatchesSequentialAcrossScenarios(t *testing.T) {
+// TestClusterRunsMatchPinnedDigests checks cluster runs against digests the
+// deleted single-shared-kernel runtime recorded
+// (testdata/cluster_digests.txt, 81 cells): the sha256 of every
+// deterministic Result field and of the observer event stream as observed.
+// -short keeps cluster-2 at seed 7 on 2 and 4 nodes.
+func TestClusterRunsMatchPinnedDigests(t *testing.T) {
 	pinned := loadPinnedDigests(t)
 	g := digestGrid
 	if testing.Short() {
@@ -226,14 +173,12 @@ func TestParallelMatchesSequentialAcrossScenarios(t *testing.T) {
 						if !ok {
 							t.Fatalf("no pinned digest for %s", key)
 						}
-						for _, parallel := range []bool{false, true} {
-							res, ev := clusterCellDigests(t, slug, pol, nodes, seed, parallel)
-							if res != want[0] {
-								t.Errorf("%s parallel=%v: result digest %s, pinned %s", key, parallel, res, want[0])
-							}
-							if ev != want[1] {
-								t.Errorf("%s parallel=%v: event-stream digest %s, pinned %s", key, parallel, ev, want[1])
-							}
+						res, ev := clusterCellDigests(t, slug, pol, nodes, seed)
+						if res != want[0] {
+							t.Errorf("%s: result digest %s, pinned %s", key, res, want[0])
+						}
+						if ev != want[1] {
+							t.Errorf("%s: event-stream digest %s, pinned %s", key, ev, want[1])
 						}
 					}
 				})

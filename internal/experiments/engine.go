@@ -143,9 +143,6 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]JobResult, error) {
 	pending := st.recall()
 
 	workers := e.workers(len(pending))
-	// Spare cores go to per-run parallelism only when the pool cannot fill
-	// the machine by itself.
-	st.clusterPar = workers < runtime.NumCPU()
 	// One worker keeps submission order (tests and callers rely on
 	// Parallelism 1 meaning "the old sequential loop").
 	order := pending
@@ -184,12 +181,11 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]JobResult, error) {
 
 // sweepState is the shared state of one Engine.Run call.
 type sweepState struct {
-	engine     *Engine
-	ctx        context.Context
-	cancel     context.CancelFunc
-	jobs       []Job
-	results    []JobResult
-	clusterPar bool
+	engine  *Engine
+	ctx     context.Context
+	cancel  context.CancelFunc
+	jobs    []Job
+	results []JobResult
 
 	// With a cache: every job's fingerprint (fpOK false where the job has
 	// none) and, when all have one, the sweep's pack key, the scalar record
@@ -294,7 +290,7 @@ func (st *sweepState) execute(idx int, sc *scratch) {
 			})
 		}
 		start := time.Now()
-		jr.Result, jr.Err = runOneWith(job.Scenario, job.PolicySpec, job.Seed, obs, st.clusterPar)
+		jr.Result, jr.Err = RunOneWith(job.Scenario, job.PolicySpec, job.Seed, obs)
 		if jr.Err == nil {
 			observeCost(job, time.Since(start))
 			// Only complete, successful runs are cached: errors and

@@ -36,16 +36,11 @@ func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 // the scenario's config (Build/BuildCluster are required to be cheap and
 // side-effect free) and hashes every plain field that shapes the run.
 //
-// Two deliberate exclusions, both justified by byte-identity proofs
-// elsewhere in the repo:
-//   - ClusterConfig.Parallel: the parallel cluster runtime is
-//     byte-identical to the sequential one (PR 9's differential matrix), so
-//     a cached result is valid under either mode.
-//   - Workload internals: workloads are identified by Workload.Name() plus
-//     the scenario slug. Scenario constructors own their workload
-//     parameters, so (slug, VM shape, workload name) pins them; anyone
-//     editing a workload's constants inside an existing scenario must bump
-//     memoFormatVersion (or use a fresh slug) to invalidate cached runs.
+// One deliberate exclusion, workload internals: workloads are identified by
+// Workload.Name() plus the scenario slug. Scenario constructors own their
+// workload parameters, so (slug, VM shape, workload name) pins them; anyone
+// editing a workload's constants inside an existing scenario must bump
+// memoFormatVersion (or use a fresh slug) to invalidate cached runs.
 func JobFingerprint(j Job) (Fingerprint, error) {
 	if j.Scenario == nil {
 		return Fingerprint{}, fmt.Errorf("experiments: cannot fingerprint a job with no scenario")
@@ -180,7 +175,7 @@ func (w *fpWriter) config(c core.Config) {
 	w.u64(c.Seed)
 	w.i64(int64(c.Limit))
 	w.i64(int64(c.StartJitter))
-	w.str(string(c.Store))
+	w.str("meta") // the retired page-store kind, kept so recorded fingerprints stay valid
 	w.i64(int64(c.CompressBytes))
 	w.str(c.CompressCodec)
 	w.bool(c.DurableBlob != nil)

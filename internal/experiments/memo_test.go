@@ -53,9 +53,8 @@ func TestFingerprintStability(t *testing.T) {
 	}
 }
 
-// Cluster fingerprints must not depend on ClusterConfig.Parallel: both
-// cluster drivers produce the same Result, so both must share cache
-// entries.
+// Cluster fingerprints must be stable across calls and must not depend on
+// ClusterConfig.Parallel, which the run ignores.
 func TestFingerprintIgnoresClusterParallel(t *testing.T) {
 	s, err := BySlug("cluster-2")
 	if err != nil {

@@ -23,20 +23,12 @@ func RunOne(s *Scenario, policySpec string, seed uint64) (*core.Result, error) {
 // one merged core.Result, so everything downstream (times tables, series,
 // sinks) treats them uniformly.
 func RunOneWith(s *Scenario, policySpec string, seed uint64, obs core.Observer) (*core.Result, error) {
-	return runOneWith(s, policySpec, seed, obs, false)
-}
-
-// runOneWith additionally selects the goroutine cluster driver for cluster
-// scenarios (results are byte-identical either way; the engine picks by
-// core budget).
-func runOneWith(s *Scenario, policySpec string, seed uint64, obs core.Observer, clusterParallel bool) (*core.Result, error) {
 	var res *core.Result
 	var err error
 	if s.IsCluster() {
 		var cc core.ClusterConfig
 		cc, err = s.BuildCluster(seed, policySpec)
 		if err == nil {
-			cc.Parallel = clusterParallel
 			res, err = core.RunClusterWith(nil, cc, obs)
 		}
 	} else {

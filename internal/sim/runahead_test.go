@@ -9,10 +9,9 @@ import (
 // next event) must never change what a simulation does. This file proves it
 // by construction: random process programs run once under a plain
 // `for k.Step() {}` loop, which never runs ahead, and again under every
-// loop that does — Run, RunUntil in random chunks, RunGated with a
-// recording publish hook and StepWithin under random horizons — and every
-// run must produce the same trace of (now, pid, action) and end in the same
-// state.
+// loop that does — Run, RunUntil in random chunks and StepWithin under
+// random horizons — and every run must produce the same trace of (now, pid,
+// action) and end in the same state.
 
 // raKind is one action of a generated process program.
 type raKind uint8
@@ -124,21 +123,16 @@ type raOutcome struct {
 
 // raHarness interprets one program on one kernel.
 type raHarness struct {
-	t      testing.TB
 	k      *Kernel
 	pr     *raProgram
 	conds  []*Cond
 	procs  []*Proc
 	spawns int
 	trace  []raEntry
-
-	gated     bool // RunGated: check every record against the published bound
-	bound     Time
-	published int
 }
 
-func newRAHarness(t testing.TB, pr *raProgram) *raHarness {
-	h := &raHarness{t: t, k: NewKernel(1), pr: pr, bound: -1}
+func newRAHarness(pr *raProgram) *raHarness {
+	h := &raHarness{k: NewKernel(1), pr: pr}
 	for i := 0; i < pr.conds; i++ {
 		h.conds = append(h.conds, NewCond(h.k))
 	}
@@ -152,20 +146,7 @@ func newRAHarness(t testing.TB, pr *raProgram) *raHarness {
 }
 
 func (h *raHarness) record(pid int, format string, args ...any) {
-	now := h.k.Now()
-	if h.gated && h.bound > now {
-		h.t.Errorf("published bound %v exceeds the executing event's time %v", h.bound, now)
-	}
-	h.trace = append(h.trace, raEntry{at: now, pid: pid, what: fmt.Sprintf(format, args...)})
-}
-
-// publish is RunGated's hook: bounds must never decrease.
-func (h *raHarness) publish(t Time) {
-	if t < h.bound {
-		h.t.Errorf("published bound went back from %v to %v", h.bound, t)
-	}
-	h.bound = t
-	h.published++
+	h.trace = append(h.trace, raEntry{at: h.k.Now(), pid: pid, what: fmt.Sprintf(format, args...)})
 }
 
 func (h *raHarness) spawn(b int, d Duration) {
@@ -242,7 +223,7 @@ func checkRunAhead(t testing.TB, seed uint64, maxProcs, maxOps int) uint64 {
 	t.Helper()
 	pr := genRAProgram(seed, maxProcs, maxOps)
 
-	ref := newRAHarness(t, pr)
+	ref := newRAHarness(pr)
 	for ref.k.Step() {
 	}
 	want := ref.finish()
@@ -273,15 +254,6 @@ func checkRunAhead(t testing.TB, seed uint64, maxProcs, maxOps int) uint64 {
 				h.k.RunUntil(want.now + 1)
 			}
 		}},
-		{"RunGated", func(h *raHarness) {
-			h.gated = true
-			h.k.RunGated(h.publish, nil)
-			// One publish per queued event it executed and one per
-			// run-ahead, each before the clock moved.
-			if ev, ra := h.k.Counts(); uint64(h.published) < ev+ra {
-				t.Errorf("seed %d: RunGated published %d bounds for %d events and %d run-aheads", seed, h.published, ev, ra)
-			}
-		}},
 		{"StepWithin", func(h *raHarness) {
 			for h.k.StepWithin(h.k.Now() + Time(drv.Intn(80)) - 10) {
 			}
@@ -289,7 +261,7 @@ func checkRunAhead(t testing.TB, seed uint64, maxProcs, maxOps int) uint64 {
 	}
 	var ranAhead uint64
 	for _, l := range loops {
-		h := newRAHarness(t, pr)
+		h := newRAHarness(pr)
 		l.drive(h)
 		got := h.finish()
 		ranAhead += got.ranAhead

@@ -23,10 +23,9 @@
 // within the limit and the driving loop's horizon, Sleep moves the clock in
 // place and returns without a switch (run-ahead). The horizon is the
 // latest time the loop lets the kernel reach without returning to it: the
-// limit for Run and RunGated (which publishes each run-ahead time before
-// the clock moves), t for RunUntil(t), the caller's bound for StepWithin,
-// and none for Step and KillAll's drain, so a bare Step is still exactly
-// one event. The event order is the same as without run-ahead, event for
+// limit for Run, t for RunUntil(t), the caller's bound for StepWithin, and
+// none for Step and KillAll's drain, so a bare Step is still exactly one
+// event. The event order is the same as without run-ahead, event for
 // event.
 package sim
 
@@ -162,11 +161,8 @@ type Kernel struct {
 	rng   *RNG
 
 	// horizon is the latest time the driving loop lets a sleeping process
-	// run ahead to (Proc.Sleep); publish, set only by RunGated, announces
-	// each run-ahead time before the clock moves to it. Every entry point
-	// sets both.
+	// run ahead to (Proc.Sleep). Every entry point sets it.
 	horizon Time
-	publish func(Time)
 
 	events, ranAhead uint64 // Counts
 
@@ -276,9 +272,6 @@ func (k *Kernel) runAhead(t Time) bool {
 	if t > k.horizon || t > k.limit || (len(k.queue) > 0 && k.queue[0].at <= t) {
 		return false
 	}
-	if k.publish != nil {
-		k.publish(t)
-	}
 	k.now = t
 	k.ranAhead++
 	return true
@@ -294,7 +287,7 @@ func (k *Kernel) Step() bool { return k.StepWithin(noHorizon) }
 // driving loop's promise that nothing outside this kernel happens before
 // then.
 func (k *Kernel) StepWithin(horizon Time) bool {
-	k.horizon, k.publish = horizon, nil
+	k.horizon = horizon
 	return k.step(MaxTime)
 }
 
@@ -337,48 +330,20 @@ func (k *Kernel) Counts() (events, ranAhead uint64) { return k.events, k.ranAhea
 // Run executes events until the queue drains or the limit is hit, letting
 // processes run ahead up to the limit. It returns the final virtual time.
 func (k *Kernel) Run() Time {
-	k.horizon, k.publish = k.limit, nil
+	k.horizon = k.limit
 	for k.step(MaxTime) {
 	}
 	return k.now
 }
 
 // PeekTime returns the timestamp of the earliest pending event, when one
-// exists. Head times are nondecreasing, so the returned time is a lower
-// bound on every event this kernel will still execute — stale wake-ups for
-// finished processes sit in the queue until popped, which can only make
-// the bound conservative (too low), never optimistic.
+// exists: the time the next Step or StepWithin would execute at, unless
+// that event is a stale wake-up for a finished process.
 func (k *Kernel) PeekTime() (Time, bool) {
 	if len(k.queue) == 0 {
 		return 0, false
 	}
 	return k.queue[0].at, true
-}
-
-// RunGated executes events like Run, but announces the head-event time via
-// publish *before* each event executes and consults keepGoing after each
-// one. It is the conservative parallel-simulation entry point: publish(t)
-// promises the caller's synchronization layer that this kernel will never
-// again execute an event earlier than t, so peer kernels may safely run up
-// to t. Processes run ahead up to the limit, and each run-ahead time is
-// published before the clock moves to it, so a peer never waits on a stale
-// bound; keepGoing is consulted only between queued events. Either hook
-// may be nil. Returns the final virtual time; a limit stop is reported
-// through Ended, exactly as with Run.
-func (k *Kernel) RunGated(publish func(Time), keepGoing func() bool) Time {
-	k.horizon, k.publish = k.limit, publish
-	for len(k.queue) > 0 {
-		if publish != nil {
-			publish(k.queue[0].at)
-		}
-		if !k.step(MaxTime) {
-			break
-		}
-		if keepGoing != nil && !keepGoing() {
-			break
-		}
-	}
-	return k.now
 }
 
 // RunUntil executes events until virtual time t (inclusive of events at t)
@@ -387,7 +352,7 @@ func (k *Kernel) RunGated(publish func(Time), keepGoing func() bool) Time {
 // lets a later event through. The hard limit wins: past it the clock
 // clamps to the limit and Ended reports true, exactly as Run behaves.
 func (k *Kernel) RunUntil(t Time) Time {
-	k.horizon, k.publish = t, nil
+	k.horizon = t
 	for k.step(t) {
 	}
 	if t > k.limit {
@@ -433,7 +398,7 @@ func (k *Kernel) KillAll() {
 	// kernel maintains a live counter decremented as each process finishes,
 	// so the drain is linear in the number of events rather than rescanning
 	// every process after every Step. Nothing runs ahead during the drain.
-	k.horizon, k.publish = noHorizon, nil
+	k.horizon = noHorizon
 	for k.live > 0 && k.step(MaxTime) {
 	}
 }

@@ -158,6 +158,18 @@ func TestRunUntil(t *testing.T) {
 	k.KillAll()
 }
 
+func TestPeekTime(t *testing.T) {
+	k := NewKernel(1)
+	if _, ok := k.PeekTime(); ok {
+		t.Fatal("empty kernel reported a head event")
+	}
+	k.SpawnAt("late", 5*Millisecond, func(p *Proc) {})
+	k.SpawnAt("early", 2*Millisecond, func(p *Proc) {})
+	if head, ok := k.PeekTime(); !ok || head != Time(2*Millisecond) {
+		t.Fatalf("head = %v/%v, want 2ms", head, ok)
+	}
+}
+
 func TestKillUnwindsProcess(t *testing.T) {
 	k := NewKernel(1)
 	cleaned := false

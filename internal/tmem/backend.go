@@ -123,11 +123,6 @@ type Backend struct {
 
 	pageSize mem.Bytes
 
-	// gate, when installed, is invoked on entry to every owner-surface
-	// method; see SetGate. Read with a plain load on the hot path — it is
-	// written only before traffic starts and after it has fully stopped.
-	gate func()
-
 	// batchPool recycles the scratch state of PutBatch/GetBatch (see
 	// batch.go) so warm batch calls allocate nothing.
 	batchPool sync.Pool
@@ -249,25 +244,6 @@ func (b *Backend) AttachTier(t Tier) {
 // so polling it from samplers costs no allocation.
 func (b *Backend) Tiers() []Tier { return b.tiersView }
 
-// SetGate installs (nil removes) a synchronization hook invoked on entry
-// to every owner-surface method — the public operations the backend's
-// owning simulation driver issues, as opposed to the op bodies a Loopback
-// peer injects through with tiers off (which stay ungated and are ordered
-// by the transport's own gate; see Loopback.SetGate). The parallel cluster
-// runtime uses the pair to delay each side until no ring peer can still
-// issue an earlier-timestamped operation, keeping the parallel event order
-// identical to the sequential one. Install before traffic starts and clear
-// only after the run's goroutines have joined; without a gate the hook
-// costs one nil check per operation.
-func (b *Backend) SetGate(gate func()) { b.gate = gate }
-
-// enter runs the owner gate when one is installed.
-func (b *Backend) enter() {
-	if b.gate != nil {
-		b.gate()
-	}
-}
-
 // shardFor maps a key to its lock stripe.
 func (b *Backend) shardFor(key Key) *shard {
 	if b.shardMask == 0 {
@@ -297,18 +273,12 @@ func (b *Backend) PageSize() mem.Bytes { return b.pageSize }
 func (b *Backend) TotalPages() mem.Pages { return b.totalPages }
 
 // FreePages returns the number of free tmem pages (node_info.free_tmem).
-func (b *Backend) FreePages() mem.Pages {
-	b.enter()
-	return mem.Pages(b.freePages.Load())
-}
+func (b *Backend) FreePages() mem.Pages { return mem.Pages(b.freePages.Load()) }
 
 // RegisterVM creates the hypervisor-side account for a VM. Registering an
 // already-known VM is a no-op. New VMs start with an Unlimited target
 // (greedy default) — management policies overwrite it on their first tick.
-func (b *Backend) RegisterVM(vm VMID) {
-	b.enter()
-	b.register(vm)
-}
+func (b *Backend) RegisterVM(vm VMID) { b.register(vm) }
 
 func (b *Backend) register(vm VMID) *vmAccount {
 	b.vmMu.Lock()
@@ -352,7 +322,6 @@ func (b *Backend) setPool(id PoolID, p *Pool) {
 // (and its pool is destroyed here) or starts after (and re-creates a fresh
 // account) — it can never attach a live pool to a deleted account.
 func (b *Backend) UnregisterVM(vm VMID) {
-	b.enter()
 	b.poolMu.Lock()
 	ps := slices.Clone(*b.pools.Load())
 	var doomed []*Pool
@@ -374,13 +343,6 @@ func (b *Backend) UnregisterVM(vm VMID) {
 // and returns its identifier. The VM account is resolved under poolMu (see
 // UnregisterVM for why the two must be atomic).
 func (b *Backend) NewPool(vm VMID, kind PoolKind) PoolID {
-	b.enter()
-	return b.newPool(vm, kind)
-}
-
-// newPool is NewPool without the owner gate — the Loopback injection
-// surface, ordered by the transport's gate instead of the owner's.
-func (b *Backend) newPool(vm VMID, kind PoolKind) PoolID {
 	b.poolMu.Lock()
 	defer b.poolMu.Unlock()
 	id := b.nextPool
@@ -398,7 +360,6 @@ func (b *Backend) newPool(vm VMID, kind PoolKind) PoolID {
 // advanced past id so later NewPool calls can never collide with a
 // restored pool. Restoring a live id is an error.
 func (b *Backend) RestorePool(id PoolID, vm VMID, kind PoolKind) error {
-	b.enter()
 	if id < 0 || id >= maxPools {
 		return fmt.Errorf("tmem: restore of invalid pool id %d", id)
 	}
@@ -416,12 +377,6 @@ func (b *Backend) RestorePool(id PoolID, vm VMID, kind PoolKind) error {
 
 // DestroyPool flushes every page of the pool and removes it.
 func (b *Backend) DestroyPool(id PoolID) error {
-	b.enter()
-	return b.destroyPool(id)
-}
-
-// destroyPool is DestroyPool without the owner gate (see newPool).
-func (b *Backend) destroyPool(id PoolID) error {
 	b.poolMu.Lock()
 	p := b.pool(id)
 	if p == nil {
@@ -545,15 +500,10 @@ func (b *Backend) evictHead(sh *shard) bool {
 // overflow.
 func (b *Backend) Put(key Key, data []byte) Status { return b.put(key, data, true) }
 
-// put is Put's body. withTiers selects the owner surface: the owner gate
-// runs and a refused page walks the tiers. Loopback serves remote peers the
-// body with tiers off — ungated, ordered by its own gate — so an overflow
-// page accepted on behalf of a peer never cascades into this node's tiers.
-// The other op bodies take the same argument.
+// put is Put's body. withTiers is off only for a Loopback peer, so an
+// overflow page accepted on behalf of a peer never cascades into this
+// node's tiers. The other op bodies take the same argument.
 func (b *Backend) put(key Key, data []byte, withTiers bool) Status {
-	if withTiers {
-		b.enter()
-	}
 	p := b.pool(key.Pool)
 	if p == nil {
 		return EInval
@@ -830,9 +780,6 @@ func (b *Backend) Get(key Key, dst []byte) Status { return b.get(key, dst, true)
 // get is Get's body (see put); with tiers off a key tracked in a lower tier
 // reads as a miss.
 func (b *Backend) get(key Key, dst []byte, withTiers bool) Status {
-	if withTiers {
-		b.enter()
-	}
 	p := b.pool(key.Pool)
 	if p == nil {
 		return EInval
@@ -891,7 +838,6 @@ func (b *Backend) getHitLocked(sh *shard, p *Pool, a *vmAccount, e *entry, dst [
 // a lower tier (non-destructive even for ephemeral pools; diagnostic use
 // only).
 func (b *Backend) Contains(key Key) bool {
-	b.enter()
 	if b.pool(key.Pool) == nil {
 		return false
 	}
@@ -910,9 +856,6 @@ func (b *Backend) FlushPage(key Key) Status { return b.flushPage(key, true) }
 // flushPage is FlushPage's body (see put); with tiers off a key tracked in
 // a lower tier is left alone and reads as absent.
 func (b *Backend) flushPage(key Key, withTiers bool) Status {
-	if withTiers {
-		b.enter()
-	}
 	p := b.pool(key.Pool)
 	if p == nil {
 		return EInval
@@ -946,9 +889,6 @@ func (b *Backend) FlushObject(pool PoolID, object ObjectID) (mem.Pages, Status) 
 // flushObject is FlushObject's body (see put); with tiers off the sweep
 // still unindexes tier-tracked pages but asks no tier.
 func (b *Backend) flushObject(pool PoolID, object ObjectID, withTiers bool) (mem.Pages, Status) {
-	if withTiers {
-		b.enter()
-	}
 	p := b.pool(pool)
 	if p == nil {
 		return 0, EInval
@@ -996,7 +936,6 @@ func (b *Backend) sweepObject(pool PoolID, object ObjectID) (n mem.Pages, tracke
 // (vm_data_hyp[id].mm_target). The hypervisor stores targets until the MM
 // modifies them (paper §III-B). Unknown VMs are registered implicitly.
 func (b *Backend) SetTarget(vm VMID, target mem.Pages) {
-	b.enter()
 	if target < 0 {
 		target = 0
 	}
@@ -1005,7 +944,6 @@ func (b *Backend) SetTarget(vm VMID, target mem.Pages) {
 
 // Target returns the current target of a VM.
 func (b *Backend) Target(vm VMID) mem.Pages {
-	b.enter()
 	if a := b.account(vm); a != nil {
 		return a.target()
 	}
@@ -1014,7 +952,6 @@ func (b *Backend) Target(vm VMID) mem.Pages {
 
 // UsedBy returns the pages currently consumed by a VM.
 func (b *Backend) UsedBy(vm VMID) mem.Pages {
-	b.enter()
 	if a := b.account(vm); a != nil {
 		return mem.Pages(a.tmemUsed.Load())
 	}
@@ -1023,7 +960,6 @@ func (b *Backend) UsedBy(vm VMID) mem.Pages {
 
 // VMs returns the registered VM ids in ascending order.
 func (b *Backend) VMs() []VMID {
-	b.enter()
 	b.vmMu.RLock()
 	ids := make([]VMID, 0, len(b.vms))
 	for id := range b.vms {
@@ -1036,7 +972,6 @@ func (b *Backend) VMs() []VMID {
 
 // Footprint returns the host bytes retained across all shard page stores.
 func (b *Backend) Footprint() int64 {
-	b.enter()
 	var n int64
 	for _, sh := range b.shards {
 		sh.mu.Lock()
@@ -1051,7 +986,6 @@ func (b *Backend) Footprint() int64 {
 // called at any time; it stops the world (every stripe lock, in order) for
 // the duration.
 func (b *Backend) CheckInvariants() error {
-	b.enter()
 	b.poolMu.Lock()
 	defer b.poolMu.Unlock()
 	for _, sh := range b.shards {

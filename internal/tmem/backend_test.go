@@ -490,8 +490,7 @@ func TestBackendInvariantProperty(t *testing.T) {
 // Property: what you put is exactly what you get, for every store backend.
 func TestPutGetDataIntegrityProperty(t *testing.T) {
 	stores := map[string]func() PageStore{
-		"data":     func() PageStore { return NewDataStore(testPage) },
-		"compress": func() PageStore { return NewCompressStore(testPage) },
+		"data": func() PageStore { return NewDataStore(testPage) },
 	}
 	for name, mk := range stores {
 		name, mk := name, mk

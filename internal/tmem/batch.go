@@ -98,7 +98,6 @@ func checkBatch(keys []Key, datas [][]byte, sts []Status) {
 // round trip. dst buffers are not taken: GetRun serves the simulator's
 // presence-only path (the guest models page contents as irrelevant).
 func (b *Backend) GetRun(keys []Key, sts []Status) int {
-	b.enter()
 	checkBatch(keys, nil, sts)
 	var cur *shard
 	unlock := func() {
@@ -153,7 +152,6 @@ func (b *Backend) GetRun(keys []Key, sts []Status) int {
 // lazy lock batching as GetRun (no early stop: flushing an absent page is
 // harmless).
 func (b *Backend) FlushRun(keys []Key, sts []Status) {
-	b.enter()
 	checkBatch(keys, nil, sts)
 	var cur *shard
 	unlock := func() {
@@ -214,9 +212,6 @@ func (b *Backend) PutBatch(keys []Key, datas [][]byte, sts []Status) {
 // putBatch is PutBatch's body (see Backend.put); with tiers off an overflow
 // batch accepted on behalf of a peer never cascades further.
 func (b *Backend) putBatch(keys []Key, datas [][]byte, sts []Status, withTiers bool) {
-	if withTiers {
-		b.enter()
-	}
 	checkBatch(keys, datas, sts)
 	if len(keys) == 0 {
 		return
@@ -319,9 +314,6 @@ func (b *Backend) GetBatch(keys []Key, dsts [][]byte, sts []Status) {
 // getBatch is GetBatch's body (see Backend.put); with tiers off a key
 // tracked in a lower tier reads as a miss.
 func (b *Backend) getBatch(keys []Key, dsts [][]byte, sts []Status, withTiers bool) {
-	if withTiers {
-		b.enter()
-	}
 	checkBatch(keys, dsts, sts)
 	if len(keys) == 0 {
 		return

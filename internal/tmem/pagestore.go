@@ -1,11 +1,6 @@
 package tmem
 
-import (
-	"bytes"
-	"compress/zlib"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // Handle refers to a page's contents inside a PageStore.
 type Handle int64
@@ -23,8 +18,9 @@ const NoHandle Handle = -1
 //   - MetaStore: presence only — used by the simulator, where page contents
 //     are irrelevant and gigabytes of simulated tmem must not consume
 //     gigabytes of real memory.
-//   - CompressStore: zlib-compressed copies — models compressed tmem
-//     backends (zcache / Ex-tmem-style related work, paper §VI).
+//
+// Compressed tmem (zcache / Ex-tmem-style related work, paper §VI) is a
+// tier, not a PageStore: see CompressedTier.
 type PageStore interface {
 	// PageSize returns the page size in bytes this store was built for.
 	PageSize() int
@@ -197,119 +193,8 @@ func (s *MetaStore) Footprint() int64 { return int64(s.Count()) * 16 } // bookke
 // Count implements PageStore.
 func (s *MetaStore) Count() int { return len(s.live) - len(s.free) }
 
-// --- CompressStore ---
-
-// CompressStore keeps zlib-compressed page copies, modelling compressed
-// tmem backends (zcache). Pages that compress poorly are kept verbatim.
-type CompressStore struct {
-	pageSize int
-	pages    map[Handle][]byte // compressed representation
-	raw      map[Handle]bool   // true => stored uncompressed
-	next     Handle
-	saved    int64 // bytes saved vs verbatim storage (diagnostic)
-}
-
-// NewCompressStore creates a compressing store.
-func NewCompressStore(pageSize int) *CompressStore {
-	if pageSize <= 0 {
-		panic("tmem: non-positive page size")
-	}
-	return &CompressStore{
-		pageSize: pageSize,
-		pages:    make(map[Handle][]byte),
-		raw:      make(map[Handle]bool),
-	}
-}
-
-// PageSize implements PageStore.
-func (s *CompressStore) PageSize() int { return s.pageSize }
-
-// Save implements PageStore.
-func (s *CompressStore) Save(data []byte) (Handle, error) {
-	if len(data) > s.pageSize {
-		return NoHandle, fmt.Errorf("tmem: page data %d bytes exceeds page size %d", len(data), s.pageSize)
-	}
-	page := make([]byte, s.pageSize)
-	copy(page, data)
-
-	var buf bytes.Buffer
-	zw := zlib.NewWriter(&buf)
-	if _, err := zw.Write(page); err != nil {
-		return NoHandle, fmt.Errorf("tmem: compress: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return NoHandle, fmt.Errorf("tmem: compress close: %w", err)
-	}
-
-	h := s.next
-	s.next++
-	if buf.Len() < s.pageSize {
-		s.pages[h] = append([]byte(nil), buf.Bytes()...)
-		s.raw[h] = false
-		s.saved += int64(s.pageSize - buf.Len())
-	} else {
-		s.pages[h] = page
-		s.raw[h] = true
-	}
-	return h, nil
-}
-
-// Load implements PageStore.
-func (s *CompressStore) Load(h Handle, dst []byte) error {
-	p, ok := s.pages[h]
-	if !ok {
-		return fmt.Errorf("tmem: load of unknown handle %d", h)
-	}
-	if len(dst) < s.pageSize {
-		return fmt.Errorf("tmem: destination %d bytes smaller than page size %d", len(dst), s.pageSize)
-	}
-	if s.raw[h] {
-		copy(dst, p)
-		return nil
-	}
-	zr, err := zlib.NewReader(bytes.NewReader(p))
-	if err != nil {
-		return fmt.Errorf("tmem: decompress: %w", err)
-	}
-	defer zr.Close()
-	if _, err := io.ReadFull(zr, dst[:s.pageSize]); err != nil {
-		return fmt.Errorf("tmem: decompress read: %w", err)
-	}
-	return nil
-}
-
-// Drop implements PageStore.
-func (s *CompressStore) Drop(h Handle) error {
-	p, ok := s.pages[h]
-	if !ok {
-		return fmt.Errorf("tmem: drop of unknown handle %d", h)
-	}
-	if !s.raw[h] {
-		s.saved -= int64(s.pageSize - len(p))
-	}
-	delete(s.pages, h)
-	delete(s.raw, h)
-	return nil
-}
-
-// Footprint implements PageStore.
-func (s *CompressStore) Footprint() int64 {
-	var n int64
-	for _, p := range s.pages {
-		n += int64(len(p))
-	}
-	return n
-}
-
-// Count implements PageStore.
-func (s *CompressStore) Count() int { return len(s.pages) }
-
-// BytesSaved returns the cumulative bytes saved by compression.
-func (s *CompressStore) BytesSaved() int64 { return s.saved }
-
 // Compile-time interface checks.
 var (
 	_ PageStore = (*DataStore)(nil)
 	_ PageStore = (*MetaStore)(nil)
-	_ PageStore = (*CompressStore)(nil)
 )

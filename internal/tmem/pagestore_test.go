@@ -1,7 +1,6 @@
 package tmem
 
 import (
-	"bytes"
 	"testing"
 
 	"smartmem/internal/mem"
@@ -54,9 +53,8 @@ func testStoreBasics(t *testing.T, s PageStore) {
 	}
 }
 
-func TestDataStoreBasics(t *testing.T)     { testStoreBasics(t, NewDataStore(testPage)) }
-func TestMetaStoreBasics(t *testing.T)     { testStoreBasics(t, NewMetaStore(testPage)) }
-func TestCompressStoreBasics(t *testing.T) { testStoreBasics(t, NewCompressStore(testPage)) }
+func TestDataStoreBasics(t *testing.T) { testStoreBasics(t, NewDataStore(testPage)) }
+func TestMetaStoreBasics(t *testing.T) { testStoreBasics(t, NewMetaStore(testPage)) }
 
 func TestDataStoreCopiesOnSave(t *testing.T) {
 	s := NewDataStore(testPage)
@@ -69,61 +67,6 @@ func TestDataStoreCopiesOnSave(t *testing.T) {
 	}
 	if dst[0] != 0x7F {
 		t.Error("store aliases caller buffer instead of copying")
-	}
-}
-
-func TestCompressStoreRoundTripAndSavings(t *testing.T) {
-	s := NewCompressStore(testPage)
-	// Highly compressible page.
-	h, err := s.Save(fill(0x00))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Footprint() >= int64(testPage) {
-		t.Errorf("compressible page footprint = %d, want < %d", s.Footprint(), testPage)
-	}
-	if s.BytesSaved() <= 0 {
-		t.Error("no savings recorded for compressible page")
-	}
-	dst := make([]byte, testPage)
-	if err := s.Load(h, dst); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dst, make([]byte, testPage)) {
-		t.Error("decompressed page differs")
-	}
-	if err := s.Drop(h); err != nil {
-		t.Fatal(err)
-	}
-	if s.BytesSaved() != 0 {
-		t.Errorf("savings after drop = %d, want 0", s.BytesSaved())
-	}
-}
-
-func TestCompressStoreIncompressibleFallback(t *testing.T) {
-	s := NewCompressStore(testPage)
-	// Pseudo-random page: zlib cannot shrink it; store must fall back raw.
-	page := make([]byte, testPage)
-	x := uint64(0x123456789)
-	for i := range page {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		page[i] = byte(x)
-	}
-	h, err := s.Save(page)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Footprint() != int64(testPage) {
-		t.Errorf("incompressible footprint = %d, want %d (raw fallback)", s.Footprint(), testPage)
-	}
-	dst := make([]byte, testPage)
-	if err := s.Load(h, dst); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dst, page) {
-		t.Error("raw-fallback page differs")
 	}
 }
 
@@ -230,7 +173,6 @@ func TestStoreRejectsBadPageSize(t *testing.T) {
 	for _, mk := range []func(){
 		func() { NewDataStore(0) },
 		func() { NewMetaStore(-1) },
-		func() { NewCompressStore(0) },
 	} {
 		func() {
 			defer func() {
@@ -277,7 +219,6 @@ func BenchmarkPageStoreBackends(b *testing.B) {
 	}{
 		{"meta", func() PageStore { return NewMetaStore(testPage) }},
 		{"data", func() PageStore { return NewDataStore(testPage) }},
-		{"compress", func() PageStore { return NewCompressStore(testPage) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			s := bc.mk()

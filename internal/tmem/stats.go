@@ -104,7 +104,6 @@ type capacityAmplifier interface {
 // sample as a whole is only approximately simultaneous, which is the same
 // tolerance the paper's 1 Hz VIRQ snapshot has.
 func (b *Backend) Sample(seq uint64) MemStats {
-	b.enter()
 	b.vmMu.RLock()
 	accounts := make([]*vmAccount, 0, len(b.vms))
 	for _, a := range b.vms {
@@ -162,7 +161,6 @@ type OpCounts struct {
 
 // Counts returns cumulative operation counts for a VM.
 func (b *Backend) Counts(vm VMID) (OpCounts, bool) {
-	b.enter()
 	a := b.account(vm)
 	if a == nil {
 		return OpCounts{}, false

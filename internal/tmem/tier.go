@@ -388,11 +388,6 @@ func (r *RemoteTier) DropPool(pool PoolID) {
 // bounce one overflow page back and forth.
 type Loopback struct {
 	b *Backend
-	// gate, when installed, runs on entry to every call; the parallel
-	// cluster runtime uses it to block the injecting node until the peer's
-	// clock has advanced far enough that the call is safe to apply. See
-	// SetGate.
-	gate func()
 }
 
 // NewLoopback wraps a peer backend.
@@ -403,29 +398,13 @@ func NewLoopback(b *Backend) *Loopback {
 	return &Loopback{b: b}
 }
 
-// SetGate installs (or, with nil, removes) an entry hook invoked at the
-// top of every Loopback call, before the peer's store is touched. The
-// parallel cluster runtime gates cross-node injections here; the Loopback
-// gate is distinct from the peer Backend's own gate because the two run on
-// different goroutines (injector vs owner). Install before traffic starts
-// and clear only after it has fully stopped.
-func (l *Loopback) SetGate(gate func()) { l.gate = gate }
-
-func (l *Loopback) enter() {
-	if l.gate != nil {
-		l.gate()
-	}
-}
-
 // NewPool implements PageService.
 func (l *Loopback) NewPool(vm VMID, kind PoolKind) (PoolID, error) {
-	l.enter()
-	return l.b.newPool(vm, kind), nil
+	return l.b.NewPool(vm, kind), nil
 }
 
 // Put implements PageService.
 func (l *Loopback) Put(key Key, data []byte) (Status, error) {
-	l.enter()
 	return l.b.put(key, data, false), nil
 }
 
@@ -442,42 +421,36 @@ func (l *Loopback) Get(key Key) (Status, []byte, error) {
 // peer's store, so a nil dst (presence-only, the simulator's meta-store
 // path) moves zero bytes and a data-store cluster still gets real contents.
 func (l *Loopback) GetInto(key Key, dst []byte) (Status, error) {
-	l.enter()
 	return l.b.get(key, dst, false), nil
 }
 
 // PutBatch implements PageService: the peer's stripe-grouped batch path
 // absorbs the whole overflow run with one lock acquisition per stripe.
 func (l *Loopback) PutBatch(keys []Key, datas [][]byte, sts []Status) error {
-	l.enter()
 	l.b.putBatch(keys, datas, sts, false)
 	return nil
 }
 
 // GetBatch implements PageService.
 func (l *Loopback) GetBatch(keys []Key, dsts [][]byte, sts []Status) error {
-	l.enter()
 	l.b.getBatch(keys, dsts, sts, false)
 	return nil
 }
 
 // FlushPage implements PageService.
 func (l *Loopback) FlushPage(key Key) (Status, error) {
-	l.enter()
 	return l.b.flushPage(key, false), nil
 }
 
 // FlushObjectCount implements PageService.
 func (l *Loopback) FlushObjectCount(pool PoolID, object ObjectID) (mem.Pages, Status, error) {
-	l.enter()
 	n, st := l.b.flushObject(pool, object, false)
 	return n, st, nil
 }
 
 // DestroyPool implements PageService.
 func (l *Loopback) DestroyPool(pool PoolID) (Status, error) {
-	l.enter()
-	if err := l.b.destroyPool(pool); err != nil {
+	if err := l.b.DestroyPool(pool); err != nil {
 		return EInval, nil
 	}
 	return STmem, nil
