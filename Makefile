@@ -25,67 +25,64 @@ lint: vet
 fmt:
 	gofmt -l -w .
 
-# Quick engine benchmarks (one iteration each); the full figure benches
-# live in bench_test.go. BenchmarkRunCluster (one cluster run on 2 and on
-# 8 nodes) and BenchmarkSweep (cold vs warm memo cache) run without
-# -benchmem: their allocation counts wobble by a few dozen from run to run
-# (the sweep's with its parallel workers' scheduling), which would trip the
-# gate's absolute allocs/op rule. The store/daemon concurrency benches compare the
-# striped hot path against the shards-1 (single-mutex) baseline,
-# BackendPutGetFlush is one page's put/get/flush life in the store, the
-# remote-tier bench shows overflow absorbed by a peer store instead of
-# failing to the disk-swap path (its -batch variants report transport
-# round-trips/op), and the sim kernel benches pin the zero-allocation
-# scheduling hot path. BenchmarkLogPutBatch and BenchmarkCompact ride the WAL
-# line for their B/op: a journaled 16-page batch allocates no page copy (the
-# journal indexes pages, it does not keep them), and one whole compaction of
-# a 128 MiB journal (~60 ms) allocates O(slab). All benches run with -benchmem
-# so allocation regressions are visible in the output and in BENCH.json.
+# The bench suite, one group per line: output name, package, -bench
+# regexp, -benchtime, and -benchmem where the group's allocations are
+# gated. `make bench`, `make bench-json` and CI all run this one list, so a
+# run and the committed BENCH.json baseline always use the same iteration
+# counts. Each group writes bench-out/<name>.txt, which CI's benchstat step
+# pairs with the previous run's file of the same name.
+#
+# The engine, sweep and cluster-runtime groups are macro runs of one
+# iteration, run without -benchmem: their allocation counts wobble by a few
+# to a few dozen from run to run (the engine's and the sweep's with their
+# workers' scheduling), which would trip the gate's absolute allocs/op rule. The sim kernel, store,
+# tier and hdr groups pin zero-allocation hot paths; BackendParallel
+# compares the striped store against the shards-1 (single-mutex) baseline,
+# and the remote-tier -batch variants report transport round-trips/op.
+# BenchmarkLogPutBatch and BenchmarkCompact ride the WAL line for their
+# B/op: a journaled 16-page batch allocates no page copy, and one whole
+# compaction of a 128 MiB journal allocates O(slab).
+define BENCH_SUITE
+engine           .                  BenchmarkEngine                                          1x
+sweep            .                  BenchmarkSweep                                           1x
+cluster-runtime  .                  BenchmarkRunCluster                                      1x
+sim-kernel       ./internal/sim     BenchmarkKernel|BenchmarkProcSleep|BenchmarkCondPingPong 100000x -benchmem
+tmem-parallel    ./internal/tmem    BenchmarkBackendParallel                                 10000x  -benchmem
+tmem-putgetflush ./internal/tmem    BenchmarkBackendPutGetFlush                              100000x -benchmem
+tmem-remote-tier ./internal/tmem    BenchmarkRemoteTier                                      10000x  -benchmem
+tmem-compressed  ./internal/tmem    BenchmarkCompressedTier                                  10000x  -benchmem
+kvserver         ./internal/kvstore BenchmarkKVServer                                        1000x   -benchmem
+durable-wal      ./internal/durable BenchmarkWALAppend|BenchmarkLogPutBatch|BenchmarkCompact 1000x   -benchmem
+hdr              ./internal/hdr     BenchmarkHDR                                             100000x -benchmem
+endef
+export BENCH_SUITE
+
+# Run the suite into bench-out/ and convert it into bench-out/BENCH.json.
+# The loadgen line folds open-loop p50/p99/p999 over a loopback socket into
+# the same document. Each group is written to its file before it is
+# printed, so a failing bench fails the target (POSIX sh has no pipefail).
 bench:
-	$(GO) test -bench 'BenchmarkEngine' -benchtime 1x -benchmem -run '^$$' .
-	$(GO) test -bench 'BenchmarkSweep' -benchtime 1x -run '^$$' .
-	$(GO) test -bench 'BenchmarkRunCluster' -benchtime 1x -run '^$$' .
-	$(GO) test -bench 'BenchmarkKernel|BenchmarkProcSleep|BenchmarkCondPingPong' -benchtime 100000x -benchmem -run '^$$' ./internal/sim
-	$(GO) test -bench 'BenchmarkBackendParallel' -benchtime 10000x -benchmem -run '^$$' ./internal/tmem
-	$(GO) test -bench 'BenchmarkBackendPutGetFlush' -benchtime 100000x -benchmem -run '^$$' ./internal/tmem
-	$(GO) test -bench 'BenchmarkRemoteTier' -benchtime 10000x -benchmem -run '^$$' ./internal/tmem
-	$(GO) test -bench 'BenchmarkCompressedTier' -benchtime 10000x -benchmem -run '^$$' ./internal/tmem
-	$(GO) test -bench 'BenchmarkKVServer' -benchtime 1000x -benchmem -run '^$$' ./internal/kvstore
-	$(GO) test -bench 'BenchmarkWALAppend|BenchmarkLogPutBatch|BenchmarkCompact' -benchtime 1000x -benchmem -run '^$$' ./internal/durable
-	$(GO) test -bench 'BenchmarkHDR' -benchtime 100000x -benchmem -run '^$$' ./internal/hdr
-	$(GO) run ./cmd/smartmem-loadgen -inprocess -rate 2000 -duration 2s -conns 2 -quiet -bench
+	@mkdir -p bench-out
+	@printf '%s\n' "$$BENCH_SUITE" | while read -r name pkg pat n mem; do \
+		echo "$(GO) test -run '^$$' -bench '$$pat' -benchtime $$n $$mem $$pkg"; \
+		$(GO) test -run '^$$' -bench "$$pat" -benchtime "$$n" $$mem "$$pkg" > "bench-out/$$name.txt" || { cat "bench-out/$$name.txt"; exit 1; }; \
+		cat "bench-out/$$name.txt"; \
+	done
+	$(GO) run ./cmd/smartmem-loadgen -inprocess -rate 2000 -duration 2s -conns 2 -quiet -bench > bench-out/loadgen.txt
+	@cat bench-out/loadgen.txt
+	$(GO) run ./cmd/smartmem-benchjson $$(printf '%s\n' "$$BENCH_SUITE" | awk '{print "bench-out/" $$1 ".txt"}') bench-out/loadgen.txt > bench-out/BENCH.json
+	@echo "wrote bench-out/BENCH.json"
 
-# Machine-readable benchmark snapshot: runs the same suite as `make bench`
-# and writes BENCH.json (the perf trajectory record; CI uploads it next to
-# the raw bench-out artifact). The loadgen line folds open-loop p50/p99/p999
-# into the same document as the closed-loop benchmarks.
-# No pipe into tee here: a failing bench must fail the target instead of
-# being masked by the pipe's exit status (POSIX sh has no pipefail).
-bench-json:
-	@tmp=$$(mktemp); \
-	{ $(GO) test -bench 'BenchmarkEngine' -benchtime 1x -benchmem -run '^$$' . && \
-	  $(GO) test -bench 'BenchmarkSweep' -benchtime 1x -run '^$$' . && \
-	  $(GO) test -bench 'BenchmarkRunCluster' -benchtime 1x -run '^$$' . && \
-	  $(GO) test -bench 'BenchmarkKernel|BenchmarkProcSleep|BenchmarkCondPingPong' -benchtime 100000x -benchmem -run '^$$' ./internal/sim && \
-	  $(GO) test -bench 'BenchmarkBackendParallel' -benchtime 10000x -benchmem -run '^$$' ./internal/tmem && \
-	  $(GO) test -bench 'BenchmarkBackendPutGetFlush' -benchtime 100000x -benchmem -run '^$$' ./internal/tmem && \
-	  $(GO) test -bench 'BenchmarkRemoteTier' -benchtime 10000x -benchmem -run '^$$' ./internal/tmem && \
-	  $(GO) test -bench 'BenchmarkCompressedTier' -benchtime 10000x -benchmem -run '^$$' ./internal/tmem && \
-	  $(GO) test -bench 'BenchmarkKVServer' -benchtime 1000x -benchmem -run '^$$' ./internal/kvstore && \
-	  $(GO) test -bench 'BenchmarkWALAppend|BenchmarkLogPutBatch|BenchmarkCompact' -benchtime 1000x -benchmem -run '^$$' ./internal/durable && \
-	  $(GO) test -bench 'BenchmarkHDR' -benchtime 100000x -benchmem -run '^$$' ./internal/hdr && \
-	  $(GO) run ./cmd/smartmem-loadgen -inprocess -rate 2000 -duration 2s -conns 2 -quiet -bench; } > "$$tmp" || { cat "$$tmp"; rm -f "$$tmp"; exit 1; }; \
-	cat "$$tmp"; \
-	$(GO) run ./cmd/smartmem-benchjson < "$$tmp" > BENCH.json && rm -f "$$tmp" && \
-	echo "wrote BENCH.json"
+# Regenerate the committed baseline: the suite above, copied to BENCH.json.
+bench-json: bench
+	cp bench-out/BENCH.json BENCH.json
 
-# Perf gate: rebuild the benchmark snapshot into bench-out/ and hold it
-# against the committed BENCH.json under the per-benchmark budgets. CI runs
-# this (failing the build on a busted budget) before refreshing the
-# committed baseline. Run `make bench-json` first if bench-out/BENCH.json
-# is missing or stale.
+# Perf gate: hold bench-out/BENCH.json (from `make bench`) against the
+# committed BENCH.json under the per-benchmark budgets. CI runs this
+# (failing the build on a busted budget) before refreshing the committed
+# baseline.
 bench-gate:
-	@test -f bench-out/BENCH.json || { echo "bench-out/BENCH.json missing: run the bench suite into bench-out first (CI does) or 'make bench-json' and copy it"; exit 1; }
+	@test -f bench-out/BENCH.json || { echo "bench-out/BENCH.json missing: run 'make bench' first"; exit 1; }
 	$(GO) run ./cmd/smartmem-benchgate -current bench-out/BENCH.json -baseline BENCH.json -budgets bench-budgets.txt
 
 # The end-to-end benchmark is a module of its own (benchmark/go.mod), so
@@ -137,7 +134,7 @@ sweep-smoke:
 # Fuzz smoke: five seconds of coverage-guided mutation on each decoder of
 # untrusted bytes (WAL segments, snapshot slabs and manifests, compressed
 # pages, memo records, series blobs and packs, kvstore request frames as the
-# server reads them, TKM frames and their payloads), and on the sim kernel's
+# server reads them), and on the sim kernel's
 # run-ahead equivalence harness (random process programs must run the same
 # under a plain Step loop and under every loop that runs ahead). `go test -fuzz` takes
 # one target and one package per run. The minimizer is capped by
@@ -150,7 +147,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMemoDecode$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/experiments
 	$(GO) test -run '^$$' -fuzz '^FuzzMemoPack$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/experiments
 	$(GO) test -run '^$$' -fuzz '^FuzzServeConn$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/kvstore
-	$(GO) test -run '^$$' -fuzz '^FuzzTKMFrame$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/tkm
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelRunAhead$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/sim
 
 # Profile a tier-stack-heavy run (kv-heavy hammers the striped store; swap

@@ -39,6 +39,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"smartmem/internal/benchfmt"
 )
 
 func main() {
@@ -82,20 +84,12 @@ func exit(fails int, err error) {
 	fmt.Println("PASS")
 }
 
-// benchDoc mirrors cmd/smartmem-benchjson output.
-type benchDoc struct {
-	Benchmarks []struct {
-		Name    string             `json:"name"`
-		Metrics map[string]float64 `json:"metrics"`
-	} `json:"benchmarks"`
-}
-
 func readBench(path string) (map[string]map[string]float64, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var doc benchDoc
+	var doc benchfmt.Report
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"smartmem/internal/benchfmt"
 )
 
 func writeFile(t *testing.T, name, content string) string {
@@ -66,6 +69,44 @@ func TestGateBenchBudgets(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "FAIL  BenchmarkFast") {
 		t.Errorf("no FAIL line for BenchmarkFast:\n%s", out.String())
+	}
+}
+
+// A run taken with GOMAXPROCS > 1 names every benchmark "BenchmarkX-N";
+// through benchfmt it still meets its rows in a baseline taken on one CPU,
+// so an over-budget row fails instead of passing as "gone" + "new".
+func TestGateSuffixedRunAgainstUnsuffixedBaseline(t *testing.T) {
+	base := benchFile(t, "base.json",
+		benchLine("BenchmarkFast", 1000, 0),
+		benchLine("BenchmarkNoisy/case-1", 1000, 0),
+	)
+	var rep benchfmt.Report
+	run := `pkg: smartmem/x
+BenchmarkFast-2          	     100	      1300 ns/op	       0 allocs/op
+BenchmarkNoisy/case-1-2  	     100	      1000 ns/op	       0 allocs/op
+ok  	smartmem/x	0.1s
+`
+	if err := benchfmt.Parse(strings.NewReader(run), &rep); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := writeFile(t, "cur.json", string(raw))
+
+	var out strings.Builder
+	fails, err := gateBench(&out, cur, base, budgetTable{def: 0.10})
+	if err != nil || fails != 1 {
+		t.Fatalf("fails = %d (err %v), want 1\n%s", fails, err, out.String())
+	}
+	if !strings.Contains(out.String(), "FAIL  BenchmarkFast") {
+		t.Errorf("no FAIL line for BenchmarkFast:\n%s", out.String())
+	}
+	for _, unmatched := range []string{"gone ", "new "} {
+		if strings.Contains(out.String(), unmatched) {
+			t.Errorf("report has %q rows:\n%s", unmatched, out.String())
+		}
 	}
 }
 

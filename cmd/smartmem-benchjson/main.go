@@ -1,8 +1,11 @@
 // Command smartmem-benchjson converts `go test -bench` text output (read
 // from stdin or the files given as arguments) into machine-readable JSON,
-// one record per benchmark result line. `make bench-json` uses it to write
-// BENCH.json, the perf-trajectory snapshot CI archives next to the raw
-// bench output.
+// one record per benchmark result line. `make bench` uses it to write
+// bench-out/BENCH.json, which `make bench-gate` holds against the committed
+// BENCH.json baseline.
+//
+// Names carry no GOMAXPROCS suffix (see internal/benchfmt), so a baseline
+// and a run taken on different CPU counts compare row for row.
 //
 // Output shape:
 //
@@ -16,66 +19,18 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
+
+	"smartmem/internal/benchfmt"
 )
 
-// Result is one benchmark line.
-type Result struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	Metrics    map[string]float64 `json:"metrics"`
-}
-
-// Report is the BENCH.json document.
-type Report struct {
-	Benchmarks []Result `json:"benchmarks"`
-}
-
-// parseLine decodes one `BenchmarkX  N  v1 unit1  v2 unit2 ...` line.
-func parseLine(line string) (Result, bool) {
-	if !strings.HasPrefix(line, "Benchmark") {
-		return Result{}, false
-	}
-	fields := strings.Fields(line)
-	if len(fields) < 4 {
-		return Result{}, false
-	}
-	iters, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return Result{}, false
-	}
-	r := Result{Name: fields[0], Iterations: iters, Metrics: map[string]float64{}}
-	for i := 2; i+1 < len(fields); i += 2 {
-		v, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil {
-			return Result{}, false
-		}
-		r.Metrics[fields[i+1]] = v
-	}
-	return r, true
-}
-
-func parse(rd io.Reader, rep *Report) error {
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		if r, ok := parseLine(strings.TrimSpace(sc.Text())); ok {
-			rep.Benchmarks = append(rep.Benchmarks, r)
-		}
-	}
-	return sc.Err()
-}
-
 func run(args []string, in io.Reader, out io.Writer) error {
-	var rep Report
+	var rep benchfmt.Report
 	if len(args) == 0 {
-		if err := parse(in, &rep); err != nil {
+		if err := benchfmt.Parse(in, &rep); err != nil {
 			return err
 		}
 	}
@@ -84,7 +39,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		err = parse(f, &rep)
+		err = benchfmt.Parse(f, &rep)
 		f.Close()
 		if err != nil {
 			return err

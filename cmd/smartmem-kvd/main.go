@@ -1,8 +1,7 @@
 // Command smartmem-kvd exposes the real tmem key–value backend over TCP
 // (see internal/kvstore for the protocol), demonstrating that the store is
 // a genuine page-copy key–value service and not just a simulation
-// artefact. It also runs the Memory Manager daemon side of the TKM
-// protocol.
+// artefact.
 //
 // The served store is sharded (tmem.NewBackendOpts): keys hash across
 // -shards lock stripes so concurrent connections scale with cores instead
@@ -47,7 +46,6 @@
 //	smartmem-kvd -listen :7077 -durable /var/lib/smartmem  # + crash durability
 //	smartmem-kvd -listen :7077 -debug :7079              # + Prometheus /metrics
 //	smartmem-kvd -connect :7077 -demo                    # KV client demo
-//	smartmem-kvd -mm :7078 -policy smart-alloc:P=2       # MM daemon (TKM peer)
 package main
 
 import (
@@ -67,8 +65,6 @@ import (
 	"smartmem/internal/durable"
 	"smartmem/internal/kvstore"
 	"smartmem/internal/mem"
-	"smartmem/internal/policy"
-	"smartmem/internal/tkm"
 	"smartmem/internal/tmem"
 )
 
@@ -86,8 +82,6 @@ func main() {
 	var (
 		listen   = flag.String("listen", "", "serve the tmem KV store on this address")
 		connect  = flag.String("connect", "", "connect to a KV daemon and run the demo")
-		mmAddr   = flag.String("mm", "", "serve the Memory Manager (TKM protocol) on this address")
-		polSpec  = flag.String("policy", "smart-alloc:P=2", "policy for -mm mode")
 		pages    = flag.Int64("pages", 65536, "tmem capacity in pages for -listen mode")
 		shards   = flag.Int("shards", 0, "store lock stripes for -listen mode; 0 means GOMAXPROCS")
 		remote   = flag.String("remote", "", "chain a remote tmem tier: ship overflow pages to the smartmem-kvd at this address (keep chains acyclic)")
@@ -155,30 +149,11 @@ func main() {
 		signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 		fatalIf(serveKV(l, node, sigs, drainTimeout, os.Stdout))
 
-	case *mmAddr != "":
-		// Parse the policy spec exactly once. The parsed policies are
-		// stateless values; the only stateful layer is the dedup wrapper,
-		// and every TKM connection still gets a fresh one from the factory.
-		pol, err := policy.Parse(*polSpec)
-		fatalIf(err)
-		if policy.IsNoTmem(pol) {
-			// The sentinel means "disable tmem on the node"; an MM daemon
-			// has no node to disable — serving it would just starve every
-			// connected TKM of targets forever.
-			fatalIf(fmt.Errorf("-mm cannot serve %q: pick a target policy", policy.NoTmemName))
-		}
-		l, err := net.Listen("tcp", *mmAddr)
-		fatalIf(err)
-		fmt.Printf("smartmem-kvd: Memory Manager (%s) listening on %s\n", *polSpec, l.Addr())
-		fatalIf(tkm.ListenAndServeMM(l, func() tkm.PolicyFunc {
-			return policy.NewDedup(pol)
-		}))
-
 	case *connect != "":
 		runClient(*connect, *demo)
 
 	default:
-		fmt.Fprintln(os.Stderr, "smartmem-kvd: one of -listen, -connect or -mm is required")
+		fmt.Fprintln(os.Stderr, "smartmem-kvd: one of -listen or -connect is required")
 		os.Exit(2)
 	}
 }

@@ -78,9 +78,6 @@ type Config struct {
 	// tier): pages demoted off the frame pool compress and dedup in RAM
 	// instead of costing a disk or network op. Zero disables compression.
 	CompressBytes mem.Bytes
-	// CompressCodec selects the compression codec ("lz", "nocompress");
-	// empty means "lz". Only meaningful with CompressBytes > 0.
-	CompressCodec string
 	// DurableBlob, when non-nil, attaches a durable tier (WAL + snapshots
 	// into this blob store; see internal/durable) below every other tier:
 	// persistent pages demoted past the RAM tiers are journaled instead of
@@ -100,16 +97,6 @@ type Config struct {
 	Stop *workload.Flag
 	// OnMilestone receives workload milestones as (vmName, label).
 	OnMilestone func(vm, label string)
-	// TransportMM, when non-nil, overrides the in-process MM with a
-	// custom TKM transport (e.g. a RemoteMM over a socket). The policy
-	// field is ignored in that case.
-	TransportMM TKMTransport
-}
-
-// TKMTransport matches tkm.MM without importing it here (kept as a small
-// structural interface so core tests can stub it).
-type TKMTransport interface {
-	Handle(ms tmem.MemStats) ([]tmem.TargetUpdate, error)
 }
 
 // Validate checks the configuration the way a run would: it reports the
@@ -163,11 +150,6 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.CompressBytes < 0 {
 		return c, fmt.Errorf("core: negative compressed-tier capacity %d", c.CompressBytes)
-	}
-	if c.CompressBytes > 0 {
-		if _, err := tmem.CodecByName(c.CompressCodec); err != nil {
-			return c, fmt.Errorf("core: %v", err)
-		}
 	}
 	if len(c.VMs) == 0 {
 		return c, fmt.Errorf("core: no VMs configured")

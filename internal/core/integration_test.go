@@ -1,61 +1,12 @@
 package core
 
 import (
-	"net"
 	"testing"
 
 	"smartmem/internal/mem"
 	"smartmem/internal/policy"
-	"smartmem/internal/tkm"
 	"smartmem/internal/workload"
 )
-
-// The full remote-MM stack: a node whose Memory Manager runs behind the
-// real socket protocol (ServeMM on one end of a pipe), exactly as
-// cmd/smartmem-kvd -mm serves it. Targets computed remotely must be
-// enforced in the simulated hypervisor.
-func TestRemoteMMDrivesSimulatedNode(t *testing.T) {
-	nodeEnd, mmEnd := net.Pipe()
-	done := make(chan error, 1)
-	go func() { done <- tkm.ServeMM(mmEnd, policy.NewDedup(policy.StaticAlloc{})) }()
-
-	cfg := smallScenario(3, nil, true)
-	remote := tkm.NewRemoteMM(nodeEnd)
-	cfg.TransportMM = remote
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote.Close()
-	if err := <-done; err != nil {
-		t.Errorf("ServeMM: %v", err)
-	}
-	// static-alloc over the wire: 32 MiB / 2 VMs = 256 pages of 64 KiB.
-	if got := res.Series.Get("target-VM1").Last().V; got != 256 {
-		t.Errorf("remote target = %v pages, want 256", got)
-	}
-	if res.SampleTicks == 0 {
-		t.Error("no samples flowed over the socket")
-	}
-}
-
-// A torn MM connection must degrade the node to greedy (targets freeze),
-// not crash the run.
-func TestTornMMConnectionDegradesToGreedy(t *testing.T) {
-	nodeEnd, mmEnd := net.Pipe()
-	cfg := smallScenario(3, nil, true)
-	remote := tkm.NewRemoteMM(nodeEnd)
-	cfg.TransportMM = remote
-	// Close the MM side immediately: every exchange fails.
-	mmEnd.Close()
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Runs) != 2 {
-		t.Errorf("runs = %+v (workloads must complete despite dead MM)", res.Runs)
-	}
-}
 
 // Cleancache and frontswap coexist on one node: file-backed reads populate
 // the ephemeral pool, anonymous pressure the persistent pool, and the

@@ -158,14 +158,9 @@ func newNodeRuntime(cfg Config, tag string) (*nodeRuntime, error) {
 			// Attached here, before any cluster remote-tier wiring, so the
 			// compressed tier is tier 1 and demotions compress before they
 			// cross the network.
-			codec, err := tmem.CodecByName(cfg.CompressCodec)
-			if err != nil {
-				panic(err) // normalize validated the name
-			}
 			n.compress = tmem.NewCompressedTier(tmem.CompressedTierConfig{
 				PageSize:      int(cfg.PageSize),
 				CapacityBytes: cfg.CompressBytes,
-				Codec:         codec,
 			})
 			n.backend.AttachTier(n.compress)
 		}
@@ -280,18 +275,12 @@ func (n *nodeRuntime) start(kern *sim.Kernel, rng *sim.RNG, obs Observer, res *R
 
 	// --- MM + monitor process ---
 	if n.backend != nil {
-		var mm tkm.MM
-		if cfg.TransportMM != nil {
-			mm = transportAdapter{cfg.TransportMM}
-		} else {
-			pol := cfg.Policy
-			if pol == nil {
-				pol = policy.Greedy{}
-			}
-			n.mmDedup = policy.NewDedup(pol)
-			mm = tkm.NewLocalMM(n.mmDedup)
+		pol := cfg.Policy
+		if pol == nil {
+			pol = policy.Greedy{}
 		}
-		relay := tkm.New(n.backend, mm)
+		n.mmDedup = policy.NewDedup(pol)
+		relay := tkm.New(n.backend, n.mmDedup)
 
 		kern.Spawn(n.prefix+"mm-tick", func(p *sim.Proc) {
 			for {
@@ -299,12 +288,7 @@ func (n *nodeRuntime) start(kern *sim.Kernel, rng *sim.RNG, obs Observer, res *R
 				if n.remaining == 0 {
 					return
 				}
-				ms, targets, err := relay.Tick()
-				if err != nil {
-					// A torn MM connection degrades to greedy: targets
-					// simply stop changing, exactly as in the real system.
-					return
-				}
+				ms, targets := relay.Tick()
 				n.sampleTicks++
 				n.em.emit(SampleTick{At: p.Now(), Node: n.tag, Seq: ms.IntervalSeq, Stats: ms, VMNames: n.names})
 				for _, tu := range targets {
@@ -385,12 +369,6 @@ func (n *nodeRuntime) finalize(res *Result) error {
 		}
 	}
 	return nil
-}
-
-type transportAdapter struct{ t TKMTransport }
-
-func (a transportAdapter) Handle(ms tmem.MemStats) ([]tmem.TargetUpdate, error) {
-	return a.t.Handle(ms)
 }
 
 func sortRuns(runs []RunRecord) {

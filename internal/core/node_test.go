@@ -7,7 +7,6 @@ import (
 	"smartmem/internal/mem"
 	"smartmem/internal/policy"
 	"smartmem/internal/sim"
-	"smartmem/internal/tmem"
 	"smartmem/internal/workload"
 )
 
@@ -248,34 +247,6 @@ func TestLimitCutsRunaway(t *testing.T) {
 	}
 	if res.EndTime != sim.Time(200*sim.Millisecond) {
 		t.Errorf("end time = %v, want 200ms", res.EndTime)
-	}
-}
-
-type stubTransport struct{ calls int }
-
-func (s *stubTransport) Handle(ms tmem.MemStats) ([]tmem.TargetUpdate, error) {
-	s.calls++
-	out := make([]tmem.TargetUpdate, 0, len(ms.VMs))
-	for _, v := range ms.VMs {
-		out = append(out, tmem.TargetUpdate{ID: v.ID, MMTarget: 10})
-	}
-	return out, nil
-}
-
-func TestCustomTransportMM(t *testing.T) {
-	st := &stubTransport{}
-	cfg := smallScenario(1, nil, true)
-	cfg.TransportMM = st
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.calls == 0 {
-		t.Error("transport never consulted")
-	}
-	// Target 10 pages is draconian: puts should mostly fail.
-	if got := res.Series.Get("target-VM1").Last().V; got != 10 {
-		t.Errorf("target = %v, want 10", got)
 	}
 }
 

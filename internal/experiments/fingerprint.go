@@ -160,7 +160,7 @@ func (w *fpWriter) str(s string) {
 
 // config hashes every plain (hashable) field of a normalized Config.
 // Function- and pointer-valued fields (Policy, Workload, Stop, OnMilestone,
-// TransportMM, DurableBlob) cannot be hashed by value; they are represented
+// DurableBlob) cannot be hashed by value; they are represented
 // by their names / presence, which the scenario slug pins (see
 // JobFingerprint).
 func (w *fpWriter) config(c core.Config) {
@@ -177,7 +177,7 @@ func (w *fpWriter) config(c core.Config) {
 	w.i64(int64(c.StartJitter))
 	w.str("meta") // the retired page-store kind, kept so recorded fingerprints stay valid
 	w.i64(int64(c.CompressBytes))
-	w.str(c.CompressCodec)
+	w.str("") // the retired codec knob (always the default lz), kept so recorded fingerprints stay valid
 	w.bool(c.DurableBlob != nil)
 	w.bool(c.Cleancache)
 	w.bool(c.NonExclusiveFrontswap)

@@ -5,54 +5,39 @@
 // In the paper the hypervisor raises a VIRQ once per second; the TKM reads
 // the statistics, forwards them to the MM over a netlink socket, and
 // relays the MM's computed targets back to the hypervisor through custom
-// hypercalls. Here the same three-step exchange is factored behind the MM
-// interface, with two implementations:
-//
-//   - LocalMM: the policy runs in-process (the simulator's deterministic
-//     path — the "wire" is a function call).
-//   - RemoteMM: the policy runs in another process reached over a real
-//     net.Conn with a length-prefixed binary protocol (see wire.go), the
-//     moral equivalent of the paper's netlink socket.
+// hypercalls. Here the MM's policy runs in-process, so the same three-step
+// exchange is a function call and a run stays deterministic.
 package tkm
 
-import (
-	"fmt"
-
-	"smartmem/internal/tmem"
-)
+import "smartmem/internal/tmem"
 
 // TKM is the kernel-module bridge. One TKM exists per node, in the
 // privileged domain (paper Figure 2).
 type TKM struct {
 	backend *tmem.Backend
-	mm      MM
+	policy  PolicyFunc
 	seq     uint64
-
-	// TicksRun counts VIRQ cycles processed.
-	TicksRun uint64
-	// BatchesApplied counts target batches actually installed.
-	BatchesApplied uint64
-	// Errors counts failed MM exchanges.
-	Errors uint64
 }
 
-// MM is the user-space Memory Manager as seen from the TKM: it consumes
-// one statistics sample and returns the policy's target batch (nil when
-// the policy has nothing to send — the paper's send_to_hypervisor
-// suppression).
-type MM interface {
-	Handle(ms tmem.MemStats) ([]tmem.TargetUpdate, error)
+// PolicyFunc is the Memory Manager as seen from the TKM: the subset of
+// policy.Policy that consumes one statistics sample and returns the target
+// batch (nil when the policy has nothing to send — the paper's
+// send_to_hypervisor suppression). Declared here to avoid a dependency
+// cycle with the policy package's tests.
+type PolicyFunc interface {
+	Targets(tmem.MemStats) []tmem.TargetUpdate
 }
 
-// New creates a TKM bound to a hypervisor backend and an MM.
-func New(backend *tmem.Backend, mm MM) *TKM {
+// New creates a TKM bound to a hypervisor backend and an MM policy (e.g.
+// *policy.Dedup).
+func New(backend *tmem.Backend, policy PolicyFunc) *TKM {
 	if backend == nil {
 		panic("tkm: nil backend")
 	}
-	if mm == nil {
-		panic("tkm: nil MM")
+	if policy == nil {
+		panic("tkm: nil policy")
 	}
-	return &TKM{backend: backend, mm: mm}
+	return &TKM{backend: backend, policy: policy}
 }
 
 // Tick performs one full VIRQ cycle: sample statistics, deliver them to
@@ -62,42 +47,12 @@ func New(backend *tmem.Backend, mm MM) *TKM {
 // The sample is aggregated from the backend's striped atomic counters
 // without taking any store lock, so a Tick never stalls the put/get/flush
 // data path — the sharded store keeps serving while the MM deliberates.
-func (t *TKM) Tick() (tmem.MemStats, []tmem.TargetUpdate, error) {
+func (t *TKM) Tick() (tmem.MemStats, []tmem.TargetUpdate) {
 	t.seq++
-	t.TicksRun++
 	ms := t.backend.Sample(t.seq)
-	targets, err := t.mm.Handle(ms)
-	if err != nil {
-		t.Errors++
-		return ms, nil, fmt.Errorf("tkm: MM exchange failed: %w", err)
-	}
+	targets := t.policy.Targets(ms)
 	if len(targets) > 0 {
 		t.backend.ApplyTargets(targets)
-		t.BatchesApplied++
 	}
-	return ms, targets, nil
-}
-
-// PolicyFunc is the subset of policy.Policy the TKM needs; declared here
-// to avoid a dependency cycle with the policy package's tests.
-type PolicyFunc interface {
-	Targets(tmem.MemStats) []tmem.TargetUpdate
-}
-
-// LocalMM adapts an in-process policy to the MM interface.
-type LocalMM struct {
-	policy PolicyFunc
-}
-
-// NewLocalMM wraps a policy value (e.g. *policy.Dedup).
-func NewLocalMM(p PolicyFunc) *LocalMM {
-	if p == nil {
-		panic("tkm: nil policy")
-	}
-	return &LocalMM{policy: p}
-}
-
-// Handle implements MM.
-func (l *LocalMM) Handle(ms tmem.MemStats) ([]tmem.TargetUpdate, error) {
-	return l.policy.Targets(ms), nil
+	return ms, targets
 }

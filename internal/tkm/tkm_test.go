@@ -1,9 +1,6 @@
 package tkm
 
 import (
-	"errors"
-	"net"
-	"strings"
 	"testing"
 
 	"smartmem/internal/mem"
@@ -21,12 +18,9 @@ func newBackend(pages mem.Pages, vms ...tmem.VMID) *tmem.Backend {
 
 func TestTickAppliesPolicyTargets(t *testing.T) {
 	b := newBackend(3000, 1, 2, 3)
-	tk := New(b, NewLocalMM(policy.StaticAlloc{}))
+	tk := New(b, policy.StaticAlloc{})
 
-	ms, targets, err := tk.Tick()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms, targets := tk.Tick()
 	if ms.VMCount() != 3 || ms.IntervalSeq != 1 {
 		t.Errorf("sample = %+v", ms)
 	}
@@ -38,60 +32,35 @@ func TestTickAppliesPolicyTargets(t *testing.T) {
 			t.Errorf("VM %d target = %d, want 1000", vm, got)
 		}
 	}
-	if tk.TicksRun != 1 || tk.BatchesApplied != 1 {
-		t.Errorf("tkm counters: %+v", tk)
-	}
 }
 
 func TestTickWithGreedyLeavesDefaults(t *testing.T) {
 	b := newBackend(1000, 1)
-	tk := New(b, NewLocalMM(policy.Greedy{}))
-	if _, targets, err := tk.Tick(); err != nil || targets != nil {
-		t.Errorf("greedy tick: targets=%v err=%v", targets, err)
+	tk := New(b, policy.Greedy{})
+	if _, targets := tk.Tick(); targets != nil {
+		t.Errorf("greedy tick: targets=%v", targets)
 	}
 	if b.Target(1) != tmem.Unlimited {
 		t.Errorf("target = %d, want Unlimited", b.Target(1))
-	}
-	if tk.BatchesApplied != 0 {
-		t.Error("greedy applied a batch")
 	}
 }
 
 func TestTickSequencesSamples(t *testing.T) {
 	b := newBackend(100, 1)
-	tk := New(b, NewLocalMM(policy.Greedy{}))
+	tk := New(b, policy.Greedy{})
 	for want := uint64(1); want <= 5; want++ {
-		ms, _, _ := tk.Tick()
+		ms, _ := tk.Tick()
 		if ms.IntervalSeq != want {
 			t.Errorf("seq = %d, want %d", ms.IntervalSeq, want)
 		}
 	}
 }
 
-type failingMM struct{}
-
-func (failingMM) Handle(tmem.MemStats) ([]tmem.TargetUpdate, error) {
-	return nil, errors.New("socket torn")
-}
-
-func TestTickSurfacesMMErrors(t *testing.T) {
-	b := newBackend(100, 1)
-	tk := New(b, failingMM{})
-	if _, _, err := tk.Tick(); err == nil {
-		t.Fatal("MM error swallowed")
-	}
-	if tk.Errors != 1 {
-		t.Errorf("error count = %d", tk.Errors)
-	}
-}
-
 func TestConstructorValidation(t *testing.T) {
 	b := newBackend(1)
 	for name, fn := range map[string]func(){
-		"nil backend": func() { New(nil, NewLocalMM(policy.Greedy{})) },
-		"nil mm":      func() { New(b, nil) },
-		"nil policy":  func() { NewLocalMM(nil) },
-		"nil conn":    func() { NewConn(nil) },
+		"nil backend": func() { New(nil, policy.Greedy{}) },
+		"nil policy":  func() { New(b, nil) },
 	} {
 		func() {
 			defer func() {
@@ -102,147 +71,4 @@ func TestConstructorValidation(t *testing.T) {
 			fn()
 		}()
 	}
-}
-
-func TestWireStatsRoundTrip(t *testing.T) {
-	a, bEnd := net.Pipe()
-	defer a.Close()
-	defer bEnd.Close()
-	ca, cb := NewConn(a), NewConn(bEnd)
-
-	want := tmem.MemStats{
-		IntervalSeq: 9,
-		TotalTmem:   500,
-		FreeTmem:    100,
-		VMs:         []tmem.VMStat{{ID: 1, PutsTotal: 4, PutsSucc: 2, TmemUsed: 44, MMTarget: 250}},
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- ca.WriteStats(want) }()
-	got, err := cb.ReadStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	if got.IntervalSeq != 9 || got.VMs[0] != want.VMs[0] {
-		t.Errorf("got %+v", got)
-	}
-}
-
-func TestWireTargetsRoundTrip(t *testing.T) {
-	a, bEnd := net.Pipe()
-	defer a.Close()
-	defer bEnd.Close()
-	ca, cb := NewConn(a), NewConn(bEnd)
-
-	want := []tmem.TargetUpdate{{ID: 3, MMTarget: 777}}
-	go func() { _ = ca.WriteTargets(want) }()
-	got, err := cb.ReadTargets()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != want[0] {
-		t.Errorf("got %v", got)
-	}
-	// Empty batch is legal ("no change").
-	go func() { _ = ca.WriteTargets(nil) }()
-	got, err = cb.ReadTargets()
-	if err != nil || len(got) != 0 {
-		t.Errorf("empty batch: %v, %v", got, err)
-	}
-}
-
-func TestWireRejectsWrongFrameType(t *testing.T) {
-	a, bEnd := net.Pipe()
-	defer a.Close()
-	defer bEnd.Close()
-	ca, cb := NewConn(a), NewConn(bEnd)
-
-	go func() { _ = ca.WriteTargets(nil) }()
-	if _, err := cb.ReadStats(); err == nil || !strings.Contains(err.Error(), "expected stats") {
-		t.Errorf("wrong-type read: %v", err)
-	}
-}
-
-func TestWireRejectsOversizedFrame(t *testing.T) {
-	a, bEnd := net.Pipe()
-	defer a.Close()
-	defer bEnd.Close()
-	go func() {
-		// Hand-craft a header announcing a huge payload.
-		hdr := []byte{MsgStats, 0xFF, 0xFF, 0xFF, 0xFF}
-		_, _ = a.Write(hdr)
-	}()
-	if _, err := NewConn(bEnd).ReadStats(); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
-		t.Errorf("oversized frame: %v", err)
-	}
-}
-
-// Full remote exchange: TKM on one end, ServeMM (the MM daemon loop) on
-// the other, over an in-memory pipe.
-func TestRemoteMMEndToEnd(t *testing.T) {
-	tkmEnd, mmEnd := net.Pipe()
-	done := make(chan error, 1)
-	go func() { done <- ServeMM(mmEnd, policy.NewDedup(policy.StaticAlloc{})) }()
-
-	b := newBackend(900, 1, 2, 3)
-	tk := New(b, NewRemoteMM(tkmEnd))
-
-	if _, targets, err := tk.Tick(); err != nil {
-		t.Fatal(err)
-	} else if len(targets) != 3 {
-		t.Fatalf("targets = %v", targets)
-	}
-	for _, vm := range []tmem.VMID{1, 2, 3} {
-		if got := b.Target(vm); got != 300 {
-			t.Errorf("VM %d target = %d, want 300", vm, got)
-		}
-	}
-	// Second tick: dedup suppresses, empty batch, nothing applied.
-	if _, targets, err := tk.Tick(); err != nil {
-		t.Fatal(err)
-	} else if len(targets) != 0 {
-		t.Errorf("second tick targets = %v, want empty (dedup)", targets)
-	}
-	tkmEnd.Close()
-	if err := <-done; err != nil {
-		t.Errorf("ServeMM exit: %v", err)
-	}
-}
-
-func TestListenAndServeMMOverTCP(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback listen unavailable: %v", err)
-	}
-	defer l.Close()
-	go func() {
-		_ = ListenAndServeMM(l, func() PolicyFunc {
-			return policy.NewDedup(policy.SmartAlloc{P: 2})
-		})
-	}()
-
-	c, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := newBackend(1000, 1, 2)
-	// Give both VMs failing puts so smart-alloc produces targets.
-	pool1 := b.NewPool(1, tmem.Persistent)
-	b.SetTarget(1, 0)
-	b.Put(tmem.Key{Pool: pool1, Object: 1, Index: 1}, nil) // fails: target 0
-	b.SetTarget(1, tmem.Unlimited)
-
-	tk := New(b, NewRemoteMM(c))
-	if _, targets, err := tk.Tick(); err != nil {
-		t.Fatal(err)
-	} else if len(targets) != 2 {
-		t.Fatalf("targets = %v", targets)
-	}
-	sum := b.Target(1) + b.Target(2)
-	if sum > 1000 {
-		t.Errorf("targets over-allocate: %d", sum)
-	}
-	c.Close()
 }

@@ -385,60 +385,6 @@ func TestKeyWireRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMemStatsWireRoundTrip(t *testing.T) {
-	m := MemStats{
-		IntervalSeq: 42,
-		TotalTmem:   262144,
-		FreeTmem:    1000,
-		VMs: []VMStat{
-			{ID: 1, PutsTotal: 10, PutsSucc: 7, TmemUsed: 100, MMTarget: 5000, CumulPutsFailed: 3},
-			{ID: 2, PutsTotal: 0, PutsSucc: 0, TmemUsed: 0, MMTarget: Unlimited, CumulPutsFailed: 0},
-		},
-	}
-	enc := m.AppendWire(nil)
-	got, n, err := MemStatsFromWire(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(enc) {
-		t.Errorf("consumed %d of %d bytes", n, len(enc))
-	}
-	if got.IntervalSeq != m.IntervalSeq || got.TotalTmem != m.TotalTmem || got.FreeTmem != m.FreeTmem {
-		t.Errorf("header mismatch: %+v", got)
-	}
-	for i := range m.VMs {
-		if got.VMs[i] != m.VMs[i] {
-			t.Errorf("VMs[%d] = %+v, want %+v", i, got.VMs[i], m.VMs[i])
-		}
-	}
-	if _, _, err := MemStatsFromWire(enc[:10]); err == nil {
-		t.Error("truncated decode did not fail")
-	}
-	if _, _, err := MemStatsFromWire(enc[:memStatsHeaderSize+3]); err == nil {
-		t.Error("truncated VM entries did not fail")
-	}
-}
-
-func TestTargetsWireRoundTrip(t *testing.T) {
-	ts := []TargetUpdate{{ID: 1, MMTarget: 100}, {ID: 7, MMTarget: Unlimited}}
-	enc := AppendTargetsWire(nil, ts)
-	got, n, err := TargetsFromWire(enc)
-	if err != nil || n != len(enc) {
-		t.Fatalf("decode: %v, n=%d", err, n)
-	}
-	for i := range ts {
-		if got[i] != ts[i] {
-			t.Errorf("targets[%d] = %+v, want %+v", i, got[i], ts[i])
-		}
-	}
-	if _, _, err := TargetsFromWire(nil); err == nil {
-		t.Error("empty decode did not fail")
-	}
-	if _, _, err := TargetsFromWire(enc[:5]); err == nil {
-		t.Error("truncated decode did not fail")
-	}
-}
-
 func TestVMStatFailedPuts(t *testing.T) {
 	v := VMStat{PutsTotal: 10, PutsSucc: 4}
 	if v.FailedPuts() != 6 {

@@ -10,6 +10,8 @@ package tmem
 //     the guest kernel's batched PFRA spine. Order is preserved exactly, so
 //     a single-shard (simulator) backend observes the identical operation
 //     sequence a per-page loop would produce — goldens stay byte-identical.
+//     Why these are not GetBatch with a stop-on-miss flag: DESIGN.md §9,
+//     "Why GetRun/FlushRun stay beside GetBatch".
 //   - PutBatch/GetBatch: shard-grouped batches with full tier semantics,
 //     used by the kvstore daemon's OpPutBatch/OpGetBatch frames and, with
 //     tiers off, by Loopback. Within a stripe, issue order is preserved;

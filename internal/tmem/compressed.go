@@ -78,8 +78,6 @@ type centry struct {
 // CompressedTierConfig configures NewCompressedTier. The zero value of
 // every field but CapacityBytes has a usable default.
 type CompressedTierConfig struct {
-	// Name identifies the tier in reports; default "compressed".
-	Name string
 	// PageSize is the raw page size in bytes (must match the backend's).
 	PageSize int
 	// CapacityBytes is the slab arena budget: the sum of charged class
@@ -88,17 +86,16 @@ type CompressedTierConfig struct {
 	// Codec compresses pages on demotion; default is the LZ codec. The
 	// tier owns the instance (codec scratch is guarded by the tier lock).
 	Codec Codec
-	// MaxRatio caps how many pages the arena may hold relative to
-	// CapacityBytes/PageSize, bounding the capacity amplification a
-	// dedup-degenerate workload (all zero pages) could advertise.
-	// Default 8.
-	MaxRatio int
 }
+
+// compressedRatioCap caps how many pages the arena may hold relative to
+// CapacityBytes/PageSize, bounding the capacity amplification a
+// dedup-degenerate workload (all zero pages) could advertise.
+const compressedRatioCap = 8
 
 // CompressedTier is a Tier storing demoted pages compressed and
 // deduplicated in RAM. See the file comment for design.
 type CompressedTier struct {
-	name     string
 	pageSize int
 	capacity mem.Bytes
 	maxPages mem.Pages
@@ -192,27 +189,18 @@ func NewCompressedTier(cfg CompressedTierConfig) *CompressedTier {
 	if cfg.CapacityBytes <= 0 {
 		panic("tmem: compressed tier needs a capacity")
 	}
-	name := cfg.Name
-	if name == "" {
-		name = "compressed"
-	}
 	codec := cfg.Codec
 	if codec == nil {
 		codec = NewLZCodec()
-	}
-	maxRatio := cfg.MaxRatio
-	if maxRatio <= 0 {
-		maxRatio = 8
 	}
 	if cfg.PageSize > (1<<slabMaxShift)-1 {
 		panic(fmt.Sprintf("tmem: page size %d exceeds the %d slab bound",
 			cfg.PageSize, (1<<slabMaxShift)-1))
 	}
 	t := &CompressedTier{
-		name:     name,
 		pageSize: cfg.PageSize,
 		capacity: cfg.CapacityBytes,
-		maxPages: mem.Pages(maxRatio) * mem.Pages(cfg.CapacityBytes/mem.Bytes(cfg.PageSize)),
+		maxPages: compressedRatioCap * mem.Pages(cfg.CapacityBytes/mem.Bytes(cfg.PageSize)),
 		codec:    codec,
 		objects:  make(map[cobjKey]map[PageIndex]*centry),
 		dedup:    make(map[uint64]*cblob),
@@ -224,7 +212,7 @@ func NewCompressedTier(cfg CompressedTierConfig) *CompressedTier {
 }
 
 // Name implements Tier.
-func (t *CompressedTier) Name() string { return t.name }
+func (t *CompressedTier) Name() string { return "compressed" }
 
 // PageSize returns the raw page size the tier was built for.
 func (t *CompressedTier) PageSize() int { return t.pageSize }

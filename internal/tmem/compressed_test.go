@@ -339,13 +339,13 @@ func TestCompressedTierEffectiveCapacity(t *testing.T) {
 	if extra <= capPages {
 		t.Errorf("extra = %d, want > %d after compressible pages", extra, capPages)
 	}
-	maxPages := 8 * capPages // default MaxRatio 8
+	maxPages := compressedRatioCap * capPages
 	if extra > maxPages {
-		t.Errorf("extra = %d exceeds MaxRatio cap %d", extra, maxPages)
+		t.Errorf("extra = %d exceeds the ratio cap %d", extra, maxPages)
 	}
 
 	// Sample folds the amplified capacity into MemStats, and the policies'
-	// EffectiveTotal reads it; the wire encoding round-trips it.
+	// EffectiveTotal reads it.
 	local := NewBackend(64, NewDataStore(testPage))
 	local.AttachTier(ct)
 	local.NewPool(1, Persistent)
@@ -356,14 +356,6 @@ func TestCompressedTierEffectiveCapacity(t *testing.T) {
 	if ms.EffectiveTotal() != 64+extra {
 		t.Errorf("EffectiveTotal = %d, want %d", ms.EffectiveTotal(), 64+extra)
 	}
-	dec, _, err := MemStatsFromWire(ms.AppendWire(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.EffectiveTmem != ms.EffectiveTmem {
-		t.Errorf("wire round trip lost EffectiveTmem: %d != %d", dec.EffectiveTmem, ms.EffectiveTmem)
-	}
-
 	// No amplifier → EffectiveTmem stays zero and EffectiveTotal falls back
 	// to TotalTmem (the compression-off goldens depend on this).
 	plain := NewBackend(64, NewDataStore(testPage))

@@ -1,8 +1,6 @@
 package tmem
 
 import (
-	"encoding/binary"
-	"fmt"
 	"sort"
 
 	"smartmem/internal/mem"
@@ -174,89 +172,4 @@ func (b *Backend) Counts(vm VMID) (OpCounts, bool) {
 		Flushes:    a.cumulFlushes.Load(),
 		EphEvicted: a.cumulEphEvicted.Load(),
 	}, true
-}
-
-// --- Wire encoding (used by the TKM socket transport) ---
-
-// AppendWire appends a length-delimited big-endian encoding of m.
-func (m MemStats) AppendWire(b []byte) []byte {
-	b = binary.BigEndian.AppendUint64(b, m.IntervalSeq)
-	b = binary.BigEndian.AppendUint64(b, uint64(m.TotalTmem))
-	b = binary.BigEndian.AppendUint64(b, uint64(m.FreeTmem))
-	b = binary.BigEndian.AppendUint64(b, uint64(m.EffectiveTmem))
-	b = binary.BigEndian.AppendUint32(b, uint32(len(m.VMs)))
-	for _, v := range m.VMs {
-		b = binary.BigEndian.AppendUint32(b, uint32(v.ID))
-		b = binary.BigEndian.AppendUint64(b, v.PutsTotal)
-		b = binary.BigEndian.AppendUint64(b, v.PutsSucc)
-		b = binary.BigEndian.AppendUint64(b, uint64(v.TmemUsed))
-		b = binary.BigEndian.AppendUint64(b, uint64(v.MMTarget))
-		b = binary.BigEndian.AppendUint64(b, v.CumulPutsFailed)
-	}
-	return b
-}
-
-const memStatsHeaderSize = 8 + 8 + 8 + 8 + 4
-const vmStatWireSize = 4 + 8*5
-
-// MemStatsFromWire decodes a MemStats encoded with AppendWire and returns
-// the number of bytes consumed.
-func MemStatsFromWire(b []byte) (MemStats, int, error) {
-	if len(b) < memStatsHeaderSize {
-		return MemStats{}, 0, fmt.Errorf("tmem: memstats encoding too short: %d bytes", len(b))
-	}
-	m := MemStats{
-		IntervalSeq:   binary.BigEndian.Uint64(b[0:8]),
-		TotalTmem:     mem.Pages(binary.BigEndian.Uint64(b[8:16])),
-		FreeTmem:      mem.Pages(binary.BigEndian.Uint64(b[16:24])),
-		EffectiveTmem: mem.Pages(binary.BigEndian.Uint64(b[24:32])),
-	}
-	n := int(binary.BigEndian.Uint32(b[32:36]))
-	off := memStatsHeaderSize
-	if len(b) < off+n*vmStatWireSize {
-		return MemStats{}, 0, fmt.Errorf("tmem: memstats encoding truncated: want %d VM entries", n)
-	}
-	m.VMs = make([]VMStat, n)
-	for i := 0; i < n; i++ {
-		v := &m.VMs[i]
-		v.ID = VMID(binary.BigEndian.Uint32(b[off : off+4]))
-		v.PutsTotal = binary.BigEndian.Uint64(b[off+4 : off+12])
-		v.PutsSucc = binary.BigEndian.Uint64(b[off+12 : off+20])
-		v.TmemUsed = mem.Pages(binary.BigEndian.Uint64(b[off+20 : off+28]))
-		v.MMTarget = mem.Pages(binary.BigEndian.Uint64(b[off+28 : off+36]))
-		v.CumulPutsFailed = binary.BigEndian.Uint64(b[off+36 : off+44])
-		off += vmStatWireSize
-	}
-	return m, off, nil
-}
-
-// AppendTargetsWire encodes a policy-output batch (mm_out) for the wire.
-func AppendTargetsWire(b []byte, ts []TargetUpdate) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(ts)))
-	for _, t := range ts {
-		b = binary.BigEndian.AppendUint32(b, uint32(t.ID))
-		b = binary.BigEndian.AppendUint64(b, uint64(t.MMTarget))
-	}
-	return b
-}
-
-// TargetsFromWire decodes a batch encoded by AppendTargetsWire and returns
-// the number of bytes consumed.
-func TargetsFromWire(b []byte) ([]TargetUpdate, int, error) {
-	if len(b) < 4 {
-		return nil, 0, fmt.Errorf("tmem: targets encoding too short")
-	}
-	n := int(binary.BigEndian.Uint32(b[0:4]))
-	const rec = 4 + 8
-	if len(b) < 4+n*rec {
-		return nil, 0, fmt.Errorf("tmem: targets encoding truncated: want %d entries", n)
-	}
-	ts := make([]TargetUpdate, n)
-	off := 4
-	for i := 0; i < n; i++ {
-		ts[i].ID = VMID(binary.BigEndian.Uint32(b[off : off+4]))
-		ts[i].MMTarget = mem.Pages(binary.BigEndian.Uint64(b[off+4 : off+12]))
-		off += rec
-	}
-	return ts, off, nil
 }
