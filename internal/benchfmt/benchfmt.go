@@ -6,6 +6,7 @@ package benchfmt
 import (
 	"bufio"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -65,14 +66,17 @@ func stripProcs(block []Result) {
 	}
 }
 
-// Parse appends every benchmark result line read from rd to rep, with the
+// Parse appends every benchmark result read from rd to rep, with the
 // GOMAXPROCS suffix stripped, so a run taken on one CPU count gates against
 // a baseline taken on another. A package run ends at its "PASS" or "ok"
-// line, at the next "pkg:" header, or at the end of rd.
+// line, at the next "pkg:" header, or at the end of rd. The rows of one
+// name (a run with -count N) fold into one record at the first row's place,
+// holding the median of each metric and of the iteration counts.
 func Parse(rd io.Reader, rep *Report) error {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	start := len(rep.Benchmarks)
+	first := len(rep.Benchmarks)
+	start := first
 	flush := func() {
 		stripProcs(rep.Benchmarks[start:])
 		start = len(rep.Benchmarks)
@@ -86,5 +90,51 @@ func Parse(rd io.Reader, rep *Report) error {
 		}
 	}
 	flush()
+	rep.Benchmarks = append(rep.Benchmarks[:first], fold(rep.Benchmarks[first:])...)
 	return sc.Err()
+}
+
+// fold merges the rows of each name into one record, in first-seen order.
+func fold(rows []Result) []Result {
+	var names []string
+	byName := map[string][]Result{}
+	for _, r := range rows {
+		if _, seen := byName[r.Name]; !seen {
+			names = append(names, r.Name)
+		}
+		byName[r.Name] = append(byName[r.Name], r)
+	}
+	folded := make([]Result, 0, len(names))
+	for _, name := range names {
+		group := byName[name]
+		if len(group) == 1 {
+			folded = append(folded, group[0])
+			continue
+		}
+		iters := make([]float64, len(group))
+		values := map[string][]float64{}
+		for i, r := range group {
+			iters[i] = float64(r.Iterations)
+			for unit, v := range r.Metrics {
+				values[unit] = append(values[unit], v)
+			}
+		}
+		r := Result{Name: name, Iterations: int64(median(iters)), Metrics: map[string]float64{}}
+		for unit, vs := range values {
+			r.Metrics[unit] = median(vs)
+		}
+		folded = append(folded, r)
+	}
+	return folded
+}
+
+// median returns the middle value of vs, or the mean of the middle two;
+// it sorts vs.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }

@@ -505,7 +505,7 @@ func (b *Backend) Put(key Key, data []byte) Status { return b.put(key, data, tru
 // node's tiers. The other op bodies take the same argument.
 func (b *Backend) put(key Key, data []byte, withTiers bool) Status {
 	p := b.pool(key.Pool)
-	if p == nil {
+	if p == nil || b.oversize(data) {
 		return EInval
 	}
 	a := p.acct
@@ -535,6 +535,11 @@ func (b *Backend) put(key Key, data []byte, withTiers bool) Status {
 	}
 	return st
 }
+
+// oversize reports a page longer than the node's page size: malformed, so
+// neither the local store nor any tier may see it (a tier would stage it
+// into one page and silently drop the tail).
+func (b *Backend) oversize(data []byte) bool { return len(data) > int(b.pageSize) }
 
 // supersede drops the lower-tier copy of a key that just landed locally
 // (fromTier is the tier it was tracked in), so the stale copy can never

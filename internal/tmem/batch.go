@@ -246,7 +246,7 @@ func (b *Backend) putBatch(keys []Key, datas [][]byte, sts []Status, withTiers b
 		sh.mu.Lock()
 		for _, i := range idxs {
 			p := sc.pools[i]
-			if p == nil {
+			if p == nil || b.oversize(w.data(i)) {
 				sts[i] = EInval
 				continue
 			}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -126,9 +127,15 @@ const (
 // would not beat raw storage. It holds per-instance scratch (the hash
 // table) and is not safe for concurrent use.
 type LZCodec struct {
-	// table maps 4-byte-sequence hashes to position+1 in the current src
-	// (0 = empty); cleared per Encode call.
-	table [1 << lzHashBits]int32
+	// table maps a 4-byte-sequence hash to the last position it was seen
+	// at plus base (low 32 bits) and those 4 bytes (high 32 bits), so a
+	// candidate is rejected without a load from src. An entry below base
+	// was left by an earlier call and reads as empty.
+	table [1 << lzHashBits]uint64
+	// base is the position offset of the next call: each call moves it
+	// past its own positions instead of clearing the table, which is
+	// cleared only when the offset would wrap. 0 = table not yet cleared.
+	base uint32
 }
 
 // NewLZCodec returns a fresh LZ codec instance.
@@ -151,29 +158,22 @@ func (c *LZCodec) Encode(dst, src []byte) []byte {
 	if len(src) < 2*lzMinMatch {
 		return NoCompress{}.Encode(dst, src)
 	}
-	clear(c.table[:])
+	if c.base == 0 || uint64(c.base)+uint64(len(src)) > math.MaxUint32 {
+		clear(c.table[:])
+		c.base = 1
+	}
+	base := int(c.base)
+	c.base += uint32(len(src))
 	out := append(dst, blockLZ)
 	// Abort to the verbatim fallback the moment the stream stops beating it.
 	rawSize := 1 + len(src)
 	anchor := 0
 	end := len(src) - lzMinMatch
-	for i := 0; i <= end; {
-		v := binary.LittleEndian.Uint32(src[i:])
-		h := lzHash(v)
-		cand := int(c.table[h]) - 1
-		c.table[h] = int32(i + 1)
-		if cand < 0 || i-cand > lzMaxU16 || binary.LittleEndian.Uint32(src[cand:]) != v {
-			i++
-			continue
-		}
-		mlen := lzMinMatch
-		for i+mlen < len(src) && src[cand+mlen] == src[i+mlen] {
-			mlen++
-		}
+	for i, cand := c.find(src, 0, base); i <= end; i, cand = c.find(src, anchor, base) {
+		mlen := lzMatchLen(src, cand, i)
 		out = lzAppendLiterals(out, src[anchor:i])
 		out = lzAppendMatch(out, i-cand, mlen)
 		anchor = i + mlen
-		i = anchor
 		if len(out)-start >= rawSize {
 			return NoCompress{}.Encode(dst[:start], src)
 		}
@@ -183,6 +183,70 @@ func (c *LZCodec) Encode(dst, src []byte) []byte {
 		return NoCompress{}.Encode(dst[:start], src)
 	}
 	return out
+}
+
+// find enters positions from i on into the table, in order, until one
+// has a usable candidate: an earlier position within u16 reach holding the
+// same four bytes. It returns that position and its candidate, or a
+// position past len(src)-lzMinMatch when none has one. While eight bytes
+// remain, one load feeds four positions. A page that does not compress
+// spends its encode here, and probe rejects nearly every position on one
+// compare the branch predictor gets right.
+func (c *LZCodec) find(src []byte, i, base int) (int, int) {
+	for ; i+8 <= len(src); i += 4 {
+		w := binary.LittleEndian.Uint64(src[i:])
+		if cand := c.probe(uint32(w), i, base); cand >= 0 {
+			return i, cand
+		}
+		if cand := c.probe(uint32(w>>8), i+1, base); cand >= 0 {
+			return i + 1, cand
+		}
+		if cand := c.probe(uint32(w>>16), i+2, base); cand >= 0 {
+			return i + 2, cand
+		}
+		if cand := c.probe(uint32(w>>24), i+3, base); cand >= 0 {
+			return i + 3, cand
+		}
+	}
+	for ; i+lzMinMatch <= len(src); i++ {
+		if cand := c.probe(binary.LittleEndian.Uint32(src[i:]), i, base); cand >= 0 {
+			return i, cand
+		}
+	}
+	return i, -1
+}
+
+// probe enters position i, whose four bytes are v, into the table and
+// returns the candidate it replaced, or -1 when that entry holds other
+// bytes, was left by an earlier call or lies beyond u16 reach.
+func (c *LZCodec) probe(v uint32, i, base int) int {
+	h := lzHash(v)
+	e := c.table[h]
+	c.table[h] = uint64(v)<<32 | uint64(base+i)
+	cand := int(uint32(e)) - base
+	if uint32(e>>32) != v || cand < 0 || i-cand > lzMaxU16 {
+		return -1
+	}
+	return cand
+}
+
+// lzMatchLen returns the length of the match between src[cand:] and
+// src[i:] (cand < i), whose first lzMinMatch bytes are known equal:
+// eight bytes per compare while eight remain, then byte by byte. src does
+// not change during a call, so an eight-byte compare of an overlapping
+// match finds the same length as comparing one byte at a time.
+func lzMatchLen(src []byte, cand, i int) int {
+	n := lzMinMatch
+	for i+n+8 <= len(src) {
+		if x := binary.LittleEndian.Uint64(src[i+n:]) ^ binary.LittleEndian.Uint64(src[cand+n:]); x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
+		n += 8
+	}
+	for i+n < len(src) && src[cand+n] == src[i+n] {
+		n++
+	}
+	return n
 }
 
 // lzAppendLiterals emits a literal run, split at the u16 length limit.
@@ -261,11 +325,13 @@ func (c *LZCodec) Decode(dst, src []byte) (int, error) {
 			if n+l > len(dst) {
 				return 0, errCodecOverflow
 			}
-			// Byte-at-a-time forward copy: an off < l match legally
-			// replicates its own output (run-length encoding).
+			// An off >= l match is one copy. An off < l match legally
+			// replicates its own output (run-length encoding): the output
+			// repeats with period off, so each copy doubles the run already
+			// written and never overlaps its source.
 			pos := n - off
-			for k := 0; k < l; k++ {
-				dst[n+k] = dst[pos+k]
+			for k := 0; k < l; {
+				k += copy(dst[n+k:n+l], dst[pos:n+k])
 			}
 			n += l
 		default:
@@ -275,12 +341,12 @@ func (c *LZCodec) Decode(dst, src []byte) (int, error) {
 	return n, nil
 }
 
-// hashBlob returns a well-mixed 64-bit content hash of an encoded blob,
-// the dedup-index key of the compressed tier: FNV-1a's xor-multiply taken
+// hashBlob returns a well-mixed 64-bit content hash of a raw page, the
+// dedup-index key of the compressed tier: FNV-1a's xor-multiply taken
 // eight bytes at a step (the rotate carries each word's high bits back down
 // to where the next multiply spreads them), a byte-wise tail, and the
 // splitmix64 finalizer. The hash keys an in-memory map whose chains compare
-// the bytes; nothing persists it.
+// the encoded bytes; nothing persists it.
 func hashBlob(b []byte) uint64 {
 	const (
 		fnvOffset = 14695981039346656037

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"sort"
 	"testing"
 )
@@ -33,6 +34,47 @@ func codecTestPages(pageSize int) map[string][]byte {
 		sparse[i] = byte(i)
 	}
 	pages["sparse"] = sparse
+	return pages
+}
+
+// serveVocabulary is the word list of the serve workloads' text pages.
+var serveVocabulary = []string{
+	"page", "frame", "tmem", "guest", "swap", "evict", "refault", "target", "policy", "hypervisor",
+	"put", "get", "flush", "pool", "object", "index", "ephemeral", "persistent", "sample", "interval",
+	"memory", "pressure", "balloon", "cache", "clean", "dirty", "writeback", "reclaim", "zone", "node",
+}
+
+// serveTestPages builds n 4 KiB pages of each body class the end-to-end
+// serve workloads put, generated as they generate them: "text" is word
+// salad over a small vocabulary, "dup" is the same salad left unstamped
+// (those pages repeat byte for byte across keys, so they dedup), and
+// "random" is incompressible. Text and random pages carry a 16-byte
+// (key, sequence) stamp at the front, which keeps each one unique.
+func serveTestPages(seed uint64, n int) map[string][][]byte {
+	rng := randv2.New(randv2.NewPCG(seed, 0x706167657321))
+	salad := func() []byte {
+		var buf bytes.Buffer
+		for buf.Len() < testPage {
+			buf.WriteString(serveVocabulary[rng.IntN(len(serveVocabulary))])
+			buf.WriteByte(' ')
+		}
+		return buf.Bytes()[:testPage]
+	}
+	stamp := func(p []byte, key int) []byte {
+		binary.BigEndian.PutUint64(p, uint64(key))
+		binary.BigEndian.PutUint64(p[8:], seed)
+		return p
+	}
+	pages := map[string][][]byte{}
+	for i := 0; i < n; i++ {
+		pages["text"] = append(pages["text"], stamp(salad(), i))
+		pages["dup"] = append(pages["dup"], salad())
+		random := make([]byte, testPage)
+		for j := 0; j < testPage; j += 8 {
+			binary.LittleEndian.PutUint64(random[j:], rng.Uint64())
+		}
+		pages["random"] = append(pages["random"], stamp(random, i))
+	}
 	return pages
 }
 
@@ -180,8 +222,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 // the same bytes, or tmem.compressed.ratio and every dedup hit move.
 func TestCodecOutputPinned(t *testing.T) {
 	const want = "fbf6d292621ce183d22c6a1bb859d1030b5b991eb3470636a0e08887b35d8b6b"
-	codec := NewLZCodec()
-	h := sha256.New()
+	var corpus [][]byte
 	for _, pageSize := range []int{4096, 65536} {
 		pages := codecTestPages(pageSize)
 		labels := make([]string, 0, len(pages))
@@ -190,12 +231,38 @@ func TestCodecOutputPinned(t *testing.T) {
 		}
 		sort.Strings(labels)
 		for _, label := range labels {
-			enc := codec.Encode(nil, pages[label])
-			h.Write(binary.BigEndian.AppendUint32(nil, uint32(len(enc))))
-			h.Write(enc)
+			corpus = append(corpus, pages[label])
 		}
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+	if got := encodingDigest(NewLZCodec().Encode, corpus); got != want {
 		t.Fatalf("LZ output over the test corpus hashes to %s, want %s", got, want)
 	}
+}
+
+// TestCodecServeOutputPinned pins the LZ encoder's output over the serve
+// workloads' page classes (16 pages each of text, dup and random, in that
+// order) to the digest the byte-at-a-time encoder produced: the bytes the
+// end-to-end benchmark's compressed tier stores and dedups.
+func TestCodecServeOutputPinned(t *testing.T) {
+	const want = "2d5a630aa7bcfdbab53bf623247cf8a5c716689b7f25b375fd8d09001c9cb28a"
+	pages := serveTestPages(7, 16)
+	var corpus [][]byte
+	for _, class := range []string{"text", "dup", "random"} {
+		corpus = append(corpus, pages[class]...)
+	}
+	if got := encodingDigest(NewLZCodec().Encode, corpus); got != want {
+		t.Fatalf("LZ output over the serve page classes hashes to %s, want %s", got, want)
+	}
+}
+
+// encodingDigest hashes every page's encoding, each behind its length, in
+// order, with one encoder instance.
+func encodingDigest(encode func(dst, src []byte) []byte, pages [][]byte) string {
+	h := sha256.New()
+	for _, p := range pages {
+		enc := encode(nil, p)
+		h.Write(binary.BigEndian.AppendUint32(nil, uint32(len(enc))))
+		h.Write(enc)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

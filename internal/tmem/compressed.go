@@ -51,10 +51,10 @@ func slabClassSize(class int) mem.Bytes {
 }
 
 // cblob is one deduplicated compressed page: the encoded bytes in a slab
-// buffer, shared by refs index entries. Blobs with colliding content hashes
-// chain through link.
+// buffer, shared by refs index entries. Blobs whose raw pages' hashes
+// collide chain through link.
 type cblob struct {
-	hash  uint64
+	hash  uint64 // hashBlob of the raw page
 	data  []byte // slab buffer, len = encoded size, cap = class size
 	class int
 	refs  int32
@@ -103,9 +103,11 @@ type CompressedTier struct {
 
 	mu      sync.Mutex
 	objects map[cobjKey]map[PageIndex]*centry
-	// dedup maps content hash → blob chain. Keyed by the hash of the
-	// encoded bytes: the codec is deterministic, so equal raw pages encode
-	// identically and encoded equality implies raw equality.
+	// dedup maps the raw page's content hash → blob chain; a chain matches
+	// on the encoded bytes. The codec is deterministic and a blob decodes
+	// back to its page, so encoded equality is raw equality. Keying by the
+	// raw page lets a put on a full arena see that no blob can hold it
+	// before it pays for an encode (putLocked).
 	dedup map[uint64]*cblob
 
 	// Free lists (the PR 5 zero-alloc discipline): per-class slab buffers,
@@ -118,10 +120,10 @@ type CompressedTier struct {
 	encBuf    []byte
 	pageBuf   []byte
 
-	// zeroEnc is the precomputed encoding of the all-zero page: the
-	// simulator's meta stores pass nil page data everywhere, and a nil put
-	// must neither touch the codec (keeps codec-ns counters deterministic)
-	// nor depend on scratch contents.
+	// zeroEnc and zeroHash are the precomputed encoding and raw hash of the
+	// all-zero page: the simulator's meta stores pass nil page data
+	// everywhere, and a nil put must neither touch the codec (keeps
+	// codec-ns counters deterministic) nor depend on scratch contents.
 	zeroEnc  []byte
 	zeroHash uint64
 
@@ -207,7 +209,7 @@ func NewCompressedTier(cfg CompressedTierConfig) *CompressedTier {
 		pageBuf:  make([]byte, cfg.PageSize),
 	}
 	t.zeroEnc = codec.Encode(nil, t.pageBuf)
-	t.zeroHash = hashBlob(t.zeroEnc)
+	t.zeroHash = hashBlob(t.pageBuf)
 	return t
 }
 
@@ -342,7 +344,7 @@ func (t *CompressedTier) deref(b *cblob) {
 	t.freeBlobs = b
 }
 
-// findBlob looks up a blob with the given hash and encoded contents.
+// findBlob looks up a blob with the given raw hash and encoded contents.
 func (t *CompressedTier) findBlob(hash uint64, enc []byte) *cblob {
 	for b := t.dedup[hash]; b != nil; b = b.link {
 		if len(b.data) == len(enc) && string(b.data) == string(enc) {
@@ -352,26 +354,35 @@ func (t *CompressedTier) findBlob(hash uint64, enc []byte) *cblob {
 	return nil
 }
 
-// encode compresses data (nil = the all-zero page) into the tier's scratch,
-// returning the encoded bytes and their content hash. Caller holds mu; the
-// returned slice aliases tier scratch and is only valid until the next
-// encode.
-func (t *CompressedTier) encode(data []byte) ([]byte, uint64) {
+// stage returns the page as the codec sees it and its content hash: nil
+// stays nil (the all-zero page), and a short caller buffer is staged
+// through pageBuf so it encodes (and later decodes) as exactly one
+// zero-padded page. Caller holds mu; the returned slice may alias tier
+// scratch until the next stage.
+func (t *CompressedTier) stage(data []byte) ([]byte, uint64) {
 	if data == nil {
-		return t.zeroEnc, t.zeroHash
+		return nil, t.zeroHash
 	}
-	// Stage through pageBuf so a short caller buffer still encodes (and
-	// later decodes) as exactly one zero-padded page.
 	src := data
 	if len(data) != t.pageSize {
 		n := copy(t.pageBuf, data)
 		clear(t.pageBuf[n:])
 		src = t.pageBuf
 	}
+	return src, hashBlob(src)
+}
+
+// encode compresses a staged page (nil = the all-zero page) into the
+// tier's scratch. Caller holds mu; the returned slice aliases tier scratch
+// and is only valid until the next encode.
+func (t *CompressedTier) encode(src []byte) []byte {
+	if src == nil {
+		return t.zeroEnc
+	}
 	start := time.Now()
 	t.encBuf = t.codec.Encode(t.encBuf[:0], src)
 	t.stats.CompressNs += uint64(time.Since(start))
-	return t.encBuf, hashBlob(t.encBuf)
+	return t.encBuf
 }
 
 // putLocked stores one page. Caller holds mu.
@@ -399,7 +410,15 @@ func (t *CompressedTier) putLocked(key Key, kind PoolKind, data []byte) Status {
 		t.stats.RejectedFull++
 		return ETmem
 	}
-	enc, hash := t.encode(data)
+	src, hash := t.stage(data)
+	if t.capacity-t.storedBytes < slabClassSize(0) && t.dedup[hash] == nil {
+		// Not even the smallest blob fits, and no blob was encoded from a
+		// page with this hash, so none can equal this page's encoding: the
+		// put could only end in the rejection below. Skip the codec.
+		t.stats.RejectedFull++
+		return ETmem
+	}
+	enc := t.encode(src)
 	blob := t.findBlob(hash, enc)
 	if blob != nil {
 		t.stats.DedupHits++

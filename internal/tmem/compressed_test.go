@@ -321,6 +321,40 @@ func TestCompressedTierDecodeErrorFallsThrough(t *testing.T) {
 	}
 }
 
+// TestOversizePageIsInvalid: a page longer than the page size is malformed
+// wherever it would land. Put and PutBatch answer E_INVAL before the local
+// store or a tier sees it, whether the VM has room locally or its puts
+// overflow; the compressed tier would stage it into one page and drop the
+// tail.
+func TestOversizePageIsInvalid(t *testing.T) {
+	local := NewBackend(4, NewDataStore(testPage))
+	ct := newTestCompressedTier(mem.MiB)
+	local.AttachTier(ct)
+	pool := local.NewPool(1, Persistent)
+	page := bytes.Repeat([]byte{7}, testPage+100)
+	key := Key{Pool: pool, Object: 1, Index: 1}
+	for _, target := range []mem.Pages{Unlimited, 0} {
+		local.SetTarget(1, target)
+		if st := local.Put(key, page); st != EInval {
+			t.Errorf("target %d: Put of a %d-byte page = %v, want E_INVAL", target, len(page), st)
+		}
+		sts := make([]Status, 1)
+		local.PutBatch([]Key{key}, [][]byte{page}, sts)
+		if sts[0] != EInval {
+			t.Errorf("target %d: PutBatch of a %d-byte page = %v, want E_INVAL", target, len(page), sts[0])
+		}
+	}
+	if s := ct.CompressedStats(); s.Puts != 0 {
+		t.Errorf("the tier saw %d oversize puts", s.Puts)
+	}
+	if st := local.Get(key, make([]byte, testPage)); st != ETmem {
+		t.Errorf("Get after refused puts = %v, want E_TMEM", st)
+	}
+	if err := local.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestCompressedTierEffectiveCapacity(t *testing.T) {
 	ct := newTestCompressedTier(mem.MiB)
 	capPages := mem.Pages(mem.MiB / testPage)
@@ -491,5 +525,56 @@ func BenchmarkCompressedTier(b *testing.B) {
 		b.StopTimer()
 		s := ct.CompressedStats()
 		b.ReportMetric(float64(s.DedupHits)/float64(s.Puts), "dedup-rate")
+	})
+
+	serve := serveTestPages(7, 8)
+
+	b.Run("full", func(b *testing.B) {
+		// Eight incompressible pages charge 8 KiB each: the arena is exactly
+		// full, and every benchmarked put of a page no blob holds is refused.
+		ct := newTestCompressedTier(64 * mem.KiB)
+		for i := 0; i < 8; i++ {
+			p := append([]byte(nil), codecTestPages(testPage)["noise"]...)
+			p[0] = byte(i)
+			if st := ct.Put(Key{Pool: 99, Object: 1, Index: PageIndex(i)}, Persistent, p); st != STmem {
+				b.Fatalf("filling put %d = %v", i, st)
+			}
+		}
+		if s := ct.CompressedStats(); s.StoredBytes != ct.CapacityBytes() {
+			b.Fatalf("arena holds %d of %d bytes", s.StoredBytes, ct.CapacityBytes())
+		}
+		key := Key{Pool: 1, Object: 1, Index: 1}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if st := ct.Put(key, Persistent, page); st != ETmem {
+				b.Fatalf("put on a full arena = %v", st)
+			}
+		}
+	})
+
+	b.Run("mix", func(b *testing.B) {
+		// The serve workloads' classes in their proportions: half text, a
+		// quarter dup (held by other keys, so those puts dedup) and a
+		// quarter random.
+		ct := newTestCompressedTier(mem.MiB)
+		var mix [][]byte
+		for i := 0; i < 4; i++ {
+			ct.Put(Key{Pool: 99, Object: 1, Index: PageIndex(i)}, Persistent, serve["dup"][i])
+			mix = append(mix, serve["text"][2*i], serve["dup"][i], serve["text"][2*i+1], serve["random"][i])
+		}
+		key := Key{Pool: 1, Object: 1, Index: 1}
+		cycle := func(i int) {
+			ct.Put(key, Persistent, mix[i%len(mix)])
+			ct.FlushPage(key)
+		}
+		for i := range mix {
+			cycle(i) // warm the free lists and scratch
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cycle(i)
+		}
 	})
 }
