@@ -155,32 +155,50 @@ func BenchmarkLogPutBatch(b *testing.B) {
 
 // BenchmarkCompact measures one compaction of a serving-sized journal
 // (32 Ki pages of 4 KiB, the serve-put-tiers live set) over an in-memory
-// store that recycles its buffers: cut, sort, read back, checksum, write,
-// re-point. B/op is the streaming contract — two locations per page plus
-// one slab buffer, nowhere near the 128 MiB of pages — and MB/s is page
-// bytes through the snapshot.
+// store that recycles its buffers. MB/s is page bytes through the snapshot.
+//
+//   - copy: every blob is dirtied before each compaction (one page flushed
+//     and put back, outside the clock), so each one copies every page: cut,
+//     sort, read back, checksum, write, re-point. B/op is the streaming
+//     contract — two locations per page plus one slab buffer, nowhere near
+//     the 128 MiB of pages.
+//   - link: the bulk-loaded state unchanged, so each compaction copies slab
+//     0 (the pool record and the pages beside it) and links every other
+//     slab: what is left is the cut and the re-point.
 func BenchmarkCompact(b *testing.B) {
 	const pages, pageSize = 32 << 10, 4096
-	l, err := Open(Options{
-		Blob: newKeepStore(), PageSize: pageSize,
-		Fsync: FsyncOff, InlineCompact: true, CompactBytes: -1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.Close()
-	fillPages(b, l, pages, pageSize)
-	for i := 0; i < 2; i++ { // the store's buffers: one snapshot's and its predecessor's
-		if err := l.Compact(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(pages * pageSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := l.Compact(); err != nil {
-			b.Fatal(err)
-		}
+	for _, mode := range []string{"copy", "link"} {
+		b.Run(mode, func(b *testing.B) {
+			l, err := Open(Options{
+				Blob: newKeepStore(), PageSize: pageSize,
+				Fsync: FsyncOff, InlineCompact: true, CompactBytes: -1,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer l.Close()
+			fillPages(b, l, pages, pageSize)
+			for i := 0; i < 2; i++ { // the store's buffers: one snapshot's and its predecessor's
+				if mode == "copy" {
+					dirtyEveryBlob(b, l)
+				}
+				if err := l.Compact(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(pages * pageSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if mode == "copy" {
+					b.StopTimer()
+					dirtyEveryBlob(b, l)
+					b.StartTimer()
+				}
+				if err := l.Compact(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -39,10 +39,10 @@ import (
 
 // BlobStore is the pluggable persistence backend. The method set is
 // S3-shaped (whole-object Put/Get/List/Delete over flat string keys with
-// "/" separators, Open for ranged reads — S3's ranged GET) so a real
-// object store drops in later; Append is the one extension WAL segments
-// need — an S3 backend would buffer and multipart-upload on Sync, the
-// local backends append in place.
+// "/" separators, Open for ranged reads — S3's ranged GET, Link — S3's
+// server-side copy) so a real object store drops in later; Append is the
+// one extension WAL segments need — an S3 backend would buffer and
+// multipart-upload on Sync, the local backends append in place.
 //
 // Implementations must be safe for concurrent use. Put must be atomic:
 // a reader never observes a half-written blob.
@@ -67,6 +67,13 @@ type BlobStore interface {
 	// Absent blobs report an error satisfying errors.Is(err,
 	// os.ErrNotExist), from Open or from the first ReadAt.
 	Open(key string) (BlobReader, error)
+	// Link makes dst a second name for the bytes src holds, replacing dst
+	// if present, without copying them where the store can avoid it — the
+	// way a compaction carries a sealed blob into a snapshot whole. The
+	// two names are independent from then on: deleting src leaves dst,
+	// and dst is as durable as a Put of the same bytes. Neither is written
+	// again; src must be a blob no Appender still writes.
+	Link(src, dst string) error
 }
 
 // BlobReader is an open blob handle for ranged reads.
@@ -118,17 +125,32 @@ func (d *DirStore) path(key string) (string, error) {
 	return filepath.Join(d.root, filepath.FromSlash(key)), nil
 }
 
+// inDir runs create, which makes a file in dir, once dir exists. A Delete
+// that empties a directory removes it, so a racing one can make create
+// fail with ErrNotExist after the MkdirAll; create then runs once more.
+func inDir(dir string, create func() error) error {
+	for retry := true; ; retry = false {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return err
+		}
+		err := create()
+		if !retry || !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
+	}
+}
+
 func (d *DirStore) Put(key string, data []byte) error {
 	p, err := d.path(key)
 	if err != nil {
 		return err
 	}
 	dir := filepath.Dir(p)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	var tmp *os.File
+	if err := inDir(dir, func() (err error) {
+		tmp, err = os.CreateTemp(dir, ".tmp-*")
 		return err
-	}
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
+	}); err != nil {
 		return err
 	}
 	_, werr := tmp.Write(data)
@@ -174,6 +196,9 @@ func (d *DirStore) List(prefix string) ([]string, error) {
 			if p == top && top != d.root && (errors.Is(err, fs.ErrNotExist) || errors.Is(err, syscall.ENOTDIR)) {
 				return filepath.SkipAll // nothing stored under the prefix
 			}
+			if p != top && errors.Is(err, fs.ErrNotExist) {
+				return nil // a directory a Delete emptied and removed mid-walk
+			}
 			return err
 		}
 		if e.IsDir() {
@@ -200,6 +225,10 @@ func (d *DirStore) List(prefix string) ([]string, error) {
 	return out, nil
 }
 
+// Delete removes the key's file, and its directory when that leaves the
+// directory empty (never the root): a store whose keys move on — a
+// snapshot directory per compaction — does not keep a trail of empty
+// directories for every List to walk.
 func (d *DirStore) Delete(key string) error {
 	p, err := d.path(key)
 	if err != nil {
@@ -207,6 +236,12 @@ func (d *DirStore) Delete(key string) error {
 	}
 	if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
 		return err
+	}
+	if dir := filepath.Dir(p); dir != filepath.Clean(d.root) {
+		err := syscall.Rmdir(dir)
+		if err != nil && !errors.Is(err, syscall.ENOTEMPTY) && !errors.Is(err, syscall.EEXIST) && !errors.Is(err, syscall.ENOENT) {
+			return &fs.PathError{Op: "rmdir", Path: dir, Err: err}
+		}
 	}
 	return nil
 }
@@ -216,11 +251,11 @@ func (d *DirStore) Append(key string) (Appender, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(p, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	var f *os.File
+	if err := inDir(filepath.Dir(p), func() (err error) {
+		f, err = os.OpenFile(p, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		return err
+	}); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -232,6 +267,36 @@ func (d *DirStore) Open(key string) (BlobReader, error) {
 		return nil, err
 	}
 	return os.Open(p)
+}
+
+// Link hard-links dst to src after an fsync of src, so the bytes dst names
+// are durable whatever the fsync policy src was written under (on a file
+// already synced the fsync costs next to nothing). Like Put's rename, the
+// new directory entry is not made durable by a directory fsync.
+func (d *DirStore) Link(src, dst string) error {
+	sp, err := d.path(src)
+	if err != nil {
+		return err
+	}
+	dp, err := d.path(dst)
+	if err != nil {
+		return err
+	}
+	f, err := os.Open(sp)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err := os.Remove(dp); err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	return inDir(filepath.Dir(dp), func() error { return os.Link(sp, dp) })
 }
 
 // --- in-memory backend ---
@@ -304,6 +369,19 @@ func (m *MemStore) Open(key string) (BlobReader, error) {
 		return nil, fmt.Errorf("durable: blob %q: %w", key, os.ErrNotExist)
 	}
 	return memReader{store: m, key: key}, nil
+}
+
+// Link shares src's bytes under dst, capped at their length so that an
+// append to either name never writes where the other can see it.
+func (m *MemStore) Link(src, dst string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	b, ok := m.blobs[src]
+	if !ok {
+		return fmt.Errorf("durable: blob %q: %w", src, os.ErrNotExist)
+	}
+	m.blobs[dst] = b[:len(b):len(b)]
+	return nil
 }
 
 // memReader copies ranges out of the store's map, so it sees appends (and

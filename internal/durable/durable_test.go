@@ -244,6 +244,142 @@ func TestDirStoreListScoped(t *testing.T) {
 	}
 }
 
+// TestDirStoreDeleteDropsEmptyDirs: the prune takes the snapshot
+// directories it empties with it, so ten compactions leave one directory
+// under snapshot/ for List and Open to walk. Delete never removes the
+// root, and a Put or an Append into a removed directory makes it again.
+func TestDirStoreDeleteDropsEmptyDirs(t *testing.T) {
+	dir := t.TempDir()
+	blob, err := NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := mustOpen(t, testOpts(blob))
+	want := seedLog(t, l, 0, 16)
+	for i := 0; i < 10; i++ {
+		k := key(0, 0, tmem.PageIndex(i%8))
+		want[k] = page(byte(100 + i))
+		if err := l.Put(k, want[k]); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	snaps, err := os.ReadDir(filepath.Join(dir, "snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) != 1 {
+		t.Fatalf("ten compactions leave %d directories under snapshot/, want 1", len(snaps))
+	}
+	l2 := mustOpen(t, testOpts(blob))
+	checkPages(t, l2, want)
+	l2.Close()
+
+	for _, k := range []string{"a/x", "CLEAN", "absent/y"} {
+		if err := blob.Put(k, []byte(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range []string{"a/x", "CLEAN", "absent/y", "absent/y", "never/z"} {
+		if err := blob.Delete(k); err != nil {
+			t.Fatalf("Delete(%q): %v", k, err)
+		}
+	}
+	for _, gone := range []string{"a", "absent"} {
+		if _, err := os.Stat(filepath.Join(dir, gone)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("directory %s outlives its last key: %v", gone, err)
+		}
+	}
+	if err := blob.Put("a/x", []byte("again")); err != nil {
+		t.Fatal(err)
+	}
+	app, err := blob.Append("absent/y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app.Close()
+
+	root, err := NewDirStore(filepath.Join(dir, "root"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := root.Put("k", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := root.Delete("k"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(root.Root()); err != nil {
+		t.Fatalf("Delete of the last key removed the root: %v", err)
+	}
+}
+
+// TestBlobStoreLink: a linked name reads the source's bytes, replaces what
+// it named before and outlives the source. On MemStore, whose link shares
+// the source's slice, a later append to either name stays its own.
+func TestBlobStoreLink(t *testing.T) {
+	for _, store := range []struct {
+		name string
+		make func(testing.TB) BlobStore
+	}{
+		{"mem", func(testing.TB) BlobStore { return NewMemStore() }},
+		{"dir", dirStore},
+	} {
+		t.Run(store.name, func(t *testing.T) {
+			blob := store.make(t)
+			app, err := blob.Append("wal/src")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range []string{"sealed ", "bytes"} { // two writes: spare capacity behind MemStore's slice
+				if _, err := app.Write([]byte(b)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			app.Close()
+			if err := blob.Put("snapshot/dst", []byte("old")); err != nil {
+				t.Fatal(err)
+			}
+			if err := blob.Link("wal/src", "snapshot/dst"); err != nil {
+				t.Fatal(err)
+			}
+			if err := blob.Link("wal/absent", "snapshot/x"); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("Link of an absent blob = %v, want ErrNotExist", err)
+			}
+			read := func(key, want string) {
+				t.Helper()
+				if got, err := blob.Get(key); err != nil || string(got) != want {
+					t.Fatalf("%s reads %q, %v; want %q", key, got, err, want)
+				}
+			}
+			read("snapshot/dst", "sealed bytes")
+			if store.name == "mem" {
+				for k, b := range map[string]string{"wal/src": "+", "snapshot/dst": "!"} {
+					app, err := blob.Append(k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					app.Write([]byte(b))
+				}
+				read("snapshot/dst", "sealed bytes!")
+				read("wal/src", "sealed bytes+")
+			}
+			if err := blob.Delete("wal/src"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := blob.Get("wal/src"); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("the deleted source still reads: %v", err)
+			}
+			if store.name == "dir" {
+				read("snapshot/dst", "sealed bytes")
+			}
+		})
+	}
+}
+
 // lastSegment returns the highest-sequence WAL segment key in the store.
 func lastSegment(t *testing.T, blob BlobStore) string {
 	t.Helper()

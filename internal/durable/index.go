@@ -28,6 +28,26 @@ func slabLoc(slab, off int, n uint32) loc {
 	return loc{blob: slabBit | uint64(slab), off: uint32(off), n: n}
 }
 
+// recordLen is the framed length of the put record at names.
+func (at loc) recordLen() int64 { return int64(putRecordLen(int(at.n))) }
+
+// blobUse is what the Log knows of one blob its index may name: the bytes
+// written to it, and how many of those are the put records of live pages.
+// A sealed blob whose live bytes are all its bytes holds nothing else — no
+// pool or flush record, no superseded put — so a compaction can link it
+// into the new snapshot instead of copying its pages.
+type blobUse struct {
+	size int64 // bytes written; unsized once they are not all records
+	live int64
+}
+
+// unsized marks a blob whose size the Log cannot vouch for — a WAL segment
+// an append failed on may hold a partial record — so it is never linked.
+const unsized = -1
+
+// linkable reports whether the blob is all live page records.
+func (u *blobUse) linkable() bool { return u.size > 0 && u.live == u.size }
+
 // blobKey names the blob at holds, given the snapshot slab entries belong to.
 func (at loc) blobKey(snapshot uint64) string {
 	if at.blob&slabBit != 0 {

@@ -2,10 +2,10 @@ package durable
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"sync"
@@ -416,9 +416,14 @@ func fixtureHistory(t testing.TB, l *Log) map[tmem.Key][]byte {
 	return want
 }
 
+// update rewrites testdata/dirstore from fixtureHistory.
+var update = flag.Bool("update", false, "rewrite testdata/dirstore")
+
 // TestParentFixture: the on-disk format did not move in either direction.
-// This commit recovers the directory its parent wrote, and writes the same
-// bytes for the same history.
+// This commit recovers testdata/parent-dirstore, written before compactions
+// linked blobs, and writes testdata/dirstore for the same history, byte for
+// byte; every slab in it that the compaction linked is byte for byte the
+// blob it was linked from.
 func TestParentFixture(t *testing.T) {
 	const fixture = "testdata/parent-dirstore"
 	dir := t.TempDir() // Open writes: a fresh segment, repairs
@@ -429,26 +434,53 @@ func TestParentFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parentBlobs, _ := blob.List("")
 
+	const pinned = "testdata/dirstore"
 	rewritten := dirStore(t)
-	wl := mustOpen(t, fixtureOpts(rewritten))
+	linked := make(map[string][]byte) // slab key -> the bytes of the blob linked to it
+	h := &hookStore{BlobStore: rewritten, onLink: func(src, dst string) error {
+		b, err := rewritten.Get(src)
+		linked[dst] = b
+		return err
+	}}
+	wl := mustOpen(t, fixtureOpts(h))
 	want := fixtureHistory(t, wl)
 	if err := wl.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if *update {
+		if err := os.RemoveAll(pinned); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.CopyFS(pinned, os.DirFS(rewritten.(*DirStore).Root())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pinnedStore, err := NewDirStore(pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
 	blobs, _ := rewritten.List("")
-	if !slices.Equal(blobs, parentBlobs) {
-		t.Fatalf("this commit writes blobs %v, its parent wrote %v", blobs, parentBlobs)
+	pinnedBlobs, _ := pinnedStore.List("")
+	if !slices.Equal(blobs, pinnedBlobs) {
+		t.Fatalf("this commit writes blobs %v, %s holds %v", blobs, pinned, pinnedBlobs)
 	}
 	for _, k := range blobs {
 		got, _ := rewritten.Get(k)
-		parent, err := os.ReadFile(filepath.Join(fixture, filepath.FromSlash(k)))
+		fixed, err := pinnedStore.Get(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, parent) {
-			t.Errorf("blob %s: this commit writes %d bytes that differ from the parent's %d", k, len(got), len(parent))
+		if !bytes.Equal(got, fixed) {
+			t.Errorf("blob %s: this commit writes %d bytes that differ from the %d in %s", k, len(got), len(fixed), pinned)
+		}
+	}
+	if len(linked) == 0 {
+		t.Fatal("the history's compaction linked no blob")
+	}
+	for k, src := range linked {
+		if fixed, err := pinnedStore.Get(k); err != nil || !bytes.Equal(fixed, src) {
+			t.Errorf("linked slab %s in %s: %d bytes, not the %d of the blob it was linked from (%v)", k, pinned, len(fixed), len(src), err)
 		}
 	}
 

@@ -198,6 +198,7 @@ type Log struct {
 	mu           sync.Mutex
 	pools        map[tmem.PoolID]poolMeta
 	objects      map[objKey]map[tmem.PageIndex]loc
+	uses         map[uint64]*blobUse // by loc.blob: every blob the index names, and the WAL's active segment
 	pagesLive    uint64
 	bytesLive    uint64
 	walSinceSnap int64
@@ -236,6 +237,7 @@ func Open(opts Options) (*Log, error) {
 		opts:      opts,
 		pools:     make(map[tmem.PoolID]poolMeta),
 		objects:   make(map[objKey]map[tmem.PageIndex]loc),
+		uses:      make(map[uint64]*blobUse),
 		stop:      make(chan struct{}),
 		compactCh: make(chan struct{}, 1),
 	}
@@ -325,6 +327,7 @@ func (l *Log) loadSnapshot(seq uint64, mf manifest) error {
 			l.applyRecord(rec, slabLoc(i, off, uint32(len(rec.data))))
 			off = next
 		}
+		l.use(slabBit | uint64(i)).size = int64(len(buf))
 	}
 	return nil
 }
@@ -370,6 +373,7 @@ func (l *Log) replayTail(blob BlobStore, segs []uint64, resume uint64) {
 			l.recovery.WALRecords++
 			off = next
 		}
+		l.use(s).size = int64(len(buf))
 	}
 }
 
@@ -426,11 +430,30 @@ func (l *Log) storePage(key tmem.Key, at loc) {
 	}
 	if old, exists := pages[key.Index]; exists {
 		l.bytesLive -= uint64(old.n)
+		l.uses[old.blob].live -= old.recordLen()
 	} else {
 		l.pagesLive++
 	}
 	pages[key.Index] = at
 	l.bytesLive += uint64(at.n)
+	l.use(at.blob).live += at.recordLen()
+}
+
+// use returns the accounting entry of blob, making it on first use.
+func (l *Log) use(blob uint64) *blobUse {
+	u := l.uses[blob]
+	if u == nil {
+		u = new(blobUse)
+		l.uses[blob] = u
+	}
+	return u
+}
+
+// wrote records that blob, a WAL segment, now ends at end.
+func (l *Log) wrote(blob uint64, end int64) {
+	if u := l.use(blob); u.size != unsized {
+		u.size = end
+	}
 }
 
 func (l *Log) erasePage(key tmem.Key) bool {
@@ -446,6 +469,7 @@ func (l *Log) erasePage(key tmem.Key) bool {
 	}
 	l.pagesLive--
 	l.bytesLive -= uint64(old.n)
+	l.uses[old.blob].live -= old.recordLen()
 	return true
 }
 
@@ -457,6 +481,7 @@ func (l *Log) eraseObject(ok objKey) int {
 	n := len(pages)
 	for _, at := range pages {
 		l.bytesLive -= uint64(at.n)
+		l.uses[at.blob].live -= at.recordLen()
 	}
 	l.pagesLive -= uint64(n)
 	delete(l.objects, ok)
@@ -487,11 +512,20 @@ func (l *Log) journalLocked(payload []byte) (rec uint64, at loc, err error) {
 	n := len(l.scratch)
 	rec, at.blob, at.off, err = l.w.append(l.scratch, 1)
 	if err != nil {
-		l.errors++
+		l.appendFailedLocked()
 		return 0, loc{}, err
 	}
+	l.wrote(at.blob, int64(at.off)+int64(n))
 	l.walSinceSnap += int64(n)
 	return rec, at, nil
+}
+
+// appendFailedLocked counts a failed append and stops the active segment
+// from ever being linked: the failed write may have left part of a record
+// in it. Caller holds mu.
+func (l *Log) appendFailedLocked() {
+	l.errors++
+	l.use(l.w.active()).size = unsized
 }
 
 // commit enforces the fsync policy for record rec, then triggers a
@@ -656,10 +690,11 @@ func (l *Log) PutBatch(keys []tmem.Key, datas [][]byte) error {
 	l.scratch = framed
 	rec, seg, off, err := l.w.append(framed, uint64(len(keys)))
 	if err != nil {
-		l.errors++
+		l.appendFailedLocked()
 		l.mu.Unlock()
 		return err
 	}
+	l.wrote(seg, int64(off)+int64(len(framed)))
 	l.walSinceSnap += int64(len(framed))
 	for i, key := range keys {
 		n := len(datas[i])
@@ -867,12 +902,14 @@ func (l *Log) Sync() error {
 
 // --- compaction ---
 
-// Compact cuts the WAL, copies every live page's record into a new
-// snapshot, moves the index onto it and prunes what the snapshot
-// supersedes. Mutations racing it land in segments at or after the cut and
-// replay on top of the snapshot.
+// Compact cuts the WAL, writes every live page into a new snapshot, moves
+// the index onto it and prunes what the snapshot supersedes. A sealed blob
+// holding only live page records — a WAL segment or a slab of the current
+// snapshot — is linked into the snapshot whole; every other live page's
+// record is copied. Mutations racing it land in segments at or after the
+// cut and replay on top of the snapshot.
 //
-// The order is cut → seal → read+write → re-point → prune, and only the
+// The order is cut → seal → link or copy → re-point → prune, and only the
 // cut and the re-point hold the commit lock: one open and one index entry
 // per live page the first, one map store per page the second. The sealed
 // segment's fsync, the page reads and every blob write run outside it.
@@ -902,7 +939,7 @@ func (l *Log) Compact() error {
 		cut int64
 	)
 	if err == nil {
-		st = snapshotState{pools: l.poolsLocked(), pages: l.pageRefsLocked()}
+		st = snapshotState{pools: l.poolsLocked(), pages: l.pageRefsLocked(), links: l.linkableLocked(resume)}
 		rd, cut = l.readerLocked(), l.walSinceSnap
 	}
 	l.mu.Unlock()
@@ -912,10 +949,13 @@ func (l *Log) Compact() error {
 	if serr := l.w.seal(sealed); err == nil {
 		err = serr
 	}
-	var moved []loc
+	var (
+		moved []loc
+		sizes []int64
+	)
 	if err == nil {
 		sortPageRefs(st.pages)
-		moved, err = writeSnapshot(l.opts.Blob, resume, st, rd, l.opts.SlabBytes, l.opts.PageSize)
+		moved, sizes, err = writeSnapshot(l.opts.Blob, resume, st, rd, l.opts.SlabBytes, l.opts.PageSize)
 		rd.close()
 	}
 
@@ -926,7 +966,7 @@ func (l *Log) Compact() error {
 		l.mu.Unlock()
 		return err
 	}
-	l.repointLocked(st.pages, moved)
+	l.repointLocked(st.pages, moved, resume, sizes)
 	l.snapshotSeq = resume
 	l.snapshotPages = uint64(len(st.pages))
 	l.walSinceSnap -= cut
@@ -943,23 +983,53 @@ func (l *Log) Compact() error {
 	return nil
 }
 
+// linkableLocked lists the blobs below the cut resume — the sealed WAL
+// segments and the current snapshot's slabs — that hold only live page
+// records, in ascending blob order. Caller holds mu.
+func (l *Log) linkableLocked(resume uint64) []linkedBlob {
+	var out []linkedBlob
+	for blob, u := range l.uses {
+		if (blob&slabBit != 0 || blob < resume) && u.linkable() {
+			out = append(out, linkedBlob{blob: blob, size: u.size})
+		}
+	}
+	slices.SortFunc(out, func(a, b linkedBlob) int { return cmp.Compare(a.blob, b.blob) })
+	return out
+}
+
 // repointLocked moves the index onto the snapshot just written: every page
 // still at the location the cut saw now lives at moved[i]. A page put again
 // since the cut names a segment at or after it and a flushed one is gone;
 // both are left alone — the WAL tail replays them on top of the snapshot.
-// pages is in key order, so one object's pages share a map lookup.
-func (l *Log) repointLocked(pages []pageRef, moved []loc) {
+// The blob accounting follows: the new slabs, of the given sizes, replace
+// every blob below the cut, none of which the index names any more.
+// pages is in key order, so one object's pages share a map lookup. A log
+// closed meanwhile has no index to move.
+func (l *Log) repointLocked(pages []pageRef, moved []loc, resume uint64, sizes []int64) {
+	if l.closed {
+		return
+	}
 	var (
-		cur objKey
-		in  map[tmem.PageIndex]loc
+		cur  objKey
+		in   map[tmem.PageIndex]loc
+		live = make([]int64, len(sizes)) // by slab
 	)
 	for i, p := range pages {
 		if ok := (objKey{pool: p.key.Pool, object: p.key.Object}); i == 0 || ok != cur {
 			cur, in = ok, l.objects[ok]
 		}
-		if at, live := in[p.key.Index]; live && at == p.at {
+		if at, ok := in[p.key.Index]; ok && at == p.at {
 			in[p.key.Index] = moved[i]
+			live[moved[i].blob&^slabBit] += moved[i].recordLen()
 		}
+	}
+	for blob := range l.uses {
+		if blob&slabBit != 0 || blob < resume {
+			delete(l.uses, blob)
+		}
+	}
+	for i, size := range sizes {
+		l.uses[slabBit|uint64(i)] = &blobUse{size: size, live: live[i]}
 	}
 }
 
@@ -1025,7 +1095,7 @@ func (l *Log) Close() error {
 // refusing persistent puts through a closed log.
 func (l *Log) closeLocked() {
 	l.closed = true
-	l.objects = nil
+	l.objects, l.uses = nil, nil
 	l.pagesLive, l.bytesLive = 0, 0
 }
 

@@ -101,26 +101,36 @@ func latestManifest(blob BlobStore) (seq uint64, mf manifest, ok bool, err error
 }
 
 // snapshotState is the cut a compaction takes under the commit lock: the
-// pools and one index entry per live page, both in snapshot order once
-// sorted (pools by id, pages by pool/object/index). The locations stay
+// pools, one index entry per live page, both in snapshot order once sorted
+// (pools by id, pages by pool/object/index), and the sealed blobs that
+// hold only live page records, in ascending blob order. The locations stay
 // readable while the log moves on: they name sealed segments and the
 // snapshot this one replaces, and nothing prunes those before it is done.
 type snapshotState struct {
 	pools []PoolInfo
 	pages []pageRef
+	links []linkedBlob
 }
 
-// writeSnapshot streams the cut into slab blobs of roughly slabBytes each
-// and writes the manifest last, returning where each page's record now
-// sits (moved[i] for st.pages[i]). Records go into one buffer — pool
-// records framed, page records read straight into it from where the log
-// last wrote them — that is handed to blob.Put the moment it fills and
-// then reused, so the writer's memory is one slab plus one record whatever
-// the state's size; the sorted order makes identical states produce
-// identical snapshots. The first failed read or Put stops the stream: what
-// it leaves has no MANIFEST, recovery ignores it and the next compaction's
-// prune removes it.
-func writeSnapshot(blob BlobStore, seq uint64, st snapshotState, rd *pageReader, slabBytes int64, pageSize int) (moved []loc, err error) {
+// linkedBlob is a blob a snapshot takes whole (see blobUse).
+type linkedBlob struct {
+	blob uint64 // as in loc
+	size int64
+}
+
+// writeSnapshot writes the cut as slab blobs and the manifest last,
+// returning where each page's record now sits (moved[i] for st.pages[i])
+// and each slab's size. The blobs in st.links become slabs as they are —
+// blob.Link, no byte read or written, their pages at the same offsets —
+// numbered after the copied ones. Every other record is copied: into one
+// buffer — pool records framed, page records read straight into it from
+// where the log last wrote them — that is handed to blob.Put the moment it
+// fills and then reused, so the writer's memory is one slab plus one
+// record whatever the state's size; the sorted order makes identical
+// states produce identical snapshots. The first failed read, Put or Link
+// stops the stream: what it leaves has no MANIFEST, recovery ignores it
+// and the next compaction's prune removes it.
+func writeSnapshot(blob BlobStore, seq uint64, st snapshotState, rd *pageReader, slabBytes int64, pageSize int) (moved []loc, sizes []int64, err error) {
 	buf := make([]byte, 0, int(slabBytes)+putRecordLen(pageSize))
 	slabs := 0
 	// flush puts the slab in the buffer if it is full, or if it is the last.
@@ -132,6 +142,7 @@ func writeSnapshot(blob BlobStore, seq uint64, st snapshotState, rd *pageReader,
 			return fmt.Errorf("durable: snapshot %016x slab %d: %w", seq, slabs, err)
 		}
 		slabs++
+		sizes = append(sizes, int64(len(buf)))
 		buf = buf[:0]
 		return nil
 	}
@@ -141,23 +152,49 @@ func writeSnapshot(blob BlobStore, seq uint64, st snapshotState, rd *pageReader,
 		payload = newPoolPayload(payload[:0], p.ID, p.VM, p.Kind)
 		buf = frameRecord(buf, payload)
 		if err := flush(false); err != nil {
-			return nil, err
+			return nil, nil, err
+		}
+	}
+	var linked map[uint64]int // blob -> its place in st.links
+	if len(st.links) > 0 {
+		linked = make(map[uint64]int, len(st.links))
+		for j, b := range st.links {
+			linked[b.blob] = j
 		}
 	}
 	moved = make([]loc, len(st.pages))
 	var bytes uint64
 	for i, p := range st.pages {
+		bytes += uint64(p.at.n)
+		if _, ok := linked[p.at.blob]; ok {
+			continue // placed below, once the linked slabs are numbered
+		}
 		moved[i] = slabLoc(slabs, len(buf), p.at.n)
 		if buf, err = rd.appendRecord(buf, p.key, p.at); err != nil {
-			return nil, fmt.Errorf("durable: snapshot %016x: %w", seq, err)
+			return nil, nil, fmt.Errorf("durable: snapshot %016x: %w", seq, err)
 		}
 		if err := flush(false); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		bytes += uint64(p.at.n)
 	}
 	if err := flush(true); err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	copied := slabs
+	for _, b := range st.links {
+		src := loc{blob: b.blob}.blobKey(rd.snapshot)
+		if err := blob.Link(src, slabKey(seq, slabs)); err != nil {
+			return nil, nil, fmt.Errorf("durable: snapshot %016x slab %d: link %s: %w", seq, slabs, src, err)
+		}
+		slabs++
+		sizes = append(sizes, b.size)
+	}
+	if linked != nil {
+		for i, p := range st.pages {
+			if j, ok := linked[p.at.blob]; ok {
+				moved[i] = slabLoc(copied+j, int(p.at.off), p.at.n)
+			}
+		}
 	}
 	raw, err := json.Marshal(manifest{
 		WALResume: seq,
@@ -167,12 +204,12 @@ func writeSnapshot(blob BlobStore, seq uint64, st snapshotState, rd *pageReader,
 		Bytes:     bytes,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := blob.Put(snapshotDir(seq)+"/"+manifestName, raw); err != nil {
-		return nil, fmt.Errorf("durable: snapshot %016x manifest: %w", seq, err)
+		return nil, nil, fmt.Errorf("durable: snapshot %016x manifest: %w", seq, err)
 	}
-	return moved, nil
+	return moved, sizes, nil
 }
 
 // dropSnapshotsBefore deletes every complete-or-partial snapshot directory

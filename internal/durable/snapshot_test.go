@@ -2,15 +2,19 @@ package durable
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"smartmem/internal/tmem"
 )
@@ -143,6 +147,9 @@ func (s *keepStore) Put(key string, data []byte) error {
 	s.puts++
 	s.bytes += int64(len(data))
 	buf := s.blobs[key]
+	if s.sharedLocked(key, buf) {
+		buf = nil
+	}
 	if i := slices.IndexFunc(s.free, func(f []byte) bool { return cap(f) >= len(data) }); buf == nil && i >= 0 {
 		buf = s.free[i]
 		s.free = slices.Delete(s.free, i, i+1)
@@ -154,11 +161,25 @@ func (s *keepStore) Put(key string, data []byte) error {
 func (s *keepStore) Delete(key string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if b := s.blobs[key]; cap(b) > 0 {
+	if b := s.blobs[key]; cap(b) > 0 && !s.sharedLocked(key, b) {
 		s.free = append(s.free, b)
 	}
 	delete(s.blobs, key)
 	return nil
+}
+
+// sharedLocked reports whether a key other than key holds b's bytes, as
+// MemStore.Link leaves a linked blob: they are not the store's to reuse.
+func (s *keepStore) sharedLocked(key string, b []byte) bool {
+	if cap(b) == 0 {
+		return false
+	}
+	for k, o := range s.blobs {
+		if k != key && cap(o) > 0 && unsafe.SliceData(o) == unsafe.SliceData(b) {
+			return true
+		}
+	}
+	return false
 }
 
 // fillPages journals n pages of pageSize bytes into pool 0.
@@ -176,8 +197,41 @@ func fillPages(t testing.TB, l *Log, n, pageSize int) {
 	}
 }
 
+// dirtyEveryBlob flushes one page of every blob the index names and puts it
+// back as it was. The live state is unchanged, but every blob now holds a
+// superseded put and the active segment a flush record, so the next
+// compaction links nothing and copies every page.
+func dirtyEveryBlob(t testing.TB, l *Log) {
+	t.Helper()
+	type page struct {
+		key tmem.Key
+		n   uint32
+	}
+	l.mu.Lock()
+	one := make(map[uint64]page)
+	for ok, pages := range l.objects {
+		for idx, at := range pages {
+			one[at.blob] = page{tmem.Key{Pool: ok.pool, Object: ok.object, Index: idx}, at.n}
+		}
+	}
+	l.mu.Unlock()
+	data := make([]byte, l.opts.PageSize)
+	for _, p := range one {
+		if !l.Get(p.key, data) {
+			t.Fatalf("page %v does not read back", p.key)
+		}
+		if _, err := l.FlushPage(p.key); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Put(p.key, data[:p.n]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestCompactAllocationBoundedBySlab: a compaction allocates its cut (two
-// locations per page) and one slab buffer — never the pages.
+// locations per page) and one slab buffer — never the pages. Every blob is
+// dirtied first, so the measured compaction copies every page.
 func TestCompactAllocationBoundedBySlab(t *testing.T) {
 	const (
 		pages    = 4096
@@ -192,10 +246,12 @@ func TestCompactAllocationBoundedBySlab(t *testing.T) {
 	defer l.Close()
 	fillPages(t, l, pages, pageSize)
 	for i := 0; i < 2; i++ { // the store's buffers: this snapshot's and the one it replaces
+		dirtyEveryBlob(t, l)
 		if err := l.Compact(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	dirtyEveryBlob(t, l)
 	blob.puts, blob.bytes = 0, 0
 
 	var before, after runtime.MemStats
@@ -219,12 +275,23 @@ func TestCompactAllocationBoundedBySlab(t *testing.T) {
 	}
 }
 
-// hookStore runs onPut before every Put and onRead before every ranged
-// read; an error from either fails the call without touching the store.
+// hookStore runs onPut before every Put, onLink before every Link and
+// onRead before every ranged read; an error from any fails the call
+// without touching the store.
 type hookStore struct {
 	BlobStore
 	onPut  func(key string) error
+	onLink func(src, dst string) error
 	onRead func(key string) error
+}
+
+func (h *hookStore) Link(src, dst string) error {
+	if h.onLink != nil {
+		if err := h.onLink(src, dst); err != nil {
+			return err
+		}
+	}
+	return h.BlobStore.Link(src, dst)
 }
 
 func (h *hookStore) Put(key string, data []byte) error {
@@ -296,12 +363,14 @@ func checkModel(t testing.TB, l *Log, want map[tmem.Key][]byte) {
 // TestCompactFaultAtEveryStep fails the k-th blob Put of a compaction, for
 // k over every slab and the manifest, and the k-th ranged read, for k over
 // every page it copies — out of the previous snapshot's slabs and out of
-// the WAL segments written since — and checks the failure is reported,
-// harmless and cleaned up.
+// the WAL segments written since — and, in a state whose blobs are all
+// live pages, the k-th Link; it checks each failure is reported, harmless
+// and cleaned up.
 func TestCompactFaultAtEveryStep(t *testing.T) {
 	injected := errors.New("injected blob failure")
-	// A state spread over an older snapshot and the WAL on top of it.
-	newLog := func(h *hookStore) (*Log, map[tmem.Key][]byte) {
+	// A state spread over an older snapshot and the WAL on top of it, with
+	// no blob all live pages: the compaction copies every page.
+	copyState := func(h *hookStore) (*Log, map[tmem.Key][]byte) {
 		opts := testOpts(h)
 		opts.SlabBytes = 4096
 		opts.SegmentBytes = 8192
@@ -311,24 +380,75 @@ func TestCompactFaultAtEveryStep(t *testing.T) {
 			t.Fatal(err)
 		}
 		seededOps(t, l, want, 0x2545f4914f6cdd1d, 150)
+		// The history ends on a put alone in its segment, which the cut
+		// would seal and link: a page flushed and put back as it was
+		// leaves the snapshot's bytes as they were and the segment dirty.
+		k := slices.MinFunc(slices.Collect(maps.Keys(want)), func(a, b tmem.Key) int {
+			return cmp.Or(cmp.Compare(a.Pool, b.Pool), cmp.Compare(a.Object, b.Object), cmp.Compare(a.Index, b.Index))
+		})
+		if _, err := l.FlushPage(k); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Put(k, want[k]); err != nil {
+			t.Fatal(err)
+		}
+		return l, want
+	}
+	// A bulk load, compacted, and more of it in the WAL: the compaction
+	// copies the old slab 0 (the pool record) and links the other slabs
+	// and every segment.
+	linkState := func(h *hookStore) (*Log, map[tmem.Key][]byte) {
+		opts := testOpts(h)
+		opts.SlabBytes = 4096
+		opts.SegmentBytes = 8192
+		l := mustOpen(t, opts)
+		for _, p := range seededPools {
+			if err := l.NewPool(p, tmem.VMID(p)+10, tmem.Persistent); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := make(map[tmem.Key][]byte)
+		load := func(from, to int) {
+			for i := from; i < to; i++ {
+				k := key(seededPools[i%3], tmem.ObjectID(i/3/19), tmem.PageIndex(i/3%19))
+				want[k] = page(byte(i))
+				if err := l.Put(k, want[k]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		load(0, 160)
+		if err := l.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		load(160, 240)
 		return l, want
 	}
 
-	// A clean compaction of that state says how many puts and reads there are.
-	var puts, reads int
-	h := &hookStore{BlobStore: NewMemStore()}
-	l, _ := newLog(h)
-	h.onPut = func(string) error { puts++; return nil }
-	h.onRead = func(string) error { reads++; return nil }
-	if err := l.Compact(); err != nil {
-		t.Fatal(err)
+	// A clean compaction of a state says how many puts, links and reads
+	// there are.
+	count := func(newLog func(*hookStore) (*Log, map[tmem.Key][]byte)) (puts, links, reads int) {
+		h := &hookStore{BlobStore: NewMemStore()}
+		l, _ := newLog(h)
+		h.onPut = func(string) error { puts++; return nil }
+		h.onLink = func(string, string) error { links++; return nil }
+		h.onRead = func(string) error { reads++; return nil }
+		if err := l.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		return puts, links, reads
 	}
-	l.Close()
-	if puts < 3 || reads < 100 {
-		t.Fatalf("the state compacts in %d puts and %d reads; the test needs several slabs and many pages", puts, reads)
+	puts, links, reads := count(copyState)
+	if puts < 3 || reads < 100 || links != 0 {
+		t.Fatalf("the copy state compacts in %d puts, %d links and %d reads; the test needs several slabs, many pages and no link", puts, links, reads)
+	}
+	_, links, _ = count(linkState)
+	if links < 4 {
+		t.Fatalf("the link state compacts with %d links; the test needs several", links)
 	}
 
-	fault := func(t *testing.T, arm func(h *hookStore, fail func() error), check func(t *testing.T, partial []string)) {
+	fault := func(t *testing.T, newLog func(*hookStore) (*Log, map[tmem.Key][]byte), arm func(h *hookStore, fail func() error), check func(t *testing.T, partial []string)) {
 		mem := NewMemStore()
 		h := &hookStore{BlobStore: mem}
 		l, want := newLog(h)
@@ -340,7 +460,7 @@ func TestCompactFaultAtEveryStep(t *testing.T) {
 		if !errors.Is(err, injected) {
 			t.Fatalf("Compact = %v, want the injected failure", err)
 		}
-		h.onPut, h.onRead = nil, nil
+		h.onPut, h.onLink, h.onRead = nil, nil, nil
 		if st := l.Stats(); st.Errors != 1 || st.Compactions != 1 {
 			t.Fatalf("after the failure: Errors=%d Compactions=%d, want 1 and 1", st.Errors, st.Compactions)
 		}
@@ -397,7 +517,7 @@ func TestCompactFaultAtEveryStep(t *testing.T) {
 	for k := 1; k <= puts; k++ {
 		t.Run(fmt.Sprintf("put-%d-of-%d", k, puts), func(t *testing.T) {
 			n := 0
-			fault(t, func(h *hookStore, fail func() error) {
+			fault(t, copyState, func(h *hookStore, fail func() error) {
 				h.onPut = func(string) error {
 					if n++; n == k {
 						return fail()
@@ -414,7 +534,7 @@ func TestCompactFaultAtEveryStep(t *testing.T) {
 	for k := 1; k <= reads; k++ {
 		t.Run(fmt.Sprintf("read-%d-of-%d", k, reads), func(t *testing.T) {
 			n := 0
-			fault(t, func(h *hookStore, fail func() error) {
+			fault(t, copyState, func(h *hookStore, fail func() error) {
 				h.onRead = func(string) error {
 					if n++; n == k {
 						return fail()
@@ -422,6 +542,24 @@ func TestCompactFaultAtEveryStep(t *testing.T) {
 					return nil
 				}
 			}, func(*testing.T, []string) {})
+		})
+	}
+	for k := 1; k <= links; k++ {
+		t.Run(fmt.Sprintf("link-%d-of-%d", k, links), func(t *testing.T) {
+			n, slabs := 0, 0
+			fault(t, linkState, func(h *hookStore, fail func() error) {
+				h.onPut = func(string) error { slabs++; return nil }
+				h.onLink = func(string, string) error {
+					if n++; n == k {
+						return fail()
+					}
+					return nil
+				}
+			}, func(t *testing.T, partial []string) {
+				if len(partial) != slabs+k-1 {
+					t.Fatalf("the failed snapshot left %d blobs, want the %d copied slabs and the %d linked before link %d", len(partial), slabs, k-1, k)
+				}
+			})
 		})
 	}
 }
@@ -458,6 +596,42 @@ func TestClosedLogHoldsNoPages(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCloseDuringCompaction: a log closed while a compaction writes its
+// snapshot lets the compaction finish without an index to move, and the
+// snapshot it wrote loads.
+func TestCloseDuringCompaction(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	mem := NewMemStore()
+	h := &hookStore{BlobStore: mem}
+	l := mustOpen(t, testOpts(h))
+	want := seedLog(t, l, 0, 64)
+	first := true
+	h.onPut = func(string) error {
+		if first {
+			first = false
+			close(entered)
+			<-release
+		}
+		return nil
+	}
+	done := make(chan error, 1)
+	go func() { done <- l.Compact() }()
+	<-entered
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	l2 := mustOpen(t, testOpts(mem))
+	defer l2.Close()
+	if !l2.Recovery().SnapshotLoaded {
+		t.Fatal("the compaction left no snapshot")
+	}
+	checkModel(t, l2, want)
 }
 
 // TestCompactionStats: the compaction clock and gauge run for background-
@@ -514,5 +688,161 @@ func TestCompactionStats(t *testing.T) {
 	}
 	if st := inline.Stats(); st.CompactNanos != 0 || st.Compacting {
 		t.Fatalf("inline mode read the clock: %+v", st)
+	}
+}
+
+// TestCompactLinksFullyLiveBlobs: a compaction links every sealed blob that
+// holds only live pages — WAL segments of a bulk load, slabs of the
+// snapshot before — and copies the rest, and the snapshot it leaves loads
+// back to the model.
+func TestCompactLinksFullyLiveBlobs(t *testing.T) {
+	for _, store := range []struct {
+		name string
+		make func(testing.TB) BlobStore
+	}{
+		{"mem", func(testing.TB) BlobStore { return NewMemStore() }},
+		{"dir", dirStore},
+	} {
+		t.Run(store.name, func(t *testing.T) {
+			inner := store.make(t)
+			h := &hookStore{BlobStore: inner}
+			opts := testOpts(h)
+			opts.SegmentBytes, opts.SlabBytes = 4096, 4096
+			l := mustOpen(t, opts)
+			defer func() { l.Close() }()
+			want := seedLog(t, l, 0, 300)
+
+			// compact runs one compaction and reports what it put, linked
+			// (source keys) and read from (keys).
+			compact := func() (putBytes int, linked, read map[string]bool) {
+				t.Helper()
+				var puts []string
+				linked, read = make(map[string]bool), make(map[string]bool)
+				h.onPut = func(key string) error { puts = append(puts, key); return nil }
+				h.onLink = func(src, _ string) error { linked[src] = true; return nil }
+				h.onRead = func(key string) error { read[key] = true; return nil }
+				if err := l.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				h.onPut, h.onLink, h.onRead = nil, nil, nil
+				for _, k := range puts {
+					if strings.HasSuffix(k, ".slab") {
+						b, err := inner.Get(k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						putBytes += len(b)
+					}
+				}
+				return putBytes, linked, read
+			}
+			// slabs lists the current snapshot's slab keys but slab 0.
+			slabs := func() map[string]bool {
+				keys, _ := inner.List(snapshotDir(l.snapshotSeq) + "/")
+				out := make(map[string]bool)
+				for _, k := range keys {
+					if strings.HasSuffix(k, ".slab") && k != slabKey(l.snapshotSeq, 0) {
+						out[k] = true
+					}
+				}
+				return out
+			}
+
+			// The bulk load: the first segment (it holds the pool record) is
+			// copied, every other one linked.
+			putBytes, linked, _ := compact()
+			if putBytes > int(opts.SlabBytes) || len(linked) < 10 {
+				t.Fatalf("a bulk load's compaction put %d slab bytes and linked %d blobs; want at most one slab's %d and most segments",
+					putBytes, len(linked), opts.SlabBytes)
+			}
+			checkModel(t, l, want)
+
+			// Unchanged: everything but slab 0 is linked, and only slab 0 read.
+			before := slabs()
+			putBytes, linked, read := compact()
+			if !maps.Equal(linked, before) {
+				t.Fatalf("an unchanged state's compaction linked %v, want every slab but 0: %v", linked, before)
+			}
+			if len(read) > 1 || putBytes > int(opts.SlabBytes) {
+				t.Fatalf("an unchanged state's compaction read %v and put %d slab bytes; want slab 0 alone", read, putBytes)
+			}
+
+			// One put or flush into each of k linked slabs: those k are
+			// copied, the rest linked again.
+			before = slabs()
+			dirty := make(map[string]bool)
+			l.mu.Lock()
+			var pages []pageRef
+			for ok, idx := range l.objects {
+				for i, at := range idx {
+					pages = append(pages, pageRef{tmem.Key{Pool: ok.pool, Object: ok.object, Index: i}, at})
+				}
+			}
+			seq := l.snapshotSeq
+			l.mu.Unlock()
+			sortPageRefs(pages)
+			for _, slab := range []int{2, 5, 7} {
+				i := slices.IndexFunc(pages, func(p pageRef) bool { return p.at.blob == slabBit|uint64(slab) })
+				if i < 0 {
+					t.Fatalf("no page in slab %d", slab)
+				}
+				k := pages[i].key
+				if slab == 5 {
+					if _, err := l.FlushPage(k); err != nil {
+						t.Fatal(err)
+					}
+					delete(want, k)
+				} else {
+					want[k] = page(byte(slab))
+					if err := l.Put(k, want[k]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				dirty[slabKey(seq, slab)] = true
+			}
+			_, linked, read = compact()
+			maps.DeleteFunc(before, func(k string, _ bool) bool { return dirty[k] })
+			if !maps.Equal(linked, before) {
+				t.Fatalf("after dirtying %v the compaction linked %v, want %v", dirty, linked, before)
+			}
+			for k := range dirty {
+				if !read[k] {
+					t.Fatalf("dirty slab %s was not copied: the compaction read %v", k, read)
+				}
+			}
+			if len(read) != len(dirty)+2 { // and slab 0, and the segment holding the put
+				t.Fatalf("the compaction read %v; want slab 0, %v and one segment", read, dirty)
+			}
+			checkModel(t, l, want)
+
+			// An un-clean close and reopen gives back the model.
+			l.Close()
+			l = mustOpen(t, opts)
+			if ri := l.Recovery(); !ri.SnapshotLoaded || ri.SnapshotPages != uint64(len(want)) || ri.CorruptRecords != 0 {
+				t.Fatalf("reopen: %+v", ri)
+			}
+			checkModel(t, l, want)
+
+			// The MANIFEST is the five fields a log without links reads.
+			raw, err := inner.Get(snapshotDir(l.snapshotSeq) + "/" + manifestName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mf struct {
+				WALResume uint64 `json:"wal_resume"`
+				Slabs     int    `json:"slabs"`
+				Pools     int    `json:"pools"`
+				Pages     uint64 `json:"pages"`
+				Bytes     uint64 `json:"bytes"`
+			}
+			dec := json.NewDecoder(bytes.NewReader(raw))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&mf); err != nil {
+				t.Fatalf("MANIFEST %s: %v", raw, err)
+			}
+			if n := len(slabs()) + 1; mf.Slabs != n || mf.Pages != uint64(len(want)) {
+				t.Fatalf("MANIFEST %s; the snapshot holds %d slabs and %d pages", raw, n, len(want))
+			}
+		})
 	}
 }

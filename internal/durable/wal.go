@@ -300,6 +300,13 @@ func (w *walWriter) append(framed []byte, nrecs uint64) (rec, seg uint64, off ui
 	return w.nextRec, w.seq, off, nil
 }
 
+// active returns the active segment's sequence number.
+func (w *walWriter) active() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.seq
+}
+
 // rotateLocked seals the active segment and opens seq as the new one.
 func (w *walWriter) rotateLocked(seq uint64) error {
 	if w.app != nil {

@@ -118,7 +118,9 @@ type RunRecord = core.RunRecord
 // set Config.DurableBlob to one and persistent pages demoted past the RAM
 // tiers are journaled to a write-ahead log with periodic slab snapshots.
 // The journal keeps only an index of its pages in memory and reads their
-// bytes back through the store's ranged reads when it needs them.
+// bytes back through the store's ranged reads when it needs them; a
+// compaction carries a blob of nothing but live pages into a snapshot
+// through the store's Link instead of copying it.
 type BlobStore = durable.BlobStore
 
 // DurableSummary reports a durable tier's end-of-run counters
