@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"net/http"
+	"runtime/metrics"
 	"sort"
 	"strings"
 	"sync"
@@ -180,7 +181,9 @@ func writeStoreMetrics(b *strings.Builder, node kvNode) {
 	bk := node.backend
 	scalar(b, "smartmem_store_pages_total", "gauge", "Store capacity in pages.", float64(bk.TotalPages()))
 	scalar(b, "smartmem_store_pages_used", "gauge", "Pages currently holding data.", float64(bk.TotalPages()-bk.FreePages()))
-	scalar(b, "smartmem_store_footprint_bytes", "gauge", "Host bytes backing the store.", float64(bk.Footprint()))
+	scalar(b, "smartmem_store_footprint_bytes", "gauge", "Live page bytes.", float64(bk.Footprint()))
+	// Stored pages live outside the Go heap: this gauge does not count them.
+	scalar(b, "smartmem_go_heap_bytes", "gauge", "Bytes in live and unswept Go heap objects.", goHeapBytes())
 
 	tiers := bk.Tiers()
 	if len(tiers) > 0 {
@@ -245,6 +248,13 @@ func writeStoreMetrics(b *strings.Builder, node kvNode) {
 		scalar(b, "smartmem_durable_recovery_torn", "gauge", "1 when the last start discarded a torn final record.", gauge01(ri.TornTail))
 		scalar(b, "smartmem_durable_recovery_corrupt", "gauge", "Corrupt WAL records the last start skipped.", float64(ri.CorruptRecords))
 	}
+}
+
+// goHeapBytes reads the Go heap's object bytes from runtime/metrics.
+func goHeapBytes() float64 {
+	s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	metrics.Read(s)
+	return float64(s[0].Value.Uint64())
 }
 
 // gauge01 is a boolean gauge's sample value.

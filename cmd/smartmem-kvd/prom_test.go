@@ -57,6 +57,9 @@ func TestPromHandler(t *testing.T) {
 		"# TYPE smartmem_ops_total counter",
 		"smartmem_store_pages_total 256",
 		"smartmem_store_pages_used 0",
+		"# HELP smartmem_store_footprint_bytes Live page bytes.",
+		"smartmem_store_footprint_bytes 0",
+		"# TYPE smartmem_go_heap_bytes gauge",
 		"# TYPE smartmem_wire_conns_active gauge",
 		"smartmem_wire_proto_errors_total 0",
 		`smartmem_tier_ops_total{tier="compressed",op="put"} 0`,
@@ -93,6 +96,11 @@ func TestPromHandler(t *testing.T) {
 	}
 	if !found {
 		t.Error("no put p50 sample found")
+	}
+	// The Go heap gauge reads the runtime, which holds at least the
+	// exposition just built.
+	if v := promSample(t, body, "smartmem_go_heap_bytes "); v < float64(len(body)) {
+		t.Errorf("smartmem_go_heap_bytes = %g, want at least the %d-byte exposition", v, len(body))
 	}
 	// First scrape has no baseline: interval families must be absent.
 	if strings.Contains(body, "smartmem_op_interval_") {

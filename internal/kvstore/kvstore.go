@@ -114,8 +114,10 @@ type Server struct {
 	// page and frame buffers, batch scratch) across connections, so a churn
 	// of short-lived clients — exactly what an open-loop load generator
 	// ramping connections produces — does not re-allocate ~70 KiB of
-	// arenas per accept.
-	connPool sync.Pool
+	// arenas per accept. It is a pointer because the runtime's pool list
+	// keeps every used pool reachable through one more GC: an embedded
+	// pool would keep the Server, and with it the whole store, alive too.
+	connPool *sync.Pool
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
@@ -143,6 +145,7 @@ func NewServerStore(store Store) *Server {
 	}
 	s := &Server{
 		store:     store,
+		connPool:  new(sync.Pool),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
 	}

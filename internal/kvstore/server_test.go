@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"smartmem/internal/mem"
 	"smartmem/internal/tmem"
@@ -184,6 +185,55 @@ func TestShutdownWithNoConnections(t *testing.T) {
 		if err := srv.Serve(l2); err == nil {
 			t.Error("Serve on shut-down server did not fail")
 		}
+	}
+}
+
+// TestShutdownReleasesStore pins that a shut-down server keeps none of its
+// stack alive: one GC after Shutdown, the backend, and with it every page
+// it stores, is gone. The runtime's list of used sync.Pools survives one
+// GC, so a pool embedded by value in Server or Backend would keep them
+// alive one GC longer.
+func TestShutdownReleasesStore(t *testing.T) {
+	backend := func() weak.Pointer[tmem.Backend] {
+		backend := tmem.NewBackend(64, tmem.NewDataStore(pageSize))
+		srv := NewServer(backend)
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Skipf("loopback unavailable: %v", err)
+		}
+		serveErr := make(chan error, 1)
+		go func() { serveErr <- srv.Serve(l) }()
+		conn, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := NewClient(conn, pageSize)
+		pool, err := cl.NewPool(1, tmem.Persistent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]tmem.Key, 16)
+		datas := make([][]byte, len(keys))
+		sts := make([]tmem.Status, len(keys))
+		for i := range keys {
+			keys[i] = tmem.Key{Pool: pool, Object: 1, Index: tmem.PageIndex(i)}
+			datas[i] = page(byte(i + 1))
+		}
+		if err := cl.PutBatch(keys, datas, sts); err != nil || sts[0] != tmem.STmem {
+			t.Fatalf("PutBatch = %v, sts[0] = %v", err, sts[0])
+		}
+		cl.Close()
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Fatalf("Shutdown = %v", err)
+		}
+		if err := <-serveErr; err != nil {
+			t.Fatalf("Serve = %v", err)
+		}
+		return weak.Make(backend)
+	}()
+	runtime.GC()
+	if backend.Value() != nil {
+		t.Error("backend still reachable one GC after Shutdown")
 	}
 }
 

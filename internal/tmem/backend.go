@@ -124,8 +124,11 @@ type Backend struct {
 	pageSize mem.Bytes
 
 	// batchPool recycles the scratch state of PutBatch/GetBatch (see
-	// batch.go) so warm batch calls allocate nothing.
-	batchPool sync.Pool
+	// batch.go) so warm batch calls allocate nothing. It is a pointer
+	// because the runtime's pool list keeps every used pool reachable
+	// through one more GC: an embedded pool would keep a dropped Backend,
+	// and every page it stores, alive too.
+	batchPool *sync.Pool
 }
 
 // Options configures a sharded backend (see NewBackendOpts).
@@ -211,7 +214,7 @@ func newBackend(totalPages mem.Pages, stores []PageStore) *Backend {
 		pageSize:   mem.Bytes(stores[0].PageSize()),
 	}
 	b.pools.Store(new([]*Pool))
-	b.batchPool.New = func() any { return new(batchScratch) }
+	b.batchPool = &sync.Pool{New: func() any { return new(batchScratch) }}
 	b.freePages.Store(int64(totalPages))
 	for i := range b.shards {
 		b.shards[i] = newShard(stores[i])

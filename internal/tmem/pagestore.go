@@ -1,6 +1,10 @@
 package tmem
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+	"sync/atomic"
+)
 
 // Handle refers to a page's contents inside a PageStore.
 type Handle int64
@@ -39,84 +43,79 @@ type PageStore interface {
 
 // --- DataStore ---
 
+const framesPerChunk = 256 // page frames in one arena chunk
+
+// arenaBytes counts the chunk bytes every DataStore holds, for tests.
+var arenaBytes atomic.Int64
+
 // DataStore keeps verbatim page copies, matching Xen's page-copy interface.
-// Page buffers are slab-managed: Drop pushes the buffer onto a free list and
-// Save pops from it, so a store cycling at a steady page count performs no
-// allocation after its high-water mark (DESIGN.md §9). The free list is
-// bounded to the store's own high-water mark by construction — it only ever
-// holds buffers the store previously handed out.
+// It is MetaStore's handle table over a frame arena: handle h owns frame
+// h%framesPerChunk of chunk h/framesPerChunk, so a dropped handle's frame
+// is reused with the handle and a store cycling at a steady page count
+// allocates nothing. Where allocChunk can, chunks are mapped outside the Go
+// heap, so stored pages neither count toward the collector's heap goal nor
+// outlive the store: a cleanup releases the arena once the store is
+// unreachable (DESIGN.md §9).
 type DataStore struct {
-	pageSize int
-	pages    map[Handle][]byte
-	next     Handle
-	free     [][]byte // slab free list of page-size buffers
+	MetaStore
+	arena *frameArena
 }
+
+// frameArena holds a DataStore's chunks apart from the store, so that the
+// store's cleanup can release them.
+type frameArena struct{ chunks [][]byte }
 
 // NewDataStore creates a store of full page copies.
 func NewDataStore(pageSize int) *DataStore {
-	if pageSize <= 0 {
-		panic("tmem: non-positive page size")
-	}
-	return &DataStore{pageSize: pageSize, pages: make(map[Handle][]byte)}
+	s := &DataStore{MetaStore: *NewMetaStore(pageSize), arena: new(frameArena)}
+	runtime.AddCleanup(s, (*frameArena).release, s.arena)
+	return s
 }
 
-// PageSize implements PageStore.
-func (s *DataStore) PageSize() int { return s.pageSize }
+// release frees every chunk of the arena.
+func (a *frameArena) release() {
+	for _, c := range a.chunks {
+		freeChunk(c)
+		arenaBytes.Add(-int64(len(c)))
+	}
+}
 
-// Save implements PageStore.
+// frame returns handle h's frame, adding a chunk when h is the first handle
+// past the arena's end (MetaStore hands out new handles in order).
+func (s *DataStore) frame(h Handle) []byte {
+	c, off := int(h/framesPerChunk), int(h%framesPerChunk)*s.pageSize
+	if c == len(s.arena.chunks) {
+		s.arena.chunks = append(s.arena.chunks, allocChunk(framesPerChunk*s.pageSize))
+		arenaBytes.Add(int64(framesPerChunk * s.pageSize))
+	}
+	return s.arena.chunks[c][off : off+s.pageSize]
+}
+
+// Save implements PageStore. The KeepAlive calls here and in Load keep the
+// store, and so its arena, alive until the copy is done.
 func (s *DataStore) Save(data []byte) (Handle, error) {
-	if len(data) > s.pageSize {
-		return NoHandle, fmt.Errorf("tmem: page data %d bytes exceeds page size %d", len(data), s.pageSize)
+	h, err := s.MetaStore.Save(data)
+	if err != nil {
+		return NoHandle, err
 	}
-	var p []byte
-	if n := len(s.free); n > 0 {
-		p = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		clear(p[copy(p, data):]) // recycled buffer: zero the tail
-	} else {
-		p = make([]byte, s.pageSize)
-		copy(p, data)
-	}
-	h := s.next
-	s.next++
-	s.pages[h] = p
+	f := s.frame(h)
+	clear(f[copy(f, data):]) // a reused frame still holds its last page
+	runtime.KeepAlive(s)
 	return h, nil
 }
 
 // Load implements PageStore.
 func (s *DataStore) Load(h Handle, dst []byte) error {
-	p, ok := s.pages[h]
-	if !ok {
-		return fmt.Errorf("tmem: load of unknown handle %d", h)
+	if !s.known(h) || len(dst) < s.pageSize {
+		return s.MetaStore.Load(h, dst) // the error
 	}
-	if len(dst) < s.pageSize {
-		return fmt.Errorf("tmem: destination %d bytes smaller than page size %d", len(dst), s.pageSize)
-	}
-	copy(dst, p)
+	copy(dst, s.frame(h))
+	runtime.KeepAlive(s)
 	return nil
 }
 
-// Drop implements PageStore.
-func (s *DataStore) Drop(h Handle) error {
-	p, ok := s.pages[h]
-	if !ok {
-		return fmt.Errorf("tmem: drop of unknown handle %d", h)
-	}
-	delete(s.pages, h)
-	s.free = append(s.free, p)
-	return nil
-}
-
-// Footprint implements PageStore. Live pages only; buffers parked on the
-// slab free list are reported separately by Reserved.
-func (s *DataStore) Footprint() int64 { return int64(len(s.pages)) * int64(s.pageSize) }
-
-// Reserved returns the bytes held on the slab free list, awaiting reuse.
-func (s *DataStore) Reserved() int64 { return int64(len(s.free)) * int64(s.pageSize) }
-
-// Count implements PageStore.
-func (s *DataStore) Count() int { return len(s.pages) }
+// Footprint implements PageStore: live page bytes.
+func (s *DataStore) Footprint() int64 { return int64(s.Count()) * int64(s.pageSize) }
 
 // --- MetaStore ---
 

@@ -1,7 +1,12 @@
 package tmem
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"smartmem/internal/mem"
 )
@@ -166,6 +171,186 @@ func TestMetaStoreSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("MetaStore Save/Drop steady state = %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestDataStoreMatchesMapModel drives a DataStore and a map of page
+// contents with the same random Save (nil, short and full pages), Load,
+// Drop and unknown-handle calls over more than three chunks, for a page
+// size that fills whole OS pages and one that does not. It starts with a
+// reused frame: a short page saved into a dropped full page's frame must
+// read back with a zeroed tail.
+func TestDataStoreMatchesMapModel(t *testing.T) {
+	for _, ps := range []int{testPage, 100} {
+		t.Run(fmt.Sprint(ps), func(t *testing.T) {
+			s := NewDataStore(ps)
+			model := map[Handle][]byte{}
+			dst := make([]byte, ps)
+			check := func(h Handle) {
+				t.Helper()
+				if err := s.Load(h, dst); err != nil || !bytes.Equal(dst, model[h]) {
+					t.Fatalf("Load(%d) = %v, page differs from the model: %t", h, err, !bytes.Equal(dst, model[h]))
+				}
+			}
+
+			full := bytes.Repeat([]byte{0xFF}, ps)
+			h, _ := s.Save(full)
+			if err := s.Drop(h); err != nil {
+				t.Fatal(err)
+			}
+			if h2, _ := s.Save([]byte{0x11, 0x22}); h2 != h {
+				t.Fatalf("Save after Drop(%d) = handle %d, want the dropped frame back", h, h2)
+			}
+			model[h] = append([]byte{0x11, 0x22}, make([]byte, ps-2)...)
+			check(h)
+
+			rng := rand.New(rand.NewSource(int64(ps)))
+			var live, dropped []Handle
+			live = append(live, h)
+			var issued Handle = h
+			for op := 0; op < 12000; op++ {
+				saveShare := 55 // grow to about 5 chunks, then cycle
+				if op >= 4000 {
+					saveShare = 35
+				}
+				switch r := rng.Intn(100); {
+				case r < saveShare:
+					var data []byte
+					switch rng.Intn(3) {
+					case 1:
+						data = make([]byte, 1+rng.Intn(ps-1))
+					case 2:
+						data = make([]byte, ps)
+					}
+					rng.Read(data)
+					h, err := s.Save(data)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, ok := model[h]; ok {
+						t.Fatalf("Save returned handle %d, which is still live", h)
+					}
+					model[h] = append(data, make([]byte, ps-len(data))...)
+					live = append(live, h)
+					issued = max(issued, h)
+					check(h)
+				case r < saveShare+20 && len(live) > 0:
+					i := rng.Intn(len(live))
+					h := live[i]
+					if err := s.Drop(h); err != nil {
+						t.Fatal(err)
+					}
+					delete(model, h)
+					live[i] = live[len(live)-1]
+					live = live[:len(live)-1]
+					dropped = append(dropped, h)
+				case r < 90 && len(live) > 0:
+					check(live[rng.Intn(len(live))])
+				default:
+					unknown := []Handle{NoHandle, issued + 1, 1 << 40}
+					for _, d := range dropped[max(0, len(dropped)-4):] {
+						if _, ok := model[d]; !ok {
+							unknown = append(unknown, d)
+						}
+					}
+					h := unknown[rng.Intn(len(unknown))]
+					if s.Load(h, dst) == nil || s.Drop(h) == nil {
+						t.Fatalf("unknown handle %d accepted", h)
+					}
+				}
+				if s.Count() != len(model) || s.Footprint() != int64(len(model)*ps) {
+					t.Fatalf("op %d: Count = %d, Footprint = %d, model holds %d pages", op, s.Count(), s.Footprint(), len(model))
+				}
+			}
+			for h := range model {
+				check(h)
+			}
+			if n := len(s.arena.chunks); n < 3 {
+				t.Errorf("model run used %d chunks, want at least 3", n)
+			}
+		})
+	}
+}
+
+// TestDataStoreSteadyStateZeroAlloc is MetaStore's pin for DataStore: a
+// store cycling Save/Load/Drop below its high-water mark reuses frames and
+// allocates nothing.
+func TestDataStoreSteadyStateZeroAlloc(t *testing.T) {
+	s := NewDataStore(testPage)
+	page, dst := fill(0x3C), make([]byte, testPage)
+	var hs [64]Handle
+	for i := range hs {
+		hs[i], _ = s.Save(page)
+	}
+	for _, h := range hs {
+		if err := s.Drop(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		for i := range hs {
+			hs[i], _ = s.Save(page)
+		}
+		for _, h := range hs {
+			_ = s.Load(h, dst) // cannot fail: h was just saved
+			_ = s.Drop(h)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("DataStore Save/Load/Drop steady state = %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestDataStoreFramesOffHeap pins that stored page bytes are not Go heap:
+// 4096 saved pages grow HeapAlloc by less than an eighth of their bytes.
+func TestDataStoreFramesOffHeap(t *testing.T) {
+	if heapChunks {
+		t.Skip("frame chunks are heap memory in this build")
+	}
+	const n = 4096
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := NewDataStore(testPage)
+	page := fill(0x5A)
+	for i := 0; i < n; i++ {
+		if _, err := s.Save(page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if limit := int64(n * testPage / 8); grew >= limit {
+		t.Errorf("%d saved pages grew the heap by %d bytes, want < %d", n, grew, limit)
+	}
+	runtime.KeepAlive(s)
+}
+
+// TestDataStoreReleasesArenaWhenUnreachable pins the store's cleanup: once
+// a store is unreachable, a GC releases (unmaps) every chunk it held.
+func TestDataStoreReleasesArenaWhenUnreachable(t *testing.T) {
+	base := arenaBytes.Load()
+	func() {
+		s := NewDataStore(testPage)
+		for i := 0; i < 3*framesPerChunk; i++ {
+			if _, err := s.Save(nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := arenaBytes.Load()-base, int64(3*framesPerChunk*testPage); got != want {
+			t.Fatalf("store of %d pages holds %d chunk bytes, want %d", 3*framesPerChunk, got, want)
+		}
+	}()
+	// Cleanups run on their own goroutine after the GC that finds the
+	// store unreachable. Other tests' stores may be released meanwhile,
+	// which only lowers the count.
+	for deadline := time.Now().Add(5 * time.Second); arenaBytes.Load() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("unreachable store still holds %d chunk bytes", arenaBytes.Load()-base)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
 }
 
