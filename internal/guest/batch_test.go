@@ -9,30 +9,29 @@ import (
 	"smartmem/internal/tmem"
 )
 
-// The batched access spine (accessRun, fileTmemRun) must be observably
-// indistinguishable from the per-page Touch/touchFile loop it replaced:
-// same stats, same backend counters, same virtual end time, same yield
-// points. These differential tests drive the same access pattern through
-// both spines on identically seeded rigs and require exact equality —
+// Access and ReadFile serve runs of resident pages with batched LRU and
+// time accounting (chargeN) and send every fault through Touch/touchFile.
+// The batched calls must be observably indistinguishable from a per-page
+// Touch/touchFile loop: same stats, same backend counters, same virtual end
+// time, same yield points. These differential tests drive the same access
+// pattern both ways on identically seeded rigs and require exact equality —
 // the property the byte-identical goldens rest on.
 
-// accessPerPage is the pre-batching reference implementation of Access.
-func accessPerPage(k *Kernel, p *sim.Proc, first PageID, count, stride mem.Pages, write bool) {
-	pg := first
+// accessPerPage is the per-page reference implementation of Access.
+func accessPerPage(k *Kernel, p *sim.Proc, first PageID, count mem.Pages, write bool) {
 	for i := mem.Pages(0); i < count; i++ {
-		k.Touch(p, pg, write)
-		pg += PageID(stride)
+		k.Touch(p, first+PageID(i), write)
 	}
 }
 
-// readFilePerPage is the pre-batching reference implementation of ReadFile.
+// readFilePerPage is the per-page reference implementation of ReadFile.
 func readFilePerPage(k *Kernel, p *sim.Proc, obj tmem.ObjectID, idx tmem.PageIndex, count mem.Pages) {
 	for i := mem.Pages(0); i < count; i++ {
 		k.touchFile(p, fileKey{obj, idx + tmem.PageIndex(i)})
 	}
 }
 
-// driver runs a workload against a fresh rig and reports everything
+// driveDiff runs a workload against a fresh rig and reports everything
 // observable: guest stats, end time, and the backend's cumulative counts.
 func driveDiff(t *testing.T, tmemPages, ram mem.Pages, cleancache bool, nonExcl bool,
 	body func(k *Kernel, p *sim.Proc, perPage bool)) (perPage, batched string) {
@@ -63,12 +62,12 @@ func TestAccessBatchedMatchesPerPage(t *testing.T) {
 	}{
 		{
 			// Working set twice RAM: every sweep refaults half the set
-			// through frontswap — long tmem-hit runs.
+			// through frontswap between resident runs.
 			name: "frontswap-thrash-exclusive", tmem: 4096, ram: 128,
 			scenario: func(k *Kernel, p *sim.Proc, perPage bool) {
 				for pass := 0; pass < 6; pass++ {
 					if perPage {
-						accessPerPage(k, p, 0, 256, 1, pass%2 == 0)
+						accessPerPage(k, p, 0, 256, pass%2 == 0)
 					} else {
 						k.Access(p, 0, 256, pass%2 == 0)
 					}
@@ -79,11 +78,11 @@ func TestAccessBatchedMatchesPerPage(t *testing.T) {
 			name: "frontswap-thrash-non-exclusive", tmem: 4096, ram: 128, nonExcl: true,
 			scenario: func(k *Kernel, p *sim.Proc, perPage bool) {
 				for pass := 0; pass < 6; pass++ {
-					// Read-only passes batch under non-exclusive gets;
-					// write passes exercise the fallback.
+					// Read-only passes keep the copies valid under
+					// non-exclusive gets; the write pass invalidates them.
 					write := pass == 3
 					if perPage {
-						accessPerPage(k, p, 0, 300, 1, write)
+						accessPerPage(k, p, 0, 300, write)
 					} else {
 						k.Access(p, 0, 300, write)
 					}
@@ -92,12 +91,12 @@ func TestAccessBatchedMatchesPerPage(t *testing.T) {
 		},
 		{
 			// tmem smaller than the overflow: puts fail, pages go to disk,
-			// runs are broken by mixed inTmem/onDisk state.
+			// refaults mix inTmem and onDisk copies.
 			name: "tmem-pressure-mixed-copies", tmem: 64, ram: 128,
 			scenario: func(k *Kernel, p *sim.Proc, perPage bool) {
 				for pass := 0; pass < 5; pass++ {
 					if perPage {
-						accessPerPage(k, p, 0, 320, 1, pass == 0)
+						accessPerPage(k, p, 0, 320, pass == 0)
 					} else {
 						k.Access(p, 0, 320, pass == 0)
 					}
@@ -105,25 +104,12 @@ func TestAccessBatchedMatchesPerPage(t *testing.T) {
 			},
 		},
 		{
-			// Strided refault stream: batching without adjacency.
-			name: "strided-refaults", tmem: 4096, ram: 100,
-			scenario: func(k *Kernel, p *sim.Proc, perPage bool) {
-				for pass := 0; pass < 5; pass++ {
-					if perPage {
-						accessPerPage(k, p, 0, 80, 7, false)
-					} else {
-						k.AccessStride(p, 0, 80, 7, false)
-					}
-				}
-			},
-		},
-		{
-			// Tiny RAM: runs bounded by free frames, evictions interleave.
+			// Tiny RAM: short resident runs, evictions interleave.
 			name: "eviction-bounded-runs", tmem: 4096, ram: 10,
 			scenario: func(k *Kernel, p *sim.Proc, perPage bool) {
 				for pass := 0; pass < 4; pass++ {
 					if perPage {
-						accessPerPage(k, p, 0, 64, 1, false)
+						accessPerPage(k, p, 0, 64, false)
 					} else {
 						k.Access(p, 0, 64, false)
 					}
@@ -135,7 +121,7 @@ func TestAccessBatchedMatchesPerPage(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ref, got := driveDiff(t, tc.tmem, tc.ram, false, tc.nonExcl, tc.scenario)
 			if ref != got {
-				t.Errorf("batched spine diverged from per-page:\n per-page: %s\n  batched: %s", ref, got)
+				t.Errorf("batched access diverged from per-page:\n per-page: %s\n  batched: %s", ref, got)
 			}
 		})
 	}
@@ -149,10 +135,10 @@ func TestReadFileBatchedMatchesPerPage(t *testing.T) {
 	}{
 		// Large tmem: cleancache absorbs the whole file, pure hit runs.
 		{name: "cleancache-hits", tmem: 4096, ram: 96},
-		// Small tmem: ephemeral evictions produce mid-run misses, so the
-		// stop-on-miss path and the disk fallback interleave.
+		// Small tmem: ephemeral evictions produce cleancache misses, so
+		// tmem hits and the disk fallback interleave.
 		{name: "cleancache-misses", tmem: 48, ram: 96},
-		// Tiny RAM bounds runs by free frames.
+		// Tiny RAM: short resident runs.
 		{name: "tight-ram", tmem: 256, ram: 12},
 	}
 	for _, tc := range cases {
@@ -166,7 +152,7 @@ func TestReadFileBatchedMatchesPerPage(t *testing.T) {
 					}
 					// Anonymous traffic in between churns the shared LRU.
 					if perPage {
-						accessPerPage(k, p, 0, 32, 1, true)
+						accessPerPage(k, p, 0, 32, true)
 					} else {
 						k.Access(p, 0, 32, true)
 					}
@@ -174,16 +160,16 @@ func TestReadFileBatchedMatchesPerPage(t *testing.T) {
 			}
 			ref, got := driveDiff(t, tc.tmem, tc.ram, true, false, scenario)
 			if ref != got {
-				t.Errorf("batched spine diverged from per-page:\n per-page: %s\n  batched: %s", ref, got)
+				t.Errorf("batched access diverged from per-page:\n per-page: %s\n  batched: %s", ref, got)
 			}
 		})
 	}
 }
 
 // TestAccessSteadyStateZeroAlloc pins the allocation budget of the full
-// guest→backend hot path: a warm refault loop (evict/put + refault/get
-// through the batched spine) must not allocate — pooled sim events, pooled
-// store entries, slab pages and reused scratch buffers all compose here.
+// guest→backend hot path: a warm refault loop (evict/put + refault/get/flush,
+// one backend call per page) must not allocate — pooled sim events, pooled
+// store entries and slab pages all compose here.
 func TestAccessSteadyStateZeroAlloc(t *testing.T) {
 	r := newRig(4096)
 	g := r.guest(1, 64, true, false)
@@ -208,48 +194,13 @@ func TestAccessSteadyStateZeroAlloc(t *testing.T) {
 	r.k.KillAll()
 }
 
-// TestBatchRunsEngage pins that the batched paths actually take effect in
-// the states they were built for (evicted pages refaulted into free RAM):
-// a spine that silently always fell back to per-page would pass the
-// differential tests vacuously.
-func TestBatchRunsEngage(t *testing.T) {
-	r := newRig(4096)
-	g := r.guest(1, 128, true, false)
-	r.run(func(p *sim.Proc) {
-		g.Access(p, 0, 96, true)    // A resident
-		g.Access(p, 1000, 96, true) // B evicts A into frontswap
-		g.Free(p, 1000, 96)         // B freed: RAM headroom opens up
-		if free := g.UsablePages() - g.Resident(); free < 64 {
-			t.Fatalf("setup: only %d free frames", free)
-		}
-		n := g.anonTmemRun(p, 0, 96, 1, false)
-		if n < 2 {
-			t.Errorf("anonTmemRun served %d pages, want a real run", n)
-		}
-	})
-}
-
-func TestFileBatchRunsEngage(t *testing.T) {
-	r := newRig(4096)
-	g := r.guest(1, 128, true, true)
-	r.run(func(p *sim.Proc) {
-		g.ReadFile(p, 7, 0, 96)     // file resident
-		g.Access(p, 1000, 96, true) // anon pressure evicts file pages to cleancache
-		g.Free(p, 1000, 96)         // headroom opens up
-		n := g.fileTmemRun(p, 7, 0, 96)
-		if n < 2 {
-			t.Errorf("fileTmemRun served %d pages, want a real run", n)
-		}
-	})
-}
-
-// Refault-into-headroom is the state where batching engages; run it
-// differentially too.
+// Refaults into free RAM (no eviction per fault) alternate with resident
+// runs; run them differentially too.
 func TestAccessBatchedMatchesPerPageWithHeadroom(t *testing.T) {
 	scenario := func(k *Kernel, p *sim.Proc, perPage bool) {
 		acc := func(first PageID, count mem.Pages, write bool) {
 			if perPage {
-				accessPerPage(k, p, first, count, 1, write)
+				accessPerPage(k, p, first, count, write)
 			} else {
 				k.Access(p, first, count, write)
 			}
@@ -258,11 +209,11 @@ func TestAccessBatchedMatchesPerPageWithHeadroom(t *testing.T) {
 			acc(0, 96, true)
 			acc(1000, 96, true)
 			k.Free(p, 1000, 96)
-			acc(0, 96, false) // long frontswap-hit runs into free RAM
+			acc(0, 96, false) // frontswap hits into free RAM
 		}
 	}
 	ref, got := driveDiff(t, 4096, 128, false, false, scenario)
 	if ref != got {
-		t.Errorf("batched spine diverged from per-page:\n per-page: %s\n  batched: %s", ref, got)
+		t.Errorf("batched access diverged from per-page:\n per-page: %s\n  batched: %s", ref, got)
 	}
 }

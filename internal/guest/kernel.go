@@ -186,13 +186,6 @@ type Kernel struct {
 	// Swap-thrash pressure tracking (see CostModel.ThrashMaxAmp).
 	faultRate float64  // EWMA disk faults/s
 	lastFault sim.Time // time of the previous disk fault
-
-	// Scratch buffers for the batched access spine (see accessRun): runs of
-	// consecutive page touches are turned into one tmem.GetRun/FlushRun
-	// call, and these slices are reused across runs so the hot path does
-	// not allocate.
-	runKeys []tmem.Key
-	runSts  []tmem.Status
 }
 
 // NewKernel boots a guest kernel and, when tmem is enabled, registers the
@@ -292,8 +285,8 @@ func (k *Kernel) flush(p *sim.Proc) {
 }
 
 // chargeN charges d of virtual time n times, reproducing exactly the
-// accumulate/yield points a loop of n charge calls would produce (the
-// batched spine must not move yield points, or event interleaving — and
+// accumulate/yield points a loop of n charge calls would produce (a
+// resident run must not move yield points, or event interleaving — and
 // with it every golden — would change). Between charges accum < Quantum
 // always holds, so the step arithmetic below never sees a non-positive
 // room.
@@ -314,31 +307,6 @@ func (k *Kernel) chargeN(p *sim.Proc, d sim.Duration, n mem.Pages) {
 			k.flush(p)
 		}
 	}
-}
-
-// quantumRun returns the largest run length n such that n per-page charges
-// of perPage cannot trigger a yield (accum + n*perPage stays under the
-// quantum). The batched fault paths bound their runs by it so no yield —
-// and therefore no interleaving with other processes — can fall inside a
-// batched tmem operation.
-func (k *Kernel) quantumRun(perPage sim.Duration) mem.Pages {
-	if perPage <= 0 {
-		return mem.Pages(math.MaxInt64)
-	}
-	room := k.cfg.Costs.Quantum - k.accum
-	if room <= 0 {
-		return 0
-	}
-	return mem.Pages((room - 1) / perPage)
-}
-
-// runBuffers returns the scratch key/status slices sized for n.
-func (k *Kernel) runBuffers(n int) ([]tmem.Key, []tmem.Status) {
-	if cap(k.runKeys) < n {
-		k.runKeys = make([]tmem.Key, n)
-		k.runSts = make([]tmem.Status, n)
-	}
-	return k.runKeys[:0], k.runSts[:n]
 }
 
 // Idle makes the guest sleep for d of virtual time after settling accrued
@@ -544,142 +512,37 @@ func (k *Kernel) Touch(p *sim.Proc, page PageID, write bool) {
 }
 
 // Access touches count consecutive anonymous pages starting at first.
-// Consecutive pages in the same state are handled as one run: resident
-// runs batch their time accounting, and frontswap-refault runs go to the
-// backend as one GetRun/FlushRun pair — one stripe-lock round trip per run
-// instead of one per page. Observable behaviour (stats, backend operation
-// order, yield points) is identical to a per-page Touch loop.
+// Consecutive resident pages are handled as one run that batches its LRU
+// touches and time accounting (chargeN); every fault goes through Touch, one
+// tmem call per page as the paper's frontswap hook makes. Observable
+// behaviour (stats, backend operation order, yield points) is identical to
+// a per-page Touch loop.
 func (k *Kernel) Access(p *sim.Proc, first PageID, count mem.Pages, write bool) {
-	k.accessRun(p, first, count, 1, write)
-}
-
-// AccessStride touches count pages starting at first with the given
-// stride (in pages), with the same run batching as Access — run detection
-// only needs page state, not adjacency, so strided refault streams batch
-// too.
-func (k *Kernel) AccessStride(p *sim.Proc, first PageID, count, stride mem.Pages, write bool) {
-	if stride == 0 {
-		// Degenerate repeated-touch of one page: state changes between
-		// touches, so runs cannot form; keep the per-page loop.
-		for i := mem.Pages(0); i < count; i++ {
-			k.Touch(p, first, write)
-		}
-		return
-	}
-	k.accessRun(p, first, count, stride, write)
-}
-
-// accessRun is the batched anonymous-access spine shared by Access and
-// AccessStride.
-func (k *Kernel) accessRun(p *sim.Proc, first PageID, count, stride mem.Pages, write bool) {
 	pg := first
-	i := mem.Pages(0)
-	for i < count {
-		g := k.anon.lookup(pg)
-		if g != nil && g.resident && (!write || g.dirty) {
-			// Resident run: LRU touch + time accounting only. The write
-			// case rides along when the page is already dirty (nothing to
-			// invalidate), exactly as Touch would conclude.
-			n := mem.Pages(0)
-			for i < count {
-				g2 := k.anon.lookup(pg)
-				if g2 == nil || !g2.resident || (write && !g2.dirty) {
-					break
-				}
-				k.lruTouch(g2)
-				n++
-				i++
-				pg += PageID(stride)
+	for i := mem.Pages(0); i < count; {
+		// Resident run: LRU touch + time accounting only. The write case
+		// rides along when the page is already dirty (nothing to
+		// invalidate), exactly as Touch would conclude.
+		n := mem.Pages(0)
+		for i < count {
+			g := k.anon.lookup(pg)
+			if g == nil || !g.resident || (write && !g.dirty) {
+				break
 			}
+			k.lruTouch(g)
+			n++
+			i++
+			pg++
+		}
+		if n > 0 {
 			k.stats.Touches += uint64(n)
 			k.chargeN(p, k.cfg.Costs.RAMTouch, n)
 			continue
 		}
-		if g != nil && !g.resident && g.inTmem && (!k.cfg.NonExclusiveGets || !write) {
-			if n := k.anonTmemRun(p, pg, count-i, stride, write); n > 0 {
-				i += n
-				pg += PageID(stride * n)
-				continue
-			}
-		}
 		k.Touch(p, pg, write)
 		i++
-		pg += PageID(stride)
+		pg++
 	}
-}
-
-// anonTmemRun serves a run of frontswap refaults (non-resident pages with
-// a valid tmem copy) in one batched backend exchange. It returns the pages
-// served, or 0 when a batch is not worthwhile (the caller falls back to
-// the per-page path). A run is bounded so that no page can need an
-// eviction (resident stays under usable) and no charge can cross the
-// quantum — there is no yield inside the run, so the batched backend calls
-// are observably identical to the per-page sequence.
-func (k *Kernel) anonTmemRun(p *sim.Proc, first PageID, limit, stride mem.Pages, write bool) mem.Pages {
-	c := &k.cfg.Costs
-	exclusive := !k.cfg.NonExclusiveGets
-	perPage := c.TmemOp + c.RAMTouch
-	if exclusive {
-		perPage += c.TmemFlush
-	}
-	n := limit
-	if free := k.usable - k.resident; n > free {
-		n = free
-	}
-	if q := k.quantumRun(perPage); n > q {
-		n = q
-	}
-	// Trim to the actual run of same-state pages.
-	pg := first
-	run := mem.Pages(0)
-	for run < n {
-		g := k.anon.lookup(pg)
-		if g == nil || g.resident || !g.inTmem {
-			break
-		}
-		run++
-		pg += PageID(stride)
-	}
-	if run < 2 {
-		return 0 // a single page gains nothing over the per-page path
-	}
-	keys, sts := k.runBuffers(int(run))
-	pg = first
-	for j := mem.Pages(0); j < run; j++ {
-		keys = append(keys, anonKey(k.fsPool, pg))
-		pg += PageID(stride)
-	}
-	if h := mem.Pages(k.cfg.Backend.GetRun(keys, sts)); h < run || sts[run-1] != tmem.STmem {
-		// Persistent pools cannot lose pages; reaching this means kernel
-		// state is out of sync with the hypervisor.
-		panic(fmt.Sprintf("guest: frontswap page %d lost by persistent pool", first+PageID(stride*h)))
-	}
-	if exclusive {
-		// Exclusive gets (Xen driver default) invalidate the copies in one
-		// batched flush run.
-		k.cfg.Backend.FlushRun(keys, sts)
-	}
-	pg = first
-	for j := mem.Pages(0); j < run; j++ {
-		g := k.anon.lookup(pg)
-		k.stats.Touches++
-		k.stats.TmemHits++
-		if exclusive {
-			k.stats.TmemFlushes++
-			g.inTmem = false
-			g.dirty = true
-		} else {
-			g.dirty = false
-		}
-		g.resident = true
-		k.lruPush(g)
-		k.resident++
-		pg += PageID(stride)
-	}
-	// All charges of the run stay under the quantum by construction; a
-	// single accumulate reproduces the per-page bookkeeping exactly.
-	k.accum += sim.Duration(run) * perPage
-	return run
 }
 
 // Free releases count consecutive anonymous pages: resident frames return
@@ -710,106 +573,29 @@ func (k *Kernel) Free(p *sim.Proc, first PageID, count mem.Pages) {
 // ReadFile reads count consecutive pages of the file identified by obj,
 // starting at page idx. Pages enter the unified LRU as clean file pages;
 // on eviction they are offered to cleancache, and refaults consult
-// cleancache before paying for disk. Like Access, consecutive pages in the
-// same state are served as runs: resident runs batch their accounting, and
-// cleancache-refault runs go to the backend as one GetRun (which stops at
-// the first miss — ephemeral pools may drop pages — so the per-page
-// fallback handles the disk read exactly where the per-page loop would).
+// cleancache before paying for disk. Like Access, consecutive resident
+// pages are served as one run with batched accounting, and every fault
+// goes through touchFile, one cleancache call per page.
 func (k *Kernel) ReadFile(p *sim.Proc, obj tmem.ObjectID, idx tmem.PageIndex, count mem.Pages) {
-	i := mem.Pages(0)
-	for i < count {
-		fk := fileKey{obj, idx + tmem.PageIndex(i)}
-		g, ok := k.files[fk]
-		if ok && g.resident {
-			// Resident run.
-			n := mem.Pages(0)
-			for i < count {
-				g2, ok2 := k.files[fileKey{obj, idx + tmem.PageIndex(i)}]
-				if !ok2 || !g2.resident {
-					break
-				}
-				k.lruTouch(g2)
-				n++
-				i++
+	for i := mem.Pages(0); i < count; {
+		n := mem.Pages(0)
+		for i < count {
+			g, ok := k.files[fileKey{obj, idx + tmem.PageIndex(i)}]
+			if !ok || !g.resident {
+				break
 			}
+			k.lruTouch(g)
+			n++
+			i++
+		}
+		if n > 0 {
 			k.stats.Touches += uint64(n)
 			k.chargeN(p, k.cfg.Costs.RAMTouch, n)
 			continue
 		}
-		if ok && !g.resident && g.inTmem {
-			if n := k.fileTmemRun(p, obj, idx+tmem.PageIndex(i), count-i); n > 0 {
-				i += n
-				continue
-			}
-		}
-		k.touchFile(p, fk)
+		k.touchFile(p, fileKey{obj, idx + tmem.PageIndex(i)})
 		i++
 	}
-}
-
-// fileTmemRun serves a run of cleancache refaults in one batched backend
-// exchange, returning the pages consumed (hits plus, when the run ended on
-// an ephemeral miss, the miss page served from disk). Returns 0 when a
-// batch is not worthwhile. Bounds mirror anonTmemRun: no eviction and no
-// yield can fall inside the batched calls.
-func (k *Kernel) fileTmemRun(p *sim.Proc, obj tmem.ObjectID, idx tmem.PageIndex, limit mem.Pages) mem.Pages {
-	c := &k.cfg.Costs
-	perPage := c.TmemOp + c.RAMTouch
-	n := limit
-	if free := k.usable - k.resident; n > free {
-		n = free
-	}
-	if q := k.quantumRun(perPage); n > q {
-		n = q
-	}
-	run := mem.Pages(0)
-	for run < n {
-		g, ok := k.files[fileKey{obj, idx + tmem.PageIndex(run)}]
-		if !ok || g.resident || !g.inTmem {
-			break
-		}
-		run++
-	}
-	if run < 2 {
-		return 0
-	}
-	keys, sts := k.runBuffers(int(run))
-	for j := mem.Pages(0); j < run; j++ {
-		keys = append(keys, k.fileTmemKey(fileKey{obj, idx + tmem.PageIndex(j)}))
-	}
-	done := mem.Pages(k.cfg.Backend.GetRun(keys, sts))
-	hits := done
-	missed := done > 0 && sts[done-1] != tmem.STmem
-	if missed {
-		hits--
-	}
-	for j := mem.Pages(0); j < hits; j++ {
-		g := k.files[fileKey{obj, idx + tmem.PageIndex(j)}]
-		k.stats.Touches++
-		k.stats.TmemHits++
-		g.inTmem = false // ephemeral gets are exclusive in Xen: the copy is gone
-		g.resident = true
-		k.lruPush(g)
-		k.resident++
-	}
-	k.accum += sim.Duration(hits) * perPage
-	if missed {
-		// The miss page's get was already issued by GetRun (same backend
-		// operation order as the per-page loop); serve it from disk with
-		// the per-page charge sequence.
-		g := k.files[fileKey{obj, idx + tmem.PageIndex(hits)}]
-		k.stats.Touches++
-		k.stats.TmemMisses++
-		g.inTmem = false
-		k.charge(p, c.TmemOp)
-		k.readFileFromDisk(p)
-		g.resident = true
-		k.lruPush(g)
-		k.resident++
-		k.charge(p, c.RAMTouch)
-		return hits + 1
-	}
-	return hits
 }
 
 func (k *Kernel) touchFile(p *sim.Proc, fk fileKey) {

@@ -393,17 +393,6 @@ func TestIdleAdvancesTime(t *testing.T) {
 	}
 }
 
-func TestAccessStride(t *testing.T) {
-	r := newRig(1000)
-	g := r.guest(1, 100, true, false)
-	r.run(func(p *sim.Proc) {
-		g.AccessStride(p, 0, 10, 16, true)
-	})
-	if g.Stats().MinorFaults != 10 {
-		t.Errorf("minor faults = %d, want 10 distinct strided pages", g.Stats().MinorFaults)
-	}
-}
-
 func TestShutdownReleasesTmem(t *testing.T) {
 	r := newRig(100)
 	g := r.guest(1, 5, true, false)

@@ -141,7 +141,7 @@ func (m *modelKernel) Free(p *sim.Proc, first PageID, count mem.Pages) {
 
 // pageOp is one step of the differential sequence.
 type pageOp struct {
-	kind          int // 0 Touch, 1 Access, 2 AccessStride, 3 Free
+	kind          int // 0 Touch, 1 Access, 2 strided Touch loop, 3 Free
 	first         PageID
 	count, stride mem.Pages
 	write         bool
@@ -242,7 +242,9 @@ func TestPageTableMatchesMapModel(t *testing.T) {
 					case 1:
 						g.Access(p, op.first, op.count, op.write)
 					case 2:
-						g.AccessStride(p, op.first, op.count, op.stride, op.write)
+						for j := mem.Pages(0); j < op.count; j++ {
+							g.Touch(p, op.first+PageID(j*op.stride), op.write)
+						}
 					case 3:
 						g.Free(p, op.first, op.count)
 					}

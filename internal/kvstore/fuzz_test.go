@@ -48,6 +48,7 @@ func FuzzServeConn(f *testing.F) {
 	f.Add(session)
 	f.Add(session[:len(session)-7])                                  // truncated mid-frame
 	f.Add(frame(OpPutBatch, tmem.Key{}, putBatch[:len(putBatch)-9])) // item overruns the frame
+	f.Add(frame(OpPutBatch, tmem.Key{}, append(putBatch, 7)))        // trailing bytes after the last item
 	f.Add(frame(99, k0, nil))                                        // unknown op
 
 	f.Fuzz(func(t *testing.T, in []byte) {

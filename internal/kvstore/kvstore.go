@@ -537,6 +537,9 @@ func (sc *batchScratch) parsePutBatch(data []byte, pageSize int) error {
 		sc.datas[i] = data[off : off+dlen]
 		off += dlen
 	}
+	if off != len(data) {
+		return fmt.Errorf("kvstore: put-batch frame has %d trailing bytes", len(data)-off)
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"encoding/binary"
 	"net"
 	"testing"
 	"time"
@@ -103,14 +104,31 @@ func TestServerMetricsCountOps(t *testing.T) {
 }
 
 func TestServerMetricsProtoError(t *testing.T) {
-	cl, m := startMetricsServer(t)
-	// An unknown op kills the connection and counts a protocol error.
-	bad := make([]byte, reqHeaderSize)
-	bad[0] = 99
-	if _, err := cl.c.Write(bad); err != nil {
-		t.Fatalf("write: %v", err)
+	unknownOp := make([]byte, reqHeaderSize)
+	unknownOp[0] = 99
+	// One well-formed empty item, then a byte no item claims: malformed, as
+	// a get-batch frame of the wrong length is.
+	body := binary.BigEndian.AppendUint32(nil, 1)
+	body = binary.BigEndian.AppendUint32(tmem.Key{}.AppendWire(body), 0)
+	body = append(body, 7)
+	trailing := binary.BigEndian.AppendUint32(tmem.Key{}.AppendWire([]byte{OpPutBatch}), uint32(len(body)))
+	trailing = append(trailing, body...)
+	// A malformed request kills the connection and counts a protocol error.
+	for _, tc := range []struct {
+		name string
+		req  []byte
+	}{
+		{"unknown-op", unknownOp},
+		{"put-batch-trailing-bytes", trailing},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, m := startMetricsServer(t)
+			if _, err := cl.c.Write(tc.req); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			waitFor(t, func() bool { return m.ProtoErrors() == 1 })
+		})
 	}
-	waitFor(t, func() bool { return m.ProtoErrors() == 1 })
 }
 
 func TestOpNames(t *testing.T) {

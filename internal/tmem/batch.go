@@ -1,21 +1,13 @@
 package tmem
 
-// This file implements the batched page operations of the store hot path
-// (DESIGN.md §9): instead of paying one stripe-lock round trip per page, a
-// caller with a run of keys hands the whole run to the backend, which
-// acquires each stripe lock once per run of same-stripe keys and walks the
-// tier stack with whole sub-runs. Two surfaces, by caller:
-//
-//   - GetRun/FlushRun: issue-order runs with lazy lock batching, used by
-//     the guest kernel's batched PFRA spine. Order is preserved exactly, so
-//     a single-shard (simulator) backend observes the identical operation
-//     sequence a per-page loop would produce — goldens stay byte-identical.
-//     Why these are not GetBatch with a stop-on-miss flag: DESIGN.md §9,
-//     "Why GetRun/FlushRun stay beside GetBatch".
-//   - PutBatch/GetBatch: shard-grouped batches with full tier semantics,
-//     used by the kvstore daemon's OpPutBatch/OpGetBatch frames and, with
-//     tiers off, by Loopback. Within a stripe, issue order is preserved;
-//     across stripes, order is unspecified (as for any concurrent callers).
+// This file implements the batched page operations of the wire path
+// (DESIGN.md §9): PutBatch/GetBatch, used by the kvstore daemon's
+// OpPutBatch/OpGetBatch frames and, with tiers off, by Loopback. Instead of
+// paying one stripe-lock round trip per page, a batch groups its keys by
+// stripe, acquires each stripe lock once per batch and walks the tier stack
+// with whole sub-runs. Within a stripe, issue order is preserved; across
+// stripes, order is unspecified (as for any concurrent callers). The guest
+// kernel makes one per-page call per fault, as the paper's hooks do.
 //
 // The locked fast paths reuse tryPutLocked/getHitLocked and the tier walk
 // is Put's (Backend.offer), so batch and per-page operations can never
@@ -90,116 +82,6 @@ func checkBatch(keys []Key, datas [][]byte, sts []Status) {
 		panic("tmem: batch data slice length mismatch")
 	}
 }
-
-// --- issue-order runs (the guest spine) ---
-
-// GetRun performs Get for each key in issue order, stopping after the
-// first non-hit, and returns the number of keys processed (statuses
-// written). Consecutive keys on the same stripe share one lock
-// acquisition; on a single-shard backend an entire run costs one lock
-// round trip. dst buffers are not taken: GetRun serves the simulator's
-// presence-only path (the guest models page contents as irrelevant).
-func (b *Backend) GetRun(keys []Key, sts []Status) int {
-	checkBatch(keys, nil, sts)
-	var cur *shard
-	unlock := func() {
-		if cur != nil {
-			cur.mu.Unlock()
-			cur = nil
-		}
-	}
-	defer unlock()
-	last := InvalidPool
-	var p *Pool
-	for i, key := range keys {
-		if i == 0 || key.Pool != last {
-			last = key.Pool
-			p = b.pool(last)
-		}
-		if p == nil {
-			sts[i] = EInval
-			return i + 1
-		}
-		a := p.acct
-		a.cumulGetsTotal.Add(1)
-		sh := b.shardFor(key)
-		if cur != sh {
-			unlock()
-			sh.mu.Lock()
-			cur = sh
-		}
-		e := sh.lookup(key)
-		if e == nil {
-			sts[i] = ETmem
-			return i + 1
-		}
-		if e.tier == tierLocal {
-			st := b.getHitLocked(sh, p, a, e, nil)
-			sts[i] = st
-			if st != STmem {
-				return i + 1
-			}
-			continue
-		}
-		ti := e.tier
-		unlock()
-		if sts[i] = b.tierAnswered(p, key, b.tiers[ti].Get(key, nil)); sts[i] != STmem {
-			return i + 1
-		}
-	}
-	return len(keys)
-}
-
-// FlushRun performs FlushPage for each key in issue order with the same
-// lazy lock batching as GetRun (no early stop: flushing an absent page is
-// harmless).
-func (b *Backend) FlushRun(keys []Key, sts []Status) {
-	checkBatch(keys, nil, sts)
-	var cur *shard
-	unlock := func() {
-		if cur != nil {
-			cur.mu.Unlock()
-			cur = nil
-		}
-	}
-	defer unlock()
-	last := InvalidPool
-	var p *Pool
-	for i, key := range keys {
-		if i == 0 || key.Pool != last {
-			last = key.Pool
-			p = b.pool(last)
-		}
-		if p == nil {
-			sts[i] = EInval
-			continue
-		}
-		sh := b.shardFor(key)
-		if cur != sh {
-			unlock()
-			sh.mu.Lock()
-			cur = sh
-		}
-		e := sh.lookup(key)
-		if e == nil {
-			sts[i] = ETmem
-			continue
-		}
-		ti := e.tier
-		b.dropEntry(sh, e)
-		if ti >= 0 {
-			unlock()
-			if b.tiers[ti].FlushPage(key) != STmem {
-				sts[i] = ETmem
-				continue
-			}
-		}
-		p.acct.cumulFlushes.Add(1)
-		sts[i] = STmem
-	}
-}
-
-// --- shard-grouped batches (the wire path) ---
 
 // PutBatch performs Put for every key, grouping keys by stripe so each
 // stripe lock is acquired once per batch rather than once per page, and

@@ -99,9 +99,8 @@ func TestPutBatchGetBatchRoundTrip(t *testing.T) {
 					t.Fatalf("page %d contents corrupted", i)
 				}
 			}
-			b.FlushRun(keys, sts)
-			for i, st := range sts {
-				if st != STmem {
+			for i, k := range keys {
+				if st := b.FlushPage(k); st != STmem {
 					t.Fatalf("flush %d = %v", i, st)
 				}
 			}
@@ -219,10 +218,12 @@ func TestPutBatchSupersedeFlushesTierCopy(t *testing.T) {
 	// Free local room, then re-put everything: the previously overflowed
 	// keys land locally and their peer copies must be flushed.
 	local.SetTarget(1, Unlimited)
-	flushSts := make([]Status, 4)
-	local.FlushRun(keys[:4], flushSts)
-	local.PutBatch(keys[4:], nil, flushSts)
-	for i, st := range flushSts {
+	for _, k := range keys[:4] {
+		local.FlushPage(k)
+	}
+	reSts := make([]Status, 4)
+	local.PutBatch(keys[4:], nil, reSts)
+	for i, st := range reSts {
 		if st != STmem {
 			t.Fatalf("re-put %d = %v", i, st)
 		}
@@ -485,7 +486,7 @@ func TestWarmIndexZeroAlloc(t *testing.T) {
 }
 
 // TestWarmBatchZeroAlloc: the batch engine's scratch pool must make warm
-// GetRun/PutBatch calls allocation-free too.
+// GetBatch/PutBatch calls allocation-free too.
 func TestWarmBatchZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector defeats sync.Pool reuse")
@@ -496,12 +497,13 @@ func TestWarmBatchZeroAlloc(t *testing.T) {
 	keys := testKeys(pool, n)
 	sts := make([]Status, n)
 	b.PutBatch(keys, nil, sts)
-	b.GetRun(keys, sts)
+	b.GetBatch(keys, nil, sts)
 	b.PutBatch(keys, nil, sts)
 	if allocs := testing.AllocsPerRun(100, func() {
 		b.PutBatch(keys, nil, sts) // duplicate puts
-		if b.GetRun(keys, sts) != n {
-			t.Fatal("run stopped early")
+		b.GetBatch(keys, nil, sts)
+		if sts[n-1] != STmem {
+			t.Fatal("warm get missed")
 		}
 	}); allocs != 0 {
 		t.Errorf("warm batch cycle = %v allocs/op, want 0", allocs)

@@ -308,8 +308,8 @@ func (m *modelTmem) destroyPool(id PoolID) bool {
 // past it (48, 96 and 192 keys), the first slab chunk filling up (256) — and
 // then pushed against the node's 300 frames, where puts evict, overflow and
 // fail. (Four stripes split the same keys, so each crosses 48 only.) Page
-// ops go one key at a time or as runs of distinct keys (PutBatch, GetBatch,
-// GetRun, FlushRun). With tiers — one, or two of different sizes — now and
+// ops go one key at a time or, for puts and gets, as runs of distinct keys
+// (PutBatch, GetBatch). With tiers — one, or two of different sizes — now and
 // then one refuses to replace the pages it holds, so re-offers, the skipped
 // refuser and the walk order are checked on both paths.
 func TestBackendMatchesMapModel(t *testing.T) {
@@ -415,30 +415,12 @@ func runModelOps(t *testing.T, shards int, tierCaps []int) {
 		}
 		getRun := func(ks []Key) {
 			sts := make([]Status, len(ks))
+			b.GetBatch(ks, nil, sts)
 			var msts []Status
-			if rng.Intn(2) == 0 {
-				b.GetBatch(ks, nil, sts)
-				for _, k := range ks {
-					msts = append(msts, m.get(k))
-				}
-				op, got, want = fmt.Sprint("GetBatch ", ks), fmt.Sprint(sts), fmt.Sprint(msts)
-				return
+			for _, k := range ks {
+				msts = append(msts, m.get(k))
 			}
-			n := b.GetRun(ks, sts)
-			for _, k := range ks { // GetRun stops after the first non-hit
-				if msts = append(msts, m.get(k)); msts[len(msts)-1] != STmem {
-					break
-				}
-			}
-			op, got, want = fmt.Sprint("GetRun ", ks), fmt.Sprint(sts[:n]), fmt.Sprint(msts)
-		}
-		flushRun := func(ks []Key) {
-			sts, msts := make([]Status, len(ks)), make([]Status, len(ks))
-			b.FlushRun(ks, sts)
-			for j, k := range ks {
-				msts[j] = m.flushPage(k)
-			}
-			op, got, want = fmt.Sprint("FlushRun ", ks), fmt.Sprint(sts), fmt.Sprint(msts)
+			op, got, want = fmt.Sprint("GetBatch ", ks), fmt.Sprint(sts), fmt.Sprint(msts)
 		}
 		// A page op goes one key at a time or, one time in four, as a run.
 		pageOp := func(one func(Key), run func([]Key), pick func() Key) {
@@ -485,13 +467,13 @@ func runModelOps(t *testing.T, shards int, tierCaps []int) {
 		case grow && r < 950, !grow && r < 300:
 			pageOp(get, getRun, trackedKey)
 		case grow, r < 850:
-			pageOp(flush, flushRun, heldKey)
+			flush(heldKey())
 		case r < 930:
 			pageOp(put, putRun, randomKey)
 		case r < 960:
 			pageOp(get, getRun, randomKey)
 		default:
-			pageOp(flush, flushRun, randomKey)
+			flush(randomKey())
 		}
 
 		fail := func(format string, args ...any) {

@@ -571,8 +571,8 @@ func TestBatchTripRatio(t *testing.T) {
 
 // TestRunsOfOneMatchPerPage: over real tiers — compressed, then remote
 // through a Loopback to a peer backend — the same seeded ops issued per page
-// and as runs of one (PutBatch, GetBatch, GetRun, FlushRun) must give the
-// same answers and leave the same sample, tier counters, compressed
+// and, for puts and gets, as batches of one (PutBatch, GetBatch) must give
+// the same answers and leave the same sample, tier counters, compressed
 // accounting and peer state: both shapes take the one tier walk.
 func TestRunsOfOneMatchPerPage(t *testing.T) {
 	type node struct {
@@ -628,14 +628,8 @@ func TestRunsOfOneMatchPerPage(t *testing.T) {
 			if got = sts[0]; got == STmem && !bytes.Equal(dstA, dstB) {
 				t.Fatalf("op %d: get %v returned different bytes", i, k)
 			}
-		case r < 75:
-			op, want = "get-run", perPage.b.Get(k, nil)
-			runs.b.GetRun([]Key{k}, sts)
-			got = sts[0]
 		case r < 92:
-			op, want = "flush", perPage.b.FlushPage(k)
-			runs.b.FlushRun([]Key{k}, sts)
-			got = sts[0]
+			op, want, got = "flush", perPage.b.FlushPage(k), runs.b.FlushPage(k)
 		case r < 95:
 			n1, st1 := perPage.b.FlushObject(k.Pool, k.Object)
 			n2, st2 := runs.b.FlushObject(k.Pool, k.Object)
