@@ -138,7 +138,9 @@ sweep-smoke:
 # untrusted bytes (WAL segments, snapshot slabs and manifests, compressed
 # pages, memo records, series blobs and packs, kvstore request frames as the
 # server reads them), on the LZ encoder against its byte-at-a-time
-# reference, and on the sim kernel's
+# reference, on the journal's fault harness (a random history whose WAL
+# write tears at a random point must acknowledge nothing after it and
+# recover the state at the fault), and on the sim kernel's
 # run-ahead equivalence harness (random process programs must run the same
 # under a plain Step loop and under every loop that runs ahead). `go test -fuzz` takes
 # one target and one package per run. The minimizer is capped by
@@ -147,6 +149,7 @@ sweep-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/durable
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotLoad$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/durable
+	$(GO) test -run '^$$' -fuzz '^FuzzLogFaults$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/durable
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/tmem
 	$(GO) test -run '^$$' -fuzz '^FuzzLZEncodeMatchesReference$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/tmem
 	$(GO) test -run '^$$' -fuzz '^FuzzMemoDecode$$' -fuzztime 5s -fuzzminimizetime 500x ./internal/experiments

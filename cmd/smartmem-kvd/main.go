@@ -20,9 +20,9 @@
 // through the peer's full tier stack, so a cycle would bounce pages.
 //
 // With -compress the daemon additionally attaches a compressed in-RAM tier
-// ahead of any remote tier: overflow pages compress and dedup into a slab
-// arena of the given byte budget before the daemon considers shipping them
-// to a peer or failing the put. -debug serves live counters in the
+// ahead of any remote tier: overflow pages compress (LZ) and dedup into a
+// slab arena of the given byte budget before the daemon considers shipping
+// them to a peer or failing the put. -debug serves live counters in the
 // Prometheus text format on /metrics — wire latency, store and tier
 // operations, compression (stored vs raw bytes, dedup hits, codec time) and
 // the journal with its last recovery — so the achieved ratio and the WAL's
@@ -36,7 +36,9 @@
 // A graceful SIGINT/SIGTERM additionally compacts and writes a
 // clean-shutdown marker so the next start skips the WAL replay. -fsync
 // picks the commit policy: always (fsync per commit, group-committed),
-// interval (background fsync, default), off (benchmarking only).
+// interval (background fsync, default), off (benchmarking only). Once a
+// journal write or fsync fails, persistent puts and new persistent pools
+// are refused until restart, and the shutdown line prints the failure.
 //
 // Modes:
 //
@@ -87,7 +89,6 @@ func main() {
 		remote   = flag.String("remote", "", "chain a remote tmem tier: ship overflow pages to the smartmem-kvd at this address (keep chains acyclic)")
 		remoteVM = flag.Int("remote-owner", 1000, "VM id this node's overflow pages are accounted under on the -remote peer")
 		compress = flag.Int64("compress", 0, "attach a compressed in-RAM tier with this slab arena budget in MiB (0 disables)")
-		codec    = flag.String("codec", "lz", "compressed-tier codec (lz, nocompress)")
 		durDir   = flag.String("durable", "", "journal persistent pools to a WAL + snapshots under this directory and recover them on start")
 		fsyncStr = flag.String("fsync", "interval", "durable commit policy: always, interval or off")
 		debug    = flag.String("debug", "", "serve Prometheus metrics on http://<addr>/metrics in -listen mode")
@@ -100,17 +101,14 @@ func main() {
 		backend := newBackend(mem.Pages(*pages), *shards)
 		var ctier *tmem.CompressedTier
 		if *compress > 0 {
-			c, err := tmem.CodecByName(*codec)
-			fatalIf(err)
 			ctier = tmem.NewCompressedTier(tmem.CompressedTierConfig{
 				PageSize:      pageSize,
 				CapacityBytes: mem.Bytes(*compress) * mem.MiB,
-				Codec:         c,
 			})
 			// Attached before any remote tier: demotions compress locally
 			// before the daemon considers shipping them to a peer.
 			backend.AttachTier(ctier)
-			fmt.Printf("smartmem-kvd: compressed tier: %d MiB arena, codec %s\n", *compress, c.Name())
+			fmt.Printf("smartmem-kvd: compressed tier: %d MiB arena, codec lz\n", *compress)
 		}
 		if *remote != "" {
 			// A bounded retry covers the window where the peer daemon is
@@ -262,10 +260,13 @@ func serveKV(l net.Listener, node kvNode, sigs <-chan os.Signal, drain time.Dura
 // printDurableStats reports the journal's end state on shutdown.
 func printDurableStats(w io.Writer, node kvNode) {
 	ls := node.dlog.Stats()
-	fmt.Fprintf(w, "smartmem-kvd:   durable: %d pages (%v) in %d pools; %d appends (%v), %d fsyncs, %d compactions, degraded %v\n",
+	journal := "journal healthy"
+	if err := node.dlog.Err(); err != nil {
+		journal = err.Error()
+	}
+	fmt.Fprintf(w, "smartmem-kvd:   durable: %d pages (%v) in %d pools; %d appends (%v), %d fsyncs, %d compactions; %s\n",
 		ls.PagesLive, mem.Bytes(ls.BytesLive), ls.Pools,
-		ls.Appends, mem.Bytes(ls.AppendedBytes), ls.Fsyncs, ls.Compactions,
-		node.dstore.Degraded())
+		ls.Appends, mem.Bytes(ls.AppendedBytes), ls.Fsyncs, ls.Compactions, journal)
 	if n := node.dstore.RecoveryServed(); n > 0 {
 		fmt.Fprintf(w, "smartmem-kvd:   durable: %d gets read back from the journal\n", n)
 	}

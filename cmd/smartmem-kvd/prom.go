@@ -239,7 +239,7 @@ func writeStoreMetrics(b *strings.Builder, node kvNode) {
 		scalar(b, "smartmem_durable_pools", "gauge", "Live persistent pools in the journal.", float64(ls.Pools))
 		scalar(b, "smartmem_durable_snapshot_pages", "gauge", "Pages in the latest snapshot.", float64(ls.SnapshotPages))
 		scalar(b, "smartmem_durable_errors_total", "counter", "Journal I/O errors.", float64(ls.Errors))
-		scalar(b, "smartmem_durable_degraded", "gauge", "1 when journaling has failed and the store serves memory-only.", gauge01(node.dstore.Degraded()))
+		scalar(b, "smartmem_durable_degraded", "gauge", "1 when the journal has failed: persistent puts and new persistent pools are refused until restart.", gauge01(node.dstore.Degraded()))
 		scalar(b, "smartmem_durable_recovery_served_total", "counter", "Gets answered from the journal because the backend missed the page.", float64(node.dstore.RecoveryServed()))
 		ri := node.dlog.Recovery()
 		scalar(b, "smartmem_durable_recovery_clean", "gauge", "1 when the last start found a clean-shutdown marker and skipped the WAL replay.", gauge01(ri.CleanShutdown))

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"math/rand"
 	"testing"
 
 	"smartmem/internal/tmem"
@@ -135,5 +136,24 @@ func FuzzSnapshotLoad(f *testing.F) {
 			t.Fatalf("Compact over a loaded snapshot: %v", err)
 		}
 		checkIndexReadsBack(t, l)
+	})
+}
+
+// FuzzLogFaults runs faultHistory on a history and a fault position taken
+// from the fuzz input: each program byte is one of the history's choices,
+// and tear picks the WAL write that fails halfway. Checks (a)–(c) of
+// faultHistory hold for every input.
+func FuzzLogFaults(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		program := make([]byte, 256<<seed)
+		rand.New(rand.NewSource(seed)).Read(program)
+		f.Add(program, uint16(seed*13))
+	}
+	f.Add([]byte{}, uint16(0))
+
+	f.Fuzz(func(t *testing.T, program []byte, tear uint16) {
+		steps := min(len(program)/4+1, 400)
+		src := byteSource(program)
+		faultHistory(t, &src, steps, 1+int(tear)%steps)
 	})
 }

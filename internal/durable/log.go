@@ -113,7 +113,7 @@ type Stats struct {
 	Pools         uint64 // live pools
 	PagesLive     uint64 // live pages: entries in the index
 	BytesLive     uint64 // page bytes those entries locate on the blob store
-	Errors        uint64 // blob I/O failures (append, sync, snapshot or page read)
+	Errors        uint64 // blob I/O failures (append, sync, snapshot or page read); see Log.Err
 	// CompactNanos is the wall time spent inside compactions, cumulative;
 	// Compacting reports one in flight. Both stay zero under InlineCompact,
 	// the deterministic mode, which reads no clock.
@@ -185,7 +185,8 @@ var errClosed = errors.New("durable: log closed")
 // the persistent pages, periodic slab snapshots that let the WAL be pruned,
 // and an in-memory index from each live page's key to the record on the
 // blob store that holds its bytes (see loc). It keeps no page bytes of its
-// own. All methods are safe for concurrent use.
+// own. Its first failed WAL write or fsync is sticky (see Err). All methods
+// are safe for concurrent use.
 //
 // A location is valid for as long as its blob exists, and blobs go only in
 // a compaction's prune, which runs after the index has been moved off them
@@ -204,6 +205,7 @@ type Log struct {
 	walSinceSnap int64
 	readers      int // RangePages passes in flight; a compaction ending meanwhile leaves its prune to the next
 	closed       bool
+	failed       error // the first failed WAL write or fsync; nothing is appended after it
 
 	compactMu     sync.Mutex // serializes compactions
 	compactions   uint64     // under mu
@@ -502,39 +504,36 @@ func (l *Log) dropPoolLocked(pool tmem.PoolID) bool {
 }
 
 // --- journaled mutations ---
+//
+// Every mutation runs the same sequence: lockOpen, append one framed write
+// (journalLocked), apply it to the index, finish. The log's first failed
+// WAL write or fsync is sticky: after it the log appends nothing, every
+// mutation returns that failure, and the flushes still take their keys out
+// of the index, so no read serves a page the caller has flushed.
 
-// journalLocked frames payload (built on payloadScratch by the caller,
-// under mu), appends it and returns the record number and where the record
-// landed. Caller holds mu.
-func (l *Log) journalLocked(payload []byte) (rec uint64, at loc, err error) {
-	l.payload = payload // keep the grown buffer for the next call
-	l.scratch = frameRecord(l.scratch[:0], payload)
-	n := len(l.scratch)
-	rec, at.blob, at.off, err = l.w.append(l.scratch, 1)
-	if err != nil {
-		l.appendFailedLocked()
-		return 0, loc{}, err
+// lockOpen takes mu for a mutation and returns what stops it from
+// appending: errClosed, or the journal's failure. Caller ends with finish.
+func (l *Log) lockOpen() error {
+	l.mu.Lock()
+	if l.closed {
+		return errClosed
 	}
-	l.wrote(at.blob, int64(at.off)+int64(n))
-	l.walSinceSnap += int64(n)
-	return rec, at, nil
+	return l.failed
 }
 
-// appendFailedLocked counts a failed append and stops the active segment
-// from ever being linked: the failed write may have left part of a record
-// in it. Caller holds mu.
-func (l *Log) appendFailedLocked() {
-	l.errors++
-	l.use(l.w.active()).size = unsized
-}
-
-// commit enforces the fsync policy for record rec, then triggers a
-// compaction if the WAL has grown past the threshold. Called after mu is
-// released.
-func (l *Log) commit(rec uint64, compact bool) error {
+// finish releases mu and commits record rec — enforces the fsync policy
+// for it, then triggers a compaction if the WAL has grown past the
+// threshold. rec is 0 when the mutation appended nothing.
+func (l *Log) finish(rec uint64, err error) error {
+	if err != nil || rec == 0 {
+		l.mu.Unlock()
+		return err
+	}
+	compact := l.compactDue()
+	l.mu.Unlock()
 	if l.opts.Fsync == FsyncAlways {
 		if err := l.w.syncTo(rec); err != nil {
-			l.noteError()
+			l.fail(err)
 			return err
 		}
 	}
@@ -542,6 +541,54 @@ func (l *Log) commit(rec uint64, compact bool) error {
 		l.triggerCompact()
 	}
 	return nil
+}
+
+// journalLocked appends framed, nrecs records built in l.scratch, and
+// returns the last record's number and where framed landed. A failed
+// append is the log's failure: the active segment may now end in part of
+// a record, so it is never linked either. Caller holds mu.
+func (l *Log) journalLocked(framed []byte, nrecs uint64) (rec uint64, at loc, err error) {
+	l.scratch = framed // keep the grown buffer for the next call
+	rec, at.blob, at.off, err = l.w.append(framed, nrecs)
+	if err != nil {
+		l.failLocked(err)
+		l.use(l.w.active()).size = unsized
+		return 0, loc{}, err
+	}
+	l.wrote(at.blob, int64(at.off)+int64(len(framed)))
+	l.walSinceSnap += int64(len(framed))
+	return rec, at, nil
+}
+
+// journalOneLocked frames payload, built on l.payload, and appends it.
+func (l *Log) journalOneLocked(payload []byte) (uint64, error) {
+	l.payload = payload // keep the grown buffer for the next call
+	rec, _, err := l.journalLocked(frameRecord(l.scratch[:0], payload), 1)
+	return rec, err
+}
+
+// failLocked counts a failed WAL write or fsync; the first one becomes the
+// log's failure. Caller holds mu.
+func (l *Log) failLocked(err error) {
+	l.errors++
+	if l.failed == nil {
+		l.failed = fmt.Errorf("durable: journal failed: %w", err)
+	}
+}
+
+func (l *Log) fail(err error) {
+	l.mu.Lock()
+	l.failLocked(err)
+	l.mu.Unlock()
+}
+
+// Err returns the journal's failure: the first WAL write or fsync that
+// failed, after which the log appends nothing. It is nil while the journal
+// is healthy.
+func (l *Log) Err() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.failed
 }
 
 func (l *Log) noteError() {
@@ -573,32 +620,18 @@ func (l *Log) NewPool(id tmem.PoolID, vm tmem.VMID, kind tmem.PoolKind) error {
 	if kind != tmem.Persistent {
 		return nil
 	}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return errClosed
+	err := l.lockOpen()
+	var rec uint64
+	if _, dup := l.pools[id]; dup && err == nil {
+		err = fmt.Errorf("durable: pool %d already journaled", id)
 	}
-	if _, dup := l.pools[id]; dup {
-		l.mu.Unlock()
-		return fmt.Errorf("durable: pool %d already journaled", id)
+	if err == nil {
+		if rec, err = l.journalOneLocked(newPoolPayload(l.payload[:0], id, vm, kind)); err == nil {
+			l.pools[id] = poolMeta{vm: vm, kind: kind}
+		}
 	}
-	payload := newPoolPayload(l.payloadScratch(), id, vm, kind)
-	rec, _, err := l.journalLocked(payload)
-	if err != nil {
-		l.mu.Unlock()
-		return err
-	}
-	l.pools[id] = poolMeta{vm: vm, kind: kind}
-	compact := l.compactDue()
-	l.mu.Unlock()
-	return l.commit(rec, compact)
+	return l.finish(rec, err)
 }
-
-// payloadScratch returns the payload build buffer; journalLocked frames
-// into the separate l.scratch buffer, so the two must not alias. The
-// caller holds mu and must store the built payload back via the slice it
-// returns (append may grow it).
-func (l *Log) payloadScratch() []byte { return l.payload[:0] }
 
 // HasPool reports whether the pool is journaled (i.e. persistent).
 func (l *Log) HasPool(id tmem.PoolID) bool {
@@ -611,53 +644,21 @@ func (l *Log) HasPool(id tmem.PoolID) bool {
 // DropPool journals a pool destruction and erases its pages. A pool the
 // log never saw is a no-op.
 func (l *Log) DropPool(id tmem.PoolID) error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return errClosed
+	err := l.lockOpen()
+	var rec uint64
+	if _, ok := l.pools[id]; ok && err != errClosed {
+		if err == nil {
+			rec, err = l.journalOneLocked(dropPoolPayload(l.payload[:0], id))
+		}
+		l.dropPoolLocked(id)
 	}
-	if _, ok := l.pools[id]; !ok {
-		l.mu.Unlock()
-		return nil
-	}
-	payload := dropPoolPayload(l.payloadScratch(), id)
-	rec, _, err := l.journalLocked(payload)
-	if err != nil {
-		l.mu.Unlock()
-		return err
-	}
-	l.dropPoolLocked(id)
-	compact := l.compactDue()
-	l.mu.Unlock()
-	return l.commit(rec, compact)
+	return l.finish(rec, err)
 }
 
 // Put journals a page write and indexes where the record landed. The pool
 // must have been journaled by NewPool.
 func (l *Log) Put(key tmem.Key, data []byte) error {
-	if len(data) > l.opts.PageSize {
-		return fmt.Errorf("durable: page %v: %d bytes exceeds page size %d", key, len(data), l.opts.PageSize)
-	}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return errClosed
-	}
-	if _, ok := l.pools[key.Pool]; !ok {
-		l.mu.Unlock()
-		return fmt.Errorf("durable: put into unjournaled pool %d", key.Pool)
-	}
-	payload := putPayload(l.payloadScratch(), key, data)
-	rec, at, err := l.journalLocked(payload)
-	if err != nil {
-		l.mu.Unlock()
-		return err
-	}
-	at.n = uint32(len(data))
-	l.storePage(key, at)
-	compact := l.compactDue()
-	l.mu.Unlock()
-	return l.commit(rec, compact)
+	return l.PutBatch([]tmem.Key{key}, [][]byte{data})
 }
 
 // PutBatch journals a run of page writes as one append and one commit —
@@ -667,93 +668,58 @@ func (l *Log) PutBatch(keys []tmem.Key, datas [][]byte) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return errClosed
-	}
-	for i, key := range keys {
-		if _, ok := l.pools[key.Pool]; !ok {
-			l.mu.Unlock()
-			return fmt.Errorf("durable: put into unjournaled pool %d", key.Pool)
-		}
-		if len(datas[i]) > l.opts.PageSize {
-			l.mu.Unlock()
-			return fmt.Errorf("durable: page %v: %d bytes exceeds page size %d", key, len(datas[i]), l.opts.PageSize)
+	err := l.lockOpen()
+	for i := 0; i < len(keys) && err == nil; i++ {
+		if _, ok := l.pools[keys[i].Pool]; !ok {
+			err = fmt.Errorf("durable: put into unjournaled pool %d", keys[i].Pool)
+		} else if len(datas[i]) > l.opts.PageSize {
+			err = fmt.Errorf("durable: page %v: %d bytes exceeds page size %d", keys[i], len(datas[i]), l.opts.PageSize)
 		}
 	}
-	framed := l.scratch[:0]
-	for i, key := range keys {
-		l.payload = putPayload(l.payload[:0], key, datas[i])
-		framed = frameRecord(framed, l.payload)
+	var rec uint64
+	if err == nil {
+		framed := l.scratch[:0]
+		for i, key := range keys {
+			l.payload = putPayload(l.payload[:0], key, datas[i])
+			framed = frameRecord(framed, l.payload)
+		}
+		var at loc
+		if rec, at, err = l.journalLocked(framed, uint64(len(keys))); err == nil {
+			for i, key := range keys {
+				at.n = uint32(len(datas[i]))
+				l.storePage(key, at)
+				at.off += uint32(putRecordLen(len(datas[i])))
+			}
+		}
 	}
-	l.scratch = framed
-	rec, seg, off, err := l.w.append(framed, uint64(len(keys)))
-	if err != nil {
-		l.appendFailedLocked()
-		l.mu.Unlock()
-		return err
-	}
-	l.wrote(seg, int64(off)+int64(len(framed)))
-	l.walSinceSnap += int64(len(framed))
-	for i, key := range keys {
-		n := len(datas[i])
-		l.storePage(key, loc{blob: seg, off: off, n: uint32(n)})
-		off += uint32(putRecordLen(n))
-	}
-	compact := l.compactDue()
-	l.mu.Unlock()
-	return l.commit(rec, compact)
+	return l.finish(rec, err)
 }
 
 // FlushPage journals a page invalidation. Pages the journal does not hold
 // are a no-op (nothing to make durable), reported via removed=false.
 func (l *Log) FlushPage(key tmem.Key) (removed bool, err error) {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return false, errClosed
+	err = l.lockOpen()
+	var rec uint64
+	if _, ok := l.objects[objKey{pool: key.Pool, object: key.Object}][key.Index]; ok {
+		if err == nil {
+			rec, err = l.journalOneLocked(flushPagePayload(l.payload[:0], key))
+		}
+		removed = l.erasePage(key)
 	}
-	ok := objKey{pool: key.Pool, object: key.Object}
-	if _, exists := l.objects[ok][key.Index]; !exists {
-		l.mu.Unlock()
-		return false, nil
-	}
-	payload := flushPagePayload(l.payloadScratch(), key)
-	rec, _, err := l.journalLocked(payload)
-	if err != nil {
-		l.mu.Unlock()
-		return false, err
-	}
-	l.erasePage(key)
-	compact := l.compactDue()
-	l.mu.Unlock()
-	return true, l.commit(rec, compact)
+	return removed, l.finish(rec, err)
 }
 
 // FlushObject journals an object invalidation, returning how many pages
 // the journal dropped. Unknown objects are a no-op.
 func (l *Log) FlushObject(pool tmem.PoolID, object tmem.ObjectID) (int, error) {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return 0, errClosed
-	}
+	err := l.lockOpen()
 	ok := objKey{pool: pool, object: object}
-	if len(l.objects[ok]) == 0 {
-		l.mu.Unlock()
-		return 0, nil
-	}
-	payload := flushObjectPayload(l.payloadScratch(), pool, object)
-	rec, _, err := l.journalLocked(payload)
-	if err != nil {
-		l.mu.Unlock()
-		return 0, err
+	var rec uint64
+	if len(l.objects[ok]) > 0 && err == nil {
+		rec, err = l.journalOneLocked(flushObjectPayload(l.payload[:0], pool, object))
 	}
 	n := l.eraseObject(ok)
-	compact := l.compactDue()
-	l.mu.Unlock()
-	return n, l.commit(rec, compact)
+	return n, l.finish(rec, err)
 }
 
 // --- reads ---
@@ -891,13 +857,14 @@ func (l *Log) Stats() Stats {
 // Recovery returns what Open found and replayed.
 func (l *Log) Recovery() RecoveryInfo { return l.recovery }
 
-// Sync forces everything journaled so far to stable storage.
+// Sync forces everything journaled so far to stable storage. It fails
+// for good once the journal has failed: a later fsync that succeeds says
+// nothing about the pages the failed one may have dropped.
 func (l *Log) Sync() error {
 	if err := l.w.sync(); err != nil {
-		l.noteError()
-		return err
+		l.fail(err)
 	}
-	return nil
+	return l.Err()
 }
 
 // --- compaction ---
@@ -915,17 +882,17 @@ func (l *Log) Sync() error {
 // segment's fsync, the page reads and every blob write run outside it.
 // Each step leaves a state recovery accepts: a snapshot without its
 // MANIFEST is ignored, one with it is complete, and a blob is deleted only
-// once neither the MANIFEST's replay nor the index can name it.
+// once neither the MANIFEST's replay nor the index can name it. A log
+// whose journal has failed does not compact.
 func (l *Log) Compact() error {
 	l.compactMu.Lock()
 	defer l.compactMu.Unlock()
 
 	l.w.beginCut()
-	l.mu.Lock()
-	if l.closed {
+	if err := l.lockOpen(); err != nil {
 		l.mu.Unlock()
 		l.w.seal(nil)
-		return errClosed
+		return err
 	}
 	var start time.Time
 	if !l.opts.InlineCompact {
@@ -945,10 +912,13 @@ func (l *Log) Compact() error {
 	l.mu.Unlock()
 
 	// The MANIFEST below supersedes the sealed segment, so the segment is
-	// made durable first.
+	// made durable first. A failed swap or seal is the WAL's own failure;
+	// a failed snapshot write below is not: the old snapshot and the WAL
+	// are still whole.
 	if serr := l.w.seal(sealed); err == nil {
 		err = serr
 	}
+	walErr := err
 	var (
 		moved []loc
 		sizes []int64
@@ -961,8 +931,12 @@ func (l *Log) Compact() error {
 
 	l.mu.Lock()
 	l.endCompactLocked(start)
-	if err != nil {
+	if walErr != nil {
+		l.failLocked(walErr)
+	} else if err != nil {
 		l.errors++
+	}
+	if err != nil {
 		l.mu.Unlock()
 		return err
 	}
@@ -1053,7 +1027,10 @@ func (l *Log) fsyncLoop() {
 		case <-l.stop:
 			return
 		case <-t.C:
-			l.w.sync() // errors surface through Stats on the next explicit op
+			if err := l.w.sync(); err != nil {
+				l.fail(err) // nothing more is appended, so nothing more to sync
+				return
+			}
 		}
 	}
 }

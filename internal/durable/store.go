@@ -21,13 +21,15 @@ import (
 // Write-through ordering: the backend mutation happens first, the journal
 // append second, and a journal failure undoes the backend put (the guest
 // sees ETmem, never a false durability promise). A refused put journals
-// the end of the key's previous version, as the backend dropped it. After a journal failure
-// the store degrades sticky — persistent puts answer ETmem until restart —
-// mirroring RemoteTier's transport-failure policy.
+// the end of the key's previous version, as the backend dropped it. The
+// journal's first failure is sticky (Log.Err): from then on every
+// persistent put, and every new persistent pool, is refused until restart.
+// Flushes and pool drops leave the journal's errors unreturned: the log
+// takes the keys out of its index whether or not it could record that,
+// and its failure is what Degraded reports.
 type Store struct {
-	b        *tmem.Backend
-	log      *Log
-	degraded atomic.Bool
+	b   *tmem.Backend
+	log *Log
 
 	// recoveryServed counts gets read back from the journal because the
 	// restarted backend no longer held the page (capacity shrank or a tier
@@ -48,13 +50,11 @@ func (s *Store) Log() *Log { return s.log }
 
 // Degraded reports whether journaling has failed and durability is
 // suspended.
-func (s *Store) Degraded() bool { return s.degraded.Load() }
+func (s *Store) Degraded() bool { return s.log.Err() != nil }
 
 // RecoveryServed counts gets read back from the journal after the
 // restarted backend missed.
 func (s *Store) RecoveryServed() uint64 { return s.recoveryServed.Load() }
-
-func (s *Store) degrade() { s.degraded.Store(true) }
 
 // RecoverStats summarizes a Recover replay.
 type RecoverStats struct {
@@ -100,21 +100,21 @@ func (s *Store) Recover() (RecoverStats, error) {
 
 func (s *Store) PageSize() mem.Bytes { return s.b.PageSize() }
 
+// NewPool creates the pool in the backend and journals it if persistent.
+// A persistent pool the journal cannot record is destroyed again: none of
+// its pages could be made durable.
 func (s *Store) NewPool(vm tmem.VMID, kind tmem.PoolKind) tmem.PoolID {
 	id := s.b.NewPool(vm, kind)
-	if id != tmem.InvalidPool && kind == tmem.Persistent && !s.degraded.Load() {
-		if err := s.log.NewPool(id, vm, kind); err != nil {
-			s.degrade()
-		}
+	if id != tmem.InvalidPool && s.log.NewPool(id, vm, kind) != nil {
+		s.b.DestroyPool(id)
+		return tmem.InvalidPool
 	}
 	return id
 }
 
 func (s *Store) DestroyPool(id tmem.PoolID) error {
 	err := s.b.DestroyPool(id)
-	if lerr := s.log.DropPool(id); lerr != nil {
-		s.degrade()
-	}
+	s.log.DropPool(id)
 	return err
 }
 
@@ -124,12 +124,11 @@ func (s *Store) Put(key tmem.Key, data []byte) tmem.Status {
 		return st
 	}
 	if st == tmem.STmem {
-		// With durability suspended, refuse the persistent put rather than
+		// Refuse a persistent put the journal did not take rather than
 		// acknowledge a page a crash would lose.
-		if !s.degraded.Load() && s.log.Put(key, data) == nil {
+		if s.log.Put(key, data) == nil {
 			return st
 		}
-		s.degrade()
 		s.b.FlushPage(key)
 		st = tmem.ETmem
 	}
@@ -141,12 +140,9 @@ func (s *Store) Put(key tmem.Key, data []byte) tmem.Status {
 // put: tmem's contract is that a failed put invalidates the old copy, and
 // the backend has dropped it, so neither a later Get nor a recovery may
 // serve it from the journal. Log.FlushPage writes a record only when the
-// journal holds a version.
-func (s *Store) dropRefused(key tmem.Key) {
-	if _, err := s.log.FlushPage(key); err != nil {
-		s.degrade()
-	}
-}
+// journal holds a version, and drops it from the index even when the
+// journal has failed.
+func (s *Store) dropRefused(key tmem.Key) { s.log.FlushPage(key) }
 
 func (s *Store) Get(key tmem.Key, dst []byte) tmem.Status {
 	st := s.b.Get(key, dst)
@@ -165,10 +161,7 @@ func (s *Store) Get(key tmem.Key, dst []byte) tmem.Status {
 
 func (s *Store) FlushPage(key tmem.Key) tmem.Status {
 	st := s.b.FlushPage(key)
-	removed, err := s.log.FlushPage(key)
-	if err != nil {
-		s.degrade()
-	}
+	removed, _ := s.log.FlushPage(key)
 	if removed && st != tmem.STmem {
 		st = tmem.STmem
 	}
@@ -177,10 +170,7 @@ func (s *Store) FlushPage(key tmem.Key) tmem.Status {
 
 func (s *Store) FlushObject(pool tmem.PoolID, object tmem.ObjectID) (mem.Pages, tmem.Status) {
 	n, st := s.b.FlushObject(pool, object)
-	m, err := s.log.FlushObject(pool, object)
-	if err != nil {
-		s.degrade()
-	}
+	m, _ := s.log.FlushObject(pool, object)
 	// The journal and backend hold the same key set; report whichever saw
 	// more in case recovery left the journal a superset.
 	if mem.Pages(m) > n {
@@ -237,8 +227,7 @@ func (s *Store) PutBatch(keys []tmem.Key, datas [][]byte, sts []tmem.Status) {
 			jIdx = append(jIdx, i)
 		}
 	}
-	if len(jKeys) > 0 && (s.degraded.Load() || s.log.PutBatch(jKeys, jDatas) != nil) {
-		s.degrade()
+	if len(jKeys) > 0 && s.log.PutBatch(jKeys, jDatas) != nil {
 		for n, key := range jKeys {
 			s.b.FlushPage(key)
 			i := n

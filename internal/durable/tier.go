@@ -11,13 +11,12 @@ import (
 // chain (RAM → compressed RAM → peer RAM → durable blob). Only
 // persistent (frontswap) pages are accepted — an ephemeral page's
 // contract allows dropping it, so journaling it buys nothing and costs a
-// blob write. Like RemoteTier, a blob-store failure flips the tier into
-// sticky degradation: further puts answer ETmem (the guest falls back to
-// its virtual disk) and the failure is counted, never retried blindly.
+// blob write. Once the journal has failed (Log.Err) every put answers
+// ETmem — the guest falls back to its virtual disk — and each failed
+// journal call counts in the tier's errors; nothing is retried blindly.
 type Tier struct {
 	name string
 	log  *Log
-	down atomic.Bool
 
 	puts, putsOK, gets, getsHit atomic.Uint64
 	pageFlushes, objectFlushes  atomic.Uint64
@@ -34,16 +33,15 @@ func (t *Tier) Log() *Log { return t.log }
 
 func (t *Tier) Name() string { return t.name }
 
-// fail records a blob-store failure and degrades the tier.
+// fail counts a failed journal call.
 func (t *Tier) fail() tmem.Status {
 	t.errors.Add(1)
-	t.down.Store(true)
 	return tmem.ETmem
 }
 
 func (t *Tier) Put(key tmem.Key, kind tmem.PoolKind, data []byte) tmem.Status {
 	t.puts.Add(1)
-	if kind != tmem.Persistent || t.down.Load() {
+	if kind != tmem.Persistent || t.log.Err() != nil {
 		return tmem.ETmem
 	}
 	if err := t.ensurePool(key.Pool, kind); err != nil {
@@ -123,7 +121,7 @@ func (t *Tier) PutBatch(keys []tmem.Key, kinds []tmem.PoolKind, datas [][]byte, 
 	for i := range sts {
 		sts[i] = tmem.ETmem
 	}
-	if t.down.Load() {
+	if t.log.Err() != nil {
 		return
 	}
 	// Collect the journalable subset (persistent pools only).

@@ -22,9 +22,6 @@ const (
 	GiB Bytes = 1 << 30
 )
 
-// DefaultPageSize is the x86 base page size used by Xen tmem.
-const DefaultPageSize = 4 * KiB
-
 // PagesIn converts a byte size to whole pages of the given page size,
 // rounding up. Panics if pageSize is not a positive power of two.
 func PagesIn(size Bytes, pageSize Bytes) Pages {

@@ -83,15 +83,6 @@ func (p *Proc) Sleep(d Duration) {
 	p.park()
 }
 
-// SleepUntil sleeps until absolute virtual time t (no-op if t <= now).
-func (p *Proc) SleepUntil(t Time) {
-	if t <= p.k.now {
-		p.Sleep(0)
-		return
-	}
-	p.Sleep(Duration(t - p.k.now))
-}
-
 // Kill cancels the process. If it is parked it unwinds on next dispatch;
 // a running process cannot Kill itself (use return instead).
 func (p *Proc) Kill() {

@@ -72,43 +72,3 @@ func (s *Server) Reset() {
 	s.waited = 0
 	s.maxWait = 0
 }
-
-// Semaphore is a counting semaphore for processes, FIFO-fair. It models
-// resources with a fixed number of slots (e.g. host CPUs) when analytic
-// treatment is not possible.
-type Semaphore struct {
-	k     *Kernel
-	avail int
-	cond  *Cond
-}
-
-// NewSemaphore creates a semaphore with n initial slots.
-func NewSemaphore(k *Kernel, n int) *Semaphore {
-	return &Semaphore{k: k, avail: n, cond: NewCond(k)}
-}
-
-// Acquire takes one slot, parking p until one is available.
-func (s *Semaphore) Acquire(p *Proc) {
-	for s.avail <= 0 {
-		s.cond.Wait(p)
-	}
-	s.avail--
-}
-
-// TryAcquire takes a slot without blocking; reports success.
-func (s *Semaphore) TryAcquire() bool {
-	if s.avail <= 0 {
-		return false
-	}
-	s.avail--
-	return true
-}
-
-// Release returns one slot and wakes a waiter if any.
-func (s *Semaphore) Release() {
-	s.avail++
-	s.cond.Signal()
-}
-
-// Available returns the current number of free slots.
-func (s *Semaphore) Available() int { return s.avail }

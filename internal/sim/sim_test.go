@@ -388,46 +388,6 @@ func TestServerConservationProperty(t *testing.T) {
 	}
 }
 
-func TestSemaphore(t *testing.T) {
-	k := NewKernel(1)
-	sem := NewSemaphore(k, 2)
-	var concurrent, maxConcurrent int
-	for i := 0; i < 6; i++ {
-		k.Spawn("user", func(p *Proc) {
-			sem.Acquire(p)
-			concurrent++
-			if concurrent > maxConcurrent {
-				maxConcurrent = concurrent
-			}
-			p.Sleep(10 * Millisecond)
-			concurrent--
-			sem.Release()
-		})
-	}
-	k.Run()
-	if maxConcurrent != 2 {
-		t.Errorf("max concurrency = %d, want 2", maxConcurrent)
-	}
-	if sem.Available() != 2 {
-		t.Errorf("available = %d, want 2", sem.Available())
-	}
-}
-
-func TestSemaphoreTryAcquire(t *testing.T) {
-	k := NewKernel(1)
-	sem := NewSemaphore(k, 1)
-	if !sem.TryAcquire() {
-		t.Fatal("first TryAcquire failed")
-	}
-	if sem.TryAcquire() {
-		t.Fatal("second TryAcquire succeeded on empty semaphore")
-	}
-	sem.Release()
-	if !sem.TryAcquire() {
-		t.Fatal("TryAcquire after release failed")
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(7), NewRNG(7)
 	for i := 0; i < 1000; i++ {

@@ -58,23 +58,6 @@ var (
 	errCodecOverflow  = errors.New("tmem: codec: decoded output exceeds buffer")
 )
 
-// CodecByName resolves a codec by name; the empty name selects the
-// default LZ codec. Each call returns a fresh instance (codecs carry
-// per-instance scratch and are not concurrency-safe).
-func CodecByName(name string) (Codec, error) {
-	switch name {
-	case "", "lz":
-		return NewLZCodec(), nil
-	case "nocompress":
-		return NoCompress{}, nil
-	default:
-		return nil, fmt.Errorf("tmem: unknown codec %q (have lz, nocompress)", name)
-	}
-}
-
-// CodecNames lists the registered codec names for CLI help text.
-func CodecNames() []string { return []string{"lz", "nocompress"} }
-
 // --- NoCompress ---
 
 // NoCompress stores pages verbatim behind the block-tag framing: the

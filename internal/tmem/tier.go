@@ -147,9 +147,6 @@ func NewRemoteTier(name string, svc PageService, owner VMID) *RemoteTier {
 // Name implements Tier.
 func (r *RemoteTier) Name() string { return r.name }
 
-// Owner returns the VM identity remote pools are created under.
-func (r *RemoteTier) Owner() VMID { return r.owner }
-
 // Stats implements Tier.
 func (r *RemoteTier) Stats() TierStats {
 	return TierStats{
