@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint fmt bench bench-json bench-gate bench-e2e-test load-smoke load-smoke-durable sweep-smoke fuzz-smoke profile profile-sweep report clean
+.PHONY: all build test race vet lint fmt bench bench-gate bench-e2e-test load-smoke load-smoke-durable sweep-smoke fuzz-smoke profile profile-sweep report clean
 
 all: build lint test
 
@@ -28,65 +28,76 @@ fmt:
 	gofmt -l -w .
 
 # The bench suite, one group per line: output name, package, -bench
-# regexp, -benchtime, then any further flags: -benchmem where the group's
-# allocations are gated, -count 5 where single-shot rows are too noisy to
-# gate (benchjson keeps each metric's median of the five). `make bench`,
-# `make bench-json` and CI all run this one list, so a run and the
-# committed BENCH.json baseline always use the same iteration counts. Each group writes bench-out/<name>.txt, which CI's benchstat step
-# pairs with the previous run's file of the same name.
-#
-# The engine, sweep and cluster-runtime groups are macro runs of one
-# iteration, run without -benchmem: their allocation counts wobble by a few
-# to a few dozen from run to run (the engine's and the sweep's with their
-# workers' scheduling), which would trip the gate's absolute allocs/op rule. The sim kernel, store,
-# tier and hdr groups pin zero-allocation hot paths; BackendParallel
-# compares the striped store against the shards-1 (single-mutex) baseline,
-# and the remote-tier -batch variants report transport round-trips/op.
-# BenchmarkLogPutBatch and BenchmarkCompact ride the WAL line for their
-# B/op: a journaled 16-page batch allocates no page copy, and one whole
-# compaction of a 128 MiB journal allocates O(slab).
+# regexp and -benchtime. Every group runs with -benchmem, so the gate holds
+# each row's allocs/op. The sim kernel, store, tier and hdr groups pin
+# zero-allocation hot paths; BackendParallel compares the striped store
+# against the shards-1 (single-mutex) baseline, and the remote-tier -batch
+# variants report transport round-trips/op. BenchmarkLogPutBatch rides the
+# WAL line: a journaled 16-page batch allocates no page copy.
+# BenchmarkCompact, one whole compaction of a 128 MiB journal that
+# allocates O(slab), is a group of its own at 10x: about 4 s a run. The
+# counts keep every other group's run between 0.2 and 3 s, so the gate's
+# 10 pairs take 4 to 6 minutes on 2 CPUs.
+# bench_test.go's macro benchmarks (BenchmarkEngine, BenchmarkSweep,
+# BenchmarkRunCluster) are left out: the sweep-paper and sweep-ext
+# workloads of BENCHMARK.json time those paths end to end. Run them by
+# hand with go test -bench.
 define BENCH_SUITE
-engine           .                  BenchmarkEngine                                          1x
-sweep            .                  BenchmarkSweep                                           1x
-cluster-runtime  .                  BenchmarkRunCluster                                      1x
-sim-kernel       ./internal/sim     BenchmarkKernel|BenchmarkProcSleep|BenchmarkCondPingPong 100000x -benchmem -count 5
-tmem-parallel    ./internal/tmem    BenchmarkBackendParallel                                 10000x  -benchmem
-tmem-putgetflush ./internal/tmem    BenchmarkBackendPutGetFlush                              100000x -benchmem
-tmem-remote-tier ./internal/tmem    BenchmarkRemoteTier                                      10000x  -benchmem
-tmem-compressed  ./internal/tmem    BenchmarkCompressedTier                                  10000x  -benchmem
-kvserver         ./internal/kvstore BenchmarkKVServer                                        1000x   -benchmem
-durable-wal      ./internal/durable BenchmarkWALAppend|BenchmarkLogPutBatch|BenchmarkCompact 1000x   -benchmem
-hdr              ./internal/hdr     BenchmarkHDR                                             100000x -benchmem -count 5
+sim-kernel       ./internal/sim     BenchmarkKernel|BenchmarkProcSleep|BenchmarkCondPingPong 1000000x
+tmem-parallel    ./internal/tmem    BenchmarkBackendParallel                                 100000x
+tmem-putgetflush ./internal/tmem    BenchmarkBackendPutGetFlush                              1000000x
+tmem-remote-tier ./internal/tmem    BenchmarkRemoteTier                                      10000x
+tmem-compressed  ./internal/tmem    BenchmarkCompressedTier                                  10000x
+kvserver         ./internal/kvstore BenchmarkKVServer                                        10000x
+durable-wal      ./internal/durable BenchmarkWALAppend|BenchmarkLogPutBatch                  1000x
+durable-compact  ./internal/durable BenchmarkCompact                                         10x
+hdr              ./internal/hdr     BenchmarkHDR                                             1000000x
 endef
 export BENCH_SUITE
 
-# Run the suite into bench-out/ and convert it into bench-out/BENCH.json.
-# The loadgen line folds open-loop p50/p99/p999 over a loopback socket into
-# the same document. Each group is written to its file before it is
-# printed, so a failing bench fails the target (POSIX sh has no pipefail).
+# Run the suite once into bench-out/<group>.txt. Each group is written to
+# its file before it is printed, so a failing bench fails the target
+# (POSIX sh has no pipefail).
 bench:
 	@mkdir -p bench-out
-	@printf '%s\n' "$$BENCH_SUITE" | while read -r name pkg pat n flags; do \
-		echo "$(GO) test -run '^$$' -bench '$$pat' -benchtime $$n $$flags $$pkg"; \
-		$(GO) test -run '^$$' -bench "$$pat" -benchtime "$$n" $$flags "$$pkg" > "bench-out/$$name.txt" || { cat "bench-out/$$name.txt"; exit 1; }; \
+	@printf '%s\n' "$$BENCH_SUITE" | while read -r name pkg pat n; do \
+		echo "$(GO) test -run '^$$' -bench '$$pat' -benchtime $$n -benchmem $$pkg"; \
+		$(GO) test -run '^$$' -bench "$$pat" -benchtime "$$n" -benchmem "$$pkg" > "bench-out/$$name.txt" || { cat "bench-out/$$name.txt"; exit 1; }; \
 		cat "bench-out/$$name.txt"; \
 	done
-	$(GO) run ./cmd/smartmem-loadgen -inprocess -rate 2000 -duration 2s -conns 2 -quiet -bench > bench-out/loadgen.txt
-	@cat bench-out/loadgen.txt
-	$(GO) run ./cmd/smartmem-benchjson $$(printf '%s\n' "$$BENCH_SUITE" | awk '{print "bench-out/" $$1 ".txt"}') bench-out/loadgen.txt > bench-out/BENCH.json
-	@echo "wrote bench-out/BENCH.json"
 
-# Regenerate the committed baseline: the suite above, copied to BENCH.json.
-bench-json: bench
-	cp bench-out/BENCH.json BENCH.json
-
-# Perf gate: hold bench-out/BENCH.json (from `make bench`) against the
-# committed BENCH.json under the per-benchmark budgets. CI runs this
-# (failing the build on a busted budget) before refreshing the committed
-# baseline.
+# Perf gate: the suite at BASE (a git ref) against the working tree, on
+# one machine in one session. BASE is extracted with git archive into a
+# temporary directory outside the module, and each group's test binary is
+# built once in each tree. The two binaries then run as 10 alternating
+# pairs, one run each, the side that goes first flipping every pair, so
+# both sides meet the same host states. Runs append to
+# bench-out/{base,head}/<group>.txt; smartmem-benchgate fails a row whose
+# head median leaves the budget set by the base's own spread. CI sets BASE
+# to the pull request's base commit.
+BASE ?= HEAD
 bench-gate:
-	@test -f bench-out/BENCH.json || { echo "bench-out/BENCH.json missing: run 'make bench' first"; exit 1; }
-	$(GO) run ./cmd/smartmem-benchgate -current bench-out/BENCH.json -baseline BENCH.json -budgets bench-budgets.txt
+	@rm -rf bench-out/base bench-out/head && mkdir -p bench-out/base bench-out/head
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	mkdir "$$tmp/src" "$$tmp/base" "$$tmp/head" && \
+	git archive "$(BASE)" | tar -x -C "$$tmp/src" && \
+	printf '%s\n' "$$BENCH_SUITE" | while read -r name pkg pat n; do \
+		(cd "$$tmp/src" && $(GO) test -c -o "$$tmp/base/$$name.test" "$$pkg") && \
+		$(GO) test -c -o "$$tmp/head/$$name.test" "$$pkg" || exit 1; \
+	done && \
+	for pair in 1 2 3 4 5 6 7 8 9 10; do \
+		echo "bench-gate: pair $$pair of 10"; \
+		if [ $$((pair % 2)) = 1 ]; then sides="base head"; else sides="head base"; fi; \
+		printf '%s\n' "$$BENCH_SUITE" | while read -r name pkg pat n; do \
+			for side in $$sides; do \
+				if [ $$side = base ]; then root="$$tmp/src"; else root=.; fi; \
+				(cd "$$root/$$pkg" && "$$tmp/$$side/$$name.test" -test.run '^$$' -test.bench "$$pat" \
+					-test.benchtime "$$n" -test.benchmem -test.timeout 5m) >> "bench-out/$$side/$$name.txt" || \
+					{ echo "bench-gate: $$name failed on $$side, see bench-out/$$side/$$name.txt"; exit 1; }; \
+			done; \
+		done || exit 1; \
+	done
+	$(GO) run ./cmd/smartmem-benchgate -baseline bench-out/base -current bench-out/head
 
 # The end-to-end benchmark is a module of its own (benchmark/go.mod), so
 # `go test ./...` neither builds nor tests it. Run this after changing any

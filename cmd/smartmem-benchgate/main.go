@@ -1,23 +1,23 @@
-// Command smartmem-benchgate turns the repo's benchmark snapshots into a
-// CI gate. It has two modes:
+// Command smartmem-benchgate turns the repo's benchmark runs into a CI
+// gate. It has two modes:
 //
-// Bench mode compares a fresh BENCH.json (cmd/smartmem-benchjson output)
-// against the committed baseline and fails when a benchmark regresses past
-// its budget:
+// Bench mode holds a change's `go test -bench` output against its base's,
+// both taken by `make bench-gate` as alternating runs on one machine in one
+// session. Each directory holds one text file per bench group with every
+// run appended:
 //
-//	smartmem-benchgate -current bench-out/BENCH.json -baseline BENCH.json \
-//	    -budgets bench-budgets.txt -default-budget 0.10
+//	smartmem-benchgate -baseline bench-out/base -current bench-out/head
 //
-// Lower-is-better metrics (ns/op, p50-ns, p99-ns, p999-ns) fail when
-// current > baseline*(1+budget); higher-is-better ops/s fails when
-// current < baseline*(1-budget); allocs/op is gated absolutely (baseline+1
-// — allocation counts are deterministic, so even one new allocation on a
-// hot path is a real change, while the ratio test would wave through
-// 0 -> 1). Budgets come from a "name-prefix fraction" file, longest prefix
-// wins, so noisy macro benchmarks can carry wider budgets than
-// deterministic micro benchmarks. Benchmarks only in the baseline are
-// reported but do not fail the gate (renames happen); benchmarks only in
-// the current run are reported as new.
+// A row fails when the head's median ns/op is above the base's median
+// times 1 + max(3 × IQR/median, 0.10), IQR being the interquartile range of
+// the base's runs: each row's budget is its own measured spread, so a
+// noisy row gets slack a steady one does not. allocs/op is gated
+// absolutely: a row fails when the head's median count is above the
+// largest count of the base's runs. Allocation counts are deterministic
+// on most rows, so even one new allocation on a hot path fails, where a
+// ratio test would wave 0 -> 1 through; a row whose count varies from run
+// to run gets the base's own range as slack. Rows on one side only are
+// reported as gone or new and fail nothing (renames happen).
 //
 // Load mode holds a loadgen JSON report (cmd/smartmem-loadgen -json)
 // against serving SLOs:
@@ -29,15 +29,14 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
-	"sort"
-	"strconv"
-	"strings"
+	"path/filepath"
+	"slices"
 	"time"
 
 	"smartmem/internal/benchfmt"
@@ -45,13 +44,11 @@ import (
 
 func main() {
 	var (
-		current   = flag.String("current", "", "fresh BENCH.json to judge")
-		baseline  = flag.String("baseline", "BENCH.json", "committed baseline BENCH.json")
-		budgets   = flag.String("budgets", "", "per-benchmark budget overrides (name-prefix fraction per line)")
-		defBudget = flag.Float64("default-budget", 0.10, "relative regression budget when no override matches")
-		loadRep   = flag.String("load", "", "loadgen JSON report to hold against -min-rate/-max-p99")
-		minRate   = flag.Float64("min-rate", 0, "minimum achieved op rate for -load")
-		maxP99    = flag.Duration("max-p99", 0, "ceiling for the overall p99 latency for -load")
+		current  = flag.String("current", "", "directory of the change's bench output to judge")
+		baseline = flag.String("baseline", "", "directory of the base's bench output")
+		loadRep  = flag.String("load", "", "loadgen JSON report to hold against -min-rate/-max-p99")
+		minRate  = flag.Float64("min-rate", 0, "minimum achieved op rate for -load")
+		maxP99   = flag.Duration("max-p99", 0, "ceiling for the overall p99 latency for -load")
 	)
 	flag.Parse()
 
@@ -59,15 +56,18 @@ func main() {
 	case *loadRep != "":
 		fails, err := gateLoad(os.Stdout, *loadRep, *minRate, *maxP99)
 		exit(fails, err)
-	case *current != "":
-		over, err := loadBudgets(*budgets, *defBudget)
+	case *current != "" && *baseline != "":
+		base, err := readRuns(*baseline)
 		if err != nil {
 			exit(0, err)
 		}
-		fails, err := gateBench(os.Stdout, *current, *baseline, over)
-		exit(fails, err)
+		head, err := readRuns(*current)
+		if err != nil {
+			exit(0, err)
+		}
+		exit(gateBench(os.Stdout, base, head), nil)
 	default:
-		fmt.Fprintln(os.Stderr, "smartmem-benchgate: -current or -load is required")
+		fmt.Fprintln(os.Stderr, "smartmem-benchgate: -baseline with -current, or -load, is required")
 		os.Exit(2)
 	}
 }
@@ -84,144 +84,77 @@ func exit(fails int, err error) {
 	fmt.Println("PASS")
 }
 
-func readBench(path string) (map[string]map[string]float64, error) {
-	raw, err := os.ReadFile(path)
+// readRuns parses every .txt file in dir.
+func readRuns(dir string) (benchfmt.Samples, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "*.txt"))
 	if err != nil {
 		return nil, err
 	}
-	var doc benchfmt.Report
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	out := make(map[string]map[string]float64, len(doc.Benchmarks))
-	for _, b := range doc.Benchmarks {
-		out[b.Name] = b.Metrics
-	}
-	return out, nil
-}
-
-// budgetTable resolves a benchmark name to its relative budget by longest
-// matching prefix, falling back to the default.
-type budgetTable struct {
-	prefixes map[string]float64
-	def      float64
-}
-
-func (t budgetTable) lookup(name string) float64 {
-	best, budget := -1, t.def
-	for p, b := range t.prefixes {
-		if len(p) > best && strings.HasPrefix(name, p) {
-			best, budget = len(p), b
+	runs := benchfmt.Samples{}
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		err = runs.Parse(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 	}
-	return budget
+	if len(runs) == 0 {
+		return nil, fmt.Errorf("%s: no benchmark results", dir)
+	}
+	return runs, nil
 }
 
-// loadBudgets parses the override file: one "name-prefix fraction" pair
-// per line, '#' comments, blank lines ignored.
-func loadBudgets(path string, def float64) (budgetTable, error) {
-	t := budgetTable{prefixes: map[string]float64{}, def: def}
-	if path == "" {
-		return t, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return t, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for line := 1; sc.Scan(); line++ {
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) != 2 {
-			return t, fmt.Errorf("%s:%d: want \"name-prefix fraction\", got %q", path, line, text)
-		}
-		frac, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil || frac < 0 {
-			return t, fmt.Errorf("%s:%d: bad budget %q", path, line, fields[1])
-		}
-		t.prefixes[fields[0]] = frac
-	}
-	return t, sc.Err()
+// minBudget is the least slack a row's ns/op gets, however steady its base.
+const minBudget = 0.10
+
+// budget is the relative slack over the base's median ns/op: three times
+// the base's interquartile range over its median, at least minBudget.
+func budget(base []float64) float64 {
+	q1, median, q3 := benchfmt.Quartiles(base)
+	return max(3*(q3-q1)/median, minBudget)
 }
 
-// gated metrics where smaller is better, in report order.
-var lowerBetter = []string{"ns/op", "p50-ns", "p99-ns", "p999-ns"}
-
-// gateBench judges current against base and returns the violation count.
-func gateBench(w io.Writer, currentPath, basePath string, budgets budgetTable) (int, error) {
-	cur, err := readBench(currentPath)
-	if err != nil {
-		return 0, err
-	}
-	base, err := readBench(basePath)
-	if err != nil {
-		return 0, err
-	}
-
-	names := make([]string, 0, len(base))
-	for name := range base {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
+// gateBench judges head against base and returns the violation count.
+func gateBench(w io.Writer, base, head benchfmt.Samples) int {
 	fails := 0
-	for _, name := range names {
-		bm, cm := base[name], cur[name]
-		if cm == nil {
-			fmt.Fprintf(w, "gone  %-60s (in baseline, not in current run)\n", name)
+	verdict := func(failed bool) string {
+		if failed {
+			fails++
+			return "FAIL "
+		}
+		return "ok   "
+	}
+	for _, name := range slices.Sorted(maps.Keys(base)) {
+		bm, hm := base[name], head[name]
+		if hm == nil {
+			fmt.Fprintf(w, "gone  %-60s (in base, not in head)\n", name)
 			continue
 		}
-		budget := budgets.lookup(name)
-		for _, metric := range lowerBetter {
-			bv, okB := bm[metric]
-			cv, okC := cm[metric]
-			if !okB || !okC || bv <= 0 {
-				continue
-			}
-			limit := bv * (1 + budget)
-			verdict := "ok   "
-			if cv > limit {
-				verdict = "FAIL "
-				fails++
-			}
-			fmt.Fprintf(w, "%s %-60s %-8s %12.0f -> %12.0f (budget +%.0f%%, limit %.0f)\n",
-				verdict, name, metric, bv, cv, budget*100, limit)
+		if bv, hv := bm["ns/op"], hm["ns/op"]; len(bv) > 0 && len(hv) > 0 {
+			_, bmed, _ := benchfmt.Quartiles(bv)
+			_, hmed, _ := benchfmt.Quartiles(hv)
+			b := budget(bv)
+			fmt.Fprintf(w, "%s %-60s ns/op     %12.1f -> %12.1f  x%.2f (budget +%.0f%%)\n",
+				verdict(hmed > bmed*(1+b)), name, bmed, hmed, hmed/bmed, b*100)
 		}
-		if bv, ok := bm["ops/s"]; ok && bv > 0 {
-			if cv, ok := cm["ops/s"]; ok {
-				limit := bv * (1 - budget)
-				verdict := "ok   "
-				if cv < limit {
-					verdict = "FAIL "
-					fails++
-				}
-				fmt.Fprintf(w, "%s %-60s %-8s %12.0f -> %12.0f (budget -%.0f%%, floor %.0f)\n",
-					verdict, name, "ops/s", bv, cv, budget*100, limit)
-			}
-		}
-		if bv, ok := bm["allocs/op"]; ok {
-			if cv, ok := cm["allocs/op"]; ok {
-				limit := bv + 1
-				verdict := "ok   "
-				if cv > limit {
-					verdict = "FAIL "
-					fails++
-				}
-				fmt.Fprintf(w, "%s %-60s %-8s %12.0f -> %12.0f (limit %.0f, absolute)\n",
-					verdict, name, "allocs", bv, cv, limit)
-			}
+		if bv, hv := bm["allocs/op"], hm["allocs/op"]; len(bv) > 0 && len(hv) > 0 {
+			_, bmed, _ := benchfmt.Quartiles(bv)
+			_, hmed, _ := benchfmt.Quartiles(hv)
+			limit := slices.Max(bv)
+			fmt.Fprintf(w, "%s %-60s allocs/op %12.0f -> %12.0f  (limit %.0f, the base's largest)\n",
+				verdict(hmed > limit), name, bmed, hmed, limit)
 		}
 	}
-	for name := range cur {
+	for _, name := range slices.Sorted(maps.Keys(head)) {
 		if base[name] == nil {
-			fmt.Fprintf(w, "new   %-60s (no baseline yet)\n", name)
+			fmt.Fprintf(w, "new   %-60s (in head, not in base)\n", name)
 		}
 	}
-	return fails, nil
+	return fails
 }
 
 // loadReport mirrors the cmd/smartmem-loadgen -json document.

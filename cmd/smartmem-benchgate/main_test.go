@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -21,154 +20,157 @@ func writeFile(t *testing.T, name, content string) string {
 	return path
 }
 
-func benchLine(name string, ns, allocs float64) string {
-	return fmt.Sprintf(`{"name":%q,"iterations":100,"metrics":{"ns/op":%g,"allocs/op":%g}}`,
-		name, ns, allocs)
+// tenRuns is one row's ns/op over ten runs, spread as a quiet host spreads
+// them: IQR 45 around a median of 1000, a 13.5% budget.
+var tenRuns = []float64{960, 1040, 990, 1010, 970, 1030, 1000, 1020, 980, 1000}
+
+func row(ns []float64, allocs float64) map[string][]float64 {
+	a := make([]float64, len(ns))
+	for i := range a {
+		a[i] = allocs
+	}
+	return map[string][]float64{"ns/op": ns, "allocs/op": a}
 }
 
-func benchFile(t *testing.T, fname string, lines ...string) string {
-	return writeFile(t, fname, `{"benchmarks":[`+strings.Join(lines, ",")+`]}`)
+func scaled(ns []float64, f float64) []float64 {
+	out := make([]float64, len(ns))
+	for i, v := range ns {
+		out[i] = v * f
+	}
+	return out
 }
 
-func TestGateBenchBudgets(t *testing.T) {
-	base := benchFile(t, "base.json",
-		benchLine("BenchmarkFast", 1000, 2),
-		benchLine("BenchmarkNoisy/case-1", 1000, 0),
-		benchLine("BenchmarkRemoved", 500, 0),
-	)
-	cur := benchFile(t, "cur.json",
-		benchLine("BenchmarkFast", 1050, 2),         // +5%: inside the 10% default
-		benchLine("BenchmarkNoisy/case-1", 1400, 0), // +40%: inside its 50% override
-		benchLine("BenchmarkNew", 10, 0),
-	)
-	budgets := budgetTable{prefixes: map[string]float64{"BenchmarkNoisy": 0.50}, def: 0.10}
-
+func gate(t *testing.T, base, head benchfmt.Samples) (int, string) {
+	t.Helper()
 	var out strings.Builder
-	fails, err := gateBench(&out, cur, base, budgets)
-	if err != nil {
-		t.Fatalf("gateBench: %v", err)
-	}
-	if fails != 0 {
-		t.Fatalf("fails = %d, want 0\n%s", fails, out.String())
-	}
-	for _, want := range []string{"gone  BenchmarkRemoved", "new   BenchmarkNew"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("report missing %q:\n%s", want, out.String())
-		}
-	}
+	fails := gateBench(&out, base, head)
+	return fails, out.String()
+}
 
-	// Push BenchmarkFast past 10%: one ns/op violation.
-	cur = benchFile(t, "cur2.json",
-		benchLine("BenchmarkFast", 1200, 2),
-		benchLine("BenchmarkNoisy/case-1", 1000, 0),
-	)
-	out.Reset()
-	fails, err = gateBench(&out, cur, base, budgets)
-	if err != nil || fails != 1 {
-		t.Fatalf("fails = %d (err %v), want 1\n%s", fails, err, out.String())
+func TestGateBenchIdenticalSamplesPass(t *testing.T) {
+	runs := benchfmt.Samples{
+		"BenchmarkSteady": row([]float64{100, 100, 100, 100, 100, 100, 100, 100, 100, 100}, 0),
+		"BenchmarkNoisy":  row(tenRuns, 3),
 	}
-	if !strings.Contains(out.String(), "FAIL  BenchmarkFast") {
-		t.Errorf("no FAIL line for BenchmarkFast:\n%s", out.String())
+	if fails, out := gate(t, runs, runs); fails != 0 {
+		t.Fatalf("fails = %d, want 0\n%s", fails, out)
 	}
 }
 
-// A run taken with GOMAXPROCS > 1 names every benchmark "BenchmarkX-N";
-// through benchfmt it still meets its rows in a baseline taken on one CPU,
-// so an over-budget row fails instead of passing as "gone" + "new".
-func TestGateSuffixedRunAgainstUnsuffixedBaseline(t *testing.T) {
-	base := benchFile(t, "base.json",
-		benchLine("BenchmarkFast", 1000, 0),
-		benchLine("BenchmarkNoisy/case-1", 1000, 0),
-	)
-	var rep benchfmt.Report
-	run := `pkg: smartmem/x
-BenchmarkFast-2          	     100	      1300 ns/op	       0 allocs/op
-BenchmarkNoisy/case-1-2  	     100	      1000 ns/op	       0 allocs/op
-ok  	smartmem/x	0.1s
-`
-	if err := benchfmt.Parse(strings.NewReader(run), &rep); err != nil {
-		t.Fatal(err)
+func TestGateBenchDoubledRowFailsAlone(t *testing.T) {
+	base := benchfmt.Samples{
+		"BenchmarkA": row(tenRuns, 0),
+		"BenchmarkB": row(tenRuns, 0),
 	}
-	raw, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
+	head := benchfmt.Samples{
+		"BenchmarkA": row(scaled(tenRuns, 2), 0),
+		"BenchmarkB": row(tenRuns, 0),
 	}
-	cur := writeFile(t, "cur.json", string(raw))
-
-	var out strings.Builder
-	fails, err := gateBench(&out, cur, base, budgetTable{def: 0.10})
-	if err != nil || fails != 1 {
-		t.Fatalf("fails = %d (err %v), want 1\n%s", fails, err, out.String())
+	fails, out := gate(t, base, head)
+	if fails != 1 || !strings.Contains(out, "FAIL  BenchmarkA ") || strings.Contains(out, "FAIL  BenchmarkB ") {
+		t.Fatalf("fails = %d, want 1 on BenchmarkA only\n%s", fails, out)
 	}
-	if !strings.Contains(out.String(), "FAIL  BenchmarkFast") {
-		t.Errorf("no FAIL line for BenchmarkFast:\n%s", out.String())
-	}
-	for _, unmatched := range []string{"gone ", "new "} {
-		if strings.Contains(out.String(), unmatched) {
-			t.Errorf("report has %q rows:\n%s", unmatched, out.String())
-		}
+	if !strings.Contains(out, "x2.00 (budget +14%)") {
+		t.Errorf("report lacks the ratio and budget:\n%s", out)
 	}
 }
 
 func TestGateBenchAllocsAbsolute(t *testing.T) {
-	base := benchFile(t, "base.json", benchLine("BenchmarkHot", 100, 0))
-	budgets := budgetTable{def: 0.10}
+	base := benchfmt.Samples{"BenchmarkHot": row(tenRuns, 0)}
 
-	// 0 -> 1 alloc rides the +1 slack; 0 -> 2 fails even though the
-	// relative budget would never trip on a 0 baseline.
-	var out strings.Builder
-	fails, err := gateBench(&out, benchFile(t, "ok.json", benchLine("BenchmarkHot", 100, 1)), base, budgets)
-	if err != nil || fails != 0 {
-		t.Fatalf("+1 alloc: fails = %d (err %v)\n%s", fails, err, out.String())
-	}
-	out.Reset()
-	fails, err = gateBench(&out, benchFile(t, "bad.json", benchLine("BenchmarkHot", 100, 2)), base, budgets)
-	if err != nil || fails != 1 {
-		t.Fatalf("+2 allocs: fails = %d (err %v), want 1\n%s", fails, err, out.String())
-	}
-}
-
-func TestGateBenchQuantileMetrics(t *testing.T) {
-	mk := func(fname string, p99 float64) string {
-		return writeFile(t, fname, fmt.Sprintf(
-			`{"benchmarks":[{"name":"BenchmarkLoadgen/op=all/conns=4","iterations":5000,"metrics":{"p50-ns":600000,"p99-ns":%g,"ops/s":2000}}]}`, p99))
-	}
-	budgets := budgetTable{def: 0.10}
-	var out strings.Builder
-	fails, err := gateBench(&out, mk("ok.json", 1_050_000), mk("base.json", 1_000_000), budgets)
-	if err != nil || fails != 0 {
-		t.Fatalf("within budget: fails = %d (err %v)\n%s", fails, err, out.String())
-	}
-	out.Reset()
-	fails, err = gateBench(&out, mk("bad.json", 1_500_000), mk("base2.json", 1_000_000), budgets)
-	if err != nil || fails != 1 {
-		t.Fatalf("p99 regression: fails = %d (err %v), want 1\n%s", fails, err, out.String())
-	}
-}
-
-func TestLoadBudgetsAndLookup(t *testing.T) {
-	path := writeFile(t, "budgets.txt", `
-# macro benches are noisy on shared runners
-BenchmarkEngine 0.60
-BenchmarkEngine_TimesSweep 0.90
-BenchmarkLoadgen 0.75
-`)
-	tab, err := loadBudgets(path, 0.10)
-	if err != nil {
-		t.Fatalf("loadBudgets: %v", err)
-	}
-	for name, want := range map[string]float64{
-		"BenchmarkEngine_ScaleScenario/vms-4":   0.60,
-		"BenchmarkEngine_TimesSweep/parallel-1": 0.90, // longest prefix wins
-		"BenchmarkLoadgen/op=all/conns=4":       0.75,
-		"BenchmarkHDRRecord/serial":             0.10, // default
-	} {
-		if got := tab.lookup(name); got != want {
-			t.Errorf("lookup(%s) = %g, want %g", name, got, want)
+	// On a zero-allocation row even one new allocation per op fails, which
+	// a relative budget would never catch on a 0 base.
+	for _, allocs := range []float64{1, 2} {
+		if fails, out := gate(t, base, benchfmt.Samples{"BenchmarkHot": row(tenRuns, allocs)}); fails != 1 {
+			t.Errorf("+%g allocs: fails = %d, want 1\n%s", allocs, fails, out)
 		}
 	}
-	if _, err := loadBudgets(writeFile(t, "bad.txt", "BenchmarkX not-a-number\n"), 0.1); err == nil {
-		t.Error("bad budget line: want error")
+
+	// A row whose count varies from run to run passes anywhere inside the
+	// base's range and fails above it.
+	base["BenchmarkVaries"] = map[string][]float64{
+		"ns/op":     tenRuns,
+		"allocs/op": {1084, 1086, 1084, 1087, 1085, 1083, 1086, 1085, 1084, 1088},
+	}
+	head := benchfmt.Samples{
+		"BenchmarkHot":    row(tenRuns, 0),
+		"BenchmarkVaries": row(tenRuns, 1088),
+	}
+	if fails, out := gate(t, base, head); fails != 0 {
+		t.Errorf("inside the base's range: fails = %d, want 0\n%s", fails, out)
+	}
+	head["BenchmarkVaries"] = row(tenRuns, 1090)
+	if fails, out := gate(t, base, head); fails != 1 || !strings.Contains(out, "FAIL  BenchmarkVaries ") {
+		t.Errorf("+2 over the base's largest: fails = %d, want 1\n%s", fails, out)
+	}
+}
+
+// A row's budget is three times its base's relative IQR, and a base with no
+// spread at all still gets the 10% floor.
+func TestGateBenchBudgets(t *testing.T) {
+	if b := budget(tenRuns); b != 0.135 {
+		t.Errorf("budget(IQR 45, median 1000) = %g, want 0.135", b)
+	}
+	flat := []float64{200, 200, 200, 200, 200, 200, 200, 200, 200, 200}
+	if b := budget(flat); b != minBudget {
+		t.Errorf("budget(no spread) = %g, want the %g floor", b, minBudget)
+	}
+	base := benchfmt.Samples{"BenchmarkFlat": row(flat, 0)}
+	if fails, out := gate(t, base, benchfmt.Samples{"BenchmarkFlat": row(scaled(flat, 1.09), 0)}); fails != 0 {
+		t.Errorf("+9%% on a flat base: fails = %d, want 0\n%s", fails, out)
+	}
+	if fails, out := gate(t, base, benchfmt.Samples{"BenchmarkFlat": row(scaled(flat, 1.11), 0)}); fails != 1 {
+		t.Errorf("+11%% on a flat base: fails = %d, want 1\n%s", fails, out)
+	}
+}
+
+func TestGateBenchGoneAndNewRowsPass(t *testing.T) {
+	fails, out := gate(t,
+		benchfmt.Samples{"BenchmarkKept": row(tenRuns, 0), "BenchmarkRemoved": row(tenRuns, 0)},
+		benchfmt.Samples{"BenchmarkKept": row(tenRuns, 0), "BenchmarkAdded": row(scaled(tenRuns, 9), 9)})
+	if fails != 0 {
+		t.Fatalf("fails = %d, want 0\n%s", fails, out)
+	}
+	for _, want := range []string{"gone  BenchmarkRemoved", "new   BenchmarkAdded"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// A run taken with GOMAXPROCS > 1 names every benchmark "BenchmarkX-N";
+// read through benchfmt it still meets its rows in runs taken on one CPU,
+// so a slowed row fails instead of passing as "gone" + "new".
+func TestGateSuffixedRunAgainstUnsuffixedBaseline(t *testing.T) {
+	runs := func(suffix string, fast float64) string {
+		var b strings.Builder
+		for range 5 {
+			fmt.Fprintf(&b, "pkg: smartmem/x\nBenchmarkFast%s 100 %g ns/op 0 allocs/op\nBenchmarkNoisy/case-1%s 100 1000 ns/op\nok smartmem/x 0.1s\n",
+				suffix, fast, suffix)
+		}
+		return b.String()
+	}
+	baseDir := filepath.Dir(writeFile(t, "g.txt", runs("", 1000)))
+	headDir := filepath.Dir(writeFile(t, "g.txt", runs("-2", 1300)))
+	base, err := readRuns(baseDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := readRuns(headDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fails, out := gate(t, base, head)
+	if fails != 1 || !strings.Contains(out, "FAIL  BenchmarkFast ") {
+		t.Fatalf("fails = %d, want 1 on BenchmarkFast\n%s", fails, out)
+	}
+	for _, unmatched := range []string{"gone ", "new "} {
+		if strings.Contains(out, unmatched) {
+			t.Errorf("report has %q rows:\n%s", unmatched, out)
+		}
+	}
+	if _, err := readRuns(t.TempDir()); err == nil {
+		t.Error("readRuns of an empty directory: want error")
 	}
 }
 

@@ -17,12 +17,10 @@
 //
 //	smartmem-loadgen -addr :7077 -conns 8 -rate 50000 -duration 30s
 //	smartmem-loadgen -addr :7077 -mix put=10,get=90 -skew 1.2 -arrival poisson
-//	smartmem-loadgen -inprocess -rate 20000 -duration 5s -bench
+//	smartmem-loadgen -inprocess -rate 20000 -duration 5s -json -
 //
-// -bench prints go-bench-style result lines (consumed by
-// cmd/smartmem-benchjson into BENCH.json); -json writes the full report,
-// which cmd/smartmem-benchgate can hold against a minimum throughput and
-// a p99 ceiling (the CI loadgen smoke).
+// -json writes the full report, which cmd/smartmem-benchgate can hold
+// against a minimum throughput and a p99 ceiling (the CI loadgen smoke).
 package main
 
 import (
@@ -54,7 +52,6 @@ func main() {
 		pageSize    = flag.Int("pagesize", 4096, "page size; must match the daemon")
 		seed        = flag.Int64("seed", 1, "rng seed for mix and key draws")
 		outstanding = flag.Int("outstanding", 4096, "per-connection pipeline depth bound")
-		benchOut    = flag.Bool("bench", false, "print go-bench-style result lines (for smartmem-benchjson)")
 		jsonOut     = flag.String("json", "", "write the full JSON report to this file (- for stdout)")
 		inprocess   = flag.Bool("inprocess", false, "serve an in-process loopback store instead of dialing -addr (self-contained smoke)")
 		inprocPages = flag.Int64("inprocess-pages", 1<<17, "store capacity in pages for -inprocess")
@@ -118,9 +115,6 @@ func main() {
 	if !*quiet {
 		printSummary(res)
 	}
-	if *benchOut {
-		printBenchLines(res)
-	}
 	if *jsonOut != "" {
 		out := os.Stdout
 		if *jsonOut != "-" {
@@ -159,20 +153,6 @@ func printSummary(res *Result) {
 		}
 		fmt.Fprintf(os.Stderr, "  %-6s %10d %12v %12v %12v %12v\n",
 			name, s.Count, time.Duration(s.P50), time.Duration(s.P99), time.Duration(s.P999), time.Duration(s.Max))
-	}
-}
-
-// printBenchLines emits one go-bench-style line per op ("iterations" is
-// the completed-op count) so smartmem-benchjson folds the loadgen
-// quantiles into BENCH.json next to the closed-loop benchmarks.
-func printBenchLines(res *Result) {
-	for _, name := range opOrder(res) {
-		s := res.Ops[name].Snapshot()
-		if s.Count == 0 {
-			continue
-		}
-		fmt.Printf("BenchmarkLoadgen/op=%s/conns=%d %d %d p50-ns %d p99-ns %d p999-ns %d max-ns %.1f ops/s\n",
-			name, res.Config.Conns, s.Count, s.P50, s.P99, s.P999, s.Max, res.AchievedRate())
 	}
 }
 

@@ -1,48 +1,45 @@
-// Package benchfmt reads `go test -bench` text output into the records of
-// BENCH.json: the document cmd/smartmem-benchjson writes and
-// cmd/smartmem-benchgate holds against the committed baseline.
+// Package benchfmt reads `go test -bench` text output into samples, every
+// result line kept, for cmd/smartmem-benchgate to hold a change's runs
+// against its base's.
 package benchfmt
 
 import (
 	"bufio"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Result is one benchmark line.
-type Result struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	Metrics    map[string]float64 `json:"metrics"`
-}
+// Samples maps a benchmark's name to its metrics: for each unit ("ns/op",
+// "allocs/op", ...), the value of every result line read, in order.
+type Samples map[string]map[string][]float64
 
-// Report is the BENCH.json document.
-type Report struct {
-	Benchmarks []Result `json:"benchmarks"`
+// result is one benchmark line.
+type result struct {
+	name    string
+	metrics map[string]float64
 }
 
 // parseLine decodes one `BenchmarkX  N  v1 unit1  v2 unit2 ...` line.
-func parseLine(line string) (Result, bool) {
+func parseLine(line string) (result, bool) {
 	if !strings.HasPrefix(line, "Benchmark") {
-		return Result{}, false
+		return result{}, false
 	}
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
-		return Result{}, false
+		return result{}, false
 	}
-	iters, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return Result{}, false
+	if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
+		return result{}, false
 	}
-	r := Result{Name: fields[0], Iterations: iters, Metrics: map[string]float64{}}
+	r := result{name: fields[0], metrics: map[string]float64{}}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return Result{}, false
+			return result{}, false
 		}
-		r.Metrics[fields[i+1]] = v
+		r.metrics[fields[i+1]] = v
 	}
 	return r, true
 }
@@ -52,89 +49,72 @@ func parseLine(line string) (Result, bool) {
 // A name may end in "-N" on its own (BenchmarkRemoteTier/remote-batch-4),
 // so the suffix is taken as the run's only when every result ends in the
 // same one.
-func stripProcs(block []Result) {
+func stripProcs(block []result) {
 	var suffix string
 	for i, r := range block {
-		j := strings.LastIndexByte(r.Name, '-')
-		if _, err := strconv.Atoi(r.Name[j+1:]); j < 0 || err != nil || (i > 0 && r.Name[j:] != suffix) {
+		j := strings.LastIndexByte(r.name, '-')
+		if _, err := strconv.Atoi(r.name[j+1:]); j < 0 || err != nil || (i > 0 && r.name[j:] != suffix) {
 			return
 		}
-		suffix = r.Name[j:]
+		suffix = r.name[j:]
 	}
 	for i := range block {
-		block[i].Name = strings.TrimSuffix(block[i].Name, suffix)
+		block[i].name = strings.TrimSuffix(block[i].name, suffix)
 	}
 }
 
-// Parse appends every benchmark result read from rd to rep, with the
-// GOMAXPROCS suffix stripped, so a run taken on one CPU count gates against
-// a baseline taken on another. A package run ends at its "PASS" or "ok"
-// line, at the next "pkg:" header, or at the end of rd. The rows of one
-// name (a run with -count N) fold into one record at the first row's place,
-// holding the median of each metric and of the iteration counts.
-func Parse(rd io.Reader, rep *Report) error {
+// Parse adds every benchmark result read from rd to s, with the GOMAXPROCS
+// suffix stripped, so runs taken on different CPU counts meet row for row.
+// A package run ends at its "PASS" or "ok" line, at the next "pkg:" header,
+// or at the end of rd. Repeated rows of one name (a run with -count N, or
+// runs appended to one file) add one sample each.
+func (s Samples) Parse(rd io.Reader) error {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	first := len(rep.Benchmarks)
-	start := first
+	var block []result
 	flush := func() {
-		stripProcs(rep.Benchmarks[start:])
-		start = len(rep.Benchmarks)
+		stripProcs(block)
+		for _, r := range block {
+			row := s[r.name]
+			if row == nil {
+				row = map[string][]float64{}
+				s[r.name] = row
+			}
+			for unit, v := range r.metrics {
+				row[unit] = append(row[unit], v)
+			}
+		}
+		block = block[:0]
 	}
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if r, ok := parseLine(line); ok {
-			rep.Benchmarks = append(rep.Benchmarks, r)
+			block = append(block, r)
 		} else if strings.HasPrefix(line, "pkg:") || strings.HasPrefix(line, "ok") || line == "PASS" {
 			flush()
 		}
 	}
 	flush()
-	rep.Benchmarks = append(rep.Benchmarks[:first], fold(rep.Benchmarks[first:])...)
 	return sc.Err()
 }
 
-// fold merges the rows of each name into one record, in first-seen order.
-func fold(rows []Result) []Result {
-	var names []string
-	byName := map[string][]Result{}
-	for _, r := range rows {
-		if _, seen := byName[r.Name]; !seen {
-			names = append(names, r.Name)
-		}
-		byName[r.Name] = append(byName[r.Name], r)
+// Quartiles returns the lower quartile, the median and the upper quartile
+// of vs by the exclusive method, as Python's statistics.quantiles(vs, n=4)
+// and benchmark/compare.go compute them: the quartile at rank p·(n+1),
+// read on the line between the two nearest samples (and past the ends for
+// n < 3). vs is not modified.
+func Quartiles(vs []float64) (q1, median, q3 float64) {
+	s := slices.Sorted(slices.Values(vs))
+	switch len(s) {
+	case 0:
+		return 0, 0, 0
+	case 1:
+		return s[0], s[0], s[0]
 	}
-	folded := make([]Result, 0, len(names))
-	for _, name := range names {
-		group := byName[name]
-		if len(group) == 1 {
-			folded = append(folded, group[0])
-			continue
-		}
-		iters := make([]float64, len(group))
-		values := map[string][]float64{}
-		for i, r := range group {
-			iters[i] = float64(r.Iterations)
-			for unit, v := range r.Metrics {
-				values[unit] = append(values[unit], v)
-			}
-		}
-		r := Result{Name: name, Iterations: int64(median(iters)), Metrics: map[string]float64{}}
-		for unit, vs := range values {
-			r.Metrics[unit] = median(vs)
-		}
-		folded = append(folded, r)
+	cut := func(p float64) float64 {
+		h := p * float64(len(s)+1)
+		j := min(max(int(h), 1), len(s)-1)
+		return s[j-1] + (h-float64(j))*(s[j]-s[j-1])
 	}
-	return folded
-}
-
-// median returns the middle value of vs, or the mean of the middle two;
-// it sorts vs.
-func median(vs []float64) float64 {
-	sort.Float64s(vs)
-	n := len(vs)
-	if n%2 == 1 {
-		return vs[n/2]
-	}
-	return (vs[n/2-1] + vs[n/2]) / 2
+	return cut(0.25), cut(0.5), cut(0.75)
 }

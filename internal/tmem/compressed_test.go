@@ -479,8 +479,8 @@ func TestCompressedTierConcurrent(t *testing.T) {
 }
 
 // BenchmarkCompressedTier measures the tier's hot cycles on the text-mix
-// page: ns/op, allocs/op and the achieved compression ratio land in
-// BENCH.json via make bench-json.
+// page: ns/op and allocs/op, which make bench-gate holds, and the achieved
+// compression ratio.
 func BenchmarkCompressedTier(b *testing.B) {
 	page := codecTestPages(testPage)["text"]
 
