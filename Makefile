@@ -45,7 +45,7 @@ fmt:
 define BENCH_SUITE
 sim-kernel       ./internal/sim     BenchmarkKernel|BenchmarkProcSleep|BenchmarkCondPingPong 1000000x
 tmem-parallel    ./internal/tmem    BenchmarkBackendParallel                                 100000x
-tmem-putgetflush ./internal/tmem    BenchmarkBackendPutGetFlush                              1000000x
+tmem-putgetflush ./internal/tmem    BenchmarkBackendPutGetFlush|BenchmarkBackendSwapSweep    1000000x
 tmem-remote-tier ./internal/tmem    BenchmarkRemoteTier                                      10000x
 tmem-compressed  ./internal/tmem    BenchmarkCompressedTier                                  10000x
 kvserver         ./internal/kvstore BenchmarkKVServer                                        10000x

@@ -138,9 +138,10 @@ type Config struct {
 	// NonExclusiveGets disables exclusive frontswap loads. The Xen tmem
 	// driver runs frontswap with exclusive gets (a successful load also
 	// invalidates the tmem copy and redirties the page, avoiding
-	// double-caching); that is the default here. Non-exclusive loads keep
-	// the copy valid until the page is dirtied, and are provided as an
-	// ablation (BenchmarkAblation_ExclusiveGet).
+	// double-caching); that is the default here, where the frontswap pool
+	// is created with exclusive gets and a load is one call. Non-exclusive
+	// loads keep the copy valid until the page is dirtied, and are
+	// provided as an ablation (BenchmarkAblation_ExclusiveGet).
 	NonExclusiveGets bool
 	// Costs is the timing model (zero value replaced by DefaultCosts of
 	// the backend page size, or 4 KiB when no backend).
@@ -222,8 +223,11 @@ func NewKernel(cfg Config) *Kernel {
 	k.lru.next = &k.lru
 	if cfg.Backend != nil {
 		cfg.Backend.RegisterVM(cfg.VM)
-		if cfg.Frontswap {
+		switch {
+		case cfg.Frontswap && cfg.NonExclusiveGets:
 			k.fsPool = cfg.Backend.NewPool(cfg.VM, tmem.Persistent)
+		case cfg.Frontswap:
+			k.fsPool = cfg.Backend.NewExclusivePool(cfg.VM)
 		}
 		if cfg.Cleancache {
 			k.ccPool = cfg.Backend.NewPool(cfg.VM, tmem.Ephemeral)
@@ -470,8 +474,14 @@ func (k *Kernel) Touch(p *sim.Proc, page PageID, write bool) {
 	} else {
 		switch {
 		case g.inTmem:
-			// Frontswap load.
+			// Frontswap load. An exclusive get (Xen driver default) also
+			// invalidates the copy, inside the one call, so it is charged
+			// the flush too — before the call, so that a yield the charge
+			// makes still finds the page held, as a separate flush would.
 			k.charge(p, k.cfg.Costs.TmemOp)
+			if !k.cfg.NonExclusiveGets {
+				k.charge(p, k.cfg.Costs.TmemFlush)
+			}
 			if k.cfg.Backend.Get(anonKey(k.fsPool, page), nil) == tmem.STmem {
 				k.stats.TmemHits++
 				if k.cfg.NonExclusiveGets {
@@ -479,10 +489,7 @@ func (k *Kernel) Touch(p *sim.Proc, page PageID, write bool) {
 					// the page is dirtied.
 					g.dirty = false
 				} else {
-					// Exclusive get (Xen driver default): the load also
-					// invalidates the copy and leaves the page dirty.
-					k.charge(p, k.cfg.Costs.TmemFlush)
-					k.cfg.Backend.FlushPage(anonKey(k.fsPool, page))
+					// The copy is gone; the page stays dirty.
 					k.stats.TmemFlushes++
 					g.inTmem = false
 					g.dirty = true

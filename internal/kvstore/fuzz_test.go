@@ -50,6 +50,8 @@ func FuzzServeConn(f *testing.F) {
 	f.Add(frame(OpPutBatch, tmem.Key{}, putBatch[:len(putBatch)-9])) // item overruns the frame
 	f.Add(frame(OpPutBatch, tmem.Key{}, append(putBatch, 7)))        // trailing bytes after the last item
 	f.Add(frame(99, k0, nil))                                        // unknown op
+	// An unknown pool kind, then a put into the pool it must not have made.
+	f.Add(append(frame(OpNewPool, tmem.Key{Pool: 1, Object: 7}, nil), frame(OpPut, k0, page)...))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		b := tmem.NewBackendOpts(16, tmem.Options{

@@ -383,8 +383,13 @@ func (s *Server) ServeConn(c net.Conn) error {
 				payload = binary.BigEndian.AppendUint64(cs.countBuf[:0], uint64(freed))
 			}
 		case OpNewPool:
-			pool := s.store.NewPool(tmem.VMID(key.Pool), tmem.PoolKind(key.Object))
-			status = tmem.Status(pool)
+			// A kind is Persistent or Ephemeral; anything else is
+			// malformed, not a third mode the store would have to guess.
+			if kind := key.Object; kind != tmem.ObjectID(tmem.Persistent) && kind != tmem.ObjectID(tmem.Ephemeral) {
+				status = tmem.EInval
+			} else {
+				status = tmem.Status(s.store.NewPool(tmem.VMID(key.Pool), tmem.PoolKind(kind)))
+			}
 		case OpDestroyPool:
 			if err := s.store.DestroyPool(key.Pool); err != nil {
 				status = tmem.EInval

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"smartmem/internal/durable"
 	"smartmem/internal/mem"
 	"smartmem/internal/tmem"
 )
@@ -217,6 +218,38 @@ func TestDestroyPoolOverWire(t *testing.T) {
 	st, err = cl.DestroyPool(pool)
 	if err != nil || st != tmem.EInval {
 		t.Errorf("double destroy = %v, %v (want E_INVAL)", st, err)
+	}
+}
+
+// TestNewPoolRejectsUnknownKind: a pool is Persistent or Ephemeral, and a
+// frame naming any other kind answers E_INVAL and creates nothing. A kind-7
+// pool used to behave as persistent while the journal records persistent
+// pools only, so a durable store acknowledged its puts without journaling
+// them and a crash lost them.
+func TestNewPoolRejectsUnknownKind(t *testing.T) {
+	l, err := durable.Open(durable.Options{Blob: durable.NewMemStore(), PageSize: pageSize, Fsync: durable.FsyncOff, CompactBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	b := tmem.NewBackend(64, tmem.NewDataStore(pageSize))
+	srv := NewServerStore(durable.NewStore(b, l))
+	a, c := net.Pipe()
+	go func() { _ = srv.ServeConn(c) }()
+	cl := NewClient(a, pageSize)
+	defer cl.Close()
+
+	for _, kind := range []tmem.PoolKind{2, 7, -1} {
+		if st, _, err := cl.do(OpNewPool, tmem.Key{Pool: 1, Object: tmem.ObjectID(kind)}, nil, nil); err != nil || st != tmem.EInval {
+			t.Errorf("NewPool of kind %v = %v, %v; want E_INVAL", kind, st, err)
+		}
+	}
+	pool, err := cl.NewPool(1, tmem.Persistent)
+	if err != nil || pool != 0 {
+		t.Fatalf("NewPool(Persistent) = %v, %v; want pool 0, the first one created", pool, err)
+	}
+	if !l.HasPool(pool) {
+		t.Error("the persistent pool is not journaled")
 	}
 }
 

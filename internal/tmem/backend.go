@@ -20,7 +20,10 @@ type Pool struct {
 	id   PoolID
 	vm   VMID
 	kind PoolKind
-	acct *vmAccount
+	// exclusive makes a hit destructive in a persistent pool too: the get
+	// flushes the page it returns (Xen frontswap's "exclusive gets").
+	exclusive bool
+	acct      *vmAccount
 	// pages counts stored pages; atomic because a pool's entries spread
 	// across shards.
 	pages atomic.Int64
@@ -42,55 +45,65 @@ func (p *Pool) Kind() PoolKind { return p.kind }
 func (p *Pool) Pages() mem.Pages { return mem.Pages(p.pages.Load()) }
 
 // vmAccount is the hypervisor's per-VM bookkeeping (Table I,
-// vm_data_hyp[id].*), plus cumulative diagnostics. Every field is atomic:
-// the hot path updates them from whichever shard holds the page, and the
-// statistics sampler aggregates a snapshot without stopping the world.
+// vm_data_hyp[id].*), plus cumulative diagnostics. tmem_used and mm_target
+// are atomic: target enforcement is node-wide, whichever stripe a page
+// lands in. The operation counters are per stripe instead (counts).
 type vmAccount struct {
 	id       VMID
 	tmemUsed atomic.Int64
 	mmTarget atomic.Int64
 
-	// Interval counters, reset at each statistics sample (1 s).
-	putsTotal atomic.Uint64
-	putsSucc  atomic.Uint64
+	// counts holds the cumulative operation counters (never reset), one
+	// share per stripe: counts[i] is written only under shard i's lock, by
+	// the op that holds it anyway. Readers sum the shares, each under its
+	// stripe's lock.
+	counts []vmCounts
 
-	// Cumulative counters (never reset). cumulPutsFailed feeds
-	// reconf-static's activity detection (Algorithm 3).
-	cumulPutsTotal  atomic.Uint64
-	cumulPutsSucc   atomic.Uint64
-	cumulGetsTotal  atomic.Uint64
-	cumulGetsHit    atomic.Uint64
-	cumulFlushes    atomic.Uint64
-	cumulEphEvicted atomic.Uint64 // ephemeral pages evicted from this VM
+	// sampledTotal and sampledSucc are the cumulative put counts at the
+	// previous Sample, which turns them into Table I's interval counts.
+	// Guarded by Backend.sampleMu.
+	sampledTotal, sampledSucc uint64
 }
 
-func newVMAccount(vm VMID) *vmAccount {
-	a := &vmAccount{id: vm}
+// vmCounts is one stripe's share of a VM's cumulative counters. It fills a
+// cache line, so the shares of one VM in different stripes never share one.
+type vmCounts struct {
+	putsTotal, putsSucc uint64
+	getsTotal, getsHit  uint64
+	flushes             uint64
+	ephEvicted          uint64 // ephemeral pages evicted from this VM
+	_                   [2]uint64
+}
+
+func (c *vmCounts) add(o *vmCounts) {
+	c.putsTotal += o.putsTotal
+	c.putsSucc += o.putsSucc
+	c.getsTotal += o.getsTotal
+	c.getsHit += o.getsHit
+	c.flushes += o.flushes
+	c.ephEvicted += o.ephEvicted
+}
+
+func newVMAccount(vm VMID, shards int) *vmAccount {
+	a := &vmAccount{id: vm, counts: make([]vmCounts, shards)}
 	a.mmTarget.Store(int64(Unlimited))
 	return a
 }
 
 func (a *vmAccount) target() mem.Pages { return mem.Pages(a.mmTarget.Load()) }
 
-func (a *vmAccount) cumulPutsFailed() uint64 {
-	// Load succ before total: a concurrent put bumps total first, so the
-	// later total load can only be >= the earlier succ load and the
-	// unsigned subtraction cannot wrap.
-	succ := a.cumulPutsSucc.Load()
-	return a.cumulPutsTotal.Load() - succ
-}
-
 // Backend is the hypervisor tmem implementation: the fine-grained page
 // allocator plus target enforcement of paper Algorithm 1. All methods are
 // safe for concurrent use.
 //
-// The store is sharded: keys hash to one of N lock stripes, each owning
-// its slice of the key index (one flat hash table per stripe, see shard),
-// its own page store and one segment of the ephemeral LRU. Capacity stays
-// global — the free-frame count is one atomic counter (frames are counted,
-// not numbered: nothing is addressed by frame), per-VM targets are enforced
-// through atomic accounts, and eviction picks the node-wide oldest
-// ephemeral page across all stripes. With a single shard (the NewBackend
+// The store is sharded: keys hash by run — 64 consecutive page indices of
+// one object — to one of N lock stripes, each owning its slice of the run
+// index (one table of 64-entry leaves per stripe, see shard), its own page
+// store, one segment of the ephemeral LRU and its share of the per-VM
+// operation counters. Capacity stays global — the free-frame count is one
+// atomic counter (frames are counted, not numbered: nothing is addressed
+// by frame), per-VM targets are enforced through atomic accounts, and
+// eviction picks the node-wide oldest ephemeral page across all stripes. With a single shard (the NewBackend
 // default) every operation funnels through one lock in the exact order it
 // was issued, which keeps the simulation path deterministic.
 type Backend struct {
@@ -120,6 +133,9 @@ type Backend struct {
 
 	vmMu sync.RWMutex
 	vms  map[VMID]*vmAccount
+
+	// sampleMu serializes Sample, which owns vmAccount's sampled counts.
+	sampleMu sync.Mutex
 
 	pageSize mem.Bytes
 
@@ -217,7 +233,7 @@ func newBackend(totalPages mem.Pages, stores []PageStore) *Backend {
 	b.batchPool = &sync.Pool{New: func() any { return new(batchScratch) }}
 	b.freePages.Store(int64(totalPages))
 	for i := range b.shards {
-		b.shards[i] = newShard(stores[i])
+		b.shards[i] = newShard(i, stores[i])
 	}
 	return b
 }
@@ -288,7 +304,7 @@ func (b *Backend) register(vm VMID) *vmAccount {
 	defer b.vmMu.Unlock()
 	a, ok := b.vms[vm]
 	if !ok {
-		a = newVMAccount(vm)
+		a = newVMAccount(vm, len(b.shards))
 		b.vms[vm] = a
 	}
 	return a
@@ -343,9 +359,21 @@ func (b *Backend) UnregisterVM(vm VMID) {
 }
 
 // NewPool creates a tmem pool for vm (the guest's kernel-module init path)
-// and returns its identifier. The VM account is resolved under poolMu (see
+// and returns its identifier, or InvalidPool for a kind other than
+// Persistent and Ephemeral. The VM account is resolved under poolMu (see
 // UnregisterVM for why the two must be atomic).
-func (b *Backend) NewPool(vm VMID, kind PoolKind) PoolID {
+func (b *Backend) NewPool(vm VMID, kind PoolKind) PoolID { return b.newPool(vm, kind, false) }
+
+// NewExclusivePool creates a persistent pool with exclusive gets, the mode
+// Xen's frontswap runs in: a get that hits also flushes the page, so a
+// swap-in is one store call. Counts, capacity and lower tiers end up as
+// after a Get and a FlushPage of the key on a plain persistent pool.
+func (b *Backend) NewExclusivePool(vm VMID) PoolID { return b.newPool(vm, Persistent, true) }
+
+func (b *Backend) newPool(vm VMID, kind PoolKind, exclusive bool) PoolID {
+	if kind != Persistent && kind != Ephemeral {
+		return InvalidPool
+	}
 	b.poolMu.Lock()
 	defer b.poolMu.Unlock()
 	id := b.nextPool
@@ -353,7 +381,7 @@ func (b *Backend) NewPool(vm VMID, kind PoolKind) PoolID {
 		return InvalidPool
 	}
 	b.nextPool++
-	b.setPool(id, &Pool{id: id, vm: vm, kind: kind, acct: b.register(vm)})
+	b.setPool(id, &Pool{id: id, vm: vm, kind: kind, exclusive: exclusive, acct: b.register(vm)})
 	return id
 }
 
@@ -477,7 +505,7 @@ func (b *Backend) evictHead(sh *shard) bool {
 	if e == &sh.lru {
 		return false
 	}
-	e.pool.acct.cumulEphEvicted.Add(1)
+	e.pool.acct.counts[sh.idx].ephEvicted++
 	b.dropEntry(sh, e)
 	return true
 }
@@ -511,22 +539,19 @@ func (b *Backend) put(key Key, data []byte, withTiers bool) Status {
 	if p == nil || b.oversize(data) {
 		return EInval
 	}
-	a := p.acct
-	a.putsTotal.Add(1)
-	a.cumulPutsTotal.Add(1)
 	sh := b.shardFor(key)
-	st, fromTier := b.putRetry(sh, p, a, key, data)
+	st, ti := b.putRetry(sh, p, key, data, true)
 	if !withTiers || len(b.tiers) == 0 {
 		return st
 	}
 	switch {
-	case st == STmem && fromTier >= 0:
-		b.supersede(sh, key, fromTier)
+	case st == STmem && ti >= 0:
+		b.supersede(sh, key, ti)
 	case st == ETmem:
 		// A run of one down the walk PutBatch takes. Every slice lives on
 		// this stack frame: offer keeps none of them.
 		var (
-			ft       [1]int16
+			ft       = [1]int16{int16(ti)}
 			run, rem [1]int32
 			sts      [1]Status
 		)
@@ -571,8 +596,9 @@ type tierWalk struct {
 	run, rem []int32
 }
 
-// offer is the one tier walk. Every key of w.offer was refused by the local
-// store with E_TMEM:
+// offer is the one tier walk. Every key i of w.offer was refused by the
+// local store with E_TMEM, and w.ft[i] is the tier the refusal found it
+// tracked in (-1 for none):
 //
 //  1. a key already tracked in a tier is re-offered there first (the tier
 //     replaces its contents in place), one run per tier;
@@ -585,13 +611,10 @@ type tierWalk struct {
 // A key no tier takes answers E_TMEM. sc carries the marshalling buffers of
 // runs longer than one; a walk of one passes nil.
 func (b *Backend) offer(w *tierWalk, sc *batchScratch) {
-	// w.ft[i] is the tier key i was tracked in (-1 for none), which is also
-	// the one tier the walk must not ask again.
+	// w.ft[i] is also the one tier the walk must not ask again.
 	rem := w.rem[:0]
 	for _, i := range w.offer {
-		ti := b.shardFor(w.keys[i]).remoteTier(w.keys[i])
-		w.ft[i] = int16(ti)
-		if ti < 0 {
+		if w.ft[i] < 0 {
 			rem = append(rem, i)
 		}
 	}
@@ -684,43 +707,57 @@ func (w *tierWalk) data(i int32) []byte {
 	return w.datas[i]
 }
 
-// putRetry runs the local put attempt/evict loop of Algorithm 1. The caller
-// has already bumped the puts_total counters.
-func (b *Backend) putRetry(sh *shard, p *Pool, a *vmAccount, key Key, data []byte) (st Status, fromTier int) {
+// putRetry runs the local put attempt/evict loop of Algorithm 1. count is
+// set unless an earlier attempt already counted the put in puts_total. ti
+// is tryPutLocked's.
+func (b *Backend) putRetry(sh *shard, p *Pool, key Key, data []byte, count bool) (st Status, ti int) {
 	for {
-		st, retry, ti := b.tryPut(sh, p, a, key, data)
+		var retry bool
+		st, retry, ti = b.tryPut(sh, p, key, data, count)
 		if !retry {
 			return st, ti
 		}
+		count = false
 		// Algorithm 1, line 7: the node is out of frames. Ephemeral pages
 		// are sacrificed first, as in Xen, before failing the put. Each
 		// eviction frees exactly one frame, so the loop makes progress
 		// even when concurrent puts race for it.
 		if !b.evictOldest() {
-			return ETmem, -1
+			return ETmem, ti
 		}
 	}
 }
 
-// tryPut performs one put attempt under the shard lock. retry is true when
-// the attempt failed only for want of a free frame; fromTier is the tier a
-// lower-tier copy was tracked under when a fresh insert succeeded (-1
-// otherwise) — the tracking entry is consumed here, under the lock.
-func (b *Backend) tryPut(sh *shard, p *Pool, a *vmAccount, key Key, data []byte) (st Status, retry bool, fromTier int) {
+// tryPut performs one put attempt under the shard lock.
+func (b *Backend) tryPut(sh *shard, p *Pool, key Key, data []byte, count bool) (st Status, retry bool, ti int) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return b.tryPutLocked(sh, p, a, key, data)
+	return b.tryPutLocked(sh, p, key, data, count)
 }
 
 // tryPutLocked is tryPut's body; the caller holds sh.mu (the batch path
-// holds it across a whole run of same-stripe keys).
-func (b *Backend) tryPutLocked(sh *shard, p *Pool, a *vmAccount, key Key, data []byte) (st Status, retry bool, fromTier int) {
+// holds it across a whole run of same-stripe keys). count makes the
+// attempt count the put in puts_total. retry is true when the attempt
+// failed only for want of a free frame. ti is the tier a lower-tier copy
+// of key is tracked in, or -1: on a fresh local insert the tracking entry
+// is consumed here, under the lock, and the caller supersedes the tier
+// copy; on E_TMEM it stays, and the tier walk re-offers the page there
+// first.
+func (b *Backend) tryPutLocked(sh *shard, p *Pool, key Key, data []byte, count bool) (st Status, retry bool, ti int) {
+	c := &p.acct.counts[sh.idx]
+	if count {
+		c.putsTotal++
+	}
 	if p.dead.Load() {
 		return EInval, false, -1
 	}
 
 	// Duplicate put: replace contents, no capacity change.
 	e := sh.lookup(key)
+	ti = -1
+	if e != nil && e.tier >= 0 {
+		ti = int(e.tier)
+	}
 	if e != nil && e.tier == tierLocal {
 		h, err := sh.store.Save(data)
 		if err != nil {
@@ -734,22 +771,26 @@ func (b *Backend) tryPutLocked(sh *shard, p *Pool, a *vmAccount, key Key, data [
 			sh.lruRemove(e)
 			sh.lruPush(e, b.lruClock.Add(1))
 		}
-		a.putsSucc.Add(1)
-		a.cumulPutsSucc.Add(1)
+		c.putsSucc++
 		return STmem, false, -1
 	}
 
-	// Algorithm 1, line 5: target enforcement. Reserve the page with an
-	// atomic increment and roll back on overshoot — a plain check-then-act
-	// would let concurrent puts on different shards jointly exceed the
-	// target. Equivalent to the old "used >= target" check when serial.
+	// Algorithm 1, line 5: target enforcement. A VM at its target is
+	// refused on one load. Otherwise the page is reserved with an atomic
+	// increment, rolled back on overshoot — a plain check-then-act would
+	// let concurrent puts on different shards jointly exceed the target.
+	// Equivalent to the "used >= target" check when serial.
+	a := p.acct
+	if mem.Pages(a.tmemUsed.Load()) >= a.target() {
+		return ETmem, false, ti
+	}
 	if mem.Pages(a.tmemUsed.Add(1)) > a.target() {
 		a.tmemUsed.Add(-1)
-		return ETmem, false, -1
+		return ETmem, false, ti
 	}
 	if !b.allocFrame() {
 		a.tmemUsed.Add(-1)
-		return ETmem, true, -1
+		return ETmem, true, ti
 	}
 	h, err := sh.store.Save(data)
 	if err != nil {
@@ -759,10 +800,7 @@ func (b *Backend) tryPutLocked(sh *shard, p *Pool, a *vmAccount, key Key, data [
 	}
 	// A key tracked in a lower tier turns local in place: its entry is the
 	// tracking record, consumed here.
-	fromTier = -1
-	if e != nil {
-		fromTier = int(e.tier)
-	} else {
+	if e == nil {
 		e = sh.insert(key)
 	}
 	e.pool, e.handle, e.tier = p, h, tierLocal
@@ -770,15 +808,17 @@ func (b *Backend) tryPutLocked(sh *shard, p *Pool, a *vmAccount, key Key, data [
 	if p.kind == Ephemeral {
 		sh.lruPush(e, b.lruClock.Add(1))
 	}
-	a.putsSucc.Add(1)
-	a.cumulPutsSucc.Add(1)
-	return STmem, false, fromTier
+	c.putsSucc++
+	return STmem, false, ti
 }
 
 // Get copies the page stored under key into dst (which may be nil when the
 // caller only cares about presence). Ephemeral hits are always destructive
 // (Xen semantics); persistent hits leave the page in place — the guest
-// issues an explicit FlushPage when it invalidates the swap slot.
+// issues an explicit FlushPage when it invalidates the swap slot — unless
+// the pool has exclusive gets (NewExclusivePool): then a hit also flushes
+// the page, as Get followed by FlushPage would, in the get's own critical
+// section.
 //
 // With tiers attached, a local miss on a key whose copy was shipped to a
 // lower tier is served from that tier (and counted as a hit: tmem served
@@ -792,52 +832,73 @@ func (b *Backend) get(key Key, dst []byte, withTiers bool) Status {
 	if p == nil {
 		return EInval
 	}
-	a := p.acct
-	a.cumulGetsTotal.Add(1)
-
 	sh := b.shardFor(key)
 	sh.mu.Lock()
-	e := sh.lookup(key)
-	if e == nil || (e.tier != tierLocal && !withTiers) {
-		sh.mu.Unlock()
-		return ETmem
-	}
-	if e.tier == tierLocal {
-		st := b.getHitLocked(sh, p, a, e, dst)
-		sh.mu.Unlock()
+	st, ti := b.getLocked(sh, p, key, dst, withTiers)
+	sh.mu.Unlock()
+	if ti < 0 {
 		return st
 	}
-	ti := e.tier
-	sh.mu.Unlock()
-	return b.tierAnswered(p, key, b.tiers[ti].Get(key, dst))
+	return b.tierAnswered(sh, p, key, b.tiers[ti], b.tiers[ti].Get(key, dst))
 }
 
-// tierAnswered settles a get of a tier-tracked key with the tier's answer:
-// a hit counts (tmem served the page, wherever it sat) and, being
-// destructive for an ephemeral page, ends the tracking; a miss — an
-// ephemeral drop on the peer, or the tier went down — ends it too.
-func (b *Backend) tierAnswered(p *Pool, key Key, st Status) Status {
-	if st == STmem {
-		p.acct.cumulGetsHit.Add(1)
-		if p.kind == Ephemeral {
-			b.shardFor(key).dropRemote(key)
+// getLocked is the part of a get under sh.mu: it counts the get and
+// serves a local hit. For a key tracked in a lower tier it returns that
+// tier's index, for the caller to ask once the lock is released; an
+// exclusive get stops tracking the key here.
+func (b *Backend) getLocked(sh *shard, p *Pool, key Key, dst []byte, withTiers bool) (st Status, ti int) {
+	c := &p.acct.counts[sh.idx]
+	c.getsTotal++
+	e := sh.lookup(key)
+	switch {
+	case e == nil || e.tier != tierLocal && !withTiers:
+		return ETmem, -1
+	case e.tier != tierLocal:
+		ti = int(e.tier)
+		if p.exclusive {
+			sh.remove(e)
 		}
-		return STmem
+		return ETmem, ti
 	}
-	b.shardFor(key).dropRemote(key)
-	return ETmem
-}
-
-// getHitLocked serves a local hit; the caller holds sh.mu.
-func (b *Backend) getHitLocked(sh *shard, p *Pool, a *vmAccount, e *entry, dst []byte) Status {
 	if dst != nil {
 		if err := sh.store.Load(e.handle, dst); err != nil {
-			return EInval
+			return EInval, -1
 		}
 	}
-	a.cumulGetsHit.Add(1)
-	if p.kind == Ephemeral {
+	c.getsHit++
+	if p.exclusive {
+		c.flushes++
+	}
+	if p.kind == Ephemeral || p.exclusive {
 		b.dropEntry(sh, e)
+	}
+	return STmem, -1
+}
+
+// tierAnswered settles a get of a key tracked in tier t with the tier's
+// answer st. A hit counts (tmem served the page, wherever it sat); being
+// destructive for an ephemeral page, it ends the tracking, and an
+// exclusive get, which already ended it, flushes the tier's copy. A miss —
+// an ephemeral drop on the peer, or the tier went down — ends the tracking
+// too.
+func (b *Backend) tierAnswered(sh *shard, p *Pool, key Key, t Tier, st Status) Status {
+	if st != STmem && p.exclusive {
+		return ETmem // a tracking entry there now is a later put's
+	}
+	flushed := st == STmem && p.exclusive && t.FlushPage(key) == STmem
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if st != STmem {
+		sh.dropRemoteLocked(key)
+		return ETmem
+	}
+	c := &p.acct.counts[sh.idx]
+	c.getsHit++
+	if flushed {
+		c.flushes++
+	}
+	if p.kind == Ephemeral {
+		sh.dropRemoteLocked(key)
 	}
 	return STmem
 }
@@ -869,6 +930,7 @@ func (b *Backend) flushPage(key Key, withTiers bool) Status {
 		return EInval
 	}
 	sh := b.shardFor(key)
+	c := &p.acct.counts[sh.idx]
 	sh.mu.Lock()
 	e := sh.lookup(key)
 	if e == nil || (e.tier != tierLocal && !withTiers) {
@@ -877,11 +939,18 @@ func (b *Backend) flushPage(key Key, withTiers bool) Status {
 	}
 	ti := e.tier
 	b.dropEntry(sh, e)
+	if ti < 0 {
+		c.flushes++
+		sh.mu.Unlock()
+		return STmem
+	}
 	sh.mu.Unlock()
-	if ti >= 0 && b.tiers[ti].FlushPage(key) != STmem {
+	if b.tiers[ti].FlushPage(key) != STmem {
 		return ETmem
 	}
-	p.acct.cumulFlushes.Add(1)
+	sh.mu.Lock()
+	c.flushes++
+	sh.mu.Unlock()
 	return STmem
 }
 
@@ -901,31 +970,40 @@ func (b *Backend) flushObject(pool PoolID, object ObjectID, withTiers bool) (mem
 	if p == nil {
 		return 0, EInval
 	}
-	n, tracked := b.sweepObject(pool, object)
+	n, tracked := b.sweepObject(p, object)
+	var freed mem.Pages
 	for ti, cnt := range tracked {
 		if cnt == 0 || !withTiers {
 			continue
 		}
-		if freed, st := b.tiers[ti].FlushObject(pool, object); st == STmem {
-			n += freed
+		if m, st := b.tiers[ti].FlushObject(pool, object); st == STmem {
+			freed += m
 		}
 	}
-	if n == 0 {
+	if freed > 0 {
+		// The tiers' pages belong to no stripe; any share of the
+		// counters will do, as every reader sums them.
+		sh := b.shards[0]
+		sh.mu.Lock()
+		p.acct.counts[sh.idx].flushes += uint64(freed)
+		sh.mu.Unlock()
+	}
+	if n += freed; n == 0 {
 		return 0, ETmem
 	}
-	p.acct.cumulFlushes.Add(uint64(n))
 	return n, STmem
 }
 
-// sweepObject sweeps an object out of every shard's index; n counts the
-// locally held pages dropped, tracked[i] the pages that were tracked in
-// tier i.
-func (b *Backend) sweepObject(pool PoolID, object ObjectID) (n mem.Pages, tracked []mem.Pages) {
+// sweepObject sweeps an object of pool p out of every shard's index and
+// counts its locally held pages as flushed there; n counts those pages,
+// tracked[i] the pages that were tracked in tier i.
+func (b *Backend) sweepObject(p *Pool, object ObjectID) (n mem.Pages, tracked []mem.Pages) {
 	tracked = make([]mem.Pages, len(b.tiers))
 	for _, sh := range b.shards {
 		sh.mu.Lock()
+		local := n
 		for e := range sh.each {
-			if e.key.Pool != pool || e.key.Object != object {
+			if k := e.leaf; k.pool != p.id || k.object != object {
 				continue
 			}
 			if e.tier == tierLocal {
@@ -935,6 +1013,7 @@ func (b *Backend) sweepObject(pool PoolID, object ObjectID) (n mem.Pages, tracke
 			}
 			b.dropEntry(sh, e)
 		}
+		p.acct.counts[sh.idx].flushes += uint64(n - local)
 		sh.mu.Unlock()
 	}
 	return n, tracked
@@ -1013,24 +1092,22 @@ func (b *Backend) CheckInvariants() error {
 	entryPages := make([]mem.Pages, len(pools))
 	var storeCount int
 	for _, sh := range b.shards {
-		indexed := 0
-		for e := range sh.each {
-			indexed++
-			switch {
-			case sh.lookup(e.key) != e:
-				return fmt.Errorf("tmem: page %v is in the slab but the index does not find it", e.key)
-			case b.pool(e.key.Pool) != e.pool:
-				return fmt.Errorf("tmem: shard holds entries of unknown pool %d", e.key.Pool)
-			case e.tier == tierLocal:
-				entryPages[e.key.Pool]++
-			case int(e.tier) >= len(b.tiers):
-				return fmt.Errorf("tmem: page %v tracked in nonexistent tier %d", e.key, e.tier)
-			case e.handle != NoHandle || e.prev != nil:
-				return fmt.Errorf("tmem: page %v tracked in tier %d still holds local state", e.key, e.tier)
-			}
+		if err := sh.check(); err != nil {
+			return err
 		}
-		if indexed != sh.live {
-			return fmt.Errorf("tmem: index holds %d keys but the slab %d entries", sh.live, indexed)
+		for e := range sh.each {
+			switch key := e.key(); {
+			case sh.lookup(key) != e || b.shardFor(key) != sh:
+				return fmt.Errorf("tmem: page %v is in a leaf but the index does not find it", key)
+			case b.pool(key.Pool) != e.pool:
+				return fmt.Errorf("tmem: shard holds entries of unknown pool %d", key.Pool)
+			case e.tier == tierLocal:
+				entryPages[key.Pool]++
+			case int(e.tier) >= len(b.tiers):
+				return fmt.Errorf("tmem: page %v tracked in nonexistent tier %d", key, e.tier)
+			case e.handle != NoHandle || e.prev != nil:
+				return fmt.Errorf("tmem: page %v tracked in tier %d still holds local state", key, e.tier)
+			}
 		}
 		storeCount += sh.store.Count()
 	}
@@ -1064,8 +1141,15 @@ func (b *Backend) CheckInvariants() error {
 		return fmt.Errorf("tmem: VM accounts sum to %d pages but %d frames are in use", vmPages, used)
 	}
 	for _, a := range b.vms {
-		if succ, total := a.cumulPutsSucc.Load(), a.cumulPutsTotal.Load(); succ > total {
-			return fmt.Errorf("tmem: vm %d puts_succ %d > puts_total %d", a.id, succ, total)
+		var c vmCounts
+		for i := range a.counts {
+			c.add(&a.counts[i])
+		}
+		if c.putsSucc > c.putsTotal {
+			return fmt.Errorf("tmem: vm %d puts_succ %d > puts_total %d", a.id, c.putsSucc, c.putsTotal)
+		}
+		if c.getsHit > c.getsTotal {
+			return fmt.Errorf("tmem: vm %d gets_hit %d > gets_total %d", a.id, c.getsHit, c.getsTotal)
 		}
 	}
 	return nil

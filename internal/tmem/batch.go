@@ -9,7 +9,7 @@ package tmem
 // stripes, order is unspecified (as for any concurrent callers). The guest
 // kernel makes one per-page call per fault, as the paper's hooks do.
 //
-// The locked fast paths reuse tryPutLocked/getHitLocked and the tier walk
+// The locked fast paths reuse tryPutLocked/getLocked and the tier walk
 // is Put's (Backend.offer), so batch and per-page operations can never
 // drift apart semantically. Pool resolution takes no lock (see
 // Backend.pool); tier calls always happen after the stripe lock is
@@ -108,7 +108,8 @@ func (b *Backend) putBatch(keys []Key, datas [][]byte, sts []Status, withTiers b
 
 	// A local answer either stands, or defers the key past the locked
 	// region: a fresh local copy of a tier-tracked key to the supersede
-	// flush (sup), a refusal to the tier walk (offer).
+	// flush (sup), a refusal to the tier walk (offer). Either way sc.ft[i]
+	// keeps the tier the key was tracked in.
 	settle := func(i int32, st Status, ft int) {
 		switch {
 		case st == STmem && ft >= 0 && withTiers:
@@ -116,6 +117,7 @@ func (b *Backend) putBatch(keys []Key, datas [][]byte, sts []Status, withTiers b
 			sc.ft[i] = int16(ft)
 			sc.sup = append(sc.sup, i)
 		case st == ETmem && withTiers:
+			sc.ft[i] = int16(ft)
 			sc.offer = append(sc.offer, i)
 		default:
 			sts[i] = st
@@ -132,10 +134,7 @@ func (b *Backend) putBatch(keys []Key, datas [][]byte, sts []Status, withTiers b
 				sts[i] = EInval
 				continue
 			}
-			a := p.acct
-			a.putsTotal.Add(1)
-			a.cumulPutsTotal.Add(1)
-			st, retry, ft := b.tryPutLocked(sh, p, a, keys[i], w.data(i))
+			st, retry, ft := b.tryPutLocked(sh, p, keys[i], w.data(i), true)
 			if retry {
 				sc.slow = append(sc.slow, i)
 				continue
@@ -150,7 +149,7 @@ func (b *Backend) putBatch(keys []Key, datas [][]byte, sts []Status, withTiers b
 	// stripe locks, so they cannot run under the batch group lock).
 	for _, i := range sc.slow {
 		p := sc.pools[i]
-		st, ft := b.putRetry(b.shardFor(keys[i]), p, p.acct, keys[i], w.data(i))
+		st, ft := b.putRetry(b.shardFor(keys[i]), p, keys[i], w.data(i), false)
 		settle(i, st, ft)
 	}
 	for _, i := range sc.sup {
@@ -223,18 +222,11 @@ func (b *Backend) getBatch(keys []Key, dsts [][]byte, sts []Status, withTiers bo
 				sts[i] = EInval
 				continue
 			}
-			a := p.acct
-			a.cumulGetsTotal.Add(1)
-			switch e := sh.lookup(keys[i]); {
-			case e == nil:
-				sts[i] = ETmem
-			case e.tier == tierLocal:
-				sts[i] = b.getHitLocked(sh, p, a, e, dst(i))
-			case withTiers:
-				sc.ft[i] = int16(e.tier)
+			st, ti := b.getLocked(sh, p, keys[i], dst(i), withTiers)
+			sts[i] = st
+			if ti >= 0 {
+				sc.ft[i] = int16(ti)
 				sc.offer = append(sc.offer, i)
-			default:
-				sts[i] = ETmem
 			}
 		}
 		sh.mu.Unlock()
@@ -258,7 +250,7 @@ func (b *Backend) getBatch(keys []Key, dsts [][]byte, sts []Status, withTiers bo
 			continue
 		case 1:
 			i := run[0]
-			sts[i] = b.tierAnswered(sc.pools[i], keys[i], t.Get(keys[i], dst(i)))
+			sts[i] = b.tierAnswered(b.shardFor(keys[i]), sc.pools[i], keys[i], t, t.Get(keys[i], dst(i)))
 			continue
 		}
 		sc.subKeys, sc.subDatas, sc.subSts = sc.subKeys[:0], sc.subDatas[:0], sc.subSts[:0]
@@ -269,7 +261,7 @@ func (b *Backend) getBatch(keys []Key, dsts [][]byte, sts []Status, withTiers bo
 		}
 		t.GetBatch(sc.subKeys, sc.subDatas, sc.subSts)
 		for j, i := range run {
-			sts[i] = b.tierAnswered(sc.pools[i], keys[i], sc.subSts[j])
+			sts[i] = b.tierAnswered(b.shardFor(keys[i]), sc.pools[i], keys[i], t, sc.subSts[j])
 		}
 	}
 }

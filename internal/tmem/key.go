@@ -42,12 +42,13 @@ func (k Key) String() string {
 	return fmt.Sprintf("tmem:%d/%d/%d", k.Pool, k.Object, k.Index)
 }
 
-// hash returns a well-mixed 64-bit hash of the full key tuple, used by the
-// sharded backend to assign keys to lock stripes. The page index feeds the
-// mix so the sequential indices frontswap and cleancache generate spread
-// uniformly across shards instead of clustering per object.
+// hash returns a well-mixed 64-bit hash of the key's run — pool, object and
+// Index>>6, the 64 consecutive pages one index leaf holds (see shard). Its
+// lower half picks the key's lock stripe and its upper half is the run's
+// tag in that stripe's table, so a whole run lives in one stripe while
+// consecutive runs of an object still spread across stripes.
 func (k Key) hash() uint64 {
-	x := uint64(uint32(k.Pool))<<32 | uint64(k.Index)
+	x := uint64(uint32(k.Pool))<<32 | uint64(k.Index>>runShift)
 	x ^= mix64(uint64(k.Object))
 	return mix64(x)
 }

@@ -109,9 +109,10 @@ type modelTmem struct {
 }
 
 type modelPool struct {
-	vm    VMID
-	kind  PoolKind
-	pages mem.Pages
+	vm        VMID
+	kind      PoolKind
+	exclusive bool // a get is a get and a flush
+	pages     mem.Pages
 }
 
 // tracked returns the keys tier ti holds, with their pools' kinds.
@@ -263,7 +264,7 @@ func (m *modelTmem) get(key Key) Status {
 	if _, known := m.where[key]; !known {
 		return ETmem
 	}
-	if p.kind == Ephemeral { // destructive, wherever the page sat
+	if p.kind == Ephemeral || p.exclusive { // destructive, wherever the page sat
 		m.drop(key)
 	}
 	return STmem
@@ -304,29 +305,37 @@ func (m *modelTmem) destroyPool(id PoolID) bool {
 // the same seeded op sequence and requires the same answers, the same
 // observable state and a consistent index after every single op. The number
 // of indexed keys is steered up and down across the sizes where one stripe's
-// flat index changes shape — a table at its maximum load and the doubling
-// past it (48, 96 and 192 keys), the first slab chunk filling up (256) — and
-// then pushed against the node's 300 frames, where puts evict, overflow and
-// fail. (Four stripes split the same keys, so each crosses 48 only.) Page
-// ops go one key at a time or, for puts and gets, as runs of distinct keys
-// (PutBatch, GetBatch). With tiers — one, or two of different sizes — now and
-// then one refuses to replace the pages it holds, so re-offers, the skipped
-// refuser and the walk order are checked on both paths.
+// index changes shape — a table at its maximum load and the doubling past
+// it, leaves emptied and reused — and then pushed against the node's 300
+// frames, where puts evict, overflow and fail. Page ops go one key at a
+// time or, for puts and gets, as runs of distinct keys (PutBatch,
+// GetBatch). With tiers — one, or two of different sizes — now and then one
+// refuses to replace the pages it holds, so re-offers, the skipped refuser
+// and the walk order are checked on both paths. The swap cases add a
+// pool with exclusive gets per VM and draw half their keys from a cursor
+// that walks an object's indices in order across run boundaries, as
+// frontswap's swap slots do.
 func TestBackendMatchesMapModel(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		for _, caps := range [][]int{nil, {40}, {24, 40}} {
-			name := "0"
-			if len(caps) > 0 {
-				name = strings.Trim(strings.ReplaceAll(fmt.Sprint(caps), " ", "+"), "[]")
+	for _, swap := range []bool{false, true} {
+		for _, shards := range []int{1, 4} {
+			for _, caps := range [][]int{nil, {40}, {24, 40}} {
+				name := "0"
+				if len(caps) > 0 {
+					name = strings.Trim(strings.ReplaceAll(fmt.Sprint(caps), " ", "+"), "[]")
+				}
+				name = fmt.Sprintf("shards-%d/tier-%s", shards, name)
+				if swap {
+					name += "/swap"
+				}
+				t.Run(name, func(t *testing.T) {
+					runModelOps(t, shards, caps, swap)
+				})
 			}
-			t.Run(fmt.Sprintf("shards-%d/tier-%s", shards, name), func(t *testing.T) {
-				runModelOps(t, shards, caps)
-			})
 		}
 	}
 }
 
-func runModelOps(t *testing.T, shards int, tierCaps []int) {
+func runModelOps(t *testing.T, shards int, tierCaps []int, swap bool) {
 	const (
 		total = mem.Pages(300)
 		ops   = 3000
@@ -346,15 +355,28 @@ func runModelOps(t *testing.T, shards int, tierCaps []int) {
 	rng := rand.New(rand.NewSource(0x7E4D))
 	var live []PoolID        // pools to draw keys from: VM 1's and VM 2's, one of each kind
 	stale := PoolID(1 << 30) // the last destroyed pool, or one that never was
-	newPool := func(vm VMID, kind PoolKind) PoolID {
-		id := b.NewPool(vm, kind)
-		m.pools[id] = &modelPool{vm: vm, kind: kind}
+	newPool := func(vm VMID, kind PoolKind, exclusive bool) PoolID {
+		var id PoolID
+		if exclusive {
+			id = b.NewExclusivePool(vm) // kind is Persistent
+		} else {
+			id = b.NewPool(vm, kind)
+		}
+		m.pools[id] = &modelPool{vm: vm, kind: kind, exclusive: exclusive}
 		return id
 	}
 	for _, vm := range []VMID{1, 2} {
-		live = append(live, newPool(vm, Persistent), newPool(vm, Ephemeral))
+		live = append(live, newPool(vm, Persistent, false), newPool(vm, Ephemeral, false))
+		if swap {
+			live = append(live, newPool(vm, Persistent, true))
+		}
 	}
+	cursor := PageIndex(0) // the swap cases' sequential index
 	randomKey := func() Key {
+		if swap && rng.Intn(2) == 0 {
+			cursor = (cursor + 1) % 200
+			return Key{Pool: live[rng.Intn(len(live))], Object: 1, Index: cursor}
+		}
 		return Key{Pool: live[rng.Intn(len(live))], Object: ObjectID(rng.Intn(8)), Index: PageIndex(rng.Intn(64))}
 	}
 	heldKey := func() Key {
@@ -444,7 +466,7 @@ func runModelOps(t *testing.T, shards int, tierCaps []int) {
 			j := rng.Intn(len(live))
 			p := m.pools[live[j]]
 			destroy(Key{Pool: live[j]})
-			stale, live[j] = live[j], newPool(p.vm, p.kind)
+			stale, live[j] = live[j], newPool(p.vm, p.kind, p.exclusive)
 		case r < 34:
 			flushObject(randomKey())
 		case r < 40: // every operation on a pool that is gone

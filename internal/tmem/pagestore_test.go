@@ -396,6 +396,27 @@ func BenchmarkBackendPutGetFlush(b *testing.B) {
 	}
 }
 
+// BenchmarkBackendSwapSweep times a frontswap-shaped life of a page: a
+// sequential put sweep, then an exclusive get sweep, over 64 Ki keys — an
+// index far larger than L2, where the put/get/flush benchmark above stays
+// in L1. One op is one key's put and get.
+func BenchmarkBackendSwapSweep(b *testing.B) {
+	const keys = 64 << 10
+	be := NewBackend(keys, NewMetaStore(testPage))
+	pool := be.NewExclusivePool(1)
+	b.ResetTimer()
+	for done := 0; done < b.N; {
+		n := min(keys, b.N-done)
+		for i := range n {
+			be.Put(Key{Pool: pool, Object: 1, Index: PageIndex(i)}, nil)
+		}
+		for i := range n {
+			be.Get(Key{Pool: pool, Object: 1, Index: PageIndex(i)}, nil)
+		}
+		done += n
+	}
+}
+
 func BenchmarkPageStoreBackends(b *testing.B) {
 	page := fill(0x3C)
 	for _, bc := range []struct {

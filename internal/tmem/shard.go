@@ -1,72 +1,106 @@
 package tmem
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // This file holds the lock-striping machinery of the sharded backend: the
-// shard, one stripe of the key index, page storage and ephemeral LRU.
+// shard, one stripe of the run index, page storage and ephemeral LRU.
 // Backend methods that coordinate across stripes live in backend.go.
 //
 // Lock ordering, outermost first:
 //
-//	poolMu -> shard.mu (ascending index when several) -> vmMu
+//	sampleMu -> poolMu -> shard.mu (ascending index when several) -> vmMu
 //
 // The hot path (Put/Get/FlushPage) holds exactly one shard.mu and nothing
-// else: pools resolve through an atomically published snapshot and frames
-// are a single atomic counter. No path ever holds two shard locks except
-// CheckInvariants, which acquires them in index order.
+// else: pools resolve through an atomically published snapshot, frames
+// are a single atomic counter, and an op's statistics are plain integers
+// of its stripe, written in the critical section it holds anyway. No path
+// ever holds two shard locks except CheckInvariants, which acquires them
+// in index order.
 
-// Entry states (entry.tier). A key is in its shard's index at most once, so
-// a page is held locally or tracked in a lower tier, never both.
+// Entry states (entry.tier). A key has one entry, so a page is held
+// locally or tracked in a lower tier, never both.
 const (
-	tierFree  = -2 // on the shard's free list, not in the index
+	tierFree  = -2 // no page under this key: the slot of its leaf is empty
 	tierLocal = -1 // page held by the shard's own store
 	// >= 0: the live copy sits in the backend's lower tier of that index
 )
 
 const (
-	entShift = 8
-	entChunk = 1 << entShift // entries per slab chunk (18 KiB)
-	entMask  = entChunk - 1
+	runShift = 6
+	runLen   = 1 << runShift // pages per run: the entries of one leaf
+	runMask  = runLen - 1
 
-	minSlots = 64 // first table allocation; doubles from here
+	minSlots = 16 // first table allocation; doubles from here
 )
 
-// entry is one indexed tmem page: stored locally, or tracked as living in a
-// lower tier (then pool is set, handle is NoHandle and it is off the LRU).
+// entry is one page slot of a leaf: empty (tierFree), a page stored locally,
+// or a page tracked as living in a lower tier (then pool is set, handle is
+// NoHandle and it is off the LRU).
 type entry struct {
-	key    Key
 	pool   *Pool
 	handle Handle
 	// Ephemeral entries are linked into their shard's eviction LRU; stamp
 	// is the global LRU clock value at link time (cross-shard age order).
-	// The free list chains through next.
 	stamp      uint64
 	prev, next *entry
-	self       uint32 // slab index
+	leaf       *leaf
 	tier       int32
+	off        uint8 // the entry's place in its leaf: Index & runMask
 }
 
-// shard is one lock stripe of the store: a partition of the key index, its
-// own page store instance and one segment of the ephemeral eviction LRU.
+// key is the full key the entry is indexed under.
+func (e *entry) key() Key {
+	return Key{Pool: e.leaf.pool, Object: e.leaf.object, Index: e.leaf.base | PageIndex(e.off)}
+}
+
+// leaf holds one run: the runLen consecutive page indices of one (pool,
+// object) starting at base, each entry at its index's offset. A leaf is
+// allocated once and never moves; while it has no live entry it waits on
+// the shard's free list for the next run.
+type leaf struct {
+	pool   PoolID
+	object ObjectID
+	base   PageIndex // Index &^ runMask of every key in the run
+	tag    uint32    // the run hash's upper half: the table probes on it
+	live   int32     // entries not tierFree
+	next   *leaf     // free-list link
+	ents   [runLen]entry
+}
+
+// slot is one table cell: a leaf in the table, or empty (lf == nil).
+type slot struct {
+	tag uint32
+	lf  *leaf
+}
+
+// shard is one lock stripe of the store: a partition of the run index, its
+// own page store instance, one segment of the ephemeral eviction LRU, and
+// its share of every VM's operation counters (vmAccount.counts[idx]).
 //
-// The index is one open-addressed table over the full Key — linear probing
-// on the upper half of Key.hash() (the lower half picks the stripe), with
-// backward-shift deletion, so there are no tombstones and a steady
-// put/flush cycle never degrades it. A slot packs that 32-bit hash half
-// with the entry's slab index + 1 (0 = empty): probes compare hashes
-// without touching entries, and growing rehashes from the slots alone.
-// Entries live in fixed-size chunks allocated on demand that never move,
-// so LRU links and callers hold plain pointers across inserts. Neither the
-// table nor the slab ever shrinks.
+// The index is one open-addressed table of runs: one slot per (pool,
+// object, index>>runShift) that has a live entry, probed linearly on the
+// upper half of Key.hash() (the lower half picks the stripe), with
+// backward-shift deletion, so there are no tombstones. A slot carries that
+// 32-bit hash half beside its leaf, so a probe compares tags without
+// touching leaves. Keys come in dense runs — a VM's consecutive swap
+// slots, a file's consecutive pages — so the 64 lookups of a run's sweep
+// all land on one slot and one leaf, which stay in cache. Leaves never
+// move, so LRU links and callers hold plain pointers across inserts; the
+// table shifts back only when a leaf empties. Neither the table nor the
+// leaf set ever shrinks.
 type shard struct {
 	mu    sync.Mutex
+	idx   int // the stripe's index in Backend.shards and vmAccount.counts
 	store PageStore
 
-	slots  []uint64
-	live   int // occupied slots
-	chunks []*[entChunk]entry
-	used   uint32 // slab high-water mark: entries [0, used) have been handed out
-	free   *entry
+	slots  []slot
+	runs   int     // occupied slots: leaves with live entries
+	live   int     // indexed keys
+	leaves []*leaf // every leaf ever allocated, in allocation order
+	free   *leaf
 
 	// Ephemeral LRU segment: lru.next is the shard's oldest entry. Entries
 	// carry a stamp from the backend's global LRU clock so cross-shard
@@ -74,8 +108,8 @@ type shard struct {
 	lru entry // sentinel
 }
 
-func newShard(store PageStore) *shard {
-	sh := &shard{store: store}
+func newShard(idx int, store PageStore) *shard {
+	sh := &shard{idx: idx, store: store}
 	sh.lru.prev = &sh.lru
 	sh.lru.next = &sh.lru
 	return sh
@@ -99,82 +133,106 @@ func (sh *shard) lruRemove(e *entry) {
 	e.prev, e.next = nil, nil
 }
 
-// tag is the half of the key hash the table probes and stores.
-func (k Key) tag() uint32 { return uint32(k.hash() >> 32) }
+// run returns key's leaf, or nil when no key of its run is indexed. Caller
+// holds mu.
+func (sh *shard) run(key Key) *leaf {
+	if sh.runs == 0 {
+		return nil
+	}
+	tag, mask := uint32(key.hash()>>32), uint32(len(sh.slots)-1)
+	base := key.Index &^ runMask
+	for i := tag & mask; ; i = (i + 1) & mask {
+		s := &sh.slots[i]
+		if s.lf == nil {
+			return nil
+		}
+		if s.tag == tag && s.lf.base == base && s.lf.object == key.Object && s.lf.pool == key.Pool {
+			return s.lf
+		}
+	}
+}
 
 // lookup returns the entry indexed under key — local or tier-tracked — or
 // nil. Caller holds mu.
 func (sh *shard) lookup(key Key) *entry {
-	if sh.live == 0 {
-		return nil
-	}
-	tag, mask := key.tag(), uint32(len(sh.slots)-1)
-	for i := tag & mask; ; i = (i + 1) & mask {
-		s := sh.slots[i]
-		if s == 0 {
-			return nil
-		}
-		if uint32(s>>32) == tag {
-			n := uint32(s) - 1
-			if e := &sh.chunks[n>>entShift][n&entMask]; e.key == key {
-				return e
-			}
+	if lf := sh.run(key); lf != nil {
+		if e := &lf.ents[key.Index&runMask]; e.tier != tierFree {
+			return e
 		}
 	}
+	return nil
 }
 
-// insert indexes key, which must be absent, and returns its entry with only
-// key and self set; the caller fills in pool, handle and tier. Caller holds
-// mu.
+// insert indexes key, which must be absent, and returns its entry; the
+// caller fills in pool, handle and tier. Caller holds mu.
 func (sh *shard) insert(key Key) *entry {
-	if (sh.live+1)*4 > len(sh.slots)*3 {
+	lf := sh.run(key)
+	if lf == nil {
+		lf = sh.addRun(key)
+	}
+	lf.live++
+	sh.live++
+	return &lf.ents[key.Index&runMask]
+}
+
+// addRun takes a leaf for key's run, from the free list or freshly
+// allocated, and enters it in the table.
+func (sh *shard) addRun(key Key) *leaf {
+	if (sh.runs+1)*4 > len(sh.slots)*3 {
 		sh.grow()
 	}
-	e := sh.free
-	if e != nil {
-		sh.free, e.next = e.next, nil
+	lf := sh.free
+	if lf != nil {
+		sh.free, lf.next = lf.next, nil
 	} else {
-		if int(sh.used>>entShift) == len(sh.chunks) {
-			sh.chunks = append(sh.chunks, new([entChunk]entry))
+		lf = new(leaf)
+		for i := range lf.ents {
+			lf.ents[i] = entry{leaf: lf, off: uint8(i), tier: tierFree, handle: NoHandle}
 		}
-		e = &sh.chunks[sh.used>>entShift][sh.used&entMask]
-		e.self = sh.used
-		sh.used++
+		sh.leaves = append(sh.leaves, lf)
 	}
-	e.key = key
-	tag, mask := key.tag(), uint32(len(sh.slots)-1)
-	i := tag & mask
-	for sh.slots[i] != 0 {
+	lf.pool, lf.object, lf.base = key.Pool, key.Object, key.Index&^runMask
+	lf.tag = uint32(key.hash() >> 32)
+	mask := uint32(len(sh.slots) - 1)
+	i := lf.tag & mask
+	for sh.slots[i].lf != nil {
 		i = (i + 1) & mask
 	}
-	sh.slots[i] = uint64(tag)<<32 | uint64(e.self+1)
-	sh.live++
-	return e
+	sh.slots[i] = slot{lf.tag, lf}
+	sh.runs++
+	return lf
 }
 
-// grow doubles the table and re-places every slot by its stored hash.
+// grow doubles the table and re-places every slot by its stored tag.
 func (sh *shard) grow() {
 	old := sh.slots
-	sh.slots = make([]uint64, max(2*len(old), minSlots))
+	sh.slots = make([]slot, max(2*len(old), minSlots))
 	mask := uint32(len(sh.slots) - 1)
 	for _, s := range old {
-		if s == 0 {
+		if s.lf == nil {
 			continue
 		}
-		i := uint32(s>>32) & mask
-		for sh.slots[i] != 0 {
+		i := s.tag & mask
+		for sh.slots[i].lf != nil {
 			i = (i + 1) & mask
 		}
 		sh.slots[i] = s
 	}
 }
 
-// remove unindexes e and returns it to the free list. The caller holds mu,
-// has already taken e off the LRU, and must not touch e afterwards.
+// remove unindexes e; the last entry of a run to go takes its leaf out of
+// the table and onto the free list. The caller holds mu and has already
+// taken e off the LRU.
 func (sh *shard) remove(e *entry) {
+	lf := e.leaf
+	*e = entry{leaf: lf, off: e.off, tier: tierFree, handle: NoHandle}
+	sh.live--
+	if lf.live--; lf.live > 0 {
+		return
+	}
 	mask := uint32(len(sh.slots) - 1)
-	hole := e.key.tag() & mask
-	for uint32(sh.slots[hole]) != e.self+1 {
+	hole := lf.tag & mask
+	for sh.slots[hole].lf != lf {
 		hole = (hole + 1) & mask
 	}
 	// Backward shift: pull every later member of the probe run whose home
@@ -182,28 +240,81 @@ func (sh *shard) remove(e *entry) {
 	for i := hole; ; {
 		i = (i + 1) & mask
 		s := sh.slots[i]
-		if s == 0 {
+		if s.lf == nil {
 			break
 		}
-		if (i-uint32(s>>32))&mask >= (i-hole)&mask {
+		if (i-s.tag)&mask >= (i-hole)&mask {
 			sh.slots[hole] = s
 			hole = i
 		}
 	}
-	sh.slots[hole] = 0
-	sh.live--
-	*e = entry{self: e.self, tier: tierFree, handle: NoHandle, next: sh.free}
-	sh.free = e
+	sh.slots[hole] = slot{}
+	sh.runs--
+	lf.next = sh.free
+	sh.free = lf
 }
 
-// each ranges over every indexed entry in slab order (for e := range
-// sh.each). The loop body may remove the entry it is handed. Caller holds mu.
+// each ranges over every indexed entry, leaf by leaf in allocation order
+// and by index within a leaf (for e := range sh.each). The loop body may
+// remove the entry it is handed. Caller holds mu.
 func (sh *shard) each(yield func(*entry) bool) {
-	for n := uint32(0); n < sh.used; n++ {
-		if e := &sh.chunks[n>>entShift][n&entMask]; e.tier != tierFree && !yield(e) {
-			return
+	for _, lf := range sh.leaves {
+		if lf.live == 0 {
+			continue
+		}
+		for i := range lf.ents {
+			if e := &lf.ents[i]; e.tier != tierFree && !yield(e) {
+				return
+			}
 		}
 	}
+}
+
+// check verifies the index's structure: every live leaf sits in the table
+// once, under its own tag, and counts its entries right; every other leaf
+// is empty and on the free list. Caller holds mu.
+func (sh *shard) check() error {
+	inTable := 0
+	for _, s := range sh.slots {
+		if s.lf == nil {
+			continue
+		}
+		inTable++
+		if s.tag != s.lf.tag || s.lf.live == 0 {
+			return fmt.Errorf("tmem: table slot of run %d/%d/%d has tag %#x (leaf %#x) and %d live entries",
+				s.lf.pool, s.lf.object, s.lf.base, s.tag, s.lf.tag, s.lf.live)
+		}
+	}
+	if inTable != sh.runs {
+		return fmt.Errorf("tmem: table holds %d runs, counted %d", inTable, sh.runs)
+	}
+	free := 0
+	for lf := sh.free; lf != nil; lf = lf.next {
+		free++
+	}
+	keys, live := 0, 0
+	for _, lf := range sh.leaves {
+		n := int32(0)
+		for i := range lf.ents {
+			if lf.ents[i].tier != tierFree {
+				n++
+			}
+		}
+		if n != lf.live {
+			return fmt.Errorf("tmem: leaf of run %d/%d/%d counts %d live entries, holds %d", lf.pool, lf.object, lf.base, lf.live, n)
+		}
+		if n > 0 {
+			live++
+			keys += int(n)
+		}
+	}
+	if live != sh.runs || live+free != len(sh.leaves) {
+		return fmt.Errorf("tmem: %d leaves: %d live, %d free, %d runs in the table", len(sh.leaves), live, free, sh.runs)
+	}
+	if keys != sh.live {
+		return fmt.Errorf("tmem: leaves hold %d keys, counted %d", keys, sh.live)
+	}
+	return nil
 }
 
 // --- lower-tier page tracking ---
@@ -247,6 +358,11 @@ func (sh *shard) remoteTier(key Key) int {
 func (sh *shard) dropRemote(key Key) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	sh.dropRemoteLocked(key)
+}
+
+// dropRemoteLocked is dropRemote for a caller holding mu.
+func (sh *shard) dropRemoteLocked(key Key) {
 	if e := sh.lookup(key); e != nil && e.tier >= 0 {
 		sh.remove(e)
 	}

@@ -90,18 +90,21 @@ type capacityAmplifier interface {
 	EffectiveExtraPages() mem.Pages
 }
 
-// Sample snapshots the statistics of Table I and resets the interval
-// counters (puts_total, puts_succ), beginning the next sampling interval.
-// The hypervisor invokes this once per second of virtual time and pushes
-// the result through the TKM to the MM.
+// Sample snapshots the statistics of Table I and begins the next sampling
+// interval: the interval counts (puts_total, puts_succ) are the cumulative
+// counts minus those of the previous sample. The hypervisor invokes this
+// once per second of virtual time and pushes the result through the TKM to
+// the MM.
 //
-// The snapshot is assembled by aggregating the striped atomic counters —
-// it takes no shard lock, so sampling never stalls the put/get/flush hot
-// path. Each interval counter is drained with an atomic swap; on a
-// concurrently mutated backend the per-VM values are each exact while the
-// sample as a whole is only approximately simultaneous, which is the same
-// tolerance the paper's 1 Hz VIRQ snapshot has.
+// The put counters are summed stripe by stripe, each under its stripe's
+// lock, which a sample holds for one pass over the VMs. Every stripe's
+// share is exact, so a VM's puts_succ never exceeds its puts_total in the
+// cumulative counts; on a concurrently mutated backend the sample as a
+// whole is only approximately simultaneous, which is the same tolerance
+// the paper's 1 Hz VIRQ snapshot has.
 func (b *Backend) Sample(seq uint64) MemStats {
+	b.sampleMu.Lock()
+	defer b.sampleMu.Unlock()
 	b.vmMu.RLock()
 	accounts := make([]*vmAccount, 0, len(b.vms))
 	for _, a := range b.vms {
@@ -126,14 +129,23 @@ func (b *Backend) Sample(seq uint64) MemStats {
 		}
 	}
 	for _, a := range accounts {
-		ms.VMs = append(ms.VMs, VMStat{
-			ID:              a.id,
-			PutsTotal:       a.putsTotal.Swap(0),
-			PutsSucc:        a.putsSucc.Swap(0),
-			TmemUsed:        mem.Pages(a.tmemUsed.Load()),
-			MMTarget:        a.target(),
-			CumulPutsFailed: a.cumulPutsFailed(),
-		})
+		ms.VMs = append(ms.VMs, VMStat{ID: a.id})
+	}
+	for i, sh := range b.shards {
+		sh.mu.Lock()
+		for j, a := range accounts {
+			ms.VMs[j].PutsTotal += a.counts[i].putsTotal
+			ms.VMs[j].PutsSucc += a.counts[i].putsSucc
+		}
+		sh.mu.Unlock()
+	}
+	for j, a := range accounts {
+		v := &ms.VMs[j]
+		v.CumulPutsFailed = v.PutsTotal - v.PutsSucc
+		v.PutsTotal, a.sampledTotal = v.PutsTotal-a.sampledTotal, v.PutsTotal
+		v.PutsSucc, a.sampledSucc = v.PutsSucc-a.sampledSucc, v.PutsSucc
+		v.TmemUsed = mem.Pages(a.tmemUsed.Load())
+		v.MMTarget = a.target()
 	}
 	sort.Slice(ms.VMs, func(i, j int) bool { return ms.VMs[i].ID < ms.VMs[j].ID })
 	return ms
@@ -163,13 +175,19 @@ func (b *Backend) Counts(vm VMID) (OpCounts, bool) {
 	if a == nil {
 		return OpCounts{}, false
 	}
+	var c vmCounts
+	for i, sh := range b.shards {
+		sh.mu.Lock()
+		c.add(&a.counts[i])
+		sh.mu.Unlock()
+	}
 	return OpCounts{
 		ID:         a.id,
-		PutsTotal:  a.cumulPutsTotal.Load(),
-		PutsSucc:   a.cumulPutsSucc.Load(),
-		GetsTotal:  a.cumulGetsTotal.Load(),
-		GetsHit:    a.cumulGetsHit.Load(),
-		Flushes:    a.cumulFlushes.Load(),
-		EphEvicted: a.cumulEphEvicted.Load(),
+		PutsTotal:  c.putsTotal,
+		PutsSucc:   c.putsSucc,
+		GetsTotal:  c.getsTotal,
+		GetsHit:    c.getsHit,
+		Flushes:    c.flushes,
+		EphEvicted: c.ephEvicted,
 	}, true
 }
