@@ -96,9 +96,9 @@ func (a *vmAccount) target() mem.Pages { return mem.Pages(a.mmTarget.Load()) }
 // allocator plus target enforcement of paper Algorithm 1. All methods are
 // safe for concurrent use.
 //
-// The store is sharded: keys hash by run — 64 consecutive page indices of
+// The store is sharded: keys hash by run — 8 consecutive page indices of
 // one object — to one of N lock stripes, each owning its slice of the run
-// index (one table of 64-entry leaves per stripe, see shard), its own page
+// index (one table of 8-entry leaves per stripe, see shard), its own page
 // store, one segment of the ephemeral LRU and its share of the per-VM
 // operation counters. Capacity stays global — the free-frame count is one
 // atomic counter (frames are counted, not numbered: nothing is addressed

@@ -43,7 +43,7 @@ func (k Key) String() string {
 }
 
 // hash returns a well-mixed 64-bit hash of the key's run — pool, object and
-// Index>>6, the 64 consecutive pages one index leaf holds (see shard). Its
+// Index>>runShift, the consecutive pages one index leaf holds (see shard). Its
 // lower half picks the key's lock stripe and its upper half is the run's
 // tag in that stripe's table, so a whole run lives in one stripe while
 // consecutive runs of an object still spread across stripes.

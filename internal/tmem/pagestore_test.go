@@ -399,8 +399,19 @@ func BenchmarkBackendPutGetFlush(b *testing.B) {
 // BenchmarkBackendSwapSweep times a frontswap-shaped life of a page: a
 // sequential put sweep, then an exclusive get sweep, over 64 Ki keys — an
 // index far larger than L2, where the put/get/flush benchmark above stays
-// in L1. One op is one key's put and get.
+// in L1. One op is one key's put and get. sequential numbers the keys as a
+// swap device does; object-per-key gives each key an object of its own, so
+// no two share a run and each put takes a leaf that its get frees.
 func BenchmarkBackendSwapSweep(b *testing.B) {
+	b.Run("sequential", func(b *testing.B) {
+		benchSwapSweep(b, func(pool PoolID, i int) Key { return Key{Pool: pool, Object: 1, Index: PageIndex(i)} })
+	})
+	b.Run("object-per-key", func(b *testing.B) {
+		benchSwapSweep(b, func(pool PoolID, i int) Key { return Key{Pool: pool, Object: ObjectID(i)} })
+	})
+}
+
+func benchSwapSweep(b *testing.B, key func(PoolID, int) Key) {
 	const keys = 64 << 10
 	be := NewBackend(keys, NewMetaStore(testPage))
 	pool := be.NewExclusivePool(1)
@@ -408,10 +419,10 @@ func BenchmarkBackendSwapSweep(b *testing.B) {
 	for done := 0; done < b.N; {
 		n := min(keys, b.N-done)
 		for i := range n {
-			be.Put(Key{Pool: pool, Object: 1, Index: PageIndex(i)}, nil)
+			be.Put(key(pool, i), nil)
 		}
 		for i := range n {
-			be.Get(Key{Pool: pool, Object: 1, Index: PageIndex(i)}, nil)
+			be.Get(key(pool, i), nil)
 		}
 		done += n
 	}

@@ -2,7 +2,10 @@ package tmem
 
 import (
 	"math"
+	"runtime"
 	"testing"
+
+	"smartmem/internal/mem"
 )
 
 // indexRig is a one-stripe backend with one persistent pool, for tests of
@@ -26,8 +29,9 @@ func mustHold(t *testing.T, b *Backend) {
 func TestRunIndexBoundaries(t *testing.T) {
 	b, sh, pool := indexRig(t)
 	keys := []Key{
-		{pool, 1, 0}, {pool, 1, 63}, {pool, 1, 64}, {pool, 1, 127}, {pool, 1, 128},
-		{pool, 1, math.MaxUint32 - 64}, {pool, 1, math.MaxUint32 - 63}, {pool, 1, math.MaxUint32},
+		{pool, 1, 0}, {pool, 1, runLen - 1}, {pool, 1, runLen}, {pool, 1, 2*runLen - 1}, {pool, 1, 2 * runLen},
+		{pool, 1, 63}, {pool, 1, 64},
+		{pool, 1, math.MaxUint32 - runLen}, {pool, 1, math.MaxUint32 - runLen + 1}, {pool, 1, math.MaxUint32},
 		{pool, math.MaxUint64, 0}, {pool, math.MaxUint64, math.MaxUint32},
 	}
 	runs := map[Key]bool{} // keys with Index cut to their run's base
@@ -50,7 +54,7 @@ func TestRunIndexBoundaries(t *testing.T) {
 			t.Errorf("%v sits at %d+%d", k, base, e.off)
 		}
 	}
-	if sh.lookup(Key{pool, 1, 65}) != nil || sh.lookup(Key{pool, 2, 64}) != nil {
+	if sh.lookup(Key{pool, 1, runLen + 1}) != nil || sh.lookup(Key{pool, 2, runLen}) != nil {
 		t.Error("an absent key of a held run, or of an absent object, was found")
 	}
 	for i, k := range keys {
@@ -86,19 +90,19 @@ func TestRunIndexLeafReuse(t *testing.T) {
 	if sh.free != first || sh.runs != 0 {
 		t.Fatalf("emptied leaf not on the free list (runs %d)", sh.runs)
 	}
-	k := Key{pool, 2, 64 + 5}
+	k := Key{pool, 2, runLen + 5}
 	b.Put(k, nil)
 	mustHold(t, b)
 	e := sh.lookup(k)
-	if e == nil || e.leaf != first || e.key() != k || len(sh.leaves) != 1 {
-		t.Fatalf("new run got entry %v of a fresh leaf (%d leaves), want the reused one", e, len(sh.leaves))
+	if e == nil || e.leaf != first || e.key() != k || len(sh.chunks) != 1 {
+		t.Fatalf("new run got entry %v of a fresh leaf (%d chunks), want the reused one", e, len(sh.chunks))
 	}
 	for i := range PageIndex(runLen) {
 		if b.Contains(Key{pool, 1, i}) {
 			t.Fatalf("key %d of the old run is back", i)
 		}
 	}
-	if b.Get(Key{pool, 2, 64}, nil) != ETmem || b.Get(k, nil) != STmem {
+	if b.Get(Key{pool, 2, runLen}, nil) != ETmem || b.Get(k, nil) != STmem {
 		t.Error("reused leaf answers wrong")
 	}
 }
@@ -160,12 +164,12 @@ func TestRunIndexTagCollision(t *testing.T) {
 		seen[tag] = o
 	}
 	b.Put(a, nil)
-	b.Put(Key{c.Pool, c.Object, 9}, nil)
+	b.Put(Key{c.Pool, c.Object, runMask}, nil)
 	mustHold(t, b)
-	if sh.lookup(c) != nil || sh.lookup(Key{a.Pool, a.Object, 9}) != nil {
+	if sh.lookup(c) != nil || sh.lookup(Key{a.Pool, a.Object, runMask}) != nil {
 		t.Fatal("a key of one colliding run was found in the other's leaf")
 	}
-	if sh.lookup(a) == nil || sh.lookup(Key{c.Pool, c.Object, 9}) == nil {
+	if sh.lookup(a) == nil || sh.lookup(Key{c.Pool, c.Object, runMask}) == nil {
 		t.Fatal("a colliding run is lost")
 	}
 	home := uint32(a.hash()>>32) & uint32(len(sh.slots)-1)
@@ -174,7 +178,7 @@ func TestRunIndexTagCollision(t *testing.T) {
 	}
 	b.FlushPage(a)
 	mustHold(t, b)
-	e := sh.lookup(Key{c.Pool, c.Object, 9})
+	e := sh.lookup(Key{c.Pool, c.Object, runMask})
 	if e == nil || sh.slots[home].lf != e.leaf {
 		t.Fatal("removing the first colliding run did not shift the second back into its home slot")
 	}
@@ -203,5 +207,49 @@ func TestSwapSweepAllocatesNothing(t *testing.T) {
 	mustHold(t, b)
 	if n := b.TotalPages() - b.FreePages(); n != 0 {
 		t.Errorf("%d pages held after the get sweep", n)
+	}
+}
+
+// indexBytesPerKey is the heap one stored key costs a one-stripe MetaStore
+// backend — index, leaves and the store's handle — when n keys are put in
+// the shape key gives.
+func indexBytesPerKey(t *testing.T, n int, key func(pool PoolID, i int) Key) float64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	b := NewBackend(mem.Pages(n), NewMetaStore(testPage))
+	pool := b.NewPool(1, Persistent)
+	for i := range n {
+		if b.Put(key(pool, i), nil) != STmem {
+			t.Fatalf("put %d failed", i)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(b)
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(n)
+}
+
+// TestIndexHeapPerKey bounds what a key costs when keys share no run: one
+// page per object, as a key-value client may store them, and every third
+// index of three interleaved objects. The first key of a run pays for its
+// whole leaf, so a key alone in its run costs one leaf and its table slot,
+// under a sixth of the page it indexes; dense keys cost no more than the
+// per-key table the run index replaced (about 90 bytes).
+func TestIndexHeapPerKey(t *testing.T) {
+	const n = 1 << 14
+	for _, c := range []struct {
+		name string
+		key  func(PoolID, int) Key
+		max  float64
+	}{
+		{"dense", func(p PoolID, i int) Key { return Key{p, 1, PageIndex(i)} }, 96},
+		{"object-per-key", func(p PoolID, i int) Key { return Key{p, ObjectID(i), 0} }, testPage / 6},
+		{"stride-3", func(p PoolID, i int) Key { return Key{p, ObjectID(i % 3), PageIndex(i)} }, 256},
+	} {
+		if got := indexBytesPerKey(t, n, c.key); got > c.max {
+			t.Errorf("%s: %.0f heap bytes per key, want <= %.0f", c.name, got, c.max)
+		}
 	}
 }

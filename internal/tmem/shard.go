@@ -28,12 +28,18 @@ const (
 	// >= 0: the live copy sits in the backend's lower tier of that index
 )
 
+// A run is 8 pages. A sweep over consecutive keys misses the cache once
+// per run, and a key that shares its run with no other costs a whole leaf:
+// 8 entries, 480 bytes, under an eighth of the page it indexes. Longer
+// runs cut the first cost and multiply the second, and put more of a
+// server's hot keys behind one stripe lock.
 const (
-	runShift = 6
+	runShift = 3
 	runLen   = 1 << runShift // pages per run: the entries of one leaf
 	runMask  = runLen - 1
 
-	minSlots = 16 // first table allocation; doubles from here
+	leafChunk = 32 // leaves allocated at once: 256 pages' entries (15 KiB)
+	minSlots  = 16 // first table allocation; doubles from here
 )
 
 // entry is one page slot of a leaf: empty (tierFree), a page stored locally,
@@ -57,9 +63,9 @@ func (e *entry) key() Key {
 }
 
 // leaf holds one run: the runLen consecutive page indices of one (pool,
-// object) starting at base, each entry at its index's offset. A leaf is
-// allocated once and never moves; while it has no live entry it waits on
-// the shard's free list for the next run.
+// object) starting at base, each entry at its index's offset. Leaves are
+// allocated leafChunk at a time and never move; while a leaf has no live
+// entry it waits on the shard's free list for the next run.
 type leaf struct {
 	pool   PoolID
 	object ObjectID
@@ -86,8 +92,8 @@ type slot struct {
 // backward-shift deletion, so there are no tombstones. A slot carries that
 // 32-bit hash half beside its leaf, so a probe compares tags without
 // touching leaves. Keys come in dense runs — a VM's consecutive swap
-// slots, a file's consecutive pages — so the 64 lookups of a run's sweep
-// all land on one slot and one leaf, which stay in cache. Leaves never
+// slots, a file's consecutive pages — so the lookups of a run's sweep all
+// land on one slot and one leaf, which stay in cache. Leaves never
 // move, so LRU links and callers hold plain pointers across inserts; the
 // table shifts back only when a leaf empties. Neither the table nor the
 // leaf set ever shrinks.
@@ -97,9 +103,9 @@ type shard struct {
 	store PageStore
 
 	slots  []slot
-	runs   int     // occupied slots: leaves with live entries
-	live   int     // indexed keys
-	leaves []*leaf // every leaf ever allocated, in allocation order
+	runs   int                // occupied slots: leaves with live entries
+	live   int                // indexed keys
+	chunks []*[leafChunk]leaf // every leaf allocated, in allocation order
 	free   *leaf
 
 	// Ephemeral LRU segment: lru.next is the shard's oldest entry. Entries
@@ -175,22 +181,17 @@ func (sh *shard) insert(key Key) *entry {
 	return &lf.ents[key.Index&runMask]
 }
 
-// addRun takes a leaf for key's run, from the free list or freshly
-// allocated, and enters it in the table.
+// addRun takes a leaf for key's run from the free list, refilled a chunk
+// at a time, and enters it in the table.
 func (sh *shard) addRun(key Key) *leaf {
 	if (sh.runs+1)*4 > len(sh.slots)*3 {
 		sh.grow()
 	}
-	lf := sh.free
-	if lf != nil {
-		sh.free, lf.next = lf.next, nil
-	} else {
-		lf = new(leaf)
-		for i := range lf.ents {
-			lf.ents[i] = entry{leaf: lf, off: uint8(i), tier: tierFree, handle: NoHandle}
-		}
-		sh.leaves = append(sh.leaves, lf)
+	if sh.free == nil {
+		sh.addChunk()
 	}
+	lf := sh.free
+	sh.free, lf.next = lf.next, nil
 	lf.pool, lf.object, lf.base = key.Pool, key.Object, key.Index&^runMask
 	lf.tag = uint32(key.hash() >> 32)
 	mask := uint32(len(sh.slots) - 1)
@@ -201,6 +202,21 @@ func (sh *shard) addRun(key Key) *leaf {
 	sh.slots[i] = slot{lf.tag, lf}
 	sh.runs++
 	return lf
+}
+
+// addChunk allocates leafChunk empty leaves onto the free list, which must
+// be empty, so they are taken in allocation order.
+func (sh *shard) addChunk() {
+	c := new([leafChunk]leaf)
+	for i := len(c) - 1; i >= 0; i-- {
+		lf := &c[i]
+		for j := range lf.ents {
+			lf.ents[j] = entry{leaf: lf, off: uint8(j), tier: tierFree, handle: NoHandle}
+		}
+		lf.next = sh.free
+		sh.free = lf
+	}
+	sh.chunks = append(sh.chunks, c)
 }
 
 // grow doubles the table and re-places every slot by its stored tag.
@@ -258,13 +274,16 @@ func (sh *shard) remove(e *entry) {
 // and by index within a leaf (for e := range sh.each). The loop body may
 // remove the entry it is handed. Caller holds mu.
 func (sh *shard) each(yield func(*entry) bool) {
-	for _, lf := range sh.leaves {
-		if lf.live == 0 {
-			continue
-		}
-		for i := range lf.ents {
-			if e := &lf.ents[i]; e.tier != tierFree && !yield(e) {
-				return
+	for _, c := range sh.chunks {
+		for j := range c {
+			lf := &c[j]
+			if lf.live == 0 {
+				continue
+			}
+			for i := range lf.ents {
+				if e := &lf.ents[i]; e.tier != tierFree && !yield(e) {
+					return
+				}
 			}
 		}
 	}
@@ -293,23 +312,26 @@ func (sh *shard) check() error {
 		free++
 	}
 	keys, live := 0, 0
-	for _, lf := range sh.leaves {
-		n := int32(0)
-		for i := range lf.ents {
-			if lf.ents[i].tier != tierFree {
-				n++
+	for _, c := range sh.chunks {
+		for j := range c {
+			lf := &c[j]
+			n := int32(0)
+			for i := range lf.ents {
+				if lf.ents[i].tier != tierFree {
+					n++
+				}
+			}
+			if n != lf.live {
+				return fmt.Errorf("tmem: leaf of run %d/%d/%d counts %d live entries, holds %d", lf.pool, lf.object, lf.base, lf.live, n)
+			}
+			if n > 0 {
+				live++
+				keys += int(n)
 			}
 		}
-		if n != lf.live {
-			return fmt.Errorf("tmem: leaf of run %d/%d/%d counts %d live entries, holds %d", lf.pool, lf.object, lf.base, lf.live, n)
-		}
-		if n > 0 {
-			live++
-			keys += int(n)
-		}
 	}
-	if live != sh.runs || live+free != len(sh.leaves) {
-		return fmt.Errorf("tmem: %d leaves: %d live, %d free, %d runs in the table", len(sh.leaves), live, free, sh.runs)
+	if leaves := len(sh.chunks) * leafChunk; live != sh.runs || live+free != leaves {
+		return fmt.Errorf("tmem: %d leaves: %d live, %d free, %d runs in the table", leaves, live, free, sh.runs)
 	}
 	if keys != sh.live {
 		return fmt.Errorf("tmem: leaves hold %d keys, counted %d", keys, sh.live)

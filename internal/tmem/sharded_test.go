@@ -239,8 +239,11 @@ func TestShardedConcurrentPoolLifecycle(t *testing.T) {
 }
 
 // benchBackend builds a store sized so the put/get/flush cycle never hits
-// capacity, isolating lock contention.
-func benchParallelOps(b *testing.B, shards int) {
+// capacity, isolating lock contention. Each worker cycles through keys of
+// its own object, or, with hotRun, all workers share the keys of one run,
+// which live behind one stripe lock — as a server's hottest keys do when
+// its clients number them consecutively.
+func benchParallelOps(b *testing.B, shards int, hotRun bool) {
 	be := NewBackendOpts(1<<20, Options{
 		Shards:   shards,
 		NewStore: func() PageStore { return NewMetaStore(testPage) },
@@ -258,6 +261,9 @@ func benchParallelOps(b *testing.B, shards int) {
 		for pb.Next() {
 			i++
 			key := Key{Pool: pool, Object: base | ObjectID(i>>14), Index: PageIndex(i)}
+			if hotRun {
+				key = Key{Pool: pool, Index: PageIndex(i & runMask)}
+			}
 			be.Put(key, nil)
 			be.Get(key, nil)
 			be.FlushPage(key)
@@ -267,14 +273,18 @@ func benchParallelOps(b *testing.B, shards int) {
 
 // BenchmarkBackendParallel measures put/get/flush throughput under
 // concurrency. shards-1 is the single-mutex baseline the monolithic store
-// had; shards-N is the striped hot path. Run with -cpu 8 to reproduce the
-// scaling target (>= 3x over shards-1 at 8 goroutines).
+// had; shards-N is the striped hot path, and shards-N-hot-run the same
+// stripes with every worker on the keys of one run. Run with -cpu 8 to
+// reproduce the scaling target (>= 3x over shards-1 at 8 goroutines).
 func BenchmarkBackendParallel(b *testing.B) {
 	counts := []int{1, 8}
 	if n := runtime.GOMAXPROCS(0); n > 8 {
 		counts = append(counts, n)
 	}
 	for _, n := range counts {
-		b.Run(fmt.Sprintf("shards-%d", n), func(b *testing.B) { benchParallelOps(b, n) })
+		b.Run(fmt.Sprintf("shards-%d", n), func(b *testing.B) { benchParallelOps(b, n, false) })
+		if n > 1 {
+			b.Run(fmt.Sprintf("shards-%d-hot-run", n), func(b *testing.B) { benchParallelOps(b, n, true) })
+		}
 	}
 }
