@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint fmt bench bench-gate bench-e2e-test load-smoke load-smoke-durable sweep-smoke fuzz-smoke profile profile-sweep report clean
+.PHONY: all build test race vet lint fmt loc bench bench-gate bench-e2e-test load-smoke load-smoke-durable sweep-smoke fuzz-smoke profile profile-sweep report clean
 
 all: build lint test
 
@@ -26,6 +26,14 @@ lint: vet
 
 fmt:
 	gofmt -l -w .
+
+# Non-test Go lines (wc -l: comments and blank lines count) per package
+# directory outside benchmark/, and their total. Informational: no
+# threshold. ROADMAP budgets the total.
+loc:
+	@find . -path ./benchmark -prune -o -name '*.go' ! -name '*_test.go' -print | while read -r f; do \
+		echo "$${f%/*} $$(wc -l < "$$f")"; \
+	done | awk '{ n[$$1] += $$2; t += $$2 } END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # The bench suite, one group per line: output name, package, -bench
 # regexp and -benchtime. Every group runs with -benchmem, so the gate holds

@@ -224,8 +224,8 @@ func TestLogMatchesMapModel(t *testing.T) {
 }
 
 // TestLogHoldsNoPageBytes: 32 MiB of pages go through the journal and its
-// heap grows by the index alone — through the puts, and again once a
-// compaction has read every page back and let go of it.
+// heap grows by the index alone (about 22 B a page) — through the puts,
+// and again once a compaction has read every page back and let go of it.
 func TestLogHoldsNoPageBytes(t *testing.T) {
 	const pages, pageSize = 8192, 4096
 	heap := func() uint64 {
@@ -260,6 +260,47 @@ func TestLogHoldsNoPageBytes(t *testing.T) {
 		}
 	}
 	runtime.KeepAlive(l)
+}
+
+// TestIndexHeapPerKey bounds what the journal's index costs a key, for one
+// object's consecutive pages and for one page per object, a key alone in
+// its run that pays for a whole leaf. The pages are empty and the blobs on
+// disk, so the heap grows by the index alone. The bounds hold it under the
+// two-level map it replaced: 52 bytes a dense key, 309 a key alone in its
+// object.
+func TestIndexHeapPerKey(t *testing.T) {
+	const n = 1 << 14
+	for _, c := range []struct {
+		name string
+		key  func(i int) tmem.Key
+		max  float64
+	}{
+		{"dense", func(i int) tmem.Key { return key(0, 1, tmem.PageIndex(i)) }, 32},
+		{"object-per-key", func(i int) tmem.Key { return key(0, tmem.ObjectID(i), 0) }, 240},
+	} {
+		blob := dirStore(t)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		l := mustOpen(t, Options{Blob: blob, PageSize: 4096, Fsync: FsyncOff, InlineCompact: true, CompactBytes: -1})
+		if err := l.NewPool(0, 1, tmem.Persistent); err != nil {
+			t.Fatal(err)
+		}
+		for i := range n {
+			if err := l.Put(c.key(i), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(l)
+		got := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+		t.Logf("%s: %.1f heap bytes per key", c.name, got)
+		if got > c.max {
+			t.Errorf("%s: %.0f heap bytes per key, want <= %.0f", c.name, got, c.max)
+		}
+		l.Close()
+	}
 }
 
 // blockSyncStore blocks the first Appender.Sync after arm until released.

@@ -167,11 +167,6 @@ type poolMeta struct {
 	kind tmem.PoolKind
 }
 
-type objKey struct {
-	pool   tmem.PoolID
-	object tmem.ObjectID
-}
-
 // PoolInfo is one recovered pool, for replaying into a backend.
 type PoolInfo struct {
 	ID   tmem.PoolID
@@ -198,9 +193,8 @@ type Log struct {
 
 	mu           sync.Mutex
 	pools        map[tmem.PoolID]poolMeta
-	objects      map[objKey]map[tmem.PageIndex]loc
+	index        tmem.RunIndex[loc]  // every live page's record
 	uses         map[uint64]*blobUse // by loc.blob: every blob the index names, and the WAL's active segment
-	pagesLive    uint64
 	bytesLive    uint64
 	walSinceSnap int64
 	readers      int // RangePages passes in flight; a compaction ending meanwhile leaves its prune to the next
@@ -238,7 +232,6 @@ func Open(opts Options) (*Log, error) {
 	l := &Log{
 		opts:      opts,
 		pools:     make(map[tmem.PoolID]poolMeta),
-		objects:   make(map[objKey]map[tmem.PageIndex]loc),
 		uses:      make(map[uint64]*blobUse),
 		stop:      make(chan struct{}),
 		compactCh: make(chan struct{}, 1),
@@ -282,7 +275,7 @@ func Open(opts Options) (*Log, error) {
 	blob.Delete(cleanKey)
 
 	l.recovery.Pools = len(l.pools)
-	l.recovery.PagesLive = l.pagesLive
+	l.recovery.PagesLive = uint64(l.index.Len())
 
 	// Always start a fresh segment: appending after a torn tail would put
 	// valid records behind a broken one, where replay cannot reach them.
@@ -415,7 +408,7 @@ func (l *Log) applyRecord(r record, at loc) {
 	case opFlushPage:
 		l.erasePage(r.key)
 	case opFlushObject:
-		l.eraseObject(objKey{pool: r.pool, object: r.object})
+		l.eraseObject(r.pool, r.object)
 	}
 }
 
@@ -424,21 +417,19 @@ func (l *Log) applyRecord(r record, at loc) {
 
 // storePage points key at the record just appended (or scanned) at at.
 func (l *Log) storePage(key tmem.Key, at loc) {
-	ok := objKey{pool: key.Pool, object: key.Object}
-	pages := l.objects[ok]
-	if pages == nil {
-		pages = make(map[tmem.PageIndex]loc)
-		l.objects[ok] = pages
+	v, added := l.index.Insert(key)
+	if !added {
+		l.unuse(*v)
 	}
-	if old, exists := pages[key.Index]; exists {
-		l.bytesLive -= uint64(old.n)
-		l.uses[old.blob].live -= old.recordLen()
-	} else {
-		l.pagesLive++
-	}
-	pages[key.Index] = at
+	*v = at
 	l.bytesLive += uint64(at.n)
 	l.use(at.blob).live += at.recordLen()
+}
+
+// unuse takes the page record at out of the live accounting.
+func (l *Log) unuse(at loc) {
+	l.bytesLive -= uint64(at.n)
+	l.uses[at.blob].live -= at.recordLen()
 }
 
 // use returns the accounting entry of blob, making it on first use.
@@ -459,45 +450,36 @@ func (l *Log) wrote(blob uint64, end int64) {
 }
 
 func (l *Log) erasePage(key tmem.Key) bool {
-	ok := objKey{pool: key.Pool, object: key.Object}
-	pages := l.objects[ok]
-	old, exists := pages[key.Index]
-	if !exists {
-		return false
+	at, ok := l.index.Delete(key)
+	if ok {
+		l.unuse(at)
 	}
-	delete(pages, key.Index)
-	if len(pages) == 0 {
-		delete(l.objects, ok)
-	}
-	l.pagesLive--
-	l.bytesLive -= uint64(old.n)
-	l.uses[old.blob].live -= old.recordLen()
-	return true
+	return ok
 }
 
-func (l *Log) eraseObject(ok objKey) int {
-	pages := l.objects[ok]
-	if len(pages) == 0 {
-		return 0
+// eraseObject erases an object's pages and returns how many there were. It
+// walks the whole index: no workload flushes objects.
+func (l *Log) eraseObject(pool tmem.PoolID, object tmem.ObjectID) int {
+	n := 0
+	for k := range l.index.All {
+		if k.Pool == pool && k.Object == object {
+			l.erasePage(k)
+			n++
+		}
 	}
-	n := len(pages)
-	for _, at := range pages {
-		l.bytesLive -= uint64(at.n)
-		l.uses[at.blob].live -= at.recordLen()
-	}
-	l.pagesLive -= uint64(n)
-	delete(l.objects, ok)
 	return n
 }
 
+// dropPoolLocked forgets a pool and erases its pages in one walk of the
+// index, at VM shutdown.
 func (l *Log) dropPoolLocked(pool tmem.PoolID) bool {
 	if _, ok := l.pools[pool]; !ok {
 		return false
 	}
 	delete(l.pools, pool)
-	for ok := range l.objects {
-		if ok.pool == pool {
-			l.eraseObject(ok)
+	for k := range l.index.All {
+		if k.Pool == pool {
+			l.erasePage(k)
 		}
 	}
 	return true
@@ -700,11 +682,8 @@ func (l *Log) PutBatch(keys []tmem.Key, datas [][]byte) error {
 func (l *Log) FlushPage(key tmem.Key) (removed bool, err error) {
 	err = l.lockOpen()
 	var rec uint64
-	if _, ok := l.objects[objKey{pool: key.Pool, object: key.Object}][key.Index]; ok {
-		if err == nil {
-			rec, err = l.journalOneLocked(flushPagePayload(l.payload[:0], key))
-		}
-		removed = l.erasePage(key)
+	if removed = l.erasePage(key); removed && err == nil {
+		rec, err = l.journalOneLocked(flushPagePayload(l.payload[:0], key))
 	}
 	return removed, l.finish(rec, err)
 }
@@ -713,12 +692,11 @@ func (l *Log) FlushPage(key tmem.Key) (removed bool, err error) {
 // the journal dropped. Unknown objects are a no-op.
 func (l *Log) FlushObject(pool tmem.PoolID, object tmem.ObjectID) (int, error) {
 	err := l.lockOpen()
-	ok := objKey{pool: pool, object: object}
 	var rec uint64
-	if len(l.objects[ok]) > 0 && err == nil {
+	n := l.eraseObject(pool, object)
+	if n > 0 && err == nil {
 		rec, err = l.journalOneLocked(flushObjectPayload(l.payload[:0], pool, object))
 	}
-	n := l.eraseObject(ok)
 	return n, l.finish(rec, err)
 }
 
@@ -734,10 +712,11 @@ func (l *Log) FlushObject(pool tmem.PoolID, object tmem.ObjectID) (int, error) {
 func (l *Log) Get(key tmem.Key, dst []byte) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	at, ok := l.objects[objKey{pool: key.Pool, object: key.Object}][key.Index]
-	if !ok {
+	v := l.index.Get(key)
+	if v == nil {
 		return false
 	}
+	at := *v
 	n := 0
 	if at.n > 0 && len(dst) > 0 {
 		rd := l.readerLocked()
@@ -779,15 +758,13 @@ func (l *Log) poolsLocked() []PoolInfo {
 	return out
 }
 
-// pageRefsLocked returns one reference per live page, in map order — the
-// only per-page work a reader does under mu. Sort with sortPageRefs after
-// releasing it.
+// pageRefsLocked returns one reference per live page, in the index's leaf
+// order — the only per-page work a reader does under mu. Sort with
+// sortPageRefs after releasing it.
 func (l *Log) pageRefsLocked() []pageRef {
-	refs := make([]pageRef, 0, l.pagesLive)
-	for ok, pages := range l.objects {
-		for idx, at := range pages {
-			refs = append(refs, pageRef{key: tmem.Key{Pool: ok.pool, Object: ok.object, Index: idx}, at: at})
-		}
+	refs := make([]pageRef, 0, l.index.Len())
+	for k, at := range l.index.All {
+		refs = append(refs, pageRef{key: k, at: *at})
 	}
 	return refs
 }
@@ -829,7 +806,7 @@ func (l *Log) RangePages(f func(key tmem.Key, data []byte) bool) error {
 func (l *Log) PagesLive() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.pagesLive
+	return uint64(l.index.Len())
 }
 
 // Stats returns a snapshot of the log's counters.
@@ -846,7 +823,7 @@ func (l *Log) Stats() Stats {
 		Compactions:   l.compactions,
 		SnapshotPages: l.snapshotPages,
 		Pools:         uint64(len(l.pools)),
-		PagesLive:     l.pagesLive,
+		PagesLive:     uint64(l.index.Len()),
 		BytesLive:     l.bytesLive,
 		Errors:        l.errors,
 		CompactNanos:  l.compactNanos,
@@ -878,7 +855,7 @@ func (l *Log) Sync() error {
 //
 // The order is cut → seal → link or copy → re-point → prune, and only the
 // cut and the re-point hold the commit lock: one open and one index entry
-// per live page the first, one map store per page the second. The sealed
+// per live page the first, one index store per page the second. The sealed
 // segment's fsync, the page reads and every blob write run outside it.
 // Each step leaves a state recovery accepts: a snapshot without its
 // MANIFEST is ignored, one with it is complete, and a blob is deleted only
@@ -976,24 +953,16 @@ func (l *Log) linkableLocked(resume uint64) []linkedBlob {
 // since the cut names a segment at or after it and a flushed one is gone;
 // both are left alone — the WAL tail replays them on top of the snapshot.
 // The blob accounting follows: the new slabs, of the given sizes, replace
-// every blob below the cut, none of which the index names any more.
-// pages is in key order, so one object's pages share a map lookup. A log
+// every blob below the cut, none of which the index names any more. A log
 // closed meanwhile has no index to move.
 func (l *Log) repointLocked(pages []pageRef, moved []loc, resume uint64, sizes []int64) {
 	if l.closed {
 		return
 	}
-	var (
-		cur  objKey
-		in   map[tmem.PageIndex]loc
-		live = make([]int64, len(sizes)) // by slab
-	)
+	live := make([]int64, len(sizes)) // by slab
 	for i, p := range pages {
-		if ok := (objKey{pool: p.key.Pool, object: p.key.Object}); i == 0 || ok != cur {
-			cur, in = ok, l.objects[ok]
-		}
-		if at, ok := in[p.key.Index]; ok && at == p.at {
-			in[p.key.Index] = moved[i]
+		if at := l.index.Get(p.key); at != nil && *at == p.at {
+			*at = moved[i]
 			live[moved[i].blob&^slabBit] += moved[i].recordLen()
 		}
 	}
@@ -1072,8 +1041,8 @@ func (l *Log) Close() error {
 // refusing persistent puts through a closed log.
 func (l *Log) closeLocked() {
 	l.closed = true
-	l.objects, l.uses = nil, nil
-	l.pagesLive, l.bytesLive = 0, 0
+	l.index, l.uses = tmem.RunIndex[loc]{}, nil
+	l.bytesLive = 0
 }
 
 // CloseClean performs a graceful shutdown: a final compaction folds the

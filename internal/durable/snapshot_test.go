@@ -209,10 +209,8 @@ func dirtyEveryBlob(t testing.TB, l *Log) {
 	}
 	l.mu.Lock()
 	one := make(map[uint64]page)
-	for ok, pages := range l.objects {
-		for idx, at := range pages {
-			one[at.blob] = page{tmem.Key{Pool: ok.pool, Object: ok.object, Index: idx}, at.n}
-		}
+	for k, at := range l.index.All {
+		one[at.blob] = page{k, at.n}
 	}
 	l.mu.Unlock()
 	data := make([]byte, l.opts.PageSize)
@@ -773,10 +771,8 @@ func TestCompactLinksFullyLiveBlobs(t *testing.T) {
 			dirty := make(map[string]bool)
 			l.mu.Lock()
 			var pages []pageRef
-			for ok, idx := range l.objects {
-				for i, at := range idx {
-					pages = append(pages, pageRef{tmem.Key{Pool: ok.pool, Object: ok.object, Index: i}, at})
-				}
+			for k, at := range l.index.All {
+				pages = append(pages, pageRef{k, *at})
 			}
 			seq := l.snapshotSeq
 			l.mu.Unlock()

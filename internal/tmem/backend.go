@@ -435,7 +435,7 @@ func (b *Backend) purgePools(pools []*Pool) {
 	}
 	for _, sh := range b.shards {
 		sh.mu.Lock()
-		for e := range sh.each {
+		for _, e := range sh.ix.All {
 			if e.pool.dead.Load() {
 				b.dropEntry(sh, e)
 			}
@@ -753,7 +753,7 @@ func (b *Backend) tryPutLocked(sh *shard, p *Pool, key Key, data []byte, count b
 	}
 
 	// Duplicate put: replace contents, no capacity change.
-	e := sh.lookup(key)
+	e := sh.ix.Get(key)
 	ti = -1
 	if e != nil && e.tier >= 0 {
 		ti = int(e.tier)
@@ -849,7 +849,7 @@ func (b *Backend) get(key Key, dst []byte, withTiers bool) Status {
 func (b *Backend) getLocked(sh *shard, p *Pool, key Key, dst []byte, withTiers bool) (st Status, ti int) {
 	c := &p.acct.counts[sh.idx]
 	c.getsTotal++
-	e := sh.lookup(key)
+	e := sh.ix.Get(key)
 	switch {
 	case e == nil || e.tier != tierLocal && !withTiers:
 		return ETmem, -1
@@ -913,7 +913,7 @@ func (b *Backend) Contains(key Key) bool {
 	sh := b.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.lookup(key) != nil
+	return sh.ix.Get(key) != nil
 }
 
 // FlushPage invalidates a single page (paper Algorithm 1 FLUSH path:
@@ -932,7 +932,7 @@ func (b *Backend) flushPage(key Key, withTiers bool) Status {
 	sh := b.shardFor(key)
 	c := &p.acct.counts[sh.idx]
 	sh.mu.Lock()
-	e := sh.lookup(key)
+	e := sh.ix.Get(key)
 	if e == nil || (e.tier != tierLocal && !withTiers) {
 		sh.mu.Unlock()
 		return ETmem
@@ -1002,8 +1002,8 @@ func (b *Backend) sweepObject(p *Pool, object ObjectID) (n mem.Pages, tracked []
 	for _, sh := range b.shards {
 		sh.mu.Lock()
 		local := n
-		for e := range sh.each {
-			if k := e.leaf; k.pool != p.id || k.object != object {
+		for k, e := range sh.ix.All {
+			if k.Pool != p.id || k.Object != object {
 				continue
 			}
 			if e.tier == tierLocal {
@@ -1092,12 +1092,12 @@ func (b *Backend) CheckInvariants() error {
 	entryPages := make([]mem.Pages, len(pools))
 	var storeCount int
 	for _, sh := range b.shards {
-		if err := sh.check(); err != nil {
+		if err := sh.ix.Check(); err != nil {
 			return err
 		}
-		for e := range sh.each {
-			switch key := e.key(); {
-			case sh.lookup(key) != e || b.shardFor(key) != sh:
+		for key, e := range sh.ix.All {
+			switch {
+			case e.key() != key || sh.ix.Get(key) != e || b.shardFor(key) != sh:
 				return fmt.Errorf("tmem: page %v is in a leaf but the index does not find it", key)
 			case b.pool(key.Pool) != e.pool:
 				return fmt.Errorf("tmem: shard holds entries of unknown pool %d", key.Pool)

@@ -25,8 +25,9 @@ import (
 // index, so striping would buy little; the tier sits on the overflow path,
 // not the per-access hot path, and the backend already absorbed the
 // parallelism in tier 0. The warm put→get cycle is 0 heap allocs/op: encode
-// scratch, page scratch, slab buffers and entry structs all recycle through
-// tier-owned free lists (the PR 5 discipline).
+// scratch, page scratch, slab buffers and blob structs recycle through
+// tier-owned free lists (the PR 5 discipline), and index leaves through the
+// RunIndex's own.
 
 // Slab size-class bounds: blobs round up to the next power of two between
 // 32 B (a zero page encodes to a handful of bytes) and 128 KiB (a 64 KiB
@@ -61,18 +62,11 @@ type cblob struct {
 	link  *cblob // hash-bucket collision chain
 }
 
-// cobjKey addresses one object's page map in the tier's index.
-type cobjKey struct {
-	pool   PoolID
-	object ObjectID
-}
-
 // centry is one stored page in the tier's index: which blob holds its
-// contents, its pool kind, and the per-object map linkage.
+// contents, and its pool kind.
 type centry struct {
 	blob *cblob
 	kind PoolKind
-	next *centry // free-list chain
 }
 
 // CompressedTierConfig configures NewCompressedTier. The zero value of
@@ -101,8 +95,8 @@ type CompressedTier struct {
 	maxPages mem.Pages
 	codec    Codec
 
-	mu      sync.Mutex
-	objects map[cobjKey]map[PageIndex]*centry
+	mu    sync.Mutex
+	index RunIndex[centry]
 	// dedup maps the raw page's content hash → blob chain; a chain matches
 	// on the encoded bytes. The codec is deterministic and a blob decodes
 	// back to its page, so encoded equality is raw equality. Keying by the
@@ -111,12 +105,9 @@ type CompressedTier struct {
 	dedup map[uint64]*cblob
 
 	// Free lists (the PR 5 zero-alloc discipline): per-class slab buffers,
-	// blob and entry structs, a parked empty per-object map, and the
-	// encode/page scratch buffers.
+	// blob structs, and the encode/page scratch buffers.
 	freeBufs  [slabClasses][][]byte
 	freeBlobs *cblob
-	freeEnts  *centry
-	spareObj  map[PageIndex]*centry
 	encBuf    []byte
 	pageBuf   []byte
 
@@ -127,10 +118,8 @@ type CompressedTier struct {
 	zeroEnc  []byte
 	zeroHash uint64
 
-	// Accounting, guarded by mu.
-	pagesStored mem.Pages
+	// Accounting, guarded by mu. The pages stored are index.Len().
 	uniqueBlobs int64
-	rawBytes    mem.Bytes // pageSize per stored page
 	storedBytes mem.Bytes // charged slab class sizes, counted once per blob
 
 	stats CompressedTierStats
@@ -204,7 +193,6 @@ func NewCompressedTier(cfg CompressedTierConfig) *CompressedTier {
 		capacity: cfg.CapacityBytes,
 		maxPages: compressedRatioCap * mem.Pages(cfg.CapacityBytes/mem.Bytes(cfg.PageSize)),
 		codec:    codec,
-		objects:  make(map[cobjKey]map[PageIndex]*centry),
 		dedup:    make(map[uint64]*cblob),
 		pageBuf:  make([]byte, cfg.PageSize),
 	}
@@ -234,9 +222,9 @@ func (t *CompressedTier) CompressedStats() CompressedTierStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := t.stats
-	s.PagesStored = t.pagesStored
+	s.PagesStored = t.pagesStored()
 	s.UniqueBlobs = t.uniqueBlobs
-	s.RawBytes = t.rawBytes
+	s.RawBytes = mem.Bytes(t.pageSize) * mem.Bytes(s.PagesStored)
 	s.StoredBytes = t.storedBytes
 	return s
 }
@@ -250,15 +238,16 @@ func (t *CompressedTier) EffectiveExtraPages() mem.Pages {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	capPages := mem.Pages(t.capacity / mem.Bytes(t.pageSize))
-	if t.pagesStored == 0 {
+	stored := t.pagesStored()
+	if stored == 0 {
 		return capPages
 	}
-	per := t.storedBytes / mem.Bytes(t.pagesStored)
+	per := t.storedBytes / mem.Bytes(stored)
 	var eff mem.Pages
 	if per == 0 {
 		eff = t.maxPages // pure dedup so far: only the page cap binds
 	} else {
-		eff = t.pagesStored + mem.Pages((t.capacity-t.storedBytes)/per)
+		eff = stored + mem.Pages((t.capacity-t.storedBytes)/per)
 	}
 	if eff > t.maxPages {
 		eff = t.maxPages
@@ -266,7 +255,10 @@ func (t *CompressedTier) EffectiveExtraPages() mem.Pages {
 	return eff
 }
 
-// --- slab / blob / entry recycling (caller holds mu) ---
+// pagesStored is the number of pages the tier holds. Caller holds mu.
+func (t *CompressedTier) pagesStored() mem.Pages { return mem.Pages(t.index.Len()) }
+
+// --- slab / blob recycling (caller holds mu) ---
 
 func (t *CompressedTier) takeBuf(class int) []byte {
 	if list := t.freeBufs[class]; len(list) > 0 {
@@ -289,29 +281,6 @@ func (t *CompressedTier) allocBlob() *cblob {
 	t.freeBlobs = b.link
 	b.link = nil
 	return b
-}
-
-func (t *CompressedTier) allocEntry() *centry {
-	e := t.freeEnts
-	if e == nil {
-		return &centry{}
-	}
-	t.freeEnts = e.next
-	e.next = nil
-	return e
-}
-
-func (t *CompressedTier) freeEntry(e *centry) {
-	*e = centry{next: t.freeEnts}
-	t.freeEnts = e
-}
-
-func (t *CompressedTier) takeObj() map[PageIndex]*centry {
-	if obj := t.spareObj; obj != nil {
-		t.spareObj = nil
-		return obj
-	}
-	return make(map[PageIndex]*centry)
 }
 
 // deref drops one reference from b, returning its slab buffer and struct
@@ -388,25 +357,10 @@ func (t *CompressedTier) encode(src []byte) []byte {
 // putLocked stores one page. Caller holds mu.
 func (t *CompressedTier) putLocked(key Key, kind PoolKind, data []byte) Status {
 	t.stats.Puts++
-	k := cobjKey{key.Pool, key.Object}
-	obj := t.objects[k]
-	if old := obj[key.Index]; old != nil {
-		// Duplicate put supersedes: drop the old contents first so the
-		// replacement cannot be rejected for capacity the old copy holds.
-		t.deref(old.blob)
-		t.pagesStored--
-		t.rawBytes -= mem.Bytes(t.pageSize)
-		delete(obj, key.Index)
-		t.freeEntry(old)
-		if len(obj) == 0 {
-			delete(t.objects, k)
-			if t.spareObj == nil {
-				t.spareObj = obj
-			}
-			obj = nil
-		}
-	}
-	if t.pagesStored >= t.maxPages {
+	// Duplicate put supersedes: drop the old contents first so the
+	// replacement cannot be rejected for capacity the old copy holds.
+	t.dropLocked(key)
+	if t.pagesStored() >= t.maxPages {
 		t.stats.RejectedFull++
 		return ETmem
 	}
@@ -440,35 +394,20 @@ func (t *CompressedTier) putLocked(key Key, kind PoolKind, data []byte) Status {
 		t.uniqueBlobs++
 		t.storedBytes += slabClassSize(class)
 	}
-	e := t.allocEntry()
-	e.blob = blob
-	e.kind = kind
-	if obj == nil {
-		obj = t.takeObj()
-		t.objects[k] = obj
-	}
-	obj[key.Index] = e
-	t.pagesStored++
-	t.rawBytes += mem.Bytes(t.pageSize)
+	e, _ := t.index.Insert(key)
+	*e = centry{blob: blob, kind: kind}
 	t.stats.PutsOK++
 	return STmem
 }
 
-// dropLocked removes one entry (already looked up) from the index. Caller
-// holds mu.
-func (t *CompressedTier) dropLocked(k cobjKey, idx PageIndex, e *centry) {
-	t.deref(e.blob)
-	t.pagesStored--
-	t.rawBytes -= mem.Bytes(t.pageSize)
-	obj := t.objects[k]
-	delete(obj, idx)
-	if len(obj) == 0 {
-		delete(t.objects, k)
-		if t.spareObj == nil {
-			t.spareObj = obj
-		}
+// dropLocked removes key's page, if the tier holds it, and reports whether
+// it did. Caller holds mu.
+func (t *CompressedTier) dropLocked(key Key) bool {
+	e, ok := t.index.Delete(key)
+	if ok {
+		t.deref(e.blob)
 	}
-	t.freeEntry(e)
+	return ok
 }
 
 // getLocked retrieves one page into dst (nil = presence only). Caller holds
@@ -477,8 +416,7 @@ func (t *CompressedTier) dropLocked(k cobjKey, idx PageIndex, e *centry) {
 // untracks the key and falls through to the next tier.
 func (t *CompressedTier) getLocked(key Key, dst []byte) Status {
 	t.stats.Gets++
-	k := cobjKey{key.Pool, key.Object}
-	e := t.objects[k][key.Index]
+	e := t.index.Get(key)
 	if e == nil {
 		return ETmem
 	}
@@ -506,12 +444,12 @@ func (t *CompressedTier) getLocked(key Key, dst []byte) Status {
 			// Corrupted blob: never hand back garbage. Drop the entry so the
 			// miss is permanent and the caller falls through to lower tiers.
 			t.stats.DecodeErrors++
-			t.dropLocked(k, key.Index, e)
+			t.dropLocked(key)
 			return ETmem
 		}
 	}
 	if e.kind == Ephemeral {
-		t.dropLocked(k, key.Index, e)
+		t.dropLocked(key)
 	}
 	t.stats.GetsHit++
 	return STmem
@@ -563,43 +501,38 @@ func (t *CompressedTier) FlushPage(key Key) Status {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.stats.PageFlushes++
-	k := cobjKey{key.Pool, key.Object}
-	e := t.objects[k][key.Index]
-	if e == nil {
+	if !t.dropLocked(key) {
 		return ETmem
 	}
-	t.dropLocked(k, key.Index, e)
 	return STmem
 }
 
-// FlushObject implements Tier.
+// FlushObject implements Tier. It walks the whole index: no workload
+// flushes objects, so it keeps no per-object list.
 func (t *CompressedTier) FlushObject(pool PoolID, object ObjectID) (mem.Pages, Status) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.stats.ObjectFlushes++
-	k := cobjKey{pool, object}
-	obj := t.objects[k]
-	if len(obj) == 0 {
-		return 0, ETmem
-	}
 	freed := mem.Pages(0)
-	for idx, e := range obj {
-		t.dropLocked(k, idx, e)
-		freed++
+	for k := range t.index.All {
+		if k.Pool == pool && k.Object == object {
+			t.dropLocked(k)
+			freed++
+		}
+	}
+	if freed == 0 {
+		return 0, ETmem
 	}
 	return freed, STmem
 }
 
-// DropPool implements Tier.
+// DropPool implements Tier: one walk of the index, at VM shutdown.
 func (t *CompressedTier) DropPool(pool PoolID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for k, obj := range t.objects {
-		if k.pool != pool {
-			continue
-		}
-		for idx, e := range obj {
-			t.dropLocked(k, idx, e)
+	for k := range t.index.All {
+		if k.Pool == pool {
+			t.dropLocked(k)
 		}
 	}
 }

@@ -43,10 +43,10 @@ func (k Key) String() string {
 }
 
 // hash returns a well-mixed 64-bit hash of the key's run — pool, object and
-// Index>>runShift, the consecutive pages one index leaf holds (see shard). Its
-// lower half picks the key's lock stripe and its upper half is the run's
-// tag in that stripe's table, so a whole run lives in one stripe while
-// consecutive runs of an object still spread across stripes.
+// Index>>runShift, the consecutive pages one index leaf holds (see
+// RunIndex). Its lower half picks the key's lock stripe and its upper half
+// is the run's tag in a RunIndex table, so a whole run lives in one stripe
+// while consecutive runs of an object still spread across stripes.
 func (k Key) hash() uint64 {
 	x := uint64(uint32(k.Pool))<<32 | uint64(k.Index>>runShift)
 	x ^= mix64(uint64(k.Object))

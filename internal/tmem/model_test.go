@@ -513,7 +513,7 @@ func runModelOps(t *testing.T, shards int, tierCaps []int, swap bool) {
 		}
 		indexed := 0
 		for _, sh := range b.shards {
-			indexed += sh.live
+			indexed += sh.ix.Len()
 		}
 		if indexed != len(m.where) {
 			fail("%d keys indexed, model %d", indexed, len(m.where))
@@ -562,7 +562,7 @@ func TestOverflowPutIntoDyingPoolLeaksNothing(t *testing.T) {
 		} else {
 			b.Put(key, nil)
 		}
-		if n := b.shards[0].live; n != 0 {
+		if n := b.shards[0].ix.Len(); n != 0 {
 			t.Errorf("batch=%v: %d entries indexed for a destroyed pool", batch, n)
 		}
 		if len(tier.pages) != 0 {
