@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint fmt loc bench bench-gate bench-e2e-test load-smoke load-smoke-durable sweep-smoke fuzz-smoke profile profile-sweep report clean
+.PHONY: all build test race vet lint fmt loc bench bench-gate bench-e2e-test load-smoke load-smoke-durable sim-smoke sweep-smoke fuzz-smoke profile profile-sweep report clean
 
 all: build lint test
 
@@ -135,6 +135,21 @@ load-smoke-durable:
 		-rate 2000 -duration 5s -conns 2 -keys 8192 -json bench-out/load-smoke-durable.json
 	$(GO) run ./cmd/smartmem-benchgate -load bench-out/load-smoke-durable.json -min-rate 1800 -max-p99 100ms
 	@rm -rf bench-out/durable-smoke
+
+# Scenario smokes for the tiers, one run each into bench-out/<scenario>.txt:
+# remote tmem tiers (cluster-2, remote-heavy, node-imbalance), the
+# in-RAM compressed tier with dedup (memory-pressure) and the durable
+# WAL + snapshot journal (restart-survivor). A failing run fails the target;
+# the five outputs are printed once all have run.
+sim-smoke:
+	mkdir -p bench-out
+	$(GO) run ./cmd/smartmem-sim -scenario cluster-2 -policy smart-alloc:P=2 -seed 11 -quiet > bench-out/cluster-2.txt
+	$(GO) run ./cmd/smartmem-sim -scenario remote-heavy -policy greedy -seed 11 -quiet > bench-out/remote-heavy.txt
+	$(GO) run ./cmd/smartmem-sim -scenario node-imbalance -policy smart-alloc:P=2 -seed 11 -quiet > bench-out/node-imbalance.txt
+	$(GO) run ./cmd/smartmem-sim -scenario memory-pressure -policy smart-alloc:P=2 -seed 11 -quiet > bench-out/memory-pressure.txt
+	$(GO) run ./cmd/smartmem-sim -scenario restart-survivor -policy smart-alloc:P=2 -seed 11 -quiet > bench-out/restart-survivor.txt
+	@cat bench-out/cluster-2.txt bench-out/remote-heavy.txt bench-out/node-imbalance.txt \
+		bench-out/memory-pressure.txt bench-out/restart-survivor.txt
 
 # Tournament warm-cache smoke: run one small tournament twice against the
 # same memo directory under the race detector. The second pass must be

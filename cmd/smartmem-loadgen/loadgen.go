@@ -419,14 +419,39 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 // StartInprocess brings up a loopback kvd-equivalent server (sharded
 // backend, same wire protocol) inside this process, for self-contained
 // smokes and tests. The returned stop function shuts it down.
-func StartInprocess(pages int64, shards, pageSize int) (addr string, stop func(), err error) {
+//
+// A non-empty dir puts the kvd's -durable journal write-through underneath:
+// puts, flushes and pool ops commit to a segmented WAL under dir, with
+// fsync policy fp, before acking, through the same NewDirStore → Open →
+// NewStore → Recover chain the daemon boots with. This is the store the
+// durable SLO smoke drives — wire-rate latency with the commit path in the
+// loop instead of memory-only acks. An empty dir means no journal.
+func StartInprocess(pages int64, shards, pageSize int, dir string, fp durable.FsyncPolicy) (addr string, stop func(), err error) {
 	backend := tmem.NewBackendOpts(mem.Pages(pages), tmem.Options{
 		Shards:   shards,
 		NewStore: func() tmem.PageStore { return tmem.NewDataStore(pageSize) },
 	})
-	srv := kvstore.NewServer(backend)
+	srv, closeLog := kvstore.NewServer(backend), func() {}
+	if dir != "" {
+		blob, err := durable.NewDirStore(dir)
+		if err != nil {
+			return "", nil, err
+		}
+		dlog, err := durable.Open(durable.Options{Blob: blob, PageSize: pageSize, Fsync: fp})
+		if err != nil {
+			return "", nil, err
+		}
+		closeLog = func() { _ = dlog.Close() }
+		dstore := durable.NewStore(backend, dlog)
+		if _, err := dstore.Recover(); err != nil {
+			closeLog()
+			return "", nil, err
+		}
+		srv = kvstore.NewServerStore(dstore)
+	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
+		closeLog()
 		return "", nil, err
 	}
 	go func() { _ = srv.Serve(l) }()
@@ -434,50 +459,7 @@ func StartInprocess(pages int64, shards, pageSize int) (addr string, stop func()
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
 		_ = srv.Shutdown(ctx)
-	}
-	return l.Addr().String(), stop, nil
-}
-
-// StartInprocessDurable is StartInprocess with the kvd's -durable journal
-// write-through underneath: puts, flushes and pool ops commit to a
-// segmented WAL under dir before acking, through the same
-// NewDirStore → Open → NewStore → Recover chain the daemon boots with.
-// This is the store the durable SLO smoke drives — wire-rate latency with
-// the commit path in the loop instead of memory-only acks.
-func StartInprocessDurable(pages int64, shards, pageSize int, dir string, fp durable.FsyncPolicy) (addr string, stop func(), err error) {
-	backend := tmem.NewBackendOpts(mem.Pages(pages), tmem.Options{
-		Shards:   shards,
-		NewStore: func() tmem.PageStore { return tmem.NewDataStore(pageSize) },
-	})
-	blob, err := durable.NewDirStore(dir)
-	if err != nil {
-		return "", nil, err
-	}
-	dlog, err := durable.Open(durable.Options{
-		Blob:     blob,
-		PageSize: pageSize,
-		Fsync:    fp,
-	})
-	if err != nil {
-		return "", nil, err
-	}
-	dstore := durable.NewStore(backend, dlog)
-	if _, err := dstore.Recover(); err != nil {
-		dlog.Close()
-		return "", nil, err
-	}
-	srv := kvstore.NewServerStore(dstore)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		dlog.Close()
-		return "", nil, err
-	}
-	go func() { _ = srv.Serve(l) }()
-	stop = func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-		_ = dlog.Close()
+		closeLog()
 	}
 	return l.Addr().String(), stop, nil
 }

@@ -82,15 +82,9 @@ func main() {
 		if shards <= 0 {
 			shards = runtime.GOMAXPROCS(0)
 		}
-		var inAddr string
-		var stop func()
-		if *durDir != "" {
-			fp, ferr := durable.ParseFsync(*fsyncStr)
-			fatalIf(ferr)
-			inAddr, stop, err = StartInprocessDurable(*inprocPages, shards, *pageSize, *durDir, fp)
-		} else {
-			inAddr, stop, err = StartInprocess(*inprocPages, shards, *pageSize)
-		}
+		fp, err := durable.ParseFsync(*fsyncStr)
+		fatalIf(err)
+		inAddr, stop, err := StartInprocess(*inprocPages, shards, *pageSize, *durDir, fp)
 		fatalIf(err)
 		defer stop()
 		cfg.Addr = inAddr

@@ -13,7 +13,7 @@ import (
 // -race in CI, so it also exercises the concurrent record/merge path of
 // internal/hdr through the real wire pipeline.
 func TestLoadgenEndToEnd(t *testing.T) {
-	addr, stop, err := StartInprocess(1<<12, 2, 4096)
+	addr, stop, err := StartInprocess(1<<12, 2, 4096, "", 0)
 	if err != nil {
 		t.Fatalf("StartInprocess: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestLoadgenEndToEnd(t *testing.T) {
 // TestLoadgenCancel: an interrupted run returns early with whatever it
 // measured instead of hanging on the remaining schedule.
 func TestLoadgenCancel(t *testing.T) {
-	addr, stop, err := StartInprocess(1<<12, 1, 4096)
+	addr, stop, err := StartInprocess(1<<12, 1, 4096, "", 0)
 	if err != nil {
 		t.Fatalf("StartInprocess: %v", err)
 	}

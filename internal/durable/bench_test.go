@@ -79,7 +79,7 @@ func BenchmarkWALAppendBatch(b *testing.B) {
 				b.Fatal(err)
 			}
 			keys := make([]tmem.Key, batch)
-			datas := make([][]byte, batch)
+			datas, sts := make([][]byte, batch), make([]tmem.Status, batch) // all STmem
 			data := make([]byte, pageSize)
 			for i := range datas {
 				datas[i] = data
@@ -90,7 +90,7 @@ func BenchmarkWALAppendBatch(b *testing.B) {
 				for j := range keys {
 					keys[j] = tmem.Key{Pool: 0, Object: tmem.ObjectID(i), Index: tmem.PageIndex(j)}
 				}
-				if err := l.PutBatch(keys, datas); err != nil {
+				if err := l.PutBatch(keys, datas, sts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -125,7 +125,7 @@ func BenchmarkLogPutBatch(b *testing.B) {
 				b.Fatal(err)
 			}
 			keys := make([]tmem.Key, batch)
-			datas := make([][]byte, batch)
+			datas, sts := make([][]byte, batch), make([]tmem.Status, batch) // all STmem
 			for i := range datas {
 				datas[i] = make([]byte, pageSize)
 			}
@@ -136,7 +136,7 @@ func BenchmarkLogPutBatch(b *testing.B) {
 				for j := range keys {
 					keys[j] = tmem.Key{Pool: 0, Object: tmem.ObjectID(i % objects), Index: tmem.PageIndex(j)}
 				}
-				if err := l.PutBatch(keys, datas); err != nil {
+				if err := l.PutBatch(keys, datas, sts); err != nil {
 					b.Fatal(err)
 				}
 			}

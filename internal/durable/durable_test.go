@@ -158,8 +158,12 @@ func TestEphemeralPoolsNotJournaled(t *testing.T) {
 	if l.HasPool(0) {
 		t.Fatal("ephemeral pool was journaled")
 	}
-	if err := l.Put(key(0, 0, 0), page(1)); err == nil {
-		t.Fatal("put into unjournaled pool succeeded")
+	// The log journals only the pools it holds: it skips the page.
+	if err := l.Put(key(0, 0, 0), page(1)); err != nil {
+		t.Fatalf("put into an unjournaled pool: %v, want it skipped", err)
+	}
+	if l.Contains(key(0, 0, 0)) || l.Stats().Appends != 0 {
+		t.Fatal("a page of an unjournaled pool was journaled")
 	}
 }
 
@@ -448,7 +452,7 @@ func TestRecoveryTornTail(t *testing.T) {
 func TestRecoveryCorruptChecksumMidLog(t *testing.T) {
 	blob := NewMemStore()
 	opts := testOpts(blob)
-	opts.SegmentBytes = 1024 // force several segments
+	opts.segmentBytes = 1024 // force several segments
 	l := mustOpen(t, opts)
 	seedLog(t, l, 0, 64)
 	l.Close()
@@ -525,7 +529,7 @@ func TestSnapshotNewerThanWAL(t *testing.T) {
 func TestCompactionPrunesAndPreserves(t *testing.T) {
 	blob := NewMemStore()
 	opts := testOpts(blob)
-	opts.SegmentBytes = 2048
+	opts.segmentBytes = 2048
 	opts.CompactBytes = 8192
 	l := mustOpen(t, opts)
 	want := seedLog(t, l, 0, 120)
@@ -606,7 +610,7 @@ func TestPutBatchGroupCommit(t *testing.T) {
 		datas[i] = page(byte(i + 100))
 		want[keys[i]] = datas[i]
 	}
-	if err := l.PutBatch(keys, datas); err != nil {
+	if err := l.PutBatch(keys, datas, make([]tmem.Status, len(keys))); err != nil {
 		t.Fatalf("PutBatch: %v", err)
 	}
 	st := l.Stats()
@@ -651,7 +655,7 @@ func TestFsyncPolicies(t *testing.T) {
 
 	opts = testOpts(NewMemStore())
 	opts.Fsync = FsyncInterval
-	opts.FsyncEvery = time.Millisecond
+	opts.fsyncEvery = time.Millisecond
 	opts.InlineCompact = false
 	opts.CompactBytes = 0 // default
 	l = mustOpen(t, opts)
@@ -940,70 +944,176 @@ func TestStoreJournalFailureNoFalseDurability(t *testing.T) {
 	}
 }
 
-// TestStoreBatchJournalsPersistentSubset drives Store.PutBatch down both
-// of its paths — the whole batch journaled through the caller's slices,
-// and a persistent subset picked out of a mixed batch — healthy and with
-// the journal failing.
+// TestStoreBatchJournalsPersistentSubset drives the PutBatch of both
+// durable shapes — Store over a backend, and the demotion Tier — with
+// whole persistent batches and mixed persistent/ephemeral ones, healthy
+// and with the journal failing. The journal takes the persistent pages and
+// nothing else. Once it fails, those answer ETmem and neither shape keeps
+// them; an ephemeral page answers what the shape gives it, the backend's
+// STmem or the tier's ETmem.
 func TestStoreBatchJournalsPersistentSubset(t *testing.T) {
+	for _, shape := range []string{"store", "tier"} {
+		t.Run(shape, func(t *testing.T) {
+			fs := &failStore{BlobStore: NewMemStore(), budget: 1 << 20}
+			l := mustOpen(t, testOpts(fs))
+			defer l.Close()
+			var (
+				pool, epool tmem.PoolID
+				putBatch    func(keys []tmem.Key, datas [][]byte, sts []tmem.Status)
+				ephemeral   tmem.Status           // an ephemeral page's answer
+				kept        func(k tmem.Key) bool // the shape holds k outside the journal
+			)
+			switch shape {
+			case "store":
+				b := tmem.NewBackend(1024, tmem.NewDataStore(testPageSize))
+				s := NewStore(b, l)
+				pool, epool = s.NewPool(1, tmem.Persistent), s.NewPool(1, tmem.Ephemeral)
+				putBatch, ephemeral = s.PutBatch, tmem.STmem
+				kept = func(k tmem.Key) bool { return b.Get(k, nil) == tmem.STmem }
+			case "tier":
+				tier := NewTier("durable", l)
+				pool, epool = 3, 4 // the backend's ids; the tier journals pool 3 lazily
+				putBatch = func(keys []tmem.Key, datas [][]byte, sts []tmem.Status) {
+					kinds := make([]tmem.PoolKind, len(keys))
+					for i, k := range keys {
+						if kinds[i] = tmem.Persistent; k.Pool == epool {
+							kinds[i] = tmem.Ephemeral
+						}
+					}
+					tier.PutBatch(keys, kinds, datas, sts)
+				}
+				ephemeral = tmem.ETmem
+				kept = func(tmem.Key) bool { return false }
+				defer func() {
+					// One failed append, the new pool's: the batch stops
+					// there, and the failed journal is not asked again.
+					if st := tier.Stats(); st.Puts != 32 || st.PutsOK != 12 || st.Errors != 1 {
+						t.Errorf("tier counters %+v, want 32 puts, 12 journaled, 1 error", st)
+					}
+				}()
+			}
+
+			batch := func(obj tmem.ObjectID, mixed bool) ([]tmem.Key, [][]byte, []tmem.Status) {
+				keys, datas := make([]tmem.Key, 8), make([][]byte, 8)
+				for i := range keys {
+					p := pool
+					if mixed && i%2 == 1 {
+						p = epool
+					}
+					keys[i], datas[i] = key(p, obj, tmem.PageIndex(i)), page(byte(i))
+				}
+				return keys, datas, make([]tmem.Status, 8)
+			}
+			for _, mixed := range []bool{false, true} {
+				obj := tmem.ObjectID(0)
+				if mixed {
+					obj = 1
+				}
+				keys, datas, sts := batch(obj, mixed)
+				putBatch(keys, datas, sts)
+				for i, k := range keys {
+					want := tmem.STmem
+					if k.Pool == epool {
+						want = ephemeral
+					}
+					if sts[i] != want {
+						t.Fatalf("mixed=%v: put %v = %v, want %v", mixed, k, sts[i], want)
+					}
+					if got, want := l.Contains(k), k.Pool == pool; got != want {
+						t.Fatalf("mixed=%v: journal holds %v = %v, want %v", mixed, k, got, want)
+					}
+				}
+			}
+			if !l.HasPool(pool) || l.HasPool(epool) {
+				t.Fatalf("journaled pools %v, want only %d", l.Pools(), pool)
+			}
+
+			fs.budget = 0   // the journal fails from here on
+			const npool = 9 // a persistent pool the journal does not hold yet
+			for _, mixed := range []bool{true, false} {
+				obj := tmem.ObjectID(2)
+				if mixed {
+					obj = 3
+				}
+				keys, datas, sts := batch(obj, mixed)
+				if mixed && shape == "tier" {
+					keys[1].Pool = npool // the tier must journal the pool first
+				}
+				putBatch(keys, datas, sts)
+				for i, k := range keys {
+					want := tmem.ETmem
+					if k.Pool == epool {
+						want = ephemeral // not journaled, so not affected
+					}
+					if sts[i] != want {
+						t.Fatalf("journal down, mixed=%v: put %v = %v, want %v", mixed, k, sts[i], want)
+					}
+					if k.Pool != epool && (kept(k) || l.Contains(k)) {
+						t.Fatalf("journal down: %v kept, which the journal lost", k)
+					}
+				}
+			}
+			if l.Err() == nil || l.HasPool(npool) {
+				t.Fatalf("journal down: error %v, pools %v", l.Err(), l.Pools())
+			}
+		})
+	}
+}
+
+// TestLogPutBatchJournalsAcceptedPagesOfItsPools holds Log.PutBatch to its
+// rule: it journals the keys whose status is STmem and whose pool it
+// holds, skips every other key, and on a failure — an oversize page, a
+// failed append, a failed journal — journals none of them and turns their
+// statuses to ETmem.
+func TestLogPutBatchJournalsAcceptedPagesOfItsPools(t *testing.T) {
 	fs := &failStore{BlobStore: NewMemStore(), budget: 1 << 20}
 	l := mustOpen(t, testOpts(fs))
 	defer l.Close()
-	b := tmem.NewBackend(1024, tmem.NewDataStore(testPageSize))
-	s := NewStore(b, l)
-	pool := s.NewPool(1, tmem.Persistent)
-	epool := s.NewPool(1, tmem.Ephemeral)
-
-	batch := func(obj tmem.ObjectID, mixed bool) ([]tmem.Key, [][]byte, []tmem.Status) {
-		keys, datas := make([]tmem.Key, 8), make([][]byte, 8)
-		for i := range keys {
-			p := pool
-			if mixed && i%2 == 1 {
-				p = epool
-			}
-			keys[i], datas[i] = key(p, obj, tmem.PageIndex(i)), page(byte(i))
-		}
-		return keys, datas, make([]tmem.Status, 8)
+	if err := l.NewPool(1, 1, tmem.Persistent); err != nil {
+		t.Fatal(err)
 	}
-	for _, mixed := range []bool{false, true} {
-		obj := tmem.ObjectID(0)
-		if mixed {
-			obj = 1
-		}
-		keys, datas, sts := batch(obj, mixed)
-		s.PutBatch(keys, datas, sts)
-		for i, k := range keys {
-			if sts[i] != tmem.STmem {
-				t.Fatalf("mixed=%v: put %v = %v", mixed, k, sts[i])
-			}
-			if got, want := l.Contains(k), k.Pool == pool; got != want {
-				t.Fatalf("mixed=%v: journal holds %v = %v, want %v", mixed, k, got, want)
-			}
-		}
+	// Journaled, refused by the caller, in a pool the log does not hold.
+	keys := []tmem.Key{key(1, 0, 0), key(1, 0, 1), key(2, 0, 0), key(1, 0, 2)}
+	input := []tmem.Status{tmem.STmem, tmem.ETmem, tmem.STmem, tmem.STmem}
+	datas := [][]byte{page(1), page(2), page(3), page(4)}
+	run := func(datas [][]byte) ([]tmem.Status, error) {
+		sts := slices.Clone(input)
+		return sts, l.PutBatch(keys, datas, sts)
 	}
 
-	fs.budget = 0 // the journal fails from here on
-	for _, mixed := range []bool{true, false} {
-		obj := tmem.ObjectID(2)
-		if mixed {
-			obj = 3
-		}
-		keys, datas, sts := batch(obj, mixed)
-		s.PutBatch(keys, datas, sts)
-		for i, k := range keys {
-			want := tmem.ETmem
-			if k.Pool == epool {
-				want = tmem.STmem // not journaled, so not affected
-			}
-			if sts[i] != want {
-				t.Fatalf("journal down, mixed=%v: put %v = %v, want %v", mixed, k, sts[i], want)
-			}
-			if k.Pool == pool && b.Get(k, nil) == tmem.STmem {
-				t.Fatalf("journal down: backend kept %v, which the journal lost", k)
-			}
+	sts, err := run(datas)
+	if err != nil || !slices.Equal(sts, input) {
+		t.Fatalf("healthy batch: %v, statuses %v; want nil and %v", err, sts, input)
+	}
+	for i, k := range keys {
+		if got, want := l.Contains(k), k.Pool == 1 && input[i] == tmem.STmem; got != want {
+			t.Fatalf("journal holds %v = %v, want %v", k, got, want)
 		}
 	}
-	if !s.Degraded() {
-		t.Fatal("store not degraded after a failed batch")
+	if n := l.Stats().Appends; n != 3 { // the pool and two pages
+		t.Fatalf("Appends = %d, want 3", n)
+	}
+
+	refused := []tmem.Status{tmem.ETmem, tmem.ETmem, tmem.STmem, tmem.ETmem}
+	oversize := slices.Clone(datas)
+	oversize[3] = make([]byte, testPageSize+1)
+	if sts, err := run(oversize); err == nil || !slices.Equal(sts, refused) {
+		t.Fatalf("oversize page: %v, statuses %v; want an error and %v", err, sts, refused)
+	}
+	if n := l.Stats().Appends; n != 3 || l.Err() != nil {
+		t.Fatalf("oversize page: Appends = %d, Err %v; want nothing appended and a healthy journal", n, l.Err())
+	}
+
+	fs.budget = 0
+	for _, when := range []string{"failing append", "failed journal"} {
+		if sts, err := run(datas); err == nil || !slices.Equal(sts, refused) {
+			t.Fatalf("%s: %v, statuses %v; want an error and %v", when, err, sts, refused)
+		}
+	}
+	// A batch the journal holds no accepted key of is skipped whole.
+	sts = []tmem.Status{tmem.ETmem, tmem.ETmem, tmem.STmem, tmem.ETmem}
+	if err := l.PutBatch(keys, datas, sts); err != nil || !slices.Equal(sts, refused) {
+		t.Fatalf("failed journal, nothing to journal: %v, statuses %v; want nil and unchanged", err, sts)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -130,27 +131,100 @@ func TestStoreFailedFlushIsNotServed(t *testing.T) {
 	}
 }
 
-// syncFailStore fails every Sync of its appenders.
-type syncFailStore struct{ BlobStore }
+// syncFailStore fails every Sync of its appenders while *failing is set,
+// or always if failing is nil.
+type syncFailStore struct {
+	BlobStore
+	failing *bool
+}
 
 func (s syncFailStore) Append(key string) (Appender, error) {
 	a, err := s.BlobStore.Append(key)
 	if err != nil {
 		return nil, err
 	}
-	return syncFailAppender{a}, nil
+	return syncFailAppender{a, s.failing}, nil
 }
 
-type syncFailAppender struct{ Appender }
+type syncFailAppender struct {
+	Appender
+	failing *bool
+}
 
-func (syncFailAppender) Sync() error { return errors.New("injected fsync failure") }
+func (a syncFailAppender) Sync() error {
+	if a.failing != nil && !*a.failing {
+		return a.Appender.Sync()
+	}
+	return errors.New("injected fsync failure")
+}
+
+// TestFsyncAlwaysFailedCommitRefuses: under FsyncAlways a put whose commit
+// fsync fails is refused by both shapes. It answers ETmem, and neither the
+// backend nor the journal keeps the page, not even its committed version.
+func TestFsyncAlwaysFailedCommitRefuses(t *testing.T) {
+	for _, call := range []string{"Store.Put", "Store.PutBatch", "Tier.PutBatch", "Log.PutBatch"} {
+		t.Run(call, func(t *testing.T) {
+			failing := false
+			opts := testOpts(syncFailStore{NewMemStore(), &failing})
+			opts.Fsync = FsyncAlways
+			l := mustOpen(t, opts)
+			defer l.Close()
+			b := tmem.NewBackend(1024, tmem.NewDataStore(testPageSize))
+			s, tier := NewStore(b, l), NewTier("durable", l)
+			pool := s.NewPool(1, tmem.Persistent)
+			keys := []tmem.Key{key(pool, 0, 0), key(pool, 0, 1)}
+			switch call {
+			case "Store.Put":
+				keys = keys[:1]
+			case "Log.PutBatch":
+				keys[1] = keys[0] // one key twice: both puts fail
+			}
+			for _, k := range keys {
+				if st := s.Put(k, page(1)); st != tmem.STmem {
+					t.Fatalf("healthy put %v = %v", k, st)
+				}
+			}
+
+			failing = true
+			datas, sts := [][]byte{page(2), page(3)}, make([]tmem.Status, len(keys))
+			switch call {
+			case "Store.Put":
+				sts[0] = s.Put(keys[0], datas[0])
+			case "Store.PutBatch":
+				s.PutBatch(keys, datas, sts)
+			case "Tier.PutBatch":
+				tier.PutBatch(keys, []tmem.PoolKind{tmem.Persistent, tmem.Persistent}, datas, sts)
+				if st := tier.Stats(); st.PutsOK != 0 || st.Errors != 1 {
+					t.Errorf("tier counters %+v, want 0 journaled, 1 error", st)
+				}
+			case "Log.PutBatch":
+				sts[0], sts[1] = tmem.STmem, tmem.STmem
+				l.PutBatch(keys, datas, sts)
+			}
+			for i, k := range keys {
+				if sts[i] != tmem.ETmem {
+					t.Errorf("put %v after a failed commit = %v, want ETmem", k, sts[i])
+				}
+				if strings.HasPrefix(call, "Store.") && b.Get(k, nil) == tmem.STmem {
+					t.Errorf("the backend kept %v, whose commit failed", k)
+				}
+				if l.Contains(k) {
+					t.Errorf("the journal kept %v, whose commit failed", k)
+				}
+			}
+			if l.Err() == nil {
+				t.Error("journal not failed after a failed commit")
+			}
+		})
+	}
+}
 
 // TestIntervalFsyncFailureCounts: a failed background fsync is counted,
 // and the journal acknowledges nothing after it — the kernel may already
 // have dropped the pages the fsync was for.
 func TestIntervalFsyncFailureCounts(t *testing.T) {
-	opts := testOpts(syncFailStore{NewMemStore()})
-	opts.Fsync, opts.FsyncEvery = FsyncInterval, time.Millisecond
+	opts := testOpts(syncFailStore{NewMemStore(), nil})
+	opts.Fsync, opts.fsyncEvery = FsyncInterval, time.Millisecond
 	l := mustOpen(t, opts)
 	defer l.Close()
 	if err := l.NewPool(0, 1, tmem.Persistent); err != nil {
@@ -193,7 +267,8 @@ func (b *byteSource) Intn(n int) int {
 // log over a store that tears its tear-th WAL write, and holds the log to
 // a map model:
 //
-//	(a) every mutation from the torn one on returns the torn write's error;
+//	(a) every mutation from the torn one on returns the torn write's error
+//	    (a batch with no key in a journaled pool is none: it is skipped);
 //	(b) live Gets agree with the model throughout; a flush takes its page
 //	    out of the model whether or not it was journaled;
 //	(c) a reopen after the fault recovers exactly the model as it stood at
@@ -205,7 +280,7 @@ func faultHistory(t *testing.T, src opSource, steps, tear int) bool {
 	const pageSize = 96
 	ts := &tearStore{BlobStore: NewMemStore(), tear: tear}
 	opts := Options{
-		Blob: ts, PageSize: pageSize, SegmentBytes: 700, SlabBytes: 400,
+		Blob: ts, PageSize: pageSize, segmentBytes: 700, slabBytes: 400,
 		Fsync: FsyncOff, InlineCompact: true, CompactBytes: -1,
 	}
 	l := mustOpen(t, opts)
@@ -258,13 +333,28 @@ func faultHistory(t *testing.T, src opSource, steps, tear int) bool {
 		nextPool++
 	}
 	putBatch := func(keys []tmem.Key, datas [][]byte) {
-		if done(l.PutBatch(keys, datas)) {
+		held := func(k tmem.Key) bool { return live.pools[k.Pool] }
+		err := l.PutBatch(keys, datas, make([]tmem.Status, len(keys)))
+		if !slices.ContainsFunc(keys, held) {
+			// The log skips keys of pools it does not hold, so a batch of
+			// only those journals nothing and fails nothing, fault or not.
+			if err != nil {
+				t.Fatalf("step %d: a batch of unjournaled pools: %v", step, err)
+			}
+			return
+		}
+		if done(err) {
 			for i, k := range keys {
-				live.pages[k] = datas[i]
+				if held(k) {
+					live.pages[k] = datas[i]
+				}
 			}
 		} else if step == faultStep {
 			end := 0
 			for i, k := range keys {
+				if !held(k) {
+					continue
+				}
 				if end += putRecordLen(len(datas[i])); end <= ts.kept {
 					atFault.pages[k] = datas[i]
 				}

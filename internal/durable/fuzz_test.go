@@ -91,7 +91,7 @@ func checkIndexReadsBack(t *testing.T, l *Log) {
 func FuzzSnapshotLoad(f *testing.F) {
 	seed := NewMemStore()
 	opts := testOpts(seed)
-	opts.SlabBytes = 512
+	opts.slabBytes = 512
 	l, err := Open(opts)
 	if err != nil {
 		f.Fatal(err)

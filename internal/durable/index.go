@@ -86,41 +86,44 @@ func sortPageRefs(refs []pageRef) {
 
 // maxOpenBlobs bounds the handles one pageReader keeps. A pass in key order
 // walks the snapshot's slabs front to back and hops among the WAL segments
-// written since (CompactBytes/SegmentBytes of them, 16 by default), so this
+// written since (CompactBytes/segmentBytes of them, 16 by default), so this
 // many keeps the reopen count near one per blob without approaching a
 // process's descriptor limit.
 const maxOpenBlobs = 64
 
 // pageReader reads page records back from the blob store for one pass — a
 // compaction, a RangePages, a Get — keeping the blobs it has touched open
-// so the pass pays one Open per blob, not one per page. Not safe for
-// concurrent use; close releases the handles.
+// so the pass pays one Open per blob, not one per page. A reader holding
+// maxOpenBlobs handles closes the one it opened first, so a pass makes the
+// same Opens every time. Not safe for concurrent use; close releases the
+// handles.
 type pageReader struct {
 	blob     BlobStore
-	snapshot uint64 // the snapshot whose slabs the pass's locs name
-	open     map[uint64]BlobReader
+	snapshot uint64     // the snapshot whose slabs the pass's locs name
+	open     []openBlob // first opened first
 	payload  []byte
 }
 
+type openBlob struct {
+	id uint64 // loc.blob
+	h  BlobReader
+}
+
 func (r *pageReader) handle(at loc) (BlobReader, error) {
-	if h, ok := r.open[at.blob]; ok {
-		return h, nil
+	for i := len(r.open) - 1; i >= 0; i-- { // the latest first: a pass reads on in the blob it is in
+		if r.open[i].id == at.blob {
+			return r.open[i].h, nil
+		}
 	}
 	if len(r.open) >= maxOpenBlobs {
-		for id, h := range r.open { // any one: map order is as good as a clock here
-			h.Close()
-			delete(r.open, id)
-			break
-		}
+		r.open[0].h.Close()
+		r.open = append(r.open[:0], r.open[1:]...)
 	}
 	h, err := r.blob.Open(at.blobKey(r.snapshot))
 	if err != nil {
 		return nil, err
 	}
-	if r.open == nil {
-		r.open = make(map[uint64]BlobReader)
-	}
-	r.open[at.blob] = h
+	r.open = append(r.open, openBlob{id: at.blob, h: h})
 	return h, nil
 }
 
@@ -153,8 +156,8 @@ func (r *pageReader) appendRecord(dst []byte, key tmem.Key, at loc) ([]byte, err
 }
 
 func (r *pageReader) close() {
-	for _, h := range r.open {
-		h.Close()
+	for _, o := range r.open {
+		o.h.Close()
 	}
 	r.open = nil
 }

@@ -59,7 +59,7 @@ func TestLogMatchesMapModel(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed-%d", store.name, seed), func(t *testing.T) {
 				h := &hookStore{BlobStore: store.make(t)}
 				opts := Options{
-					Blob: h, PageSize: pageSize, SegmentBytes: 700, SlabBytes: 400,
+					Blob: h, PageSize: pageSize, segmentBytes: 700, slabBytes: 400,
 					Fsync: FsyncOff, InlineCompact: true, CompactBytes: -1,
 				}
 				rng := rand.New(rand.NewSource(seed))
@@ -154,7 +154,7 @@ func TestLogMatchesMapModel(t *testing.T) {
 						for i := range keys {
 							keys[i], datas[i] = liveKey(), body()
 						}
-						check(l.PutBatch(keys, datas))
+						check(l.PutBatch(keys, datas, make([]tmem.Status, len(keys))))
 						for i, k := range keys {
 							m.pages[k] = datas[i]
 						}
@@ -344,7 +344,7 @@ func TestCompactSealsOutsideTheLock(t *testing.T) {
 	}
 	opts := testOpts(b)
 	opts.Fsync = FsyncInterval // seals sync; puts do not wait for one
-	opts.FsyncEvery = time.Hour
+	opts.fsyncEvery = time.Hour
 	opts.InlineCompact = false // CompactBytes < 0: no background loop
 	l := mustOpen(t, opts)
 	want := seedLog(t, l, 0, 16)
@@ -391,7 +391,7 @@ const fixturePageSize = 64
 
 func fixtureOpts(blob BlobStore) Options {
 	return Options{
-		Blob: blob, PageSize: fixturePageSize, SegmentBytes: 512, SlabBytes: 512,
+		Blob: blob, PageSize: fixturePageSize, segmentBytes: 512, slabBytes: 512,
 		Fsync: FsyncOff, InlineCompact: true, CompactBytes: -1,
 	}
 }
@@ -432,7 +432,7 @@ func fixtureHistory(t testing.TB, l *Log) map[tmem.Key][]byte {
 	}
 	keys := []tmem.Key{key(3, 9, 0), key(3, 9, 1), key(1, 9, 2)}
 	datas := [][]byte{body(60), body(61), body(62)}
-	check(l.PutBatch(keys, datas))
+	check(l.PutBatch(keys, datas, make([]tmem.Status, len(keys))))
 	for i, k := range keys {
 		want[k] = datas[i]
 	}
@@ -549,4 +549,52 @@ func TestParentFixture(t *testing.T) {
 	l2 := mustOpen(t, fixtureOpts(blob))
 	defer l2.Close()
 	checkModel(t, l2, want)
+}
+
+// openCounter counts the blob opens made through it.
+type openCounter struct {
+	BlobStore
+	opens int
+}
+
+func (c *openCounter) Open(key string) (BlobReader, error) {
+	c.opens++
+	return c.BlobStore.Open(key)
+}
+
+// TestPageReaderOpensRepeat: a pass over more blobs than a pageReader keeps
+// open evicts a fixed handle, so identical passes make the same number of
+// Opens. The pages are written round-robin over the objects, so a pass in
+// key order hops across every WAL segment once per object.
+func TestPageReaderOpensRepeat(t *testing.T) {
+	const objects, rounds = 4, 3 * maxOpenBlobs
+	blob := &openCounter{BlobStore: NewMemStore()}
+	opts := testOpts(blob)
+	opts.segmentBytes = 2 * int64(putRecordLen(testPageSize)) // two pages a segment
+	l := mustOpen(t, opts)
+	defer l.Close()
+	if err := l.NewPool(0, 1, tmem.Persistent); err != nil {
+		t.Fatal(err)
+	}
+	for r := range rounds {
+		for o := range objects {
+			if err := l.Put(key(0, tmem.ObjectID(o), tmem.PageIndex(r)), page(byte(r))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var opens []int
+	for range 4 {
+		blob.opens = 0
+		if err := l.RangePages(func(tmem.Key, []byte) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+		opens = append(opens, blob.opens)
+	}
+	if segs := objects * rounds / 2; opens[0] <= segs {
+		t.Fatalf("a pass opened %d blobs, want more than the %d segments: no handle was evicted", opens[0], segs)
+	}
+	if slices.Min(opens) != slices.Max(opens) {
+		t.Fatalf("identical passes made %v Opens, want one count", opens)
+	}
 }

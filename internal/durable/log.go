@@ -58,24 +58,28 @@ type Options struct {
 	Blob BlobStore
 	// PageSize bounds a page record's data length. Required.
 	PageSize int
-	// SegmentBytes seals a WAL segment once it crosses this size.
-	// Default 4 MiB, at most 2 GiB (a page's location is a 32-bit offset).
-	SegmentBytes int64
 	// CompactBytes triggers a compaction after this many WAL bytes since
 	// the last snapshot. Default 64 MiB; <0 disables automatic compaction
 	// (explicit Compact still works).
 	CompactBytes int64
-	// SlabBytes splits snapshots into blobs of roughly this size.
-	// Default 1 MiB, at most 2 GiB.
-	SlabBytes int64
 	// Fsync is the commit durability policy.
 	Fsync FsyncPolicy
-	// FsyncEvery is the FsyncInterval period. Default 100ms.
-	FsyncEvery time.Duration
 	// InlineCompact runs compactions synchronously inside the mutating
 	// call instead of on a background goroutine — the deterministic
 	// simulator mode (no goroutine scheduling in the counters).
 	InlineCompact bool
+
+	// The package's tests shrink these to reach many segments, slabs and
+	// fsyncs with little data; every Log outside them runs the defaults.
+
+	// segmentBytes seals a WAL segment once it crosses this size.
+	// Default 4 MiB, at most 2 GiB (a page's location is a 32-bit offset).
+	segmentBytes int64
+	// slabBytes splits snapshots into blobs of roughly this size.
+	// Default 1 MiB, at most 2 GiB.
+	slabBytes int64
+	// fsyncEvery is the FsyncInterval period. Default 100ms.
+	fsyncEvery time.Duration
 }
 
 func (o Options) withDefaults() (Options, error) {
@@ -85,19 +89,19 @@ func (o Options) withDefaults() (Options, error) {
 	if o.PageSize <= 0 {
 		return o, errors.New("durable: Options.PageSize must be positive")
 	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 4 << 20
+	if o.segmentBytes <= 0 {
+		o.segmentBytes = 4 << 20
 	}
 	if o.CompactBytes == 0 {
 		o.CompactBytes = 64 << 20
 	}
-	if o.SlabBytes <= 0 {
-		o.SlabBytes = 1 << 20
+	if o.slabBytes <= 0 {
+		o.slabBytes = 1 << 20
 	}
-	o.SegmentBytes = min(o.SegmentBytes, maxBlobBytes)
-	o.SlabBytes = min(o.SlabBytes, maxBlobBytes)
-	if o.FsyncEvery <= 0 {
-		o.FsyncEvery = 100 * time.Millisecond
+	o.segmentBytes = min(o.segmentBytes, maxBlobBytes)
+	o.slabBytes = min(o.slabBytes, maxBlobBytes)
+	if o.fsyncEvery <= 0 {
+		o.fsyncEvery = 100 * time.Millisecond
 	}
 	return o, nil
 }
@@ -286,7 +290,7 @@ func Open(opts Options) (*Log, error) {
 	if haveMf && mfSeq+1 > startSeq {
 		startSeq = mfSeq + 1
 	}
-	w, err := newWALWriter(blob, startSeq, opts.SegmentBytes, opts.Fsync != FsyncOff)
+	w, err := newWALWriter(blob, startSeq, opts.segmentBytes, opts.Fsync != FsyncOff)
 	if err != nil {
 		return nil, err
 	}
@@ -491,7 +495,8 @@ func (l *Log) dropPoolLocked(pool tmem.PoolID) bool {
 // (journalLocked), apply it to the index, finish. The log's first failed
 // WAL write or fsync is sticky: after it the log appends nothing, every
 // mutation returns that failure, and the flushes still take their keys out
-// of the index, so no read serves a page the caller has flushed.
+// of the index, so no read serves a page the caller has flushed. A
+// PutBatch that holds no page to journal is no mutation: it returns nil.
 
 // lockOpen takes mu for a mutation and returns what stops it from
 // appending: errClosed, or the journal's failure. Caller ends with finish.
@@ -637,44 +642,93 @@ func (l *Log) DropPool(id tmem.PoolID) error {
 	return l.finish(rec, err)
 }
 
-// Put journals a page write and indexes where the record landed. The pool
-// must have been journaled by NewPool.
+// Put is PutBatch with a batch of one accepted page.
 func (l *Log) Put(key tmem.Key, data []byte) error {
-	return l.PutBatch([]tmem.Key{key}, [][]byte{data})
+	return l.PutBatch([]tmem.Key{key}, [][]byte{data}, []tmem.Status{tmem.STmem})
 }
 
-// PutBatch journals a run of page writes as one append and one commit —
-// the group-commit fast path for batched overflow. All keys must belong
-// to journaled pools.
-func (l *Log) PutBatch(keys []tmem.Key, datas [][]byte) error {
-	if len(keys) == 0 {
-		return nil
+// PutBatch journals the accepted pages of the log's pools — the keys whose
+// status is STmem and whose pool the log holds — as one append and one
+// commit, and indexes them where their records landed; every other key is
+// skipped. If those pages cannot be journaled — the append or the commit's
+// fsync fails, the journal has already failed or is closed, or a page is
+// longer than the page size — none of them is: their statuses become ETmem,
+// the index holds none of them, and the error is returned.
+func (l *Log) PutBatch(keys []tmem.Key, datas [][]byte, sts []tmem.Status) error {
+	if !slices.Contains(sts, tmem.STmem) {
+		return nil // nothing accepted: no lock to take
 	}
 	err := l.lockOpen()
-	for i := 0; i < len(keys) && err == nil; i++ {
-		if _, ok := l.pools[keys[i].Pool]; !ok {
-			err = fmt.Errorf("durable: put into unjournaled pool %d", keys[i].Pool)
-		} else if len(datas[i]) > l.opts.PageSize {
-			err = fmt.Errorf("durable: page %v: %d bytes exceeds page size %d", keys[i], len(datas[i]), l.opts.PageSize)
-		}
+	holds := func(i int) bool {
+		_, ok := l.pools[keys[i].Pool]
+		return sts[i] == tmem.STmem && ok
 	}
-	var rec uint64
-	if err == nil {
-		framed := l.scratch[:0]
-		for i, key := range keys {
+	framed, n := l.scratch[:0], uint64(0)
+	for i, key := range keys {
+		if !holds(i) {
+			continue
+		}
+		n++
+		if err == nil && len(datas[i]) > l.opts.PageSize {
+			err = fmt.Errorf("durable: page %v: %d bytes exceeds page size %d", key, len(datas[i]), l.opts.PageSize)
+		}
+		if err == nil {
 			l.payload = putPayload(l.payload[:0], key, datas[i])
 			framed = frameRecord(framed, l.payload)
 		}
-		var at loc
-		if rec, at, err = l.journalLocked(framed, uint64(len(keys))); err == nil {
+	}
+	var rec uint64
+	var at loc
+	if n == 0 {
+		err = nil
+	} else if err == nil {
+		if rec, at, err = l.journalLocked(framed, n); err == nil {
+			cur := at
 			for i, key := range keys {
-				at.n = uint32(len(datas[i]))
-				l.storePage(key, at)
-				at.off += uint32(putRecordLen(len(datas[i])))
+				if holds(i) {
+					cur.n = uint32(len(datas[i]))
+					l.storePage(key, cur)
+					cur.off += uint32(putRecordLen(len(datas[i])))
+				}
 			}
 		}
 	}
-	return l.finish(rec, err)
+	if err != nil {
+		for i := range keys {
+			if holds(i) {
+				sts[i] = tmem.ETmem
+			}
+		}
+	}
+	if err = l.finish(rec, err); err != nil && rec != 0 {
+		l.takeBack(keys, sts, at, uint32(len(framed)))
+	}
+	return err
+}
+
+// takeBack undoes a PutBatch whose commit failed after its records were
+// appended at [at.off, at.off+size) of WAL segment at.blob and indexed: the
+// keys still indexed inside that range leave the index and turn ETmem. A
+// page that a concurrent call replaced, flushed or compacted since is not
+// the batch's to take back. A key the batch put twice is indexed at its
+// last record, so every status is settled before any key leaves the index.
+func (l *Log) takeBack(keys []tmem.Key, sts []tmem.Status, at loc, size uint32) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ours := func(key tmem.Key) bool {
+		v := l.index.Get(key)
+		return v != nil && v.blob == at.blob && v.off >= at.off && v.off-at.off < size
+	}
+	for i, key := range keys {
+		if sts[i] == tmem.STmem && ours(key) {
+			sts[i] = tmem.ETmem
+		}
+	}
+	for _, key := range keys {
+		if ours(key) {
+			l.erasePage(key)
+		}
+	}
 }
 
 // FlushPage journals a page invalidation. Pages the journal does not hold
@@ -902,7 +956,7 @@ func (l *Log) Compact() error {
 	)
 	if err == nil {
 		sortPageRefs(st.pages)
-		moved, sizes, err = writeSnapshot(l.opts.Blob, resume, st, rd, l.opts.SlabBytes, l.opts.PageSize)
+		moved, sizes, err = writeSnapshot(l.opts.Blob, resume, st, rd, l.opts.slabBytes, l.opts.PageSize)
 		rd.close()
 	}
 
@@ -989,7 +1043,7 @@ func (l *Log) endCompactLocked(start time.Time) {
 
 func (l *Log) fsyncLoop() {
 	defer l.bg.Done()
-	t := time.NewTicker(l.opts.FsyncEvery)
+	t := time.NewTicker(l.opts.fsyncEvery)
 	defer t.Stop()
 	for {
 		select {

@@ -115,7 +115,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 	)
 	blob := NewMemStore()
 	opts := testOpts(blob)
-	opts.SlabBytes = 4096
+	opts.slabBytes = 4096
 	l := mustOpen(t, opts)
 	defer l.Close()
 	seededState(t, l)
@@ -238,7 +238,7 @@ func TestCompactAllocationBoundedBySlab(t *testing.T) {
 	)
 	blob := newKeepStore()
 	l := mustOpen(t, Options{
-		Blob: blob, PageSize: pageSize, SlabBytes: slab,
+		Blob: blob, PageSize: pageSize, slabBytes: slab,
 		Fsync: FsyncOff, InlineCompact: true, CompactBytes: -1,
 	})
 	defer l.Close()
@@ -370,8 +370,8 @@ func TestCompactFaultAtEveryStep(t *testing.T) {
 	// no blob all live pages: the compaction copies every page.
 	copyState := func(h *hookStore) (*Log, map[tmem.Key][]byte) {
 		opts := testOpts(h)
-		opts.SlabBytes = 4096
-		opts.SegmentBytes = 8192
+		opts.slabBytes = 4096
+		opts.segmentBytes = 8192
 		l := mustOpen(t, opts)
 		want := seededState(t, l)
 		if err := l.Compact(); err != nil {
@@ -397,8 +397,8 @@ func TestCompactFaultAtEveryStep(t *testing.T) {
 	// and every segment.
 	linkState := func(h *hookStore) (*Log, map[tmem.Key][]byte) {
 		opts := testOpts(h)
-		opts.SlabBytes = 4096
-		opts.SegmentBytes = 8192
+		opts.slabBytes = 4096
+		opts.segmentBytes = 8192
 		l := mustOpen(t, opts)
 		for _, p := range seededPools {
 			if err := l.NewPool(p, tmem.VMID(p)+10, tmem.Persistent); err != nil {
@@ -705,7 +705,7 @@ func TestCompactLinksFullyLiveBlobs(t *testing.T) {
 			inner := store.make(t)
 			h := &hookStore{BlobStore: inner}
 			opts := testOpts(h)
-			opts.SegmentBytes, opts.SlabBytes = 4096, 4096
+			opts.segmentBytes, opts.slabBytes = 4096, 4096
 			l := mustOpen(t, opts)
 			defer func() { l.Close() }()
 			want := seedLog(t, l, 0, 300)
@@ -749,9 +749,9 @@ func TestCompactLinksFullyLiveBlobs(t *testing.T) {
 			// The bulk load: the first segment (it holds the pool record) is
 			// copied, every other one linked.
 			putBytes, linked, _ := compact()
-			if putBytes > int(opts.SlabBytes) || len(linked) < 10 {
+			if putBytes > int(opts.slabBytes) || len(linked) < 10 {
 				t.Fatalf("a bulk load's compaction put %d slab bytes and linked %d blobs; want at most one slab's %d and most segments",
-					putBytes, len(linked), opts.SlabBytes)
+					putBytes, len(linked), opts.slabBytes)
 			}
 			checkModel(t, l, want)
 
@@ -761,7 +761,7 @@ func TestCompactLinksFullyLiveBlobs(t *testing.T) {
 			if !maps.Equal(linked, before) {
 				t.Fatalf("an unchanged state's compaction linked %v, want every slab but 0: %v", linked, before)
 			}
-			if len(read) > 1 || putBytes > int(opts.SlabBytes) {
+			if len(read) > 1 || putBytes > int(opts.slabBytes) {
 				t.Fatalf("an unchanged state's compaction read %v and put %d slab bytes; want slab 0 alone", read, putBytes)
 			}
 

@@ -119,40 +119,43 @@ func (s *Store) DestroyPool(id tmem.PoolID) error {
 }
 
 func (s *Store) Put(key tmem.Key, data []byte) tmem.Status {
-	st := s.b.Put(key, data)
-	if !s.log.HasPool(key.Pool) {
-		return st
-	}
-	if st == tmem.STmem {
-		// Refuse a persistent put the journal did not take rather than
-		// acknowledge a page a crash would lose.
-		if s.log.Put(key, data) == nil {
-			return st
-		}
-		s.b.FlushPage(key)
-		st = tmem.ETmem
-	}
-	s.dropRefused(key)
-	return st
+	sts := [1]tmem.Status{s.b.Put(key, data)}
+	s.journal([]tmem.Key{key}, [][]byte{data}, sts[:])
+	return sts[0]
 }
 
-// dropRefused journals the end of a key's previous version after a refused
-// put: tmem's contract is that a failed put invalidates the old copy, and
-// the backend has dropped it, so neither a later Get nor a recovery may
-// serve it from the journal. Log.FlushPage writes a record only when the
-// journal holds a version, and drops it from the index even when the
-// journal has failed.
-func (s *Store) dropRefused(key tmem.Key) { s.log.FlushPage(key) }
+func (s *Store) PutBatch(keys []tmem.Key, datas [][]byte, sts []tmem.Status) {
+	s.b.PutBatch(keys, datas, sts)
+	s.journal(keys, datas, sts)
+}
 
+// journal hands the backend's answers to the log, which journals the
+// accepted pages of its pools, and settles every key left refused. A
+// failed put invalidates the key's old copy (tmem's contract), so a
+// refused key leaves the journal: Log.FlushPage writes a record only for
+// a page it holds, and drops it from the index even when the journal has
+// failed. When the journal failed, refused keys leave the backend too:
+// that takes out the pages the journal refused, which a crash would lose,
+// and is a no-op for the keys the backend refused itself.
+func (s *Store) journal(keys []tmem.Key, datas [][]byte, sts []tmem.Status) {
+	err := s.log.PutBatch(keys, datas, sts)
+	for i, key := range keys {
+		if sts[i] == tmem.STmem {
+			continue
+		}
+		if err != nil {
+			s.b.FlushPage(key)
+		}
+		s.log.FlushPage(key)
+	}
+}
+
+// Get reads the page from the backend and, on a miss, from the journal.
+// That only serves pages Recover could not re-store (shrunken capacity):
+// in steady state backend and journal agree.
 func (s *Store) Get(key tmem.Key, dst []byte) tmem.Status {
 	st := s.b.Get(key, dst)
-	if st == tmem.STmem || !s.log.HasPool(key.Pool) {
-		return st
-	}
-	// Backend miss on a journaled pool: read the page back from the
-	// journal. This only triggers for pages Recover could not re-store
-	// (shrunken capacity) — in steady state backend and journal agree.
-	if s.log.Get(key, dst) {
+	if st != tmem.STmem && s.log.Get(key, dst) {
 		s.recoveryServed.Add(1)
 		return tmem.STmem
 	}
@@ -182,73 +185,10 @@ func (s *Store) FlushObject(pool tmem.PoolID, object tmem.ObjectID) (mem.Pages, 
 	return n, st
 }
 
-// poolMemo answers Log.HasPool — a commit-lock visit — from memory while
-// the pool asked about stays the same: a batch's keys come in same-pool
-// runs (a wire frame usually names one pool), so a batch pays the lock
-// once per run instead of once per key.
-type poolMemo struct {
-	log  *Log
-	last tmem.PoolID
-	ok   bool
-}
-
-func (s *Store) poolMemo() poolMemo { return poolMemo{log: s.log, last: tmem.InvalidPool} }
-
-func (m *poolMemo) has(id tmem.PoolID) bool {
-	if id != m.last {
-		m.last, m.ok = id, m.log.HasPool(id)
-	}
-	return m.ok
-}
-
-func (s *Store) PutBatch(keys []tmem.Key, datas [][]byte, sts []tmem.Status) {
-	s.b.PutBatch(keys, datas, sts)
-	// Journal the successful persistent subset in one append. When that is
-	// the whole batch (the common case) the caller's slices go straight
-	// through; jIdx stays nil and positions map to themselves.
-	journaled := s.poolMemo()
-	whole := true
-	for i, key := range keys {
-		if sts[i] != tmem.STmem || !journaled.has(key.Pool) {
-			whole = false
-			break
-		}
-	}
-	jKeys, jDatas := keys, datas
-	var jIdx []int
-	if !whole {
-		jKeys, jDatas = nil, nil
-		for i, key := range keys {
-			if sts[i] != tmem.STmem || !journaled.has(key.Pool) {
-				continue
-			}
-			jKeys = append(jKeys, key)
-			jDatas = append(jDatas, datas[i])
-			jIdx = append(jIdx, i)
-		}
-	}
-	if len(jKeys) > 0 && s.log.PutBatch(jKeys, jDatas) != nil {
-		for n, key := range jKeys {
-			s.b.FlushPage(key)
-			i := n
-			if jIdx != nil {
-				i = jIdx[n]
-			}
-			sts[i] = tmem.ETmem
-		}
-	}
-	for i, key := range keys {
-		if sts[i] != tmem.STmem && journaled.has(key.Pool) {
-			s.dropRefused(key)
-		}
-	}
-}
-
 func (s *Store) GetBatch(keys []tmem.Key, dsts [][]byte, sts []tmem.Status) {
 	s.b.GetBatch(keys, dsts, sts)
-	journaled := s.poolMemo()
 	for i, key := range keys {
-		if sts[i] == tmem.STmem || !journaled.has(key.Pool) {
+		if sts[i] == tmem.STmem {
 			continue
 		}
 		var dst []byte

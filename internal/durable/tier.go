@@ -40,30 +40,57 @@ func (t *Tier) fail() tmem.Status {
 }
 
 func (t *Tier) Put(key tmem.Key, kind tmem.PoolKind, data []byte) tmem.Status {
-	t.puts.Add(1)
-	if kind != tmem.Persistent || t.log.Err() != nil {
-		return tmem.ETmem
-	}
-	if err := t.ensurePool(key.Pool, kind); err != nil {
-		return t.fail()
-	}
-	if err := t.log.Put(key, data); err != nil {
-		return t.fail()
-	}
-	t.putsOK.Add(1)
-	return tmem.STmem
+	var sts [1]tmem.Status
+	t.PutBatch([]tmem.Key{key}, []tmem.PoolKind{kind}, [][]byte{data}, sts[:])
+	return sts[0]
 }
 
-// ensurePool lazily journals the pool the first time one of its pages
-// overflows into the tier. The backend owns pool-id assignment; the tier
-// only ever sees keys for pools that exist, so vm attribution uses the
-// anonymous VMID 0 — the journal needs the pool's kind and id, not its
-// owner, to restore pages.
-func (t *Tier) ensurePool(pool tmem.PoolID, kind tmem.PoolKind) error {
-	if t.log.HasPool(pool) {
-		return nil
+// PutBatch journals the run's persistent pages with one WAL append and
+// one group commit; its ephemeral pages answer ETmem. A journal that has
+// failed, or fails to journal one of the run's pools, takes none of it.
+func (t *Tier) PutBatch(keys []tmem.Key, kinds []tmem.PoolKind, datas [][]byte, sts []tmem.Status) {
+	t.puts.Add(uint64(len(keys)))
+	healthy := t.log.Err() == nil
+	for i, key := range keys {
+		sts[i] = tmem.ETmem
+		if healthy && kinds[i] == tmem.Persistent {
+			if healthy = t.ensurePool(key.Pool); healthy {
+				sts[i] = tmem.STmem
+			}
+		}
 	}
-	return t.log.NewPool(pool, 0, kind)
+	if !healthy {
+		for i := range sts {
+			sts[i] = tmem.ETmem
+		}
+		return
+	}
+	if t.log.PutBatch(keys, datas, sts) != nil {
+		t.fail()
+		return
+	}
+	for _, st := range sts {
+		if st == tmem.STmem {
+			t.putsOK.Add(1)
+		}
+	}
+}
+
+// ensurePool reports whether the journal takes pages of the persistent
+// pool, journaling the pool the first time one of its pages overflows into
+// the tier; a pool it cannot journal counts as the tier's error. The
+// backend owns pool-id assignment; the tier only ever sees keys for pools
+// that exist, so vm attribution uses the anonymous VMID 0 — the journal
+// needs the pool's kind and id, not its owner, to restore pages.
+func (t *Tier) ensurePool(pool tmem.PoolID) bool {
+	if t.log.HasPool(pool) {
+		return true
+	}
+	if t.log.NewPool(pool, 0, tmem.Persistent) != nil {
+		t.fail()
+		return false
+	}
+	return true
 }
 
 func (t *Tier) Get(key tmem.Key, dst []byte) tmem.Status {
@@ -114,45 +141,6 @@ func (t *Tier) Stats() tmem.TierStats {
 	}
 }
 
-// PutBatch journals the run's persistent pages with one WAL append and
-// one group commit.
-func (t *Tier) PutBatch(keys []tmem.Key, kinds []tmem.PoolKind, datas [][]byte, sts []tmem.Status) {
-	t.puts.Add(uint64(len(keys)))
-	for i := range sts {
-		sts[i] = tmem.ETmem
-	}
-	if t.log.Err() != nil {
-		return
-	}
-	// Collect the journalable subset (persistent pools only).
-	var bKeys []tmem.Key
-	var bDatas [][]byte
-	var bIdx []int
-	for i, key := range keys {
-		if kinds[i] != tmem.Persistent {
-			continue
-		}
-		if err := t.ensurePool(key.Pool, kinds[i]); err != nil {
-			t.fail()
-			return
-		}
-		bKeys = append(bKeys, key)
-		bDatas = append(bDatas, datas[i])
-		bIdx = append(bIdx, i)
-	}
-	if len(bKeys) == 0 {
-		return
-	}
-	if err := t.log.PutBatch(bKeys, bDatas); err != nil {
-		t.fail()
-		return
-	}
-	t.putsOK.Add(uint64(len(bKeys)))
-	for _, i := range bIdx {
-		sts[i] = tmem.STmem
-	}
-}
-
 func (t *Tier) GetBatch(keys []tmem.Key, dsts [][]byte, sts []tmem.Status) {
 	for i, key := range keys {
 		var dst []byte
@@ -178,13 +166,7 @@ func (t *Tier) Summary() Summary {
 
 // Add folds o into s (cluster aggregation).
 func (s *Summary) Add(o Summary) {
-	s.Tier.Puts += o.Tier.Puts
-	s.Tier.PutsOK += o.Tier.PutsOK
-	s.Tier.Gets += o.Tier.Gets
-	s.Tier.GetsHit += o.Tier.GetsHit
-	s.Tier.PageFlushes += o.Tier.PageFlushes
-	s.Tier.ObjectFlushes += o.Tier.ObjectFlushes
-	s.Tier.Errors += o.Tier.Errors
+	s.Tier.Add(o.Tier)
 	s.Log.Add(o.Log)
 }
 

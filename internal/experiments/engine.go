@@ -52,51 +52,9 @@ type JobResult struct {
 // in a partial result set.
 var ErrSkipped = errors.New("experiments: job skipped after earlier failure or cancellation")
 
-// Engine executes experiment jobs on a worker pool. The zero value is
-// usable: it runs with runtime.NumCPU() workers, no cache and no progress
-// reporting. Each job is an independent core.Run with its own simulation
-// kernels and RNG streams, so jobs are race-free by construction (verified
-// by go test -race).
-//
-// Workers take cells from one shared cursor over the jobs sorted
-// longest-expected-first (scheduleOrder): whichever worker goes idle takes
-// the longest cell still pending — the LPT rule — so long cells (no-tmem
-// baselines, cluster scenarios) start early instead of straggling at the
-// tail. Dispatch order changes wall-clock only; results merge by index.
-type Engine struct {
-	// Parallelism is the number of concurrent workers; values <= 0 select
-	// runtime.NumCPU(). Parallelism 1 reproduces the historical sequential
-	// behaviour exactly: jobs run in submission order.
-	Parallelism int
-	// Cache, when non-nil, memoizes completed runs by fingerprint: a cell
-	// whose fingerprint is cached returns the stored result without
-	// simulating, byte-identically (the simulator is deterministic).
-	// Successful runs are stored back best-effort. The cache is bypassed
-	// while OnEvent is set — a memo hit replays no lifecycle events, so
-	// event-stream consumers always watch real runs.
-	Cache *Memo
-	// OnProgress, when non-nil, is invoked after every job completes with
-	// the number of finished jobs, the total, and the job that just
-	// finished. Calls are serialized by the engine; the callback does not
-	// need to be concurrency-safe.
-	OnProgress func(done, total int, j Job)
-	// OnEvent, when non-nil, receives every lifecycle event of every
-	// job's run (see core.Event), tagged with the job that produced it.
-	// Calls are serialized across workers; the callback does not need to
-	// be concurrency-safe. Event order is deterministic within a job but
-	// jobs interleave by completion timing.
-	OnEvent func(j Job, e core.Event)
-
-	// scalarsOnly makes cache hits fetch the cell's scalar record alone
-	// (Result.Series nil). Set by the entry points whose aggregation reads
-	// no series — RunTournament, TimesOpts — and by nothing else: those
-	// never hand a JobResult to their caller.
-	scalarsOnly bool
-}
-
 // workers returns the effective pool size for n jobs.
-func (e *Engine) workers(n int) int {
-	w := e.Parallelism
+func (o Options) workers(n int) int {
+	w := o.Parallelism
 	if w <= 0 {
 		w = runtime.NumCPU()
 	}
@@ -106,11 +64,22 @@ func (e *Engine) workers(n int) int {
 	return w
 }
 
-// Run executes jobs concurrently and returns one JobResult per job, in job
-// order. The first job error cancels all not-yet-started jobs (fail-fast)
-// and is returned; results for skipped jobs carry ErrSkipped. A nil ctx
-// means context.Background(); cancelling ctx stops dispatch after in-flight
-// jobs finish.
+// run executes jobs on the worker pool o configures and returns one
+// JobResult per job, in job order. Each job is an independent core.Run
+// with its own simulation kernels and RNG streams, so jobs are race-free by
+// construction (verified by go test -race). The first job error cancels
+// all not-yet-started jobs (fail-fast) and is returned; results for
+// skipped jobs carry ErrSkipped. Cancelling o.Context stops dispatch after
+// in-flight jobs finish. scalarsOnly makes cache hits fetch the cell's
+// scalar record alone (Result.Series nil): the entry points whose
+// aggregation reads no series — RunTournament, TimesOpts — set it, and
+// those never hand a JobResult to their caller.
+//
+// Workers take cells from one shared cursor over the jobs sorted
+// longest-expected-first (scheduleOrder): whichever worker goes idle takes
+// the longest cell still pending — the LPT rule — so long cells (no-tmem
+// baselines, cluster scenarios) start early instead of straggling at the
+// tail. Dispatch order changes wall-clock only; results merge by index.
 //
 // With a cache, a run has two phases. Recall fingerprints every job and
 // serves what the sweep's pack holds in one read; the run phase takes the
@@ -118,10 +87,11 @@ func (e *Engine) workers(n int) int {
 // A run in which every cell ended with a stored record, not all of them
 // from the pack, then writes the pack, so the next run of the same sweep is
 // one read.
-func (e *Engine) Run(ctx context.Context, jobs []Job) ([]JobResult, error) {
+func (o Options) run(jobs []Job, scalarsOnly bool) ([]JobResult, error) {
 	if len(jobs) == 0 {
 		return nil, nil
 	}
+	ctx := o.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -133,16 +103,17 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]JobResult, error) {
 		results[i] = JobResult{Job: jobs[i], Index: i, Err: ErrSkipped}
 	}
 	st := &sweepState{
-		engine:  e,
-		ctx:     ctx,
-		cancel:  cancel,
-		jobs:    jobs,
-		results: results,
-		jobIdx:  len(jobs),
+		opt:         o,
+		scalarsOnly: scalarsOnly,
+		ctx:         ctx,
+		cancel:      cancel,
+		jobs:        jobs,
+		results:     results,
+		jobIdx:      len(jobs),
 	}
 	pending := st.recall()
 
-	workers := e.workers(len(pending))
+	workers := o.workers(len(pending))
 	// One worker keeps submission order (tests and callers rely on
 	// Parallelism 1 meaning "the old sequential loop").
 	order := pending
@@ -179,13 +150,14 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]JobResult, error) {
 	return results, nil
 }
 
-// sweepState is the shared state of one Engine.Run call.
+// sweepState is the shared state of one run call.
 type sweepState struct {
-	engine  *Engine
-	ctx     context.Context
-	cancel  context.CancelFunc
-	jobs    []Job
-	results []JobResult
+	opt         Options
+	scalarsOnly bool
+	ctx         context.Context
+	cancel      context.CancelFunc
+	jobs        []Job
+	results     []JobResult
 
 	// With a cache: every job's fingerprint (fpOK false where the job has
 	// none) and, when all have one, the sweep's pack key, the scalar record
@@ -215,8 +187,8 @@ type scratch struct {
 // what the sweep's pack holds. It returns the indexes left for the run
 // phase, in job order.
 func (st *sweepState) recall() []int {
-	e := st.engine
-	if e.Cache != nil && e.OnEvent == nil {
+	o := st.opt
+	if o.Cache != nil && o.OnEvent == nil {
 		st.fps = make([]Fingerprint, len(st.jobs))
 		st.fpOK = make([]bool, len(st.jobs))
 		packable := true
@@ -231,7 +203,7 @@ func (st *sweepState) recall() []int {
 		if packable {
 			st.pack = packKey(st.fps)
 			var served []*core.Result
-			served, st.recs = e.Cache.recall(st.pack, st.fps, !e.scalarsOnly)
+			served, st.recs = o.Cache.recall(st.pack, st.fps, !st.scalarsOnly)
 			var pending []int
 			for i, res := range served {
 				if res == nil {
@@ -264,13 +236,13 @@ func (st *sweepState) storePack() {
 			return
 		}
 	}
-	_ = st.engine.Cache.putPack(st.pack, st.recs) // best-effort; the Memo counts a failure
+	_ = st.opt.Cache.putPack(st.pack, st.recs) // best-effort; the Memo counts a failure
 }
 
 // execute runs (or recalls from cache) the job at idx and records its
 // outcome.
 func (st *sweepState) execute(idx int, sc *scratch) {
-	e := st.engine
+	o := st.opt
 	job := st.jobs[idx]
 	jr := JobResult{Job: job, Index: idx}
 
@@ -278,14 +250,14 @@ func (st *sweepState) execute(idx int, sc *scratch) {
 	var rec []byte
 	cached := false
 	if useCache {
-		jr.Result, rec, cached = e.Cache.lookup(st.fps[idx], !e.scalarsOnly)
+		jr.Result, rec, cached = o.Cache.lookup(st.fps[idx], !st.scalarsOnly)
 	}
 	if !cached {
 		var obs core.Observer
-		if e.OnEvent != nil {
+		if o.OnEvent != nil {
 			obs = core.ObserverFunc(func(ev core.Event) {
 				st.eventMu.Lock()
-				e.OnEvent(job, ev)
+				o.OnEvent(job, ev)
 				st.eventMu.Unlock()
 			})
 		}
@@ -300,7 +272,7 @@ func (st *sweepState) execute(idx int, sc *scratch) {
 			// writes are best-effort — a full disk must not fail the sweep
 			// (the Memo counts the failure).
 			if useCache && !jr.Result.Cancelled {
-				if rec, _ = e.Cache.put(st.fps[idx], jr.Result, &sc.enc); rec != nil && st.recs != nil {
+				if rec, _ = o.Cache.put(st.fps[idx], jr.Result, &sc.enc); rec != nil && st.recs != nil {
 					rec = append([]byte(nil), rec...) // sc.enc is reused by the next job
 				}
 			}
@@ -316,7 +288,7 @@ func (st *sweepState) execute(idx int, sc *scratch) {
 // finish counts the job at idx as done. It is the one place progress and
 // fail-fast state are updated.
 func (st *sweepState) finish(idx int, err error) {
-	e := st.engine
+	o := st.opt
 	st.mu.Lock()
 	st.done++
 	if err != nil {
@@ -325,8 +297,8 @@ func (st *sweepState) finish(idx int, err error) {
 		}
 		st.cancel() // fail fast: stop dispatching further jobs
 	}
-	if e.OnProgress != nil {
-		e.OnProgress(st.done, len(st.jobs), st.jobs[idx])
+	if o.OnProgress != nil {
+		o.OnProgress(st.done, len(st.jobs), st.jobs[idx])
 	}
 	st.mu.Unlock()
 }
@@ -425,37 +397,39 @@ func Matrix(scenarios []*Scenario, policies []string, seeds []uint64) []Job {
 // workers, no cache, no cancellation and no progress output.
 type Options struct {
 	// Parallelism is the worker-pool size; <= 0 selects runtime.NumCPU().
+	// Parallelism 1 reproduces the historical sequential behaviour
+	// exactly: jobs run in submission order.
 	Parallelism int
-	// Cache memoizes completed runs; see Engine.Cache.
+	// Cache, when non-nil, memoizes completed runs by fingerprint: a cell
+	// whose fingerprint is cached returns the stored result without
+	// simulating, byte-identically (the simulator is deterministic).
+	// Successful runs are stored back best-effort. The cache is bypassed
+	// while OnEvent is set — a memo hit replays no lifecycle events, so
+	// event-stream consumers always watch real runs.
 	Cache *Memo
 	// Context, when non-nil, cancels the sweep early.
 	Context context.Context
-	// OnProgress receives per-job completion callbacks (serialized).
+	// OnProgress, when non-nil, is invoked after every job completes with
+	// the number of finished jobs, the total, and the job that just
+	// finished. Calls are serialized; the callback does not need to be
+	// concurrency-safe.
 	OnProgress func(done, total int, j Job)
-	// OnEvent receives every lifecycle event of every run, tagged with
-	// its job (serialized). See Engine.OnEvent.
+	// OnEvent, when non-nil, receives every lifecycle event of every
+	// job's run (see core.Event), tagged with the job that produced it.
+	// Calls are serialized across workers; the callback does not need to
+	// be concurrency-safe. Event order is deterministic within a job but
+	// jobs interleave by completion timing.
 	OnEvent func(j Job, e core.Event)
-}
-
-func (o Options) engine() *Engine {
-	return &Engine{
-		Parallelism: o.Parallelism,
-		Cache:       o.Cache,
-		OnProgress:  o.OnProgress,
-		OnEvent:     o.OnEvent,
-	}
 }
 
 // RunMatrix executes every (scenario, policy, seed) combination on the
 // worker pool and returns results in matrix order.
 func RunMatrix(scenarios []*Scenario, policies []string, seeds []uint64, opt Options) ([]JobResult, error) {
-	return opt.engine().Run(opt.Context, Matrix(scenarios, policies, seeds))
+	return opt.run(Matrix(scenarios, policies, seeds), false)
 }
 
 // runMatrixScalars is RunMatrix for aggregations that read no time series:
 // cells served from the cache come back without Series.
 func runMatrixScalars(scenarios []*Scenario, policies []string, seeds []uint64, opt Options) ([]JobResult, error) {
-	e := opt.engine()
-	e.scalarsOnly = true
-	return e.Run(opt.Context, Matrix(scenarios, policies, seeds))
+	return opt.run(Matrix(scenarios, policies, seeds), true)
 }

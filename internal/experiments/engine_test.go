@@ -47,9 +47,9 @@ func TestEngineConcurrentRunsRaceFree(t *testing.T) {
 	if len(jobs) < 4 {
 		t.Fatalf("want >= 4 jobs, got %d", len(jobs))
 	}
-	results, err := (&Engine{Parallelism: 4}).Run(context.Background(), jobs)
+	results, err := Options{Parallelism: 4}.run(jobs, false)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatal(err, false)
 	}
 	for i, jr := range results {
 		if jr.Index != i || jr.Err != nil || jr.Result == nil {
@@ -64,7 +64,7 @@ func TestEngineOrderingAndProgress(t *testing.T) {
 	jobs := Matrix([]*Scenario{UsememScenario}, []string{"greedy"}, []uint64{11, 23, 37, 51})
 	var calls int
 	var lastDone int
-	eng := &Engine{Parallelism: 4, OnProgress: func(done, total int, j Job) {
+	opt := Options{Parallelism: 4, OnProgress: func(done, total int, j Job) {
 		calls++
 		if total != len(jobs) {
 			t.Errorf("progress total = %d, want %d", total, len(jobs))
@@ -74,7 +74,7 @@ func TestEngineOrderingAndProgress(t *testing.T) {
 		}
 		lastDone = done
 	}}
-	results, err := eng.Run(context.Background(), jobs)
+	results, err := opt.run(jobs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,9 +95,9 @@ func TestEngineFailFast(t *testing.T) {
 		{Scenario: UsememScenario, PolicySpec: "greedy", Seed: 11},
 		{Scenario: UsememScenario, PolicySpec: "greedy", Seed: 23},
 	}
-	results, err := (&Engine{Parallelism: 1}).Run(context.Background(), jobs)
+	results, err := Options{Parallelism: 1}.run(jobs, false)
 	if err == nil {
-		t.Fatal("bad policy did not fail the sweep")
+		t.Fatal("bad policy did not fail the sweep", false)
 	}
 	if results[0].Err == nil {
 		t.Error("failing job has no error")
@@ -114,7 +114,7 @@ func TestEngineContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	jobs := Matrix([]*Scenario{UsememScenario}, []string{"greedy"}, nil)
-	results, err := (&Engine{Parallelism: 2}).Run(ctx, jobs)
+	results, err := Options{Parallelism: 2, Context: ctx}.run(jobs, false)
 	if err == nil {
 		t.Fatal("cancelled sweep returned no error")
 	}

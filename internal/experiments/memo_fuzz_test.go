@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"hash/crc32"
 	"reflect"
@@ -93,8 +92,8 @@ func FuzzMemoDecode(f *testing.F) {
 func FuzzMemoPack(f *testing.F) {
 	jobs := Matrix([]*Scenario{mustScale("scale-2")}, []string{"greedy", "smart-alloc:P=2"}, []uint64{11, 23})
 	cells := durable.NewMemStore()
-	if _, err := (&Engine{Parallelism: 2, Cache: NewMemo(cells)}).Run(context.Background(), jobs); err != nil {
-		f.Fatal(err)
+	if _, err := (Options{Parallelism: 2, Cache: NewMemo(cells)}).run(jobs, false); err != nil {
+		f.Fatal(err, false)
 	}
 	fps := make([]Fingerprint, len(jobs))
 	recs := make([][]byte, len(jobs))
@@ -138,7 +137,7 @@ func FuzzMemoPack(f *testing.F) {
 			}
 		}
 		m := NewMemo(store)
-		got, err := (&Engine{Parallelism: 1, Cache: m, scalarsOnly: true}).Run(context.Background(), jobs)
+		got, err := Options{Parallelism: 1, Cache: m}.run(jobs, true)
 		if err != nil {
 			t.Fatal(err)
 		}

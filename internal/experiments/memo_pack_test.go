@@ -262,8 +262,8 @@ func TestMemoPackNotWrittenByFailedRun(t *testing.T) {
 	}
 
 	store := durable.NewMemStore()
-	eng := &Engine{Parallelism: 1, Cache: NewMemo(store)}
-	if _, err := eng.Run(context.Background(), []Job{ok, {Scenario: short, PolicySpec: "greedy", Seed: 11}}); err == nil {
+	opt := Options{Parallelism: 1, Cache: NewMemo(store)}
+	if _, err := opt.run([]Job{ok, {Scenario: short, PolicySpec: "greedy", Seed: 11}}, false); err == nil {
 		t.Fatal("a cell over its limit did not fail the sweep")
 	}
 	check("failed", store, 1)
@@ -271,12 +271,12 @@ func TestMemoPackNotWrittenByFailedRun(t *testing.T) {
 	store = durable.NewMemStore()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	eng = &Engine{Parallelism: 1, Cache: NewMemo(store), OnProgress: func(done, total int, j Job) {
+	opt = Options{Parallelism: 1, Cache: NewMemo(store), Context: ctx, OnProgress: func(done, total int, j Job) {
 		if done == 1 {
 			cancel()
 		}
 	}}
-	if _, err := eng.Run(ctx, Matrix([]*Scenario{s}, []string{"greedy"}, []uint64{11, 23})); err == nil {
+	if _, err := opt.run(Matrix([]*Scenario{s}, []string{"greedy"}, []uint64{11, 23}), false); err == nil {
 		t.Fatal("cancelled sweep returned no error")
 	}
 	check("cancelled", store, 1)

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"reflect"
 	"strings"
 	"sync"
@@ -195,8 +194,8 @@ func TestMemoSplitDamage(t *testing.T) {
 	for name, hurt := range damage {
 		store := durable.NewMemStore()
 		cache := NewMemo(store)
-		eng := &Engine{Parallelism: 1, Cache: cache}
-		if _, err := eng.Run(context.Background(), []Job{job}); err != nil {
+		opt := Options{Parallelism: 1, Cache: cache}
+		if _, err := opt.run([]Job{job}, false); err != nil {
 			t.Fatal(err)
 		}
 		if err := hurt(store); err != nil {
@@ -211,7 +210,7 @@ func TestMemoSplitDamage(t *testing.T) {
 		if st := cache.Stats(); st.Corrupt != 1 || st.Misses != 2 {
 			t.Errorf("%s: stats = %+v, want 1 corrupt and 2 misses (cold + damaged)", name, st)
 		}
-		healed, err := eng.Run(context.Background(), []Job{job})
+		healed, err := opt.run([]Job{job}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,8 +227,8 @@ func TestMemoSplitDamage(t *testing.T) {
 
 	store := durable.NewMemStore()
 	cache := NewMemo(store)
-	eng := &Engine{Parallelism: 1, Cache: cache}
-	if _, err := eng.Run(context.Background(), []Job{job}); err != nil {
+	opt := Options{Parallelism: 1, Cache: cache}
+	if _, err := opt.run([]Job{job}, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Delete(memoKey(fp)); err != nil {
@@ -248,7 +247,7 @@ func TestMemoSplitDamage(t *testing.T) {
 	if st := cache.Stats(); st.Corrupt != 0 || st.Misses != 3 {
 		t.Errorf("scalar record deleted: stats = %+v, want plain misses", st)
 	}
-	if _, err := eng.Run(context.Background(), []Job{job}); err != nil {
+	if _, err := opt.run([]Job{job}, false); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := cache.Get(fp); !ok || !reflect.DeepEqual(got, want) {
@@ -295,9 +294,9 @@ func TestMemoSeriesTimeRegressionIsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := (&Engine{Parallelism: 1, Cache: cache}).Run(context.Background(), []Job{job})
+	got, err := Options{Parallelism: 1, Cache: cache}.run([]Job{job}, false)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatal(err, false)
 	}
 	if !reflect.DeepEqual(got[0].Result, want) {
 		t.Error("recompute over the bad entry differs from a fresh run")

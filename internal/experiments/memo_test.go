@@ -218,9 +218,9 @@ func TestMemoCorruptEntryRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := []Job{{Scenario: s, PolicySpec: "greedy", Seed: 11}}
-	eng := &Engine{Parallelism: 1, Cache: cache}
+	opt := Options{Parallelism: 1, Cache: cache}
 
-	first, err := eng.Run(context.Background(), jobs)
+	first, err := opt.run(jobs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestMemoCorruptEntryRecomputed(t *testing.T) {
 	// Without its pack the sweep reads the damaged record itself.
 	dropPacks(t, store)
 
-	second, err := eng.Run(context.Background(), jobs)
+	second, err := opt.run(jobs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,13 +393,13 @@ func TestCursorMatchesSequential(t *testing.T) {
 	}
 	jobs := Matrix([]*Scenario{s}, []string{"greedy", "static-alloc"}, []uint64{11, 23})
 
-	seq, err := (&Engine{Parallelism: 1}).Run(context.Background(), jobs)
+	seq, err := Options{Parallelism: 1}.run(jobs, false)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatal(err, false)
 	}
-	pool, err := (&Engine{Parallelism: 4}).Run(context.Background(), jobs)
+	pool, err := Options{Parallelism: 4}.run(jobs, false)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatal(err, false)
 	}
 	for i := range seq {
 		if pool[i].Index != seq[i].Index {
@@ -459,13 +459,13 @@ func TestCacheBypassedWithEventObserver(t *testing.T) {
 	jobs := []Job{{Scenario: s, PolicySpec: "greedy", Seed: 11}}
 
 	// Prime the cache.
-	if _, err := (&Engine{Parallelism: 1, Cache: cache}).Run(context.Background(), jobs); err != nil {
-		t.Fatal(err)
+	if _, err := (Options{Parallelism: 1, Cache: cache}).run(jobs, false); err != nil {
+		t.Fatal(err, false)
 	}
 
 	events := 0
-	eng := &Engine{Parallelism: 1, Cache: cache, OnEvent: func(j Job, e RunEvent) { events++ }}
-	if _, err := eng.Run(context.Background(), jobs); err != nil {
+	opt := Options{Parallelism: 1, Cache: cache, OnEvent: func(j Job, e RunEvent) { events++ }}
+	if _, err := opt.run(jobs, false); err != nil {
 		t.Fatal(err)
 	}
 	if events == 0 {

@@ -175,7 +175,7 @@ func SeriesSet(s *Scenario, policies []string, seed uint64, opt Options) ([]*Ser
 	for i, pol := range policies {
 		jobs[i] = Job{Scenario: s, PolicySpec: pol, Seed: seed}
 	}
-	results, err := opt.engine().Run(opt.Context, jobs)
+	results, err := opt.run(jobs, false)
 	if err != nil {
 		return nil, err
 	}

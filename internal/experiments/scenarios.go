@@ -1,8 +1,8 @@
 // Package experiments encodes the paper's evaluation (§IV–§V) and extends
 // it: scenarios live in an extensible registry (Register / BySlug / All)
 // seeded with the four Table II rows, a parameterized scale-<n> family and
-// a mixed-workload churn scenario; a concurrent job engine (Engine,
-// RunMatrix) executes (scenario, policy, seed) sweeps on a worker pool
+// a mixed-workload churn scenario; a concurrent job engine (RunMatrix,
+// configured by Options) executes (scenario, policy, seed) sweeps on a worker pool
 // with deterministic, sequential-identical aggregation; and runners
 // regenerate every figure's data (running times and tmem-usage series) on
 // top of it.

@@ -49,7 +49,7 @@ type ScenarioLeague struct {
 
 // LeagueTable is a tournament's full outcome. Identical inputs produce a
 // byte-identical table (under WriteLeagueJSON/WriteLeagueCSV) regardless of
-// parallelism, scheduler mode, or cache state — the engine merges by index
+// parallelism or cache state — the engine merges by index
 // and every aggregation below walks slices in deterministic order.
 type LeagueTable struct {
 	Scenarios []string `json:"scenarios"`
@@ -73,7 +73,7 @@ func (t *LeagueTable) Winner() string {
 // and aggregates the league table. A nil policies slice selects the union
 // of the scenarios' own policy lists (first-seen order); nil seeds selects
 // DefaultSeeds. Use Options.Cache to memoize cells across tournaments and
-// Options.Parallelism/Scheduler to control the pool.
+// Options.Parallelism to size the worker pool.
 func RunTournament(scenarios []*Scenario, policies []string, seeds []uint64, opt Options) (*LeagueTable, error) {
 	if len(scenarios) == 0 {
 		return nil, fmt.Errorf("experiments: tournament with no scenarios")

@@ -153,13 +153,7 @@ func (s CompressedTierStats) Ratio() float64 {
 // Add accumulates o into s (cluster-wide summing; gauges add too, so the
 // sum reads as the cluster total).
 func (s *CompressedTierStats) Add(o CompressedTierStats) {
-	s.Puts += o.Puts
-	s.PutsOK += o.PutsOK
-	s.Gets += o.Gets
-	s.GetsHit += o.GetsHit
-	s.PageFlushes += o.PageFlushes
-	s.ObjectFlushes += o.ObjectFlushes
-	s.Errors += o.Errors
+	s.TierStats.Add(o.TierStats)
 	s.PagesStored += o.PagesStored
 	s.UniqueBlobs += o.UniqueBlobs
 	s.RawBytes += o.RawBytes

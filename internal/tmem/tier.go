@@ -82,6 +82,17 @@ type TierStats struct {
 	Errors        uint64 // transport errors (the tier disables itself)
 }
 
+// Add folds o into s (cluster aggregation).
+func (s *TierStats) Add(o TierStats) {
+	s.Puts += o.Puts
+	s.PutsOK += o.PutsOK
+	s.Gets += o.Gets
+	s.GetsHit += o.GetsHit
+	s.PageFlushes += o.PageFlushes
+	s.ObjectFlushes += o.ObjectFlushes
+	s.Errors += o.Errors
+}
+
 // PageService is the put/get/flush surface a RemoteTier drives: the
 // key–value operations of the kvstore wire protocol, minus the transport.
 // Both kvstore.Client (a real net.Conn to a smartmem-kvd daemon, one frame
