@@ -139,11 +139,12 @@ load-smoke-durable:
 # Scenario smokes for the tiers, one run each into bench-out/<scenario>.txt:
 # remote tmem tiers (cluster-2, remote-heavy, node-imbalance), the
 # in-RAM compressed tier with dedup (memory-pressure) and the durable
-# WAL + snapshot journal (restart-survivor). A failing run fails the target;
-# the five outputs are printed once all have run.
+# WAL + snapshot journal (restart-survivor). cluster-2 also draws its
+# -chart, which nothing else runs. A failing run fails the target; the five
+# outputs are printed once all have run.
 sim-smoke:
 	mkdir -p bench-out
-	$(GO) run ./cmd/smartmem-sim -scenario cluster-2 -policy smart-alloc:P=2 -seed 11 -quiet > bench-out/cluster-2.txt
+	$(GO) run ./cmd/smartmem-sim -scenario cluster-2 -policy smart-alloc:P=2 -seed 11 -quiet -chart > bench-out/cluster-2.txt
 	$(GO) run ./cmd/smartmem-sim -scenario remote-heavy -policy greedy -seed 11 -quiet > bench-out/remote-heavy.txt
 	$(GO) run ./cmd/smartmem-sim -scenario node-imbalance -policy smart-alloc:P=2 -seed 11 -quiet > bench-out/node-imbalance.txt
 	$(GO) run ./cmd/smartmem-sim -scenario memory-pressure -policy smart-alloc:P=2 -seed 11 -quiet > bench-out/memory-pressure.txt

@@ -431,7 +431,7 @@ func StartInprocess(pages int64, shards, pageSize int, dir string, fp durable.Fs
 		Shards:   shards,
 		NewStore: func() tmem.PageStore { return tmem.NewDataStore(pageSize) },
 	})
-	srv, closeLog := kvstore.NewServer(backend), func() {}
+	srv, closeLog := kvstore.NewServerStore(backend), func() {}
 	if dir != "" {
 		blob, err := durable.NewDirStore(dir)
 		if err != nil {

@@ -354,7 +354,8 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "smartmem-sim: -chart is ignored when -json/-events write to stdout")
 		} else {
 			fmt.Fprintln(stdout)
-			if err := smartmem.WriteScenarioSeries(stdout, *scenario, *policy, *seed); err != nil {
+			sr := &experiments.SeriesRun{Scenario: scn, PolicySpec: *policy, Seed: *seed, Result: res}
+			if err := experiments.RenderSeries(stdout, sr); err != nil {
 				fmt.Fprintln(stderr, "smartmem-sim: chart:", err)
 				return 1
 			}

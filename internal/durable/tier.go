@@ -1,8 +1,6 @@
 package durable
 
 import (
-	"sync/atomic"
-
 	"smartmem/internal/mem"
 	"smartmem/internal/tmem"
 )
@@ -15,12 +13,9 @@ import (
 // ETmem — the guest falls back to its virtual disk — and each failed
 // journal call counts in the tier's errors; nothing is retried blindly.
 type Tier struct {
-	name string
-	log  *Log
-
-	puts, putsOK, gets, getsHit atomic.Uint64
-	pageFlushes, objectFlushes  atomic.Uint64
-	errors                      atomic.Uint64
+	name   string
+	log    *Log
+	counts tmem.TierCounters
 }
 
 // NewTier wraps log as a tmem tier.
@@ -35,7 +30,7 @@ func (t *Tier) Name() string { return t.name }
 
 // fail counts a failed journal call.
 func (t *Tier) fail() tmem.Status {
-	t.errors.Add(1)
+	t.counts.Errors.Add(1)
 	return tmem.ETmem
 }
 
@@ -49,7 +44,7 @@ func (t *Tier) Put(key tmem.Key, kind tmem.PoolKind, data []byte) tmem.Status {
 // one group commit; its ephemeral pages answer ETmem. A journal that has
 // failed, or fails to journal one of the run's pools, takes none of it.
 func (t *Tier) PutBatch(keys []tmem.Key, kinds []tmem.PoolKind, datas [][]byte, sts []tmem.Status) {
-	t.puts.Add(uint64(len(keys)))
+	t.counts.Puts.Add(uint64(len(keys)))
 	healthy := t.log.Err() == nil
 	for i, key := range keys {
 		sts[i] = tmem.ETmem
@@ -71,7 +66,7 @@ func (t *Tier) PutBatch(keys []tmem.Key, kinds []tmem.PoolKind, datas [][]byte, 
 	}
 	for _, st := range sts {
 		if st == tmem.STmem {
-			t.putsOK.Add(1)
+			t.counts.PutsOK.Add(1)
 		}
 	}
 }
@@ -94,16 +89,16 @@ func (t *Tier) ensurePool(pool tmem.PoolID) bool {
 }
 
 func (t *Tier) Get(key tmem.Key, dst []byte) tmem.Status {
-	t.gets.Add(1)
+	t.counts.Gets.Add(1)
 	if !t.log.Get(key, dst) {
 		return tmem.ETmem
 	}
-	t.getsHit.Add(1)
+	t.counts.GetsHit.Add(1)
 	return tmem.STmem
 }
 
 func (t *Tier) FlushPage(key tmem.Key) tmem.Status {
-	t.pageFlushes.Add(1)
+	t.counts.PageFlushes.Add(1)
 	removed, err := t.log.FlushPage(key)
 	if err != nil {
 		return t.fail()
@@ -115,7 +110,7 @@ func (t *Tier) FlushPage(key tmem.Key) tmem.Status {
 }
 
 func (t *Tier) FlushObject(pool tmem.PoolID, object tmem.ObjectID) (mem.Pages, tmem.Status) {
-	t.objectFlushes.Add(1)
+	t.counts.ObjectFlushes.Add(1)
 	n, err := t.log.FlushObject(pool, object)
 	if err != nil {
 		return 0, t.fail()
@@ -129,17 +124,7 @@ func (t *Tier) DropPool(pool tmem.PoolID) {
 	}
 }
 
-func (t *Tier) Stats() tmem.TierStats {
-	return tmem.TierStats{
-		Puts:          t.puts.Load(),
-		PutsOK:        t.putsOK.Load(),
-		Gets:          t.gets.Load(),
-		GetsHit:       t.getsHit.Load(),
-		PageFlushes:   t.pageFlushes.Load(),
-		ObjectFlushes: t.objectFlushes.Load(),
-		Errors:        t.errors.Load(),
-	}
-}
+func (t *Tier) Stats() tmem.TierStats { return t.counts.Stats() }
 
 func (t *Tier) GetBatch(keys []tmem.Key, dsts [][]byte, sts []tmem.Status) {
 	for i, key := range keys {

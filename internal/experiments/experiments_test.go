@@ -338,3 +338,25 @@ func TestRenderSeriesOutput(t *testing.T) {
 		t.Errorf("no-tmem placeholder missing: %q", sb.String())
 	}
 }
+
+// A cluster run names its usage series after the node ("tmem-n0/VM1"); the
+// chart draws them instead of calling the run tmem-less.
+func TestRenderSeriesCluster(t *testing.T) {
+	sr, err := Series(Cluster2Scenario, "greedy", 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := RenderSeries(&sb, sr); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{"tmem-n0/VM1", "tmem-n1/VM2", "tmem-n0/remote", "legend"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("cluster chart missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "no-tmem run") {
+		t.Errorf("cluster chart calls the run tmem-less:\n%s", out)
+	}
+}

@@ -28,17 +28,27 @@ func TimesReport(t *TimesTable) *report.Table {
 
 // RenderSeries draws the per-VM tmem usage chart of one run (the paper's
 // Figures 4/6/8/10 panels), plus the target series for the VM the paper
-// annotates (VM3).
+// annotates (VM3). A cluster run charts every node's usage series instead:
+// "tmem-n0/VM1" and so on, and "tmem-n0/remote" for the pages n0 holds for
+// its peers.
 func RenderSeries(w io.Writer, sr *SeriesRun) error {
 	set := sr.Result.Series
 	var names []string
-	for _, vm := range []string{"VM1", "VM2", "VM3"} {
-		if set.Has("tmem-" + vm) {
-			names = append(names, "tmem-"+vm)
+	if len(sr.Result.Nodes) > 0 {
+		for _, n := range set.Names() {
+			if strings.HasPrefix(n, "tmem-") {
+				names = append(names, n)
+			}
 		}
-	}
-	if set.Has("target-VM3") {
-		names = append(names, "target-VM3")
+	} else {
+		for _, vm := range []string{"VM1", "VM2", "VM3"} {
+			if set.Has("tmem-" + vm) {
+				names = append(names, "tmem-"+vm)
+			}
+		}
+		if set.Has("target-VM3") {
+			names = append(names, "target-VM3")
+		}
 	}
 	if len(names) == 0 {
 		_, err := fmt.Fprintln(w, "(no tmem series: no-tmem run)")

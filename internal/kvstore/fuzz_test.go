@@ -70,7 +70,7 @@ func FuzzServeConn(f *testing.F) {
 			defer wg.Done()
 			_, _ = io.Copy(io.Discard, client)
 		}()
-		_ = NewServer(b).ServeConn(server)
+		_ = NewServerStore(b).ServeConn(server)
 		wg.Wait()
 		if err := b.CheckInvariants(); err != nil {
 			t.Fatal(err)

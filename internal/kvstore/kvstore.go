@@ -107,8 +107,7 @@ var _ Store = (*tmem.Backend)(nil)
 // batches responses until the inbound buffer drains.
 type Server struct {
 	store   Store
-	backend *tmem.Backend // non-nil when the store is (or wraps) a backend
-	metrics *Metrics      // nil when uninstrumented
+	metrics *Metrics // nil when uninstrumented
 
 	// connPool recycles per-connection serving state (bufio reader/writer,
 	// page and frame buffers, batch scratch) across connections, so a churn
@@ -126,38 +125,19 @@ type Server struct {
 	wg        sync.WaitGroup
 }
 
-// NewServer wraps a bare backend.
-func NewServer(b *tmem.Backend) *Server {
-	if b == nil {
-		panic("kvstore: nil backend")
-	}
-	s := NewServerStore(b)
-	s.backend = b
-	return s
-}
-
-// NewServerStore wraps any Store (e.g. a durable write-through store).
-// When the store exposes the backend it wraps via a Backend() method,
-// Server.Backend reports it.
+// NewServerStore serves any Store: a bare *tmem.Backend or a wrapper of
+// one (e.g. a durable write-through store).
 func NewServerStore(store Store) *Server {
 	if store == nil {
 		panic("kvstore: nil store")
 	}
-	s := &Server{
+	return &Server{
 		store:     store,
 		connPool:  new(sync.Pool),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
 	}
-	if bp, ok := store.(interface{ Backend() *tmem.Backend }); ok {
-		s.backend = bp.Backend()
-	}
-	return s
 }
-
-// Backend returns the underlying tmem backend, or nil when the server was
-// built over a store that does not wrap one.
-func (s *Server) Backend() *tmem.Backend { return s.backend }
 
 // SetMetrics attaches serving instrumentation: per-op latency histograms
 // and transport counters recorded lock-free on the serve loop. Call before

@@ -15,14 +15,15 @@ import (
 
 const pageSize = 4096
 
-func pipeRig(t *testing.T, pages mem.Pages) (*Client, *Server) {
+func pipeRig(t *testing.T, pages mem.Pages) (*Client, *tmem.Backend) {
 	t.Helper()
-	srv := NewServer(tmem.NewBackend(pages, tmem.NewDataStore(pageSize)))
+	backend := tmem.NewBackend(pages, tmem.NewDataStore(pageSize))
+	srv := NewServerStore(backend)
 	a, b := net.Pipe()
 	go func() { _ = srv.ServeConn(b) }()
 	cl := NewClient(a, pageSize)
 	t.Cleanup(func() { cl.Close() })
-	return cl, srv
+	return cl, backend
 }
 
 func page(b byte) []byte {
@@ -63,7 +64,7 @@ func TestPutGetFlushOverWire(t *testing.T) {
 }
 
 func TestFlushObjectOverWire(t *testing.T) {
-	cl, srv := pipeRig(t, 64)
+	cl, backend := pipeRig(t, 64)
 	pool, _ := cl.NewPool(1, tmem.Persistent)
 	for i := 0; i < 5; i++ {
 		if st, _ := cl.Put(tmem.Key{Pool: pool, Object: 3, Index: tmem.PageIndex(i)}, nil); st != tmem.STmem {
@@ -73,7 +74,7 @@ func TestFlushObjectOverWire(t *testing.T) {
 	if n, st, err := cl.FlushObjectCount(pool, 3); err != nil || st != tmem.STmem || n != 5 {
 		t.Fatalf("FlushObjectCount = %d, %v, %v; want 5 pages freed", n, st, err)
 	}
-	if used := srv.Backend().UsedBy(1); used != 0 {
+	if used := backend.UsedBy(1); used != 0 {
 		t.Errorf("backend used = %d after object flush", used)
 	}
 }
@@ -111,9 +112,9 @@ func TestOversizedPayloadRejectedClientSide(t *testing.T) {
 }
 
 func TestTargetsEnforcedOverWire(t *testing.T) {
-	cl, srv := pipeRig(t, 100)
+	cl, backend := pipeRig(t, 100)
 	pool, _ := cl.NewPool(1, tmem.Persistent)
-	srv.Backend().SetTarget(1, 3)
+	backend.SetTarget(1, 3)
 	ok := 0
 	for i := 0; i < 10; i++ {
 		if st, _ := cl.Put(tmem.Key{Pool: pool, Object: 1, Index: tmem.PageIndex(i)}, nil); st == tmem.STmem {
@@ -131,7 +132,8 @@ func TestConcurrentClientsOverTCP(t *testing.T) {
 		t.Skipf("loopback unavailable: %v", err)
 	}
 	defer l.Close()
-	srv := NewServer(tmem.NewBackend(1024, tmem.NewDataStore(pageSize)))
+	backend := tmem.NewBackend(1024, tmem.NewDataStore(pageSize))
+	srv := NewServerStore(backend)
 	go func() { _ = srv.Serve(l) }()
 
 	const clients = 4
@@ -174,14 +176,14 @@ func TestConcurrentClientsOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := srv.Backend().CheckInvariants(); err != nil {
+	if err := backend.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
 }
 
 func TestConstructorValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"nil backend":   func() { NewServer(nil) },
+		"nil store":     func() { NewServerStore(nil) },
 		"nil conn":      func() { NewClient(nil, pageSize) },
 		"bad page size": func() { a, _ := net.Pipe(); NewClient(a, 0) },
 	} {
@@ -197,7 +199,7 @@ func TestConstructorValidation(t *testing.T) {
 }
 
 func TestDestroyPoolOverWire(t *testing.T) {
-	cl, srv := pipeRig(t, 64)
+	cl, backend := pipeRig(t, 64)
 	pool, err := cl.NewPool(1, tmem.Persistent)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +213,7 @@ func TestDestroyPoolOverWire(t *testing.T) {
 	if err != nil || st != tmem.STmem {
 		t.Fatalf("DestroyPool = %v, %v", st, err)
 	}
-	if used := srv.Backend().TotalPages() - srv.Backend().FreePages(); used != 0 {
+	if used := backend.TotalPages() - backend.FreePages(); used != 0 {
 		t.Errorf("store still holds %d pages after pool destruction", used)
 	}
 	// Destroying an unknown pool reports E_INVAL, not a dead connection.
@@ -257,7 +259,7 @@ func TestNewPoolRejectsUnknownKind(t *testing.T) {
 // the RAMster-style topology smartmem-kvd's -remote flag assembles: a small
 // front store whose overflow lands on a kvd peer across the wire.
 func TestRemoteTierOverWire(t *testing.T) {
-	peerClient, peerSrv := pipeRig(t, 256)
+	peerClient, peer := pipeRig(t, 256)
 	front := tmem.NewBackend(2, tmem.NewDataStore(pageSize))
 	front.AttachTier(tmem.NewRemoteTier("kvd-peer", peerClient, 1000))
 
@@ -267,7 +269,7 @@ func TestRemoteTierOverWire(t *testing.T) {
 			t.Fatalf("Put %d = %v", i, st)
 		}
 	}
-	if got := peerSrv.Backend().UsedBy(1000); got != 6 {
+	if got := peer.UsedBy(1000); got != 6 {
 		t.Fatalf("peer absorbed %d pages, want 6", got)
 	}
 	dst := make([]byte, pageSize)
@@ -278,7 +280,7 @@ func TestRemoteTierOverWire(t *testing.T) {
 		}
 	}
 	front.UnregisterVM(1)
-	if got := peerSrv.Backend().UsedBy(1000); got != 0 {
+	if got := peer.UsedBy(1000); got != 0 {
 		t.Errorf("peer still holds %d pages after front VM shutdown", got)
 	}
 }
@@ -383,7 +385,7 @@ func TestBatchSplitsLongRuns(t *testing.T) {
 // batch frames end to end (node -> wire -> kvd backend).
 func TestRemoteTierBatchOverWire(t *testing.T) {
 	peer := tmem.NewBackend(1<<16, tmem.NewDataStore(pageSize))
-	srv := NewServer(peer)
+	srv := NewServerStore(peer)
 	a, b := net.Pipe()
 	go func() { _ = srv.ServeConn(b) }()
 	cl := NewClient(a, pageSize)
@@ -430,10 +432,11 @@ func TestRemoteTierBatchOverWire(t *testing.T) {
 // -race) serializes its own exchanges — every answer matches the goroutine's
 // private model of its own pool.
 func TestClientConcurrentUse(t *testing.T) {
-	srv := NewServer(tmem.NewBackendOpts(4096, tmem.Options{
+	backend := tmem.NewBackendOpts(4096, tmem.Options{
 		Shards:   4,
 		NewStore: func() tmem.PageStore { return tmem.NewDataStore(pageSize) },
-	}))
+	})
+	srv := NewServerStore(backend)
 	a, b := net.Pipe()
 	go func() { _ = srv.ServeConn(b) }()
 	cl := NewClient(a, pageSize)
@@ -531,7 +534,7 @@ func TestClientConcurrentUse(t *testing.T) {
 		}(int64(w + 1))
 	}
 	wg.Wait()
-	if err := srv.Backend().CheckInvariants(); err != nil {
+	if err := backend.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
 }

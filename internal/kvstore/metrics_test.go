@@ -14,7 +14,7 @@ import (
 func startMetricsServer(t *testing.T) (*Client, *Metrics) {
 	t.Helper()
 	backend := tmem.NewBackend(1024, tmem.NewDataStore(4096))
-	srv := NewServer(backend)
+	srv := NewServerStore(backend)
 	m := NewMetrics()
 	srv.SetMetrics(m)
 	l, err := net.Listen("tcp", "127.0.0.1:0")

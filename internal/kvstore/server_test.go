@@ -25,7 +25,8 @@ func shardedBackend(pages mem.Pages, shards int) *tmem.Backend {
 
 // The wire semantics must be independent of the backend's shard count.
 func TestShardedBackendOverWire(t *testing.T) {
-	srv := NewServer(shardedBackend(256, 8))
+	backend := shardedBackend(256, 8)
+	srv := NewServerStore(backend)
 	a, b := net.Pipe()
 	go func() { _ = srv.ServeConn(b) }()
 	cl := NewClient(a, pageSize)
@@ -45,7 +46,7 @@ func TestShardedBackendOverWire(t *testing.T) {
 			t.Fatalf("Get %d = %v, %v", i, st, err)
 		}
 	}
-	if err := srv.Backend().CheckInvariants(); err != nil {
+	if err := backend.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
 }
@@ -53,7 +54,7 @@ func TestShardedBackendOverWire(t *testing.T) {
 // A client may stream many requests before reading any response; the
 // server must answer all of them, in order.
 func TestPipelinedRequests(t *testing.T) {
-	srv := NewServer(shardedBackend(256, 4))
+	srv := NewServerStore(shardedBackend(256, 4))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Skipf("loopback unavailable: %v", err)
@@ -114,7 +115,8 @@ func TestPipelinedRequests(t *testing.T) {
 // Shutdown stops accepting, lets idle-free connections drain, and forces
 // the stragglers closed once the context expires.
 func TestShutdownDrainsAndForces(t *testing.T) {
-	srv := NewServer(shardedBackend(128, 2))
+	backend := shardedBackend(128, 2)
+	srv := NewServerStore(backend)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Skipf("loopback unavailable: %v", err)
@@ -158,13 +160,13 @@ func TestShutdownDrainsAndForces(t *testing.T) {
 		t.Error("listener still accepting after Shutdown")
 	}
 	// The store survives with its state intact.
-	if used := srv.Backend().UsedBy(1); used != 1 {
+	if used := backend.UsedBy(1); used != 1 {
 		t.Errorf("backend used = %d after shutdown, want 1", used)
 	}
 }
 
 func TestShutdownWithNoConnections(t *testing.T) {
-	srv := NewServer(shardedBackend(16, 1))
+	srv := NewServerStore(shardedBackend(16, 1))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Skipf("loopback unavailable: %v", err)
@@ -196,7 +198,7 @@ func TestShutdownWithNoConnections(t *testing.T) {
 func TestShutdownReleasesStore(t *testing.T) {
 	backend := func() weak.Pointer[tmem.Backend] {
 		backend := tmem.NewBackend(64, tmem.NewDataStore(pageSize))
-		srv := NewServer(backend)
+		srv := NewServerStore(backend)
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Skipf("loopback unavailable: %v", err)
@@ -240,7 +242,7 @@ func TestShutdownReleasesStore(t *testing.T) {
 // benchServer measures end-to-end KV throughput over TCP loopback with one
 // connection per benchmark goroutine.
 func benchServer(b *testing.B, shards int) {
-	srv := NewServer(shardedBackend(1<<18, shards))
+	srv := NewServerStore(shardedBackend(1<<18, shards))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Skipf("loopback unavailable: %v", err)
@@ -299,7 +301,7 @@ func benchServer(b *testing.B, shards int) {
 func BenchmarkKVServerPipelined(b *testing.B) {
 	newServed := func(b *testing.B) (*tmem.Backend, net.Addr) {
 		backend := shardedBackend(1<<18, 1)
-		srv := NewServer(backend)
+		srv := NewServerStore(backend)
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			b.Skipf("loopback unavailable: %v", err)

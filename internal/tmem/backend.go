@@ -23,7 +23,11 @@ type Pool struct {
 	// exclusive makes a hit destructive in a persistent pool too: the get
 	// flushes the page it returns (Xen frontswap's "exclusive gets").
 	exclusive bool
-	acct      *vmAccount
+	// peer marks a pool Loopback created for another node's overflow: its
+	// pages never leave the local store, so a page this node takes for a
+	// peer never cascades into its own tiers (or bounces back).
+	peer bool
+	acct *vmAccount
 	// pages counts stored pages; atomic because a pool's entries spread
 	// across shards.
 	pages atomic.Int64
@@ -362,15 +366,15 @@ func (b *Backend) UnregisterVM(vm VMID) {
 // and returns its identifier, or InvalidPool for a kind other than
 // Persistent and Ephemeral. The VM account is resolved under poolMu (see
 // UnregisterVM for why the two must be atomic).
-func (b *Backend) NewPool(vm VMID, kind PoolKind) PoolID { return b.newPool(vm, kind, false) }
+func (b *Backend) NewPool(vm VMID, kind PoolKind) PoolID { return b.newPool(vm, kind, false, false) }
 
 // NewExclusivePool creates a persistent pool with exclusive gets, the mode
 // Xen's frontswap runs in: a get that hits also flushes the page, so a
 // swap-in is one store call. Counts, capacity and lower tiers end up as
 // after a Get and a FlushPage of the key on a plain persistent pool.
-func (b *Backend) NewExclusivePool(vm VMID) PoolID { return b.newPool(vm, Persistent, true) }
+func (b *Backend) NewExclusivePool(vm VMID) PoolID { return b.newPool(vm, Persistent, true, false) }
 
-func (b *Backend) newPool(vm VMID, kind PoolKind, exclusive bool) PoolID {
+func (b *Backend) newPool(vm VMID, kind PoolKind, exclusive, peer bool) PoolID {
 	if kind != Persistent && kind != Ephemeral {
 		return InvalidPool
 	}
@@ -381,7 +385,7 @@ func (b *Backend) newPool(vm VMID, kind PoolKind, exclusive bool) PoolID {
 		return InvalidPool
 	}
 	b.nextPool++
-	b.setPool(id, &Pool{id: id, vm: vm, kind: kind, exclusive: exclusive, acct: b.register(vm)})
+	b.setPool(id, &Pool{id: id, vm: vm, kind: kind, exclusive: exclusive, peer: peer, acct: b.register(vm)})
 	return id
 }
 
@@ -528,26 +532,18 @@ func (b *Backend) evictHead(sh *shard) bool {
 // accepting it turns the guest-visible status back into S_TMEM, sparing the
 // guest a disk swap. The local rejection still counts as a failed put in
 // the MemStats sample, so policies keep seeing the pressure that caused the
-// overflow.
-func (b *Backend) Put(key Key, data []byte) Status { return b.put(key, data, true) }
-
-// put is Put's body. withTiers is off only for a Loopback peer, so an
-// overflow page accepted on behalf of a peer never cascades into this
-// node's tiers. The other op bodies take the same argument.
-func (b *Backend) put(key Key, data []byte, withTiers bool) Status {
+// overflow. A peer pool's refusal stands: it never walks the tiers.
+func (b *Backend) Put(key Key, data []byte) Status {
 	p := b.pool(key.Pool)
 	if p == nil || b.oversize(data) {
 		return EInval
 	}
 	sh := b.shardFor(key)
 	st, ti := b.putRetry(sh, p, key, data, true)
-	if !withTiers || len(b.tiers) == 0 {
-		return st
-	}
 	switch {
 	case st == STmem && ti >= 0:
 		b.supersede(sh, key, ti)
-	case st == ETmem:
+	case st == ETmem && b.walksTiers(p):
 		// A run of one down the walk PutBatch takes. Every slice lives on
 		// this stack frame: offer keeps none of them.
 		var (
@@ -563,6 +559,11 @@ func (b *Backend) put(key Key, data []byte, withTiers bool) Status {
 	}
 	return st
 }
+
+// walksTiers reports whether a put of p the local store refused goes down
+// the tier stack: there is one, and p is not a peer pool. Only a pool that
+// walks the tiers ever has a key tracked in one.
+func (b *Backend) walksTiers(p *Pool) bool { return len(b.tiers) > 0 && !p.peer }
 
 // oversize reports a page longer than the node's page size: malformed, so
 // neither the local store nor any tier may see it (a tier would stage it
@@ -823,18 +824,14 @@ func (b *Backend) tryPutLocked(sh *shard, p *Pool, key Key, data []byte, count b
 // With tiers attached, a local miss on a key whose copy was shipped to a
 // lower tier is served from that tier (and counted as a hit: tmem served
 // the page, wherever it sat).
-func (b *Backend) Get(key Key, dst []byte) Status { return b.get(key, dst, true) }
-
-// get is Get's body (see put); with tiers off a key tracked in a lower tier
-// reads as a miss.
-func (b *Backend) get(key Key, dst []byte, withTiers bool) Status {
+func (b *Backend) Get(key Key, dst []byte) Status {
 	p := b.pool(key.Pool)
 	if p == nil {
 		return EInval
 	}
 	sh := b.shardFor(key)
 	sh.mu.Lock()
-	st, ti := b.getLocked(sh, p, key, dst, withTiers)
+	st, ti := b.getLocked(sh, p, key, dst)
 	sh.mu.Unlock()
 	if ti < 0 {
 		return st
@@ -846,12 +843,12 @@ func (b *Backend) get(key Key, dst []byte, withTiers bool) Status {
 // serves a local hit. For a key tracked in a lower tier it returns that
 // tier's index, for the caller to ask once the lock is released; an
 // exclusive get stops tracking the key here.
-func (b *Backend) getLocked(sh *shard, p *Pool, key Key, dst []byte, withTiers bool) (st Status, ti int) {
+func (b *Backend) getLocked(sh *shard, p *Pool, key Key, dst []byte) (st Status, ti int) {
 	c := &p.acct.counts[sh.idx]
 	c.getsTotal++
 	e := sh.ix.Get(key)
 	switch {
-	case e == nil || e.tier != tierLocal && !withTiers:
+	case e == nil:
 		return ETmem, -1
 	case e.tier != tierLocal:
 		ti = int(e.tier)
@@ -920,11 +917,7 @@ func (b *Backend) Contains(key Key) bool {
 // deallocate, tmem_used--). Flushing an absent page returns ETmem, which
 // guests treat as harmless. A page whose live copy sits in a lower tier is
 // flushed there.
-func (b *Backend) FlushPage(key Key) Status { return b.flushPage(key, true) }
-
-// flushPage is FlushPage's body (see put); with tiers off a key tracked in
-// a lower tier is left alone and reads as absent.
-func (b *Backend) flushPage(key Key, withTiers bool) Status {
+func (b *Backend) FlushPage(key Key) Status {
 	p := b.pool(key.Pool)
 	if p == nil {
 		return EInval
@@ -933,7 +926,7 @@ func (b *Backend) flushPage(key Key, withTiers bool) Status {
 	c := &p.acct.counts[sh.idx]
 	sh.mu.Lock()
 	e := sh.ix.Get(key)
-	if e == nil || (e.tier != tierLocal && !withTiers) {
+	if e == nil {
 		sh.mu.Unlock()
 		return ETmem
 	}
@@ -960,12 +953,6 @@ func (b *Backend) flushPage(key Key, withTiers bool) Status {
 // in lower tiers are flushed there with one object flush per involved tier,
 // which reports what it actually freed.
 func (b *Backend) FlushObject(pool PoolID, object ObjectID) (mem.Pages, Status) {
-	return b.flushObject(pool, object, true)
-}
-
-// flushObject is FlushObject's body (see put); with tiers off the sweep
-// still unindexes tier-tracked pages but asks no tier.
-func (b *Backend) flushObject(pool PoolID, object ObjectID, withTiers bool) (mem.Pages, Status) {
 	p := b.pool(pool)
 	if p == nil {
 		return 0, EInval
@@ -973,7 +960,7 @@ func (b *Backend) flushObject(pool PoolID, object ObjectID, withTiers bool) (mem
 	n, tracked := b.sweepObject(p, object)
 	var freed mem.Pages
 	for ti, cnt := range tracked {
-		if cnt == 0 || !withTiers {
+		if cnt == 0 {
 			continue
 		}
 		if m, st := b.tiers[ti].FlushObject(pool, object); st == STmem {

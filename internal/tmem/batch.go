@@ -2,10 +2,11 @@ package tmem
 
 // This file implements the batched page operations of the wire path
 // (DESIGN.md §9): PutBatch/GetBatch, used by the kvstore daemon's
-// OpPutBatch/OpGetBatch frames and, with tiers off, by Loopback. Instead of
-// paying one stripe-lock round trip per page, a batch groups its keys by
-// stripe, acquires each stripe lock once per batch and walks the tier stack
-// with whole sub-runs. Within a stripe, issue order is preserved; across
+// OpPutBatch/OpGetBatch frames and by Loopback for a peer's overflow runs
+// (into peer pools, which never walk the tiers). Instead of paying one
+// stripe-lock round trip per page, a batch groups its keys by stripe,
+// acquires each stripe lock once per batch and walks the tier stack with
+// whole sub-runs. Within a stripe, issue order is preserved; across
 // stripes, order is unspecified (as for any concurrent callers). The guest
 // kernel makes one per-page call per fault, as the paper's hooks do.
 //
@@ -90,12 +91,6 @@ func checkBatch(keys []Key, datas [][]byte, sts []Status) {
 // (all zero pages) or hold one payload per key; sts receives one status
 // per key.
 func (b *Backend) PutBatch(keys []Key, datas [][]byte, sts []Status) {
-	b.putBatch(keys, datas, sts, true)
-}
-
-// putBatch is PutBatch's body (see Backend.put); with tiers off an overflow
-// batch accepted on behalf of a peer never cascades further.
-func (b *Backend) putBatch(keys []Key, datas [][]byte, sts []Status, withTiers bool) {
 	checkBatch(keys, datas, sts)
 	if len(keys) == 0 {
 		return
@@ -104,7 +99,6 @@ func (b *Backend) putBatch(keys []Key, datas [][]byte, sts []Status, withTiers b
 	defer b.putScratch(sc)
 	b.resolvePools(sc, keys)
 	w := tierWalk{keys: keys, pools: sc.pools, datas: datas, sts: sts, ft: sc.ft, run: sc.run, rem: sc.rem}
-	withTiers = withTiers && len(b.tiers) > 0
 
 	// A local answer either stands, or defers the key past the locked
 	// region: a fresh local copy of a tier-tracked key to the supersede
@@ -112,11 +106,11 @@ func (b *Backend) putBatch(keys []Key, datas [][]byte, sts []Status, withTiers b
 	// keeps the tier the key was tracked in.
 	settle := func(i int32, st Status, ft int) {
 		switch {
-		case st == STmem && ft >= 0 && withTiers:
+		case st == STmem && ft >= 0:
 			sts[i] = STmem
 			sc.ft[i] = int16(ft)
 			sc.sup = append(sc.sup, i)
-		case st == ETmem && withTiers:
+		case st == ETmem && b.walksTiers(sc.pools[i]):
 			sc.ft[i] = int16(ft)
 			sc.offer = append(sc.offer, i)
 		default:
@@ -191,12 +185,6 @@ func (b *Backend) eachGroup(sc *batchScratch, keys []Key, process func(*shard, [
 // tier in one batch (one remote round trip per tier). dsts may be nil
 // (presence only) or hold one destination buffer per key.
 func (b *Backend) GetBatch(keys []Key, dsts [][]byte, sts []Status) {
-	b.getBatch(keys, dsts, sts, true)
-}
-
-// getBatch is GetBatch's body (see Backend.put); with tiers off a key
-// tracked in a lower tier reads as a miss.
-func (b *Backend) getBatch(keys []Key, dsts [][]byte, sts []Status, withTiers bool) {
 	checkBatch(keys, dsts, sts)
 	if len(keys) == 0 {
 		return
@@ -210,7 +198,6 @@ func (b *Backend) getBatch(keys []Key, dsts [][]byte, sts []Status, withTiers bo
 	sc := b.getScratch(len(keys))
 	defer b.putScratch(sc)
 	b.resolvePools(sc, keys)
-	withTiers = withTiers && len(b.tiers) > 0
 
 	// Phase A: local lookups, one stripe lock per group. Tier-tracked
 	// misses are deferred (sc.offer) with their tier index in sc.ft.
@@ -222,7 +209,7 @@ func (b *Backend) getBatch(keys []Key, dsts [][]byte, sts []Status, withTiers bo
 				sts[i] = EInval
 				continue
 			}
-			st, ti := b.getLocked(sh, p, keys[i], dst(i), withTiers)
+			st, ti := b.getLocked(sh, p, keys[i], dst(i))
 			sts[i] = st
 			if ti >= 0 {
 				sc.ft[i] = int16(ti)

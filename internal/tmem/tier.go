@@ -93,6 +93,27 @@ func (s *TierStats) Add(o TierStats) {
 	s.Errors += o.Errors
 }
 
+// TierCounters is the atomic counter block behind a tier's TierStats,
+// counted lock-free on the tier's data path.
+type TierCounters struct {
+	Puts, PutsOK, Gets, GetsHit atomic.Uint64
+	PageFlushes, ObjectFlushes  atomic.Uint64
+	Errors                      atomic.Uint64
+}
+
+// Stats snapshots the counters.
+func (c *TierCounters) Stats() TierStats {
+	return TierStats{
+		Puts:          c.Puts.Load(),
+		PutsOK:        c.PutsOK.Load(),
+		Gets:          c.Gets.Load(),
+		GetsHit:       c.GetsHit.Load(),
+		PageFlushes:   c.PageFlushes.Load(),
+		ObjectFlushes: c.ObjectFlushes.Load(),
+		Errors:        c.Errors.Load(),
+	}
+}
+
 // PageService is the put/get/flush surface a RemoteTier drives: the
 // key–value operations of the kvstore wire protocol, minus the transport.
 // Both kvstore.Client (a real net.Conn to a smartmem-kvd daemon, one frame
@@ -137,11 +158,8 @@ type RemoteTier struct {
 	mu    sync.RWMutex
 	pools map[PoolID]PoolID
 
-	down atomic.Bool
-
-	puts, putsOK, gets, getsHit atomic.Uint64
-	pageFlushes, objectFlushes  atomic.Uint64
-	errors                      atomic.Uint64
+	down   atomic.Bool
+	counts TierCounters
 }
 
 // NewRemoteTier creates a tier shipping overflow pages to svc. owner is the
@@ -159,21 +177,11 @@ func NewRemoteTier(name string, svc PageService, owner VMID) *RemoteTier {
 func (r *RemoteTier) Name() string { return r.name }
 
 // Stats implements Tier.
-func (r *RemoteTier) Stats() TierStats {
-	return TierStats{
-		Puts:          r.puts.Load(),
-		PutsOK:        r.putsOK.Load(),
-		Gets:          r.gets.Load(),
-		GetsHit:       r.getsHit.Load(),
-		PageFlushes:   r.pageFlushes.Load(),
-		ObjectFlushes: r.objectFlushes.Load(),
-		Errors:        r.errors.Load(),
-	}
-}
+func (r *RemoteTier) Stats() TierStats { return r.counts.Stats() }
 
 // fail records a transport error and permanently disables the tier.
 func (r *RemoteTier) fail() Status {
-	r.errors.Add(1)
+	r.counts.Errors.Add(1)
 	r.down.Store(true)
 	return ETmem
 }
@@ -210,7 +218,7 @@ func (r *RemoteTier) Put(key Key, kind PoolKind, data []byte) Status {
 	if r.down.Load() {
 		return ETmem
 	}
-	r.puts.Add(1)
+	r.counts.Puts.Add(1)
 	rp, ok := r.ensurePool(key.Pool, kind)
 	if !ok {
 		return ETmem
@@ -220,7 +228,7 @@ func (r *RemoteTier) Put(key Key, kind PoolKind, data []byte) Status {
 		return r.fail()
 	}
 	if st == STmem {
-		r.putsOK.Add(1)
+		r.counts.PutsOK.Add(1)
 	}
 	return st
 }
@@ -234,13 +242,13 @@ func (r *RemoteTier) Get(key Key, dst []byte) Status {
 	if !ok {
 		return ETmem
 	}
-	r.gets.Add(1)
+	r.counts.Gets.Add(1)
 	st, err := r.svc.GetInto(Key{Pool: rp, Object: key.Object, Index: key.Index}, dst)
 	if err != nil {
 		return r.fail()
 	}
 	if st == STmem {
-		r.getsHit.Add(1)
+		r.counts.GetsHit.Add(1)
 	}
 	return st
 }
@@ -267,7 +275,7 @@ func (r *RemoteTier) PutBatch(keys []Key, kinds []PoolKind, datas [][]byte, sts 
 		refuseAll()
 		return
 	}
-	r.puts.Add(uint64(len(keys)))
+	r.counts.Puts.Add(uint64(len(keys)))
 	sc := keyScratch.Get().(*remoteBatchScratch)
 	defer keyScratch.Put(sc)
 	sc.keys = sc.keys[:0]
@@ -287,7 +295,7 @@ func (r *RemoteTier) PutBatch(keys []Key, kinds []PoolKind, datas [][]byte, sts 
 	}
 	for _, st := range sts {
 		if st == STmem {
-			r.putsOK.Add(1)
+			r.counts.PutsOK.Add(1)
 		}
 	}
 }
@@ -322,7 +330,7 @@ func (r *RemoteTier) GetBatch(keys []Key, dsts [][]byte, sts []Status) {
 	if len(sc.keys) == 0 {
 		return
 	}
-	r.gets.Add(uint64(len(sc.keys)))
+	r.counts.Gets.Add(uint64(len(sc.keys)))
 	// Default every slot to ETmem (the Status zero value is STmem, so a
 	// transport that under-writes must read as a miss, not a false hit).
 	sc.sts = sc.sts[:0]
@@ -335,7 +343,7 @@ func (r *RemoteTier) GetBatch(keys []Key, dsts [][]byte, sts []Status) {
 	}
 	for j, i := range sc.idx {
 		if sc.sts[j] == STmem {
-			r.getsHit.Add(1)
+			r.counts.GetsHit.Add(1)
 		}
 		sts[i] = sc.sts[j]
 	}
@@ -350,7 +358,7 @@ func (r *RemoteTier) FlushPage(key Key) Status {
 	if !ok {
 		return ETmem
 	}
-	r.pageFlushes.Add(1)
+	r.counts.PageFlushes.Add(1)
 	st, err := r.svc.FlushPage(Key{Pool: rp, Object: key.Object, Index: key.Index})
 	if err != nil {
 		return r.fail()
@@ -367,7 +375,7 @@ func (r *RemoteTier) FlushObject(pool PoolID, object ObjectID) (mem.Pages, Statu
 	if !ok {
 		return 0, ETmem
 	}
-	r.objectFlushes.Add(1)
+	r.counts.ObjectFlushes.Add(1)
 	n, st, err := r.svc.FlushObjectCount(rp, object)
 	if err != nil {
 		return 0, r.fail()
@@ -391,9 +399,10 @@ func (r *RemoteTier) DropPool(pool PoolID) {
 
 // Loopback adapts a peer backend's local store to PageService for
 // in-process clusters: every operation is a direct, synchronous call into
-// the peer's striped store, which keeps the simulator deterministic. It
-// runs the peer's op bodies with tiers off, so mutually-wired nodes cannot
-// bounce one overflow page back and forth.
+// the peer's striped store, which keeps the simulator deterministic. The
+// pools it creates are peer pools, whose pages never leave the peer's local
+// store, so mutually-wired nodes cannot bounce one overflow page back and
+// forth.
 type Loopback struct {
 	b *Backend
 }
@@ -406,14 +415,15 @@ func NewLoopback(b *Backend) *Loopback {
 	return &Loopback{b: b}
 }
 
-// NewPool implements PageService.
+// NewPool implements PageService with a peer pool, whose pages never
+// leave the peer's local store.
 func (l *Loopback) NewPool(vm VMID, kind PoolKind) (PoolID, error) {
-	return l.b.NewPool(vm, kind), nil
+	return l.b.newPool(vm, kind, false, true), nil
 }
 
 // Put implements PageService.
 func (l *Loopback) Put(key Key, data []byte) (Status, error) {
-	return l.b.put(key, data, false), nil
+	return l.b.Put(key, data), nil
 }
 
 // Get implements PageService, materializing the page payload.
@@ -429,30 +439,30 @@ func (l *Loopback) Get(key Key) (Status, []byte, error) {
 // peer's store, so a nil dst (presence-only, the simulator's meta-store
 // path) moves zero bytes and a data-store cluster still gets real contents.
 func (l *Loopback) GetInto(key Key, dst []byte) (Status, error) {
-	return l.b.get(key, dst, false), nil
+	return l.b.Get(key, dst), nil
 }
 
 // PutBatch implements PageService: the peer's stripe-grouped batch path
 // absorbs the whole overflow run with one lock acquisition per stripe.
 func (l *Loopback) PutBatch(keys []Key, datas [][]byte, sts []Status) error {
-	l.b.putBatch(keys, datas, sts, false)
+	l.b.PutBatch(keys, datas, sts)
 	return nil
 }
 
 // GetBatch implements PageService.
 func (l *Loopback) GetBatch(keys []Key, dsts [][]byte, sts []Status) error {
-	l.b.getBatch(keys, dsts, sts, false)
+	l.b.GetBatch(keys, dsts, sts)
 	return nil
 }
 
 // FlushPage implements PageService.
 func (l *Loopback) FlushPage(key Key) (Status, error) {
-	return l.b.flushPage(key, false), nil
+	return l.b.FlushPage(key), nil
 }
 
 // FlushObjectCount implements PageService.
 func (l *Loopback) FlushObjectCount(pool PoolID, object ObjectID) (mem.Pages, Status, error) {
-	n, st := l.b.flushObject(pool, object, false)
+	n, st := l.b.FlushObject(pool, object)
 	return n, st, nil
 }
 

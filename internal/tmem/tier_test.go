@@ -77,6 +77,66 @@ func TestRemoteTierAbsorbsFrameOverflow(t *testing.T) {
 	}
 }
 
+// TestPeerPagesNeverCascade: two nodes ship overflow to each other through
+// Loopbacks. Node B is full, so it refuses what node A ships past its room;
+// those refusals must stand. A page B takes for A never goes on into B's
+// own tiers, where it would bounce back to A.
+func TestPeerPagesNeverCascade(t *testing.T) {
+	a := NewBackend(16, NewMetaStore(testPage))
+	b := NewBackend(10, NewMetaStore(testPage))
+	toB := NewRemoteTier("b", NewLoopback(b), 1000)
+	toA := NewRemoteTier("a", NewLoopback(a), 1001)
+	a.AttachTier(toB)
+	b.AttachTier(toA)
+
+	// B's own VM takes 8 of its 10 frames and never overflows.
+	poolB := b.NewPool(2, Persistent)
+	for i := 0; i < 8; i++ {
+		if st := b.Put(Key{Pool: poolB, Object: 1, Index: PageIndex(i)}, nil); st != STmem {
+			t.Fatalf("B put %d = %v", i, st)
+		}
+	}
+	// A's VM holds 4 pages locally; of its 12 overflow pages, half per
+	// page and half as a batch, B has room for 2.
+	a.SetTarget(1, 4)
+	poolA := a.NewPool(1, Persistent)
+	ok := 0
+	for i := 0; i < 10; i++ {
+		if a.Put(Key{Pool: poolA, Object: 1, Index: PageIndex(i)}, nil) == STmem {
+			ok++
+		}
+	}
+	keys := make([]Key, 6)
+	for i := range keys {
+		keys[i] = Key{Pool: poolA, Object: 2, Index: PageIndex(i)}
+	}
+	sts := make([]Status, len(keys))
+	a.PutBatch(keys, nil, sts)
+	for _, st := range sts {
+		if st == STmem {
+			ok++
+		}
+	}
+
+	if ok != 6 || b.FreePages() != 0 {
+		t.Errorf("A stored %d pages with B at %d free frames, want 6 (4 local, 2 on B) and 0", ok, b.FreePages())
+	}
+	if st := toB.Stats(); st.Puts != 12 || st.PutsOK != 2 {
+		t.Errorf("A's remote tier = %+v, want 12 puts, 2 ok", st)
+	}
+	if st := toA.Stats(); st.Puts != 0 {
+		t.Errorf("B's remote tier = %+v, want no puts: B cascaded pages it took for A", st)
+	}
+	if used := a.UsedBy(1001); used != 0 {
+		t.Errorf("A holds %d pages for B, want 0: A's own pages bounced back", used)
+	}
+	for _, n := range []*Backend{a, b} {
+		if err := n.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 func TestRemoteTierAbsorbsTargetOverflow(t *testing.T) {
 	local, peer := twoNodes(64, 64)
 	pool := local.NewPool(1, Persistent)
