@@ -46,6 +46,8 @@ loc:
 # allocates O(slab), is a group of its own at 10x: about 4 s a run. The
 # counts keep every other group's run between 0.2 and 3 s, so the gate's
 # 10 pairs take 4 to 6 minutes on 2 CPUs.
+# BenchmarkMemoScalarDecode decodes one cluster-2 cell's scalar record,
+# the per-cell work of a warm sweep rerun.
 # bench_test.go's macro benchmarks (BenchmarkEngine, BenchmarkSweep,
 # BenchmarkRunCluster) are left out: the sweep-paper and sweep-ext
 # workloads of BENCHMARK.json time those paths end to end. Run them by
@@ -60,6 +62,7 @@ kvserver         ./internal/kvstore BenchmarkKVServer                           
 durable-wal      ./internal/durable BenchmarkWALAppend|BenchmarkLogPutBatch                  1000x
 durable-compact  ./internal/durable BenchmarkCompact                                         10x
 hdr              ./internal/hdr     BenchmarkHDR                                             1000000x
+experiments-memo ./internal/experiments BenchmarkMemoScalarDecode                           100000x
 endef
 export BENCH_SUITE
 

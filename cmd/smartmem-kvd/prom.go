@@ -3,14 +3,14 @@ package main
 import (
 	"fmt"
 	"net/http"
-	"runtime/metrics"
-	"sort"
+	rtmetrics "runtime/metrics"
 	"strings"
 	"sync"
 	"time"
 
 	"smartmem/internal/hdr"
 	"smartmem/internal/kvstore"
+	"smartmem/internal/metrics"
 	"smartmem/internal/tmem"
 )
 
@@ -36,10 +36,12 @@ func promHandlerClock(node kvNode, m *kvstore.Metrics, now func() time.Time) htt
 	st := &intervalState{now: now}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		var fams promFamilies
+		writeWireMetrics(&fams, m)
+		writeIntervalMetrics(&fams, m, st)
+		writeStoreMetrics(&fams, node)
 		var b strings.Builder
-		writeWireMetrics(&b, m)
-		writeIntervalMetrics(&b, m, st)
-		writeStoreMetrics(&b, node)
+		fams.write(&b)
 		_, _ = w.Write([]byte(b.String()))
 	})
 }
@@ -59,7 +61,7 @@ type intervalState struct {
 // histograms' States against the previous scrape. The first scrape has no
 // baseline and emits nothing (it only seeds the States); ops quiet over
 // the whole interval are omitted.
-func writeIntervalMetrics(b *strings.Builder, m *kvstore.Metrics, st *intervalState) {
+func writeIntervalMetrics(p *promFamilies, m *kvstore.Metrics, st *intervalState) {
 	if m == nil {
 		return
 	}
@@ -103,13 +105,11 @@ func writeIntervalMetrics(b *strings.Builder, m *kvstore.Metrics, st *intervalSt
 		return
 	}
 
-	fmt.Fprintf(b, "# HELP smartmem_op_interval_rate Requests per second over the last scrape interval, by op.\n")
-	fmt.Fprintf(b, "# TYPE smartmem_op_interval_rate gauge\n")
+	const latency, latencyHelp = "smartmem_op_interval_latency_seconds", "Wire request latency over the last scrape interval, by op."
 	for _, od := range deltas {
-		fmt.Fprintf(b, "smartmem_op_interval_rate{op=%q} %g\n", od.name, float64(od.d.Count)/elapsed)
+		p.add("smartmem_op_interval_rate", "gauge", "Requests per second over the last scrape interval, by op.",
+			fmt.Sprintf("{op=%q}", od.name), float64(od.d.Count)/elapsed)
 	}
-	fmt.Fprintf(b, "# HELP smartmem_op_interval_latency_seconds Wire request latency over the last scrape interval, by op.\n")
-	fmt.Fprintf(b, "# TYPE smartmem_op_interval_latency_seconds summary\n")
 	for _, od := range deltas {
 		for _, pq := range promQuantiles {
 			var v int64
@@ -123,12 +123,10 @@ func writeIntervalMetrics(b *strings.Builder, m *kvstore.Metrics, st *intervalSt
 			default:
 				v = od.d.P999
 			}
-			fmt.Fprintf(b, "smartmem_op_interval_latency_seconds{op=%q,quantile=%q} %g\n",
-				od.name, pq.label, float64(v)/1e9)
+			p.add(latency, "summary", latencyHelp, fmt.Sprintf("{op=%q,quantile=%q}", od.name, pq.label), float64(v)/1e9)
 		}
-		fmt.Fprintf(b, "smartmem_op_interval_latency_seconds_sum{op=%q} %g\n",
-			od.name, od.d.Mean*float64(od.d.Count)/1e9)
-		fmt.Fprintf(b, "smartmem_op_interval_latency_seconds_count{op=%q} %d\n", od.name, od.d.Count)
+		p.add(latency, "summary", latencyHelp, fmt.Sprintf("_sum{op=%q}", od.name), od.d.Mean*float64(od.d.Count)/1e9)
+		p.add(latency, "summary", latencyHelp, fmt.Sprintf("_count{op=%q}", od.name), float64(od.d.Count))
 	}
 }
 
@@ -144,12 +142,11 @@ var promQuantiles = []struct {
 	{"0.999", 0.999},
 }
 
-func writeWireMetrics(b *strings.Builder, m *kvstore.Metrics) {
+func writeWireMetrics(p *promFamilies, m *kvstore.Metrics) {
 	if m == nil {
 		return
 	}
-	fmt.Fprintf(b, "# HELP smartmem_op_latency_seconds Wire request latency per op, frame decode to response enqueue.\n")
-	fmt.Fprintf(b, "# TYPE smartmem_op_latency_seconds summary\n")
+	const latency, latencyHelp = "smartmem_op_latency_seconds", "Wire request latency per op, frame decode to response enqueue."
 	for _, op := range kvstore.Ops() {
 		h := m.OpHistogram(op)
 		if h == nil || h.Count() == 0 {
@@ -157,103 +154,131 @@ func writeWireMetrics(b *strings.Builder, m *kvstore.Metrics) {
 		}
 		name := kvstore.OpName(op)
 		for _, pq := range promQuantiles {
-			fmt.Fprintf(b, "smartmem_op_latency_seconds{op=%q,quantile=%q} %g\n",
-				name, pq.label, float64(h.Quantile(pq.q))/1e9)
+			p.add(latency, "summary", latencyHelp, fmt.Sprintf("{op=%q,quantile=%q}", name, pq.label), float64(h.Quantile(pq.q))/1e9)
 		}
-		fmt.Fprintf(b, "smartmem_op_latency_seconds_sum{op=%q} %g\n", name, float64(h.Sum())/1e9)
-		fmt.Fprintf(b, "smartmem_op_latency_seconds_count{op=%q} %d\n", name, h.Count())
+		p.add(latency, "summary", latencyHelp, fmt.Sprintf("_sum{op=%q}", name), float64(h.Sum())/1e9)
+		p.add(latency, "summary", latencyHelp, fmt.Sprintf("_count{op=%q}", name), float64(h.Count()))
 	}
-	counter(b, "smartmem_ops_total", "Wire requests served, by op.", func(emit func(labels string, v float64)) {
-		for _, op := range kvstore.Ops() {
-			if h := m.OpHistogram(op); h != nil && h.Count() > 0 {
-				emit(fmt.Sprintf("{op=%q}", kvstore.OpName(op)), float64(h.Count()))
-			}
+	for _, op := range kvstore.Ops() {
+		if h := m.OpHistogram(op); h != nil && h.Count() > 0 {
+			p.add("smartmem_ops_total", "counter", "Wire requests served, by op.", fmt.Sprintf("{op=%q}", kvstore.OpName(op)), float64(h.Count()))
 		}
-	})
-	scalar(b, "smartmem_wire_bytes_in_total", "counter", "Bytes read off client connections.", float64(m.BytesIn()))
-	scalar(b, "smartmem_wire_bytes_out_total", "counter", "Bytes written to client connections.", float64(m.BytesOut()))
-	scalar(b, "smartmem_wire_conns_total", "counter", "Client connections accepted.", float64(m.ConnsTotal()))
-	scalar(b, "smartmem_wire_conns_active", "gauge", "Client connections currently open.", float64(m.ConnsActive()))
-	scalar(b, "smartmem_wire_proto_errors_total", "counter", "Malformed or truncated request frames.", float64(m.ProtoErrors()))
+	}
+	p.add("smartmem_wire_bytes_in_total", "counter", "Bytes read off client connections.", "", float64(m.BytesIn()))
+	p.add("smartmem_wire_bytes_out_total", "counter", "Bytes written to client connections.", "", float64(m.BytesOut()))
+	p.add("smartmem_wire_conns_total", "counter", "Client connections accepted.", "", float64(m.ConnsTotal()))
+	p.add("smartmem_wire_conns_active", "gauge", "Client connections currently open.", "", float64(m.ConnsActive()))
+	p.add("smartmem_wire_proto_errors_total", "counter", "Malformed or truncated request frames.", "", float64(m.ProtoErrors()))
 }
 
-func writeStoreMetrics(b *strings.Builder, node kvNode) {
+func writeStoreMetrics(p *promFamilies, node kvNode) {
 	bk := node.backend
-	scalar(b, "smartmem_store_pages_total", "gauge", "Store capacity in pages.", float64(bk.TotalPages()))
-	scalar(b, "smartmem_store_pages_used", "gauge", "Pages currently holding data.", float64(bk.TotalPages()-bk.FreePages()))
-	scalar(b, "smartmem_store_footprint_bytes", "gauge", "Live page bytes.", float64(bk.Footprint()))
+	p.add("smartmem_store_pages_total", "gauge", "Store capacity in pages.", "", float64(bk.TotalPages()))
+	p.add("smartmem_store_pages_used", "gauge", "Pages currently holding data.", "", float64(bk.TotalPages()-bk.FreePages()))
+	p.add("smartmem_store_footprint_bytes", "gauge", "Live page bytes.", "", float64(bk.Footprint()))
 	// Stored pages live outside the Go heap: this gauge does not count them.
-	scalar(b, "smartmem_go_heap_bytes", "gauge", "Bytes in live and unswept Go heap objects.", goHeapBytes())
+	p.add("smartmem_go_heap_bytes", "gauge", "Bytes in live and unswept Go heap objects.", "", goHeapBytes())
 
-	tiers := bk.Tiers()
-	if len(tiers) > 0 {
-		fmt.Fprintf(b, "# HELP smartmem_tier_ops_total Overflow-tier operations, by tier and op.\n")
-		fmt.Fprintf(b, "# TYPE smartmem_tier_ops_total counter\n")
-		for _, t := range tiers {
-			s := t.Stats()
-			for _, c := range []struct {
-				op string
-				v  uint64
-			}{
-				{"put", s.Puts}, {"put_ok", s.PutsOK},
-				{"get", s.Gets}, {"get_hit", s.GetsHit},
-				{"flush", s.PageFlushes + s.ObjectFlushes},
-				{"error", s.Errors},
-			} {
-				fmt.Fprintf(b, "smartmem_tier_ops_total{tier=%q,op=%q} %d\n", t.Name(), c.op, c.v)
-			}
-		}
-	}
-	for _, t := range tiers {
+	for _, t := range bk.Tiers() {
+		tl := fmt.Sprintf("{tier=%q}", t.Name())
 		ct, ok := t.(*tmem.CompressedTier)
 		if !ok {
+			s := t.Stats()
+			p.block("smartmem_tier_", tl, &s)
 			continue
 		}
 		cs := ct.CompressedStats()
-		tl := fmt.Sprintf("{tier=%q}", t.Name())
-		labeled(b, "smartmem_compressed_pages_stored", "gauge", "Pages resident in the compressed tier.", tl, float64(cs.PagesStored))
-		labeled(b, "smartmem_compressed_unique_blobs", "gauge", "Unique compressed blobs after dedup.", tl, float64(cs.UniqueBlobs))
-		labeled(b, "smartmem_compressed_raw_bytes", "gauge", "Uncompressed bytes represented.", tl, float64(cs.RawBytes))
-		labeled(b, "smartmem_compressed_stored_bytes", "gauge", "Arena bytes actually used.", tl, float64(cs.StoredBytes))
-		labeled(b, "smartmem_compressed_dedup_hits_total", "counter", "Puts satisfied by an existing blob.", tl, float64(cs.DedupHits))
-		labeled(b, "smartmem_compressed_rejected_full_total", "counter", "Puts rejected by the arena budget.", tl, float64(cs.RejectedFull))
-		labeled(b, "smartmem_compressed_decode_errors_total", "counter", "Stored blobs that failed to decode on a get.", tl, float64(cs.DecodeErrors))
-		labeled(b, "smartmem_compressed_effective_extra_pages", "gauge", "Pages the tier can absorb beyond the raw frames at its observed ratio.", tl, float64(ct.EffectiveExtraPages()))
-		labeled(b, "smartmem_compressed_codec_seconds_total", "counter", "Cumulative codec time.",
-			fmt.Sprintf("{tier=%q,dir=\"compress\"}", t.Name()), float64(cs.CompressNs)/1e9)
-		fmt.Fprintf(b, "smartmem_compressed_codec_seconds_total{tier=%q,dir=\"decompress\"} %g\n",
-			t.Name(), float64(cs.DecompressNs)/1e9)
+		p.block("smartmem_tier_", tl, &cs)
+		p.add("smartmem_tier_effective_extra_pages", "gauge", "Pages the tier can absorb beyond the raw frames at its observed ratio.", tl, float64(ct.EffectiveExtraPages()))
 	}
 
 	if node.dlog != nil {
 		ls := node.dlog.Stats()
-		scalar(b, "smartmem_wal_appends_total", "counter", "Records appended to the write-ahead log.", float64(ls.Appends))
-		scalar(b, "smartmem_wal_bytes_total", "counter", "Bytes appended to the write-ahead log.", float64(ls.AppendedBytes))
-		scalar(b, "smartmem_wal_fsyncs_total", "counter", "fsync calls issued by the journal.", float64(ls.Fsyncs))
-		scalar(b, "smartmem_wal_segments", "gauge", "Live WAL segment files.", float64(ls.Segments))
-		scalar(b, "smartmem_wal_compactions_total", "counter", "Snapshot compactions completed.", float64(ls.Compactions))
-		scalar(b, "smartmem_wal_compaction_seconds_total", "counter", "Wall time spent inside compactions.", float64(ls.CompactNanos)/1e9)
-		scalar(b, "smartmem_wal_compacting", "gauge", "1 while a compaction is writing a snapshot.", gauge01(ls.Compacting))
-		scalar(b, "smartmem_durable_pages_live", "gauge", "Pages the journal holds live.", float64(ls.PagesLive))
-		scalar(b, "smartmem_durable_bytes_live", "gauge", "Page bytes the live index entries locate on the blob store.", float64(ls.BytesLive))
-		scalar(b, "smartmem_durable_pools", "gauge", "Live persistent pools in the journal.", float64(ls.Pools))
-		scalar(b, "smartmem_durable_snapshot_pages", "gauge", "Pages in the latest snapshot.", float64(ls.SnapshotPages))
-		scalar(b, "smartmem_durable_errors_total", "counter", "Journal I/O errors.", float64(ls.Errors))
-		scalar(b, "smartmem_durable_degraded", "gauge", "1 when the journal has failed: persistent puts and new persistent pools are refused until restart.", gauge01(node.dstore.Degraded()))
-		scalar(b, "smartmem_durable_recovery_served_total", "counter", "Gets answered from the journal because the backend missed the page.", float64(node.dstore.RecoveryServed()))
+		p.block("smartmem_durable_", "", &ls)
+		p.add("smartmem_durable_degraded", "gauge", "1 when the journal has failed: persistent puts and new persistent pools are refused until restart.", "", gauge01(node.dstore.Degraded()))
+		p.add("smartmem_durable_recovery_served_total", "counter", "Gets answered from the journal because the backend missed the page.", "", float64(node.dstore.RecoveryServed()))
 		ri := node.dlog.Recovery()
-		scalar(b, "smartmem_durable_recovery_clean", "gauge", "1 when the last start found a clean-shutdown marker and skipped the WAL replay.", gauge01(ri.CleanShutdown))
-		scalar(b, "smartmem_durable_recovery_snapshot", "gauge", "1 when the last start seeded its state from a snapshot.", gauge01(ri.SnapshotLoaded))
-		scalar(b, "smartmem_durable_recovery_records", "gauge", "WAL records the last start replayed.", float64(ri.WALRecords))
-		scalar(b, "smartmem_durable_recovery_torn", "gauge", "1 when the last start discarded a torn final record.", gauge01(ri.TornTail))
-		scalar(b, "smartmem_durable_recovery_corrupt", "gauge", "Corrupt WAL records the last start skipped.", float64(ri.CorruptRecords))
+		p.add("smartmem_durable_recovery_clean", "gauge", "1 when the last start found a clean-shutdown marker and skipped the WAL replay.", "", gauge01(ri.CleanShutdown))
+		p.add("smartmem_durable_recovery_snapshot", "gauge", "1 when the last start seeded its state from a snapshot.", "", gauge01(ri.SnapshotLoaded))
+		p.add("smartmem_durable_recovery_records", "gauge", "WAL records the last start replayed.", "", float64(ri.WALRecords))
+		p.add("smartmem_durable_recovery_torn", "gauge", "1 when the last start discarded a torn final record.", "", gauge01(ri.TornTail))
+		p.add("smartmem_durable_recovery_corrupt", "gauge", "Corrupt WAL records the last start skipped.", "", float64(ri.CorruptRecords))
+	}
+}
+
+// promFamilies gathers a scrape's samples by family, so each family's HELP
+// and TYPE are written once, ahead of all its samples, whichever op, tier
+// or block reported them. Walking a stats block with it (metrics.Visitor)
+// applies the one naming rule: field f of a block walked under prefix p is
+// the family p+f, with _total on counters, and time fields are counters in
+// seconds, p+f+"_seconds_total".
+type promFamilies struct {
+	fams   []*promFamily
+	byName map[string]*promFamily
+	prefix string // of the block being walked
+	labels string // of the block being walked
+}
+
+type promFamily struct {
+	name, typ, help string
+	samples         []string // what follows name on each sample line
+}
+
+// add appends a sample to the family name, opening the family on its first
+// sample. series is what follows the name on the sample line: a summary's
+// _sum or _count suffix, if any, and the label set.
+func (p *promFamilies) add(name, typ, help, series string, v float64) {
+	f := p.byName[name]
+	if f == nil {
+		if p.byName == nil {
+			p.byName = make(map[string]*promFamily)
+		}
+		f = &promFamily{name: name, typ: typ, help: help}
+		p.byName[name] = f
+		p.fams = append(p.fams, f)
+	}
+	f.samples = append(f.samples, fmt.Sprintf("%s %g", series, v))
+}
+
+func (p *promFamilies) block(prefix, labels string, blk metrics.Block) {
+	p.prefix, p.labels = prefix, labels
+	blk.Fields(p)
+}
+
+func (p *promFamilies) Uint64(name, help string, k metrics.Kind, v *uint64) {
+	p.field(name, help, k, float64(*v))
+}
+func (p *promFamilies) Int64(name, help string, k metrics.Kind, v *int64) {
+	p.field(name, help, k, float64(*v))
+}
+func (p *promFamilies) Bool(name, help string, k metrics.Kind, v *bool) {
+	p.field(name, help, k, gauge01(*v))
+}
+
+func (p *promFamilies) field(name, help string, k metrics.Kind, v float64) {
+	switch k {
+	case metrics.Gauge:
+		p.add(p.prefix+name, "gauge", help, p.labels, v)
+	case metrics.Counter:
+		p.add(p.prefix+name+"_total", "counter", help, p.labels, v)
+	default:
+		p.add(p.prefix+name+"_seconds_total", "counter", help, p.labels, v/1e9)
+	}
+}
+
+func (p *promFamilies) write(b *strings.Builder) {
+	for _, f := range p.fams {
+		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+		for _, s := range f.samples {
+			fmt.Fprintf(b, "%s%s\n", f.name, s)
+		}
 	}
 }
 
 // goHeapBytes reads the Go heap's object bytes from runtime/metrics.
 func goHeapBytes() float64 {
-	s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
-	metrics.Read(s)
+	s := []rtmetrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	rtmetrics.Read(s)
 	return float64(s[0].Value.Uint64())
 }
 
@@ -263,33 +288,4 @@ func gauge01(v bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-// scalar emits one unlabeled sample with HELP/TYPE headers.
-func scalar(b *strings.Builder, name, typ, help string, v float64) {
-	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", name, help, name, typ, name, v)
-}
-
-// labeled emits one labeled sample with HELP/TYPE headers.
-func labeled(b *strings.Builder, name, typ, help, labels string, v float64) {
-	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n%s%s %g\n", name, help, name, typ, name, labels, v)
-}
-
-// counter emits a labeled counter family: HELP/TYPE once, then every
-// sample the fill callback produces, in deterministic label order.
-func counter(b *strings.Builder, name, help string, fill func(emit func(labels string, v float64))) {
-	type sample struct {
-		labels string
-		v      float64
-	}
-	var samples []sample
-	fill(func(labels string, v float64) { samples = append(samples, sample{labels, v}) })
-	if len(samples) == 0 {
-		return
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i].labels < samples[j].labels })
-	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-	for _, s := range samples {
-		fmt.Fprintf(b, "%s%s %g\n", name, s.labels, s.v)
-	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"io"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -62,20 +63,20 @@ func TestPromHandler(t *testing.T) {
 		"# TYPE smartmem_go_heap_bytes gauge",
 		"# TYPE smartmem_wire_conns_active gauge",
 		"smartmem_wire_proto_errors_total 0",
-		`smartmem_tier_ops_total{tier="compressed",op="put"} 0`,
-		`smartmem_compressed_stored_bytes{tier="compressed"} 0`,
-		`smartmem_compressed_decode_errors_total{tier="compressed"} 0`,
-		"# TYPE smartmem_compressed_decode_errors_total counter",
-		"# TYPE smartmem_compressed_effective_extra_pages gauge",
-		`smartmem_compressed_effective_extra_pages{tier="compressed"} `,
+		`smartmem_tier_puts_total{tier="compressed"} 0`,
+		`smartmem_tier_stored_bytes{tier="compressed"} 0`,
+		`smartmem_tier_decode_errors_total{tier="compressed"} 0`,
+		"# TYPE smartmem_tier_decode_errors_total counter",
+		"# TYPE smartmem_tier_effective_extra_pages gauge",
+		`smartmem_tier_effective_extra_pages{tier="compressed"} `,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	// No durable log attached: the WAL families must be absent.
-	if strings.Contains(body, "smartmem_wal_") {
-		t.Error("exposition has WAL families without -durable")
+	// No durable log attached: the journal families must be absent.
+	if strings.Contains(body, "smartmem_durable_") {
+		t.Error("exposition has journal families without -durable")
 	}
 
 	// The put p50 must round-trip through the histogram to ~1ms in
@@ -113,7 +114,8 @@ func TestPromHandler(t *testing.T) {
 // time spent and as a gauge that is back to zero.
 func TestPromHandlerDurable(t *testing.T) {
 	backend := newBackend(mem.Pages(64), 1)
-	node, err := openDurable(backend, t.TempDir(), durable.FsyncOff, io.Discard)
+	dir := t.TempDir()
+	node, err := openDurable(backend, dir, durable.FsyncOff, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,10 +132,10 @@ func TestPromHandlerDurable(t *testing.T) {
 	promHandler(node, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
 	for _, want := range []string{
-		"smartmem_wal_compactions_total 1\n",
-		"# TYPE smartmem_wal_compaction_seconds_total counter",
-		"# TYPE smartmem_wal_compacting gauge",
-		"smartmem_wal_compacting 0\n",
+		"smartmem_durable_compactions_total 1\n",
+		"# TYPE smartmem_durable_compaction_seconds_total counter",
+		"# TYPE smartmem_durable_compacting gauge",
+		"smartmem_durable_compacting 0\n",
 		"smartmem_durable_pages_live 1\n",
 		"smartmem_durable_bytes_live 4096\n",
 		"smartmem_durable_pools 1\n",
@@ -151,8 +153,109 @@ func TestPromHandlerDurable(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	if v := promSample(t, body, "smartmem_wal_compaction_seconds_total "); v <= 0 {
+	if v := promSample(t, body, "smartmem_durable_compaction_seconds_total "); v <= 0 {
 		t.Errorf("compaction seconds = %g after a compaction, want > 0", v)
+	}
+
+	// Every compaction opens a fresh segment and drops the sealed ones:
+	// after three, four segments were opened and one file is left. The
+	// series counts the opens, so it is a counter.
+	for i := 0; i < 2; i++ {
+		if err := node.dlog.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec = httptest.NewRecorder()
+	promHandler(node, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	body = rec.Body.String()
+	for _, want := range []string{
+		"# TYPE smartmem_durable_segments_opened_total counter",
+		"smartmem_durable_segments_opened_total 4\n",
+		"smartmem_durable_compactions_total 3\n",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+	if segs, err := filepath.Glob(filepath.Join(dir, "wal", "*.log")); err != nil || len(segs) != 1 {
+		t.Errorf("segment files after three compactions: %v (%v), want one", segs, err)
+	}
+}
+
+// TestPromExpositionWellFormed scrapes a node with every block attached —
+// a compressed and a remote tier, a journal and wire traffic — twice, so
+// the interval families show too, and checks the exposition's shape: each
+// family has one HELP and then one TYPE ahead of its samples, no family
+// comes back once another has started, every counter ends in _total, and
+// both tiers' samples sit under the one tier family.
+func TestPromExpositionWellFormed(t *testing.T) {
+	backend := newBackend(mem.Pages(4), 1)
+	backend.AttachTier(tmem.NewCompressedTier(tmem.CompressedTierConfig{PageSize: pageSize, CapacityBytes: 1 * mem.MiB}))
+	backend.AttachTier(tmem.NewRemoteTier("peer", tmem.NewLoopback(newBackend(mem.Pages(64), 1)), 9))
+	node, err := openDurable(backend, t.TempDir(), durable.FsyncOff, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.dlog.Close()
+	pool := node.store.NewPool(1, tmem.Persistent)
+	for i := tmem.PageIndex(0); i < 16; i++ {
+		if st := node.store.Put(tmem.Key{Pool: pool, Index: i}, make([]byte, pageSize)); st != tmem.STmem {
+			t.Fatalf("put %d: %v", i, st)
+		}
+	}
+	m := kvstore.NewMetrics()
+	clock := time.Unix(1000, 0)
+	h := promHandlerClock(node, m, func() time.Time { return clock })
+	var body string
+	for i := 0; i < 2; i++ {
+		m.OpHistogram(kvstore.OpPut).Record(int64(time.Millisecond))
+		clock = clock.Add(time.Second)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		body = rec.Body.String()
+	}
+	if !strings.Contains(body, "smartmem_op_interval_rate") {
+		t.Error("second scrape lacks the interval families")
+	}
+
+	types := map[string]string{} // family → TYPE, "" between its HELP and TYPE
+	cur := ""                    // the family whose samples may follow
+	for _, line := range strings.Split(strings.TrimSuffix(body, "\n"), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case strings.HasPrefix(line, "# HELP "):
+			if _, dup := types[f[2]]; dup {
+				t.Errorf("family %s repeats", f[2])
+			}
+			types[f[2]], cur = "", f[2]
+		case strings.HasPrefix(line, "# TYPE "):
+			if f[2] != cur || types[cur] != "" {
+				t.Errorf("%q does not follow its family's one HELP", line)
+			}
+			types[f[2]] = f[3]
+			if f[3] == "counter" && !strings.HasSuffix(f[2], "_total") {
+				t.Errorf("counter %s does not end in _total", f[2])
+			}
+		default:
+			name := line[:strings.IndexAny(line, "{ ")]
+			if types[cur] == "summary" {
+				name = strings.TrimSuffix(strings.TrimSuffix(name, "_sum"), "_count")
+			}
+			if name != cur || types[cur] == "" {
+				t.Errorf("sample %q outside its family's HELP/TYPE block (at %s)", line, cur)
+			}
+		}
+	}
+	for _, want := range []string{
+		"# TYPE smartmem_tier_puts_total counter\n" +
+			`smartmem_tier_puts_total{tier="compressed"} `,
+		`smartmem_tier_puts_total{tier="peer"} `,
+		"# TYPE smartmem_durable_wal_appends_total counter",
+		"# TYPE smartmem_op_latency_seconds summary",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("exposition missing %q", want)
+		}
 	}
 }
 

@@ -52,23 +52,7 @@ func TestJSONGolden(t *testing.T) {
 		t.Errorf("result = %v", doc.Result)
 	}
 
-	golden := filepath.Join("testdata", "scale2_smart_alloc_seed11.json.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (rerun with -args -update to create): %v", err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Errorf("-json output drifted from golden (%d bytes vs %d); rerun with -args -update if intended",
-			out.Len(), len(want))
-	}
+	checkGolden(t, "scale2_smart_alloc_seed11.json.golden", out.Bytes())
 }
 
 // TestEventsNDJSON checks the -events sink: one valid JSON object per
@@ -145,23 +129,7 @@ func TestClusterJSONGolden(t *testing.T) {
 		t.Error("result lacks per-node summaries")
 	}
 
-	golden := filepath.Join("testdata", "cluster2_smart_alloc_seed11.json.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (rerun with -args -update to create): %v", err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Errorf("-json output drifted from golden (%d bytes vs %d); rerun with -args -update if intended",
-			out.Len(), len(want))
-	}
+	checkGolden(t, "cluster2_smart_alloc_seed11.json.golden", out.Bytes())
 }
 
 // TestMemoryPressureJSONGolden locks the compressed-tier plumbing
@@ -205,23 +173,7 @@ func TestMemoryPressureJSONGolden(t *testing.T) {
 		t.Error("no sample-tick carried effective_tmem")
 	}
 
-	golden := filepath.Join("testdata", "memory_pressure_smart_alloc_seed11.json.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (rerun with -args -update to create): %v", err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Errorf("-json output drifted from golden (%d bytes vs %d); rerun with -args -update if intended",
-			out.Len(), len(want))
-	}
+	checkGolden(t, "memory_pressure_smart_alloc_seed11.json.golden", out.Bytes())
 }
 
 // TestDiurnalJSONGolden locks one production-shaped scenario end-to-end:
@@ -257,12 +209,51 @@ func TestDiurnalJSONGolden(t *testing.T) {
 		t.Errorf("saw %d wave-crest milestones, want 6", crests)
 	}
 
-	golden := filepath.Join("testdata", "diurnal_smart_alloc_seed11.json.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
+	checkGolden(t, "diurnal_smart_alloc_seed11.json.golden", out.Bytes())
+}
+
+// TestRestartSurvivorJSONGolden locks the durable tier's result block
+// end-to-end: the sim journals with inline compaction and reads no clock,
+// so the restart-survivor run's document, durable_tier included, must be
+// byte-identical run over run. The block carries the tier's errors and
+// the journal's journal_errors side by side. Regenerate with:
+//
+//	go test ./cmd/smartmem-sim -args -update
+func TestRestartSurvivorJSONGolden(t *testing.T) {
+	var out, errb bytes.Buffer
+	args := []string{"-scenario", "restart-survivor", "-policy", "smart-alloc:P=2", "-seed", "11", "-json", "-"}
+	if code := realMain(args, &out, &errb); code != 0 {
+		t.Fatalf("exit code %d, stderr: %s", code, errb.String())
+	}
+
+	var doc struct {
+		Result map[string]any `json:"result"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+		t.Fatalf("output is not valid JSON: %v", err)
+	}
+	dt, _ := doc.Result["durable_tier"].(map[string]any)
+	if dt == nil {
+		t.Fatal("result lacks the durable_tier block")
+	}
+	for _, key := range []string{"errors", "journal_errors", "segments_opened", "compacting"} {
+		if _, ok := dt[key]; !ok {
+			t.Errorf("durable_tier lacks %q: %v", key, dt)
 		}
-		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+	}
+	if puts, _ := dt["puts_ok"].(float64); puts == 0 {
+		t.Errorf("durable_tier took no pages: %v", dt)
+	}
+	checkGolden(t, "restart_survivor_smart_alloc_seed11.json.golden", out.Bytes())
+}
+
+// checkGolden compares a -json document with testdata/<name>, rewriting
+// the file first under -update.
+func checkGolden(t *testing.T, name string, out []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(golden, out, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -270,9 +261,9 @@ func TestDiurnalJSONGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read golden (rerun with -args -update to create): %v", err)
 	}
-	if !bytes.Equal(out.Bytes(), want) {
+	if !bytes.Equal(out, want) {
 		t.Errorf("-json output drifted from golden (%d bytes vs %d); rerun with -args -update if intended",
-			out.Len(), len(want))
+			len(out), len(want))
 	}
 }
 

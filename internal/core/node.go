@@ -348,14 +348,14 @@ func (n *nodeRuntime) finalize(res *Result) error {
 		if res.Compressed == nil {
 			res.Compressed = &tmem.CompressedTierStats{}
 		}
-		res.Compressed.Add(n.compress.CompressedStats())
+		metrics.Add(res.Compressed, n.compress.CompressedStats())
 	}
 
 	if n.dtier != nil {
 		if res.Durable == nil {
 			res.Durable = &durable.Summary{}
 		}
-		res.Durable.Add(n.dtier.Summary())
+		metrics.Add(res.Durable, n.dtier.Summary())
 		// Crash-style close: the journal's value is being reopenable from
 		// the WAL alone, and skipping the graceful compaction keeps the
 		// run's counters independent of shutdown timing. Callers holding

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"smartmem/internal/metrics"
 	"smartmem/internal/tmem"
 )
 
@@ -106,39 +107,39 @@ func (o Options) withDefaults() (Options, error) {
 	return o, nil
 }
 
-// Stats are a Log's cumulative counters plus its live-state gauges.
+// Stats are a Log's cumulative counters plus its live-state gauges; Fields
+// says what each one counts. CompactNanos and Compacting stay zero under
+// InlineCompact, the deterministic mode, which reads no clock.
 type Stats struct {
-	Appends       uint64 // WAL records appended
-	AppendedBytes uint64 // WAL bytes appended
-	Fsyncs        uint64 // fsyncs issued (group commit: <= Appends)
-	Segments      uint64 // WAL segments opened over the log's lifetime
-	Compactions   uint64 // snapshots taken
-	SnapshotPages uint64 // pages in the latest snapshot
-	Pools         uint64 // live pools
-	PagesLive     uint64 // live pages: entries in the index
-	BytesLive     uint64 // page bytes those entries locate on the blob store
-	Errors        uint64 // blob I/O failures (append, sync, snapshot or page read); see Log.Err
-	// CompactNanos is the wall time spent inside compactions, cumulative;
-	// Compacting reports one in flight. Both stay zero under InlineCompact,
-	// the deterministic mode, which reads no clock.
-	CompactNanos uint64
-	Compacting   bool
+	Appends       uint64
+	AppendedBytes uint64
+	Fsyncs        uint64
+	Segments      uint64
+	Compactions   uint64
+	SnapshotPages uint64
+	Pools         uint64
+	PagesLive     uint64
+	BytesLive     uint64
+	Errors        uint64 // see Log.Err
+	CompactNanos  uint64
+	Compacting    bool
 }
 
-// Add folds o into s (cluster aggregation; gauges sum across nodes).
-func (s *Stats) Add(o Stats) {
-	s.Appends += o.Appends
-	s.AppendedBytes += o.AppendedBytes
-	s.Fsyncs += o.Fsyncs
-	s.Segments += o.Segments
-	s.Compactions += o.Compactions
-	s.SnapshotPages += o.SnapshotPages
-	s.Pools += o.Pools
-	s.PagesLive += o.PagesLive
-	s.BytesLive += o.BytesLive
-	s.Errors += o.Errors
-	s.CompactNanos += o.CompactNanos
-	s.Compacting = s.Compacting || o.Compacting
+// Fields lists the journal's counters and gauges once for every exporter
+// (metrics.Block).
+func (s *Stats) Fields(v metrics.Visitor) {
+	v.Uint64("wal_appends", "Records appended to the write-ahead log.", metrics.Counter, &s.Appends)
+	v.Uint64("wal_bytes", "Bytes appended to the write-ahead log.", metrics.Counter, &s.AppendedBytes)
+	v.Uint64("fsyncs", "fsync calls issued by the journal (group commit: at most one per append).", metrics.Counter, &s.Fsyncs)
+	v.Uint64("segments_opened", "WAL segments opened over the log's lifetime.", metrics.Counter, &s.Segments)
+	v.Uint64("compactions", "Snapshot compactions completed.", metrics.Counter, &s.Compactions)
+	v.Uint64("snapshot_pages", "Pages in the latest snapshot.", metrics.Gauge, &s.SnapshotPages)
+	v.Uint64("pools", "Live persistent pools in the journal.", metrics.Gauge, &s.Pools)
+	v.Uint64("pages_live", "Pages the journal holds live.", metrics.Gauge, &s.PagesLive)
+	v.Uint64("bytes_live", "Page bytes the live index entries locate on the blob store.", metrics.Gauge, &s.BytesLive)
+	v.Uint64("journal_errors", "Journal blob I/O failures (append, sync, snapshot or page read).", metrics.Counter, &s.Errors)
+	v.Uint64("compaction", "Wall time spent inside compactions.", metrics.WallNanos, &s.CompactNanos)
+	v.Bool("compacting", "1 while a compaction is writing a snapshot.", metrics.Gauge, &s.Compacting)
 }
 
 // RecoveryInfo describes what Open found and replayed.

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"smartmem/internal/metrics"
 	"smartmem/internal/tmem"
 )
 
@@ -672,10 +673,10 @@ func TestCompactionStats(t *testing.T) {
 	}
 
 	sum := Stats{CompactNanos: 5}
-	sum.Add(Stats{CompactNanos: 7, Compacting: true})
-	sum.Add(Stats{CompactNanos: 1})
+	metrics.Add(&sum, Stats{CompactNanos: 7, Compacting: true})
+	metrics.Add(&sum, Stats{CompactNanos: 1})
 	if sum.CompactNanos != 13 || !sum.Compacting {
-		t.Fatalf("Stats.Add: CompactNanos=%d Compacting=%v, want 13 and true", sum.CompactNanos, sum.Compacting)
+		t.Fatalf("metrics.Add: CompactNanos=%d Compacting=%v, want 13 and true", sum.CompactNanos, sum.Compacting)
 	}
 
 	inline := mustOpen(t, testOpts(NewMemStore()))

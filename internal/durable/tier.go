@@ -2,6 +2,7 @@ package durable
 
 import (
 	"smartmem/internal/mem"
+	"smartmem/internal/metrics"
 	"smartmem/internal/tmem"
 )
 
@@ -149,10 +150,10 @@ func (t *Tier) Summary() Summary {
 	return Summary{Tier: t.Stats(), Log: t.log.Stats()}
 }
 
-// Add folds o into s (cluster aggregation).
-func (s *Summary) Add(o Summary) {
-	s.Tier.Add(o.Tier)
-	s.Log.Add(o.Log)
+// Fields lists the tier counters, then the journal's (metrics.Block).
+func (s *Summary) Fields(v metrics.Visitor) {
+	s.Tier.Fields(v)
+	s.Log.Fields(v)
 }
 
 var _ tmem.Tier = (*Tier)(nil)

@@ -32,8 +32,6 @@ import (
 
 	"smartmem/internal/core"
 	"smartmem/internal/durable"
-	"smartmem/internal/guest"
-	"smartmem/internal/mem"
 	"smartmem/internal/metrics"
 	"smartmem/internal/sim"
 	"smartmem/internal/tmem"
@@ -432,12 +430,14 @@ func decodeSeriesBlob(fp Fingerprint, ref seriesRef, blob []byte) (*metrics.Set,
 // Hand-rolled little-endian encoding: encoding/gob cannot see the
 // unexported fields of metrics.Set/Series, and a hand encoding is both
 // deterministic (stable byte output for identical results) and allocation-
-// friendly on the hot sweep path. The field walks below, with the series
-// blob above, must cover every field of core.Result and its component
-// structs; TestMemoCodecCoversResult pins the struct shapes with reflection
-// and round-trips a Result with every field set, so adding a field to
-// core.Result (or guest.Stats, tmem.OpCounts, ...) fails tests until the
-// codec and memoFormatVersion are updated together. The encoding is
+// friendly on the hot sweep path. The walks below, with the series blob
+// above, must cover every field of core.Result and its component structs.
+// The stats blocks (guest.Stats, tmem.OpCounts, the tier and journal
+// stats) travel in their Fields order, so a field reaches the record
+// exactly when it reaches Fields; TestMemoCodecCoversResult pins the
+// struct shapes with reflection and round-trips a Result with every field
+// set, so adding a field to core.Result fails tests until the codec and
+// memoFormatVersion are updated together. The encoding is
 // canonical — a record the decoder accepts re-encodes to the same bytes
 // (FuzzMemoDecode) — so a bool is exactly 0 or 1.
 
@@ -453,6 +453,20 @@ func encBool(b []byte, v bool) []byte {
 func encStr(b []byte, s string) []byte {
 	b = encU64(b, uint64(len(s)))
 	return append(b, s...)
+}
+
+// memoEnc appends a stats block to a record, field by field in the
+// block's Fields order (metrics.Visitor).
+type memoEnc []byte
+
+func (e *memoEnc) Uint64(_, _ string, _ metrics.Kind, v *uint64) { *e = encU64(*e, *v) }
+func (e *memoEnc) Int64(_, _ string, _ metrics.Kind, v *int64)   { *e = encI64(*e, *v) }
+func (e *memoEnc) Bool(_, _ string, _ metrics.Kind, v *bool)     { *e = encBool(*e, *v) }
+
+func encBlock(b []byte, blk metrics.Block) []byte {
+	e := memoEnc(b)
+	blk.Fields(&e)
+	return e
 }
 
 func encodeScalars(b []byte, r *core.Result) []byte {
@@ -471,11 +485,13 @@ func encodeScalars(b []byte, r *core.Result) []byte {
 	}
 
 	b = encU64(b, uint64(len(r.VMs)))
-	for _, vm := range r.VMs {
+	for i := range r.VMs {
+		vm := &r.VMs[i]
 		b = encStr(b, vm.Name)
 		b = encI64(b, int64(vm.ID))
-		b = encGuestStats(b, vm.Kernel)
-		b = encOpCounts(b, vm.Tmem)
+		b = encBlock(b, &vm.Kernel)
+		b = encI64(b, int64(vm.Tmem.ID))
+		b = encBlock(b, &vm.Tmem)
 	}
 
 	b = encU64(b, uint64(len(r.Nodes)))
@@ -486,98 +502,30 @@ func encodeScalars(b []byte, r *core.Result) []byte {
 		b = encU64(b, n.MMBatchesSent)
 		b = encU64(b, n.DiskOps)
 		b = encI64(b, int64(n.DiskBusy))
-		b = encBool(b, n.Remote != nil)
-		if n.Remote != nil {
-			b = encTierStats(b, *n.Remote)
-		}
-		b = encBool(b, n.Compressed != nil)
-		if n.Compressed != nil {
-			b = encCompressedStats(b, *n.Compressed)
-		}
-		b = encBool(b, n.Durable != nil)
-		if n.Durable != nil {
-			b = encDurableSummary(b, *n.Durable)
-		}
+		b = encOptBlock(b, n.Remote)
+		b = encOptBlock(b, n.Compressed)
+		b = encOptBlock(b, n.Durable)
 	}
 
 	b = encU64(b, r.MMBatchesSent)
 	b = encU64(b, r.SampleTicks)
 	b = encU64(b, r.DiskOps)
 	b = encI64(b, int64(r.DiskBusy))
-	b = encBool(b, r.Compressed != nil)
-	if r.Compressed != nil {
-		b = encCompressedStats(b, *r.Compressed)
-	}
-	b = encBool(b, r.Durable != nil)
-	if r.Durable != nil {
-		b = encDurableSummary(b, *r.Durable)
+	b = encOptBlock(b, r.Compressed)
+	return encOptBlock(b, r.Durable)
+}
+
+// encOptBlock appends a presence flag, then the block when there is one.
+func encOptBlock[P interface {
+	comparable
+	metrics.Block
+}](b []byte, blk P) []byte {
+	var none P
+	b = encBool(b, blk != none)
+	if blk != none {
+		b = encBlock(b, blk)
 	}
 	return b
-}
-
-func encGuestStats(b []byte, s guest.Stats) []byte {
-	b = encU64(b, s.Touches)
-	b = encU64(b, s.MinorFaults)
-	b = encU64(b, s.TmemHits)
-	b = encU64(b, s.TmemMisses)
-	b = encU64(b, s.DiskReads)
-	b = encU64(b, s.DiskWrites)
-	b = encU64(b, s.Evictions)
-	b = encU64(b, s.CleanEvicts)
-	b = encU64(b, s.PutsOK)
-	b = encU64(b, s.PutsFailed)
-	b = encU64(b, s.TmemFlushes)
-	b = encU64(b, s.FreedPages)
-	return encI64(b, int64(s.WaitedOnDisk))
-}
-
-func encOpCounts(b []byte, c tmem.OpCounts) []byte {
-	b = encI64(b, int64(c.ID))
-	b = encU64(b, c.PutsTotal)
-	b = encU64(b, c.PutsSucc)
-	b = encU64(b, c.GetsTotal)
-	b = encU64(b, c.GetsHit)
-	b = encU64(b, c.Flushes)
-	return encU64(b, c.EphEvicted)
-}
-
-func encTierStats(b []byte, s tmem.TierStats) []byte {
-	b = encU64(b, s.Puts)
-	b = encU64(b, s.PutsOK)
-	b = encU64(b, s.Gets)
-	b = encU64(b, s.GetsHit)
-	b = encU64(b, s.PageFlushes)
-	b = encU64(b, s.ObjectFlushes)
-	return encU64(b, s.Errors)
-}
-
-func encCompressedStats(b []byte, s tmem.CompressedTierStats) []byte {
-	b = encTierStats(b, s.TierStats)
-	b = encI64(b, int64(s.PagesStored))
-	b = encI64(b, s.UniqueBlobs)
-	b = encI64(b, int64(s.RawBytes))
-	b = encI64(b, int64(s.StoredBytes))
-	b = encU64(b, s.DedupHits)
-	b = encU64(b, s.RejectedFull)
-	b = encU64(b, s.DecodeErrors)
-	b = encU64(b, s.CompressNs)
-	return encU64(b, s.DecompressNs)
-}
-
-func encDurableSummary(b []byte, s durable.Summary) []byte {
-	b = encTierStats(b, s.Tier)
-	b = encU64(b, s.Log.Appends)
-	b = encU64(b, s.Log.AppendedBytes)
-	b = encU64(b, s.Log.Fsyncs)
-	b = encU64(b, s.Log.Segments)
-	b = encU64(b, s.Log.Compactions)
-	b = encU64(b, s.Log.SnapshotPages)
-	b = encU64(b, s.Log.Pools)
-	b = encU64(b, s.Log.PagesLive)
-	b = encU64(b, s.Log.BytesLive)
-	b = encU64(b, s.Log.Errors)
-	b = encU64(b, s.Log.CompactNanos)
-	return encBool(b, s.Log.Compacting)
 }
 
 // memoDec is a sticky-error little-endian reader over a payload slice.
@@ -654,6 +602,25 @@ func (d *memoDec) count(what string, min int) int {
 	return int(n)
 }
 
+// The decoder is the Visitor that fills a stats block from the record.
+func (d *memoDec) Uint64(name, _ string, _ metrics.Kind, v *uint64) { *v = d.u64(name) }
+func (d *memoDec) Int64(name, _ string, _ metrics.Kind, v *int64)   { *v = d.i64(name) }
+func (d *memoDec) Bool(name, _ string, _ metrics.Kind, v *bool)     { *v = d.bool(name) }
+
+// optBlock reads a presence flag, then the block into a fresh T when the
+// flag is set.
+func optBlock[T any, P interface {
+	*T
+	metrics.Block
+}](d *memoDec, what string) P {
+	if !d.bool(what) {
+		return nil
+	}
+	blk := P(new(T))
+	blk.Fields(d)
+	return blk
+}
+
 func decodeScalars(d *memoDec) *core.Result {
 	r := &core.Result{}
 	r.PolicyName = d.str("policy")
@@ -677,37 +644,28 @@ func decodeScalars(d *memoDec) *core.Result {
 	if n := d.count("vms", 8); n > 0 {
 		r.VMs = make([]core.VMResult, 0, n)
 		for i := 0; i < n && d.err == nil; i++ {
-			vm := core.VMResult{Name: d.str("vm.name"), ID: tmem.VMID(d.i64("vm.id"))}
-			vm.Kernel = decGuestStats(d)
-			vm.Tmem = decOpCounts(d)
-			r.VMs = append(r.VMs, vm)
+			r.VMs = append(r.VMs, core.VMResult{Name: d.str("vm.name"), ID: tmem.VMID(d.i64("vm.id"))})
+			vm := &r.VMs[i]
+			vm.Kernel.Fields(d)
+			vm.Tmem.ID = tmem.VMID(d.i64("vm.tmem-id"))
+			vm.Tmem.Fields(d)
 		}
 	}
 
 	if n := d.count("nodes", 8); n > 0 {
 		r.Nodes = make([]core.NodeResult, 0, n)
 		for i := 0; i < n && d.err == nil; i++ {
-			node := core.NodeResult{
+			r.Nodes = append(r.Nodes, core.NodeResult{
 				Name:          d.str("node.name"),
 				PolicyName:    d.str("node.policy"),
 				SampleTicks:   d.u64("node.ticks"),
 				MMBatchesSent: d.u64("node.batches"),
 				DiskOps:       d.u64("node.disk-ops"),
 				DiskBusy:      sim.Duration(d.i64("node.disk-busy")),
-			}
-			if d.bool("node.remote?") {
-				ts := decTierStats(d)
-				node.Remote = &ts
-			}
-			if d.bool("node.compressed?") {
-				cs := decCompressedStats(d)
-				node.Compressed = &cs
-			}
-			if d.bool("node.durable?") {
-				ds := decDurableSummary(d)
-				node.Durable = &ds
-			}
-			r.Nodes = append(r.Nodes, node)
+				Remote:        optBlock[tmem.TierStats](d, "node.remote?"),
+				Compressed:    optBlock[tmem.CompressedTierStats](d, "node.compressed?"),
+				Durable:       optBlock[durable.Summary](d, "node.durable?"),
+			})
 		}
 	}
 
@@ -715,90 +673,7 @@ func decodeScalars(d *memoDec) *core.Result {
 	r.SampleTicks = d.u64("ticks")
 	r.DiskOps = d.u64("disk-ops")
 	r.DiskBusy = sim.Duration(d.i64("disk-busy"))
-	if d.bool("compressed?") {
-		cs := decCompressedStats(d)
-		r.Compressed = &cs
-	}
-	if d.bool("durable?") {
-		ds := decDurableSummary(d)
-		r.Durable = &ds
-	}
+	r.Compressed = optBlock[tmem.CompressedTierStats](d, "compressed?")
+	r.Durable = optBlock[durable.Summary](d, "durable?")
 	return r
-}
-
-func decGuestStats(d *memoDec) guest.Stats {
-	return guest.Stats{
-		Touches:      d.u64("k.touches"),
-		MinorFaults:  d.u64("k.minor"),
-		TmemHits:     d.u64("k.hits"),
-		TmemMisses:   d.u64("k.misses"),
-		DiskReads:    d.u64("k.reads"),
-		DiskWrites:   d.u64("k.writes"),
-		Evictions:    d.u64("k.evictions"),
-		CleanEvicts:  d.u64("k.clean"),
-		PutsOK:       d.u64("k.puts-ok"),
-		PutsFailed:   d.u64("k.puts-failed"),
-		TmemFlushes:  d.u64("k.flushes"),
-		FreedPages:   d.u64("k.freed"),
-		WaitedOnDisk: sim.Duration(d.i64("k.waited")),
-	}
-}
-
-func decOpCounts(d *memoDec) tmem.OpCounts {
-	return tmem.OpCounts{
-		ID:         tmem.VMID(d.i64("t.id")),
-		PutsTotal:  d.u64("t.puts"),
-		PutsSucc:   d.u64("t.puts-succ"),
-		GetsTotal:  d.u64("t.gets"),
-		GetsHit:    d.u64("t.gets-hit"),
-		Flushes:    d.u64("t.flushes"),
-		EphEvicted: d.u64("t.eph-evicted"),
-	}
-}
-
-func decTierStats(d *memoDec) tmem.TierStats {
-	return tmem.TierStats{
-		Puts:          d.u64("tier.puts"),
-		PutsOK:        d.u64("tier.puts-ok"),
-		Gets:          d.u64("tier.gets"),
-		GetsHit:       d.u64("tier.gets-hit"),
-		PageFlushes:   d.u64("tier.page-flushes"),
-		ObjectFlushes: d.u64("tier.object-flushes"),
-		Errors:        d.u64("tier.errors"),
-	}
-}
-
-func decCompressedStats(d *memoDec) tmem.CompressedTierStats {
-	return tmem.CompressedTierStats{
-		TierStats:    decTierStats(d),
-		PagesStored:  mem.Pages(d.i64("c.pages")),
-		UniqueBlobs:  d.i64("c.blobs"),
-		RawBytes:     mem.Bytes(d.i64("c.raw")),
-		StoredBytes:  mem.Bytes(d.i64("c.stored")),
-		DedupHits:    d.u64("c.dedup"),
-		RejectedFull: d.u64("c.rejected"),
-		DecodeErrors: d.u64("c.decode-errs"),
-		CompressNs:   d.u64("c.compress-ns"),
-		DecompressNs: d.u64("c.decompress-ns"),
-	}
-}
-
-func decDurableSummary(d *memoDec) durable.Summary {
-	return durable.Summary{
-		Tier: decTierStats(d),
-		Log: durable.Stats{
-			Appends:       d.u64("d.appends"),
-			AppendedBytes: d.u64("d.appended-bytes"),
-			Fsyncs:        d.u64("d.fsyncs"),
-			Segments:      d.u64("d.segments"),
-			Compactions:   d.u64("d.compactions"),
-			SnapshotPages: d.u64("d.snapshot-pages"),
-			Pools:         d.u64("d.pools"),
-			PagesLive:     d.u64("d.pages-live"),
-			BytesLive:     d.u64("d.bytes-live"),
-			Errors:        d.u64("d.errors"),
-			CompactNanos:  d.u64("d.compact-nanos"),
-			Compacting:    d.bool("d.compacting"),
-		},
-	}
 }

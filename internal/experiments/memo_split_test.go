@@ -327,3 +327,25 @@ func TestMemoScalarHitAllocs(t *testing.T) {
 		t.Errorf("scalar hit allocates %.0f objects, want <= 64", allocs)
 	}
 }
+
+// BenchmarkMemoScalarDecode decodes one cluster-2 cell's scalar record,
+// the work a warm rerun does per cell: two nodes' tier blocks and four
+// VMs' kernel and tmem blocks, walked through their Fields.
+func BenchmarkMemoScalarDecode(b *testing.B) {
+	s, err := BySlug("cluster-2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := RunOne(s, "smart-alloc:P=2", 11)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fp := Fingerprint{1}
+	rec := encodeScalarRecord(nil, fp, res, seriesRef{})
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, err := decodeScalarRecord(fp, rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -29,6 +29,7 @@ import (
 	"math"
 
 	"smartmem/internal/mem"
+	"smartmem/internal/metrics"
 	"smartmem/internal/sim"
 	"smartmem/internal/tmem"
 	"smartmem/internal/vdisk"
@@ -148,21 +149,39 @@ type Config struct {
 	Costs CostModel
 }
 
-// Stats counts the kernel's memory-management events.
+// Stats counts the kernel's memory-management events; Fields says what
+// each one counts.
 type Stats struct {
-	Touches      uint64 // total page touches
-	MinorFaults  uint64 // zero-fill
-	TmemHits     uint64 // refaults served from tmem
-	TmemMisses   uint64 // refaults that had to go to disk after tmem miss
-	DiskReads    uint64 // swap-ins / file reads from disk
-	DiskWrites   uint64 // swap-outs to disk
-	Evictions    uint64 // pages pushed out of RAM
-	CleanEvicts  uint64 // evictions satisfied by dropping a clean page
-	PutsOK       uint64 // successful frontswap/cleancache puts
-	PutsFailed   uint64 // failed puts (fell back to disk for anon pages)
-	TmemFlushes  uint64 // explicit invalidations issued
-	FreedPages   uint64 // pages released via Free
+	Touches      uint64
+	MinorFaults  uint64
+	TmemHits     uint64
+	TmemMisses   uint64
+	DiskReads    uint64
+	DiskWrites   uint64
+	Evictions    uint64
+	CleanEvicts  uint64
+	PutsOK       uint64
+	PutsFailed   uint64
+	TmemFlushes  uint64
+	FreedPages   uint64
 	WaitedOnDisk sim.Duration
+}
+
+// Fields lists the counters once for every exporter (metrics.Block).
+func (s *Stats) Fields(v metrics.Visitor) {
+	v.Uint64("touches", "Page touches.", metrics.Counter, &s.Touches)
+	v.Uint64("minor_faults", "Zero-fill faults.", metrics.Counter, &s.MinorFaults)
+	v.Uint64("tmem_hits", "Refaults served from tmem.", metrics.Counter, &s.TmemHits)
+	v.Uint64("tmem_misses", "Refaults that went to disk after a tmem miss.", metrics.Counter, &s.TmemMisses)
+	v.Uint64("disk_reads", "Swap-ins and file reads from disk.", metrics.Counter, &s.DiskReads)
+	v.Uint64("disk_writes", "Swap-outs to disk.", metrics.Counter, &s.DiskWrites)
+	v.Uint64("evictions", "Pages pushed out of RAM.", metrics.Counter, &s.Evictions)
+	v.Uint64("clean_evicts", "Evictions that dropped a clean page.", metrics.Counter, &s.CleanEvicts)
+	v.Uint64("puts_ok", "Frontswap and cleancache puts accepted.", metrics.Counter, &s.PutsOK)
+	v.Uint64("puts_failed", "Failed puts (anonymous pages fell back to disk).", metrics.Counter, &s.PutsFailed)
+	v.Uint64("tmem_flushes", "Explicit tmem invalidations issued.", metrics.Counter, &s.TmemFlushes)
+	v.Uint64("freed_pages", "Pages released via Free.", metrics.Counter, &s.FreedPages)
+	v.Int64("disk_wait", "Virtual time spent waiting on disk.", metrics.VirtualNanos, (*int64)(&s.WaitedOnDisk))
 }
 
 // Kernel is one guest's memory-management state. It is not goroutine-safe;

@@ -2,7 +2,8 @@
 // toolkit used to record and report experiment results: per-VM tmem usage
 // over time (the paper's Figures 4, 6, 8, 10) and running-time aggregates
 // across repetitions (Figures 3, 5, 7, 9 report means and standard
-// deviations over five runs).
+// deviations over five runs). Block is the one list of fields each counter
+// block declares, which every exporter walks.
 package metrics
 
 import (

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"smartmem/internal/mem"
+	"smartmem/internal/metrics"
 )
 
 // This file implements CompressedTier: the zcache leg of the tmem lineage
@@ -126,19 +127,35 @@ type CompressedTier struct {
 }
 
 // CompressedTierStats extends the generic tier counters with the
-// compression and dedup accounting of a CompressedTier snapshot.
+// compression and dedup accounting of a CompressedTier snapshot; Fields
+// says what each field counts.
 type CompressedTierStats struct {
 	TierStats
 
-	PagesStored  mem.Pages // pages currently indexed
-	UniqueBlobs  int64     // distinct blobs currently in the arena
-	RawBytes     mem.Bytes // uncompressed footprint of stored pages
-	StoredBytes  mem.Bytes // charged slab bytes (counted once per blob)
-	DedupHits    uint64    // puts that landed on an existing blob
-	RejectedFull uint64    // puts rejected on arena or page-count exhaustion
-	DecodeErrors uint64    // stored blobs that failed to decode (dropped)
-	CompressNs   uint64    // cumulative codec encode time
-	DecompressNs uint64    // cumulative codec decode time
+	PagesStored  mem.Pages
+	UniqueBlobs  int64
+	RawBytes     mem.Bytes
+	StoredBytes  mem.Bytes
+	DedupHits    uint64
+	RejectedFull uint64
+	DecodeErrors uint64
+	CompressNs   uint64
+	DecompressNs uint64
+}
+
+// Fields lists the tier counters, then the compression accounting
+// (metrics.Block).
+func (s *CompressedTierStats) Fields(v metrics.Visitor) {
+	s.TierStats.Fields(v)
+	v.Int64("pages_stored", "Pages resident in the compressed tier.", metrics.Gauge, (*int64)(&s.PagesStored))
+	v.Int64("unique_blobs", "Unique compressed blobs after dedup.", metrics.Gauge, &s.UniqueBlobs)
+	v.Int64("raw_bytes", "Uncompressed bytes of the stored pages.", metrics.Gauge, (*int64)(&s.RawBytes))
+	v.Int64("stored_bytes", "Charged slab bytes, counted once per blob.", metrics.Gauge, (*int64)(&s.StoredBytes))
+	v.Uint64("dedup_hits", "Puts that landed on an existing blob.", metrics.Counter, &s.DedupHits)
+	v.Uint64("rejected_full", "Puts rejected on arena or page-count exhaustion.", metrics.Counter, &s.RejectedFull)
+	v.Uint64("decode_errors", "Stored blobs that failed to decode on a get (dropped).", metrics.Counter, &s.DecodeErrors)
+	v.Uint64("compress", "Codec encode time.", metrics.WallNanos, &s.CompressNs)
+	v.Uint64("decompress", "Codec decode time.", metrics.WallNanos, &s.DecompressNs)
 }
 
 // Ratio returns the effective compression ratio RawBytes/StoredBytes
@@ -148,21 +165,6 @@ func (s CompressedTierStats) Ratio() float64 {
 		return 0
 	}
 	return float64(s.RawBytes) / float64(s.StoredBytes)
-}
-
-// Add accumulates o into s (cluster-wide summing; gauges add too, so the
-// sum reads as the cluster total).
-func (s *CompressedTierStats) Add(o CompressedTierStats) {
-	s.TierStats.Add(o.TierStats)
-	s.PagesStored += o.PagesStored
-	s.UniqueBlobs += o.UniqueBlobs
-	s.RawBytes += o.RawBytes
-	s.StoredBytes += o.StoredBytes
-	s.DedupHits += o.DedupHits
-	s.RejectedFull += o.RejectedFull
-	s.DecodeErrors += o.DecodeErrors
-	s.CompressNs += o.CompressNs
-	s.DecompressNs += o.DecompressNs
 }
 
 // NewCompressedTier creates the tier. Panics on a config the caller should

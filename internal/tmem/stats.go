@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"smartmem/internal/mem"
+	"smartmem/internal/metrics"
 )
 
 // VMStat is one VM's entry in a statistics sample. Field names map onto the
@@ -158,7 +159,8 @@ func (b *Backend) ApplyTargets(targets []TargetUpdate) {
 	}
 }
 
-// OpCounts is a cumulative per-VM operation summary for reports and tests.
+// OpCounts is a cumulative per-VM operation summary for reports and tests;
+// Fields says what each count is.
 type OpCounts struct {
 	ID         VMID
 	PutsTotal  uint64
@@ -167,6 +169,16 @@ type OpCounts struct {
 	GetsHit    uint64
 	Flushes    uint64
 	EphEvicted uint64
+}
+
+// Fields lists the counts, without ID (metrics.Block).
+func (c *OpCounts) Fields(v metrics.Visitor) {
+	v.Uint64("puts_total", "Puts the VM issued.", metrics.Counter, &c.PutsTotal)
+	v.Uint64("puts_succ", "Puts the store accepted.", metrics.Counter, &c.PutsSucc)
+	v.Uint64("gets_total", "Gets the VM issued.", metrics.Counter, &c.GetsTotal)
+	v.Uint64("gets_hit", "Gets that found the page.", metrics.Counter, &c.GetsHit)
+	v.Uint64("flushes", "Pages the VM's flushes invalidated.", metrics.Counter, &c.Flushes)
+	v.Uint64("eph_evicted", "Ephemeral pages evicted from the VM.", metrics.Counter, &c.EphEvicted)
 }
 
 // Counts returns cumulative operation counts for a VM.

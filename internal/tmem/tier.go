@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"smartmem/internal/mem"
+	"smartmem/internal/metrics"
 )
 
 // This file implements the tiered tmem hierarchy: the local lock-striped
@@ -71,26 +72,27 @@ type Tier interface {
 // Deprecated: BatchTier is Tier, which has the batch methods.
 type BatchTier = Tier
 
-// TierStats are a tier's cumulative operation counters.
+// TierStats are a tier's cumulative operation counters; Fields says what
+// each one counts.
 type TierStats struct {
-	Puts          uint64 // overflow puts offered
-	PutsOK        uint64 // overflow puts accepted
-	Gets          uint64 // gets forwarded
-	GetsHit       uint64 // gets served
-	PageFlushes   uint64 // page flushes forwarded
-	ObjectFlushes uint64 // object flushes forwarded
-	Errors        uint64 // transport errors (the tier disables itself)
+	Puts          uint64
+	PutsOK        uint64
+	Gets          uint64
+	GetsHit       uint64
+	PageFlushes   uint64
+	ObjectFlushes uint64
+	Errors        uint64
 }
 
-// Add folds o into s (cluster aggregation).
-func (s *TierStats) Add(o TierStats) {
-	s.Puts += o.Puts
-	s.PutsOK += o.PutsOK
-	s.Gets += o.Gets
-	s.GetsHit += o.GetsHit
-	s.PageFlushes += o.PageFlushes
-	s.ObjectFlushes += o.ObjectFlushes
-	s.Errors += o.Errors
+// Fields lists the counters once for every exporter (metrics.Block).
+func (s *TierStats) Fields(v metrics.Visitor) {
+	v.Uint64("puts", "Overflow puts offered.", metrics.Counter, &s.Puts)
+	v.Uint64("puts_ok", "Overflow puts accepted.", metrics.Counter, &s.PutsOK)
+	v.Uint64("gets", "Gets forwarded.", metrics.Counter, &s.Gets)
+	v.Uint64("gets_hit", "Gets served.", metrics.Counter, &s.GetsHit)
+	v.Uint64("page_flushes", "Page flushes forwarded.", metrics.Counter, &s.PageFlushes)
+	v.Uint64("object_flushes", "Object flushes forwarded.", metrics.Counter, &s.ObjectFlushes)
+	v.Uint64("errors", "Transport errors (the tier disables itself).", metrics.Counter, &s.Errors)
 }
 
 // TierCounters is the atomic counter block behind a tier's TierStats,

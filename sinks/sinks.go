@@ -21,8 +21,8 @@ import (
 	"time"
 
 	"smartmem"
-	"smartmem/internal/durable"
 	"smartmem/internal/mem"
+	"smartmem/internal/metrics"
 	"smartmem/internal/tmem"
 )
 
@@ -112,52 +112,37 @@ func encodeTarget(p mem.Pages) int64 {
 // formatting changes and precise enough for 1 Hz sampling.
 func round(s float64) float64 { return float64(int64(s*1e3+0.5)) / 1e3 }
 
-// encodeCompressed flattens a compressed-tier snapshot. Codec timing
-// counters are deliberately omitted: they are wall-clock measurements, and
-// the result document must stay deterministic for golden comparison.
-func encodeCompressed(s *tmem.CompressedTierStats) map[string]any {
-	return map[string]any{
-		"puts":           s.Puts,
-		"puts_ok":        s.PutsOK,
-		"gets":           s.Gets,
-		"gets_hit":       s.GetsHit,
-		"page_flushes":   s.PageFlushes,
-		"object_flushes": s.ObjectFlushes,
-		"errors":         s.Errors,
-		"pages_stored":   int64(s.PagesStored),
-		"unique_blobs":   s.UniqueBlobs,
-		"raw_bytes":      int64(s.RawBytes),
-		"stored_bytes":   int64(s.StoredBytes),
-		"dedup_hits":     s.DedupHits,
-		"rejected_full":  s.RejectedFull,
-		"decode_errors":  s.DecodeErrors,
-		"ratio":          round(s.Ratio()),
+// jsonBlock is the metrics.Visitor that writes a stats block into a JSON
+// object under the fields' declared names. Time fields are written in
+// seconds, with a _seconds suffix; wall-clock ones are left out, so the
+// result document repeats exactly for a seed (the golden comparisons).
+type jsonBlock map[string]any
+
+func (m jsonBlock) Uint64(name, _ string, k metrics.Kind, v *uint64) { m.set(name, k, *v, float64(*v)) }
+func (m jsonBlock) Int64(name, _ string, k metrics.Kind, v *int64)   { m.set(name, k, *v, float64(*v)) }
+func (m jsonBlock) Bool(name, _ string, k metrics.Kind, v *bool)     { m.set(name, k, *v, 0) }
+
+func (m jsonBlock) set(name string, k metrics.Kind, v any, f float64) {
+	switch k {
+	case metrics.WallNanos:
+	case metrics.VirtualNanos:
+		m[name+"_seconds"] = round(f / 1e9)
+	default:
+		m[name] = v
 	}
 }
 
-// encodeDurable flattens a durable-tier summary: the tier's demotion
-// traffic plus the journal's WAL/snapshot counters and live-state gauges.
-// Every field is deterministic under the sim's durable options (no fsync
-// goroutine, inline compaction), so golden runs may include it.
-func encodeDurable(s *durable.Summary) map[string]any {
-	return map[string]any{
-		"puts":           s.Tier.Puts,
-		"puts_ok":        s.Tier.PutsOK,
-		"gets":           s.Tier.Gets,
-		"gets_hit":       s.Tier.GetsHit,
-		"page_flushes":   s.Tier.PageFlushes,
-		"object_flushes": s.Tier.ObjectFlushes,
-		"errors":         s.Tier.Errors,
-		"wal_appends":    s.Log.Appends,
-		"wal_bytes":      s.Log.AppendedBytes,
-		"fsyncs":         s.Log.Fsyncs,
-		"segments":       s.Log.Segments,
-		"compactions":    s.Log.Compactions,
-		"snapshot_pages": s.Log.SnapshotPages,
-		"pools":          s.Log.Pools,
-		"pages_live":     s.Log.PagesLive,
-		"bytes_live":     s.Log.BytesLive,
-	}
+func encodeBlock(b metrics.Block) map[string]any {
+	m := jsonBlock{}
+	b.Fields(m)
+	return m
+}
+
+// encodeCompressed adds the derived compression ratio to the tier's block.
+func encodeCompressed(s *tmem.CompressedTierStats) map[string]any {
+	m := encodeBlock(s)
+	m["ratio"] = round(s.Ratio())
+	return m
 }
 
 // EncodeResult flattens a run result into its JSON document form. A nil
@@ -181,7 +166,7 @@ func EncodeResult(r *smartmem.Result) map[string]any {
 		doc["compressed_tier"] = encodeCompressed(r.Compressed)
 	}
 	if r.Durable != nil {
-		doc["durable_tier"] = encodeDurable(r.Durable)
+		doc["durable_tier"] = encodeBlock(r.Durable)
 	}
 	runs := make([]map[string]any, 0, len(r.Runs))
 	for _, rec := range r.Runs {
@@ -196,33 +181,11 @@ func EncodeResult(r *smartmem.Result) map[string]any {
 	doc["runs"] = runs
 	vms := make([]map[string]any, 0, len(r.VMs))
 	for _, vm := range r.VMs {
-		k := vm.Kernel
 		vms = append(vms, map[string]any{
-			"name": vm.Name,
-			"id":   int64(vm.ID),
-			"kernel": map[string]any{
-				"touches":           k.Touches,
-				"minor_faults":      k.MinorFaults,
-				"tmem_hits":         k.TmemHits,
-				"tmem_misses":       k.TmemMisses,
-				"disk_reads":        k.DiskReads,
-				"disk_writes":       k.DiskWrites,
-				"evictions":         k.Evictions,
-				"clean_evicts":      k.CleanEvicts,
-				"puts_ok":           k.PutsOK,
-				"puts_failed":       k.PutsFailed,
-				"tmem_flushes":      k.TmemFlushes,
-				"freed_pages":       k.FreedPages,
-				"disk_wait_seconds": round(k.WaitedOnDisk.Seconds()),
-			},
-			"tmem": map[string]any{
-				"puts_total":  vm.Tmem.PutsTotal,
-				"puts_succ":   vm.Tmem.PutsSucc,
-				"gets_total":  vm.Tmem.GetsTotal,
-				"gets_hit":    vm.Tmem.GetsHit,
-				"flushes":     vm.Tmem.Flushes,
-				"eph_evicted": vm.Tmem.EphEvicted,
-			},
+			"name":   vm.Name,
+			"id":     int64(vm.ID),
+			"kernel": encodeBlock(&vm.Kernel),
+			"tmem":   encodeBlock(&vm.Tmem),
 		})
 	}
 	doc["vms"] = vms
@@ -238,21 +201,13 @@ func EncodeResult(r *smartmem.Result) map[string]any {
 				"disk_busy_seconds": round(n.DiskBusy.Seconds()),
 			}
 			if n.Remote != nil {
-				nd["remote_tier"] = map[string]any{
-					"puts":           n.Remote.Puts,
-					"puts_ok":        n.Remote.PutsOK,
-					"gets":           n.Remote.Gets,
-					"gets_hit":       n.Remote.GetsHit,
-					"page_flushes":   n.Remote.PageFlushes,
-					"object_flushes": n.Remote.ObjectFlushes,
-					"errors":         n.Remote.Errors,
-				}
+				nd["remote_tier"] = encodeBlock(n.Remote)
 			}
 			if n.Compressed != nil {
 				nd["compressed_tier"] = encodeCompressed(n.Compressed)
 			}
 			if n.Durable != nil {
-				nd["durable_tier"] = encodeDurable(n.Durable)
+				nd["durable_tier"] = encodeBlock(n.Durable)
 			}
 			nodes = append(nodes, nd)
 		}
